@@ -9,6 +9,7 @@ error.  Every report embeds a run manifest for reproducibility.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -37,7 +38,7 @@ from .states import (
     PAULI_Z,
     qubit_state,
 )
-from .suites import run_verify, sign_flipped_imag_part, suite_ozawa_chain
+from .suites import run_verify, suite_ozawa_chain
 from .tolerances import DEFAULT_TOL, Tolerances
 from .transport import LocalContext
 
@@ -47,6 +48,8 @@ EXIT_USAGE = 2
 
 _DEMOS = ("naive-violation", "kr-reduction", "ozawa-chain")
 _FAMILIES = ("unsharp", "noisy-projective", "custom")
+# Largest number of points a start:stop:step grid may hold.
+_MAX_GRID_POINTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -89,21 +92,43 @@ def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
     return dims
 
 
+def _parse_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
+    return n
+
+
 def _parse_grid(text: str) -> tuple[float, ...]:
-    """Accept 'a,b,c' or 'start:stop:step' (stop inclusive up to roundoff)."""
+    """Accept 'a,b,c' or 'start:stop:step' (stop inclusive up to roundoff).
+
+    The grid must not be empty, and a range may hold at most
+    ``_MAX_GRID_POINTS`` points; that count is checked before any point is
+    built."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError("grid range must be start:stop:step")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise argparse.ArgumentTypeError("grid range must be finite")
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
-        return tuple(start + k * step for k in range(count))
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
+        span = (stop - start) / step
+        if not span <= _MAX_GRID_POINTS - 1:
+            raise argparse.ArgumentTypeError(f"grid range holds more than {_MAX_GRID_POINTS} points")
+        grid = tuple(start + k * step for k in range(int(round(span)) + 1))
+    else:
+        try:
+            grid = tuple(float(p) for p in text.split(",") if p.strip())
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad grid {text!r}") from exc
+    if not grid:
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds no points")
+    return grid
 
 
 def _tolerances(args) -> Tolerances:
@@ -141,8 +166,7 @@ def _emit_json(args, payload: dict) -> None:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     tol = _tolerances(args)
-    imag_fn = sign_flipped_imag_part if args.self_test_sign_flip else None
-    results = run_verify(args.dims, args.n, args.seed, tol, imag_part_fn=imag_fn)
+    results = run_verify(args.dims, args.n, args.seed, tol, sign_flip=args.self_test_sign_flip)
     passed = sum(r.checks - r.failures for r in results)
     failed = sum(r.failures for r in results)
     for r in results:
@@ -163,15 +187,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _scan_default_state(args, tol: Tolerances) -> DensityOperator:
+# JSON inputs are validated at the default tolerances: --tolerance sets the
+# slack of property checks, never how malformed an input may be.
+def _scan_default_state(args) -> DensityOperator:
     if args.state:
-        return load_state(args.state, tol=tol)
+        return load_state(args.state)
     return DensityOperator.maximally_mixed(2)
 
 
-def _scan_observables(args, tol: Tolerances) -> tuple[HermitianObservable, HermitianObservable]:
-    a = load_observable(args.obs_a, tol=tol) if args.obs_a else HermitianObservable(PAULI_Z)
-    b = load_observable(args.obs_b, tol=tol) if args.obs_b else HermitianObservable(PAULI_X)
+def _scan_observables(args) -> tuple[HermitianObservable, HermitianObservable]:
+    a = load_observable(args.obs_a) if args.obs_a else HermitianObservable(PAULI_Z)
+    b = load_observable(args.obs_b) if args.obs_b else HermitianObservable(PAULI_X)
     return a, b
 
 
@@ -181,19 +207,19 @@ def cmd_scan(args) -> int:
     if args.family not in _FAMILIES:
         print(f"unknown family {args.family!r}; choose from {_FAMILIES}", file=sys.stderr)
         return EXIT_USAGE
-    rho = _scan_default_state(args, tol)
-    obs_a, obs_b = _scan_observables(args, tol)
+    rho = _scan_default_state(args)
+    obs_a, obs_b = _scan_observables(args)
 
     rows = []
     if args.family == "custom":
         if not args.povm:
             print("family 'custom' needs --povm FILE", file=sys.stderr)
             return EXIT_USAGE
-        povm = load_povm(args.povm, tol=tol)
+        povm = load_povm(args.povm)
         ctx = LocalContext(povm, rho, tol=tol)
         rows.append((None, evaluate_relation(ctx, obs_a, obs_b, tol=tol)))
     else:
-        grid = args.grid if args.grid else tuple(k / 10.0 for k in range(11))
+        grid = args.grid if args.grid is not None else tuple(k / 10.0 for k in range(11))
         for param in grid:
             if args.family == "unsharp":
                 povm = unsharp_qubit((0.0, 0.0, 1.0), param, tol=tol)
@@ -309,7 +335,7 @@ def cmd_chain(args) -> int:
     if args.model:
         from .serialize import load_model
 
-        model = load_model(args.model, tol=tol)
+        model = load_model(args.model)
         rng = np.random.default_rng(args.seed)
         cfg = GenConfig(seed=args.seed, dim=model.system_dim)
         rho = random_state(cfg, rng)
@@ -351,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tolerance", type=float, default=None, help="override the identity/slack tolerance")
+    common.add_argument("--tolerance", type=float, default=None, help="override the identity/slack tolerance of property checks (JSON inputs are always validated at the defaults)")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")
     p_verify.add_argument("--dims", type=_parse_dims, default=(2, 3), help="comma-separated dimensions in 2..8")
-    p_verify.add_argument("--n", type=int, default=200, help="instances per dimension per suite")
+    p_verify.add_argument("--n", type=_parse_count, default=200, help="instances per dimension per suite")
     p_verify.add_argument(
         "--self-test-sign-flip",
         action="store_true",
@@ -381,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
     p_chain.add_argument("--dims", type=_parse_dims, default=(2, 3), help="system dimensions")
     p_chain.add_argument("--ancilla", type=int, default=2, help="ancilla dimension for random models")
-    p_chain.add_argument("--n", type=int, default=50, help="random models per dimension")
+    p_chain.add_argument("--n", type=_parse_count, default=50, help="random models per dimension")
     p_chain.add_argument("--model", type=str, default=None, help="JSON indirect model to check instead")
     p_chain.set_defaults(func=cmd_chain)
 

@@ -19,7 +19,7 @@ from .states import (
     class_norm,
     state_norm,
 )
-from .transport import LocalContext, pullback_rep, pushforward, support_restrict
+from .transport import LocalContext, pullback_rep, pushforward
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -32,7 +32,14 @@ def quantum_error(ctx: LocalContext, a: HermitianObservable, *, tol: Tolerances 
     """
     if a.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {ctx.dim}")
-    radicand = state_norm(a, ctx.rho, tol=tol) ** 2 - class_norm(pushforward(ctx, a), ctx.prob) ** 2
+    return _error_from_pushforward(ctx, a, pushforward(ctx, a), tol)
+
+
+def _error_from_pushforward(
+    ctx: LocalContext, a: HermitianObservable, fwd: OutcomeFunction, tol: Tolerances
+) -> float:
+    """The error of ``a`` given its already computed pushforward ``fwd``."""
+    radicand = state_norm(a, ctx.rho, tol=tol) ** 2 - class_norm(fwd, ctx.prob) ** 2
     if radicand < -tol.psd:
         raise RuntimeError(f"contractivity violated: radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
@@ -73,57 +80,11 @@ def f_error(
     total = float(np.sqrt(max(algebraic + cost, 0.0)))
     optimal = pushforward(ctx, a)
     return ErrorBreakdown(
-        quantum_error=quantum_error(ctx, a, tol=tol),
+        quantum_error=_error_from_pushforward(ctx, a, optimal, tol),
         estimation_error=class_norm(optimal - f, ctx.prob),
         f_error=total,
         estimator=f,
     )
-
-
-@dataclass(frozen=True)
-class MinimalityReport:
-    """Worst deviations found while perturbing around the optimal estimator.
-
-    ``worst_shortfall`` is max(quantum_error - f_error) over the trials
-    (should never exceed roundoff); ``worst_quadratic_residual`` is the worst
-    violation of the exact excess law
-    f_error(f_opt + t*delta)^2 - quantum_error^2 = t^2 ||delta||_p^2.
-    """
-
-    trials: int
-    worst_shortfall: float
-    worst_quadratic_residual: float
-
-
-def verify_minimality(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> MinimalityReport:
-    """Check that no perturbed estimator beats the pushforward, and that the
-    excess follows the exact quadratic law."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    optimal = pushforward(ctx, a)
-    base = quantum_error(ctx, a, tol=tol)
-    worst_short = 0.0
-    worst_quad = 0.0
-    for _ in range(trials):
-        delta = OutcomeFunction(ctx.space, rng.uniform(-1.0, 1.0, ctx.space.size))
-        scale = float(rng.uniform(0.1, 2.0))
-        delta = scale * delta
-        t = float(rng.uniform(-1.0, 1.0))
-        breakdown = f_error(ctx, a, optimal + delta, tol=tol)
-        worst_short = max(worst_short, base - breakdown.f_error)
-        scaled = f_error(ctx, a, optimal + t * delta, tol=tol)
-        excess = scaled.f_error**2 - base**2
-        expected = t * t * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
-        # off-support delta components carry zero weight either way
-        worst_quad = max(worst_quad, abs(excess - expected))
-    return MinimalityReport(trials=trials, worst_shortfall=worst_short, worst_quadratic_residual=worst_quad)
 
 
 @dataclass(frozen=True)
@@ -145,8 +106,8 @@ def errorless_check(
 ) -> ErrorlessConditions:
     scale = state_norm(a, ctx.rho, tol=tol)
     threshold = tol.errorless * scale
-    err = quantum_error(ctx, a, tol=tol)
     fwd = pushforward(ctx, a)
+    err = _error_from_pushforward(ctx, a, fwd, tol)
     back = pullback_rep(ctx, fwd)
     residual = state_norm(a - back, ctx.rho, tol=tol)
     norm_fwd = class_norm(fwd, ctx.prob)

@@ -25,6 +25,7 @@ from .states import (
     OutcomeFunction,
     OutcomeSpace,
     PAULI_Z,
+    ProbabilityDistribution,
     spectral_decompose,
     std_dev_q,
 )
@@ -137,7 +138,8 @@ class ChainReport:
     rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
     minus the rms/sigma cross terms.  ``bridge_residual_*`` ties the rms
     error to the identity-estimator f-error of the induced measurement,
-    which is the decisive correctness check of the induced POVM.
+    which is the decisive correctness check of the induced POVM, whose
+    outcome distribution over rho is ``distribution``.
     """
 
     values: tuple[float, float, float, float, float]
@@ -153,6 +155,7 @@ class ChainReport:
     bridge_residual_b: float
     dominance_a: bool
     dominance_b: bool
+    distribution: ProbabilityDistribution
 
 
 def chain_check(
@@ -214,4 +217,5 @@ def chain_check(
         bridge_residual_b=bridge_b,
         dominance_a=rms_a >= report.eps_a - slack,
         dominance_b=rms_b >= report.eps_b - slack,
+        distribution=ctx.prob,
     )

@@ -12,11 +12,11 @@ Schroedinger inequality, hence also the textbook commutator bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import quantum_error
+from .errors import _error_from_pushforward
 from .measurement import trivial_measurement
 from .states import (
     DensityOperator,
@@ -46,46 +46,15 @@ def commutator_expectation(
     return _real_expectation(comm, rho, tol)
 
 
-def real_part(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    b: HermitianObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Covariance-lowering term: <{A,B}/2>_rho - <f_A, f_B>_p with f the
-    pushforwards.  Equals Cov_rho(A,B) - Cov_p(f_A,f_B) because pushforwards
-    preserve expectation values."""
-    return state_inner(a, b, ctx.rho, tol=tol) - class_inner(
-        pushforward(ctx, a), pushforward(ctx, b), ctx.prob
-    )
-
-
-def imag_part(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    b: HermitianObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Three-commutator term: <[A,B]/2i> minus the two cross commutators with
-    the round-tripped (pullback of pushforward) observables."""
-    back_a = pullback_rep(ctx, pushforward(ctx, a))
-    back_b = pullback_rep(ctx, pushforward(ctx, b))
-    return (
-        commutator_expectation(a, b, ctx.rho, tol=tol)
-        - commutator_expectation(back_a, b, ctx.rho, tol=tol)
-        - commutator_expectation(a, back_b, ctx.rho, tol=tol)
-    )
-
-
 @dataclass(frozen=True)
 class RelationReport:
     """Everything the error-error relation says about one (M, rho, A, B).
 
     slack = eps_a*eps_b - bound must be nonnegative up to roundoff;
     naive_violated records the (legitimate) cases where the error product
-    undercuts the bare commutator bound.
+    undercuts the bare commutator bound.  The pushforwards and round trips
+    the terms were derived from are kept for ``proof_device_check``; they
+    are not serialized.
     """
 
     dim: int
@@ -98,6 +67,10 @@ class RelationReport:
     slack: float
     naive_bound: float
     naive_violated: bool
+    pushforward_a: OutcomeFunction = field(repr=False, compare=False)
+    pushforward_b: OutcomeFunction = field(repr=False, compare=False)
+    roundtrip_a: HermitianObservable = field(repr=False, compare=False)
+    roundtrip_b: HermitianObservable = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -120,13 +93,33 @@ def evaluate_relation(
     b: HermitianObservable,
     *,
     tol: Tolerances = DEFAULT_TOL,
+    sign_flip: bool = False,
 ) -> RelationReport:
-    eps_a = quantum_error(ctx, a, tol=tol)
-    eps_b = quantum_error(ctx, b, tol=tol)
-    r_val = real_part(ctx, a, b, tol=tol)
-    i_val = imag_part(ctx, a, b, tol=tol)
+    """eps_a, eps_b, R, I and the bound, from one pushforward and one round
+    trip per observable.
+
+    R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
+    because pushforwards preserve expectation values.  I is <[A,B]/2i>
+    minus the two cross commutators with the round-tripped observables.
+    ``sign_flip`` enters the first cross commutator with the wrong sign; it
+    exists only to prove that the verify harness can fail.
+    """
+    fwd_a = pushforward(ctx, a)
+    fwd_b = pushforward(ctx, b)
+    back_a = pullback_rep(ctx, fwd_a)
+    back_b = pullback_rep(ctx, fwd_b)
+    eps_a = _error_from_pushforward(ctx, a, fwd_a, tol)
+    eps_b = _error_from_pushforward(ctx, b, fwd_b, tol)
+    r_val = state_inner(a, b, ctx.rho, tol=tol) - class_inner(fwd_a, fwd_b, ctx.prob)
+    commutator = commutator_expectation(a, b, ctx.rho, tol=tol)
+    sign = -1.0 if sign_flip else 1.0
+    i_val = (
+        commutator
+        - sign * commutator_expectation(back_a, b, ctx.rho, tol=tol)
+        - commutator_expectation(a, back_b, ctx.rho, tol=tol)
+    )
     bound = float(np.hypot(r_val, i_val))
-    naive = abs(commutator_expectation(a, b, ctx.rho, tol=tol))
+    naive = abs(commutator)
     product = eps_a * eps_b
     return RelationReport(
         dim=ctx.dim,
@@ -139,22 +132,20 @@ def evaluate_relation(
         slack=product - bound,
         naive_bound=naive,
         naive_violated=product < naive - 1e-12,
+        pushforward_a=fwd_a,
+        pushforward_b=fwd_b,
+        roundtrip_a=back_a,
+        roundtrip_b=back_b,
     )
 
 
-def _semi_inner(
-    ctx: LocalContext,
-    x: HermitianObservable,
-    f: OutcomeFunction,
-    y: HermitianObservable,
-    g: OutcomeFunction,
-) -> complex:
+def _semi_inner(ctx: LocalContext, u: tuple, v: tuple) -> complex:
     """Composite semi-inner product <(X,f),(Y,g)> =
-    <XY>_rho + <fg>_p - <(M'f)(M'g)>_rho on operator-function pairs."""
+    <XY>_rho + <fg>_p - <(M'f)(M'g)>_rho on operator-function pairs, each
+    given as (X, f, M'f)."""
+    (x, f, adj_f), (y, g, adj_g) = u, v
     first = complex(np.trace(x.matrix @ y.matrix @ ctx.rho.matrix))
     second = class_inner(f, g, ctx.prob)
-    adj_f = pullback_rep(ctx, f)
-    adj_g = pullback_rep(ctx, g)
     third = complex(np.trace(adj_f.matrix @ adj_g.matrix @ ctx.rho.matrix))
     return first + second - third
 
@@ -177,28 +168,23 @@ def proof_device_check(
     ctx: LocalContext,
     a: HermitianObservable,
     b: HermitianObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-    imag_part_fn=None,
+    report: RelationReport,
 ) -> ProofDeviceReport:
-    imag_fn = imag_part_fn if imag_part_fn is not None else imag_part
-    fwd_a = pushforward(ctx, a)
-    fwd_b = pushforward(ctx, b)
-    x_a = a - pullback_rep(ctx, fwd_a)
-    x_b = b - pullback_rep(ctx, fwd_b)
-    sq_a = _semi_inner(ctx, x_a, fwd_a, x_a, fwd_a)
-    sq_b = _semi_inner(ctx, x_b, fwd_b, x_b, fwd_b)
-    seminorm_a = float(np.sqrt(max(sq_a.real, 0.0)))
-    seminorm_b = float(np.sqrt(max(sq_b.real, 0.0)))
-    cross = _semi_inner(ctx, x_a, fwd_a, x_b, fwd_b)
-    expected = complex(real_part(ctx, a, b, tol=tol), imag_fn(ctx, a, b, tol=tol))
+    """Evaluate the composite semi-inner product on the pushforwards and
+    round trips held by ``report`` (from ``evaluate_relation(ctx, a, b)``)
+    and compare it with the report's errors and R + iI."""
+    u = (a - report.roundtrip_a, report.pushforward_a, report.roundtrip_a)
+    v = (b - report.roundtrip_b, report.pushforward_b, report.roundtrip_b)
+    seminorm_a = float(np.sqrt(max(_semi_inner(ctx, u, u).real, 0.0)))
+    seminorm_b = float(np.sqrt(max(_semi_inner(ctx, v, v).real, 0.0)))
+    cross = _semi_inner(ctx, u, v)
     return ProofDeviceReport(
         seminorm_a=seminorm_a,
         seminorm_b=seminorm_b,
-        residual_a=abs(seminorm_a - quantum_error(ctx, a, tol=tol)),
-        residual_b=abs(seminorm_b - quantum_error(ctx, b, tol=tol)),
+        residual_a=abs(seminorm_a - report.eps_a),
+        residual_b=abs(seminorm_b - report.eps_b),
         cross_value=cross,
-        cross_residual=abs(cross - expected),
+        cross_residual=abs(cross - complex(report.real_term, report.imag_term)),
     )
 
 

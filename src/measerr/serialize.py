@@ -9,11 +9,10 @@ locale-independent.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+import math
 
 import numpy as np
 
-from .generate import GenConfig
 from .indirect import IndirectModel
 from .measurement import MeasurementKind, Povm
 from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution
@@ -75,10 +74,6 @@ def model_from_json(data: dict, *, tol: Tolerances = DEFAULT_TOL) -> IndirectMod
     )
 
 
-def genconfig_to_json(cfg: GenConfig) -> dict:
-    return asdict(cfg)
-
-
 def load_state(path, *, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
     with open(path, encoding="utf-8") as fh:
         return DensityOperator(matrix_from_json(json.load(fh)), tol=tol)
@@ -120,6 +115,9 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            # strict JSON has no NaN or infinity: write them as strings
+            return pad + json.dumps(format_float(obj, sig))
         return pad + format_float(float(obj), sig)
     return pad + json.dumps(str(obj))
 

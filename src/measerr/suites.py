@@ -8,21 +8,16 @@ order and stable across runs with the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import errorless_check, f_error, quantum_error
+from .errors import errorless_check, f_error
 from .generate import GenConfig, random_indirect_model, random_observable, random_povm, random_state
-from .indirect import chain_check, induced_povm
+from .indirect import chain_check
 from .measurement import contractivity_check, projective_from, trivial_measurement
-from .relations import (
-    commutator_expectation,
-    evaluate_relation,
-    imag_part,
-    proof_device_check,
-    real_part,
-)
+from .relations import commutator_expectation, evaluate_relation, proof_device_check
 from .states import (
     DensityOperator,
     HermitianObservable,
@@ -66,9 +61,13 @@ class SuiteResult:
         return self.failures == 0
 
     def record(self, ok: bool, residual: float, message: str) -> None:
+        """Count one check.  A NaN or infinite residual is a failure whatever
+        ``ok`` says, and the first one seen stays the suite's worst."""
         self.checks += 1
-        self.worst = max(self.worst, residual)
-        if not ok:
+        finite = math.isfinite(residual)
+        if math.isfinite(self.worst):
+            self.worst = max(self.worst, residual) if finite else residual
+        if not (ok and finite):
             self.failures += 1
             if len(self.messages) < 5:
                 self.messages.append(message)
@@ -250,7 +249,7 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
                 f"decomposition broke at dim={dim} i={i}: {residual:.3e}",
             )
 
-            base = quantum_error(ctx, a, tol=tol)
+            base = breakdown.quantum_error
             shortfall = base - breakdown.f_error
             out.record(
                 shortfall <= tol.identity,
@@ -276,51 +275,33 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
     return out
 
 
-def sign_flipped_imag_part(ctx, a, b, *, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Deliberately wrong three-commutator term (first composite term enters
-    with the opposite sign); used only to prove the harness can fail."""
-    back_a = pullback_rep(ctx, pushforward(ctx, a))
-    back_b = pullback_rep(ctx, pushforward(ctx, b))
-    return (
-        commutator_expectation(a, b, ctx.rho, tol=tol)
-        + commutator_expectation(back_a, b, ctx.rho, tol=tol)
-        - commutator_expectation(a, back_b, ctx.rho, tol=tol)
-    )
-
-
 def suite_relation_and_proof_tie(
-    dims, n, seed, tol: Tolerances = DEFAULT_TOL, imag_part_fn=None
+    dims, n, seed, tol: Tolerances = DEFAULT_TOL, sign_flip: bool = False
 ) -> tuple[SuiteResult, SuiteResult]:
     """Main relation sweep plus the proof-tie identities, on the same
     instances: slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy,
     the composite-seminorm-equals-error identity, and R+iI against the
-    composite cross product."""
-    imag_fn = imag_part_fn if imag_part_fn is not None else imag_part
+    composite cross product.  ``sign_flip`` corrupts I on purpose (see
+    ``evaluate_relation``)."""
     relation = SuiteResult("main-relation")
     proof = SuiteResult("proof-tie-identity")
     for dim in dims:
         for i in range(n):
             rng = _rng(seed, "main-relation", dim, i)
             ctx, a, b = _instance(dim, rng)
-            eps_a = quantum_error(ctx, a, tol=tol)
-            eps_b = quantum_error(ctx, b, tol=tol)
-            r_val = real_part(ctx, a, b, tol=tol)
-            i_val = imag_fn(ctx, a, b, tol=tol)
-            bound = float(np.hypot(r_val, i_val))
-            product = eps_a * eps_b
-            slack = product - bound
+            report = evaluate_relation(ctx, a, b, tol=tol, sign_flip=sign_flip)
             relation.record(
-                slack >= -tol.identity * (1.0 + abs(product)),
-                max(-slack, 0.0),
-                f"relation violated at dim={dim} i={i}: slack {slack:.3e}",
+                report.slack >= -tol.identity * (1.0 + abs(report.eps_a * report.eps_b)),
+                max(-report.slack, 0.0),
+                f"relation violated at dim={dim} i={i}: slack {report.slack:.3e}",
             )
             relation.record(
-                bound >= abs(i_val) - 1e-12,
-                max(abs(i_val) - bound, 0.0),
+                report.bound >= abs(report.imag_term) - 1e-12,
+                max(abs(report.imag_term) - report.bound, 0.0),
                 f"bound hierarchy broke at dim={dim} i={i}",
             )
 
-            device = proof_device_check(ctx, a, b, tol=tol, imag_part_fn=imag_fn)
+            device = proof_device_check(ctx, a, b, report)
             residual = max(device.residual_a, device.residual_b)
             proof.record(
                 residual <= tol.identity,
@@ -344,18 +325,15 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         for i in range(n):
             rng = _rng(seed, out.name, dim, i)
             ctx, a, b = _instance(dim, rng)
-            for obs in (a, b):
-                conds = errorless_check(ctx, obs, tol=tol)
+            conds_a, conds_b = (errorless_check(ctx, obs, tol=tol) for obs in (a, b))
+            for conds in (conds_a, conds_b):
                 out.record(
                     conds.cond_a == conds.cond_b == conds.cond_c,
                     0.0 if conds.cond_a == conds.cond_b == conds.cond_c else 1.0,
                     f"conditions disagree at dim={dim} i={i}: {conds}",
                 )
             comm = abs(commutator_expectation(a, b, ctx.rho, tol=tol))
-            both = (
-                errorless_check(ctx, a, tol=tol).cond_a
-                and errorless_check(ctx, b, tol=tol).cond_a
-            )
+            both = conds_a.cond_a and conds_b.cond_a
             out.record(
                 not (both and comm > 1e-6),
                 comm if both else 0.0,
@@ -454,7 +432,7 @@ def suite_ozawa_chain(
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
 
-            povm = induced_povm(model, tol=tol)
+            report = chain_check(model, rho, a, b, tol=tol)
             meter_projs = [proj for _, proj in spectral_decompose(model.meter, tol=tol)]
             joint = model.interaction @ np.kron(rho.matrix, model.ancilla_state.matrix) @ model.interaction.conj().T
             direct = np.array(
@@ -463,14 +441,13 @@ def suite_ozawa_chain(
                     for proj in meter_projs
                 ]
             )
-            residual = float(np.max(np.abs(povm.apply(rho, tol=tol).weights - direct)))
+            residual = float(np.max(np.abs(report.distribution.weights - direct)))
             out.record(
                 residual <= tol.expectation,
                 residual,
                 f"induced distribution mismatch at dim={dim}x{ancilla} i={i}: {residual:.3e}",
             )
 
-            report = chain_check(model, rho, a, b, tol=tol)
             residual = max(report.bridge_residual_a, report.bridge_residual_b)
             out.record(
                 residual <= tol.identity * (1.0 + report.rms_a + report.rms_b),
@@ -498,11 +475,11 @@ def run_verify(
     n: int,
     seed: int,
     tol: Tolerances = DEFAULT_TOL,
-    imag_part_fn=None,
+    sign_flip: bool = False,
 ) -> list[SuiteResult]:
-    """Run every property suite; the sign-flip hook exists for harness
+    """Run every property suite; ``sign_flip`` exists for harness
     self-tests."""
-    relation, proof = suite_relation_and_proof_tie(dims, n, seed, tol, imag_part_fn)
+    relation, proof = suite_relation_and_proof_tie(dims, n, seed, tol, sign_flip)
     return [
         suite_affineness(dims, n, seed, tol),
         suite_adjoint_characterization(dims, n, seed, tol),

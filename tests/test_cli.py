@@ -1,11 +1,12 @@
 """Command-line contract: exit codes, CSV scans, demos, JSON manifests."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from measerr.cli import main
+from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
 from measerr.serialize import json_text, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import cnot_model
 from measerr.measurement import unsharp_qubit
@@ -28,6 +29,31 @@ class TestVerify:
         captured = capsys.readouterr()
         assert code == 1
         assert "proof-tie-identity" in captured.err
+
+    def test_sign_flip_corrupts_only_the_relation_suites(self, tmp_path, capsys):
+        out = tmp_path / "flip.json"
+        code = main([
+            "verify", "--dims", "2", "--n", "10", "--seed", "3",
+            "--self-test-sign-flip", "--json", str(out),
+        ])
+        assert code == 1
+        suites = json.loads(out.read_text())["suites"]
+        assert {name: (s["checks"], s["failures"]) for name, s in suites.items()} == {
+            "affineness": (10, 0),
+            "adjoint-characterization": (20, 0),
+            "contractivity": (20, 0),
+            "transport-adjointness": (40, 0),
+            "error-decomposition": (30, 0),
+            "main-relation": (20, 4),
+            "proof-tie-identity": (20, 10),
+            "errorless-equivalence": (60, 0),
+            "trivial-reduction": (40, 0),
+        }
+
+    def test_zero_instances_is_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--dims", "2", "--n", "0"])
+        assert excinfo.value.code == 2
 
     def test_json_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "manifest.json"
@@ -99,6 +125,36 @@ class TestScan:
     def test_custom_without_povm_is_usage_error(self):
         assert main(["scan", "--family", "custom", "--out", "/tmp/x.csv"]) == 2
 
+    def test_empty_grid_is_usage_error(self, tmp_path):
+        out = tmp_path / "empty.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "--family", "unsharp", "--grid", "1:0:0.1", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert not out.exists()
+
+    def test_runaway_grid_rejected_by_point_count(self):
+        # 1e9 + 1 points: the count check must fire before any point is built
+        with pytest.raises(argparse.ArgumentTypeError, match=f"more than {_MAX_GRID_POINTS}"):
+            _parse_grid("0:1:1e-9")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["scan", "--family", "unsharp", "--grid", "0:1:1e-9"])
+        assert excinfo.value.code == 2
+
+    def test_tolerance_does_not_loosen_povm_validation(self, tmp_path):
+        # effects sum to I + 2e-3 X: rejected at the default tolerances, and
+        # still rejected when the property-check slack is loosened
+        z = np.array([[1, 0], [0, -1.0]])
+        x = np.array([[0, 1], [1, 0.0]])
+        effects = [(np.eye(2) + s * 0.6 * z) / 2 + 1e-3 * x for s in (1, -1)]
+        path = tmp_path / "povm.json"
+        path.write_text(json_text({
+            "kind": "custom", "labels": ["+", "-"], "values": [1.0, -1.0], "dim": 2,
+            "effects": [matrix_to_json(e) for e in effects],
+        }))
+        argv = ["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        assert main(argv + ["--tolerance", "1e-2"]) == 2
+
 
 class TestDemo:
     def test_naive_violation(self, capsys):
@@ -139,6 +195,11 @@ class TestChain:
         path.write_text(json_text(model_to_json(cnot_model())))
         assert main(["chain", "--model", str(path), "--seed", "4"]) == 0
         assert "chain holds: True" in capsys.readouterr().out
+
+    def test_zero_models_is_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chain", "--dims", "2", "--n", "0"])
+        assert excinfo.value.code == 2
 
     def test_missing_model_file_is_usage_error(self, capsys):
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2

@@ -25,7 +25,6 @@ from measerr import (
     std_dev_q,
     trivial_measurement,
     unsharp_qubit,
-    verify_minimality,
 )
 from measerr.states import OutcomeSpace, ProbabilityDistribution
 
@@ -127,17 +126,6 @@ class TestMinimality:
         assert class_norm(delta, ctx.prob) == pytest.approx(1.0, abs=1e-12)
         assert excess == pytest.approx(0.01, abs=1e-12)
 
-    def test_report_over_random_instances(self):
-        ctx, a, rng = random_ctx(3, 11)
-        report = verify_minimality(ctx, a, trials=60, rng=rng)
-        assert report.trials == 60
-        assert report.worst_shortfall <= 1e-9
-        assert report.worst_quadratic_residual <= 1e-9
-
-    def test_trials_validation(self):
-        ctx, a, rng = random_ctx(2, 12)
-        with pytest.raises(ValueError):
-            verify_minimality(ctx, a, trials=0, rng=rng)
 
 
 class TestErrorless:

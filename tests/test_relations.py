@@ -15,7 +15,6 @@ from measerr import (
     errorless_check,
     evaluate_relation,
     expectation,
-    imag_part,
     proof_device_check,
     projective_from,
     quantum_error,
@@ -23,7 +22,6 @@ from measerr import (
     random_observable,
     random_povm,
     random_state,
-    real_part,
     schroedinger_reduction,
     state_inner,
     trivial_measurement,
@@ -60,16 +58,16 @@ class TestRealPart:
             b = random_observable(cfg, rng)
             ctx = trivial_ctx(rho, seed)
             closed = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
-            assert real_part(ctx, a, b) == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
+            assert evaluate_relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
         ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
-        assert real_part(ctx, X, Z) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_case_is_squared_error(self):
         for seed in range(8):
             ctx, a, _, _ = random_setup(3, 40 + seed)
-            assert real_part(ctx, a, a) == pytest.approx(
+            assert evaluate_relation(ctx, a, a).real_term == pytest.approx(
                 quantum_error(ctx, a) ** 2, abs=1e-9 * (1 + quantum_error(ctx, a) ** 2)
             )
 
@@ -84,15 +82,15 @@ class TestImagPart:
             b = random_observable(cfg, rng)
             ctx = trivial_ctx(rho, seed)
             bare = commutator_expectation(a, b, rho)
-            assert imag_part(ctx, a, b) == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
+            assert evaluate_relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
         ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
-        assert imag_part(ctx, X, Z) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry_on_diagonal(self):
         ctx, a, _, _ = random_setup(4, 77)
-        assert imag_part(ctx, a, a) == pytest.approx(0.0, abs=1e-12)
+        assert evaluate_relation(ctx, a, a).imag_term == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvaluateRelation:
@@ -138,7 +136,7 @@ class TestEvaluateRelation:
 class TestProofDevice:
     def test_diagonal_recovers_error(self):
         ctx, a, _, _ = random_setup(3, 8)
-        report = proof_device_check(ctx, a, a)
+        report = proof_device_check(ctx, a, a, evaluate_relation(ctx, a, a))
         assert report.residual_a <= 1e-9
         assert report.cross_value.real == pytest.approx(quantum_error(ctx, a) ** 2, abs=1e-9)
         assert abs(report.cross_value.imag) <= 1e-10
@@ -150,7 +148,7 @@ class TestProofDevice:
         a = random_observable(cfg, rng)
         b = random_observable(cfg, rng)
         ctx = trivial_ctx(rho, 3)
-        report = proof_device_check(ctx, a, b)
+        report = proof_device_check(ctx, a, b, evaluate_relation(ctx, a, b))
         cov = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
         comm = commutator_expectation(a, b, rho)
         assert report.cross_value == pytest.approx(complex(cov, comm), abs=1e-9)
@@ -159,7 +157,7 @@ class TestProofDevice:
         for dim in (2, 3, 4, 5):
             for seed in range(10):
                 ctx, a, b, _ = random_setup(dim, 5000 + 100 * dim + seed)
-                report = proof_device_check(ctx, a, b)
+                report = proof_device_check(ctx, a, b, evaluate_relation(ctx, a, b))
                 assert report.residual_a <= 1e-9
                 assert report.residual_b <= 1e-9
                 assert report.cross_residual <= 1e-9

@@ -100,6 +100,15 @@ class TestFloatPolicy:
         assert parsed["items"] == [1, 2.5, None]
         assert parsed["name"] == "abc"
 
+    def test_non_finite_floats_stay_strict_json(self):
+        text = json_text({"w": float("nan"), "up": np.inf, "down": [-np.inf, 1.5]})
+
+        def reject(name):
+            raise ValueError(f"bare {name} in JSON output")
+
+        parsed = json.loads(text, parse_constant=reject)
+        assert parsed == {"w": "nan", "up": "inf", "down": ["-inf", 1.5]}
+
 
 class TestCsvRow:
     def _report(self):
