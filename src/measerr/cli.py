@@ -3,7 +3,9 @@
 Subcommands: ``verify`` (property suites), ``scan`` (parameter families to
 CSV), ``demo`` (named scenarios), ``chain`` (indirect-model comparison).
 Exit codes: 0 all checks pass, 1 a property was violated, 2 usage or I/O
-error.  Every report embeds a run manifest for reproducibility.
+error, 3 internal numerical error (contractivity violated, a non-real
+expectation, a broken error decomposition).  Every report embeds a run
+manifest for reproducibility.
 """
 
 from __future__ import annotations
@@ -45,11 +47,14 @@ from .transport import LocalContext
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 _DEMOS = ("naive-violation", "kr-reduction", "ozawa-chain")
 _FAMILIES = ("unsharp", "noisy-projective", "custom")
 # Largest number of points a start:stop:step grid may hold.
 _MAX_GRID_POINTS = 10_000
+# Largest ancilla dimension of random chain models: joint dimensions stay at most 8 * 8.
+_MAX_ANCILLA = 8
 
 
 @dataclass(frozen=True)
@@ -92,14 +97,29 @@ def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
     return dims
 
 
-def _parse_count(text: str) -> int:
+def _int_range(low: int, high: float = math.inf):
+    """argparse type accepting one integer in ``low..high``."""
+
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
+        if not low <= n <= high:
+            raise argparse.ArgumentTypeError(f"must lie in {low}..{high}, got {n}")
+        return n
+
+    return parse
+
+
+def _parse_tolerance(text: str) -> float:
     try:
-        n = int(text)
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}") from exc
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"count must be at least 1, got {n}")
-    return n
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {text}")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
@@ -134,8 +154,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 def _tolerances(args) -> Tolerances:
     if args.tolerance is None:
         return DEFAULT_TOL
-    if args.tolerance <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
     return replace(DEFAULT_TOL, identity=args.tolerance)
 
 
@@ -377,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tolerance", type=float, default=None, help="override the identity/slack tolerance of property checks (JSON inputs are always validated at the defaults)")
+    common.add_argument("--tolerance", type=_parse_tolerance, default=None, help="override the identity/slack tolerance of property checks (JSON inputs are always validated at the defaults)")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")
     p_verify.add_argument("--dims", type=_parse_dims, default=(2, 3), help="comma-separated dimensions in 2..8")
-    p_verify.add_argument("--n", type=_parse_count, default=200, help="instances per dimension per suite")
+    p_verify.add_argument("--n", type=_int_range(1), default=200, help="instances per dimension per suite")
     p_verify.add_argument(
         "--self-test-sign-flip",
         action="store_true",
@@ -406,8 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
     p_chain.add_argument("--dims", type=_parse_dims, default=(2, 3), help="system dimensions")
-    p_chain.add_argument("--ancilla", type=int, default=2, help="ancilla dimension for random models")
-    p_chain.add_argument("--n", type=_parse_count, default=50, help="random models per dimension")
+    p_chain.add_argument("--ancilla", type=_int_range(1, _MAX_ANCILLA), default=2, help=f"ancilla dimension in 1..{_MAX_ANCILLA} for random models")
+    p_chain.add_argument("--n", type=_int_range(1), default=50, help="random models per dimension")
     p_chain.add_argument("--model", type=str, default=None, help="JSON indirect model to check instead")
     p_chain.set_defaults(func=cmd_chain)
 
@@ -415,17 +433,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except argparse.ArgumentTypeError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

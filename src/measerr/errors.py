@@ -30,8 +30,6 @@ def quantum_error(ctx: LocalContext, a: HermitianObservable, *, tol: Tolerances 
     below -tol.psd means contractivity failed and indicates a bug, so it
     raises instead of being hidden.
     """
-    if a.dim != ctx.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {ctx.dim}")
     return _error_from_pushforward(ctx, a, pushforward(ctx, a), tol)
 
 
@@ -48,12 +46,14 @@ def _error_from_pushforward(
 @dataclass(frozen=True)
 class ErrorBreakdown:
     """f-error split into the intrinsic and the estimator-dependent parts:
-    f_error^2 = quantum_error^2 + estimation_error^2."""
+    f_error^2 = quantum_error^2 + estimation_error^2.  ``optimal`` is the
+    pushforward of the observable, the estimator that attains the error."""
 
     quantum_error: float
     estimation_error: float
     f_error: float
     estimator: OutcomeFunction = field(repr=False)
+    optimal: OutcomeFunction = field(repr=False, compare=False)
 
     def __post_init__(self):
         residual = abs(self.f_error**2 - self.quantum_error**2 - self.estimation_error**2)
@@ -70,8 +70,6 @@ def f_error(
 ) -> ErrorBreakdown:
     """Reconstruction gauge for the estimator f:
     sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 - ||pullback(f)||_rho^2))."""
-    if f.space != ctx.space:
-        raise ValueError("outcome spaces do not match")
     rep = pullback_rep(ctx, f)
     algebraic = state_norm(a - rep, ctx.rho, tol=tol) ** 2
     cost = class_norm(f, ctx.prob) ** 2 - state_norm(rep, ctx.rho, tol=tol) ** 2
@@ -84,6 +82,7 @@ def f_error(
         estimation_error=class_norm(optimal - f, ctx.prob),
         f_error=total,
         estimator=f,
+        optimal=optimal,
     )
 
 

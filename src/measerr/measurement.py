@@ -41,7 +41,8 @@ class MeasurementKind(str, Enum):
 
 
 class Povm:
-    """Finite-outcome measurement: one positive effect per label, summing to I.
+    """Finite-outcome measurement: one positive effect per label, summing to I,
+    held as one read-only ``(n, d, d)`` array ``effects`` in label order.
 
     Validation is eager: positivity and completeness are checked here once,
     and every other operation assumes a valid instance.
@@ -55,50 +56,38 @@ class Povm:
         kind: MeasurementKind = MeasurementKind.CUSTOM,
         tol: Tolerances = DEFAULT_TOL,
     ):
-        mats = []
-        for eff in effects:
-            arr = eff.matrix if isinstance(eff, HermitianObservable) else np.array(eff, dtype=complex)
-            arr = np.array(arr, dtype=complex)
-            _check_hermitian(arr, tol, "effect")
-            arr.setflags(write=False)
-            mats.append(arr)
-        if len(mats) != space.size:
-            raise ValueError("need exactly one effect per outcome label")
-        dim = mats[0].shape[0]
-        if any(m.shape != (dim, dim) for m in mats):
-            raise ValueError("effects must share one dimension")
-        for m in mats:
-            smallest = float(np.linalg.eigvalsh(m)[0])
-            if smallest < -tol.psd:
-                raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
-        total = sum(mats)
-        residual = float(np.max(np.abs(total - np.eye(dim))))
+        stack = np.array(effects, dtype=complex)
+        if stack.ndim != 3 or stack.shape != (space.size, stack.shape[2], stack.shape[2]):
+            raise ValueError(f"need {space.size} square effects of one dimension, got shape {stack.shape}")
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("effect entries must be finite")
+        _check_hermitian(stack, tol, "effect")
+        smallest = float(np.linalg.eigvalsh(stack)[:, 0].min())
+        if smallest < -tol.psd:
+            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
+        residual = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
         if residual > tol.identity:
             raise ValueError(f"effects sum to identity only within {residual:.3e}")
+        stack.setflags(write=False)
         self.space = space
-        self.effects = tuple(mats)
+        self.effects = stack
         self.kind = kind
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
-
-    def effect(self, label: str) -> np.ndarray:
-        return self.effects[self.space.index(label)]
+        return self.effects.shape[1]
 
     def apply(self, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> ProbabilityDistribution:
         """Born weights Tr[E_w rho]."""
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {rho.dim}")
-        weights = [_real_expectation(e, rho, tol) for e in self.effects]
-        return ProbabilityDistribution(self.space, weights, tol=tol)
+        return ProbabilityDistribution(self.space, _real_expectation(self.effects, rho, tol), tol=tol)
 
-    def adjoint(self, f: OutcomeFunction, *, tol: Tolerances = DEFAULT_TOL) -> HermitianObservable:
+    def adjoint(self, f: OutcomeFunction) -> HermitianObservable:
         """Operator sum_w f(w) E_w; satisfies <adjoint(f)>_rho = <f>_{apply(rho)}."""
         if f.space != self.space:
             raise ValueError("outcome spaces do not match")
-        total = sum(val * eff for val, eff in zip(f.values, self.effects))
-        return HermitianObservable(total, tol=tol)
+        return HermitianObservable._trusted((f.values[:, None, None] * self.effects).sum(axis=0))
 
     def __repr__(self) -> str:
         return f"Povm(kind={self.kind.value!r}, dim={self.dim}, outcomes={self.space.size})"
@@ -114,8 +103,7 @@ def projective_from(a: HermitianObservable, *, tol: Tolerances = DEFAULT_TOL) ->
 
 def trivial_measurement(p0: ProbabilityDistribution, dim: int, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
     """Non-informative measurement: every state maps to the fixed p0."""
-    eye = np.eye(dim, dtype=complex)
-    effects = [w * eye for w in p0.weights]
+    effects = p0.weights[:, None, None] * np.eye(dim, dtype=complex)
     return Povm(p0.space, effects, kind=MeasurementKind.TRIVIAL, tol=tol)
 
 
@@ -145,9 +133,7 @@ def noisy_projective(a: HermitianObservable, lam: float, *, tol: Tolerances = DE
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     base = projective_from(a, tol=tol)
-    n = base.space.size
-    eye = np.eye(base.dim, dtype=complex)
-    effects = [lam * e + (1.0 - lam) * eye / n for e in base.effects]
+    effects = lam * base.effects + (1.0 - lam) * np.eye(base.dim, dtype=complex) / base.space.size
     return Povm(base.space, effects, kind=MeasurementKind.NOISY_PROJECTIVE, tol=tol)
 
 
@@ -170,9 +156,9 @@ def contractivity_check(
 ) -> ContractivityReport:
     """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap."""
     p = povm.apply(rho, tol=tol)
-    adj = povm.adjoint(f, tol=tol)
+    adj = povm.adjoint(f)
     f_sq = OutcomeFunction(f.space, f.values**2)
-    gap = povm.adjoint(f_sq, tol=tol).matrix - adj.matrix @ adj.matrix
+    gap = povm.adjoint(f_sq).matrix - adj.matrix @ adj.matrix
     return ContractivityReport(
         classical_norm=class_norm(f, p),
         adjoint_norm=state_norm(adj, rho, tol=tol),

@@ -30,9 +30,10 @@ def _as_square_complex(matrix) -> np.ndarray:
 
 
 def _check_hermitian(arr: np.ndarray, tol: Tolerances, what: str) -> None:
-    residual = float(np.max(np.abs(arr - arr.conj().T)))
-    if residual > tol.validation * float(np.max(np.abs(arr))):
-        raise ValueError(f"{what} is not Hermitian (residual {residual:.3e})")
+    """Each matrix of ``arr`` (one matrix or a stack) must be Hermitian relative to its own scale."""
+    residual = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
+    if np.any(residual > tol.validation * np.abs(arr).max(axis=(-2, -1))):
+        raise ValueError(f"{what} is not Hermitian (residual {float(np.max(residual)):.3e})")
 
 
 class HermitianObservable:
@@ -51,19 +52,29 @@ class HermitianObservable:
     def identity(cls, dim: int) -> "HermitianObservable":
         return cls(np.eye(dim, dtype=complex))
 
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "HermitianObservable":
+        """Wrap a real combination of validated operators without validating it again."""
+        obs = cls.__new__(cls)
+        matrix.setflags(write=False)
+        obs.matrix = matrix
+        return obs
+
     def __add__(self, other: "HermitianObservable") -> "HermitianObservable":
-        return HermitianObservable(self.matrix + other.matrix)
+        return HermitianObservable._trusted(self.matrix + other.matrix)
 
     def __sub__(self, other: "HermitianObservable") -> "HermitianObservable":
-        return HermitianObservable(self.matrix - other.matrix)
+        return HermitianObservable._trusted(self.matrix - other.matrix)
 
     def __neg__(self) -> "HermitianObservable":
-        return HermitianObservable(-self.matrix)
+        return HermitianObservable._trusted(-self.matrix)
 
     def __rmul__(self, scalar: float) -> "HermitianObservable":
         if isinstance(scalar, complex) and abs(scalar.imag) > 0:
             raise TypeError("only real scalars keep an observable self-adjoint")
-        return HermitianObservable(float(scalar) * self.matrix)
+        if not np.isfinite(scalar):
+            raise ValueError(f"scalar must be finite, got {scalar}")
+        return HermitianObservable._trusted(float(scalar) * self.matrix)
 
     __mul__ = __rmul__
 
@@ -247,11 +258,12 @@ def _check_same_space(sa: OutcomeSpace, sb: OutcomeSpace) -> None:
         raise ValueError("outcome spaces do not match")
 
 
-def _real_expectation(matrix: np.ndarray, rho: DensityOperator, tol: Tolerances) -> float:
-    val = complex(np.trace(matrix @ rho.matrix))
-    if abs(val.imag) > tol.expectation * max(1.0, abs(val)):
+def _real_expectation(matrix: np.ndarray, rho: DensityOperator, tol: Tolerances):
+    """Real Tr[X rho] for one matrix X (a float) or for each matrix of a stack (an array)."""
+    val = np.trace(matrix @ rho.matrix, axis1=-2, axis2=-1)
+    if np.any(np.abs(val.imag) > tol.expectation * np.maximum(1.0, np.abs(val))):
         raise ArithmeticError(f"expected a real expectation, got {val}")
-    return val.real
+    return val.real if val.ndim else float(val.real)
 
 
 def expectation(x: HermitianObservable, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> float:

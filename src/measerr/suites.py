@@ -32,7 +32,7 @@ from .states import (
     state_norm,
     std_dev_q,
 )
-from .transport import LocalContext, adjointness_residual, pullback_rep, pushforward
+from .transport import LocalContext, adjointness_residual, pullback_rep, pushforward, support_restrict
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SUITE_STREAM = {
@@ -134,7 +134,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
             rng = _rng(seed, out.name, dim, i)
             ctx, a, _ = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
-            lhs = expectation(ctx.povm.adjoint(f, tol=tol), ctx.rho, tol=tol)
+            lhs = expectation(ctx.povm.adjoint(f), ctx.rho, tol=tol)
             rhs = class_mean(f, ctx.prob)
             residual = abs(lhs - rhs)
             out.record(
@@ -143,7 +143,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
                 f"adjoint identity broke at dim={dim} i={i}: {residual:.3e}",
             )
             projective = projective_from(a, tol=tol)
-            rebuilt = projective.adjoint(OutcomeFunction.identity(projective.space), tol=tol)
+            rebuilt = projective.adjoint(OutcomeFunction.identity(projective.space))
             residual = float(np.max(np.abs(rebuilt.matrix - a.matrix)))
             scale = float(np.max(np.abs(a.matrix)))
             out.record(
@@ -257,15 +257,11 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
                 f"estimator beat the optimum at dim={dim} i={i}: {shortfall:.3e}",
             )
 
-            optimal = pushforward(ctx, a)
             delta = _random_function(ctx.space, rng)
             t = float(rng.uniform(-1.0, 1.0))
-            perturbed = f_error(ctx, a, optimal + t * delta, tol=tol)
+            perturbed = f_error(ctx, a, breakdown.optimal + t * delta, tol=tol)
             excess = perturbed.f_error**2 - base**2
-            expected = t * t * class_norm(
-                OutcomeFunction(ctx.space, np.where(ctx.support_mask, delta.values, 0.0)),
-                ctx.prob,
-            ) ** 2
+            expected = t * t * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
             residual = abs(excess - expected)
             out.record(
                 residual <= tol.identity,

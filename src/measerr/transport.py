@@ -21,6 +21,7 @@ from .states import (
     DensityOperator,
     HermitianObservable,
     OutcomeFunction,
+    _real_expectation,
     class_inner,
     class_norm,
     state_inner,
@@ -38,8 +39,6 @@ class LocalContext:
     """
 
     def __init__(self, povm: Povm, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL):
-        if povm.dim != rho.dim:
-            raise ValueError(f"dimension mismatch: {povm.dim} vs {rho.dim}")
         self.povm = povm
         self.rho = rho
         self.tol = tol
@@ -47,14 +46,9 @@ class LocalContext:
         mask = self.prob.weights > tol.support_cutoff
         mask.setflags(write=False)
         self.support_mask = mask
-        self.support = frozenset(
-            lab for lab, keep in zip(povm.space.labels, mask) if keep
-        )
-        self.tiny_support = frozenset(
-            lab
-            for lab, keep, w in zip(povm.space.labels, mask, self.prob.weights)
-            if keep and w <= tol.tiny_support
-        )
+        labels = np.array(povm.space.labels, dtype=object)
+        self.support = frozenset(labels[mask])
+        self.tiny_support = frozenset(labels[mask & (self.prob.weights <= tol.tiny_support)])
 
     @property
     def dim(self) -> int:
@@ -81,14 +75,9 @@ def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
     """
     if a.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {ctx.dim}")
-    weights = ctx.prob.weights
-    values = np.zeros(ctx.space.size)
-    for i, effect in enumerate(ctx.povm.effects):
-        if ctx.support_mask[i]:
-            inner = state_inner(
-                a, HermitianObservable(effect, tol=ctx.tol), ctx.rho, tol=ctx.tol
-            )
-            values[i] = inner / weights[i]
+    effects = ctx.povm.effects
+    inner = _real_expectation((a.matrix @ effects + effects @ a.matrix) / 2.0, ctx.rho, ctx.tol)
+    values = np.divide(inner, ctx.prob.weights, out=np.zeros(ctx.space.size), where=ctx.support_mask)
     return OutcomeFunction(ctx.space, values)
 
 
@@ -98,7 +87,7 @@ def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
     functions map to identical operators."""
     if f.space != ctx.space:
         raise ValueError("outcome spaces do not match")
-    return ctx.povm.adjoint(support_restrict(ctx, f), tol=ctx.tol)
+    return ctx.povm.adjoint(support_restrict(ctx, f))
 
 
 def adjointness_residual(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> float:

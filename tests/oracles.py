@@ -62,7 +62,7 @@ def pushforward_lstsq(effects, rho, a, cutoff=1e-12, probes=None, seed=0):
     rows, rhs = [], []
     for _ in range(probes):
         g = rng.uniform(-1.0, 1.0, n)
-        adj = sum(gi * e for gi, e in zip(g, effects))
+        adj = adjoint_brute(effects, g)
         rows.append((g * p)[support])
         rhs.append(sym_inner(a, adj, rho))
     sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
@@ -71,16 +71,28 @@ def pushforward_lstsq(effects, rho, a, cutoff=1e-12, probes=None, seed=0):
     return f
 
 
-def quantum_error_brute(effects, rho, a, cutoff=1e-12):
-    """Error of a measurement by direct summation of the defining formula:
-    sqrt(<a^2>_rho - sum_w f(w)^2 p(w)) with f the per-outcome division."""
+def pushforward_brute(effects, rho, a, cutoff=1e-12):
+    """Pushforward by per-outcome division: <a, e>_rho / p(w) on the
+    support, zero off it."""
     p = probabilities(effects, rho)
-    f = np.array(
+    return np.array(
         [
             sym_inner(a, e, rho) / pi if pi > cutoff else 0.0
             for e, pi in zip(effects, p)
         ]
     )
+
+
+def adjoint_brute(effects, g):
+    """Operator sum_w g(w) e_w by explicit summation."""
+    return sum(gi * e for gi, e in zip(g, effects))
+
+
+def quantum_error_brute(effects, rho, a, cutoff=1e-12):
+    """Error of a measurement by direct summation of the defining formula:
+    sqrt(<a^2>_rho - sum_w f(w)^2 p(w)) with f the per-outcome division."""
+    p = probabilities(effects, rho)
+    f = pushforward_brute(effects, rho, a, cutoff)
     norm_sq = trace_expectation(a @ a, rho).real
     return np.sqrt(max(norm_sq - float(np.sum(f * f * p)), 0.0))
 

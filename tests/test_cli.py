@@ -203,3 +203,28 @@ class TestChain:
 
     def test_missing_model_file_is_usage_error(self, capsys):
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2
+
+
+class TestUsageAndInternalErrors:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("argv", [["demo", "naive-violation"], ["verify", "--dims", "2", "--n", "1"]])
+    def test_bad_tolerance_is_usage_error(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--tolerance", value])
+        assert excinfo.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "9"])
+    def test_ancilla_out_of_range_is_usage_error(self, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chain", "--dims", "2", "--n", "1", "--ancilla", value])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("error", [RuntimeError, ArithmeticError, AssertionError])
+    def test_internal_numerical_error_exits_3(self, error, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise error("injected")
+
+        monkeypatch.setattr("measerr.cli.run_verify", broken)
+        assert main(["verify", "--dims", "2", "--n", "1"]) == 3
+        assert capsys.readouterr().err.strip() == "internal error: injected"

@@ -221,3 +221,22 @@ class TestPovmValidation:
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
             Povm(PM_SPACE, [np.eye(2)])
+
+    def test_one_small_non_hermitian_effect_rejected(self):
+        # the bad effect is tiny: its residual is far below the scale of
+        # the other effects, so it must be judged against its own scale
+        space = OutcomeSpace.from_values((0.0, 1.0, 2.0))
+        bad = 1e-6 * (np.diag([1.0, 0.0]) + 1e-8 * np.array([[0, 1], [0, 0]]))
+        effects = [np.diag([0.5, 0.5]), np.diag([0.5, 0.5]) - 1e-6 * np.diag([1.0, 0.0]), bad]
+        with pytest.raises(ValueError, match="not Hermitian"):
+            Povm(space, effects)
+
+    def test_one_effect_with_negative_eigenvalue_rejected(self):
+        space = OutcomeSpace.from_values((0.0, 1.0, 2.0))
+        effects = [np.diag([0.6, 0.3]), np.diag([0.41, 0.3]), np.diag([-0.01, 0.4])]
+        with pytest.raises(ValueError, match="not PSD"):
+            Povm(space, effects)
+
+    def test_ragged_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            Povm(PM_SPACE, [np.eye(2) / 2, np.eye(3) / 2])
