@@ -38,10 +38,8 @@ from .measurement import (
     unsharp_qubit,
 )
 from .transport import (
-    ContractionReport,
     LocalContext,
     adjointness_residual,
-    contraction_report,
     pullback_rep,
     pushforward,
     support_restrict,
@@ -111,10 +109,8 @@ __all__ = [
     "projective_from",
     "trivial_measurement",
     "unsharp_qubit",
-    "ContractionReport",
     "LocalContext",
     "adjointness_residual",
-    "contraction_report",
     "pullback_rep",
     "pushforward",
     "support_restrict",

@@ -205,8 +205,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-# JSON inputs are validated at the default tolerances: --tolerance sets the
-# slack of property checks, never how malformed an input may be.
 def _scan_default_state(args) -> DensityOperator:
     if args.state:
         return load_state(args.state)
@@ -234,17 +232,17 @@ def cmd_scan(args) -> int:
             print("family 'custom' needs --povm FILE", file=sys.stderr)
             return EXIT_USAGE
         povm = load_povm(args.povm)
-        ctx = LocalContext(povm, rho, tol=tol)
-        rows.append((None, evaluate_relation(ctx, obs_a, obs_b, tol=tol)))
+        ctx = LocalContext(povm, rho)
+        rows.append((None, evaluate_relation(ctx, obs_a, obs_b)))
     else:
         grid = args.grid if args.grid is not None else tuple(k / 10.0 for k in range(11))
         for param in grid:
             if args.family == "unsharp":
-                povm = unsharp_qubit((0.0, 0.0, 1.0), param, tol=tol)
+                povm = unsharp_qubit((0.0, 0.0, 1.0), param)
             else:
-                povm = noisy_projective(obs_a, param, tol=tol)
-            ctx = LocalContext(povm, rho, tol=tol)
-            rows.append((param, evaluate_relation(ctx, obs_a, obs_b, tol=tol)))
+                povm = noisy_projective(obs_a, param)
+            ctx = LocalContext(povm, rho)
+            rows.append((param, evaluate_relation(ctx, obs_a, obs_b)))
 
     lines = [CSV_HEADER] + [relation_csv_row(rep, param) for param, rep in rows]
     text = "\n".join(lines) + "\n"
@@ -268,8 +266,8 @@ def cmd_scan(args) -> int:
 
 def _demo_naive_violation(tol: Tolerances) -> tuple[list[str], int]:
     rho = qubit_state(y=0.8)
-    ctx = LocalContext(projective_from(HermitianObservable(PAULI_Z), tol=tol), rho, tol=tol)
-    report = evaluate_relation(ctx, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z), tol=tol)
+    ctx = LocalContext(projective_from(HermitianObservable(PAULI_Z)), rho)
+    report = evaluate_relation(ctx, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z))
     ok = report.naive_violated and report.slack >= -tol.identity
     lines = [
         "scenario: sharp Z readout on the qubit state (I + 0.8 Y)/2, observables X and Z",
@@ -283,9 +281,7 @@ def _demo_naive_violation(tol: Tolerances) -> tuple[list[str], int]:
 
 def _demo_kr_reduction(tol: Tolerances) -> tuple[list[str], int]:
     rho = DensityOperator.pure([1.0, 0.0])
-    report = schroedinger_reduction(
-        rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Y), tol=tol
-    )
+    report = schroedinger_reduction(rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Y))
     ok = (
         abs(report.product - report.bound) <= tol.expectation
         and report.kr_bound <= report.bound + 1e-12
@@ -395,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tolerance", type=_parse_tolerance, default=None, help="override the identity/slack tolerance of property checks (JSON inputs are always validated at the defaults)")
+    common.add_argument("--tolerance", type=_parse_tolerance, default=None, help="slack of the property checks (default 1e-9); inputs and built objects are always validated at the defaults")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")

@@ -20,25 +20,25 @@ from .states import (
     state_norm,
 )
 from .transport import LocalContext, pullback_rep, pushforward
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
-def quantum_error(ctx: LocalContext, a: HermitianObservable, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def quantum_error(ctx: LocalContext, a: HermitianObservable) -> float:
     """sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the contraction amount.
 
     The radicand is clipped at zero if it is only roundoff-negative; a value
-    below -tol.psd means contractivity failed and indicates a bug, so it
+    below -DEFAULT_TOL.psd means contractivity failed and indicates a bug, so it
     raises instead of being hidden.
     """
-    return _error_from_pushforward(ctx, a, pushforward(ctx, a), tol)
+    return _error_from_pushforward(ctx, a, pushforward(ctx, a))
 
 
 def _error_from_pushforward(
-    ctx: LocalContext, a: HermitianObservable, fwd: OutcomeFunction, tol: Tolerances
+    ctx: LocalContext, a: HermitianObservable, fwd: OutcomeFunction
 ) -> float:
     """The error of ``a`` given its already computed pushforward ``fwd``."""
-    radicand = state_norm(a, ctx.rho, tol=tol) ** 2 - class_norm(fwd, ctx.prob) ** 2
-    if radicand < -tol.psd:
+    radicand = state_norm(a, ctx.rho) ** 2 - class_norm(fwd, ctx.prob) ** 2
+    if radicand < -DEFAULT_TOL.psd:
         raise RuntimeError(f"contractivity violated: radicand {radicand:.3e}")
     return float(np.sqrt(max(radicand, 0.0)))
 
@@ -61,24 +61,18 @@ class ErrorBreakdown:
             raise AssertionError(f"error decomposition violated by {residual:.3e}")
 
 
-def f_error(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    f: OutcomeFunction,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ErrorBreakdown:
+def f_error(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> ErrorBreakdown:
     """Reconstruction gauge for the estimator f:
     sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 - ||pullback(f)||_rho^2))."""
     rep = pullback_rep(ctx, f)
-    algebraic = state_norm(a - rep, ctx.rho, tol=tol) ** 2
-    cost = class_norm(f, ctx.prob) ** 2 - state_norm(rep, ctx.rho, tol=tol) ** 2
-    if cost < -tol.psd:
+    algebraic = state_norm(a - rep, ctx.rho) ** 2
+    cost = class_norm(f, ctx.prob) ** 2 - state_norm(rep, ctx.rho) ** 2
+    if cost < -DEFAULT_TOL.psd:
         raise RuntimeError(f"contractivity violated: reconstruction cost {cost:.3e}")
     total = float(np.sqrt(max(algebraic + cost, 0.0)))
     optimal = pushforward(ctx, a)
     return ErrorBreakdown(
-        quantum_error=_error_from_pushforward(ctx, a, optimal, tol),
+        quantum_error=_error_from_pushforward(ctx, a, optimal),
         estimation_error=class_norm(optimal - f, ctx.prob),
         f_error=total,
         estimator=f,
@@ -100,17 +94,15 @@ class ErrorlessConditions:
     scale: float
 
 
-def errorless_check(
-    ctx: LocalContext, a: HermitianObservable, *, tol: Tolerances = DEFAULT_TOL
-) -> ErrorlessConditions:
-    scale = state_norm(a, ctx.rho, tol=tol)
-    threshold = tol.errorless * scale
+def errorless_check(ctx: LocalContext, a: HermitianObservable) -> ErrorlessConditions:
+    scale = state_norm(a, ctx.rho)
+    threshold = DEFAULT_TOL.errorless * scale
     fwd = pushforward(ctx, a)
-    err = _error_from_pushforward(ctx, a, fwd, tol)
+    err = _error_from_pushforward(ctx, a, fwd)
     back = pullback_rep(ctx, fwd)
-    residual = state_norm(a - back, ctx.rho, tol=tol)
+    residual = state_norm(a - back, ctx.rho)
     norm_fwd = class_norm(fwd, ctx.prob)
-    norm_back = state_norm(back, ctx.rho, tol=tol)
+    norm_back = state_norm(back, ctx.rho)
     return ErrorlessConditions(
         cond_a=err <= threshold,
         cond_b=residual <= threshold,

@@ -16,7 +16,6 @@ import numpy as np
 from .indirect import IndirectModel
 from .measurement import MeasurementKind, Povm
 from .states import DensityOperator, HermitianObservable, OutcomeSpace
-from .tolerances import DEFAULT_TOL, Tolerances
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
@@ -66,18 +65,16 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_state(
-    cfg: GenConfig, rng: np.random.Generator | None = None, *, tol: Tolerances = DEFAULT_TOL
-) -> DensityOperator:
+def random_state(cfg: GenConfig, rng: np.random.Generator | None = None) -> DensityOperator:
     rng = rng if rng is not None else cfg.rng()
     if cfg.mixedness == "pure":
-        return DensityOperator.pure(_complex_normal(rng, cfg.dim), tol=tol)
+        return DensityOperator.pure(_complex_normal(rng, cfg.dim))
     g = _complex_normal(rng, (cfg.dim, cfg.dim))
     mat = g @ g.conj().T
     mat = mat / np.trace(mat).real
     if cfg.mixedness == "blend":
         mat = (1.0 - cfg.blend) * mat + cfg.blend * np.eye(cfg.dim) / cfg.dim
-    return DensityOperator(mat, tol=tol)
+    return DensityOperator(mat)
 
 
 def random_observable(
@@ -85,7 +82,6 @@ def random_observable(
     rng: np.random.Generator | None = None,
     *,
     traceless: bool = False,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> HermitianObservable:
     """Gaussian Hermitian matrix (G + G^dag)/2, optionally trace-projected."""
     rng = rng if rng is not None else cfg.rng()
@@ -93,12 +89,10 @@ def random_observable(
     mat = (g + g.conj().T) / 2.0
     if traceless:
         mat = mat - np.trace(mat).real / cfg.dim * np.eye(cfg.dim)
-    return HermitianObservable(mat, tol=tol)
+    return HermitianObservable(mat)
 
 
-def random_povm(
-    cfg: GenConfig, rng: np.random.Generator | None = None, *, tol: Tolerances = DEFAULT_TOL
-) -> Povm:
+def random_povm(cfg: GenConfig, rng: np.random.Generator | None = None) -> Povm:
     """Generic full-rank POVM: Gaussian Gram blocks whitened by the inverse
     square root of their sum.  Outcome values default to 1..n."""
     rng = rng if rng is not None else cfg.rng()
@@ -116,7 +110,7 @@ def random_povm(
     effects = [inv_sqrt @ blk @ inv_sqrt for blk in blocks]
     effects = [(e + e.conj().T) / 2.0 for e in effects]
     space = OutcomeSpace.from_values(np.arange(1, n + 1, dtype=float))
-    return Povm(space, effects, kind=MeasurementKind.CUSTOM, tol=tol)
+    return Povm(space, effects, kind=MeasurementKind.CUSTOM)
 
 
 def random_indirect_model(
@@ -124,11 +118,10 @@ def random_indirect_model(
     rng: np.random.Generator | None = None,
     *,
     ancilla_dim: int = 2,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> IndirectModel:
     """Haar interaction, random pure ancilla, nondegenerate diagonal meter."""
     rng = rng if rng is not None else cfg.rng()
-    ancilla = DensityOperator.pure(_complex_normal(rng, ancilla_dim), tol=tol)
+    ancilla = DensityOperator.pure(_complex_normal(rng, ancilla_dim))
     interaction = haar_unitary(cfg.dim * ancilla_dim, rng)
     meter = HermitianObservable(np.diag(np.arange(1, ancilla_dim + 1, dtype=complex)))
-    return IndirectModel(cfg.dim, ancilla, interaction, meter, tol=tol)
+    return IndirectModel(cfg.dim, ancilla, interaction, meter)

@@ -42,8 +42,6 @@ class IndirectModel:
         ancilla_state: DensityOperator,
         interaction,
         meter: HermitianObservable,
-        *,
-        tol: Tolerances = DEFAULT_TOL,
     ):
         if system_dim < 2:
             raise ValueError("system dimension must be at least 2")
@@ -53,8 +51,10 @@ class IndirectModel:
             raise ValueError(
                 f"interaction must act on the {joint_dim}-dimensional joint system"
             )
+        if not np.all(np.isfinite(u)):
+            raise ValueError("interaction entries must be finite")
         residual = float(np.max(np.abs(u.conj().T @ u - np.eye(joint_dim))))
-        if residual > tol.identity:
+        if residual > DEFAULT_TOL.identity:
             raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
         if meter.dim != ancilla_state.dim:
             raise ValueError("meter must act on the ancilla")
@@ -85,28 +85,22 @@ def _heisenberg_meter(model: IndirectModel, meter_matrix: np.ndarray) -> np.ndar
     return model.interaction.conj().T @ np.kron(eye_s, meter_matrix) @ model.interaction
 
 
-def induced_povm(model: IndirectModel, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def induced_povm(model: IndirectModel) -> Povm:
     """System POVM obtained by tracing the ancilla out of the evolved meter
     projectors: E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U]."""
     ds, da = model.system_dim, model.ancilla_dim
     xi = model.ancilla_state.matrix
-    decomp = spectral_decompose(model.meter, tol=tol)
+    decomp = spectral_decompose(model.meter)
     effects = []
     for _, proj in decomp:
         evolved = _heisenberg_meter(model, proj.matrix).reshape(ds, da, ds, da)
         eff = np.einsum("jl,ilmj->im", xi, evolved)
         effects.append((eff + eff.conj().T) / 2.0)
     space = OutcomeSpace.from_values([val for val, _ in decomp])
-    return Povm(space, effects, kind=MeasurementKind.INDUCED, tol=tol)
+    return Povm(space, effects, kind=MeasurementKind.INDUCED)
 
 
-def ozawa_error(
-    model: IndirectModel,
-    rho: DensityOperator,
-    a: HermitianObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservable) -> float:
     """Root-mean-square deviation between the evolved meter and the target
     observable over rho (x) ancilla state."""
     if a.dim != model.system_dim:
@@ -116,9 +110,9 @@ def ozawa_error(
     )
     joint = np.kron(rho.matrix, model.ancilla_state.matrix)
     val = complex(np.trace(noise @ noise @ joint))
-    if abs(val.imag) > tol.expectation * max(1.0, abs(val)):
+    if abs(val.imag) > DEFAULT_TOL.expectation * max(1.0, abs(val)):
         raise ArithmeticError(f"expected a real second moment, got {val}")
-    if val.real < -tol.psd:
+    if val.real < -DEFAULT_TOL.psd:
         raise RuntimeError(f"negative squared error {val.real:.3e}")
     return float(np.sqrt(max(val.real, 0.0)))
 
@@ -166,17 +160,17 @@ def chain_check(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ChainReport:
-    povm = induced_povm(model, tol=tol)
-    ctx = LocalContext(povm, rho, tol=tol)
-    report = evaluate_relation(ctx, a, b, tol=tol)
+    povm = induced_povm(model)
+    ctx = LocalContext(povm, rho)
+    report = evaluate_relation(ctx, a, b)
     identity_est = OutcomeFunction.identity(povm.space)
 
-    rms_a = ozawa_error(model, rho, a, tol=tol)
-    rms_b = ozawa_error(model, rho, b, tol=tol)
-    bridge_a = abs(rms_a - f_error(ctx, a, identity_est, tol=tol).f_error)
-    bridge_b = abs(rms_b - f_error(ctx, b, identity_est, tol=tol).f_error)
-    sigma_a = std_dev_q(a, rho, tol=tol)
-    sigma_b = std_dev_q(b, rho, tol=tol)
+    rms_a = ozawa_error(model, rho, a)
+    rms_b = ozawa_error(model, rho, b)
+    bridge_a = abs(rms_a - f_error(ctx, a, identity_est).f_error)
+    bridge_b = abs(rms_b - f_error(ctx, b, identity_est).f_error)
+    sigma_a = std_dev_q(a, rho)
+    sigma_b = std_dev_q(b, rho)
 
     commutator_bound = report.naive_bound
     rhs_final = commutator_bound - rms_a * sigma_b - sigma_a * rms_b

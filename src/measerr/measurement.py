@@ -28,7 +28,7 @@ from .states import (
     spectral_decompose,
     state_norm,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
 class MeasurementKind(str, Enum):
@@ -54,19 +54,18 @@ class Povm:
         effects,
         *,
         kind: MeasurementKind = MeasurementKind.CUSTOM,
-        tol: Tolerances = DEFAULT_TOL,
     ):
         stack = np.array(effects, dtype=complex)
         if stack.ndim != 3 or stack.shape != (space.size, stack.shape[2], stack.shape[2]):
             raise ValueError(f"need {space.size} square effects of one dimension, got shape {stack.shape}")
         if not np.all(np.isfinite(stack)):
             raise ValueError("effect entries must be finite")
-        _check_hermitian(stack, tol, "effect")
+        _check_hermitian(stack, "effect")
         smallest = float(np.linalg.eigvalsh(stack)[:, 0].min())
-        if smallest < -tol.psd:
+        if smallest < -DEFAULT_TOL.psd:
             raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
         residual = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
-        if residual > tol.identity:
+        if residual > DEFAULT_TOL.identity:
             raise ValueError(f"effects sum to identity only within {residual:.3e}")
         stack.setflags(write=False)
         self.space = space
@@ -77,11 +76,11 @@ class Povm:
     def dim(self) -> int:
         return self.effects.shape[1]
 
-    def apply(self, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> ProbabilityDistribution:
+    def apply(self, rho: DensityOperator) -> ProbabilityDistribution:
         """Born weights Tr[E_w rho]."""
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {rho.dim}")
-        return ProbabilityDistribution(self.space, _real_expectation(self.effects, rho, tol), tol=tol)
+        return ProbabilityDistribution(self.space, _real_expectation(self.effects, rho))
 
     def adjoint(self, f: OutcomeFunction) -> HermitianObservable:
         """Operator sum_w f(w) E_w; satisfies <adjoint(f)>_rho = <f>_{apply(rho)}."""
@@ -93,21 +92,21 @@ class Povm:
         return f"Povm(kind={self.kind.value!r}, dim={self.dim}, outcomes={self.space.size})"
 
 
-def projective_from(a: HermitianObservable, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def projective_from(a: HermitianObservable) -> Povm:
     """Projection measurement of an observable: outcomes are its (merged)
     eigenvalues, effects its spectral projectors."""
-    decomp = spectral_decompose(a, tol=tol)
+    decomp = spectral_decompose(a)
     space = OutcomeSpace.from_values([val for val, _ in decomp])
-    return Povm(space, [proj.matrix for _, proj in decomp], kind=MeasurementKind.PROJECTIVE, tol=tol)
+    return Povm(space, [proj.matrix for _, proj in decomp], kind=MeasurementKind.PROJECTIVE)
 
 
-def trivial_measurement(p0: ProbabilityDistribution, dim: int, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def trivial_measurement(p0: ProbabilityDistribution, dim: int) -> Povm:
     """Non-informative measurement: every state maps to the fixed p0."""
     effects = p0.weights[:, None, None] * np.eye(dim, dtype=complex)
-    return Povm(p0.space, effects, kind=MeasurementKind.TRIVIAL, tol=tol)
+    return Povm(p0.space, effects, kind=MeasurementKind.TRIVIAL)
 
 
-def unsharp_qubit(axis, eta: float, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def unsharp_qubit(axis, eta: float) -> Povm:
     """Two-outcome qubit family (I +- eta n.sigma)/2 along a unit axis n.
 
     eta = 1 recovers the projective measurement along the axis, eta = 0 the
@@ -123,18 +122,18 @@ def unsharp_qubit(axis, eta: float, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
     pauli = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
     space = OutcomeSpace(("+", "-"), (1.0, -1.0))
     effects = [(np.eye(2) + eta * pauli) / 2.0, (np.eye(2) - eta * pauli) / 2.0]
-    return Povm(space, effects, kind=MeasurementKind.UNSHARP, tol=tol)
+    return Povm(space, effects, kind=MeasurementKind.UNSHARP)
 
 
-def noisy_projective(a: HermitianObservable, lam: float, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def noisy_projective(a: HermitianObservable, lam: float) -> Povm:
     """Projective measurement of ``a`` mixed with uniform outcome noise:
     effects lam*E_w + (1-lam)*I/n, a path from projective (lam=1) to trivial
     uniform (lam=0)."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    base = projective_from(a, tol=tol)
+    base = projective_from(a)
     effects = lam * base.effects + (1.0 - lam) * np.eye(base.dim, dtype=complex) / base.space.size
-    return Povm(base.space, effects, kind=MeasurementKind.NOISY_PROJECTIVE, tol=tol)
+    return Povm(base.space, effects, kind=MeasurementKind.NOISY_PROJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -151,16 +150,14 @@ def contractivity_check(
     povm: Povm,
     f: OutcomeFunction,
     rho: DensityOperator,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> ContractivityReport:
     """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap."""
-    p = povm.apply(rho, tol=tol)
+    p = povm.apply(rho)
     adj = povm.adjoint(f)
     f_sq = OutcomeFunction(f.space, f.values**2)
     gap = povm.adjoint(f_sq).matrix - adj.matrix @ adj.matrix
     return ContractivityReport(
         classical_norm=class_norm(f, p),
-        adjoint_norm=state_norm(adj, rho, tol=tol),
+        adjoint_norm=state_norm(adj, rho),
         gap_min_eigenvalue=float(np.linalg.eigvalsh(gap)[0]),
     )

@@ -31,19 +31,16 @@ from .states import (
     _real_expectation,
 )
 from .transport import LocalContext, pullback_rep, pushforward
-from .tolerances import DEFAULT_TOL, Tolerances
 
 
 def commutator_expectation(
     a: HermitianObservable,
     b: HermitianObservable,
     rho: DensityOperator,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """<[A,B]/2i>_rho, real for self-adjoint arguments."""
     comm = (a.matrix @ b.matrix - b.matrix @ a.matrix) / 2j
-    return _real_expectation(comm, rho, tol)
+    return _real_expectation(comm, rho)
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,6 @@ def evaluate_relation(
     a: HermitianObservable,
     b: HermitianObservable,
     *,
-    tol: Tolerances = DEFAULT_TOL,
     sign_flip: bool = False,
 ) -> RelationReport:
     """eps_a, eps_b, R, I and the bound, from one pushforward and one round
@@ -108,15 +104,15 @@ def evaluate_relation(
     fwd_b = pushforward(ctx, b)
     back_a = pullback_rep(ctx, fwd_a)
     back_b = pullback_rep(ctx, fwd_b)
-    eps_a = _error_from_pushforward(ctx, a, fwd_a, tol)
-    eps_b = _error_from_pushforward(ctx, b, fwd_b, tol)
-    r_val = state_inner(a, b, ctx.rho, tol=tol) - class_inner(fwd_a, fwd_b, ctx.prob)
-    commutator = commutator_expectation(a, b, ctx.rho, tol=tol)
+    eps_a = _error_from_pushforward(ctx, a, fwd_a)
+    eps_b = _error_from_pushforward(ctx, b, fwd_b)
+    r_val = state_inner(a, b, ctx.rho) - class_inner(fwd_a, fwd_b, ctx.prob)
+    commutator = commutator_expectation(a, b, ctx.rho)
     sign = -1.0 if sign_flip else 1.0
     i_val = (
         commutator
-        - sign * commutator_expectation(back_a, b, ctx.rho, tol=tol)
-        - commutator_expectation(a, back_b, ctx.rho, tol=tol)
+        - sign * commutator_expectation(back_a, b, ctx.rho)
+        - commutator_expectation(a, back_b, ctx.rho)
     )
     bound = float(np.hypot(r_val, i_val))
     naive = abs(commutator)
@@ -209,19 +205,15 @@ def schroedinger_reduction(
     rho: DensityOperator,
     a: HermitianObservable,
     b: HermitianObservable,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> SchroedingerReport:
     space = OutcomeSpace(("t0", "t1"), (0.0, 1.0))
-    p0 = ProbabilityDistribution(space, [0.5, 0.5], tol=tol)
-    ctx = LocalContext(trivial_measurement(p0, rho.dim, tol=tol), rho, tol=tol)
-    report = evaluate_relation(ctx, a, b, tol=tol)
-    sigma_a = std_dev_q(a, rho, tol=tol)
-    sigma_b = std_dev_q(b, rho, tol=tol)
-    covariance = state_inner(a, b, rho, tol=tol) - expectation(a, rho, tol=tol) * expectation(
-        b, rho, tol=tol
-    )
-    commutator = commutator_expectation(a, b, rho, tol=tol)
+    p0 = ProbabilityDistribution(space, [0.5, 0.5])
+    ctx = LocalContext(trivial_measurement(p0, rho.dim), rho)
+    report = evaluate_relation(ctx, a, b)
+    sigma_a = std_dev_q(a, rho)
+    sigma_b = std_dev_q(b, rho)
+    covariance = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
+    commutator = commutator_expectation(a, b, rho)
     return SchroedingerReport(
         sigma_a=sigma_a,
         sigma_b=sigma_b,

@@ -16,7 +16,6 @@ import numpy as np
 from .indirect import IndirectModel
 from .measurement import MeasurementKind, Povm
 from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution
-from .tolerances import DEFAULT_TOL, Tolerances
 
 CSV_HEADER = "dim,kind,param,epsA,epsB,R,I,bound,slack,naiveBound,naiveViolated"
 
@@ -47,11 +46,11 @@ def povm_to_json(povm: Povm) -> dict:
     }
 
 
-def povm_from_json(data: dict, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def povm_from_json(data: dict) -> Povm:
     space = OutcomeSpace(tuple(data["labels"]), tuple(data["values"]))
     effects = [matrix_from_json(e) for e in data["effects"]]
     kind = MeasurementKind(data.get("kind", "custom"))
-    return Povm(space, effects, kind=kind, tol=tol)
+    return Povm(space, effects, kind=kind)
 
 
 def model_to_json(model: IndirectModel) -> dict:
@@ -64,34 +63,33 @@ def model_to_json(model: IndirectModel) -> dict:
     }
 
 
-def model_from_json(data: dict, *, tol: Tolerances = DEFAULT_TOL) -> IndirectModel:
+def model_from_json(data: dict) -> IndirectModel:
     return IndirectModel(
         int(data["system_dim"]),
-        DensityOperator(matrix_from_json(data["ancilla_state"]), tol=tol),
+        DensityOperator(matrix_from_json(data["ancilla_state"])),
         matrix_from_json(data["interaction"]),
-        HermitianObservable(matrix_from_json(data["meter"]), tol=tol),
-        tol=tol,
+        HermitianObservable(matrix_from_json(data["meter"])),
     )
 
 
-def load_state(path, *, tol: Tolerances = DEFAULT_TOL) -> DensityOperator:
+def load_state(path) -> DensityOperator:
     with open(path, encoding="utf-8") as fh:
-        return DensityOperator(matrix_from_json(json.load(fh)), tol=tol)
+        return DensityOperator(matrix_from_json(json.load(fh)))
 
 
-def load_observable(path, *, tol: Tolerances = DEFAULT_TOL) -> HermitianObservable:
+def load_observable(path) -> HermitianObservable:
     with open(path, encoding="utf-8") as fh:
-        return HermitianObservable(matrix_from_json(json.load(fh)), tol=tol)
+        return HermitianObservable(matrix_from_json(json.load(fh)))
 
 
-def load_povm(path, *, tol: Tolerances = DEFAULT_TOL) -> Povm:
+def load_povm(path) -> Povm:
     with open(path, encoding="utf-8") as fh:
-        return povm_from_json(json.load(fh), tol=tol)
+        return povm_from_json(json.load(fh))
 
 
-def load_model(path, *, tol: Tolerances = DEFAULT_TOL) -> IndirectModel:
+def load_model(path) -> IndirectModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh), tol=tol)
+        return model_from_json(json.load(fh))
 
 
 def format_float(x: float, sig: int) -> str:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,19 +29,19 @@ def _as_square_complex(matrix) -> np.ndarray:
     return arr
 
 
-def _check_hermitian(arr: np.ndarray, tol: Tolerances, what: str) -> None:
+def _check_hermitian(arr: np.ndarray, what: str) -> None:
     """Each matrix of ``arr`` (one matrix or a stack) must be Hermitian relative to its own scale."""
     residual = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
-    if np.any(residual > tol.validation * np.abs(arr).max(axis=(-2, -1))):
+    if np.any(residual > DEFAULT_TOL.validation * np.abs(arr).max(axis=(-2, -1))):
         raise ValueError(f"{what} is not Hermitian (residual {float(np.max(residual)):.3e})")
 
 
 class HermitianObservable:
     """Self-adjoint operator on a finite-dimensional system."""
 
-    def __init__(self, matrix, *, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, matrix):
         arr = _as_square_complex(matrix)
-        _check_hermitian(arr, tol, "observable")
+        _check_hermitian(arr, "observable")
         self.matrix = arr
 
     @property
@@ -54,16 +54,19 @@ class HermitianObservable:
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray) -> "HermitianObservable":
-        """Wrap a real combination of validated operators without validating it again."""
+        """Wrap a matrix Hermitian by construction (a real combination of validated
+        operators, a symmetrized projector) without validating it again."""
         obs = cls.__new__(cls)
         matrix.setflags(write=False)
         obs.matrix = matrix
         return obs
 
     def __add__(self, other: "HermitianObservable") -> "HermitianObservable":
+        _check_same_dim(self, other)
         return HermitianObservable._trusted(self.matrix + other.matrix)
 
     def __sub__(self, other: "HermitianObservable") -> "HermitianObservable":
+        _check_same_dim(self, other)
         return HermitianObservable._trusted(self.matrix - other.matrix)
 
     def __neg__(self) -> "HermitianObservable":
@@ -90,17 +93,17 @@ class DensityOperator:
     Anything more negative is rejected.
     """
 
-    def __init__(self, matrix, *, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, matrix):
         arr = _as_square_complex(matrix)
-        _check_hermitian(arr, tol, "density operator")
+        _check_hermitian(arr, "density operator")
         trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > tol.validation:
+        if abs(trace - 1.0) > DEFAULT_TOL.validation:
             raise ValueError(f"density operator must have unit trace, got {trace}")
         eigvals = np.linalg.eigvalsh(arr)
         smallest = float(eigvals[0])
-        if smallest < -tol.psd:
+        if smallest < -DEFAULT_TOL.psd:
             raise ValueError(
-                f"density operator has eigenvalue {smallest:.3e} below -{tol.psd:.0e}"
+                f"density operator has eigenvalue {smallest:.3e} below -{DEFAULT_TOL.psd:.0e}"
             )
         if smallest < 0.0:
             w, v = np.linalg.eigh(arr)
@@ -116,13 +119,13 @@ class DensityOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def pure(cls, ket, *, tol: Tolerances = DEFAULT_TOL) -> "DensityOperator":
+    def pure(cls, ket) -> "DensityOperator":
         vec = np.asarray(ket, dtype=complex).reshape(-1)
         norm = np.linalg.norm(vec)
         if norm == 0:
             raise ValueError("cannot normalize the zero vector")
         vec = vec / norm
-        return cls(np.outer(vec, vec.conj()), tol=tol)
+        return cls(np.outer(vec, vec.conj()))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -180,17 +183,17 @@ class ProbabilityDistribution:
     negative weights are rejected.
     """
 
-    def __init__(self, space: OutcomeSpace, weights, *, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, space: OutcomeSpace, weights):
         w = np.asarray(weights, dtype=float).copy()
         if w.shape != (space.size,):
             raise ValueError("need exactly one weight per label")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        if float(w.min()) < -tol.validation:
+        if float(w.min()) < -DEFAULT_TOL.validation:
             raise ValueError(f"negative weight {w.min():.3e} beyond tolerance")
         w[w < 0.0] = 0.0
         total = float(w.sum())
-        if abs(total - 1.0) > tol.prob_sum:
+        if abs(total - 1.0) > DEFAULT_TOL.prob_sum:
             raise ValueError(f"weights sum to {total}, not 1")
         w.setflags(write=False)
         self.space = space
@@ -258,46 +261,40 @@ def _check_same_space(sa: OutcomeSpace, sb: OutcomeSpace) -> None:
         raise ValueError("outcome spaces do not match")
 
 
-def _real_expectation(matrix: np.ndarray, rho: DensityOperator, tol: Tolerances):
+def _real_expectation(matrix: np.ndarray, rho: DensityOperator):
     """Real Tr[X rho] for one matrix X (a float) or for each matrix of a stack (an array)."""
     val = np.trace(matrix @ rho.matrix, axis1=-2, axis2=-1)
-    if np.any(np.abs(val.imag) > tol.expectation * np.maximum(1.0, np.abs(val))):
+    if np.any(np.abs(val.imag) > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val))):
         raise ArithmeticError(f"expected a real expectation, got {val}")
     return val.real if val.ndim else float(val.real)
 
 
-def expectation(x: HermitianObservable, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def expectation(x: HermitianObservable, rho: DensityOperator) -> float:
     """Tr[X rho]."""
     _check_same_dim(x, rho)
-    return _real_expectation(x.matrix, rho, tol)
+    return _real_expectation(x.matrix, rho)
 
 
-def state_inner(
-    a: HermitianObservable,
-    b: HermitianObservable,
-    rho: DensityOperator,
-    *,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def state_inner(a: HermitianObservable, b: HermitianObservable, rho: DensityOperator) -> float:
     """Symmetrized inner product <{A,B}/2>_rho."""
     _check_same_dim(a, b)
     _check_same_dim(a, rho)
     anti = (a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0
-    return _real_expectation(anti, rho, tol)
+    return _real_expectation(anti, rho)
 
 
-def state_norm(a: HermitianObservable, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def state_norm(a: HermitianObservable, rho: DensityOperator) -> float:
     """Seminorm sqrt(<A^2>_rho)."""
     _check_same_dim(a, rho)
-    val = _real_expectation(a.matrix @ a.matrix, rho, tol)
-    if val < -tol.psd:
+    val = _real_expectation(a.matrix @ a.matrix, rho)
+    if val < -DEFAULT_TOL.psd:
         raise ArithmeticError(f"negative squared norm {val:.3e}")
     return float(np.sqrt(max(val, 0.0)))
 
 
-def std_dev_q(a: HermitianObservable, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL) -> float:
+def std_dev_q(a: HermitianObservable, rho: DensityOperator) -> float:
     """Quantum standard deviation sqrt(<A^2> - <A>^2), clipped at zero."""
-    variance = state_norm(a, rho, tol=tol) ** 2 - expectation(a, rho, tol=tol) ** 2
+    variance = state_norm(a, rho) ** 2 - expectation(a, rho) ** 2
     return float(np.sqrt(max(variance, 0.0)))
 
 
@@ -325,18 +322,16 @@ def std_dev_c(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
     return float(np.sqrt(max(variance, 0.0)))
 
 
-def spectral_decompose(
-    a: HermitianObservable, *, tol: Tolerances = DEFAULT_TOL
-) -> list[tuple[float, HermitianObservable]]:
+def spectral_decompose(a: HermitianObservable) -> list[tuple[float, HermitianObservable]]:
     """Eigenvalues with orthogonal projectors, nearly-equal eigenvalues merged.
 
-    Eigenvalues within ``tol.eig_merge * max|eig|`` of each other share one
+    Eigenvalues within ``DEFAULT_TOL.eig_merge * max|eig|`` of each other share one
     projector, so projective measurements of degenerate observables are
     well defined.  Returned in ascending eigenvalue order.
     """
     w, v = np.linalg.eigh(a.matrix)
     scale = float(np.max(np.abs(w)))
-    threshold = tol.eig_merge * scale
+    threshold = DEFAULT_TOL.eig_merge * scale
     groups: list[list[int]] = [[0]]
     for i in range(1, len(w)):
         if w[i] - w[groups[-1][-1]] <= threshold:
@@ -348,5 +343,5 @@ def spectral_decompose(
         cols = v[:, idx]
         proj = cols @ cols.conj().T
         proj = (proj + proj.conj().T) / 2.0
-        out.append((float(np.mean(w[idx])), HermitianObservable(proj, tol=tol)))
+        out.append((float(np.mean(w[idx])), HermitianObservable._trusted(proj)))
     return out

@@ -111,11 +111,9 @@ def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResul
             rho1 = random_state(cfg, rng)
             rho2 = random_state(GenConfig(seed=0, dim=dim, mixedness="pure"), rng)
             lam = float(rng.uniform())
-            mixed = DensityOperator(lam * rho1.matrix + (1.0 - lam) * rho2.matrix, tol=tol)
-            direct = povm.apply(mixed, tol=tol).weights
-            combined = lam * povm.apply(rho1, tol=tol).weights + (1.0 - lam) * povm.apply(
-                rho2, tol=tol
-            ).weights
+            mixed = DensityOperator(lam * rho1.matrix + (1.0 - lam) * rho2.matrix)
+            direct = povm.apply(mixed).weights
+            combined = lam * povm.apply(rho1).weights + (1.0 - lam) * povm.apply(rho2).weights
             residual = float(np.max(np.abs(direct - combined)))
             out.record(
                 residual <= tol.validation,
@@ -134,7 +132,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
             rng = _rng(seed, out.name, dim, i)
             ctx, a, _ = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
-            lhs = expectation(ctx.povm.adjoint(f), ctx.rho, tol=tol)
+            lhs = expectation(ctx.povm.adjoint(f), ctx.rho)
             rhs = class_mean(f, ctx.prob)
             residual = abs(lhs - rhs)
             out.record(
@@ -142,7 +140,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
                 residual,
                 f"adjoint identity broke at dim={dim} i={i}: {residual:.3e}",
             )
-            projective = projective_from(a, tol=tol)
+            projective = projective_from(a)
             rebuilt = projective.adjoint(OutcomeFunction.identity(projective.space))
             residual = float(np.max(np.abs(rebuilt.matrix - a.matrix)))
             scale = float(np.max(np.abs(a.matrix)))
@@ -163,7 +161,7 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
             rng = _rng(seed, out.name, dim, i)
             ctx, _, _ = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
-            report = contractivity_check(ctx.povm, f, ctx.rho, tol=tol)
+            report = contractivity_check(ctx.povm, f, ctx.rho)
             gap = report.adjoint_norm - report.classical_norm
             out.record(
                 gap <= tol.identity * (1.0 + report.classical_norm),
@@ -189,7 +187,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
             f = _random_function(ctx.space, rng)
 
             residual = adjointness_residual(ctx, a, f)
-            scale = 1.0 + state_norm(a, ctx.rho, tol=tol) * class_norm(f, ctx.prob)
+            scale = 1.0 + state_norm(a, ctx.rho) * class_norm(f, ctx.prob)
             out.record(
                 residual <= tol.identity * scale,
                 residual,
@@ -197,16 +195,16 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
             )
 
             fwd = pushforward(ctx, a)
-            drift = abs(class_mean(fwd, ctx.prob) - expectation(a, ctx.rho, tol=tol))
+            drift = abs(class_mean(fwd, ctx.prob) - expectation(a, ctx.rho))
             out.record(
-                drift <= tol.expectation * (1.0 + abs(expectation(a, ctx.rho, tol=tol))),
+                drift <= tol.expectation * (1.0 + abs(expectation(a, ctx.rho))),
                 drift,
                 f"expectation not preserved at dim={dim} i={i}: {drift:.3e}",
             )
 
-            norm_a = state_norm(a, ctx.rho, tol=tol)
+            norm_a = state_norm(a, ctx.rho)
             norm_fwd = class_norm(fwd, ctx.prob)
-            norm_back = state_norm(pullback_rep(ctx, fwd), ctx.rho, tol=tol)
+            norm_back = state_norm(pullback_rep(ctx, fwd), ctx.rho)
             slack = tol.identity * (1.0 + norm_a)
             chain_ok = norm_a >= norm_fwd - slack and norm_fwd >= norm_back - slack
             out.record(
@@ -237,7 +235,7 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
             rng = _rng(seed, out.name, dim, i)
             ctx, a, _ = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
-            breakdown = f_error(ctx, a, f, tol=tol)
+            breakdown = f_error(ctx, a, f)
             residual = abs(
                 breakdown.f_error**2
                 - breakdown.quantum_error**2
@@ -259,7 +257,7 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
 
             delta = _random_function(ctx.space, rng)
             t = float(rng.uniform(-1.0, 1.0))
-            perturbed = f_error(ctx, a, breakdown.optimal + t * delta, tol=tol)
+            perturbed = f_error(ctx, a, breakdown.optimal + t * delta)
             excess = perturbed.f_error**2 - base**2
             expected = t * t * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
             residual = abs(excess - expected)
@@ -285,7 +283,7 @@ def suite_relation_and_proof_tie(
         for i in range(n):
             rng = _rng(seed, "main-relation", dim, i)
             ctx, a, b = _instance(dim, rng)
-            report = evaluate_relation(ctx, a, b, tol=tol, sign_flip=sign_flip)
+            report = evaluate_relation(ctx, a, b, sign_flip=sign_flip)
             relation.record(
                 report.slack >= -tol.identity * (1.0 + abs(report.eps_a * report.eps_b)),
                 max(-report.slack, 0.0),
@@ -321,14 +319,14 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         for i in range(n):
             rng = _rng(seed, out.name, dim, i)
             ctx, a, b = _instance(dim, rng)
-            conds_a, conds_b = (errorless_check(ctx, obs, tol=tol) for obs in (a, b))
+            conds_a, conds_b = (errorless_check(ctx, obs) for obs in (a, b))
             for conds in (conds_a, conds_b):
                 out.record(
                     conds.cond_a == conds.cond_b == conds.cond_c,
                     0.0 if conds.cond_a == conds.cond_b == conds.cond_c else 1.0,
                     f"conditions disagree at dim={dim} i={i}: {conds}",
                 )
-            comm = abs(commutator_expectation(a, b, ctx.rho, tol=tol))
+            comm = abs(commutator_expectation(a, b, ctx.rho))
             both = conds_a.cond_a and conds_b.cond_a
             out.record(
                 not (both and comm > 1e-6),
@@ -339,12 +337,12 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
             # constructed errorless case: projectively measure a itself
             cfg = GenConfig(seed=0, dim=dim)
             rho = random_state(cfg, rng)
-            exact_ctx = LocalContext(projective_from(a, tol=tol), rho, tol=tol)
+            exact_ctx = LocalContext(projective_from(a), rho)
             shifted = float(rng.uniform(0.5, 2.0)) * a + float(rng.uniform(-1.0, 1.0)) * (
                 HermitianObservable.identity(dim)
             )
             for obs in (a, shifted):
-                conds = errorless_check(exact_ctx, obs, tol=tol)
+                conds = errorless_check(exact_ctx, obs)
                 out.record(
                     conds.cond_a and conds.cond_b and conds.cond_c,
                     conds.error,
@@ -352,7 +350,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
                 )
             # a and its affine shift commute, so a simultaneous errorless
             # pair here is consistent with the noncommutativity statement
-            comm = abs(commutator_expectation(a, shifted, rho, tol=tol))
+            comm = abs(commutator_expectation(a, shifted, rho))
             out.record(
                 comm <= 1e-6,
                 comm,
@@ -375,12 +373,12 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
             b = random_observable(cfg, rng)
             k = int(rng.integers(1, 5))
             space = OutcomeSpace.from_values(np.arange(k, dtype=float))
-            p0 = ProbabilityDistribution(space, rng.dirichlet(np.ones(k)), tol=tol)
-            ctx = LocalContext(trivial_measurement(p0, dim, tol=tol), rho, tol=tol)
-            report = evaluate_relation(ctx, a, b, tol=tol)
+            p0 = ProbabilityDistribution(space, rng.dirichlet(np.ones(k)))
+            ctx = LocalContext(trivial_measurement(p0, dim), rho)
+            report = evaluate_relation(ctx, a, b)
 
-            sigma_a = std_dev_q(a, rho, tol=tol)
-            sigma_b = std_dev_q(b, rho, tol=tol)
+            sigma_a = std_dev_q(a, rho)
+            sigma_b = std_dev_q(b, rho)
             residual = max(abs(report.eps_a - sigma_a), abs(report.eps_b - sigma_b))
             out.record(
                 residual <= tol.expectation * (1.0 + sigma_a + sigma_b),
@@ -388,10 +386,8 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
                 f"error != standard deviation at dim={dim} i={i}: {residual:.3e}",
             )
 
-            cov = state_inner(a, b, rho, tol=tol) - expectation(a, rho, tol=tol) * expectation(
-                b, rho, tol=tol
-            )
-            comm = commutator_expectation(a, b, rho, tol=tol)
+            cov = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
+            comm = commutator_expectation(a, b, rho)
             residual = max(abs(report.real_term - cov), abs(report.imag_term - comm))
             out.record(
                 residual <= tol.expectation * (1.0 + abs(cov) + abs(comm)),
@@ -412,9 +408,7 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     return out
 
 
-def suite_ozawa_chain(
-    pairs, n, seed, tol: Tolerances = DEFAULT_TOL
-) -> SuiteResult:
+def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """Random indirect models: induced POVM consistency with the joint meter
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
@@ -423,13 +417,13 @@ def suite_ozawa_chain(
         for i in range(n):
             rng = _rng(seed, out.name, dim, ancilla, i)
             cfg = GenConfig(seed=0, dim=dim, mixedness="ginibre")
-            model = random_indirect_model(cfg, rng, ancilla_dim=ancilla, tol=tol)
+            model = random_indirect_model(cfg, rng, ancilla_dim=ancilla)
             rho = random_state(cfg, rng)
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
 
             report = chain_check(model, rho, a, b, tol=tol)
-            meter_projs = [proj for _, proj in spectral_decompose(model.meter, tol=tol)]
+            meter_projs = [proj for _, proj in spectral_decompose(model.meter)]
             joint = model.interaction @ np.kron(rho.matrix, model.ancilla_state.matrix) @ model.interaction.conj().T
             direct = np.array(
                 [

@@ -1,9 +1,11 @@
-"""Single configurable set of numerical tolerance constants.
+"""The numerical tolerance constants.
 
 Policy: construction-time validation is absolute and tight (1e-12 scale),
 derived identities and inequality slacks are checked at 1e-9 relative to the
-magnitudes involved.  Every function that checks something takes a
-``Tolerances`` so a whole run can be tightened or loosened in one place.
+magnitudes involved.  The library validates and builds at ``DEFAULT_TOL``,
+always.  Only the code that judges a property (the suites, ``chain_check``
+and the CLI's scan and demo checks) takes a ``Tolerances``; the CLI's
+``--tolerance`` replaces its ``identity`` field there, and nowhere else.
 """
 
 from __future__ import annotations

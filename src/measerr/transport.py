@@ -12,8 +12,6 @@ outcome whose probability is at or below the support cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .measurement import Povm
@@ -23,32 +21,29 @@ from .states import (
     OutcomeFunction,
     _real_expectation,
     class_inner,
-    class_norm,
     state_inner,
-    state_norm,
 )
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
 class LocalContext:
     """A measurement pinned to a state, with the outcome distribution cached.
 
     ``support`` holds the labels with weight above the cutoff; ``tiny_support``
-    flags the ones close enough to zero (at most ``tol.tiny_support``) that
+    flags the ones close enough to zero (at most ``DEFAULT_TOL.tiny_support``) that
     dividing by them is numerically delicate.
     """
 
-    def __init__(self, povm: Povm, rho: DensityOperator, *, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, povm: Povm, rho: DensityOperator):
         self.povm = povm
         self.rho = rho
-        self.tol = tol
-        self.prob = povm.apply(rho, tol=tol)
-        mask = self.prob.weights > tol.support_cutoff
+        self.prob = povm.apply(rho)
+        mask = self.prob.weights > DEFAULT_TOL.support_cutoff
         mask.setflags(write=False)
         self.support_mask = mask
         labels = np.array(povm.space.labels, dtype=object)
         self.support = frozenset(labels[mask])
-        self.tiny_support = frozenset(labels[mask & (self.prob.weights <= tol.tiny_support)])
+        self.tiny_support = frozenset(labels[mask & (self.prob.weights <= DEFAULT_TOL.tiny_support)])
 
     @property
     def dim(self) -> int:
@@ -76,7 +71,7 @@ def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
     if a.dim != ctx.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {ctx.dim}")
     effects = ctx.povm.effects
-    inner = _real_expectation((a.matrix @ effects + effects @ a.matrix) / 2.0, ctx.rho, ctx.tol)
+    inner = _real_expectation((a.matrix @ effects + effects @ a.matrix) / 2.0, ctx.rho)
     values = np.divide(inner, ctx.prob.weights, out=np.zeros(ctx.space.size), where=ctx.support_mask)
     return OutcomeFunction(ctx.space, values)
 
@@ -92,29 +87,6 @@ def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
 
 def adjointness_residual(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> float:
     """|<A, pullback(f)>_rho - <pushforward(A), f>_p|; zero up to roundoff."""
-    lhs = state_inner(a, pullback_rep(ctx, f), ctx.rho, tol=ctx.tol)
+    lhs = state_inner(a, pullback_rep(ctx, f), ctx.rho)
     rhs = class_inner(pushforward(ctx, a), f, ctx.prob)
     return abs(lhs - rhs)
-
-
-@dataclass(frozen=True)
-class ContractionReport:
-    """Norm chain under transport: state norm of A, classical norm of its
-    pushforward, and state norm of the round trip (pullback of pushforward).
-    The chain is non-increasing."""
-
-    norm_state: float
-    norm_pushforward: float
-    norm_roundtrip: float
-    tiny_support: tuple[str, ...]
-
-
-def contraction_report(ctx: LocalContext, a: HermitianObservable) -> ContractionReport:
-    fwd = pushforward(ctx, a)
-    back = pullback_rep(ctx, fwd)
-    return ContractionReport(
-        norm_state=state_norm(a, ctx.rho, tol=ctx.tol),
-        norm_pushforward=class_norm(fwd, ctx.prob),
-        norm_roundtrip=state_norm(back, ctx.rho, tol=ctx.tol),
-        tiny_support=tuple(sorted(ctx.tiny_support)),
-    )

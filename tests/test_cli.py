@@ -204,6 +204,43 @@ class TestChain:
     def test_missing_model_file_is_usage_error(self, capsys):
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2
 
+    def test_non_finite_interaction_is_usage_error(self, tmp_path, capsys):
+        data = model_to_json(cnot_model())
+        data["interaction"][1][2][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        assert main(["chain", "--model", str(path)]) == 2
+        assert capsys.readouterr().err.strip() == "error: interaction entries must be finite"
+
+
+class TestTolerancePolicy:
+    """--tolerance sets only the slack of the property checks: what the
+    program builds is validated at the default tolerances whatever it says."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--dims", "2,3,4,5", "--n", "30", "--seed", "7"],
+            ["scan", "--family", "noisy-projective", "--grid", "0:1:0.1"],
+            ["scan", "--family", "noisy-projective", "--grid", "0:1:0.1", "--obs-a", "{x}"],
+        ],
+        ids=["verify", "scan", "scan-obs-x"],
+    )
+    def test_tight_slack_is_not_a_usage_error(self, argv, tmp_path, capsys):
+        # the slack of a property check is no bound on how exactly a POVM the
+        # program builds (here from roundoff-level projectors) sums to I
+        (tmp_path / "x.json").write_text(json_text(matrix_to_json([[0, 1], [1, 0]])))
+        argv = [str(tmp_path / "x.json") if arg == "{x}" else arg for arg in argv]
+        tight = "1e-15" if argv[0] == "verify" else "1e-17"
+        report = tmp_path / "report.json"
+        code = main(argv + ["--tolerance", tight, "--json", str(report)])
+        assert code in (0, 1), capsys.readouterr().err
+        if argv[0] == "verify":
+            checks = json.loads(report.read_text())["manifest"]
+            assert main(argv + ["--json", str(report)]) == 0
+            default = json.loads(report.read_text())["manifest"]
+            assert checks["checks_passed"] + checks["checks_failed"] == default["checks_passed"] > 0
+
 
 class TestUsageAndInternalErrors:
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])

@@ -80,6 +80,12 @@ class TestInducedPovm:
         with pytest.raises(ValueError):
             IndirectModel(2, DensityOperator.pure([1, 0]), np.eye(4) * 0.9, HermitianObservable(PAULI_Z))
 
+    def test_non_finite_interaction_rejected(self):
+        u = np.eye(4, dtype=complex)
+        u[1, 2] = np.nan
+        with pytest.raises(ValueError, match="interaction entries must be finite"):
+            IndirectModel(2, DensityOperator.pure([1, 0]), u, HermitianObservable(PAULI_Z))
+
     def test_meter_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             IndirectModel(2, DensityOperator.pure([1, 0]), np.eye(4), HermitianObservable.identity(3))

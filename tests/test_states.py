@@ -1,5 +1,7 @@
 """State-space types, inner products, seminorms, spectral decomposition."""
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,6 +246,11 @@ class TestValidation:
             ProbabilityDistribution(space, [1.0, -1e-11])
         with pytest.raises(ValueError):
             ProbabilityDistribution(space, [0.7, 0.2])
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub])
+    def test_arithmetic_dimension_mismatch_rejected(self, op):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op(HermitianObservable([[2.0]]), HermitianObservable(np.eye(3)))
 
     def test_outcome_space_validation(self):
         with pytest.raises(ValueError):
