@@ -37,8 +37,11 @@ from .measurement import (
     trivial_measurement,
     unsharp_qubit,
 )
+# ``transport(ctx, a)`` itself stays in ``measerr.transport``: exported here,
+# the function would shadow that module.
 from .transport import (
     LocalContext,
+    Transport,
     adjointness_residual,
     pullback_rep,
     pushforward,
@@ -110,6 +113,7 @@ __all__ = [
     "trivial_measurement",
     "unsharp_qubit",
     "LocalContext",
+    "Transport",
     "adjointness_residual",
     "pullback_rep",
     "pushforward",

@@ -27,6 +27,7 @@ from .serialize import (
     CSV_HEADER,
     format_float,
     json_text,
+    load_model,
     load_observable,
     load_povm,
     load_state,
@@ -157,13 +158,15 @@ def _tolerances(args) -> Tolerances:
     return replace(DEFAULT_TOL, identity=args.tolerance)
 
 
-def _manifest(args, subcommand: str, passed: int, failed: int, started: float, dims=()) -> RunManifest:
+def _manifest(
+    args, subcommand: str, passed: int, failed: int, started: float, dims=(), instances: int = 0
+) -> RunManifest:
     return RunManifest(
         spec_version=__version__,
         subcommand=subcommand,
         seed=getattr(args, "seed", 0),
         dims=tuple(dims),
-        instances=getattr(args, "n", 0),
+        instances=instances,
         rng_algorithm=RNG_ALGORITHM,
         tolerances=_tolerances(args),
         checks_passed=passed,
@@ -192,7 +195,7 @@ def cmd_verify(args) -> int:
         print(f"{status:4s} {r.name}: {r.checks} checks, {r.failures} failures, worst {r.worst:.3e}")
         for msg in r.messages:
             print(f"     {msg}")
-    manifest = _manifest(args, "verify", passed, failed, started, dims=args.dims)
+    manifest = _manifest(args, "verify", passed, failed, started, dims=args.dims, instances=args.n)
     payload = {
         "manifest": manifest.as_dict(),
         "suites": {r.name: r.as_dict() for r in results},
@@ -347,9 +350,8 @@ def cmd_chain(args) -> int:
     checks_passed = 0
 
     if args.model:
-        from .serialize import load_model
-
         model = load_model(args.model)
+        dims, instances = (model.system_dim,), 1
         rng = np.random.default_rng(args.seed)
         cfg = GenConfig(seed=args.seed, dim=model.system_dim)
         rho = random_state(cfg, rng)
@@ -367,7 +369,8 @@ def cmd_chain(args) -> int:
         checks_passed += int(demo_code == 0)
         checks_failed += int(demo_code != 0)
 
-        pairs = tuple((d, args.ancilla) for d in args.dims)
+        dims, instances = args.dims, args.n
+        pairs = tuple((d, args.ancilla) for d in dims)
         result = suite_ozawa_chain(pairs, args.n, args.seed, tol)
         status = "ok" if result.passed else "FAIL"
         print(f"{status:4s} {result.name}: {result.checks} checks, {result.failures} failures, worst {result.worst:.3e}")
@@ -376,7 +379,7 @@ def cmd_chain(args) -> int:
         checks_passed += result.checks - result.failures
         checks_failed += result.failures
 
-    manifest = _manifest(args, "chain", checks_passed, checks_failed, started, dims=getattr(args, "dims", ()))
+    manifest = _manifest(args, "chain", checks_passed, checks_failed, started, dims=dims, instances=instances)
     if args.json:
         _emit_json(args, {"manifest": manifest.as_dict()})
     return EXIT_VIOLATION if checks_failed else EXIT_OK

@@ -118,27 +118,20 @@ def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservab
 
 
 @dataclass(frozen=True)
-class ChainLink:
-    name: str
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-@dataclass(frozen=True)
 class ChainReport:
     """The five-term comparison chain evaluated on one model and state pair:
 
     rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
-    minus the rms/sigma cross terms.  ``bridge_residual_*`` ties the rms
-    error to the identity-estimator f-error of the induced measurement,
-    which is the decisive correctness check of the induced POVM, whose
-    outcome distribution over rho is ``distribution``.
+    minus the rms/sigma cross terms.  ``values`` holds the five terms in
+    that order, and ``holds[i]`` whether values[i] >= values[i + 1] within
+    the slack.  ``bridge_residual_*`` ties the rms error to the
+    identity-estimator f-error of the induced measurement, which is the
+    decisive correctness check of the induced POVM, whose outcome
+    distribution over rho is ``distribution``.
     """
 
     values: tuple[float, float, float, float, float]
-    links: tuple[ChainLink, ...]
-    all_hold: bool
+    holds: tuple[bool, ...]
     rms_a: float
     rms_b: float
     eps_a: float
@@ -150,6 +143,10 @@ class ChainReport:
     dominance_a: bool
     dominance_b: bool
     distribution: ProbabilityDistribution
+
+    @property
+    def all_hold(self) -> bool:
+        return all(self.holds)
 
 
 def chain_check(
@@ -167,8 +164,8 @@ def chain_check(
 
     rms_a = ozawa_error(model, rho, a)
     rms_b = ozawa_error(model, rho, b)
-    bridge_a = abs(rms_a - f_error(ctx, a, identity_est).f_error)
-    bridge_b = abs(rms_b - f_error(ctx, b, identity_est).f_error)
+    bridge_a = abs(rms_a - f_error(ctx, report.transport_a, identity_est).f_error)
+    bridge_b = abs(rms_b - f_error(ctx, report.transport_b, identity_est).f_error)
     sigma_a = std_dev_q(a, rho)
     sigma_b = std_dev_q(b, rho)
 
@@ -181,26 +178,13 @@ def chain_check(
         abs(report.imag_term),
         rhs_final,
     )
-    names = (
-        "rms-product >= error-product",
-        "error-product >= bound",
-        "bound >= |I|",
-        "|I| >= commutator minus cross terms",
-    )
-    links = tuple(
-        ChainLink(
-            name=name,
-            lhs=values[i],
-            rhs=values[i + 1],
-            holds=values[i] >= values[i + 1] - tol.identity * (1.0 + abs(values[i])),
-        )
-        for i, name in enumerate(names)
+    holds = tuple(
+        lhs >= rhs - tol.identity * (1.0 + abs(lhs)) for lhs, rhs in zip(values, values[1:])
     )
     slack = tol.identity * (1.0 + rms_a + rms_b)
     return ChainReport(
         values=values,
-        links=links,
-        all_hold=all(link.holds for link in links),
+        holds=holds,
         rms_a=rms_a,
         rms_b=rms_b,
         eps_a=report.eps_a,

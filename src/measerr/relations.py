@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import _error_from_pushforward
 from .measurement import trivial_measurement
 from .states import (
     DensityOperator,
     HermitianObservable,
-    OutcomeFunction,
     OutcomeSpace,
     ProbabilityDistribution,
     class_inner,
@@ -30,7 +28,7 @@ from .states import (
     std_dev_q,
     _real_expectation,
 )
-from .transport import LocalContext, pullback_rep, pushforward
+from .transport import LocalContext, Transport, transport
 
 
 def commutator_expectation(
@@ -49,9 +47,9 @@ class RelationReport:
 
     slack = eps_a*eps_b - bound must be nonnegative up to roundoff;
     naive_violated records the (legitimate) cases where the error product
-    undercuts the bare commutator bound.  The pushforwards and round trips
-    the terms were derived from are kept for ``proof_device_check``; they
-    are not serialized.
+    undercuts the bare commutator bound.  The transports of A and B the
+    terms were derived from are kept for ``proof_device_check`` and
+    ``chain_check``; they are not serialized.
     """
 
     dim: int
@@ -64,10 +62,8 @@ class RelationReport:
     slack: float
     naive_bound: float
     naive_violated: bool
-    pushforward_a: OutcomeFunction = field(repr=False, compare=False)
-    pushforward_b: OutcomeFunction = field(repr=False, compare=False)
-    roundtrip_a: HermitianObservable = field(repr=False, compare=False)
-    roundtrip_b: HermitianObservable = field(repr=False, compare=False)
+    transport_a: Transport = field(repr=False, compare=False)
+    transport_b: Transport = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -91,8 +87,8 @@ def evaluate_relation(
     *,
     sign_flip: bool = False,
 ) -> RelationReport:
-    """eps_a, eps_b, R, I and the bound, from one pushforward and one round
-    trip per observable.
+    """eps_a, eps_b, R, I and the bound, from one ``transport`` per
+    observable.
 
     R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
     because pushforwards preserve expectation values.  I is <[A,B]/2i>
@@ -100,38 +96,32 @@ def evaluate_relation(
     ``sign_flip`` enters the first cross commutator with the wrong sign; it
     exists only to prove that the verify harness can fail.
     """
-    fwd_a = pushforward(ctx, a)
-    fwd_b = pushforward(ctx, b)
-    back_a = pullback_rep(ctx, fwd_a)
-    back_b = pullback_rep(ctx, fwd_b)
-    eps_a = _error_from_pushforward(ctx, a, fwd_a)
-    eps_b = _error_from_pushforward(ctx, b, fwd_b)
-    r_val = state_inner(a, b, ctx.rho) - class_inner(fwd_a, fwd_b, ctx.prob)
+    t_a = transport(ctx, a)
+    t_b = transport(ctx, b)
+    r_val = state_inner(a, b, ctx.rho) - class_inner(t_a.pushforward, t_b.pushforward, ctx.prob)
     commutator = commutator_expectation(a, b, ctx.rho)
     sign = -1.0 if sign_flip else 1.0
     i_val = (
         commutator
-        - sign * commutator_expectation(back_a, b, ctx.rho)
-        - commutator_expectation(a, back_b, ctx.rho)
+        - sign * commutator_expectation(t_a.roundtrip, b, ctx.rho)
+        - commutator_expectation(a, t_b.roundtrip, ctx.rho)
     )
     bound = float(np.hypot(r_val, i_val))
     naive = abs(commutator)
-    product = eps_a * eps_b
+    product = t_a.error * t_b.error
     return RelationReport(
         dim=ctx.dim,
         kind=ctx.povm.kind.value,
-        eps_a=eps_a,
-        eps_b=eps_b,
+        eps_a=t_a.error,
+        eps_b=t_b.error,
         real_term=r_val,
         imag_term=i_val,
         bound=bound,
         slack=product - bound,
         naive_bound=naive,
         naive_violated=product < naive - 1e-12,
-        pushforward_a=fwd_a,
-        pushforward_b=fwd_b,
-        roundtrip_a=back_a,
-        roundtrip_b=back_b,
+        transport_a=t_a,
+        transport_b=t_b,
     )
 
 
@@ -166,11 +156,12 @@ def proof_device_check(
     b: HermitianObservable,
     report: RelationReport,
 ) -> ProofDeviceReport:
-    """Evaluate the composite semi-inner product on the pushforwards and
-    round trips held by ``report`` (from ``evaluate_relation(ctx, a, b)``)
-    and compare it with the report's errors and R + iI."""
-    u = (a - report.roundtrip_a, report.pushforward_a, report.roundtrip_a)
-    v = (b - report.roundtrip_b, report.pushforward_b, report.roundtrip_b)
+    """Evaluate the composite semi-inner product on the transports held by
+    ``report`` (from ``evaluate_relation(ctx, a, b)``) and compare it with
+    the report's errors and R + iI."""
+    t_a, t_b = report.transport_a, report.transport_b
+    u = (a - t_a.roundtrip, t_a.pushforward, t_a.roundtrip)
+    v = (b - t_b.roundtrip, t_b.pushforward, t_b.roundtrip)
     seminorm_a = float(np.sqrt(max(_semi_inner(ctx, u, u).real, 0.0)))
     seminorm_b = float(np.sqrt(max(_semi_inner(ctx, v, v).real, 0.0)))
     cross = _semi_inner(ctx, u, v)

@@ -32,7 +32,7 @@ from .states import (
     state_norm,
     std_dev_q,
 )
-from .transport import LocalContext, adjointness_residual, pullback_rep, pushforward, support_restrict
+from .transport import LocalContext, adjointness_residual, pushforward, support_restrict, transport
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SUITE_STREAM = {
@@ -186,7 +186,8 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
             ctx, a, b = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
 
-            residual = adjointness_residual(ctx, a, f)
+            t = transport(ctx, a)
+            residual = adjointness_residual(ctx, t, f)
             scale = 1.0 + state_norm(a, ctx.rho) * class_norm(f, ctx.prob)
             out.record(
                 residual <= tol.identity * scale,
@@ -194,7 +195,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
                 f"adjointness broke at dim={dim} i={i}: {residual:.3e}",
             )
 
-            fwd = pushforward(ctx, a)
+            fwd = t.pushforward
             drift = abs(class_mean(fwd, ctx.prob) - expectation(a, ctx.rho))
             out.record(
                 drift <= tol.expectation * (1.0 + abs(expectation(a, ctx.rho))),
@@ -204,7 +205,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
             norm_a = state_norm(a, ctx.rho)
             norm_fwd = class_norm(fwd, ctx.prob)
-            norm_back = state_norm(pullback_rep(ctx, fwd), ctx.rho)
+            norm_back = state_norm(t.roundtrip, ctx.rho)
             slack = tol.identity * (1.0 + norm_a)
             chain_ok = norm_a >= norm_fwd - slack and norm_fwd >= norm_back - slack
             out.record(
@@ -235,7 +236,8 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
             rng = _rng(seed, out.name, dim, i)
             ctx, a, _ = _instance(dim, rng)
             f = _random_function(ctx.space, rng)
-            breakdown = f_error(ctx, a, f)
+            t = transport(ctx, a)
+            breakdown = f_error(ctx, t, f)
             residual = abs(
                 breakdown.f_error**2
                 - breakdown.quantum_error**2
@@ -256,10 +258,10 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
             )
 
             delta = _random_function(ctx.space, rng)
-            t = float(rng.uniform(-1.0, 1.0))
-            perturbed = f_error(ctx, a, breakdown.optimal + t * delta)
+            step = float(rng.uniform(-1.0, 1.0))
+            perturbed = f_error(ctx, t, t.pushforward + step * delta)
             excess = perturbed.f_error**2 - base**2
-            expected = t * t * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
+            expected = step * step * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
             residual = abs(excess - expected)
             out.record(
                 residual <= tol.identity,
@@ -449,13 +451,14 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
                 max(report.eps_a - report.rms_a, report.eps_b - report.rms_b, 0.0),
                 f"rms error below intrinsic error at dim={dim}x{ancilla} i={i}",
             )
+            values = report.values
             out.record(
                 report.all_hold,
                 max(
-                    (link.rhs - link.lhs for link in report.links if not link.holds),
+                    (rhs - lhs for lhs, rhs, ok in zip(values, values[1:], report.holds) if not ok),
                     default=0.0,
                 ),
-                f"chain broke at dim={dim}x{ancilla} i={i}: {report.values}",
+                f"chain broke at dim={dim}x{ancilla} i={i}: {values}",
             )
     return out
 

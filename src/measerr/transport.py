@@ -5,12 +5,17 @@ and a quantum one at rho.  The pullback carries outcome functions to
 operators (the adjoint, descended to equivalence classes); the pushforward
 carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
+``transport`` pushes one observable forward once and keeps, with the
+pushforward, its round trip and the error; callers read that record instead
+of deriving any of the three again.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +26,9 @@ from .states import (
     OutcomeFunction,
     _real_expectation,
     class_inner,
+    class_norm,
     state_inner,
+    state_norm,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -85,8 +92,36 @@ def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
     return ctx.povm.adjoint(support_restrict(ctx, f))
 
 
-def adjointness_residual(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> float:
-    """|<A, pullback(f)>_rho - <pushforward(A), f>_p|; zero up to roundoff."""
-    lhs = state_inner(a, pullback_rep(ctx, f), ctx.rho)
-    rhs = class_inner(pushforward(ctx, a), f, ctx.prob)
+@dataclass(frozen=True)
+class Transport:
+    """One observable carried through one context: its pushforward (the
+    optimal estimator), the pullback of that (the round trip) and the error
+    sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the seminorm it loses."""
+
+    observable: HermitianObservable
+    pushforward: OutcomeFunction
+    roundtrip: HermitianObservable
+    error: float
+
+
+def transport(ctx: LocalContext, a: HermitianObservable) -> Transport:
+    """Push ``a`` forward once and derive the round trip and the error from it.
+
+    The error's radicand is clipped at zero if it is only roundoff-negative;
+    a value below -DEFAULT_TOL.psd means contractivity failed and indicates a
+    bug, so it raises instead of being hidden.
+    """
+    fwd = pushforward(ctx, a)
+    radicand = state_norm(a, ctx.rho) ** 2 - class_norm(fwd, ctx.prob) ** 2
+    if radicand < -DEFAULT_TOL.psd:
+        raise RuntimeError(f"contractivity violated: radicand {radicand:.3e}")
+    error = float(np.sqrt(max(radicand, 0.0)))
+    return Transport(a, fwd, pullback_rep(ctx, fwd), error)
+
+
+def adjointness_residual(ctx: LocalContext, t: Transport, f: OutcomeFunction) -> float:
+    """|<A, pullback(f)>_rho - <pushforward(A), f>_p| for A = t.observable;
+    zero up to roundoff."""
+    lhs = state_inner(t.observable, pullback_rep(ctx, f), ctx.rho)
+    rhs = class_inner(t.pushforward, f, ctx.prob)
     return abs(lhs - rhs)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
+from measerr.generate import GenConfig, random_indirect_model
 from measerr.serialize import json_text, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import cnot_model
 from measerr.measurement import unsharp_qubit
@@ -195,6 +196,16 @@ class TestChain:
         path.write_text(json_text(model_to_json(cnot_model())))
         assert main(["chain", "--model", str(path), "--seed", "4"]) == 0
         assert "chain holds: True" in capsys.readouterr().out
+
+    def test_custom_model_manifest_records_the_model_run(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        model = random_indirect_model(GenConfig(seed=0, dim=5), rng, ancilla_dim=2)
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(model)))
+        out = tmp_path / "chain.json"
+        assert main(["chain", "--model", str(path), "--seed", "4", "--json", str(out)]) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert (manifest["dims"], manifest["instances"]) == ([5], 1)
 
     def test_zero_models_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -26,6 +26,7 @@ from measerr import (
     random_state,
     spectral_decompose,
 )
+from measerr.transport import transport
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -128,7 +129,7 @@ class TestBridgeIdentity:
             ctx = LocalContext(induced_povm(model), rho)
             est = OutcomeFunction.identity(ctx.space)
             assert ozawa_error(model, rho, a) == pytest.approx(
-                f_error(ctx, a, est).f_error, abs=1e-9
+                f_error(ctx, transport(ctx, a), est).f_error, abs=1e-9
             )
 
     def test_rms_error_dominates_intrinsic_error(self):

@@ -1,7 +1,7 @@
 """Differential tests: the stacked-effect paths of ``Povm.apply``,
-``Povm.adjoint`` and ``pushforward`` against the per-outcome formulas in
-``oracles``, on instances that hold an off-support zero effect and an
-outcome inside ``tiny_support``."""
+``Povm.adjoint``, ``pushforward`` and ``transport`` (round trip and error)
+against the per-outcome formulas in ``oracles``, on instances that hold an
+off-support zero effect and an outcome inside ``tiny_support``."""
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from measerr import (
     random_povm,
     random_state,
 )
+from measerr.transport import transport
 
 # Weight fraction split off the first effect: its outcome lands inside
 # tiny_support (weight ~1e-10, between the 1e-12 cutoff and 1e-8).
@@ -61,3 +62,9 @@ def test_stacked_paths_match_per_outcome_formulas(dim, mixedness, seed):
     scale = 1.0 + np.linalg.norm(a.matrix, 2)
     assert np.max(np.abs(fwd - expected)) <= 1e-12 * scale
     assert fwd[-1] == 0.0
+
+    t = transport(ctx, a)
+    roundtrip = oracles.adjoint_brute(effects, expected)
+    assert np.max(np.abs(t.roundtrip.matrix - roundtrip)) <= 1e-12 * scale
+    error = oracles.quantum_error_brute(effects, rho.matrix, a.matrix)
+    assert abs(t.error - error) <= 1e-12 * scale
