@@ -24,7 +24,6 @@ from .states import (
     spectral_decompose,
     state_inner,
     state_norm,
-    std_dev_c,
     std_dev_q,
 )
 from .measurement import (
@@ -102,7 +101,6 @@ __all__ = [
     "spectral_decompose",
     "state_inner",
     "state_norm",
-    "std_dev_c",
     "std_dev_q",
     "ContractivityReport",
     "MeasurementKind",

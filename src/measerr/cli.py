@@ -260,7 +260,9 @@ def cmd_scan(args) -> int:
         for _, rep in rows
         if rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b))
     )
-    manifest = _manifest(args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,))
+    manifest = _manifest(
+        args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
+    )
     payload = {"manifest": manifest.as_dict(), "rows": len(rows), "family": args.family}
     if args.json:
         _emit_json(args, payload)
@@ -353,7 +355,7 @@ def cmd_chain(args) -> int:
         model = load_model(args.model)
         dims, instances = (model.system_dim,), 1
         rng = np.random.default_rng(args.seed)
-        cfg = GenConfig(seed=args.seed, dim=model.system_dim)
+        cfg = GenConfig(dim=model.system_dim)
         rho = random_state(cfg, rng)
         a = random_observable(cfg, rng)
         b = random_observable(cfg, rng)

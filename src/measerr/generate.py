@@ -1,10 +1,17 @@
 """Seeded generators for random states, observables, POVMs, and models.
 
 All randomness flows through an explicit numpy Generator (PCG64 under
-``default_rng``); nothing touches global state.  The same ``GenConfig``
-always reproduces the same objects.  Parallel sweeps should derive one
-child seed per instance (for example ``default_rng([seed, dim, index])``)
-so results do not depend on scheduling.
+``default_rng``); nothing touches global state.  The same generator state
+always reproduces the same objects.  Parallel sweeps should derive one child
+seed per instance (for example ``default_rng([seed, dim, index])``) so
+results do not depend on scheduling.
+
+Generation is split in two.  The ``draw_*`` functions make one instance's
+raw Gaussian draws, in stream order; the stacked functions (``povm_effects``,
+``state_matrices``, ``observable_matrices``) turn a whole stack of draws into
+matrices at once.  The ``random_*`` generators are both steps for one
+instance; the ``verify`` suites draw instance by instance and build each
+block of instances as one stack.
 """
 
 from __future__ import annotations
@@ -15,11 +22,15 @@ import numpy as np
 
 from .indirect import IndirectModel
 from .measurement import MeasurementKind, Povm
-from .states import DensityOperator, HermitianObservable, OutcomeSpace
+from .states import DensityOperator, HermitianObservable, OutcomeSpace, pure_states
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
 MIXEDNESS_CHOICES = ("pure", "ginibre", "blend")
+
+# Smallest ratio of the extreme eigenvalues of S = sum_w G_w^dag G_w that
+# povm_effects whitens.
+_MIN_CONDITION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -31,15 +42,12 @@ class GenConfig:
     maximally mixed one at weight ``blend``.
     """
 
-    seed: int = 0
     dim: int = 2
     outcomes: int = 2
     mixedness: str = "ginibre"
     blend: float = 0.5
 
     def __post_init__(self):
-        if not -(2**63) <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
         if self.dim < 2:
             raise ValueError("dimension must be at least 2")
         if self.outcomes < 1:
@@ -49,12 +57,17 @@ class GenConfig:
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError("blend weight must lie in [0, 1]")
 
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
+
+def _complex_normals(rng: np.random.Generator, count: int, shape) -> np.ndarray:
+    """``count`` complex Gaussian arrays of ``shape``, each a real-part draw
+    followed by an imaginary-part draw: one call to the generator, and the
+    same numbers as 2 * count calls of ``standard_normal(shape)``."""
+    x = rng.standard_normal((count, 2) + ((shape,) if isinstance(shape, int) else tuple(shape)))
+    return x[:, 0] + 1j * x[:, 1]
 
 
 def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _complex_normals(rng, 1, shape)[0]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -65,13 +78,73 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def random_state(cfg: GenConfig, rng: np.random.Generator | None = None) -> DensityOperator:
-    rng = rng if rng is not None else cfg.rng()
-    if cfg.mixedness == "pure":
-        return DensityOperator.pure(_complex_normal(rng, cfg.dim))
-    g = _complex_normal(rng, (cfg.dim, cfg.dim))
-    mat = g @ g.conj().T
-    mat = mat / np.trace(mat).real
+def draw_povm(rng: np.random.Generator, dim: int, outcomes: int, *, retry: bool = False) -> np.ndarray:
+    """Gaussian factors G_w, shape ``(outcomes, dim, dim)``, of one random
+    POVM.  With ``retry``, factors whose Gram blocks do not whiten (see
+    ``povm_effects``) are drawn again from the same stream until they do."""
+    while True:
+        factors = _complex_normals(rng, outcomes, (dim, dim))
+        if not retry or povm_effects(factors)[1]:
+            return factors
+
+
+def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Effects E_w = S^-1/2 G_w^dag G_w S^-1/2 with S = sum_w G_w^dag G_w,
+    for one set ``(n, d, d)`` of factors or a stack of them (zero factors
+    give zero effects), and per set whether S was well enough conditioned
+    (smallest eigenvalue above ``_MIN_CONDITION`` times the largest) to
+    whiten."""
+    blocks = factors.conj().swapaxes(-1, -2) @ factors
+    w, v = np.linalg.eigh(blocks.sum(axis=-3))
+    ok = w[..., 0] > _MIN_CONDITION * w[..., -1]
+    inv_sqrt = (v / np.sqrt(np.where(ok[..., None], w, 1.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    inv_sqrt = inv_sqrt[..., None, :, :]
+    effects = inv_sqrt @ blocks @ inv_sqrt
+    return (effects + effects.conj().swapaxes(-1, -2)) / 2.0, ok
+
+
+def draw_state(rng: np.random.Generator, dim: int, mixedness: str) -> np.ndarray:
+    """A ket ``(dim,)`` for a pure state, a Ginibre matrix ``(dim, dim)`` otherwise."""
+    return _complex_normal(rng, dim if mixedness == "pure" else (dim, dim))
+
+
+def ginibre_states(g: np.ndarray) -> np.ndarray:
+    """G G^dag / Tr[G G^dag] for one Ginibre draw ``(d, d)`` or a stack."""
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def state_matrices(draws, pure) -> np.ndarray:
+    """Unvalidated states ``(N, d, d)`` from N state draws: ``pure_states``
+    where ``pure`` (one flag per draw, or one for all) holds,
+    ``ginibre_states`` otherwise."""
+    pure = np.broadcast_to(np.asarray(pure, dtype=bool), (len(draws),))
+    dim = len(draws[0])
+    out = np.empty((len(draws), dim, dim), dtype=complex)
+    if pure.any():
+        out[pure] = pure_states(np.stack([x for x, p in zip(draws, pure) if p]))
+    if not pure.all():
+        out[~pure] = ginibre_states(np.stack([x for x, p in zip(draws, pure) if not p]))
+    return out
+
+
+def draw_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _complex_normal(rng, (dim, dim))
+
+
+def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.ndarray:
+    """Gaussian Hermitian matrices (G + G^dag)/2 from one draw or a stack,
+    optionally trace-projected."""
+    mat = (draws + draws.conj().swapaxes(-1, -2)) / 2.0
+    if traceless:
+        dim = mat.shape[-1]
+        mat = mat - (np.trace(mat, axis1=-2, axis2=-1).real / dim)[..., None, None] * np.eye(dim)
+    return mat
+
+
+def random_state(cfg: GenConfig, rng: np.random.Generator) -> DensityOperator:
+    draw = draw_state(rng, cfg.dim, cfg.mixedness)
+    mat = pure_states(draw) if cfg.mixedness == "pure" else ginibre_states(draw)
     if cfg.mixedness == "blend":
         mat = (1.0 - cfg.blend) * mat + cfg.blend * np.eye(cfg.dim) / cfg.dim
     return DensityOperator(mat)
@@ -79,48 +152,29 @@ def random_state(cfg: GenConfig, rng: np.random.Generator | None = None) -> Dens
 
 def random_observable(
     cfg: GenConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     traceless: bool = False,
 ) -> HermitianObservable:
     """Gaussian Hermitian matrix (G + G^dag)/2, optionally trace-projected."""
-    rng = rng if rng is not None else cfg.rng()
-    g = _complex_normal(rng, (cfg.dim, cfg.dim))
-    mat = (g + g.conj().T) / 2.0
-    if traceless:
-        mat = mat - np.trace(mat).real / cfg.dim * np.eye(cfg.dim)
-    return HermitianObservable(mat)
+    return HermitianObservable(observable_matrices(draw_observable(rng, cfg.dim), traceless=traceless))
 
 
-def random_povm(cfg: GenConfig, rng: np.random.Generator | None = None) -> Povm:
+def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:
     """Generic full-rank POVM: Gaussian Gram blocks whitened by the inverse
     square root of their sum.  Outcome values default to 1..n."""
-    rng = rng if rng is not None else cfg.rng()
-    dim, n = cfg.dim, cfg.outcomes
-    while True:
-        blocks = []
-        for _ in range(n):
-            g = _complex_normal(rng, (dim, dim))
-            blocks.append(g.conj().T @ g)
-        total = sum(blocks)
-        w, v = np.linalg.eigh(total)
-        if float(w[0]) > 1e-12 * float(w[-1]):
-            break
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    effects = [inv_sqrt @ blk @ inv_sqrt for blk in blocks]
-    effects = [(e + e.conj().T) / 2.0 for e in effects]
-    space = OutcomeSpace.from_values(np.arange(1, n + 1, dtype=float))
+    effects, _ = povm_effects(draw_povm(rng, cfg.dim, cfg.outcomes, retry=True))
+    space = OutcomeSpace.from_values(np.arange(1, cfg.outcomes + 1, dtype=float))
     return Povm(space, effects, kind=MeasurementKind.CUSTOM)
 
 
 def random_indirect_model(
     cfg: GenConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     ancilla_dim: int = 2,
 ) -> IndirectModel:
     """Haar interaction, random pure ancilla, nondegenerate diagonal meter."""
-    rng = rng if rng is not None else cfg.rng()
     ancilla = DensityOperator.pure(_complex_normal(rng, ancilla_dim))
     interaction = haar_unitary(cfg.dim * ancilla_dim, rng)
     meter = HermitianObservable(np.diag(np.arange(1, ancilla_dim + 1, dtype=complex)))

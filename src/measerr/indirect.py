@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import f_error
 from .measurement import MeasurementKind, Povm
 from .relations import evaluate_relation
@@ -108,13 +109,10 @@ def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservab
     noise = _heisenberg_meter(model, model.meter.matrix) - np.kron(
         a.matrix, np.eye(model.ancilla_dim)
     )
-    joint = np.kron(rho.matrix, model.ancilla_state.matrix)
-    val = complex(np.trace(noise @ noise @ joint))
-    if abs(val.imag) > DEFAULT_TOL.expectation * max(1.0, abs(val)):
-        raise ArithmeticError(f"expected a real second moment, got {val}")
-    if val.real < -DEFAULT_TOL.psd:
-        raise RuntimeError(f"negative squared error {val.real:.3e}")
-    return float(np.sqrt(max(val.real, 0.0)))
+    val = float(kernels.expect(noise @ noise, np.kron(rho.matrix, model.ancilla_state.matrix)))
+    if val < -DEFAULT_TOL.psd:
+        raise RuntimeError(f"negative squared error {val:.3e}")
+    return float(np.sqrt(max(val, 0.0)))
 
 
 @dataclass(frozen=True)

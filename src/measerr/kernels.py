@@ -1,0 +1,318 @@
+"""The numerical core: pure functions on stacked arrays.
+
+Each formula that the object API and the ``verify`` suites share lives here
+once: the object API (``LocalContext``, ``transport``, ``evaluate_relation``,
+``errorless_check``, ...) calls it on single instances, the suites on whole
+(suite, dimension) blocks.
+
+Shapes.  States and observables are ``(..., d, d)``, effects
+``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
+leading shape works, from none (one instance) to ``(N,)`` (a stack).
+Ragged outcome counts are padded with zero effects: a zero effect has zero
+weight, falls outside the support and contributes exactly 0.0 to every sum,
+which is the canonical-class convention of ``transport``.
+
+Inputs are trusted: states, effects and observables are validated once, at
+the boundary (the constructors and the stacked validators in ``states`` and
+``measurement``).  The checks left here are the numerical invariants whose
+failure means a bug: a non-real expectation (``ArithmeticError``), a
+contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
+broken f-error split (``AssertionError``).  Each raises for the whole stack.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .tolerances import DEFAULT_TOL
+
+
+class _Record:
+    """Named fields, listed in ``__slots__``, set in that order (positionally
+    or by keyword) and iterated in that order."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        for name, value in zip(self.__slots__, args):
+            setattr(self, name, value)
+        for name, value in kwargs.items():
+            setattr(self, name, value)
+
+    def __iter__(self):
+        return (getattr(self, name) for name in self.__slots__)
+
+
+def first_flagged(values, bad):
+    """The first value of ``values`` flagged by ``bad``, for an error message."""
+    return np.asarray(values)[np.asarray(bad)].flat[0]
+
+
+def dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row-wise f.g over the last axis, summed as numpy's 1-D dot sums it."""
+    return (f[..., None, :] @ g[..., :, None])[..., 0, 0]
+
+
+def expect(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Real Tr[X rho], broadcast over leading axes."""
+    val = np.trace(x @ rho, axis1=-2, axis2=-1)
+    bad = np.abs(val.imag) > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val))
+    if bad.any():
+        raise ArithmeticError(f"expected a real expectation, got {first_flagged(val, bad)}")
+    return val.real
+
+
+def anti(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<{X,Y}/2>_rho, the state inner product."""
+    return expect((x @ y + y @ x) / 2.0, rho)
+
+
+def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """<[X,Y]/2i>_rho, real for self-adjoint arguments."""
+    return expect((x @ y - y @ x) / 2j, rho)
+
+
+def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Seminorm sqrt(<X^2>_rho); a square below -DEFAULT_TOL.psd is an error."""
+    val = expect(x @ x, rho)
+    if (val < -DEFAULT_TOL.psd).any():
+        raise ArithmeticError(f"negative squared norm {val.min():.3e}")
+    return np.sqrt(np.maximum(val, 0.0))
+
+
+def std_dev(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Quantum standard deviation sqrt(<X^2> - <X>^2), clipped at zero."""
+    variance = norm(x, rho) ** 2 - expect(x, rho) ** 2
+    return np.sqrt(np.maximum(variance, 0.0))
+
+
+def class_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """<fg>_p."""
+    return dot(f * g, weights)
+
+
+def class_norm(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Seminorm sqrt(<f^2>_p); zero-weight outcomes contribute exactly nothing."""
+    return np.sqrt(class_inner(f, f, weights))
+
+
+def born(effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born weights Tr[E_w rho] (not yet clipped: see ``states.check_weights``)."""
+    return expect(effects, rho[..., None, :, :])
+
+
+def adjoint(effects: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Operator sum_w f(w) E_w."""
+    return (f[..., None, None] * effects).sum(axis=-3)
+
+
+def spectral(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and orthogonal projectors of Hermitian ``a``, with
+    eigenvalues within ``DEFAULT_TOL.eig_merge * max|eig|`` of their
+    neighbour merged into one projector (at the mean eigenvalue), in
+    ascending order.  Rows with fewer groups than the stack's largest count
+    are padded with zero projectors at value 0."""
+    w, v = np.linalg.eigh(a)
+    threshold = DEFAULT_TOL.eig_merge * np.abs(w).max(axis=-1, keepdims=True)
+    starts = (w[..., 1:] - w[..., :-1]) > threshold
+    cols = np.swapaxes(v, -1, -2)[..., :, :, None]
+    proj = cols @ cols.conj().swapaxes(-1, -2)
+    if starts.all():
+        values = w
+    else:
+        group = np.zeros(w.shape, dtype=int)
+        group[..., 1:] = np.cumsum(starts, axis=-1)
+        member = (group[..., None, :] == np.arange(group.max() + 1)[:, None]).astype(float)
+        count = member.sum(axis=-1)
+        values = np.divide((member @ w[..., None])[..., 0], count, out=np.zeros(count.shape), where=count > 0)
+        proj = np.einsum("...gk,...kij->...gij", member, proj)
+    return values, (proj + proj.conj().swapaxes(-1, -2)) / 2.0
+
+
+class Context(_Record):
+    """Measurements pinned to states: effects ``(..., n, d, d)``, states
+    ``(..., d, d)``, their Born weights ``(..., n)`` and the support mask
+    (weights above ``DEFAULT_TOL.support_cutoff``)."""
+
+    __slots__ = ("effects", "rho", "weights", "mask")
+
+
+def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Context:
+    return Context(effects, rho, weights, weights > DEFAULT_TOL.support_cutoff)
+
+
+def pushforward(ctx: Context, a: np.ndarray) -> np.ndarray:
+    """<A, E_w>_rho / p(w) on the support, zero off it: the optimal estimator."""
+    a = a[..., None, :, :]
+    inner = expect((a @ ctx.effects + ctx.effects @ a) / 2.0, ctx.rho[..., None, :, :])
+    return np.divide(inner, ctx.weights, out=np.zeros(ctx.weights.shape), where=ctx.mask)
+
+
+def restrict(ctx: Context, f: np.ndarray) -> np.ndarray:
+    """Canonical representative of f's equivalence class: zero off the support."""
+    return np.where(ctx.mask, f, 0.0)
+
+
+def pullback(ctx: Context, f: np.ndarray) -> np.ndarray:
+    """Operator representative of the pullback of f: the adjoint of its
+    canonical representative."""
+    return adjoint(ctx.effects, restrict(ctx, f))
+
+
+class Transported(_Record):
+    """An observable carried through a context: pushforward, round trip and error."""
+
+    __slots__ = ("pushforward", "roundtrip", "error")
+
+
+def transport(ctx: Context, a: np.ndarray) -> Transported:
+    """Push ``a`` forward once; the round trip is its pullback and the error
+    sqrt(||A||_rho^2 - ||pushforward(A)||_p^2).  The radicand is clipped at
+    zero when only roundoff-negative; below -DEFAULT_TOL.psd contractivity
+    failed, which is a bug, so it raises."""
+    fwd = pushforward(ctx, a)
+    radicand = norm(a, ctx.rho) ** 2 - class_norm(fwd, ctx.weights) ** 2
+    if (radicand < -DEFAULT_TOL.psd).any():
+        raise RuntimeError(f"contractivity violated: radicand {radicand.min():.3e}")
+    return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)))
+
+
+def adjointness(ctx: Context, a: np.ndarray, fwd: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """|<A, pullback(f)>_rho - <pushforward(A), f>_p|; zero up to roundoff."""
+    return np.abs(anti(a, pullback(ctx, f), ctx.rho) - class_inner(fwd, f, ctx.weights))
+
+
+def contractivity(ctx: Context, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """||f||_p, ||M'f||_rho and the smallest eigenvalue of M'(f^2) - (M'f)^2."""
+    adj = adjoint(ctx.effects, f)
+    gap = adjoint(ctx.effects, f**2) - adj @ adj
+    return class_norm(f, ctx.weights), norm(adj, ctx.rho), np.linalg.eigvalsh(gap)[..., 0]
+
+
+def split_residual(quantum: np.ndarray, estimation: np.ndarray, f_err: np.ndarray) -> np.ndarray:
+    """|f_error^2 - quantum_error^2 - estimation_error^2|, zero up to roundoff."""
+    return np.abs(f_err**2 - quantum**2 - estimation**2)
+
+
+def check_split(quantum, estimation, f_err) -> None:
+    """Raise AssertionError unless the f-error splits into the error and the
+    estimation error within DEFAULT_TOL.identity * (1 + f_error^2)."""
+    residual = split_residual(quantum, estimation, f_err)
+    bad = residual > DEFAULT_TOL.identity * (1.0 + np.asarray(f_err) ** 2)
+    if bad.any():
+        raise AssertionError(f"error decomposition violated by {first_flagged(residual, bad):.3e}")
+
+
+class FError(_Record):
+    """An f-error and its split: f_error^2 = quantum^2 + estimation^2."""
+
+    __slots__ = ("quantum", "estimation", "f_error")
+
+
+def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) -> FError:
+    """The f-error sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 -
+    ||pullback(f)||_rho^2)) of the estimator f for A (transported as ``t``),
+    with its split into t.error and ||pushforward(A) - f||_p."""
+    rep = pullback(ctx, f)
+    algebraic = norm(a - rep, ctx.rho) ** 2
+    cost = class_norm(f, ctx.weights) ** 2 - norm(rep, ctx.rho) ** 2
+    if (cost < -DEFAULT_TOL.psd).any():
+        raise RuntimeError(f"contractivity violated: reconstruction cost {cost.min():.3e}")
+    out = FError(
+        quantum=t.error,
+        estimation=class_norm(t.pushforward - f, ctx.weights),
+        f_error=np.sqrt(np.maximum(algebraic + cost, 0.0)),
+    )
+    check_split(*out)
+    return out
+
+
+class Relation(_Record):
+    """The errors, R, I, the bound, its slack, the bare commutator bound and
+    whether the error product undercuts it, and the two transports."""
+
+    __slots__ = ("eps_a", "eps_b", "real", "imag", "bound", "slack", "naive", "naive_violated", "t_a", "t_b")
+
+
+def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = False) -> Relation:
+    """eps_a, eps_b, R, I and the bound sqrt(R^2 + I^2), from one transport
+    per observable.
+
+    R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
+    because pushforwards preserve expectation values.  I is <[A,B]/2i>
+    minus the two cross commutators with the round-tripped observables.
+    ``sign_flip`` enters the first cross commutator with the wrong sign; it
+    exists only to prove that the verify harness can fail.
+    """
+    t_a = transport(ctx, a)
+    t_b = transport(ctx, b)
+    real = anti(a, b, ctx.rho) - class_inner(t_a.pushforward, t_b.pushforward, ctx.weights)
+    commutator = comm(a, b, ctx.rho)
+    sign = -1.0 if sign_flip else 1.0
+    imag = commutator - sign * comm(t_a.roundtrip, b, ctx.rho) - comm(a, t_b.roundtrip, ctx.rho)
+    bound = np.hypot(real, imag)
+    naive = np.abs(commutator)
+    product = t_a.error * t_b.error
+    return Relation(t_a.error, t_b.error, real, imag, bound, product - bound, naive, product < naive - 1e-12, t_a, t_b)
+
+
+def semi_inner(ctx: Context, u: tuple, v: tuple) -> np.ndarray:
+    """Composite semi-inner product <(X,f),(Y,g)> = <XY>_rho + <fg>_p -
+    <(M'f)(M'g)>_rho on operator-function pairs, each given as (X, f, M'f)."""
+    (x, f, adj_f), (y, g, adj_g) = u, v
+    first = np.trace(x @ y @ ctx.rho, axis1=-2, axis2=-1)
+    third = np.trace(adj_f @ adj_g @ ctx.rho, axis1=-2, axis2=-1)
+    return first + class_inner(f, g, ctx.weights) - third
+
+
+class ProofDevice(_Record):
+    __slots__ = ("seminorm_a", "seminorm_b", "residual_a", "residual_b", "cross", "cross_residual")
+
+
+def proof_device(
+    ctx: Context, a: np.ndarray, b: np.ndarray, t_a: Transported, t_b: Transported, real, imag
+) -> ProofDevice:
+    """The Cauchy-Schwarz derivation behind the relation, evaluated: the
+    composite seminorm of (A - roundtrip(A), pushforward(A)) against the
+    error, and the composite cross product against R + iI."""
+    u = (a - t_a.roundtrip, t_a.pushforward, t_a.roundtrip)
+    v = (b - t_b.roundtrip, t_b.pushforward, t_b.roundtrip)
+    seminorm_a = np.sqrt(np.maximum(semi_inner(ctx, u, u).real, 0.0))
+    seminorm_b = np.sqrt(np.maximum(semi_inner(ctx, v, v).real, 0.0))
+    cross = semi_inner(ctx, u, v)
+    return ProofDevice(
+        seminorm_a,
+        seminorm_b,
+        np.abs(seminorm_a - t_a.error),
+        np.abs(seminorm_b - t_b.error),
+        cross,
+        np.abs(cross - (real + 1j * np.asarray(imag))),
+    )
+
+
+class Errorless(_Record):
+    __slots__ = ("cond_a", "cond_b", "cond_c", "error", "roundtrip_residual", "scale")
+
+
+def errorless(ctx: Context, a: np.ndarray) -> Errorless:
+    """The three faces of an errorless measurement of A, each judged at
+    first order in the distance mu from one: with tau =
+    DEFAULT_TOL.errorless and scale = ||A||_rho, (a) eps^2 <= tau scale^2,
+    (b) ||A - roundtrip||_rho <= tau scale, (c) the drops of the norm chain
+    ||A||_rho >= ||f_A||_p >= ||roundtrip||_rho are at most tau scale.  The
+    error is O(sqrt(mu)) while the residual of (b) and the drops of (c) are
+    O(mu), so (a) compares the square of the error."""
+    scale = norm(a, ctx.rho)
+    threshold = DEFAULT_TOL.errorless * scale
+    t = transport(ctx, a)
+    residual = norm(a - t.roundtrip, ctx.rho)
+    norm_fwd = class_norm(t.pushforward, ctx.weights)
+    norm_back = norm(t.roundtrip, ctx.rho)
+    return Errorless(
+        cond_a=t.error**2 <= DEFAULT_TOL.errorless * scale**2,
+        cond_b=residual <= threshold,
+        cond_c=((scale - norm_fwd) <= threshold) & ((scale - norm_back) <= threshold),
+        error=t.error,
+        roundtrip_residual=residual,
+        scale=scale,
+    )

@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import kernels
 from .states import (
     DensityOperator,
     HermitianObservable,
@@ -22,13 +23,26 @@ from .states import (
     PAULI_Y,
     PAULI_Z,
     ProbabilityDistribution,
+    _check_finite,
     _check_hermitian,
-    _real_expectation,
-    class_norm,
     spectral_decompose,
-    state_norm,
 )
 from .tolerances import DEFAULT_TOL
+
+
+def check_effects(stack: np.ndarray) -> None:
+    """Validate POVM effects, one ``(n, d, d)`` set or a stack of them:
+    finite, Hermitian, no eigenvalue below -DEFAULT_TOL.psd, and each set
+    summing to the identity within DEFAULT_TOL.identity.  Zero effects (the
+    padding of ragged stacks) pass."""
+    _check_finite(stack, "effect")
+    _check_hermitian(stack, "effect")
+    smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
+    if smallest < -DEFAULT_TOL.psd:
+        raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
+    residual = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
+    if residual > DEFAULT_TOL.identity:
+        raise ValueError(f"effects sum to identity only within {residual:.3e}")
 
 
 class MeasurementKind(str, Enum):
@@ -58,15 +72,7 @@ class Povm:
         stack = np.array(effects, dtype=complex)
         if stack.ndim != 3 or stack.shape != (space.size, stack.shape[2], stack.shape[2]):
             raise ValueError(f"need {space.size} square effects of one dimension, got shape {stack.shape}")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("effect entries must be finite")
-        _check_hermitian(stack, "effect")
-        smallest = float(np.linalg.eigvalsh(stack)[:, 0].min())
-        if smallest < -DEFAULT_TOL.psd:
-            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
-        residual = float(np.max(np.abs(stack.sum(axis=0) - np.eye(stack.shape[1]))))
-        if residual > DEFAULT_TOL.identity:
-            raise ValueError(f"effects sum to identity only within {residual:.3e}")
+        check_effects(stack)
         stack.setflags(write=False)
         self.space = space
         self.effects = stack
@@ -80,13 +86,13 @@ class Povm:
         """Born weights Tr[E_w rho]."""
         if rho.dim != self.dim:
             raise ValueError(f"dimension mismatch: {self.dim} vs {rho.dim}")
-        return ProbabilityDistribution(self.space, _real_expectation(self.effects, rho))
+        return ProbabilityDistribution(self.space, kernels.born(self.effects, rho.matrix))
 
     def adjoint(self, f: OutcomeFunction) -> HermitianObservable:
         """Operator sum_w f(w) E_w; satisfies <adjoint(f)>_rho = <f>_{apply(rho)}."""
         if f.space != self.space:
             raise ValueError("outcome spaces do not match")
-        return HermitianObservable._trusted((f.values[:, None, None] * self.effects).sum(axis=0))
+        return HermitianObservable._trusted(kernels.adjoint(self.effects, f.values))
 
     def __repr__(self) -> str:
         return f"Povm(kind={self.kind.value!r}, dim={self.dim}, outcomes={self.space.size})"
@@ -153,11 +159,11 @@ def contractivity_check(
 ) -> ContractivityReport:
     """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap."""
     p = povm.apply(rho)
-    adj = povm.adjoint(f)
-    f_sq = OutcomeFunction(f.space, f.values**2)
-    gap = povm.adjoint(f_sq).matrix - adj.matrix @ adj.matrix
+    classical, adjoint_norm, gap_min = kernels.contractivity(
+        kernels.context(povm.effects, rho.matrix, p.weights), f.values
+    )
     return ContractivityReport(
-        classical_norm=class_norm(f, p),
-        adjoint_norm=state_norm(adj, rho),
-        gap_min_eigenvalue=float(np.linalg.eigvalsh(gap)[0]),
+        classical_norm=float(classical),
+        adjoint_norm=float(adjoint_norm),
+        gap_min_eigenvalue=float(gap_min),
     )

@@ -16,19 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .measurement import trivial_measurement
 from .states import (
     DensityOperator,
     HermitianObservable,
     OutcomeSpace,
     ProbabilityDistribution,
-    class_inner,
     expectation,
     state_inner,
     std_dev_q,
-    _real_expectation,
+    _check_same_dim,
 )
-from .transport import LocalContext, Transport, transport
+from .transport import LocalContext, Transport
 
 
 def commutator_expectation(
@@ -37,8 +37,7 @@ def commutator_expectation(
     rho: DensityOperator,
 ) -> float:
     """<[A,B]/2i>_rho, real for self-adjoint arguments."""
-    comm = (a.matrix @ b.matrix - b.matrix @ a.matrix) / 2j
-    return _real_expectation(comm, rho)
+    return float(kernels.comm(a.matrix, b.matrix, rho.matrix))
 
 
 @dataclass(frozen=True)
@@ -87,53 +86,26 @@ def evaluate_relation(
     *,
     sign_flip: bool = False,
 ) -> RelationReport:
-    """eps_a, eps_b, R, I and the bound, from one ``transport`` per
-    observable.
-
-    R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
-    because pushforwards preserve expectation values.  I is <[A,B]/2i>
-    minus the two cross commutators with the round-tripped observables.
-    ``sign_flip`` enters the first cross commutator with the wrong sign; it
-    exists only to prove that the verify harness can fail.
-    """
-    t_a = transport(ctx, a)
-    t_b = transport(ctx, b)
-    r_val = state_inner(a, b, ctx.rho) - class_inner(t_a.pushforward, t_b.pushforward, ctx.prob)
-    commutator = commutator_expectation(a, b, ctx.rho)
-    sign = -1.0 if sign_flip else 1.0
-    i_val = (
-        commutator
-        - sign * commutator_expectation(t_a.roundtrip, b, ctx.rho)
-        - commutator_expectation(a, t_b.roundtrip, ctx.rho)
-    )
-    bound = float(np.hypot(r_val, i_val))
-    naive = abs(commutator)
-    product = t_a.error * t_b.error
+    """eps_a, eps_b, R, I and the bound, from one transport per observable
+    (``kernels.relation``, which holds the formulas and the ``sign_flip``
+    hook of the harness self-test)."""
+    _check_same_dim(a, ctx)
+    _check_same_dim(b, ctx)
+    rel = kernels.relation(ctx.arrays, a.matrix, b.matrix, sign_flip=sign_flip)
     return RelationReport(
         dim=ctx.dim,
         kind=ctx.povm.kind.value,
-        eps_a=t_a.error,
-        eps_b=t_b.error,
-        real_term=r_val,
-        imag_term=i_val,
-        bound=bound,
-        slack=product - bound,
-        naive_bound=naive,
-        naive_violated=product < naive - 1e-12,
-        transport_a=t_a,
-        transport_b=t_b,
+        eps_a=float(rel.eps_a),
+        eps_b=float(rel.eps_b),
+        real_term=float(rel.real),
+        imag_term=float(rel.imag),
+        bound=float(rel.bound),
+        slack=float(rel.slack),
+        naive_bound=float(rel.naive),
+        naive_violated=bool(rel.naive_violated),
+        transport_a=Transport.of(ctx, a, rel.t_a),
+        transport_b=Transport.of(ctx, b, rel.t_b),
     )
-
-
-def _semi_inner(ctx: LocalContext, u: tuple, v: tuple) -> complex:
-    """Composite semi-inner product <(X,f),(Y,g)> =
-    <XY>_rho + <fg>_p - <(M'f)(M'g)>_rho on operator-function pairs, each
-    given as (X, f, M'f)."""
-    (x, f, adj_f), (y, g, adj_g) = u, v
-    first = complex(np.trace(x.matrix @ y.matrix @ ctx.rho.matrix))
-    second = class_inner(f, g, ctx.prob)
-    third = complex(np.trace(adj_f.matrix @ adj_g.matrix @ ctx.rho.matrix))
-    return first + second - third
 
 
 @dataclass(frozen=True)
@@ -159,19 +131,17 @@ def proof_device_check(
     """Evaluate the composite semi-inner product on the transports held by
     ``report`` (from ``evaluate_relation(ctx, a, b)``) and compare it with
     the report's errors and R + iI."""
-    t_a, t_b = report.transport_a, report.transport_b
-    u = (a - t_a.roundtrip, t_a.pushforward, t_a.roundtrip)
-    v = (b - t_b.roundtrip, t_b.pushforward, t_b.roundtrip)
-    seminorm_a = float(np.sqrt(max(_semi_inner(ctx, u, u).real, 0.0)))
-    seminorm_b = float(np.sqrt(max(_semi_inner(ctx, v, v).real, 0.0)))
-    cross = _semi_inner(ctx, u, v)
+    device = kernels.proof_device(
+        ctx.arrays, a.matrix, b.matrix, report.transport_a.arrays, report.transport_b.arrays,
+        report.real_term, report.imag_term,
+    )
     return ProofDeviceReport(
-        seminorm_a=seminorm_a,
-        seminorm_b=seminorm_b,
-        residual_a=abs(seminorm_a - report.eps_a),
-        residual_b=abs(seminorm_b - report.eps_b),
-        cross_value=cross,
-        cross_residual=abs(cross - complex(report.real_term, report.imag_term)),
+        seminorm_a=float(device.seminorm_a),
+        seminorm_b=float(device.seminorm_b),
+        residual_a=float(device.residual_a),
+        residual_b=float(device.residual_b),
+        cross_value=complex(device.cross),
+        cross_residual=float(device.cross_residual),
     )
 
 

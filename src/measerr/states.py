@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .tolerances import DEFAULT_TOL
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,17 +24,80 @@ def _as_square_complex(matrix) -> np.ndarray:
     arr = np.array(matrix, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("matrix entries must be finite")
-    arr.setflags(write=False)
     return arr
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
     """Each matrix of ``arr`` (one matrix or a stack) must be Hermitian relative to its own scale."""
     residual = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
-    if np.any(residual > DEFAULT_TOL.validation * np.abs(arr).max(axis=(-2, -1))):
+    if (residual > DEFAULT_TOL.validation * np.abs(arr).max(axis=(-2, -1))).any():
         raise ValueError(f"{what} is not Hermitian (residual {float(np.max(residual)):.3e})")
+
+
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+
+
+def check_observables(stack: np.ndarray) -> None:
+    """Validate observables, one ``(d, d)`` matrix or a stack: finite and Hermitian."""
+    _check_finite(stack, "matrix")
+    _check_hermitian(stack, "observable")
+
+
+def check_states(stack: np.ndarray) -> np.ndarray:
+    """Validate density operators, one ``(d, d)`` matrix or a stack: finite,
+    Hermitian, unit trace and no eigenvalue below -DEFAULT_TOL.psd.  Returns
+    them read-only, with every matrix whose smallest eigenvalue is negative
+    rebuilt from its eigenvalues clipped at zero and renormalized."""
+    _check_finite(stack, "matrix")
+    _check_hermitian(stack, "density operator")
+    trace = np.trace(stack, axis1=-2, axis2=-1)
+    bad = np.abs(trace - 1.0) > DEFAULT_TOL.validation
+    if bad.any():
+        raise ValueError(f"density operator must have unit trace, got {kernels.first_flagged(trace, bad)}")
+    smallest = np.linalg.eigvalsh(stack)[..., 0]
+    if (smallest < -DEFAULT_TOL.psd).any():
+        raise ValueError(
+            f"density operator has eigenvalue {smallest.min():.3e} below -{DEFAULT_TOL.psd:.0e}"
+        )
+    clip = smallest < 0.0
+    if clip.any():
+        w, v = np.linalg.eigh(stack[clip])
+        fixed = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+        stack = np.array(stack)
+        stack[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+    stack.setflags(write=False)
+    return stack
+
+
+def pure_states(kets: np.ndarray) -> np.ndarray:
+    """Projectors onto the normalized kets, one ``(d,)`` ket or a stack."""
+    norm = np.sqrt(kernels.dot(kets.real, kets.real) + kernels.dot(kets.imag, kets.imag))
+    if (norm == 0).any():
+        raise ValueError("cannot normalize the zero vector")
+    vec = kets / norm[..., None]
+    return vec[..., :, None] * vec.conj()[..., None, :]
+
+
+def check_weights(weights) -> np.ndarray:
+    """Validate outcome weights, one row or a stack: finite, none below
+    -DEFAULT_TOL.validation, each row summing to one within
+    DEFAULT_TOL.prob_sum.  Returns a read-only copy with the roundoff-negative
+    weights clipped to zero."""
+    w = np.array(weights, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError("weights must be finite")
+    if float(w.min()) < -DEFAULT_TOL.validation:
+        raise ValueError(f"negative weight {w.min():.3e} beyond tolerance")
+    w[w < 0.0] = 0.0
+    total = w.sum(axis=-1)
+    bad = np.abs(total - 1.0) > DEFAULT_TOL.prob_sum
+    if bad.any():
+        raise ValueError(f"weights sum to {kernels.first_flagged(total, bad)}, not 1")
+    w.setflags(write=False)
+    return w
 
 
 class HermitianObservable:
@@ -41,7 +105,8 @@ class HermitianObservable:
 
     def __init__(self, matrix):
         arr = _as_square_complex(matrix)
-        _check_hermitian(arr, "observable")
+        check_observables(arr)
+        arr.setflags(write=False)
         self.matrix = arr
 
     @property
@@ -94,25 +159,7 @@ class DensityOperator:
     """
 
     def __init__(self, matrix):
-        arr = _as_square_complex(matrix)
-        _check_hermitian(arr, "density operator")
-        trace = complex(np.trace(arr))
-        if abs(trace - 1.0) > DEFAULT_TOL.validation:
-            raise ValueError(f"density operator must have unit trace, got {trace}")
-        eigvals = np.linalg.eigvalsh(arr)
-        smallest = float(eigvals[0])
-        if smallest < -DEFAULT_TOL.psd:
-            raise ValueError(
-                f"density operator has eigenvalue {smallest:.3e} below -{DEFAULT_TOL.psd:.0e}"
-            )
-        if smallest < 0.0:
-            w, v = np.linalg.eigh(arr)
-            w = np.clip(w, 0.0, None)
-            arr = (v * w) @ v.conj().T
-            arr = (arr + arr.conj().T) / 2.0
-            arr = arr / np.trace(arr).real
-            arr.setflags(write=False)
-        self.matrix = arr
+        self.matrix = check_states(_as_square_complex(matrix))
 
     @property
     def dim(self) -> int:
@@ -120,12 +167,7 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, ket) -> "DensityOperator":
-        vec = np.asarray(ket, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
-        vec = vec / norm
-        return cls(np.outer(vec, vec.conj()))
+        return cls(pure_states(np.asarray(ket, dtype=complex).reshape(-1)))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -184,20 +226,10 @@ class ProbabilityDistribution:
     """
 
     def __init__(self, space: OutcomeSpace, weights):
-        w = np.asarray(weights, dtype=float).copy()
-        if w.shape != (space.size,):
+        if np.shape(weights) != (space.size,):
             raise ValueError("need exactly one weight per label")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        if float(w.min()) < -DEFAULT_TOL.validation:
-            raise ValueError(f"negative weight {w.min():.3e} beyond tolerance")
-        w[w < 0.0] = 0.0
-        total = float(w.sum())
-        if abs(total - 1.0) > DEFAULT_TOL.prob_sum:
-            raise ValueError(f"weights sum to {total}, not 1")
-        w.setflags(write=False)
         self.space = space
-        self.weights = w
+        self.weights = check_weights(weights)
 
     def weight(self, label: str) -> float:
         return float(self.weights[self.space.index(label)])
@@ -261,65 +293,48 @@ def _check_same_space(sa: OutcomeSpace, sb: OutcomeSpace) -> None:
         raise ValueError("outcome spaces do not match")
 
 
-def _real_expectation(matrix: np.ndarray, rho: DensityOperator):
-    """Real Tr[X rho] for one matrix X (a float) or for each matrix of a stack (an array)."""
-    val = np.trace(matrix @ rho.matrix, axis1=-2, axis2=-1)
-    if np.any(np.abs(val.imag) > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val))):
-        raise ArithmeticError(f"expected a real expectation, got {val}")
-    return val.real if val.ndim else float(val.real)
-
-
 def expectation(x: HermitianObservable, rho: DensityOperator) -> float:
     """Tr[X rho]."""
     _check_same_dim(x, rho)
-    return _real_expectation(x.matrix, rho)
+    return float(kernels.expect(x.matrix, rho.matrix))
 
 
 def state_inner(a: HermitianObservable, b: HermitianObservable, rho: DensityOperator) -> float:
     """Symmetrized inner product <{A,B}/2>_rho."""
     _check_same_dim(a, b)
     _check_same_dim(a, rho)
-    anti = (a.matrix @ b.matrix + b.matrix @ a.matrix) / 2.0
-    return _real_expectation(anti, rho)
+    return float(kernels.anti(a.matrix, b.matrix, rho.matrix))
 
 
 def state_norm(a: HermitianObservable, rho: DensityOperator) -> float:
     """Seminorm sqrt(<A^2>_rho)."""
     _check_same_dim(a, rho)
-    val = _real_expectation(a.matrix @ a.matrix, rho)
-    if val < -DEFAULT_TOL.psd:
-        raise ArithmeticError(f"negative squared norm {val:.3e}")
-    return float(np.sqrt(max(val, 0.0)))
+    return float(kernels.norm(a.matrix, rho.matrix))
 
 
 def std_dev_q(a: HermitianObservable, rho: DensityOperator) -> float:
     """Quantum standard deviation sqrt(<A^2> - <A>^2), clipped at zero."""
-    variance = state_norm(a, rho) ** 2 - expectation(a, rho) ** 2
-    return float(np.sqrt(max(variance, 0.0)))
+    _check_same_dim(a, rho)
+    return float(kernels.std_dev(a.matrix, rho.matrix))
 
 
 def class_mean(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
     """<f>_p."""
     _check_same_space(f.space, p.space)
-    return float(f.values @ p.weights)
+    return float(kernels.dot(f.values, p.weights))
 
 
 def class_inner(f: OutcomeFunction, g: OutcomeFunction, p: ProbabilityDistribution) -> float:
     """<fg>_p."""
     _check_same_space(f.space, g.space)
     _check_same_space(f.space, p.space)
-    return float((f.values * g.values) @ p.weights)
+    return float(kernels.class_inner(f.values, g.values, p.weights))
 
 
 def class_norm(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
     """Seminorm sqrt(<f^2>_p); zero-weight outcomes contribute exactly nothing."""
-    return float(np.sqrt(class_inner(f, f, p)))
-
-
-def std_dev_c(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
-    """Classical standard deviation, clipped at zero."""
-    variance = class_norm(f, p) ** 2 - class_mean(f, p) ** 2
-    return float(np.sqrt(max(variance, 0.0)))
+    _check_same_space(f.space, p.space)
+    return float(kernels.class_norm(f.values, p.weights))
 
 
 def spectral_decompose(a: HermitianObservable) -> list[tuple[float, HermitianObservable]]:
@@ -329,19 +344,5 @@ def spectral_decompose(a: HermitianObservable) -> list[tuple[float, HermitianObs
     projector, so projective measurements of degenerate observables are
     well defined.  Returned in ascending eigenvalue order.
     """
-    w, v = np.linalg.eigh(a.matrix)
-    scale = float(np.max(np.abs(w)))
-    threshold = DEFAULT_TOL.eig_merge * scale
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[groups[-1][-1]] <= threshold:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    out = []
-    for idx in groups:
-        cols = v[:, idx]
-        proj = cols @ cols.conj().T
-        proj = (proj + proj.conj().T) / 2.0
-        out.append((float(np.mean(w[idx])), HermitianObservable._trusted(proj)))
-    return out
+    values, projectors = kernels.spectral(a.matrix)
+    return [(float(val), HermitianObservable._trusted(proj)) for val, proj in zip(values, projectors)]

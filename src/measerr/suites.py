@@ -4,35 +4,38 @@ Each suite sweeps seeded random instances and records how many checks ran,
 how many failed, and the worst residual seen.  Instance randomness is
 derived per (suite, dim, index), so results are independent of execution
 order and stable across runs with the same seed.
+
+The ``verify`` suites work on stacks: the instances of one dimension are
+taken in blocks of at most ``_BLOCK``; each instance is drawn from its own
+stream, in index order, then the whole block is built, validated once and
+checked with the stacked formulas of ``kernels``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import errorless_check, f_error
-from .generate import GenConfig, random_indirect_model, random_observable, random_povm, random_state
-from .indirect import chain_check
-from .measurement import contractivity_check, projective_from, trivial_measurement
-from .relations import commutator_expectation, evaluate_relation, proof_device_check
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeFunction,
-    OutcomeSpace,
-    ProbabilityDistribution,
-    class_mean,
-    class_norm,
-    expectation,
-    spectral_decompose,
-    state_inner,
-    state_norm,
-    std_dev_q,
+from . import kernels
+from .errors import ErrorlessConditions
+from .generate import (
+    GenConfig,
+    draw_observable,
+    draw_povm,
+    draw_state,
+    observable_matrices,
+    povm_effects,
+    random_indirect_model,
+    random_observable,
+    random_state,
+    state_matrices,
 )
-from .transport import LocalContext, adjointness_residual, pushforward, support_restrict, transport
+from .indirect import chain_check
+from .measurement import check_effects
+from .states import check_observables, check_states, check_weights, spectral_decompose
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SUITE_STREAM = {
@@ -60,9 +63,11 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, ok: bool, residual: float, message: str) -> None:
+    def record(self, ok: bool, residual: float, message) -> None:
         """Count one check.  A NaN or infinite residual is a failure whatever
-        ``ok`` says, and the first one seen stays the suite's worst."""
+        ``ok`` says, and the first one seen stays the suite's worst.
+        ``message`` is the failure's text, or a function returning it that
+        is called only if the failure is kept."""
         self.checks += 1
         finite = math.isfinite(residual)
         if math.isfinite(self.worst):
@@ -70,7 +75,31 @@ class SuiteResult:
         if not (ok and finite):
             self.failures += 1
             if len(self.messages) < 5:
-                self.messages.append(message)
+                self.messages.append(message() if callable(message) else message)
+
+    def record_block(self, dim: int, block: range, checks) -> None:
+        """Count the checks of the instances ``block`` of dimension ``dim`` as
+        ``record`` counts them, instance by instance and, within an instance,
+        in the order of ``checks``.  A check is (ok, residual, what, detail):
+        ok and residual are arrays over the block (or one value for all), and
+        a failure reads "<what> at dim=<dim> i=<index>", followed by
+        ": <detail(i)>" when ``detail`` is given (i indexes the block).  A
+        block that passes with finite residuals is counted at once."""
+        n = len(block)
+        ok = np.stack([np.broadcast_to(c[0], (n,)) for c in checks], axis=1)
+        residual = np.stack([np.broadcast_to(np.asarray(c[1], dtype=float), (n,)) for c in checks], axis=1)
+        if ok.all() and np.isfinite(residual).all():
+            self.checks += ok.size
+            if math.isfinite(self.worst):
+                self.worst = max(self.worst, float(residual.max()))
+            return
+        for i in range(n):
+            for k, (_, _, what, *detail) in enumerate(checks):
+                def message(i=i, what=what, detail=detail):
+                    text = f"{what} at dim={dim} i={block[i]}"
+                    return f"{text}: {detail[0](i)}" if detail else text
+
+                self.record(bool(ok[i, k]), float(residual[i, k]), message)
 
     def as_dict(self) -> dict:
         return {
@@ -81,45 +110,126 @@ class SuiteResult:
         }
 
 
+# Largest number of instances checked as one stack.
+_BLOCK = 32
+
+
 def _rng(seed: int, suite: str, *parts: int) -> np.random.Generator:
     return np.random.default_rng([seed % 2**63, _SUITE_STREAM[suite], *map(int, parts)])
 
 
-def _instance(dim: int, rng: np.random.Generator):
+def _pad(rows) -> np.ndarray:
+    """Stack arrays whose first axis (the outcomes) is ragged, zero-padded at the end."""
+    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:], dtype=rows[0].dtype)
+    for i, r in enumerate(rows):
+        out[i, : len(r)] = r
+    return out
+
+
+def _sweep(dims, n: int):
+    """(dim, block) for every dimension, with its n instance indices in
+    consecutive blocks of at most ``_BLOCK``, so the stacked arrays of a
+    suite stay small whatever n is."""
+    return [(dim, range(lo, min(lo + _BLOCK, n))) for dim in dims for lo in range(0, n, _BLOCK)]
+
+
+def _draw_block(seed: int, suite: str, dim: int, block: range, draw) -> dict:
+    """Draw the instances ``block`` of one (suite, dim) sweep, each from its
+    own stream and in index order, as columns: ``draw(rng, dim, retry)``
+    returns one instance's raw draws as a dict.  Gaussian POVM factors under
+    "povm" come back as validated effects (zero-padded), and an instance
+    whose factors do not whiten is drawn again with ``retry``, so its stream
+    runs as ``random_povm`` would run it."""
+    rows = [draw(_rng(seed, suite, dim, i), dim, False) for i in block]
+    cols = {key: [row[key] for row in rows] for key in rows[0]}
+    if "povm" in cols:
+        effects, ok = povm_effects(_pad(cols["povm"]))
+        for k in np.flatnonzero(~ok):
+            redrawn = draw(_rng(seed, suite, dim, block[k]), dim, True)
+            for key in cols:
+                cols[key][k] = redrawn[key]
+        if not ok.all():
+            effects, _ = povm_effects(_pad(cols["povm"]))
+        check_effects(effects)
+        cols["povm"] = effects
+    return cols
+
+
+def _draw_instance(rng: np.random.Generator, dim: int, retry: bool, with_f: bool = False) -> dict:
+    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two
+    observables and, ``with_f``, an outcome function uniform in [-2, 2)."""
     outcomes = int(rng.integers(2, 7))
-    mixedness = "pure" if rng.random() < 0.3 else "ginibre"
-    cfg = GenConfig(seed=0, dim=dim, outcomes=outcomes, mixedness=mixedness)
-    povm = random_povm(cfg, rng)
-    rho = random_state(cfg, rng)
-    a = random_observable(cfg, rng)
-    b = random_observable(cfg, rng)
-    return LocalContext(povm, rho), a, b
+    pure = bool(rng.random() < 0.3)
+    inst = {
+        "povm": draw_povm(rng, dim, outcomes, retry=retry),
+        "pure": pure,
+        "rho": draw_state(rng, dim, "pure" if pure else "ginibre"),
+        "a": draw_observable(rng, dim),
+        "b": draw_observable(rng, dim),
+    }
+    if with_f:
+        inst["f"] = rng.uniform(-2.0, 2.0, outcomes)
+    return inst
 
 
-def _random_function(space: OutcomeSpace, rng: np.random.Generator) -> OutcomeFunction:
-    return OutcomeFunction(space, rng.uniform(-2.0, 2.0, space.size))
+def _states(draws, pure) -> np.ndarray:
+    return check_states(state_matrices(draws, pure))
+
+
+def _observables(draws) -> np.ndarray:
+    mat = observable_matrices(np.stack(draws))
+    check_observables(mat)
+    return mat
+
+
+def _context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
+    return kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))
+
+
+def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
+    """The context and the two observables of ``_draw_instance`` columns."""
+    ctx = _context(cols["povm"], _states(cols["rho"], cols["pure"]))
+    return ctx, _observables(cols["a"]), _observables(cols["b"])
+
+
+def _projective(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projective measurements of a stack of observables (``projective_from``):
+    outcome values and validated effects, both zero-padded."""
+    values, effects = kernels.spectral(a)
+    check_effects(effects)
+    return values, effects
+
+
+def _max_abs(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).max(axis=tuple(range(1, x.ndim)))
+
+
+def _draw_affineness(rng, dim, retry):
+    outcomes = int(rng.integers(2, 7))
+    return {
+        "povm": draw_povm(rng, dim, outcomes, retry=retry),
+        "rho1": draw_state(rng, dim, "ginibre"),
+        "rho2": draw_state(rng, dim, "pure"),
+        "lam": rng.uniform(),
+    }
 
 
 def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """Measurements respect probabilistic mixtures of states exactly."""
     out = SuiteResult("affineness")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 7)))
-            povm = random_povm(cfg, rng)
-            rho1 = random_state(cfg, rng)
-            rho2 = random_state(GenConfig(seed=0, dim=dim, mixedness="pure"), rng)
-            lam = float(rng.uniform())
-            mixed = DensityOperator(lam * rho1.matrix + (1.0 - lam) * rho2.matrix)
-            direct = povm.apply(mixed).weights
-            combined = lam * povm.apply(rho1).weights + (1.0 - lam) * povm.apply(rho2).weights
-            residual = float(np.max(np.abs(direct - combined)))
-            out.record(
-                residual <= tol.validation,
-                residual,
-                f"affineness broke at dim={dim} i={i}: {residual:.3e}",
-            )
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, _draw_affineness)
+        effects = cols["povm"]
+        rho1, rho2 = _states(cols["rho1"], False), _states(cols["rho2"], True)
+        lam = np.array(cols["lam"])
+        mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
+        direct = check_weights(kernels.born(effects, mixed))
+        p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
+        residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
+        out.record_block(dim, block, [
+            (residual <= tol.validation, residual,
+             "affineness broke", lambda i: f"{residual[i]:.3e}"),
+        ])
     return out
 
 
@@ -127,28 +237,20 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
     out = SuiteResult("adjoint-characterization")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            ctx, a, _ = _instance(dim, rng)
-            f = _random_function(ctx.space, rng)
-            lhs = expectation(ctx.povm.adjoint(f), ctx.rho)
-            rhs = class_mean(f, ctx.prob)
-            residual = abs(lhs - rhs)
-            out.record(
-                residual <= tol.expectation * (1.0 + abs(rhs)),
-                residual,
-                f"adjoint identity broke at dim={dim} i={i}: {residual:.3e}",
-            )
-            projective = projective_from(a)
-            rebuilt = projective.adjoint(OutcomeFunction.identity(projective.space))
-            residual = float(np.max(np.abs(rebuilt.matrix - a.matrix)))
-            scale = float(np.max(np.abs(a.matrix)))
-            out.record(
-                residual <= tol.identity * (1.0 + scale),
-                residual,
-                f"projective reconstruction broke at dim={dim} i={i}: {residual:.3e}",
-            )
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, partial(_draw_instance, with_f=True))
+        ctx, a, _ = _instances(cols)
+        f = _pad(cols["f"])
+        rhs = kernels.dot(f, ctx.weights)
+        identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
+        values, projectors = _projective(a)
+        rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
+        out.record_block(dim, block, [
+            (identity <= tol.expectation * (1.0 + np.abs(rhs)), identity,
+             "adjoint identity broke", lambda i: f"{identity[i]:.3e}"),
+            (rebuilt <= tol.identity * (1.0 + _max_abs(a)), rebuilt,
+             "projective reconstruction broke", lambda i: f"{rebuilt[i]:.3e}"),
+        ])
     return out
 
 
@@ -156,118 +258,95 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
     out = SuiteResult("contractivity")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            ctx, _, _ = _instance(dim, rng)
-            f = _random_function(ctx.space, rng)
-            report = contractivity_check(ctx.povm, f, ctx.rho)
-            gap = report.adjoint_norm - report.classical_norm
-            out.record(
-                gap <= tol.identity * (1.0 + report.classical_norm),
-                max(gap, 0.0),
-                f"norm contraction broke at dim={dim} i={i}: gap {gap:.3e}",
-            )
-            out.record(
-                report.gap_min_eigenvalue >= -tol.identity,
-                max(-report.gap_min_eigenvalue, 0.0),
-                f"operator gap not PSD at dim={dim} i={i}: {report.gap_min_eigenvalue:.3e}",
-            )
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, partial(_draw_instance, with_f=True))
+        ctx, _, _ = _instances(cols)
+        classical, adjoint_norm, gap_min = kernels.contractivity(ctx, _pad(cols["f"]))
+        gap = adjoint_norm - classical
+        out.record_block(dim, block, [
+            (gap <= tol.identity * (1.0 + classical), np.maximum(gap, 0.0),
+             "norm contraction broke", lambda i: f"gap {gap[i]:.3e}"),
+            (gap_min >= -tol.identity, np.maximum(-gap_min, 0.0),
+             "operator gap not PSD", lambda i: f"{gap_min[i]:.3e}"),
+        ])
     return out
+
+
+def _draw_transport_adjointness(rng, dim, retry):
+    inst = _draw_instance(rng, dim, retry, with_f=True)
+    inst["alpha"], inst["beta"] = rng.uniform(-2.0, 2.0, 2)
+    return inst
 
 
 def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
     out = SuiteResult("transport-adjointness")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            ctx, a, b = _instance(dim, rng)
-            f = _random_function(ctx.space, rng)
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, _draw_transport_adjointness)
+        ctx, a, b = _instances(cols)
+        f = _pad(cols["f"])
+        t = kernels.transport(ctx, a)
+        norm_a = kernels.norm(a, ctx.rho)
+        adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
+        adjointness_ok = adjointness <= tol.identity * (1.0 + norm_a * kernels.class_norm(f, ctx.weights))
 
-            t = transport(ctx, a)
-            residual = adjointness_residual(ctx, t, f)
-            scale = 1.0 + state_norm(a, ctx.rho) * class_norm(f, ctx.prob)
-            out.record(
-                residual <= tol.identity * scale,
-                residual,
-                f"adjointness broke at dim={dim} i={i}: {residual:.3e}",
-            )
+        mean_a = kernels.expect(a, ctx.rho)
+        drift = np.abs(kernels.dot(t.pushforward, ctx.weights) - mean_a)
 
-            fwd = t.pushforward
-            drift = abs(class_mean(fwd, ctx.prob) - expectation(a, ctx.rho))
-            out.record(
-                drift <= tol.expectation * (1.0 + abs(expectation(a, ctx.rho))),
-                drift,
-                f"expectation not preserved at dim={dim} i={i}: {drift:.3e}",
-            )
+        norm_fwd = kernels.class_norm(t.pushforward, ctx.weights)
+        norm_back = kernels.norm(t.roundtrip, ctx.rho)
+        slack = tol.identity * (1.0 + norm_a)
+        chain_ok = (norm_a >= norm_fwd - slack) & (norm_fwd >= norm_back - slack)
+        chain = np.maximum(np.maximum(norm_fwd - norm_a, norm_back - norm_fwd), 0.0)
 
-            norm_a = state_norm(a, ctx.rho)
-            norm_fwd = class_norm(fwd, ctx.prob)
-            norm_back = state_norm(t.roundtrip, ctx.rho)
-            slack = tol.identity * (1.0 + norm_a)
-            chain_ok = norm_a >= norm_fwd - slack and norm_fwd >= norm_back - slack
-            out.record(
-                chain_ok,
-                max(norm_fwd - norm_a, norm_back - norm_fwd, 0.0),
-                f"double contraction broke at dim={dim} i={i}",
-            )
-
-            alpha, beta = rng.uniform(-2.0, 2.0, 2)
-            lin = pushforward(ctx, float(alpha) * a + float(beta) * b)
-            combo = float(alpha) * fwd + float(beta) * pushforward(ctx, b)
-            residual = float(np.max(np.abs(lin.values - combo.values)))
-            lin_scale = 1.0 + float(np.max(np.abs(combo.values)))
-            out.record(
-                residual <= tol.expectation * lin_scale,
-                residual,
-                f"linearity broke at dim={dim} i={i}: {residual:.3e}",
-            )
+        alpha, beta = np.array(cols["alpha"]), np.array(cols["beta"])
+        lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
+        combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
+        linearity = _max_abs(lin - combo)
+        out.record_block(dim, block, [
+            (adjointness_ok, adjointness,
+             "adjointness broke", lambda i: f"{adjointness[i]:.3e}"),
+            (drift <= tol.expectation * (1.0 + np.abs(mean_a)), drift,
+             "expectation not preserved", lambda i: f"{drift[i]:.3e}"),
+            (chain_ok, chain, "double contraction broke"),
+            (linearity <= tol.expectation * (1.0 + _max_abs(combo)), linearity,
+             "linearity broke", lambda i: f"{linearity[i]:.3e}"),
+        ])
     return out
+
+
+def _draw_error_decomposition(rng, dim, retry):
+    inst = _draw_instance(rng, dim, retry, with_f=True)
+    inst["delta"] = rng.uniform(-2.0, 2.0, len(inst["f"]))
+    inst["step"] = rng.uniform(-1.0, 1.0)
+    return inst
 
 
 def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
     out = SuiteResult("error-decomposition")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            ctx, a, _ = _instance(dim, rng)
-            f = _random_function(ctx.space, rng)
-            t = transport(ctx, a)
-            breakdown = f_error(ctx, t, f)
-            residual = abs(
-                breakdown.f_error**2
-                - breakdown.quantum_error**2
-                - breakdown.estimation_error**2
-            )
-            out.record(
-                residual <= tol.identity,
-                residual,
-                f"decomposition broke at dim={dim} i={i}: {residual:.3e}",
-            )
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, _draw_error_decomposition)
+        ctx, a, _ = _instances(cols)
+        t = kernels.transport(ctx, a)
+        split = kernels.f_error_split(ctx, a, t, _pad(cols["f"]))
+        decomposition = kernels.split_residual(*split)
+        shortfall = split.quantum - split.f_error
 
-            base = breakdown.quantum_error
-            shortfall = base - breakdown.f_error
-            out.record(
-                shortfall <= tol.identity,
-                max(shortfall, 0.0),
-                f"estimator beat the optimum at dim={dim} i={i}: {shortfall:.3e}",
-            )
-
-            delta = _random_function(ctx.space, rng)
-            step = float(rng.uniform(-1.0, 1.0))
-            perturbed = f_error(ctx, t, t.pushforward + step * delta)
-            excess = perturbed.f_error**2 - base**2
-            expected = step * step * class_norm(support_restrict(ctx, delta), ctx.prob) ** 2
-            residual = abs(excess - expected)
-            out.record(
-                residual <= tol.identity,
-                residual,
-                f"quadratic excess law broke at dim={dim} i={i}: {residual:.3e}",
-            )
+        delta, step = _pad(cols["delta"]), np.array(cols["step"])
+        perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
+        expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
+        excess_law = np.abs(perturbed.f_error**2 - split.quantum**2 - expected)
+        out.record_block(dim, block, [
+            (decomposition <= tol.identity, decomposition,
+             "decomposition broke", lambda i: f"{decomposition[i]:.3e}"),
+            (shortfall <= tol.identity, np.maximum(shortfall, 0.0),
+             "estimator beat the optimum", lambda i: f"{shortfall[i]:.3e}"),
+            (excess_law <= tol.identity, excess_law,
+             "quadratic excess law broke", lambda i: f"{excess_law[i]:.3e}"),
+        ])
     return out
 
 
@@ -278,38 +357,50 @@ def suite_relation_and_proof_tie(
     instances: slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy,
     the composite-seminorm-equals-error identity, and R+iI against the
     composite cross product.  ``sign_flip`` corrupts I on purpose (see
-    ``evaluate_relation``)."""
+    ``kernels.relation``)."""
     relation = SuiteResult("main-relation")
     proof = SuiteResult("proof-tie-identity")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, "main-relation", dim, i)
-            ctx, a, b = _instance(dim, rng)
-            report = evaluate_relation(ctx, a, b, sign_flip=sign_flip)
-            relation.record(
-                report.slack >= -tol.identity * (1.0 + abs(report.eps_a * report.eps_b)),
-                max(-report.slack, 0.0),
-                f"relation violated at dim={dim} i={i}: slack {report.slack:.3e}",
-            )
-            relation.record(
-                report.bound >= abs(report.imag_term) - 1e-12,
-                max(abs(report.imag_term) - report.bound, 0.0),
-                f"bound hierarchy broke at dim={dim} i={i}",
-            )
+    for dim, block in _sweep(dims, n):
+        ctx, a, b = _instances(_draw_block(seed, "main-relation", dim, block, _draw_instance))
+        rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
+        hierarchy = np.abs(rel.imag)
+        relation.record_block(dim, block, [
+            (rel.slack >= -tol.identity * (1.0 + np.abs(rel.eps_a * rel.eps_b)), np.maximum(-rel.slack, 0.0),
+             "relation violated", lambda i: f"slack {rel.slack[i]:.3e}"),
+            (rel.bound >= hierarchy - 1e-12, np.maximum(hierarchy - rel.bound, 0.0),
+             "bound hierarchy broke"),
+        ])
 
-            device = proof_device_check(ctx, a, b, report)
-            residual = max(device.residual_a, device.residual_b)
-            proof.record(
-                residual <= tol.identity,
-                residual,
-                f"seminorm-error identity broke at dim={dim} i={i}: {residual:.3e}",
-            )
-            proof.record(
-                device.cross_residual <= tol.identity,
-                device.cross_residual,
-                f"cross-product identity broke at dim={dim} i={i}: {device.cross_residual:.3e}",
-            )
+        device = kernels.proof_device(ctx, a, b, rel.t_a, rel.t_b, rel.real, rel.imag)
+        seminorm = np.maximum(device.residual_a, device.residual_b)
+        cross = device.cross_residual
+        proof.record_block(dim, block, [
+            (seminorm <= tol.identity, seminorm,
+             "seminorm-error identity broke", lambda i: f"{seminorm[i]:.3e}"),
+            (cross <= tol.identity, cross,
+             "cross-product identity broke", lambda i: f"{cross[i]:.3e}"),
+        ])
     return relation, proof
+
+
+def _draw_errorless_equivalence(rng, dim, retry):
+    inst = _draw_instance(rng, dim, retry)
+    inst["rho2"] = draw_state(rng, dim, "ginibre")
+    inst["scale"] = rng.uniform(0.5, 2.0)
+    inst["shift"] = rng.uniform(-1.0, 1.0)
+    return inst
+
+
+def _agreement(e: kernels.Errorless) -> tuple:
+    """The check that conditions (a), (b) and (c) agree."""
+    same = (e.cond_a == e.cond_b) & (e.cond_b == e.cond_c)
+    return same, np.where(same, 0.0, 1.0), "conditions disagree", partial(ErrorlessConditions.row, e)
+
+
+def _errorless(e: kernels.Errorless) -> tuple:
+    """The check that a constructed errorless case meets all three conditions."""
+    ok = e.cond_a & e.cond_b & e.cond_c
+    return ok, e.error, "constructed errorless case failed", partial(ErrorlessConditions.row, e)
 
 
 def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -317,48 +408,40 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
     out = SuiteResult("errorless-equivalence")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            ctx, a, b = _instance(dim, rng)
-            conds_a, conds_b = (errorless_check(ctx, obs) for obs in (a, b))
-            for conds in (conds_a, conds_b):
-                out.record(
-                    conds.cond_a == conds.cond_b == conds.cond_c,
-                    0.0 if conds.cond_a == conds.cond_b == conds.cond_c else 1.0,
-                    f"conditions disagree at dim={dim} i={i}: {conds}",
-                )
-            comm = abs(commutator_expectation(a, b, ctx.rho))
-            both = conds_a.cond_a and conds_b.cond_a
-            out.record(
-                not (both and comm > 1e-6),
-                comm if both else 0.0,
-                f"simultaneous errorless noncommuting pair at dim={dim} i={i}",
-            )
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, _draw_errorless_equivalence)
+        ctx, a, b = _instances(cols)
+        conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
+        comm = np.abs(kernels.comm(a, b, ctx.rho))
+        both = conds_a.cond_a & conds_b.cond_a
 
-            # constructed errorless case: projectively measure a itself
-            cfg = GenConfig(seed=0, dim=dim)
-            rho = random_state(cfg, rng)
-            exact_ctx = LocalContext(projective_from(a), rho)
-            shifted = float(rng.uniform(0.5, 2.0)) * a + float(rng.uniform(-1.0, 1.0)) * (
-                HermitianObservable.identity(dim)
-            )
-            for obs in (a, shifted):
-                conds = errorless_check(exact_ctx, obs)
-                out.record(
-                    conds.cond_a and conds.cond_b and conds.cond_c,
-                    conds.error,
-                    f"constructed errorless case failed at dim={dim} i={i}: {conds}",
-                )
-            # a and its affine shift commute, so a simultaneous errorless
-            # pair here is consistent with the noncommutativity statement
-            comm = abs(commutator_expectation(a, shifted, rho))
-            out.record(
-                comm <= 1e-6,
-                comm,
-                f"constructed commuting pair has nonzero commutator at dim={dim} i={i}",
-            )
+        # constructed errorless case: projectively measure a itself
+        rho = _states(cols["rho2"], False)
+        exact = _context(_projective(a)[1], rho)
+        scale, shift = (np.array(cols[key])[:, None, None] for key in ("scale", "shift"))
+        shifted = scale * a + shift * np.eye(dim, dtype=complex)
+        exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
+        # a and its affine shift commute, so a simultaneous errorless
+        # pair here is consistent with the noncommutativity statement
+        shifted_comm = np.abs(kernels.comm(a, shifted, rho))
+
+        out.record_block(dim, block, [
+            _agreement(conds_a),
+            _agreement(conds_b),
+            (~(both & (comm > 1e-6)), np.where(both, comm, 0.0),
+             "simultaneous errorless noncommuting pair"),
+            _errorless(exact_a),
+            _errorless(exact_shifted),
+            (shifted_comm <= 1e-6, shifted_comm,
+             "constructed commuting pair has nonzero commutator"),
+        ])
     return out
+
+
+def _draw_trivial_reduction(rng, dim, retry):
+    inst = {"rho": draw_state(rng, dim, "ginibre"), "a": draw_observable(rng, dim), "b": draw_observable(rng, dim)}
+    inst["p0"] = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+    return inst
 
 
 def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -366,47 +449,29 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
     out = SuiteResult("trivial-reduction")
-    for dim in dims:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, i)
-            cfg = GenConfig(seed=0, dim=dim, mixedness="ginibre")
-            rho = random_state(cfg, rng)
-            a = random_observable(cfg, rng)
-            b = random_observable(cfg, rng)
-            k = int(rng.integers(1, 5))
-            space = OutcomeSpace.from_values(np.arange(k, dtype=float))
-            p0 = ProbabilityDistribution(space, rng.dirichlet(np.ones(k)))
-            ctx = LocalContext(trivial_measurement(p0, dim), rho)
-            report = evaluate_relation(ctx, a, b)
+    for dim, block in _sweep(dims, n):
+        cols = _draw_block(seed, out.name, dim, block, _draw_trivial_reduction)
+        rho = _states(cols["rho"], False)
+        a, b = _observables(cols["a"]), _observables(cols["b"])
+        effects = check_weights(_pad(cols["p0"]))[:, :, None, None] * np.eye(dim, dtype=complex)
+        check_effects(effects)
+        rel = kernels.relation(_context(effects, rho), a, b)
 
-            sigma_a = std_dev_q(a, rho)
-            sigma_b = std_dev_q(b, rho)
-            residual = max(abs(report.eps_a - sigma_a), abs(report.eps_b - sigma_b))
-            out.record(
-                residual <= tol.expectation * (1.0 + sigma_a + sigma_b),
-                residual,
-                f"error != standard deviation at dim={dim} i={i}: {residual:.3e}",
-            )
-
-            cov = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
-            comm = commutator_expectation(a, b, rho)
-            residual = max(abs(report.real_term - cov), abs(report.imag_term - comm))
-            out.record(
-                residual <= tol.expectation * (1.0 + abs(cov) + abs(comm)),
-                residual,
-                f"reduced terms mismatch at dim={dim} i={i}: {residual:.3e}",
-            )
-
-            out.record(
-                abs(comm) <= report.bound + 1e-12,
-                max(abs(comm) - report.bound, 0.0),
-                f"commutator bound above the reduced bound at dim={dim} i={i}",
-            )
-            out.record(
-                report.slack >= -tol.identity * (1.0 + report.eps_a * report.eps_b),
-                max(-report.slack, 0.0),
-                f"reduced relation violated at dim={dim} i={i}: {report.slack:.3e}",
-            )
+        sigma_a, sigma_b = kernels.std_dev(a, rho), kernels.std_dev(b, rho)
+        sigma = np.maximum(np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
+        cov = kernels.anti(a, b, rho) - kernels.expect(a, rho) * kernels.expect(b, rho)
+        comm = kernels.comm(a, b, rho)
+        terms = np.maximum(np.abs(rel.real - cov), np.abs(rel.imag - comm))
+        out.record_block(dim, block, [
+            (sigma <= tol.expectation * (1.0 + sigma_a + sigma_b), sigma,
+             "error != standard deviation", lambda i: f"{sigma[i]:.3e}"),
+            (terms <= tol.expectation * (1.0 + np.abs(cov) + np.abs(comm)), terms,
+             "reduced terms mismatch", lambda i: f"{terms[i]:.3e}"),
+            (np.abs(comm) <= rel.bound + 1e-12, np.maximum(np.abs(comm) - rel.bound, 0.0),
+             "commutator bound above the reduced bound"),
+            (rel.slack >= -tol.identity * (1.0 + rel.eps_a * rel.eps_b), np.maximum(-rel.slack, 0.0),
+             "reduced relation violated", lambda i: f"{rel.slack[i]:.3e}"),
+        ])
     return out
 
 
@@ -418,7 +483,7 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
     for dim, ancilla in pairs:
         for i in range(n):
             rng = _rng(seed, out.name, dim, ancilla, i)
-            cfg = GenConfig(seed=0, dim=dim, mixedness="ginibre")
+            cfg = GenConfig(dim=dim, mixedness="ginibre")
             model = random_indirect_model(cfg, rng, ancilla_dim=ancilla)
             rho = random_state(cfg, rng)
             a = random_observable(cfg, rng)

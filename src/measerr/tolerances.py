@@ -21,9 +21,10 @@ class Tolerances:
     identity: float = 1e-9          # derived identities and inequality slack
     expectation: float = 1e-10      # adjoint / expectation-preservation identities
     eig_merge: float = 1e-8         # eigenvalue clustering threshold, scaled by max |eig|
-    errorless: float = 1e-7         # errorless-condition threshold, scaled by the state norm;
-                                    # must sit above sqrt(machine eps) because a vanishing error
-                                    # is the square root of an O(norm^2) cancellation
+    errorless: float = 1e-7         # errorless-condition threshold tau, relative to the state
+                                    # norm; the squared error is held to tau * norm^2, which
+                                    # must sit well above machine eps, the floor of that
+                                    # O(norm^2) cancellation
     support_cutoff: float = 1e-12   # outcome weights at or below this are off-support
     tiny_support: float = 1e-8      # weights below this draw a conditioning warning
 

@@ -19,17 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .measurement import Povm
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeFunction,
-    _real_expectation,
-    class_inner,
-    class_norm,
-    state_inner,
-    state_norm,
-)
+from .states import DensityOperator, HermitianObservable, OutcomeFunction, _check_same_dim
 from .tolerances import DEFAULT_TOL
 
 
@@ -38,14 +30,16 @@ class LocalContext:
 
     ``support`` holds the labels with weight above the cutoff; ``tiny_support``
     flags the ones close enough to zero (at most ``DEFAULT_TOL.tiny_support``) that
-    dividing by them is numerically delicate.
+    dividing by them is numerically delicate.  ``arrays`` is the same
+    context as the ``kernels.Context`` of one instance.
     """
 
     def __init__(self, povm: Povm, rho: DensityOperator):
         self.povm = povm
         self.rho = rho
         self.prob = povm.apply(rho)
-        mask = self.prob.weights > DEFAULT_TOL.support_cutoff
+        self.arrays = kernels.context(povm.effects, rho.matrix, self.prob.weights)
+        mask = self.arrays.mask
         mask.setflags(write=False)
         self.support_mask = mask
         labels = np.array(povm.space.labels, dtype=object)
@@ -66,7 +60,7 @@ class LocalContext:
 
 def support_restrict(ctx: LocalContext, f: OutcomeFunction) -> OutcomeFunction:
     """Canonical representative of f's equivalence class: zero off the support."""
-    return OutcomeFunction(ctx.space, np.where(ctx.support_mask, f.values, 0.0))
+    return OutcomeFunction(ctx.space, kernels.restrict(ctx.arrays, f.values))
 
 
 def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
@@ -75,12 +69,8 @@ def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
     This is the locally optimal estimator of the observable from measurement
     data; its expectation under p equals <A>_rho.
     """
-    if a.dim != ctx.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {ctx.dim}")
-    effects = ctx.povm.effects
-    inner = _real_expectation((a.matrix @ effects + effects @ a.matrix) / 2.0, ctx.rho)
-    values = np.divide(inner, ctx.prob.weights, out=np.zeros(ctx.space.size), where=ctx.support_mask)
-    return OutcomeFunction(ctx.space, values)
+    _check_same_dim(a, ctx)
+    return OutcomeFunction(ctx.space, kernels.pushforward(ctx.arrays, a.matrix))
 
 
 def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
@@ -89,7 +79,7 @@ def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
     functions map to identical operators."""
     if f.space != ctx.space:
         raise ValueError("outcome spaces do not match")
-    return ctx.povm.adjoint(support_restrict(ctx, f))
+    return HermitianObservable._trusted(kernels.pullback(ctx.arrays, f.values))
 
 
 @dataclass(frozen=True)
@@ -103,25 +93,31 @@ class Transport:
     roundtrip: HermitianObservable
     error: float
 
+    @property
+    def arrays(self) -> kernels.Transported:
+        return kernels.Transported(self.pushforward.values, self.roundtrip.matrix, self.error)
+
+    @classmethod
+    def of(cls, ctx: LocalContext, a: HermitianObservable, t: kernels.Transported) -> "Transport":
+        """Wrap the kernel's transport of ``a`` through ``ctx``."""
+        return cls(
+            a,
+            OutcomeFunction(ctx.space, t.pushforward),
+            HermitianObservable._trusted(t.roundtrip),
+            float(t.error),
+        )
+
 
 def transport(ctx: LocalContext, a: HermitianObservable) -> Transport:
-    """Push ``a`` forward once and derive the round trip and the error from it.
-
-    The error's radicand is clipped at zero if it is only roundoff-negative;
-    a value below -DEFAULT_TOL.psd means contractivity failed and indicates a
-    bug, so it raises instead of being hidden.
-    """
-    fwd = pushforward(ctx, a)
-    radicand = state_norm(a, ctx.rho) ** 2 - class_norm(fwd, ctx.prob) ** 2
-    if radicand < -DEFAULT_TOL.psd:
-        raise RuntimeError(f"contractivity violated: radicand {radicand:.3e}")
-    error = float(np.sqrt(max(radicand, 0.0)))
-    return Transport(a, fwd, pullback_rep(ctx, fwd), error)
+    """Push ``a`` forward once and derive the round trip and the error from it
+    (``kernels.transport``, which raises if contractivity fails)."""
+    _check_same_dim(a, ctx)
+    return Transport.of(ctx, a, kernels.transport(ctx.arrays, a.matrix))
 
 
 def adjointness_residual(ctx: LocalContext, t: Transport, f: OutcomeFunction) -> float:
     """|<A, pullback(f)>_rho - <pushforward(A), f>_p| for A = t.observable;
     zero up to roundoff."""
-    lhs = state_inner(t.observable, pullback_rep(ctx, f), ctx.rho)
-    rhs = class_inner(t.pushforward, f, ctx.prob)
-    return abs(lhs - rhs)
+    if f.space != ctx.space:
+        raise ValueError("outcome spaces do not match")
+    return float(kernels.adjointness(ctx.arrays, t.observable.matrix, t.pushforward.values, f.values))

@@ -51,6 +51,23 @@ class TestVerify:
             "trivial-reduction": (40, 0),
         }
 
+    def test_counts_pinned_at_every_dimension(self, tmp_path, capsys):
+        out = tmp_path / "pinned.json"
+        code = main(["verify", "--dims", "2,3,4,5,6,7,8", "--n", "5", "--seed", "3", "--json", str(out)])
+        assert code == 0
+        suites = json.loads(out.read_text())["suites"]
+        assert {name: (s["checks"], s["failures"]) for name, s in suites.items()} == {
+            "affineness": (35, 0),
+            "adjoint-characterization": (70, 0),
+            "contractivity": (70, 0),
+            "transport-adjointness": (140, 0),
+            "error-decomposition": (105, 0),
+            "main-relation": (70, 0),
+            "proof-tie-identity": (70, 0),
+            "errorless-equivalence": (210, 0),
+            "trivial-reduction": (140, 0),
+        }
+
     def test_zero_instances_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--dims", "2", "--n", "0"])
@@ -114,6 +131,24 @@ class TestScan:
             "--state", str(state), "--obs-a", str(obs), "--out", str(out),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv,rows",
+        [(["--family", "unsharp", "--grid", "0:1:0.05"], 21), (["--family", "noisy-projective"], 11)],
+    )
+    def test_manifest_counts_the_rows_scanned(self, argv, rows, tmp_path):
+        report = tmp_path / "scan.json"
+        assert main(["scan", *argv, "--out", str(tmp_path / "scan.csv"), "--json", str(report)]) == 0
+        manifest = json.loads(report.read_text())["manifest"]
+        assert (manifest["instances"], manifest["checks_passed"]) == (rows, rows)
+
+    def test_custom_manifest_counts_one_instance(self, tmp_path):
+        path = tmp_path / "povm.json"
+        path.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        report = tmp_path / "custom.json"
+        argv = ["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "c.csv")]
+        assert main([*argv, "--json", str(report)]) == 0
+        assert json.loads(report.read_text())["manifest"]["instances"] == 1
 
     def test_unknown_family_is_usage_error(self, capsys):
         assert main(["scan", "--family", "nope", "--out", "/tmp/x.csv"]) == 2
@@ -199,7 +234,7 @@ class TestChain:
 
     def test_custom_model_manifest_records_the_model_run(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
-        model = random_indirect_model(GenConfig(seed=0, dim=5), rng, ancilla_dim=2)
+        model = random_indirect_model(GenConfig(dim=5), rng, ancilla_dim=2)
         path = tmp_path / "model.json"
         path.write_text(json_text(model_to_json(model)))
         out = tmp_path / "chain.json"

@@ -13,9 +13,11 @@ from measerr import (
     OutcomeFunction,
     PAULI_X,
     PAULI_Z,
+    Povm,
     class_norm,
     errorless_check,
     f_error,
+    haar_unitary,
     projective_from,
     pushforward,
     quantum_error,
@@ -36,7 +38,7 @@ MIXED = DensityOperator.maximally_mixed(2)
 
 def random_ctx(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 6)), mixedness=mixedness)
+    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)), mixedness=mixedness)
     return LocalContext(random_povm(cfg, rng), random_state(cfg, rng)), random_observable(cfg, rng), rng
 
 
@@ -155,6 +157,26 @@ class TestErrorless:
             conds = errorless_check(ctx, a)
             assert conds.cond_a == conds.cond_b == conds.cond_c
 
+    @pytest.mark.parametrize("dim", [2, 5, 8])
+    def test_conditions_share_one_order_of_smallness(self, dim):
+        # E_1 = P_1 + mu P_2, E_2 = (1 - mu) P_2 sits at distance mu from the
+        # projective measurement of A = P_1 - 2 P_2: eps is O(sqrt(mu)), the
+        # residual of (b) and the drops of (c) are O(mu)
+        rng = np.random.default_rng(dim)
+        u = haar_unitary(dim, rng)
+        cols = u[:, : dim // 2]
+        p1 = cols @ cols.conj().T
+        p1 = (p1 + p1.conj().T) / 2.0
+        p2 = np.eye(dim) - p1
+        a = HermitianObservable(p1 - 2.0 * p2)
+        rho = random_state(GenConfig(dim=dim), rng)
+        space = OutcomeSpace.from_values([1.0, -2.0])
+        for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
+                              (1e-5, False), (1e-4, False), (1e-2, False)]:
+            povm = Povm(space, [p1 + mu * p2, (1.0 - mu) * p2])
+            conds = errorless_check(LocalContext(povm, rho), a)
+            assert (conds.cond_a, conds.cond_b, conds.cond_c) == (errorless,) * 3, (mu, conds)
+
 
 @settings(max_examples=30, deadline=None)
 @given(t=st.floats(-3.0, 3.0), seed=st.integers(0, 10**6))
@@ -170,7 +192,7 @@ def test_homogeneity(t, seed):
 def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 6)))
+    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
     ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
     a = random_observable(cfg, rng)
     b = random_observable(cfg, rng)
@@ -182,7 +204,7 @@ def test_trivial_measurement_reduces_to_standard_deviation():
     p0 = ProbabilityDistribution(space, [0.25, 0.75])
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = GenConfig(seed=0, dim=3)
+        cfg = GenConfig(dim=3)
         rho = random_state(cfg, rng)
         a = random_observable(cfg, rng)
         ctx = LocalContext(trivial_measurement(p0, 3), rho)

@@ -17,45 +17,47 @@ from measerr import (
 
 class TestDeterminism:
     def test_state_bitwise_reproducible(self):
-        cfg = GenConfig(seed=42, dim=3, mixedness="ginibre")
-        assert np.array_equal(random_state(cfg).matrix, random_state(cfg).matrix)
+        cfg = GenConfig(dim=3, mixedness="ginibre")
+        rho1, rho2 = (random_state(cfg, np.random.default_rng(42)) for _ in range(2))
+        assert np.array_equal(rho1.matrix, rho2.matrix)
 
     def test_observable_and_povm_reproducible(self):
-        cfg = GenConfig(seed=42, dim=3, outcomes=4)
-        assert np.array_equal(random_observable(cfg).matrix, random_observable(cfg).matrix)
-        p1, p2 = random_povm(cfg), random_povm(cfg)
+        cfg = GenConfig(dim=3, outcomes=4)
+        a1, a2 = (random_observable(cfg, np.random.default_rng(42)) for _ in range(2))
+        assert np.array_equal(a1.matrix, a2.matrix)
+        p1, p2 = random_povm(cfg, np.random.default_rng(42)), random_povm(cfg, np.random.default_rng(42))
         for e1, e2 in zip(p1.effects, p2.effects):
             assert np.array_equal(e1, e2)
 
     def test_model_reproducible(self):
-        cfg = GenConfig(seed=7, dim=2)
-        m1 = random_indirect_model(cfg)
-        m2 = random_indirect_model(cfg)
+        cfg = GenConfig(dim=2)
+        m1 = random_indirect_model(cfg, np.random.default_rng(7))
+        m2 = random_indirect_model(cfg, np.random.default_rng(7))
         assert np.array_equal(m1.interaction, m2.interaction)
         assert np.array_equal(m1.ancilla_state.matrix, m2.ancilla_state.matrix)
 
     def test_different_seeds_differ(self):
-        a = random_state(GenConfig(seed=1, dim=3))
-        b = random_state(GenConfig(seed=2, dim=3))
+        a = random_state(GenConfig(dim=3), np.random.default_rng(1))
+        b = random_state(GenConfig(dim=3), np.random.default_rng(2))
         assert not np.array_equal(a.matrix, b.matrix)
 
 
 class TestStates:
     def test_pure_is_rank_one(self):
         for seed in range(10):
-            rho = random_state(GenConfig(seed=seed, dim=4, mixedness="pure"))
+            rho = random_state(GenConfig(dim=4, mixedness="pure"), np.random.default_rng(seed))
             eigvals = np.linalg.eigvalsh(rho.matrix)
             assert eigvals[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(eigvals[:-1])) <= 1e-9
 
     def test_ginibre_is_valid(self):
         for seed in range(10):
-            rho = random_state(GenConfig(seed=seed, dim=3))
+            rho = random_state(GenConfig(dim=3), np.random.default_rng(seed))
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
     def test_full_blend_is_maximally_mixed(self):
-        rho = random_state(GenConfig(seed=3, dim=3, mixedness="blend", blend=1.0))
+        rho = random_state(GenConfig(dim=3, mixedness="blend", blend=1.0), np.random.default_rng(3))
         assert np.allclose(rho.matrix, np.eye(3) / 3, atol=1e-15)
 
     def test_clipping_is_rare(self):
@@ -73,29 +75,29 @@ class TestStates:
 class TestObservables:
     def test_hermitian_by_construction(self):
         for seed in range(10):
-            a = random_observable(GenConfig(seed=seed, dim=4))
+            a = random_observable(GenConfig(dim=4), np.random.default_rng(seed))
             assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
 
     def test_traceless_projection(self):
-        a = random_observable(GenConfig(seed=5, dim=2), traceless=True)
+        a = random_observable(GenConfig(dim=2), np.random.default_rng(5), traceless=True)
         assert abs(np.trace(a.matrix)) <= 1e-12
 
 
 class TestPovms:
     def test_single_outcome_forces_identity(self):
-        povm = random_povm(GenConfig(seed=1, dim=3, outcomes=1))
+        povm = random_povm(GenConfig(dim=3, outcomes=1), np.random.default_rng(1))
         assert np.allclose(povm.effects[0], np.eye(3), atol=1e-12)
 
     def test_completeness_and_values(self):
-        povm = random_povm(GenConfig(seed=7, dim=2, outcomes=4))
+        povm = random_povm(GenConfig(dim=2, outcomes=4), np.random.default_rng(7))
         assert np.max(np.abs(sum(povm.effects) - np.eye(2))) <= 1e-10
         assert povm.space.values == (1.0, 2.0, 3.0, 4.0)
 
     def test_generic_full_support(self):
         for seed in range(20):
-            cfg = GenConfig(seed=seed, dim=3, outcomes=4)
-            povm = random_povm(cfg)
-            rho = random_state(cfg)
+            cfg = GenConfig(dim=3, outcomes=4)
+            povm = random_povm(cfg, np.random.default_rng(seed))
+            rho = random_state(cfg, np.random.default_rng(seed))
             assert float(np.min(povm.apply(rho).weights)) > 0.0
 
 
@@ -106,14 +108,14 @@ class TestUnitariesAndModels:
             assert np.max(np.abs(u.conj().T @ u - np.eye(5))) <= 1e-9
 
     def test_model_unitarity_and_meter(self):
-        model = random_indirect_model(GenConfig(seed=9, dim=3), ancilla_dim=2)
+        model = random_indirect_model(GenConfig(dim=3), np.random.default_rng(9), ancilla_dim=2)
         u = model.interaction
         assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-9
         assert np.allclose(model.meter.matrix, np.diag([1.0, 2.0]), atol=1e-15)
 
     def test_induced_povms_valid_over_seeds(self):
         for seed in range(20):
-            model = random_indirect_model(GenConfig(seed=seed, dim=2), ancilla_dim=2)
+            model = random_indirect_model(GenConfig(dim=2), np.random.default_rng(seed), ancilla_dim=2)
             povm = induced_povm(model)  # raises if PSD/completeness fail
             assert povm.space.size == 2
 

@@ -35,7 +35,7 @@ MIXED = DensityOperator.maximally_mixed(2)
 
 def random_model(dim, ancilla, seed):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(seed=0, dim=dim)
+    cfg = GenConfig(dim=dim)
     model = random_indirect_model(cfg, rng, ancilla_dim=ancilla)
     rho = random_state(cfg, rng)
     a = random_observable(cfg, rng)

@@ -1,0 +1,219 @@
+"""Differential tests of the stacked kernels against the per-outcome,
+per-instance formulas in ``oracles``.
+
+One stack holds instances of 2, 3 and 4 random outcomes plus a split-off
+outcome inside ``tiny_support``, zero-padded to one width, with a pure or a
+mixed state each; every row of every kernel must match the oracle on the
+unpadded instance within 1e-12 times the instance's scale, and every padded
+zero effect must give exactly 0.0.
+"""
+
+import numpy as np
+import pytest
+
+import oracles
+from measerr import GenConfig, kernels, random_observable, random_povm, random_state
+from measerr.tolerances import DEFAULT_TOL
+
+# Weight fraction split off the first effect: its outcome lands inside
+# tiny_support (weight ~1e-10, between the 1e-12 cutoff and 1e-8).
+SPLIT = 1e-9
+TOL = 1e-12
+
+
+def instance(dim, outcomes, mixedness, rng):
+    cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
+    base = random_povm(cfg, rng).effects
+    effects = np.array([(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:]])
+    rho = random_state(cfg, rng).matrix
+    a, b = (random_observable(cfg, rng).matrix for _ in range(2))
+    return effects, rho, a, b, rng.uniform(-2.0, 2.0, len(effects))
+
+
+def stack(dim, seed):
+    """Four instances (pure, mixed, pure, mixed) of 3, 4, 5 and 3 outcomes,
+    padded with zero effects to 6 outcomes."""
+    rng = np.random.default_rng([dim, seed])
+    rows = [instance(dim, n, mix, rng) for n, mix in [(2, "pure"), (3, "ginibre"), (4, "pure"), (2, "ginibre")]]
+    width = 6
+    effects = np.zeros((len(rows), width, dim, dim), dtype=complex)
+    f = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        effects[i, : len(row[0])] = row[0]
+        f[i, : len(row[4])] = row[4]
+    rho, a, b = (np.stack([row[k] for row in rows]) for k in (1, 2, 3))
+    weights = kernels.born(effects, rho)
+    return rows, kernels.context(effects, rho, np.where(weights < 0.0, 0.0, weights)), a, b, f
+
+
+def scale(a):
+    return 1.0 + np.linalg.norm(a, 2)
+
+
+def brute_class(f, g, p):
+    return float(sum(fi * gi * pi for fi, gi, pi in zip(f, g, p)))
+
+
+def brute_norm(x, rho):
+    return np.sqrt(max(oracles.trace_expectation(x @ x, rho).real, 0.0))
+
+
+CASES = [(dim, seed) for dim in (2, 5, 8) for seed in range(3)]
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_padding_and_tiny_support(dim, seed):
+    rows, ctx, a, _, f = stack(dim, seed)
+    for i, row in enumerate(rows):
+        n = len(row[0])
+        assert np.all(ctx.weights[i, n:] == 0.0)
+        assert not ctx.mask[i, n:].any()
+        assert ctx.mask[i, 1] and ctx.weights[i, 1] <= DEFAULT_TOL.tiny_support
+    t = kernels.transport(ctx, a)
+    for i, row in enumerate(rows):
+        n = len(row[0])
+        assert np.all(t.pushforward[i, n:] == 0.0)
+        assert np.all(kernels.pushforward(ctx, a)[i, n:] == 0.0)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_expectations_weights_and_adjoint(dim, seed):
+    rows, ctx, a, b, f = stack(dim, seed)
+    expect = kernels.expect(a, ctx.rho)
+    anti = kernels.anti(a, b, ctx.rho)
+    comm = kernels.comm(a, b, ctx.rho)
+    adjoint = kernels.adjoint(ctx.effects, f)
+    for i, (effects, rho, a_i, b_i, f_i) in enumerate(rows):
+        s = scale(a_i) * scale(b_i)
+        assert abs(expect[i] - oracles.trace_expectation(a_i, rho).real) <= TOL * s
+        assert abs(anti[i] - oracles.sym_inner(a_i, b_i, rho)) <= TOL * s
+        assert abs(comm[i] - oracles.comm_over_2i(a_i, b_i, rho)) <= TOL * s
+        n = len(effects)
+        assert np.max(np.abs(ctx.weights[i, :n] - oracles.probabilities(effects, rho))) <= TOL
+        assert np.max(np.abs(adjoint[i] - oracles.adjoint_brute(effects, f_i))) <= TOL * 3.0
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_transport(dim, seed):
+    rows, ctx, a, _, f = stack(dim, seed)
+    t = kernels.transport(ctx, a)
+    adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
+    for i, (effects, rho, a_i, _, f_i) in enumerate(rows):
+        n, s = len(effects), scale(a_i)
+        fwd = oracles.pushforward_brute(effects, rho, a_i)
+        assert np.max(np.abs(t.pushforward[i, :n] - fwd)) <= TOL * s
+        assert np.max(np.abs(t.roundtrip[i] - oracles.adjoint_brute(effects, fwd))) <= TOL * s
+        assert abs(t.error[i] - oracles.quantum_error_brute(effects, rho, a_i)) <= TOL * s
+        assert adjointness[i] <= TOL * s * scale(f_i)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_relation_and_proof_device(dim, seed):
+    rows, ctx, a, b, _ = stack(dim, seed)
+    rel = kernels.relation(ctx, a, b)
+    flipped = kernels.relation(ctx, a, b, sign_flip=True)
+    device = kernels.proof_device(ctx, a, b, rel.t_a, rel.t_b, rel.real, rel.imag)
+    for i, (effects, rho, a_i, b_i, _) in enumerate(rows):
+        s = scale(a_i) * scale(b_i)
+        p = oracles.probabilities(effects, rho)
+        f_a = oracles.pushforward_brute(effects, rho, a_i)
+        f_b = oracles.pushforward_brute(effects, rho, b_i)
+        rt_a, rt_b = oracles.adjoint_brute(effects, f_a), oracles.adjoint_brute(effects, f_b)
+        real = oracles.sym_inner(a_i, b_i, rho) - brute_class(f_a, f_b, p)
+        cross_a, cross_b = oracles.comm_over_2i(rt_a, b_i, rho), oracles.comm_over_2i(a_i, rt_b, rho)
+        imag = oracles.comm_over_2i(a_i, b_i, rho) - cross_a - cross_b
+        eps_a = oracles.quantum_error_brute(effects, rho, a_i)
+        eps_b = oracles.quantum_error_brute(effects, rho, b_i)
+        assert abs(rel.real[i] - real) <= TOL * s
+        assert abs(rel.imag[i] - imag) <= TOL * s
+        assert abs(flipped.imag[i] - (imag + 2.0 * cross_a)) <= TOL * s
+        assert abs(rel.bound[i] - np.hypot(real, imag)) <= TOL * s
+        assert abs(rel.slack[i] - (eps_a * eps_b - np.hypot(real, imag))) <= TOL * s
+        assert abs(rel.naive[i] - abs(oracles.comm_over_2i(a_i, b_i, rho))) <= TOL * s
+        # the composite semi-inner product, summed term by term
+        u, v = (a_i - rt_a, f_a, rt_a), (b_i - rt_b, f_b, rt_b)
+        cross = (
+            oracles.trace_expectation(u[0] @ v[0], rho)
+            + brute_class(u[1], v[1], p)
+            - oracles.trace_expectation(u[2] @ v[2], rho)
+        )
+        assert abs(device.cross[i] - cross) <= TOL * s
+        assert abs(device.cross[i] - complex(real, imag)) <= TOL * s
+        assert device.residual_a[i] <= 1e-7 * scale(a_i)
+        assert abs(device.seminorm_b[i] - eps_b) <= 1e-7 * scale(b_i)
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_f_error_split_and_contractivity(dim, seed):
+    rows, ctx, a, _, f = stack(dim, seed)
+    t = kernels.transport(ctx, a)
+    split = kernels.f_error_split(ctx, a, t, f)
+    classical, adjoint_norm, gap_min = kernels.contractivity(ctx, f)
+    for i, (effects, rho, a_i, _, f_i) in enumerate(rows):
+        s = scale(a_i) + np.max(np.abs(f_i))
+        p = oracles.probabilities(effects, rho)
+        g = np.where(p > DEFAULT_TOL.support_cutoff, f_i, 0.0)
+        rep = oracles.adjoint_brute(effects, g)
+        f_err = np.sqrt(brute_norm(a_i - rep, rho) ** 2 + brute_class(g, g, p) - brute_norm(rep, rho) ** 2)
+        fwd = oracles.pushforward_brute(effects, rho, a_i)
+        assert abs(split.f_error[i] - f_err) <= 1e-10 * s
+        assert abs(split.estimation[i] - np.sqrt(brute_class(fwd - f_i, fwd - f_i, p))) <= TOL * s
+        assert kernels.split_residual(split.quantum[i], split.estimation[i], split.f_error[i]) <= 1e-10 * s**2
+        adj = oracles.adjoint_brute(effects, f_i)
+        assert abs(classical[i] - np.sqrt(brute_class(f_i, f_i, p))) <= TOL * s
+        assert abs(adjoint_norm[i] - brute_norm(adj, rho)) <= TOL * s
+        gap = oracles.adjoint_brute(effects, f_i**2) - adj @ adj
+        assert abs(gap_min[i] - np.linalg.eigvalsh(gap)[0]) <= TOL * s**2
+
+
+def test_broken_split_raises():
+    with pytest.raises(AssertionError):
+        kernels.check_split(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([np.sqrt(2.0), 1.0]))
+
+
+@pytest.mark.parametrize("dim,seed", CASES)
+def test_errorless_conditions(dim, seed):
+    rows, ctx, a, _, _ = stack(dim, seed)
+    values, projectors = kernels.spectral(a)
+    exact = kernels.context(projectors, ctx.rho, kernels.born(projectors, ctx.rho))
+    for e, (c, is_exact) in [(kernels.errorless(ctx, a), (ctx, False)), (kernels.errorless(exact, a), (exact, True))]:
+        for i, (_, rho, a_i, _, _) in enumerate(rows):
+            effects = c.effects[i][: int(np.count_nonzero(np.abs(c.effects[i]).max(axis=(-2, -1))))]
+            fwd = oracles.pushforward_brute(effects, rho, a_i)
+            rt = oracles.adjoint_brute(effects, fwd)
+            norm_a = brute_norm(a_i, rho)
+            eps = oracles.quantum_error_brute(effects, rho, a_i)
+            residual = brute_norm(a_i - rt, rho)
+            assert abs(e.scale[i] - norm_a) <= TOL * scale(a_i)
+            assert abs(e.roundtrip_residual[i] - residual) <= TOL * scale(a_i)
+            assert e.cond_b[i] == (residual <= DEFAULT_TOL.errorless * norm_a) == is_exact
+            assert e.cond_a[i] == is_exact and e.cond_c[i] == is_exact
+            assert (e.error[i] ** 2 <= DEFAULT_TOL.errorless * norm_a**2) == is_exact
+            if not is_exact:
+                assert abs(e.error[i] - eps) <= TOL * scale(a_i)
+
+
+@pytest.mark.parametrize("dim", [2, 5, 8])
+def test_spectral_merges_degenerate_eigenvalues(dim):
+    rng = np.random.default_rng(dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    eigs = np.array([[1.0] * (dim - 1) + [3.0], np.arange(dim, dtype=float)])
+    a = np.einsum("ij,nj,kj->nik", q, eigs, q.conj())
+    values, projectors = kernels.spectral(a)
+    assert values.shape == (2, dim)
+    assert np.allclose(values[0, :2], [1.0, 3.0], atol=1e-12) and np.all(values[0, 2:] == 0.0)
+    assert np.all(projectors[0, 2:] == 0.0)
+    assert np.allclose(values[1], np.arange(dim), atol=1e-12)
+    for i in range(2):
+        assert np.max(np.abs(projectors[i].sum(axis=0) - np.eye(dim))) <= 1e-12
+        assert np.max(np.abs(kernels.adjoint(projectors[i], values[i]) - a[i])) <= 1e-12 * dim
+        assert np.max(np.abs(projectors[i] @ projectors[i] - projectors[i])) <= 1e-12
+
+
+def test_single_instances_need_no_leading_axis():
+    rows, ctx, a, b, f = stack(3, 0)
+    one = kernels.context(ctx.effects[1], ctx.rho[1], ctx.weights[1])
+    rel, rel_one = kernels.relation(ctx, a, b), kernels.relation(one, a[1], b[1])
+    assert np.ndim(rel_one.bound) == 0
+    for field in ("eps_a", "eps_b", "real", "imag", "bound"):
+        assert getattr(rel_one, field) == getattr(rel, field)[1]

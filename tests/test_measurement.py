@@ -64,8 +64,8 @@ class TestAdjoint:
 
     def test_constant_function_gives_identity(self):
         for seed in range(5):
-            cfg = GenConfig(seed=seed, dim=3, outcomes=4)
-            povm = random_povm(cfg)
+            cfg = GenConfig(dim=3, outcomes=4)
+            povm = random_povm(cfg, np.random.default_rng(seed))
             total = povm.adjoint(OutcomeFunction.constant(povm.space, 1.0))
             assert np.max(np.abs(total.matrix - np.eye(3))) <= 1e-10
 
@@ -78,7 +78,7 @@ class TestAdjoint:
         for dim in (2, 3, 4):
             for seed in range(30):
                 rng = np.random.default_rng((dim, seed))
-                cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 6)))
+                cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
                 povm = random_povm(cfg, rng)
                 rho = random_state(cfg, rng)
                 f = OutcomeFunction(povm.space, rng.uniform(-2, 2, povm.space.size))
@@ -184,12 +184,12 @@ class TestContractivity:
         assert report.gap_min_eigenvalue == pytest.approx(0.64, abs=1e-12)
 
     def test_constant_function_gap_vanishes(self):
-        cfg = GenConfig(seed=5, dim=3, outcomes=4)
-        povm = random_povm(cfg)
+        cfg = GenConfig(dim=3, outcomes=4)
+        povm = random_povm(cfg, np.random.default_rng(5))
         report = contractivity_check(
             povm,
             OutcomeFunction.constant(povm.space, 1.7),
-            random_state(cfg),
+            random_state(cfg, np.random.default_rng(5)),
         )
         assert abs(report.gap_min_eigenvalue) <= 1e-9
 
@@ -199,10 +199,10 @@ class TestContractivity:
 def test_affineness(seed, lam):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 6))
-    cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 6)))
+    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
     povm = random_povm(cfg, rng)
     rho1 = random_state(cfg, rng)
-    rho2 = random_state(GenConfig(seed=0, dim=dim, mixedness="pure"), rng)
+    rho2 = random_state(GenConfig(dim=dim, mixedness="pure"), rng)
     mixed = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
     lhs = povm.apply(mixed).weights
     rhs = lam * povm.apply(rho1).weights + (1 - lam) * povm.apply(rho2).weights

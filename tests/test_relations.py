@@ -35,7 +35,7 @@ Z = HermitianObservable(PAULI_Z)
 
 def random_setup(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(seed=0, dim=dim, outcomes=int(rng.integers(2, 7)), mixedness=mixedness)
+    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 7)), mixedness=mixedness)
     ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
     return ctx, random_observable(cfg, rng), random_observable(cfg, rng), rng
 
@@ -52,7 +52,7 @@ class TestRealPart:
     def test_trivial_measurement_closed_form(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            cfg = GenConfig(seed=0, dim=3)
+            cfg = GenConfig(dim=3)
             rho = random_state(cfg, rng)
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
@@ -76,7 +76,7 @@ class TestImagPart:
     def test_trivial_measurement_keeps_bare_commutator(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            cfg = GenConfig(seed=0, dim=3)
+            cfg = GenConfig(dim=3)
             rho = random_state(cfg, rng)
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
@@ -143,7 +143,7 @@ class TestProofDevice:
 
     def test_trivial_reduces_to_covariance_form(self):
         rng = np.random.default_rng(3)
-        cfg = GenConfig(seed=0, dim=3)
+        cfg = GenConfig(dim=3)
         rho = random_state(cfg, rng)
         a = random_observable(cfg, rng)
         b = random_observable(cfg, rng)
@@ -181,7 +181,7 @@ class TestSchroedingerReduction:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             dim = int(rng.integers(2, 6))
-            cfg = GenConfig(seed=0, dim=dim)
+            cfg = GenConfig(dim=dim)
             rho = random_state(cfg, rng)
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)

@@ -55,7 +55,7 @@ class TestPovmFormat:
             assert np.array_equal(e1, e2)
 
     def test_round_trip_through_text(self):
-        povm = random_povm(GenConfig(seed=3, dim=3, outcomes=3))
+        povm = random_povm(GenConfig(dim=3, outcomes=3), np.random.default_rng(3))
         text = json_text(povm_to_json(povm))
         clone = povm_from_json(json.loads(text))
         for e1, e2 in zip(clone.effects, povm.effects):
@@ -73,9 +73,9 @@ class TestModelFormat:
 
 class TestDistributionFormat:
     def test_label_weight_map(self):
-        cfg = GenConfig(seed=1, dim=2, outcomes=3)
-        povm = random_povm(cfg)
-        p = povm.apply(random_state(cfg))
+        cfg = GenConfig(dim=2, outcomes=3)
+        povm = random_povm(cfg, np.random.default_rng(1))
+        p = povm.apply(random_state(cfg, np.random.default_rng(1)))
         data = distribution_to_json(p)
         assert set(data) == set(povm.space.labels)
         assert sum(data.values()) == pytest.approx(1.0, abs=1e-10)
@@ -112,8 +112,9 @@ class TestFloatPolicy:
 
 class TestCsvRow:
     def _report(self):
-        cfg = GenConfig(seed=2, dim=2, outcomes=3)
-        ctx = LocalContext(random_povm(cfg), random_state(cfg))
+        cfg = GenConfig(dim=2, outcomes=3)
+        povm = random_povm(cfg, np.random.default_rng(2))
+        ctx = LocalContext(povm, random_state(cfg, np.random.default_rng(2)))
         rng = np.random.default_rng(5)
         return evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
 

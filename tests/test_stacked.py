@@ -29,7 +29,7 @@ def edge_instance(dim, mixedness, seed):
     """Random POVM with outcome 0 split into (1 - SPLIT) E_0 and SPLIT E_0,
     plus a zero effect last; a random state and observable."""
     rng = np.random.default_rng([dim, seed])
-    cfg = GenConfig(seed=0, dim=dim, outcomes=3, mixedness=mixedness)
+    cfg = GenConfig(dim=dim, outcomes=3, mixedness=mixedness)
     base = random_povm(cfg, rng).effects
     zero = np.zeros((dim, dim), dtype=complex)
     effects = [(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:], zero]

@@ -24,7 +24,6 @@ from measerr import (
     spectral_decompose,
     state_inner,
     state_norm,
-    std_dev_c,
     std_dev_q,
 )
 
@@ -148,7 +147,6 @@ class TestClassicalGeometry:
         p = ProbabilityDistribution(self.space, [0.3, 0.7])
         f = OutcomeFunction.constant(self.space, 2.5)
         assert class_mean(f, p) == pytest.approx(2.5)
-        assert std_dev_c(f, p) == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_product(self):
         p = ProbabilityDistribution(self.space, [0.75, 0.25])

@@ -1,23 +1,23 @@
 """Suite bookkeeping: how checks, failures and the worst residual add up,
-and how often the suites push an observable forward."""
+and how often the suites transport an observable."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
 
 from measerr import (
     GenConfig,
+    LocalContext,
     chain_check,
     evaluate_relation,
     random_indirect_model,
     random_observable,
+    random_povm,
     random_state,
 )
-from measerr import transport as transport_module
-from measerr import suites
-from measerr.suites import SuiteResult, _instance
+from measerr import generate, kernels, suites
+from measerr.suites import SuiteResult
 
 
 class TestSuiteResult:
@@ -43,45 +43,100 @@ class TestSuiteResult:
 
 
 @pytest.fixture
-def pushforward_calls(monkeypatch):
-    """Count every pushforward: wrap ``measerr.transport.pushforward`` and
-    the same function under every name a ``measerr`` module imported it as
-    (the suites call it directly)."""
+def transport_calls(monkeypatch):
+    """Count the calls of the transport kernel ``kernels.pushforward``, which
+    ``kernels.transport`` calls once: one call transports one observable, for
+    one instance or for a whole (suite, dim) block."""
     calls = []
-    original = transport_module.pushforward
+    original = kernels.pushforward
 
     def counted(ctx, a):
-        calls.append((ctx, a))
+        calls.append(a.shape)
         return original(ctx, a)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("measerr.") and getattr(module, "pushforward", None) is original:
-            monkeypatch.setattr(module, "pushforward", counted)
+    monkeypatch.setattr(kernels, "pushforward", counted)
     return calls
 
 
 class TestTransportOnce:
-    """Each (context, observable) is pushed forward once."""
+    """Each (context, observable) is transported once: by one kernel call per
+    observable per (suite, dim) block."""
 
-    def test_evaluate_relation(self, pushforward_calls):
-        ctx, a, b = _instance(3, np.random.default_rng(1))
-        evaluate_relation(ctx, a, b)
-        assert len(pushforward_calls) == 2
+    def test_evaluate_relation(self, transport_calls):
+        rng = np.random.default_rng(1)
+        cfg = GenConfig(dim=3, outcomes=4)
+        ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
+        evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
+        assert transport_calls == [(3, 3)] * 2
 
-    def test_chain_check(self, pushforward_calls):
+    def test_chain_check(self, transport_calls):
         rng = np.random.default_rng(2)
         for dim in (2, 3, 5):
-            cfg = GenConfig(seed=0, dim=dim, mixedness="ginibre")
+            cfg = GenConfig(dim=dim, mixedness="ginibre")
             model = random_indirect_model(cfg, rng, ancilla_dim=2)
             rho = random_state(cfg, rng)
             chain_check(model, rho, random_observable(cfg, rng), random_observable(cfg, rng))
-        assert len(pushforward_calls) == 2 * 3
+        assert len(transport_calls) == 2 * 3
 
-    def test_error_decomposition(self, pushforward_calls):
+    def test_error_decomposition(self, transport_calls):
         suites.suite_error_decomposition((2, 4), 3, seed=5)
-        assert len(pushforward_calls) == 1 * 6
+        assert transport_calls == [(3, 2, 2), (3, 4, 4)]
 
-    def test_transport_adjointness(self, pushforward_calls):
-        # a, b and the linear combination alpha a + beta b
+    def test_blocks_bound_the_stack(self, transport_calls):
+        n = 2 * suites._BLOCK + 1
+        suites.suite_error_decomposition((3,), n, seed=5)
+        assert transport_calls == [(suites._BLOCK, 3, 3)] * 2 + [(1, 3, 3)]
+
+    def test_transport_adjointness(self, transport_calls):
+        # a, b and the linear combination alpha a + beta b, per block
         suites.suite_transport_adjointness((2, 4), 3, seed=5)
-        assert len(pushforward_calls) == 3 * 6
+        assert transport_calls == [(3, 2, 2)] * 3 + [(3, 4, 4)] * 3
+
+
+class TestRecordBlock:
+    def test_matches_record_check_by_check(self):
+        rng = np.random.default_rng(0)
+        n = 40
+        residuals = [rng.uniform(0.0, 2.0, n) for _ in range(3)]
+        residuals[1][[7, 30]] = [math.nan, math.inf]
+        oks = [r <= 1.5 for r in residuals]
+        checks = [(ok, r, f"check {k}", lambda i: f"{i}") for k, (ok, r) in enumerate(zip(oks, residuals))]
+        block = SuiteResult("s")
+        block.record(True, 0.25, "")
+        block.record_block(3, range(10, 10 + n), checks)
+        single = SuiteResult("s")
+        single.record(True, 0.25, "")
+        for i in range(n):
+            for k, (ok, r) in enumerate(zip(oks, residuals)):
+                single.record(bool(ok[i]), float(r[i]), f"check {k} at dim=3 i={10 + i}: {i}")
+        assert (block.checks, block.failures, block.messages) == (single.checks, single.failures, single.messages)
+        assert repr(block.worst) == repr(single.worst) == "nan"
+
+    def test_scalar_checks_broadcast(self):
+        out = SuiteResult("s")
+        out.record_block(2, range(2), [(True, 0.0, "a"), (np.array([True, False]), np.array([1.0, 2.0]), "b")])
+        assert (out.checks, out.failures, out.worst, out.messages) == (4, 1, 2.0, ["b at dim=2 i=1"])
+
+
+def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
+    """An instance whose POVM factors fail the whitening test is drawn again,
+    and then its POVM and every later draw are those of the per-instance
+    generators run on its stream."""
+    monkeypatch.setattr(generate, "_MIN_CONDITION", 0.2)
+    retried = []
+
+    def draw(rng, dim, retry):
+        retried.append(retry)
+        return suites._draw_instance(rng, dim, retry)
+
+    cols = suites._draw_block(11, "main-relation", 4, range(12), draw)
+    assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
+    for i in range(12):
+        rng = suites._rng(11, "main-relation", 4, i)
+        outcomes = int(rng.integers(2, 7))
+        cfg = GenConfig(dim=4, outcomes=outcomes, mixedness="pure" if rng.random() < 0.3 else "ginibre")
+        assert np.array_equal(cols["povm"][i, :outcomes], random_povm(cfg, rng).effects)
+        assert np.all(cols["povm"][i, outcomes:] == 0.0)
+        rho = suites._states([cols["rho"][i]], [cfg.mixedness == "pure"])[0]
+        assert np.array_equal(rho, random_state(cfg, rng).matrix)
+        assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)

@@ -42,7 +42,7 @@ def make_ctx(povm, rho):
 def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = outcomes or int(rng.integers(2, 6))
-    cfg = GenConfig(seed=0, dim=dim, outcomes=outcomes, mixedness=mixedness)
+    cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
     ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
     return ctx, random_observable(cfg, rng), rng
 
@@ -62,7 +62,7 @@ class TestPushforward:
         space = OutcomeSpace(("a", "b", "c"), (0.0, 1.0, 2.0))
         p0 = ProbabilityDistribution(space, [0.2, 0.3, 0.5])
         rng = np.random.default_rng(4)
-        cfg = GenConfig(seed=0, dim=3)
+        cfg = GenConfig(dim=3)
         rho = random_state(cfg, rng)
         a = random_observable(cfg, rng)
         ctx = make_ctx(trivial_measurement(p0, 3), rho)
