@@ -8,9 +8,9 @@ results do not depend on scheduling.
 
 Generation is split in two.  The ``draw_*`` functions make one instance's
 raw Gaussian draws, in stream order; the stacked functions (``povm_effects``,
-``state_matrices``, ``observable_matrices``) turn a whole stack of draws into
-matrices at once.  The ``random_*`` generators are both steps for one
-instance; the ``verify`` suites draw instance by instance and build each
+``state_matrices``, ``observable_matrices``, ``haar_unitaries``) turn a whole
+stack of draws into matrices at once.  The ``random_*`` generators are both
+steps for one instance; the suites draw instance by instance and build each
 block of instances as one stack.
 """
 
@@ -70,12 +70,18 @@ def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return _complex_normals(rng, 1, shape)[0]
 
 
+def haar_unitaries(factors: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from complex Gaussian factors, one
+    ``(D, D)`` or a stack: QR with the R diagonal phase-fixed to make the
+    factorization unique."""
+    q, r = np.linalg.qr(factors)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian matrix, with
-    the R diagonal phase-fixed to make the factorization unique."""
-    q, r = np.linalg.qr(_complex_normal(rng, (dim, dim)))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """One Haar-distributed unitary of dimension ``dim``."""
+    return haar_unitaries(_complex_normal(rng, (dim, dim)))
 
 
 def draw_povm(rng: np.random.Generator, dim: int, outcomes: int, *, retry: bool = False) -> np.ndarray:
@@ -168,6 +174,17 @@ def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:
     return Povm(space, effects, kind=MeasurementKind.CUSTOM)
 
 
+def draw_indirect_model(rng: np.random.Generator, dim: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ancilla ket ``(ancilla_dim,)`` and the Gaussian factor ``(D, D)``
+    of the Haar interaction of one random indirect model, in stream order."""
+    return _complex_normal(rng, ancilla_dim), _complex_normal(rng, (dim * ancilla_dim,) * 2)
+
+
+def diagonal_meter(ancilla_dim: int) -> np.ndarray:
+    """The nondegenerate meter diag(1, ..., ancilla_dim) of random models."""
+    return np.diag(np.arange(1, ancilla_dim + 1, dtype=complex))
+
+
 def random_indirect_model(
     cfg: GenConfig,
     rng: np.random.Generator,
@@ -175,7 +192,6 @@ def random_indirect_model(
     ancilla_dim: int = 2,
 ) -> IndirectModel:
     """Haar interaction, random pure ancilla, nondegenerate diagonal meter."""
-    ancilla = DensityOperator.pure(_complex_normal(rng, ancilla_dim))
-    interaction = haar_unitary(cfg.dim * ancilla_dim, rng)
-    meter = HermitianObservable(np.diag(np.arange(1, ancilla_dim + 1, dtype=complex)))
-    return IndirectModel(cfg.dim, ancilla, interaction, meter)
+    ket, factor = draw_indirect_model(rng, cfg.dim, ancilla_dim)
+    meter = HermitianObservable(diagonal_meter(ancilla_dim))
+    return IndirectModel(cfg.dim, DensityOperator.pure(ket), haar_unitaries(factor), meter)

@@ -17,21 +17,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import f_error
 from .measurement import MeasurementKind, Povm
-from .relations import evaluate_relation
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeFunction,
-    OutcomeSpace,
-    PAULI_Z,
-    ProbabilityDistribution,
-    spectral_decompose,
-    std_dev_q,
-)
+from .states import DensityOperator, HermitianObservable, OutcomeSpace, PAULI_Z, _check_finite, _check_same_dim
 from .transport import LocalContext
 from .tolerances import DEFAULT_TOL, Tolerances
+
+
+def check_unitaries(stack: np.ndarray) -> None:
+    """Validate interactions, one ``(D, D)`` matrix or a stack: finite and
+    unitary within DEFAULT_TOL.identity."""
+    _check_finite(stack, "interaction")
+    residual = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))))
+    if residual > DEFAULT_TOL.identity:
+        raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
 
 
 class IndirectModel:
@@ -52,11 +50,7 @@ class IndirectModel:
             raise ValueError(
                 f"interaction must act on the {joint_dim}-dimensional joint system"
             )
-        if not np.all(np.isfinite(u)):
-            raise ValueError("interaction entries must be finite")
-        residual = float(np.max(np.abs(u.conj().T @ u - np.eye(joint_dim))))
-        if residual > DEFAULT_TOL.identity:
-            raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
+        check_unitaries(u)
         if meter.dim != ancilla_state.dim:
             raise ValueError("meter must act on the ancilla")
         u.setflags(write=False)
@@ -81,24 +75,20 @@ def cnot_model() -> IndirectModel:
     return IndirectModel(2, ancilla, u, HermitianObservable(PAULI_Z))
 
 
-def _heisenberg_meter(model: IndirectModel, meter_matrix: np.ndarray) -> np.ndarray:
-    eye_s = np.eye(model.system_dim, dtype=complex)
-    return model.interaction.conj().T @ np.kron(eye_s, meter_matrix) @ model.interaction
-
-
 def induced_povm(model: IndirectModel) -> Povm:
     """System POVM obtained by tracing the ancilla out of the evolved meter
     projectors: E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U]."""
-    ds, da = model.system_dim, model.ancilla_dim
-    xi = model.ancilla_state.matrix
-    decomp = spectral_decompose(model.meter)
-    effects = []
-    for _, proj in decomp:
-        evolved = _heisenberg_meter(model, proj.matrix).reshape(ds, da, ds, da)
-        eff = np.einsum("jl,ilmj->im", xi, evolved)
-        effects.append((eff + eff.conj().T) / 2.0)
-    space = OutcomeSpace.from_values([val for val, _ in decomp])
-    return Povm(space, effects, kind=MeasurementKind.INDUCED)
+    values, projectors = kernels.spectral(model.meter.matrix)
+    effects = kernels.induced_effects(model.interaction, model.ancilla_state.matrix, projectors)
+    return Povm(OutcomeSpace.from_values(values), effects, kind=MeasurementKind.INDUCED)
+
+
+def _meter_and_joint(model: IndirectModel, rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
+    """The Heisenberg meter U^dag (I (x) M) U and the joint state rho (x) xi."""
+    return (
+        kernels.heisenberg(model.interaction, model.meter.matrix),
+        kernels.kron(rho.matrix, model.ancilla_state.matrix),
+    )
 
 
 def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservable) -> float:
@@ -106,13 +96,7 @@ def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservab
     observable over rho (x) ancilla state."""
     if a.dim != model.system_dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {model.system_dim}")
-    noise = _heisenberg_meter(model, model.meter.matrix) - np.kron(
-        a.matrix, np.eye(model.ancilla_dim)
-    )
-    val = float(kernels.expect(noise @ noise, np.kron(rho.matrix, model.ancilla_state.matrix)))
-    if val < -DEFAULT_TOL.psd:
-        raise RuntimeError(f"negative squared error {val:.3e}")
-    return float(np.sqrt(max(val, 0.0)))
+    return float(kernels.rms_error(*_meter_and_joint(model, rho), a.matrix))
 
 
 @dataclass(frozen=True)
@@ -124,8 +108,7 @@ class ChainReport:
     that order, and ``holds[i]`` whether values[i] >= values[i + 1] within
     the slack.  ``bridge_residual_*`` ties the rms error to the
     identity-estimator f-error of the induced measurement, which is the
-    decisive correctness check of the induced POVM, whose outcome
-    distribution over rho is ``distribution``.
+    decisive correctness check of the induced POVM.
     """
 
     values: tuple[float, float, float, float, float]
@@ -140,7 +123,6 @@ class ChainReport:
     bridge_residual_b: float
     dominance_a: bool
     dominance_b: bool
-    distribution: ProbabilityDistribution
 
     @property
     def all_hold(self) -> bool:
@@ -155,43 +137,13 @@ def chain_check(
     *,
     tol: Tolerances = DEFAULT_TOL,
 ) -> ChainReport:
+    """``kernels.chain`` on one model, with ``tol.identity`` as the slack."""
     povm = induced_povm(model)
     ctx = LocalContext(povm, rho)
-    report = evaluate_relation(ctx, a, b)
-    identity_est = OutcomeFunction.identity(povm.space)
-
-    rms_a = ozawa_error(model, rho, a)
-    rms_b = ozawa_error(model, rho, b)
-    bridge_a = abs(rms_a - f_error(ctx, report.transport_a, identity_est).f_error)
-    bridge_b = abs(rms_b - f_error(ctx, report.transport_b, identity_est).f_error)
-    sigma_a = std_dev_q(a, rho)
-    sigma_b = std_dev_q(b, rho)
-
-    commutator_bound = report.naive_bound
-    rhs_final = commutator_bound - rms_a * sigma_b - sigma_a * rms_b
-    values = (
-        rms_a * rms_b,
-        report.eps_a * report.eps_b,
-        report.bound,
-        abs(report.imag_term),
-        rhs_final,
+    _check_same_dim(a, ctx)
+    _check_same_dim(b, ctx)
+    c = kernels.chain(
+        ctx.arrays, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), tol.identity
     )
-    holds = tuple(
-        lhs >= rhs - tol.identity * (1.0 + abs(lhs)) for lhs, rhs in zip(values, values[1:])
-    )
-    slack = tol.identity * (1.0 + rms_a + rms_b)
-    return ChainReport(
-        values=values,
-        holds=holds,
-        rms_a=rms_a,
-        rms_b=rms_b,
-        eps_a=report.eps_a,
-        eps_b=report.eps_b,
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        bridge_residual_a=bridge_a,
-        bridge_residual_b=bridge_b,
-        dominance_a=rms_a >= report.eps_a - slack,
-        dominance_b=rms_b >= report.eps_b - slack,
-        distribution=ctx.prob,
-    )
+    values, holds, *rest = c
+    return ChainReport(tuple(values.tolist()), tuple(holds.tolist()), *(x.item() for x in rest))

@@ -1,9 +1,9 @@
 """The numerical core: pure functions on stacked arrays.
 
-Each formula that the object API and the ``verify`` suites share lives here
-once: the object API (``LocalContext``, ``transport``, ``evaluate_relation``,
-``errorless_check``, ...) calls it on single instances, the suites on whole
-(suite, dimension) blocks.
+Each formula that the object API and the suites share lives here once: the
+object API (``LocalContext``, ``transport``, ``evaluate_relation``,
+``errorless_check``, ``chain_check``, ...) calls it on single instances, the
+suites on whole (suite, dimension) blocks.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
@@ -315,4 +315,78 @@ def errorless(ctx: Context, a: np.ndarray) -> Errorless:
         error=t.error,
         roundtrip_residual=residual,
         scale=scale,
+    )
+
+
+def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kronecker product x (x) y of the last two axes, broadcast over leading axes."""
+    rows, cols = x.shape[-2] * y.shape[-2], x.shape[-1] * y.shape[-1]
+    out = x[..., :, None, :, None] * y[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (rows, cols))
+
+
+def heisenberg(u: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """U^dag (I (x) P) U: ancilla operators P ``(..., a, a)`` evolved back
+    through joint unitaries U ``(..., D, D)``, the system factor first."""
+    return u.conj().swapaxes(-1, -2) @ kron(np.eye(u.shape[-1] // p.shape[-1]), p) @ u
+
+
+def induced_effects(u: np.ndarray, xi: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    """Effects Tr_anc[(I (x) xi) U^dag (I (x) P_w) U] ``(..., n, d, d)``
+    induced on the system by the meter projectors P_w ``(..., n, a, a)``
+    read after U ``(..., D, D)`` from the ancilla state xi ``(..., a, a)``."""
+    da = xi.shape[-1]
+    ds = u.shape[-1] // da
+    evolved = heisenberg(u[..., None, :, :], projectors)
+    evolved = evolved.reshape(evolved.shape[:-2] + (ds, da, ds, da))
+    eff = np.einsum("...jl,...ilmj->...im", xi[..., None, :, :], evolved)
+    return (eff + eff.conj().swapaxes(-1, -2)) / 2.0
+
+
+def rms_error(meter_h: np.ndarray, joint: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Ozawa's root-mean-square error ||M_H - A (x) I||_{rho (x) xi} of the
+    Heisenberg meter M_H for A, over the joint state ``joint``."""
+    return norm(meter_h - kron(a, np.eye(meter_h.shape[-1] // a.shape[-1])), joint)
+
+
+class Chain(_Record):
+    """The five chain terms ``(..., 5)``, whether each is at least the next
+    ``(..., 4)``, and the rms errors, errors, standard deviations, bridge
+    residuals and dominance flags of A and B."""
+
+    __slots__ = (
+        "values", "holds", "rms_a", "rms_b", "eps_a", "eps_b", "sigma_a", "sigma_b",
+        "bridge_a", "bridge_b", "dominance_a", "dominance_b",
+    )
+
+
+def chain(
+    ctx: Context, a: np.ndarray, b: np.ndarray, meter_h: np.ndarray, joint: np.ndarray,
+    estimator: np.ndarray, slack: float,
+) -> Chain:
+    """rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= |<[A,B]/2i>|
+    - rms(A)sigma(B) - sigma(A)rms(B) on the induced measurement ``ctx``
+    of an indirect model with Heisenberg meter ``meter_h`` and joint state
+    ``joint``.  Each link holds within slack (1 + |left term|), and rms >=
+    eps within slack (1 + rms(A) + rms(B)).  The bridge residual |rms -
+    f-error of ``estimator``| (the meter's eigenvalues) ties the rms error
+    to the induced measurement."""
+    rel = relation(ctx, a, b)
+    rms_a, rms_b = rms_error(meter_h, joint, a), rms_error(meter_h, joint, b)
+    sigma_a, sigma_b = std_dev(a, ctx.rho), std_dev(b, ctx.rho)
+    values = np.stack([
+        rms_a * rms_b,
+        rel.eps_a * rel.eps_b,
+        rel.bound,
+        np.abs(rel.imag),
+        rel.naive - rms_a * sigma_b - sigma_a * rms_b,
+    ], axis=-1)
+    holds = values[..., :-1] >= values[..., 1:] - slack * (1.0 + np.abs(values[..., :-1]))
+    rms_slack = slack * (1.0 + rms_a + rms_b)
+    return Chain(
+        values, holds, rms_a, rms_b, rel.eps_a, rel.eps_b, sigma_a, sigma_b,
+        np.abs(rms_a - f_error_split(ctx, a, rel.t_a, estimator).f_error),
+        np.abs(rms_b - f_error_split(ctx, b, rel.t_b, estimator).f_error),
+        rms_a >= rel.eps_a - rms_slack,
+        rms_b >= rel.eps_b - rms_slack,
     )

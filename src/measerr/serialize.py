@@ -46,11 +46,19 @@ def povm_to_json(povm: Povm) -> dict:
     }
 
 
+def _check_declared(data: dict, key: str, actual: int) -> None:
+    """A dimension the file declares under ``key`` must match its matrices."""
+    if key in data and data[key] != actual:
+        raise ValueError(f"{key} is {data[key]}, but the matrices are {actual}-dimensional")
+
+
 def povm_from_json(data: dict) -> Povm:
     space = OutcomeSpace(tuple(data["labels"]), tuple(data["values"]))
     effects = [matrix_from_json(e) for e in data["effects"]]
     kind = MeasurementKind(data.get("kind", "custom"))
-    return Povm(space, effects, kind=kind)
+    povm = Povm(space, effects, kind=kind)
+    _check_declared(data, "dim", povm.dim)
+    return povm
 
 
 def model_to_json(model: IndirectModel) -> dict:
@@ -64,12 +72,14 @@ def model_to_json(model: IndirectModel) -> dict:
 
 
 def model_from_json(data: dict) -> IndirectModel:
-    return IndirectModel(
+    model = IndirectModel(
         int(data["system_dim"]),
         DensityOperator(matrix_from_json(data["ancilla_state"])),
         matrix_from_json(data["interaction"]),
         HermitianObservable(matrix_from_json(data["meter"])),
     )
+    _check_declared(data, "ancilla_dim", model.ancilla_dim)
+    return model
 
 
 def load_state(path) -> DensityOperator:

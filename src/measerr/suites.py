@@ -5,10 +5,11 @@ how many failed, and the worst residual seen.  Instance randomness is
 derived per (suite, dim, index), so results are independent of execution
 order and stable across runs with the same seed.
 
-The ``verify`` suites work on stacks: the instances of one dimension are
-taken in blocks of at most ``_BLOCK``; each instance is drawn from its own
-stream, in index order, then the whole block is built, validated once and
-checked with the stacked formulas of ``kernels``.
+The suites work on stacks: the instances of one dimension (of one
+(dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
+most ``_BLOCK``; each instance is drawn from its own stream, in index order,
+then the whole block is built, validated once and checked with the stacked
+formulas of ``kernels``.
 """
 
 from __future__ import annotations
@@ -22,20 +23,20 @@ import numpy as np
 from . import kernels
 from .errors import ErrorlessConditions
 from .generate import (
-    GenConfig,
+    diagonal_meter,
+    draw_indirect_model,
     draw_observable,
     draw_povm,
     draw_state,
+    ginibre_states,
+    haar_unitaries,
     observable_matrices,
     povm_effects,
-    random_indirect_model,
-    random_observable,
-    random_state,
     state_matrices,
 )
-from .indirect import chain_check
+from .indirect import check_unitaries
 from .measurement import check_effects
-from .states import check_observables, check_states, check_weights, spectral_decompose
+from .states import check_observables, check_states, check_weights, pure_states
 from .tolerances import DEFAULT_TOL, Tolerances
 
 _SUITE_STREAM = {
@@ -77,10 +78,11 @@ class SuiteResult:
             if len(self.messages) < 5:
                 self.messages.append(message() if callable(message) else message)
 
-    def record_block(self, dim: int, block: range, checks) -> None:
-        """Count the checks of the instances ``block`` of dimension ``dim`` as
-        ``record`` counts them, instance by instance and, within an instance,
-        in the order of ``checks``.  A check is (ok, residual, what, detail):
+    def record_block(self, dim, block: range, checks) -> None:
+        """Count the checks of the instances ``block`` of dimension ``dim`` (a
+        number, or a label such as "3x2") as ``record`` counts them, instance
+        by instance and, within an instance, in the order of ``checks``.  A
+        check is (ok, residual, what, detail):
         ok and residual are arrays over the block (or one value for all), and
         a failure reads "<what> at dim=<dim> i=<index>", followed by
         ": <detail(i)>" when ``detail`` is given (i indexes the block).  A
@@ -475,56 +477,54 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     return out
 
 
+def _chain_models(seed: int, dim: int, ancilla: int, block: range) -> tuple:
+    """The validated ancilla states, interactions, Ginibre states and two
+    observables of the random models ``block``, each drawn from its own
+    stream in the order of ``random_indirect_model``, ``random_state`` and
+    ``random_observable``."""
+    draws = []
+    for i in block:
+        rng = _rng(seed, "ozawa-chain", dim, ancilla, i)
+        ket, factor = draw_indirect_model(rng, dim, ancilla)
+        draws.append((ket, factor, draw_state(rng, dim, "ginibre"), draw_observable(rng, dim), draw_observable(rng, dim)))
+    kets, factors, g, a, b = (np.stack(col) for col in zip(*draws))
+    u = haar_unitaries(factors)
+    check_unitaries(u)
+    return check_states(pure_states(kets)), u, check_states(ginibre_states(g)), _observables(a), _observables(b)
+
+
 def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """Random indirect models: induced POVM consistency with the joint meter
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
     out = SuiteResult("ozawa-chain")
     for dim, ancilla in pairs:
-        for i in range(n):
-            rng = _rng(seed, out.name, dim, ancilla, i)
-            cfg = GenConfig(dim=dim, mixedness="ginibre")
-            model = random_indirect_model(cfg, rng, ancilla_dim=ancilla)
-            rho = random_state(cfg, rng)
-            a = random_observable(cfg, rng)
-            b = random_observable(cfg, rng)
+        meter = diagonal_meter(ancilla)
+        values, projectors = kernels.spectral(meter)
+        for _, block in _sweep((dim,), n):
+            xi, u, rho, a, b = _chain_models(seed, dim, ancilla, block)
+            effects = kernels.induced_effects(u, xi, projectors)
+            check_effects(effects)
+            ctx = _context(effects, rho)
+            joint = kernels.kron(rho, xi)
+            c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, tol.identity)
 
-            report = chain_check(model, rho, a, b, tol=tol)
-            meter_projs = [proj for _, proj in spectral_decompose(model.meter)]
-            joint = model.interaction @ np.kron(rho.matrix, model.ancilla_state.matrix) @ model.interaction.conj().T
-            direct = np.array(
-                [
-                    np.trace(joint @ np.kron(np.eye(dim), proj.matrix)).real
-                    for proj in meter_projs
-                ]
-            )
-            residual = float(np.max(np.abs(report.distribution.weights - direct)))
-            out.record(
-                residual <= tol.expectation,
-                residual,
-                f"induced distribution mismatch at dim={dim}x{ancilla} i={i}: {residual:.3e}",
-            )
-
-            residual = max(report.bridge_residual_a, report.bridge_residual_b)
-            out.record(
-                residual <= tol.identity * (1.0 + report.rms_a + report.rms_b),
-                residual,
-                f"bridge identity broke at dim={dim}x{ancilla} i={i}: {residual:.3e}",
-            )
-            out.record(
-                report.dominance_a and report.dominance_b,
-                max(report.eps_a - report.rms_a, report.eps_b - report.rms_b, 0.0),
-                f"rms error below intrinsic error at dim={dim}x{ancilla} i={i}",
-            )
-            values = report.values
-            out.record(
-                report.all_hold,
-                max(
-                    (rhs - lhs for lhs, rhs, ok in zip(values, values[1:], report.holds) if not ok),
-                    default=0.0,
-                ),
-                f"chain broke at dim={dim}x{ancilla} i={i}: {values}",
-            )
+            # the induced distribution, read off the evolved joint state
+            evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
+            direct = np.trace(evolved @ kernels.kron(np.eye(dim), projectors), axis1=-2, axis2=-1).real
+            distribution = _max_abs(ctx.weights - direct)
+            bridge = np.maximum(c.bridge_a, c.bridge_b)
+            links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
+            out.record_block(f"{dim}x{ancilla}", block, [
+                (distribution <= tol.expectation, distribution,
+                 "induced distribution mismatch", lambda i: f"{distribution[i]:.3e}"),
+                (bridge <= tol.identity * (1.0 + c.rms_a + c.rms_b), bridge,
+                 "bridge identity broke", lambda i: f"{bridge[i]:.3e}"),
+                (c.dominance_a & c.dominance_b, np.maximum(np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b), 0.0),
+                 "rms error below intrinsic error"),
+                (c.holds.all(axis=1), links,
+                 "chain broke", lambda i: f"{tuple(c.values[i].tolist())}"),
+            ])
     return out
 
 

@@ -121,3 +121,27 @@ def ozawa_error_brute(rho, xi, u, meter, a):
     noise = u.conj().T @ np.kron(np.eye(ds), meter) @ u - np.kron(a, np.eye(da))
     val = trace_expectation(noise @ noise, np.kron(rho, xi)).real
     return np.sqrt(max(val, 0.0))
+
+
+def induced_effects_brute(xi, u, meter_projs):
+    """Effects induced on the system, read off their defining property
+    Tr[E rho] = Tr[(rho (x) xi) U^dag (I (x) P) U] entry by entry, with the
+    matrix units rho = |i><m| as probes: E[m, i] = Tr[(|i><m| (x) xi) X]."""
+    ds = u.shape[0] // xi.shape[0]
+    effects = []
+    for pr in meter_projs:
+        x = u.conj().T @ np.kron(np.eye(ds), pr) @ u
+        e = np.zeros((ds, ds), dtype=complex)
+        for i in range(ds):
+            for m in range(ds):
+                unit = np.zeros((ds, ds), dtype=complex)
+                unit[i, m] = 1.0
+                e[m, i] = trace_expectation(x, np.kron(unit, xi))
+        effects.append(e)
+    return effects
+
+
+def std_dev_brute(a, rho):
+    """sqrt(<a^2> - <a>^2) over rho, clipped at zero."""
+    mean = trace_expectation(a, rho).real
+    return np.sqrt(max(trace_expectation(a @ a, rho).real - mean * mean, 0.0))

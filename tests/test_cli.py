@@ -120,6 +120,14 @@ class TestScan:
         assert cells[2] == ""
         assert float(cells[3]) == pytest.approx(0.8, abs=1e-9)
 
+    def test_povm_with_wrong_declared_dim_is_usage_error(self, tmp_path, capsys):
+        data = povm_to_json(unsharp_qubit((0, 0, 1), 0.6))
+        data["dim"] = 5
+        path = tmp_path / "povm.json"
+        path.write_text(json_text(data))
+        assert main(["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert "dim is 5" in capsys.readouterr().err
+
     def test_custom_state_and_observables(self, tmp_path):
         state = tmp_path / "state.json"
         state.write_text(json_text(matrix_to_json(np.eye(2) / 2)))
@@ -249,6 +257,14 @@ class TestChain:
 
     def test_missing_model_file_is_usage_error(self, capsys):
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2
+
+    def test_wrong_declared_ancilla_dim_is_usage_error(self, tmp_path, capsys):
+        data = model_to_json(cnot_model())
+        data["ancilla_dim"] = 3
+        path = tmp_path / "model.json"
+        path.write_text(json_text(data))
+        assert main(["chain", "--model", str(path)]) == 2
+        assert "ancilla_dim is 3" in capsys.readouterr().err
 
     def test_non_finite_interaction_is_usage_error(self, tmp_path, capsys):
         data = model_to_json(cnot_model())

@@ -10,9 +10,13 @@ zero effect must give exactly 0.0.
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from measerr import GenConfig, kernels, random_observable, random_povm, random_state
+from measerr.generate import haar_unitaries, observable_matrices
+from measerr.measurement import check_effects
+from measerr.states import check_states, check_weights
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -217,3 +221,77 @@ def test_single_instances_need_no_leading_axis():
     assert np.ndim(rel_one.bound) == 0
     for field in ("eps_a", "eps_b", "real", "imag", "bound"):
         assert getattr(rel_one, field) == getattr(rel, field)[1]
+
+
+def rank_state(rng, dim, rank):
+    """A random state of the given rank (pure for rank 1)."""
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def check_relation(effects, rho, a, b, rel, k):
+    """Instance k of the stacked ``kernels.relation`` ``rel`` against the
+    oracles on its unpadded effects: the inner products f(w) p(w) rather
+    than the pushforward values (which divide by the weights), the squared
+    errors (the errors take a square root of a difference), R and I."""
+    s = scale(a) * scale(b)
+    p = oracles.probabilities(effects, rho)
+    n = len(effects)
+    f_a, f_b = (oracles.pushforward_brute(effects, rho, x) for x in (a, b))
+    for t, f, x in ((rel.t_a, f_a, a), (rel.t_b, f_b, b)):
+        assert np.max(np.abs(t.pushforward[k, :n] * p - f * p)) <= TOL * scale(x)
+        assert abs(t.error[k] ** 2 - oracles.quantum_error_brute(effects, rho, x) ** 2) <= TOL * scale(x) ** 2
+    rt_a, rt_b = oracles.adjoint_brute(effects, f_a), oracles.adjoint_brute(effects, f_b)
+    assert abs(rel.real[k] - (oracles.sym_inner(a, b, rho) - brute_class(f_a, f_b, p))) <= TOL * s
+    imag = oracles.comm_over_2i(a, b, rho) - oracles.comm_over_2i(rt_a, b, rho) - oracles.comm_over_2i(a, rt_b, rho)
+    assert abs(rel.imag[k] - imag) <= TOL * s
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ranks=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+    eigs=st.lists(st.integers(-2, 2), min_size=8, max_size=8),
+    split=st.floats(1e-9, 1e-8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_edge_instances_at_d8(ranks, eigs, split, seed):
+    """One stack of pure and rank-deficient states at d=8, random POVMs with
+    an outcome split off inside tiny_support, and degenerate observables
+    (merged eigenvalues), measured by the random POVMs and projectively,
+    through the kernels against the oracles."""
+    dim, n = 8, len(ranks)
+    rng = np.random.default_rng(seed)
+    rho = check_states(np.stack([rank_state(rng, dim, r) for r in ranks]))
+    rows = []
+    for _ in ranks:
+        base = random_povm(GenConfig(dim=dim, outcomes=3), rng).effects
+        rows.append(np.array([(1.0 - split) * base[0], split * base[0], *base[1:]]))
+    effects = np.stack(rows)
+    check_effects(effects)
+    g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    q = haar_unitaries(g)
+    a = observable_matrices(q @ (np.array(eigs, dtype=float)[:, None] * q.conj().swapaxes(-1, -2)))
+    b = observable_matrices(g)
+    distinct = np.unique(eigs)
+    exact = [[q[k] @ np.diag((np.array(eigs) == v).astype(complex)) @ q[k].conj().T for v in distinct] for k in range(n)]
+    for k in range(n):
+        assume(oracles.probabilities(rows[k], rho[k])[1] > 10 * DEFAULT_TOL.support_cutoff)
+
+    ctx = kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))
+    rel = kernels.relation(ctx, a, b)
+    values, projectors = kernels.spectral(a)
+    check_effects(projectors)
+    projective = kernels.context(projectors, rho, check_weights(kernels.born(projectors, rho)))
+    rel_projective = kernels.relation(projective, a, b)
+    errorless = kernels.errorless(projective, a)
+    m = len(distinct)
+    for k in range(n):
+        assert ctx.mask[k, 1] and ctx.weights[k, 1] <= DEFAULT_TOL.tiny_support
+        assert np.max(np.abs(ctx.weights[k] - oracles.probabilities(rows[k], rho[k]))) <= TOL
+        check_relation(rows[k], rho[k], a[k], b[k], rel, k)
+        assert np.max(np.abs(values[k, :m] - distinct)) <= TOL * 3.0 and np.all(values[k, m:] == 0.0)
+        assert np.max(np.abs(projectors[k, :m] - np.array(exact[k]))) <= TOL * dim
+        assert np.all(projectors[k, m:] == 0.0)
+        check_relation(exact[k], rho[k], a[k], b[k], rel_projective, k)
+        assert errorless.cond_a[k] and errorless.cond_b[k] and errorless.cond_c[k]

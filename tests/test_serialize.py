@@ -62,6 +62,15 @@ class TestPovmFormat:
             assert np.max(np.abs(e1 - e2)) == 0.0
 
 
+    def test_declared_dim_must_match_the_effects(self):
+        data = povm_to_json(unsharp_qubit((0, 0, 1), 0.3))
+        data["dim"] = 5
+        with pytest.raises(ValueError, match="dim is 5, but the matrices are 2-dimensional"):
+            povm_from_json(data)
+        del data["dim"]
+        assert povm_from_json(data).dim == 2
+
+
 class TestModelFormat:
     def test_round_trip(self):
         model = cnot_model()
@@ -69,6 +78,14 @@ class TestModelFormat:
         assert clone.system_dim == 2 and clone.ancilla_dim == 2
         assert np.array_equal(clone.interaction, model.interaction)
         assert np.array_equal(clone.meter.matrix, model.meter.matrix)
+
+    def test_declared_ancilla_dim_must_match_the_ancilla_state(self):
+        data = model_to_json(cnot_model())
+        data["ancilla_dim"] = 3
+        with pytest.raises(ValueError, match="ancilla_dim is 3, but the matrices are 2-dimensional"):
+            model_from_json(data)
+        del data["ancilla_dim"]
+        assert model_from_json(data).ancilla_dim == 2
 
 
 class TestDistributionFormat:

@@ -1,6 +1,7 @@
 """Suite bookkeeping: how checks, failures and the worst residual add up,
 and how often the suites transport an observable."""
 
+import ast
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from measerr import (
     GenConfig,
     LocalContext,
+    Tolerances,
     chain_check,
     evaluate_relation,
     random_indirect_model,
@@ -87,6 +89,12 @@ class TestTransportOnce:
         suites.suite_error_decomposition((3,), n, seed=5)
         assert transport_calls == [(suites._BLOCK, 3, 3)] * 2 + [(1, 3, 3)]
 
+    def test_ozawa_chain(self, transport_calls):
+        # a and b per block, with a partial last block
+        n = 2 * suites._BLOCK + 1
+        suites.suite_ozawa_chain(((3, 2),), n, seed=5)
+        assert transport_calls == [(suites._BLOCK, 3, 3)] * 4 + [(1, 3, 3)] * 2
+
     def test_transport_adjointness(self, transport_calls):
         # a, b and the linear combination alpha a + beta b, per block
         suites.suite_transport_adjointness((2, 4), 3, seed=5)
@@ -140,3 +148,22 @@ def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
         rho = suites._states([cols["rho"][i]], [cfg.mixedness == "pure"])[0]
         assert np.array_equal(rho, random_state(cfg, rng).matrix)
         assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
+
+
+def test_chain_failure_names_the_model():
+    """A chain failure reads "<what> at dim=<d>x<a> i=<i>", and its values
+    are those of ``chain_check`` on the same model."""
+    tol = Tolerances(identity=-1.0)
+    out = suites.suite_ozawa_chain(((3, 2),), 2, seed=4, tol=tol)
+    assert out.failures == 6 and len(out.messages) == 5
+    assert out.messages[0].startswith("bridge identity broke at dim=3x2 i=0: ")
+    assert out.messages[1] == "rms error below intrinsic error at dim=3x2 i=0"
+    head, values = out.messages[2].split(": ", 1)
+    assert head == "chain broke at dim=3x2 i=0"
+    rng = suites._rng(4, "ozawa-chain", 3, 2, 0)
+    cfg = GenConfig(dim=3, mixedness="ginibre")
+    model = random_indirect_model(cfg, rng, ancilla_dim=2)
+    rho = random_state(cfg, rng)
+    report = chain_check(model, rho, random_observable(cfg, rng), random_observable(cfg, rng), tol=tol)
+    assert np.allclose(ast.literal_eval(values), report.values, rtol=0.0, atol=1e-12)
+    assert out.messages[3].startswith("bridge identity broke at dim=3x2 i=1: ")
