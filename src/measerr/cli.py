@@ -11,6 +11,7 @@ manifest for reproducibility.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -74,18 +75,7 @@ class RunManifest:
     wall_time_s: float
 
     def as_dict(self) -> dict:
-        return {
-            "spec_version": self.spec_version,
-            "subcommand": self.subcommand,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "instances": self.instances,
-            "rng_algorithm": self.rng_algorithm,
-            "tolerances": asdict(self.tolerances),
-            "checks_passed": self.checks_passed,
-            "checks_failed": self.checks_failed,
-            "wall_time_s": self.wall_time_s,
-        }
+        return {**asdict(self), "dims": list(self.dims)}
 
 
 def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
@@ -208,26 +198,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _scan_default_state(args) -> DensityOperator:
-    if args.state:
-        return load_state(args.state)
-    return DensityOperator.maximally_mixed(2)
-
-
-def _scan_observables(args) -> tuple[HermitianObservable, HermitianObservable]:
-    a = load_observable(args.obs_a) if args.obs_a else HermitianObservable(PAULI_Z)
-    b = load_observable(args.obs_b) if args.obs_b else HermitianObservable(PAULI_X)
-    return a, b
-
-
 def cmd_scan(args) -> int:
     started = time.perf_counter()
     tol = _tolerances(args)
     if args.family not in _FAMILIES:
         print(f"unknown family {args.family!r}; choose from {_FAMILIES}", file=sys.stderr)
         return EXIT_USAGE
-    rho = _scan_default_state(args)
-    obs_a, obs_b = _scan_observables(args)
+    rho = load_state(args.state) if args.state else DensityOperator.maximally_mixed(2)
+    obs_a = load_observable(args.obs_a) if args.obs_a else HermitianObservable(PAULI_Z)
+    obs_b = load_observable(args.obs_b) if args.obs_b else HermitianObservable(PAULI_X)
 
     rows = []
     if args.family == "custom":
@@ -255,17 +234,12 @@ def cmd_scan(args) -> int:
     else:
         print(text, end="")
 
-    failed = sum(
-        1
-        for _, rep in rows
-        if rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b))
-    )
-    manifest = _manifest(
-        args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
-    )
-    payload = {"manifest": manifest.as_dict(), "rows": len(rows), "family": args.family}
+    failed = sum(rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b)) for _, rep in rows)
     if args.json:
-        _emit_json(args, payload)
+        manifest = _manifest(
+            args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
+        )
+        _emit_json(args, {"manifest": manifest.as_dict(), "rows": len(rows), "family": args.family})
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -387,7 +361,10 @@ def cmd_chain(args) -> int:
     return EXIT_VIOLATION if checks_failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse keeps no state between
+    ``parse_args`` calls, and ``main`` looks up the command functions itself."""
     parser = argparse.ArgumentParser(
         prog="measerr",
         description="Numerical laboratory for measurement-error geometry and its uncertainty bound.",
@@ -407,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="corrupt a commutator sign on purpose to prove the harness can fail",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", parents=[common], help="parameter-family scan to CSV")
     p_scan.add_argument("--family", type=str, required=True, help=f"one of {_FAMILIES}")
@@ -417,26 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--obs-b", type=str, default=None, help="JSON observable B (default: qubit X)")
     p_scan.add_argument("--povm", type=str, default=None, help="JSON POVM (family 'custom' only)")
     p_scan.add_argument("--out", type=str, default=None, help="CSV output path (default: stdout)")
-    p_scan.set_defaults(func=cmd_scan)
 
     p_demo = sub.add_parser("demo", parents=[common], help="named deterministic scenarios")
     p_demo.add_argument("name", type=str, help=f"one of {_DEMOS}")
-    p_demo.set_defaults(func=cmd_demo)
 
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
     p_chain.add_argument("--dims", type=_parse_dims, default=(2, 3), help="system dimensions")
     p_chain.add_argument("--ancilla", type=_int_range(1, _MAX_ANCILLA), default=2, help=f"ancilla dimension in 1..{_MAX_ANCILLA} for random models")
     p_chain.add_argument("--n", type=_int_range(1), default=50, help="random models per dimension")
     p_chain.add_argument("--model", type=str, default=None, help="JSON indirect model to check instead")
-    p_chain.set_defaults(func=cmd_chain)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    command = {"verify": cmd_verify, "scan": cmd_scan, "demo": cmd_demo, "chain": cmd_chain}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,7 +3,8 @@
 Complex matrices serialize as nested arrays of [re, im] pairs, distributions
 as {label: weight} maps.  JSON floats are emitted at 17 significant digits
 (round-trip exact), CSV at 12 (plot-ready).  All formatting is
-locale-independent.
+locale-independent.  The loaders reject a malformed file with ``ValueError``
+before building anything from it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,13 @@ def matrix_to_json(matrix) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
+    message = "matrix JSON must be nested arrays of [re, im] pairs"
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(message) from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix JSON must be nested arrays of [re, im] pairs")
+        raise ValueError(message)
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -46,6 +51,19 @@ def povm_to_json(povm: Povm) -> dict:
     }
 
 
+def _json_object(data, what: str) -> dict:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} JSON must be an object, got {type(data).__name__}")
+    return data
+
+
+def _json_list(data: dict, key: str) -> list:
+    value = data[key]
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def _check_declared(data: dict, key: str, actual: int) -> None:
     """A dimension the file declares under ``key`` must match its matrices."""
     if key in data and data[key] != actual:
@@ -53,8 +71,12 @@ def _check_declared(data: dict, key: str, actual: int) -> None:
 
 
 def povm_from_json(data: dict) -> Povm:
-    space = OutcomeSpace(tuple(data["labels"]), tuple(data["values"]))
-    effects = [matrix_from_json(e) for e in data["effects"]]
+    data = _json_object(data, "POVM")
+    values = _json_list(data, "values")
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+        raise ValueError("values must be numbers")
+    space = OutcomeSpace(tuple(_json_list(data, "labels")), tuple(values))
+    effects = [matrix_from_json(e) for e in _json_list(data, "effects")]
     kind = MeasurementKind(data.get("kind", "custom"))
     povm = Povm(space, effects, kind=kind)
     _check_declared(data, "dim", povm.dim)
@@ -72,8 +94,12 @@ def model_to_json(model: IndirectModel) -> dict:
 
 
 def model_from_json(data: dict) -> IndirectModel:
+    data = _json_object(data, "model")
+    system_dim = data["system_dim"]
+    if not isinstance(system_dim, int) or isinstance(system_dim, bool):
+        raise ValueError(f"system_dim must be an integer, got {system_dim!r}")
     model = IndirectModel(
-        int(data["system_dim"]),
+        system_dim,
         DensityOperator(matrix_from_json(data["ancilla_state"])),
         matrix_from_json(data["interaction"]),
         HermitianObservable(matrix_from_json(data["meter"])),

@@ -2,10 +2,15 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import measerr
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
 from measerr.generate import GenConfig, random_indirect_model
 from measerr.serialize import json_text, matrix_to_json, model_to_json, povm_to_json
@@ -327,3 +332,99 @@ class TestUsageAndInternalErrors:
         monkeypatch.setattr("measerr.cli.run_verify", broken)
         assert main(["verify", "--dims", "2", "--n", "1"]) == 3
         assert capsys.readouterr().err.strip() == "internal error: injected"
+
+
+class TestMalformedFiles:
+    """A loader rejects a malformed file as a usage error (exit 2) with one
+    ``error:`` line; a wrongly typed field never ends in a traceback, and is
+    never silently converted."""
+
+    @pytest.mark.parametrize(
+        "kind,edit,message",
+        [
+            ("model", {"system_dim": [2]}, "system_dim must be an integer, got [2]"),
+            ("model", {"system_dim": 2.7}, "system_dim must be an integer, got 2.7"),
+            ("model", None, "model JSON must be an object, got list"),
+            ("povm", {"labels": 5}, "labels must be a JSON list, got int"),
+            ("povm", {"labels": "ab"}, "labels must be a JSON list, got str"),
+            ("povm", None, "POVM JSON must be an object, got list"),
+            ("povm", {"effects": 5}, "effects must be a JSON list, got int"),
+            ("povm", {"values": [None, -1.0]}, "values must be numbers"),
+            ("state", {"re": 1.0}, "matrix JSON must be nested arrays of [re, im] pairs"),
+        ],
+        ids=[
+            "system_dim-list", "system_dim-float", "model-list",
+            "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "state-object",
+        ],
+    )
+    def test_malformed_file_is_usage_error(self, kind, edit, message, tmp_path, capsys):
+        path, out = tmp_path / "input.json", str(tmp_path / "o.csv")
+        data, argv = {
+            "model": (model_to_json(cnot_model()), ["chain", "--model", str(path)]),
+            "povm": (
+                povm_to_json(unsharp_qubit((0, 0, 1), 0.6)),
+                ["scan", "--family", "custom", "--povm", str(path), "--out", out],
+            ),
+            "state": ({}, ["scan", "--family", "unsharp", "--grid", "0.5", "--state", str(path), "--out", out]),
+        }[kind]
+        path.write_text(json.dumps([data] if edit is None else {**data, **edit}))
+        assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; later calls reuse it and
+    see nothing of the calls before them."""
+
+    def test_default_observable_does_not_leak(self, tmp_path):
+        povm = tmp_path / "povm.json"
+        povm.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        x = tmp_path / "x.json"
+        x.write_text(json_text(matrix_to_json([[0, 1], [1, 0]])))
+        argv = ["scan", "--family", "custom", "--povm", str(povm)]
+        assert main(argv + ["--obs-a", str(x), "--out", str(tmp_path / "x.csv")]) == 0
+        assert main(argv + ["--out", str(tmp_path / "reused.csv")]) == 0
+        src = str(Path(measerr.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        fresh = tmp_path / "fresh.csv"
+        subprocess.run([sys.executable, "-m", "measerr", *argv, "--out", str(fresh)], env=env, check=True)
+        assert (tmp_path / "reused.csv").read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "x.csv").read_bytes() != fresh.read_bytes()
+
+    def test_sign_flip_does_not_leak(self, capsys):
+        argv = ["verify", "--dims", "2", "--n", "5", "--seed", "3"]
+        assert main(argv + ["--self-test-sign-flip"]) == 1
+        assert main(argv) == 0
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--dims", "2", "--n", "0"])
+        assert excinfo.value.code == 2
+        assert main(["verify", "--dims", "2", "--n", "1"]) == 0
+
+    def test_no_parser_built_after_the_first_call(self, monkeypatch, tmp_path, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        per_call = []
+        for argv in (
+            ["demo", "naive-violation"],
+            ["scan", "--family", "unsharp", "--grid", "0.5", "--out", str(tmp_path / "s.csv")],
+            ["verify", "--dims", "2", "--n", "1"],
+            ["chain", "--dims", "2", "--n", "1"],
+            ["demo", "kr-reduction"],
+        ):
+            before = len(built)
+            assert main(argv) == 0
+            per_call.append(len(built) - before)
+        assert per_call[1:] == [0, 0, 0, 0]
+
+    def test_command_is_looked_up_at_dispatch(self, monkeypatch, capsys):
+        assert main(["demo", "naive-violation"]) == 0
+        monkeypatch.setattr("measerr.cli.cmd_demo", lambda args: 7)
+        assert main(["demo", "naive-violation"]) == 7
