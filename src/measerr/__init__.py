@@ -27,7 +27,6 @@ from .states import (
     std_dev_q,
 )
 from .measurement import (
-    ContractivityReport,
     MeasurementKind,
     Povm,
     contractivity_check,
@@ -40,22 +39,16 @@ from .measurement import (
 # the function would shadow that module.
 from .transport import (
     LocalContext,
-    Transport,
     adjointness_residual,
     pullback_rep,
     pushforward,
-    support_restrict,
 )
 from .errors import (
-    ErrorBreakdown,
-    ErrorlessConditions,
     errorless_check,
     f_error,
     quantum_error,
 )
 from .relations import (
-    ProofDeviceReport,
-    RelationReport,
     SchroedingerReport,
     commutator_expectation,
     evaluate_relation,
@@ -63,7 +56,6 @@ from .relations import (
     schroedinger_reduction,
 )
 from .indirect import (
-    ChainReport,
     IndirectModel,
     chain_check,
     cnot_model,
@@ -102,7 +94,6 @@ __all__ = [
     "state_inner",
     "state_norm",
     "std_dev_q",
-    "ContractivityReport",
     "MeasurementKind",
     "Povm",
     "contractivity_check",
@@ -111,24 +102,17 @@ __all__ = [
     "trivial_measurement",
     "unsharp_qubit",
     "LocalContext",
-    "Transport",
     "adjointness_residual",
     "pullback_rep",
     "pushforward",
-    "support_restrict",
-    "ErrorBreakdown",
-    "ErrorlessConditions",
     "errorless_check",
     "f_error",
     "quantum_error",
-    "ProofDeviceReport",
-    "RelationReport",
     "SchroedingerReport",
     "commutator_expectation",
     "evaluate_relation",
     "proof_device_check",
     "schroedinger_reduction",
-    "ChainReport",
     "IndirectModel",
     "chain_check",
     "cnot_model",

@@ -215,7 +215,7 @@ def cmd_scan(args) -> int:
             return EXIT_USAGE
         povm = load_povm(args.povm)
         ctx = LocalContext(povm, rho)
-        rows.append((None, evaluate_relation(ctx, obs_a, obs_b)))
+        rows.append((None, ctx, evaluate_relation(ctx, obs_a, obs_b)))
     else:
         grid = args.grid if args.grid is not None else tuple(k / 10.0 for k in range(11))
         for param in grid:
@@ -224,9 +224,9 @@ def cmd_scan(args) -> int:
             else:
                 povm = noisy_projective(obs_a, param)
             ctx = LocalContext(povm, rho)
-            rows.append((param, evaluate_relation(ctx, obs_a, obs_b)))
+            rows.append((param, ctx, evaluate_relation(ctx, obs_a, obs_b)))
 
-    lines = [CSV_HEADER] + [relation_csv_row(rep, param) for param, rep in rows]
+    lines = [CSV_HEADER] + [relation_csv_row(ctx, rep, param) for param, ctx, rep in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -234,7 +234,7 @@ def cmd_scan(args) -> int:
     else:
         print(text, end="")
 
-    failed = sum(rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b)) for _, rep in rows)
+    failed = sum(rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b)) for _, _, rep in rows)
     if args.json:
         manifest = _manifest(
             args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
@@ -292,10 +292,10 @@ def _demo_ozawa_chain(tol: Tolerances) -> tuple[list[str], int]:
     lines = ["scenario: controlled-flip probe on (I + 0.8 Y)/2, observables X and Z"]
     lines += [f"{name} = {format_float(val, 12)}" for name, val in zip(names, report.values)]
     lines += [
-        f"chain holds: {report.all_hold}",
+        f"chain holds: {report.holds.all()}",
         f"rms(X) = {format_float(report.rms_a, 12)}, intrinsic error(X) = {format_float(report.eps_a, 12)}, error(Z) = {format_float(report.eps_b, 12)}",
     ]
-    return lines, 0 if report.all_hold else EXIT_VIOLATION
+    return lines, 0 if report.holds.all() else EXIT_VIOLATION
 
 
 def cmd_demo(args) -> int:
@@ -335,9 +335,10 @@ def cmd_chain(args) -> int:
         b = random_observable(cfg, rng)
         report = chain_check(model, rho, a, b, tol=tol)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")
-        print(f"chain holds: {report.all_hold}")
-        checks_passed += int(report.all_hold)
-        checks_failed += int(not report.all_hold)
+        holds = report.holds.all()
+        print(f"chain holds: {holds}")
+        checks_passed += int(holds)
+        checks_failed += int(not holds)
     else:
         demo_lines, demo_code = _demo_ozawa_chain(tol)
         for line in demo_lines:

@@ -23,13 +23,9 @@ no single threshold can make them agree there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from . import kernels
 from .states import HermitianObservable, OutcomeFunction, _check_same_dim
-from .transport import LocalContext, Transport, transport
+from .transport import LocalContext, transport
 
 
 def quantum_error(ctx: LocalContext, a: HermitianObservable) -> float:
@@ -38,54 +34,18 @@ def quantum_error(ctx: LocalContext, a: HermitianObservable) -> float:
     return transport(ctx, a).error
 
 
-@dataclass(frozen=True)
-class ErrorBreakdown:
-    """f-error split into the intrinsic and the estimator-dependent parts:
-    f_error^2 = quantum_error^2 + estimation_error^2."""
-
-    quantum_error: float
-    estimation_error: float
-    f_error: float
-    estimator: OutcomeFunction = field(repr=False)
-
-    def __post_init__(self):
-        kernels.check_split(self.quantum_error, self.estimation_error, self.f_error)
-
-
-def f_error(ctx: LocalContext, t: Transport, f: OutcomeFunction) -> ErrorBreakdown:
-    """Reconstruction gauge for the estimator f of A = t.observable:
-    sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 - ||pullback(f)||_rho^2))."""
+def f_error(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> kernels.FError:
+    """Reconstruction gauge for the estimator f of A:
+    sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 - ||pullback(f)||_rho^2)),
+    split into the error of A and the estimation error ||pushforward(A) - f||_p."""
     if f.space != ctx.space:
         raise ValueError("outcome spaces do not match")
-    split = kernels.f_error_split(ctx.arrays, t.observable.matrix, t.arrays, f.values)
-    return ErrorBreakdown(
-        quantum_error=t.error,
-        estimation_error=float(split.estimation),
-        f_error=float(split.f_error),
-        estimator=f,
-    )
+    return kernels.f_error_split(ctx.arrays, a.matrix, transport(ctx, a), f.values)
 
 
-@dataclass(frozen=True)
-class ErrorlessConditions:
-    """The three equivalent faces of an errorless measurement of A over rho:
+def errorless_check(ctx: LocalContext, a: HermitianObservable) -> kernels.Errorless:
+    """Conditions (a), (b) and (c) for A over ``ctx`` (see the module docstring):
     (a) zero error, (b) the round trip reproduces A as an equivalence class,
     (c) the transport norm chain is flat."""
-
-    cond_a: bool
-    cond_b: bool
-    cond_c: bool
-    error: float
-    roundtrip_residual: float
-    scale: float
-
-    @classmethod
-    def row(cls, e: kernels.Errorless, i=()) -> "ErrorlessConditions":
-        """Instance ``i`` of the kernel's stacked conditions (all of them for one instance)."""
-        return cls(*(x.item() for x in (np.asarray(f)[i] for f in e)))
-
-
-def errorless_check(ctx: LocalContext, a: HermitianObservable) -> ErrorlessConditions:
-    """Conditions (a), (b) and (c) for A over ``ctx`` (see the module docstring)."""
     _check_same_dim(a, ctx)
-    return ErrorlessConditions.row(kernels.errorless(ctx.arrays, a.matrix))
+    return kernels.errorless(ctx.arrays, a.matrix)

@@ -12,8 +12,6 @@ Tensor-product convention: the system factor comes first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import kernels
@@ -99,36 +97,6 @@ def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservab
     return float(kernels.rms_error(*_meter_and_joint(model, rho), a.matrix))
 
 
-@dataclass(frozen=True)
-class ChainReport:
-    """The five-term comparison chain evaluated on one model and state pair:
-
-    rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
-    minus the rms/sigma cross terms.  ``values`` holds the five terms in
-    that order, and ``holds[i]`` whether values[i] >= values[i + 1] within
-    the slack.  ``bridge_residual_*`` ties the rms error to the
-    identity-estimator f-error of the induced measurement, which is the
-    decisive correctness check of the induced POVM.
-    """
-
-    values: tuple[float, float, float, float, float]
-    holds: tuple[bool, ...]
-    rms_a: float
-    rms_b: float
-    eps_a: float
-    eps_b: float
-    sigma_a: float
-    sigma_b: float
-    bridge_residual_a: float
-    bridge_residual_b: float
-    dominance_a: bool
-    dominance_b: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return all(self.holds)
-
-
 def chain_check(
     model: IndirectModel,
     rho: DensityOperator,
@@ -136,14 +104,18 @@ def chain_check(
     b: HermitianObservable,
     *,
     tol: Tolerances = DEFAULT_TOL,
-) -> ChainReport:
-    """``kernels.chain`` on one model, with ``tol.identity`` as the slack."""
+) -> kernels.Chain:
+    """The five-term comparison chain on one model and state pair:
+    rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
+    minus the rms/sigma cross terms.  ``values`` holds the five terms in that
+    order, and ``holds[i]`` whether values[i] >= values[i + 1] within the
+    slack ``tol.identity`` (``kernels.chain``).  ``bridge_residual_*`` ties
+    the rms error to the identity-estimator f-error of the induced
+    measurement, which is the decisive correctness check of the induced POVM."""
     povm = induced_povm(model)
     ctx = LocalContext(povm, rho)
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
-    c = kernels.chain(
+    return kernels.chain(
         ctx.arrays, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), tol.identity
     )
-    values, holds, *rest = c
-    return ChainReport(tuple(values.tolist()), tuple(holds.tolist()), *(x.item() for x in rest))

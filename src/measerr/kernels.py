@@ -2,8 +2,9 @@
 
 Each formula that the object API and the suites share lives here once: the
 object API (``LocalContext``, ``transport``, ``evaluate_relation``,
-``errorless_check``, ``chain_check``, ...) calls it on single instances, the
-suites on whole (suite, dimension) blocks.
+``errorless_check``, ``chain_check``, ...) calls it on single instances and
+returns its records as they are, with numpy scalars in their scalar fields;
+the suites call it on whole (suite, dimension) blocks.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
@@ -41,6 +42,9 @@ class _Record:
 
     def __iter__(self):
         return (getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self))})"
 
 
 def first_flagged(values, bad):
@@ -182,11 +186,18 @@ def adjointness(ctx: Context, a: np.ndarray, fwd: np.ndarray, f: np.ndarray) -> 
     return np.abs(anti(a, pullback(ctx, f), ctx.rho) - class_inner(fwd, f, ctx.weights))
 
 
-def contractivity(ctx: Context, f: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """||f||_p, ||M'f||_rho and the smallest eigenvalue of M'(f^2) - (M'f)^2."""
+class Contractivity(_Record):
+    """Both sides of the classical-vs-quantum norm inequality ||f||_p >=
+    ||M'f||_rho and the smallest eigenvalue of the operator gap M'(f^2) -
+    (M'f)^2."""
+
+    __slots__ = ("classical_norm", "adjoint_norm", "gap_min_eigenvalue")
+
+
+def contractivity(ctx: Context, f: np.ndarray) -> Contractivity:
     adj = adjoint(ctx.effects, f)
     gap = adjoint(ctx.effects, f**2) - adj @ adj
-    return class_norm(f, ctx.weights), norm(adj, ctx.rho), np.linalg.eigvalsh(gap)[..., 0]
+    return Contractivity(class_norm(f, ctx.weights), norm(adj, ctx.rho), np.linalg.eigvalsh(gap)[..., 0])
 
 
 def split_residual(quantum: np.ndarray, estimation: np.ndarray, f_err: np.ndarray) -> np.ndarray:
@@ -204,9 +215,10 @@ def check_split(quantum, estimation, f_err) -> None:
 
 
 class FError(_Record):
-    """An f-error and its split: f_error^2 = quantum^2 + estimation^2."""
+    """An f-error and its split into the intrinsic and the estimator-dependent
+    parts: f_error^2 = quantum_error^2 + estimation_error^2."""
 
-    __slots__ = ("quantum", "estimation", "f_error")
+    __slots__ = ("quantum_error", "estimation_error", "f_error")
 
 
 def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) -> FError:
@@ -219,8 +231,8 @@ def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) ->
     if (cost < -DEFAULT_TOL.psd).any():
         raise RuntimeError(f"contractivity violated: reconstruction cost {cost.min():.3e}")
     out = FError(
-        quantum=t.error,
-        estimation=class_norm(t.pushforward - f, ctx.weights),
+        quantum_error=t.error,
+        estimation_error=class_norm(t.pushforward - f, ctx.weights),
         f_error=np.sqrt(np.maximum(algebraic + cost, 0.0)),
     )
     check_split(*out)
@@ -228,10 +240,15 @@ def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) ->
 
 
 class Relation(_Record):
-    """The errors, R, I, the bound, its slack, the bare commutator bound and
-    whether the error product undercuts it, and the two transports."""
+    """The errors, R, I, the bound sqrt(R^2 + I^2), the slack eps_a*eps_b -
+    bound (nonnegative up to roundoff), the bare commutator bound and whether
+    the error product (legitimately) undercuts it, and the transports of A
+    and B the terms were derived from."""
 
-    __slots__ = ("eps_a", "eps_b", "real", "imag", "bound", "slack", "naive", "naive_violated", "t_a", "t_b")
+    __slots__ = (
+        "eps_a", "eps_b", "real_term", "imag_term", "bound", "slack", "naive_bound", "naive_violated",
+        "transport_a", "transport_b",
+    )
 
 
 def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = False) -> Relation:
@@ -266,15 +283,18 @@ def semi_inner(ctx: Context, u: tuple, v: tuple) -> np.ndarray:
 
 
 class ProofDevice(_Record):
-    __slots__ = ("seminorm_a", "seminorm_b", "residual_a", "residual_b", "cross", "cross_residual")
+    """The composite seminorms of A and B and their residuals against the
+    errors, and the composite cross product and its residual against R + iI."""
+
+    __slots__ = ("seminorm_a", "seminorm_b", "residual_a", "residual_b", "cross_value", "cross_residual")
 
 
-def proof_device(
-    ctx: Context, a: np.ndarray, b: np.ndarray, t_a: Transported, t_b: Transported, real, imag
-) -> ProofDevice:
-    """The Cauchy-Schwarz derivation behind the relation, evaluated: the
-    composite seminorm of (A - roundtrip(A), pushforward(A)) against the
-    error, and the composite cross product against R + iI."""
+def proof_device(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> ProofDevice:
+    """The Cauchy-Schwarz derivation behind the relation ``rel`` of A and B,
+    evaluated on its transports: the composite seminorm of (A -
+    roundtrip(A), pushforward(A)) against the error, and the composite
+    cross product against R + iI."""
+    t_a, t_b = rel.transport_a, rel.transport_b
     u = (a - t_a.roundtrip, t_a.pushforward, t_a.roundtrip)
     v = (b - t_b.roundtrip, t_b.pushforward, t_b.roundtrip)
     seminorm_a = np.sqrt(np.maximum(semi_inner(ctx, u, u).real, 0.0))
@@ -286,11 +306,14 @@ def proof_device(
         np.abs(seminorm_a - t_a.error),
         np.abs(seminorm_b - t_b.error),
         cross,
-        np.abs(cross - (real + 1j * np.asarray(imag))),
+        np.abs(cross - (rel.real_term + 1j * rel.imag_term)),
     )
 
 
 class Errorless(_Record):
+    """Conditions (a), (b) and (c) of an errorless measurement, with the
+    error, the round-trip residual and the scale they are judged by."""
+
     __slots__ = ("cond_a", "cond_b", "cond_c", "error", "roundtrip_residual", "scale")
 
 
@@ -356,7 +379,7 @@ class Chain(_Record):
 
     __slots__ = (
         "values", "holds", "rms_a", "rms_b", "eps_a", "eps_b", "sigma_a", "sigma_b",
-        "bridge_a", "bridge_b", "dominance_a", "dominance_b",
+        "bridge_residual_a", "bridge_residual_b", "dominance_a", "dominance_b",
     )
 
 
@@ -378,15 +401,15 @@ def chain(
         rms_a * rms_b,
         rel.eps_a * rel.eps_b,
         rel.bound,
-        np.abs(rel.imag),
-        rel.naive - rms_a * sigma_b - sigma_a * rms_b,
+        np.abs(rel.imag_term),
+        rel.naive_bound - rms_a * sigma_b - sigma_a * rms_b,
     ], axis=-1)
     holds = values[..., :-1] >= values[..., 1:] - slack * (1.0 + np.abs(values[..., :-1]))
     rms_slack = slack * (1.0 + rms_a + rms_b)
     return Chain(
         values, holds, rms_a, rms_b, rel.eps_a, rel.eps_b, sigma_a, sigma_b,
-        np.abs(rms_a - f_error_split(ctx, a, rel.t_a, estimator).f_error),
-        np.abs(rms_b - f_error_split(ctx, b, rel.t_b, estimator).f_error),
+        np.abs(rms_a - f_error_split(ctx, a, rel.transport_a, estimator).f_error),
+        np.abs(rms_b - f_error_split(ctx, b, rel.transport_b, estimator).f_error),
         rms_a >= rel.eps_a - rms_slack,
         rms_b >= rel.eps_b - rms_slack,
     )

@@ -8,7 +8,6 @@ outcome functions back to operators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -142,28 +141,11 @@ def noisy_projective(a: HermitianObservable, lam: float) -> Povm:
     return Povm(base.space, effects, kind=MeasurementKind.NOISY_PROJECTIVE)
 
 
-@dataclass(frozen=True)
-class ContractivityReport:
-    """Both sides of the classical-vs-quantum norm inequality plus the
-    smallest eigenvalue of the operator gap M'(f^2) - (M'f)^2."""
-
-    classical_norm: float
-    adjoint_norm: float
-    gap_min_eigenvalue: float
-
-
 def contractivity_check(
     povm: Povm,
     f: OutcomeFunction,
     rho: DensityOperator,
-) -> ContractivityReport:
-    """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap."""
-    p = povm.apply(rho)
-    classical, adjoint_norm, gap_min = kernels.contractivity(
-        kernels.context(povm.effects, rho.matrix, p.weights), f.values
-    )
-    return ContractivityReport(
-        classical_norm=float(classical),
-        adjoint_norm=float(adjoint_norm),
-        gap_min_eigenvalue=float(gap_min),
-    )
+) -> kernels.Contractivity:
+    """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap
+    M'(f^2) - (M'f)^2."""
+    return kernels.contractivity(kernels.context(povm.effects, rho.matrix, povm.apply(rho).weights), f.values)

@@ -12,7 +12,7 @@ Schroedinger inequality, hence also the textbook commutator bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .states import (
     std_dev_q,
     _check_same_dim,
 )
-from .transport import LocalContext, Transport
+from .transport import LocalContext
 
 
 def commutator_expectation(
@@ -40,109 +40,34 @@ def commutator_expectation(
     return float(kernels.comm(a.matrix, b.matrix, rho.matrix))
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Everything the error-error relation says about one (M, rho, A, B).
-
-    slack = eps_a*eps_b - bound must be nonnegative up to roundoff;
-    naive_violated records the (legitimate) cases where the error product
-    undercuts the bare commutator bound.  The transports of A and B the
-    terms were derived from are kept for ``proof_device_check`` and
-    ``chain_check``; they are not serialized.
-    """
-
-    dim: int
-    kind: str
-    eps_a: float
-    eps_b: float
-    real_term: float
-    imag_term: float
-    bound: float
-    slack: float
-    naive_bound: float
-    naive_violated: bool
-    transport_a: Transport = field(repr=False, compare=False)
-    transport_b: Transport = field(repr=False, compare=False)
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "kind": self.kind,
-            "epsA": self.eps_a,
-            "epsB": self.eps_b,
-            "R": self.real_term,
-            "I": self.imag_term,
-            "bound": self.bound,
-            "slack": self.slack,
-            "naiveBound": self.naive_bound,
-            "naiveViolated": self.naive_violated,
-        }
-
-
 def evaluate_relation(
     ctx: LocalContext,
     a: HermitianObservable,
     b: HermitianObservable,
     *,
     sign_flip: bool = False,
-) -> RelationReport:
+) -> kernels.Relation:
     """eps_a, eps_b, R, I and the bound, from one transport per observable
     (``kernels.relation``, which holds the formulas and the ``sign_flip``
-    hook of the harness self-test)."""
+    hook of the harness self-test).  The transports of A and B are kept for
+    ``proof_device_check``."""
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
-    rel = kernels.relation(ctx.arrays, a.matrix, b.matrix, sign_flip=sign_flip)
-    return RelationReport(
-        dim=ctx.dim,
-        kind=ctx.povm.kind.value,
-        eps_a=float(rel.eps_a),
-        eps_b=float(rel.eps_b),
-        real_term=float(rel.real),
-        imag_term=float(rel.imag),
-        bound=float(rel.bound),
-        slack=float(rel.slack),
-        naive_bound=float(rel.naive),
-        naive_violated=bool(rel.naive_violated),
-        transport_a=Transport.of(ctx, a, rel.t_a),
-        transport_b=Transport.of(ctx, b, rel.t_b),
-    )
-
-
-@dataclass(frozen=True)
-class ProofDeviceReport:
-    """Numerical check of the Cauchy-Schwarz derivation behind the relation:
-    the composite seminorm of (A - roundtrip(A), pushforward(A)) equals the
-    error, and the composite cross product equals R + iI."""
-
-    seminorm_a: float
-    seminorm_b: float
-    residual_a: float
-    residual_b: float
-    cross_value: complex
-    cross_residual: float
+    return kernels.relation(ctx.arrays, a.matrix, b.matrix, sign_flip=sign_flip)
 
 
 def proof_device_check(
     ctx: LocalContext,
     a: HermitianObservable,
     b: HermitianObservable,
-    report: RelationReport,
-) -> ProofDeviceReport:
+    report: kernels.Relation,
+) -> kernels.ProofDevice:
     """Evaluate the composite semi-inner product on the transports held by
     ``report`` (from ``evaluate_relation(ctx, a, b)``) and compare it with
-    the report's errors and R + iI."""
-    device = kernels.proof_device(
-        ctx.arrays, a.matrix, b.matrix, report.transport_a.arrays, report.transport_b.arrays,
-        report.real_term, report.imag_term,
-    )
-    return ProofDeviceReport(
-        seminorm_a=float(device.seminorm_a),
-        seminorm_b=float(device.seminorm_b),
-        residual_a=float(device.residual_a),
-        residual_b=float(device.residual_b),
-        cross_value=complex(device.cross),
-        cross_residual=float(device.cross_residual),
-    )
+    the report's errors and R + iI: the composite seminorm of (A -
+    roundtrip(A), pushforward(A)) equals the error, and the composite cross
+    product equals R + iI."""
+    return kernels.proof_device(ctx.arrays, a.matrix, b.matrix, report)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,12 @@ def matrix_to_json(matrix) -> list:
     return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
 
 
+def _numbers(items) -> bool:
+    """Whether every item is a JSON number, which ``json`` reads as exactly an
+    int or a float: a bool is neither."""
+    return {type(x) for x in items} <= {int, float}
+
+
 def matrix_from_json(data) -> np.ndarray:
     message = "matrix JSON must be nested arrays of [re, im] pairs"
     try:
@@ -34,6 +40,8 @@ def matrix_from_json(data) -> np.ndarray:
         raise ValueError(message) from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ValueError(message)
+    if not _numbers(x for row in data for entry in row for x in entry):
+        raise ValueError("matrix entries must be numbers")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -73,7 +81,7 @@ def _check_declared(data: dict, key: str, actual: int) -> None:
 def povm_from_json(data: dict) -> Povm:
     data = _json_object(data, "POVM")
     values = _json_list(data, "values")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
+    if not _numbers(values):
         raise ValueError("values must be numbers")
     space = OutcomeSpace(tuple(_json_list(data, "labels")), tuple(values))
     effects = [matrix_from_json(e) for e in _json_list(data, "effects")]
@@ -156,16 +164,27 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def relation_csv_row(report, param: float | None) -> str:
+def relation_as_dict(ctx, report) -> dict:
+    """The relation ``report`` (from ``evaluate_relation``) on ``ctx`` under
+    its serialized names, in CSV column order."""
+    return {
+        "dim": ctx.dim,
+        "kind": ctx.povm.kind.value,
+        "epsA": report.eps_a,
+        "epsB": report.eps_b,
+        "R": report.real_term,
+        "I": report.imag_term,
+        "bound": report.bound,
+        "slack": report.slack,
+        "naiveBound": report.naive_bound,
+        "naiveViolated": report.naive_violated,
+    }
+
+
+def relation_csv_row(ctx, report, param: float | None) -> str:
     """One CSV line in the fixed column order; the param cell is empty when
     the row does not belong to a parameter scan."""
-    d = report.as_dict()
-    cells = [
-        str(d["dim"]),
-        str(d["kind"]),
-        "" if param is None else format_float(param, 12),
-    ]
-    for key in ("epsA", "epsB", "R", "I", "bound", "slack", "naiveBound"):
-        cells.append(format_float(d[key], 12))
-    cells.append("true" if d["naiveViolated"] else "false")
-    return ",".join(cells)
+    d = relation_as_dict(ctx, report)
+    numbers = [format_float(d[key], 12) for key in ("epsA", "epsB", "R", "I", "bound", "slack", "naiveBound")]
+    param_cell = "" if param is None else format_float(param, 12)
+    return ",".join([str(d["dim"]), d["kind"], param_cell, *numbers, "true" if d["naiveViolated"] else "false"])

@@ -21,7 +21,6 @@ from functools import partial
 import numpy as np
 
 from . import kernels
-from .errors import ErrorlessConditions
 from .generate import (
     diagonal_meter,
     draw_indirect_model,
@@ -335,12 +334,12 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, _pad(cols["f"]))
         decomposition = kernels.split_residual(*split)
-        shortfall = split.quantum - split.f_error
+        shortfall = split.quantum_error - split.f_error
 
         delta, step = _pad(cols["delta"]), np.array(cols["step"])
         perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
         expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
-        excess_law = np.abs(perturbed.f_error**2 - split.quantum**2 - expected)
+        excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
         out.record_block(dim, block, [
             (decomposition <= tol.identity, decomposition,
              "decomposition broke", lambda i: f"{decomposition[i]:.3e}"),
@@ -365,7 +364,7 @@ def suite_relation_and_proof_tie(
     for dim, block in _sweep(dims, n):
         ctx, a, b = _instances(_draw_block(seed, "main-relation", dim, block, _draw_instance))
         rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
-        hierarchy = np.abs(rel.imag)
+        hierarchy = np.abs(rel.imag_term)
         relation.record_block(dim, block, [
             (rel.slack >= -tol.identity * (1.0 + np.abs(rel.eps_a * rel.eps_b)), np.maximum(-rel.slack, 0.0),
              "relation violated", lambda i: f"slack {rel.slack[i]:.3e}"),
@@ -373,7 +372,7 @@ def suite_relation_and_proof_tie(
              "bound hierarchy broke"),
         ])
 
-        device = kernels.proof_device(ctx, a, b, rel.t_a, rel.t_b, rel.real, rel.imag)
+        device = kernels.proof_device(ctx, a, b, rel)
         seminorm = np.maximum(device.residual_a, device.residual_b)
         cross = device.cross_residual
         proof.record_block(dim, block, [
@@ -393,16 +392,21 @@ def _draw_errorless_equivalence(rng, dim, retry):
     return inst
 
 
+def _row(record, i) -> str:
+    """Instance ``i`` of a stacked record: its fields as Python scalars."""
+    return ", ".join(f"{name}={np.asarray(value)[i].item()!r}" for name, value in zip(record.__slots__, record))
+
+
 def _agreement(e: kernels.Errorless) -> tuple:
     """The check that conditions (a), (b) and (c) agree."""
     same = (e.cond_a == e.cond_b) & (e.cond_b == e.cond_c)
-    return same, np.where(same, 0.0, 1.0), "conditions disagree", partial(ErrorlessConditions.row, e)
+    return same, np.where(same, 0.0, 1.0), "conditions disagree", partial(_row, e)
 
 
 def _errorless(e: kernels.Errorless) -> tuple:
     """The check that a constructed errorless case meets all three conditions."""
     ok = e.cond_a & e.cond_b & e.cond_c
-    return ok, e.error, "constructed errorless case failed", partial(ErrorlessConditions.row, e)
+    return ok, e.error, "constructed errorless case failed", partial(_row, e)
 
 
 def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -463,7 +467,7 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         sigma = np.maximum(np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
         cov = kernels.anti(a, b, rho) - kernels.expect(a, rho) * kernels.expect(b, rho)
         comm = kernels.comm(a, b, rho)
-        terms = np.maximum(np.abs(rel.real - cov), np.abs(rel.imag - comm))
+        terms = np.maximum(np.abs(rel.real_term - cov), np.abs(rel.imag_term - comm))
         out.record_block(dim, block, [
             (sigma <= tol.expectation * (1.0 + sigma_a + sigma_b), sigma,
              "error != standard deviation", lambda i: f"{sigma[i]:.3e}"),
@@ -513,7 +517,7 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
             evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
             direct = np.trace(evolved @ kernels.kron(np.eye(dim), projectors), axis1=-2, axis2=-1).real
             distribution = _max_abs(ctx.weights - direct)
-            bridge = np.maximum(c.bridge_a, c.bridge_b)
+            bridge = np.maximum(c.bridge_residual_a, c.bridge_residual_b)
             links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
             out.record_block(f"{dim}x{ancilla}", block, [
                 (distribution <= tol.expectation, distribution,

@@ -5,17 +5,16 @@ and a quantum one at rho.  The pullback carries outcome functions to
 operators (the adjoint, descended to equivalence classes); the pushforward
 carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
-``transport`` pushes one observable forward once and keeps, with the
-pushforward, its round trip and the error; callers read that record instead
-of deriving any of the three again.
+``transport`` pushes one observable forward once and returns, with the
+pushforward, its round trip and the error (the ``kernels.Transported``
+record of one instance); callers read that record instead of deriving any
+of the three again.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ class LocalContext:
         self.arrays = kernels.context(povm.effects, rho.matrix, self.prob.weights)
         mask = self.arrays.mask
         mask.setflags(write=False)
-        self.support_mask = mask
         labels = np.array(povm.space.labels, dtype=object)
         self.support = frozenset(labels[mask])
         self.tiny_support = frozenset(labels[mask & (self.prob.weights <= DEFAULT_TOL.tiny_support)])
@@ -56,11 +54,6 @@ class LocalContext:
 
     def __repr__(self) -> str:
         return f"LocalContext({self.povm!r}, dim={self.dim})"
-
-
-def support_restrict(ctx: LocalContext, f: OutcomeFunction) -> OutcomeFunction:
-    """Canonical representative of f's equivalence class: zero off the support."""
-    return OutcomeFunction(ctx.space, kernels.restrict(ctx.arrays, f.values))
 
 
 def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
@@ -82,42 +75,15 @@ def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
     return HermitianObservable._trusted(kernels.pullback(ctx.arrays, f.values))
 
 
-@dataclass(frozen=True)
-class Transport:
-    """One observable carried through one context: its pushforward (the
-    optimal estimator), the pullback of that (the round trip) and the error
-    sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the seminorm it loses."""
-
-    observable: HermitianObservable
-    pushforward: OutcomeFunction
-    roundtrip: HermitianObservable
-    error: float
-
-    @property
-    def arrays(self) -> kernels.Transported:
-        return kernels.Transported(self.pushforward.values, self.roundtrip.matrix, self.error)
-
-    @classmethod
-    def of(cls, ctx: LocalContext, a: HermitianObservable, t: kernels.Transported) -> "Transport":
-        """Wrap the kernel's transport of ``a`` through ``ctx``."""
-        return cls(
-            a,
-            OutcomeFunction(ctx.space, t.pushforward),
-            HermitianObservable._trusted(t.roundtrip),
-            float(t.error),
-        )
-
-
-def transport(ctx: LocalContext, a: HermitianObservable) -> Transport:
+def transport(ctx: LocalContext, a: HermitianObservable) -> kernels.Transported:
     """Push ``a`` forward once and derive the round trip and the error from it
     (``kernels.transport``, which raises if contractivity fails)."""
     _check_same_dim(a, ctx)
-    return Transport.of(ctx, a, kernels.transport(ctx.arrays, a.matrix))
+    return kernels.transport(ctx.arrays, a.matrix)
 
 
-def adjointness_residual(ctx: LocalContext, t: Transport, f: OutcomeFunction) -> float:
-    """|<A, pullback(f)>_rho - <pushforward(A), f>_p| for A = t.observable;
-    zero up to roundoff."""
+def adjointness_residual(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> float:
+    """|<A, pullback(f)>_rho - <pushforward(A), f>_p|; zero up to roundoff."""
     if f.space != ctx.space:
         raise ValueError("outcome spaces do not match")
-    return float(kernels.adjointness(ctx.arrays, t.observable.matrix, t.pushforward.values, f.values))
+    return kernels.adjointness(ctx.arrays, a.matrix, pushforward(ctx, a).values, f.values)

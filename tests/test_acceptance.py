@@ -164,7 +164,7 @@ def test_criterion_9_ozawa_chain():
         and abs(cnot.eps_a - 1.0) <= 1e-9
         and abs(cnot.eps_b) <= 1e-9
     )
-    ok = result.failures == 0 and exact and cnot.all_hold
+    ok = result.failures == 0 and exact and cnot.holds.all()
     report(
         9,
         ok,

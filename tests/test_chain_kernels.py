@@ -94,7 +94,7 @@ def check_against_oracles(meter, projectors, xi, u, rho, a, b):
         assert np.max(np.abs(c.values[k] - expected)) <= TOL * s
         assert abs(c.rms_a[k] - rms_a) <= TOL * s and abs(c.rms_b[k] - rms_b) <= TOL * s
         assert abs(c.eps_a[k] ** 2 - eps_a**2) <= TOL * s and abs(c.eps_b[k] ** 2 - eps_b**2) <= TOL * s
-        assert max(c.bridge_a[k], c.bridge_b[k]) <= 1e-9 * s
+        assert max(c.bridge_residual_a[k], c.bridge_residual_b[k]) <= 1e-9 * s
         assert c.holds[k].all() and c.dominance_a[k] and c.dominance_b[k]
 
         one = kernels.context(ctx.effects[k], rho[k], ctx.weights[k])

@@ -334,6 +334,11 @@ class TestUsageAndInternalErrors:
         assert capsys.readouterr().err.strip() == "internal error: injected"
 
 
+def _z_effects(one) -> list:
+    """The projective Z effects as JSON, with ``one`` as the top-left entry."""
+    return [[[[one, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+
 class TestMalformedFiles:
     """A loader rejects a malformed file as a usage error (exit 2) with one
     ``error:`` line; a wrongly typed field never ends in a traceback, and is
@@ -351,10 +356,14 @@ class TestMalformedFiles:
             ("povm", {"effects": 5}, "effects must be a JSON list, got int"),
             ("povm", {"values": [None, -1.0]}, "values must be numbers"),
             ("state", {"re": 1.0}, "matrix JSON must be nested arrays of [re, im] pairs"),
+            ("povm", {"effects": _z_effects("1")}, "matrix entries must be numbers"),
+            ("povm", {"effects": _z_effects("1e0")}, "matrix entries must be numbers"),
+            ("povm", {"effects": _z_effects(True)}, "matrix entries must be numbers"),
         ],
         ids=[
             "system_dim-list", "system_dim-float", "model-list",
             "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "state-object",
+            "entry-str", "entry-str-exp", "entry-bool",
         ],
     )
     def test_malformed_file_is_usage_error(self, kind, edit, message, tmp_path, capsys):

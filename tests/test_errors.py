@@ -29,7 +29,6 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.states import OutcomeSpace, ProbabilityDistribution
-from measerr.transport import transport
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -81,19 +80,19 @@ class TestFError:
     def test_optimal_estimator_recovers_quantum_error(self):
         for seed in range(8):
             ctx, a, _ = random_ctx(3, 50 + seed)
-            breakdown = f_error(ctx, transport(ctx, a), pushforward(ctx, a))
+            breakdown = f_error(ctx, a, pushforward(ctx, a))
             assert breakdown.f_error == pytest.approx(breakdown.quantum_error, abs=1e-10)
             assert breakdown.estimation_error <= 1e-12
 
     def test_exact_reconstruction(self):
         ctx = LocalContext(projective_from(Z), MIXED)
         f = OutcomeFunction.identity(ctx.space)
-        assert f_error(ctx, transport(ctx, Z), f).f_error <= 1e-12
+        assert f_error(ctx, Z, f).f_error <= 1e-12
 
     def test_scaled_estimator_pays_one(self):
         ctx = LocalContext(projective_from(Z), MIXED)
         f = 2.0 * OutcomeFunction.identity(ctx.space)
-        breakdown = f_error(ctx, transport(ctx, Z), f)
+        breakdown = f_error(ctx, Z, f)
         assert breakdown.estimation_error == pytest.approx(1.0, abs=1e-12)
         assert breakdown.f_error == pytest.approx(1.0, abs=1e-12)
 
@@ -101,7 +100,7 @@ class TestFError:
         for seed in range(20):
             ctx, a, rng = random_ctx(int(rng_dim(seed)), 100 + seed)
             f = OutcomeFunction(ctx.space, rng.uniform(-2, 2, ctx.space.size))
-            breakdown = f_error(ctx, transport(ctx, a), f)
+            breakdown = f_error(ctx, a, f)
             residual = abs(
                 breakdown.f_error**2 - breakdown.quantum_error**2 - breakdown.estimation_error**2
             )
@@ -116,7 +115,7 @@ class TestMinimality:
     def test_zero_perturbation_is_equality(self):
         ctx, a, _ = random_ctx(3, 7)
         opt = pushforward(ctx, a)
-        assert f_error(ctx, transport(ctx, a), opt).f_error == pytest.approx(quantum_error(ctx, a), abs=1e-10)
+        assert f_error(ctx, a, opt).f_error == pytest.approx(quantum_error(ctx, a), abs=1e-10)
 
     def test_frozen_quadratic_excess(self):
         # sharpness 0.6, delta = (1,-1), t = 0.1: excess must be exactly
@@ -124,7 +123,7 @@ class TestMinimality:
         ctx = LocalContext(unsharp_qubit((0, 0, 1), 0.6), MIXED)
         opt = pushforward(ctx, Z)
         delta = OutcomeFunction(ctx.space, [1.0, -1.0])
-        perturbed = f_error(ctx, transport(ctx, Z), opt + 0.1 * delta)
+        perturbed = f_error(ctx, Z, opt + 0.1 * delta)
         excess = perturbed.f_error**2 - quantum_error(ctx, Z) ** 2
         assert class_norm(delta, ctx.prob) == pytest.approx(1.0, abs=1e-12)
         assert excess == pytest.approx(0.01, abs=1e-12)

@@ -26,7 +26,6 @@ from measerr import (
     random_state,
     spectral_decompose,
 )
-from measerr.transport import transport
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -129,7 +128,7 @@ class TestBridgeIdentity:
             ctx = LocalContext(induced_povm(model), rho)
             est = OutcomeFunction.identity(ctx.space)
             assert ozawa_error(model, rho, a) == pytest.approx(
-                f_error(ctx, transport(ctx, a), est).f_error, abs=1e-9
+                f_error(ctx, a, est).f_error, abs=1e-9
             )
 
     def test_rms_error_dominates_intrinsic_error(self):
@@ -150,7 +149,7 @@ class TestChain:
         assert report.values[2] == pytest.approx(0.0, abs=1e-9)
         assert report.values[3] == pytest.approx(0.0, abs=1e-9)
         assert report.values[4] == pytest.approx(0.8 - np.sqrt(2.0), abs=1e-9)
-        assert report.all_hold
+        assert report.holds.all()
 
     def test_no_interaction_model_reduces_to_deviation(self):
         ancilla = DensityOperator.pure([1.0, 1.0])
@@ -160,12 +159,12 @@ class TestChain:
         # deviation, and the rms error can only be larger
         assert report.eps_a == pytest.approx(report.sigma_a, abs=1e-10)
         assert report.rms_a >= report.eps_a - 1e-9
-        assert report.all_hold
+        assert report.holds.all()
 
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (3, 2)])
     def test_chain_on_random_models(self, dim, ancilla):
         for seed in range(15):
             model, rho, a, b = random_model(dim, ancilla, 700 + seed)
             report = chain_check(model, rho, a, b)
-            assert report.all_hold, report.values
+            assert report.holds.all(), report.values
             assert report.dominance_a and report.dominance_b

@@ -26,6 +26,7 @@ from measerr import (
     state_inner,
     trivial_measurement,
 )
+from measerr.serialize import relation_as_dict
 from measerr.states import OutcomeSpace, ProbabilityDistribution
 
 X = HermitianObservable(PAULI_X)
@@ -126,7 +127,7 @@ class TestEvaluateRelation:
 
     def test_report_serialization_keys(self):
         ctx, a, b, _ = random_setup(2, 5)
-        d = evaluate_relation(ctx, a, b).as_dict()
+        d = relation_as_dict(ctx, evaluate_relation(ctx, a, b))
         assert list(d) == [
             "dim", "kind", "epsA", "epsB", "R", "I", "bound", "slack",
             "naiveBound", "naiveViolated",

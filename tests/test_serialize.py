@@ -133,14 +133,14 @@ class TestCsvRow:
         povm = random_povm(cfg, np.random.default_rng(2))
         ctx = LocalContext(povm, random_state(cfg, np.random.default_rng(2)))
         rng = np.random.default_rng(5)
-        return evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
+        return ctx, evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
 
     def test_header_and_width(self):
         assert CSV_HEADER.split(",") == [
             "dim", "kind", "param", "epsA", "epsB", "R", "I", "bound",
             "slack", "naiveBound", "naiveViolated",
         ]
-        row = relation_csv_row(self._report(), 0.25)
+        row = relation_csv_row(*self._report(), 0.25)
         cells = row.split(",")
         assert len(cells) == 11
         assert cells[0] == "2"
@@ -148,5 +148,5 @@ class TestCsvRow:
         assert cells[-1] in ("true", "false")
 
     def test_param_cell_empty_outside_scans(self):
-        row = relation_csv_row(self._report(), None)
+        row = relation_csv_row(*self._report(), None)
         assert row.split(",")[2] == ""

@@ -65,6 +65,6 @@ def test_stacked_paths_match_per_outcome_formulas(dim, mixedness, seed):
 
     t = transport(ctx, a)
     roundtrip = oracles.adjoint_brute(effects, expected)
-    assert np.max(np.abs(t.roundtrip.matrix - roundtrip)) <= 1e-12 * scale
+    assert np.max(np.abs(t.roundtrip - roundtrip)) <= 1e-12 * scale
     error = oracles.quantum_error_brute(effects, rho.matrix, a.matrix)
     assert abs(t.error - error) <= 1e-12 * scale

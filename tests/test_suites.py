@@ -3,6 +3,8 @@ and how often the suites transport an observable."""
 
 import ast
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,3 +169,19 @@ def test_chain_failure_names_the_model():
     report = chain_check(model, rho, random_observable(cfg, rng), random_observable(cfg, rng), tol=tol)
     assert np.allclose(ast.literal_eval(values), report.values, rtol=0.0, atol=1e-12)
     assert out.messages[3].startswith("bridge identity broke at dim=3x2 i=1: ")
+
+
+def test_errorless_failure_lists_the_conditions(monkeypatch):
+    """An errorless-equivalence failure reads "<what> at dim=<d> i=<i>: "
+    followed by the six fields of the instance's conditions as Python
+    scalars."""
+    monkeypatch.setattr(kernels, "DEFAULT_TOL", replace(kernels.DEFAULT_TOL, errorless=0.0))
+    out = suites.suite_errorless_equivalence((2, 3), 4, seed=6)
+    assert out.failures > 0 and out.messages
+    flag, number = r"(True|False)", r"(-?[0-9][0-9.e+-]*|nan|inf)"
+    fields = ", ".join(
+        [f"cond_{c}={flag}" for c in "abc"] + [f"{name}={number}" for name in ("error", "roundtrip_residual", "scale")]
+    )
+    for message in out.messages:
+        assert re.fullmatch(rf"[a-z ]+ at dim=[23] i=[0-3]: .*?{fields}\)?", message), message
+        assert "np." not in message

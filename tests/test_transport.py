@@ -29,7 +29,6 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.transport import transport
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -122,19 +121,19 @@ class TestPullback:
 class TestAdjointness:
     def test_constant_function_reduces_to_expectation(self):
         ctx, a, _ = random_ctx(3, 5)
-        assert adjointness_residual(ctx, transport(ctx, a), OutcomeFunction.constant(ctx.space, 1.0)) <= 1e-10
+        assert adjointness_residual(ctx, a, OutcomeFunction.constant(ctx.space, 1.0)) <= 1e-10
 
     def test_transverse_case_vanishes(self):
         ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
         f = OutcomeFunction(ctx.space, [1.0, -1.0])
-        assert adjointness_residual(ctx, transport(ctx, X), f) <= 1e-12
+        assert adjointness_residual(ctx, X, f) <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 3, 4, 5])
     def test_sweep(self, dim):
         for seed in range(25):
             ctx, a, rng = random_ctx(dim, 1000 * dim + seed)
             f = OutcomeFunction(ctx.space, rng.uniform(-2, 2, ctx.space.size))
-            assert adjointness_residual(ctx, transport(ctx, a), f) <= 1e-9 * (1 + abs(class_mean(f, ctx.prob)) + 1)
+            assert adjointness_residual(ctx, a, f) <= 1e-9 * (1 + abs(class_mean(f, ctx.prob)) + 1)
 
 
 def norm_chain(ctx, a):
