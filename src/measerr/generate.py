@@ -2,21 +2,25 @@
 
 All randomness flows through an explicit numpy Generator (PCG64 under
 ``default_rng``); nothing touches global state.  The same generator state
-always reproduces the same objects.  Parallel sweeps should derive one child
-seed per instance (for example ``default_rng([seed, dim, index])``) so
-results do not depend on scheduling.
+always reproduces the same objects.  The sweeps key each instance's stream
+by the seed's 32-bit words, the suite's stream id and the parts (``suites._rng``).
 
-Generation is split in two.  The ``draw_*`` functions make one instance's
-raw Gaussian draws, in stream order; the stacked functions (``povm_effects``,
-``state_matrices``, ``observable_matrices``, ``haar_unitaries``) turn a whole
-stack of draws into matrices at once.  The ``random_*`` generators are both
-steps for one instance; the suites draw instance by instance and build each
-block of instances as one stack.
+Generation is split in two.  ``gaussians`` makes all of one instance's
+complex Gaussian arrays with one ``standard_normal`` call (the POVM factors
+may take one of their own, so that a retry repeats just that call), in
+draw order, each array (each POVM factor) as its real block, then its
+imaginary block.  The stacked functions (``complex_stack``,
+``povm_effects``, ``state_matrices``, ``observable_matrices``,
+``haar_unitaries``) turn a whole stack of such draws into matrices at once.
+The ``random_*`` generators are both steps for one instance; the suites
+draw instance by instance and build each block of instances as one stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -58,16 +62,30 @@ class GenConfig:
             raise ValueError("blend weight must lie in [0, 1]")
 
 
-def _complex_normals(rng: np.random.Generator, count: int, shape) -> np.ndarray:
-    """``count`` complex Gaussian arrays of ``shape``, each a real-part draw
-    followed by an imaginary-part draw: one call to the generator, and the
-    same numbers as 2 * count calls of ``standard_normal(shape)``."""
-    x = rng.standard_normal((count, 2) + ((shape,) if isinstance(shape, int) else tuple(shape)))
-    return x[:, 0] + 1j * x[:, 1]
+def gaussians(rng: np.random.Generator, *shapes, accept=None) -> list[np.ndarray]:
+    """Real Gaussian arrays of the raw ``shapes``, in order, from one
+    ``standard_normal`` call: views of one buffer, filled in stream order.
+    A complex array of shape ``s`` has the raw shape ``(2,) + s``, its real
+    block then its imaginary block; the n factors of a POVM have
+    ``(n, 2, d, d)``, factor by factor.  ``complex_stack`` combines them.
+    With ``accept``, the first array takes a call of its own, repeated until
+    ``accept`` takes it, and the rest one more call."""
+    head = []
+    if accept is not None:
+        while not accept(first := rng.standard_normal(shapes[0])):
+            pass
+        head, shapes = [first], shapes[1:]
+    sizes = [math.prod(s) for s in shapes]
+    flat = rng.standard_normal(sum(sizes))
+    return head + [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, sizes, accumulate(sizes))]
 
 
-def _complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
-    return _complex_normals(rng, 1, shape)[0]
+def complex_stack(raws, axis: int = -3) -> np.ndarray:
+    """The complex stack of raw arrays from ``gaussians`` (a list of them, or
+    one array stacking them) whose real and imaginary blocks lie along
+    ``axis``: -3 for matrices and POVM factors, -2 for kets."""
+    re, im = np.moveaxis(np.asarray(raws), axis, 0)
+    return re + 1j * im
 
 
 def haar_unitaries(factors: np.ndarray) -> np.ndarray:
@@ -81,17 +99,7 @@ def haar_unitaries(factors: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """One Haar-distributed unitary of dimension ``dim``."""
-    return haar_unitaries(_complex_normal(rng, (dim, dim)))
-
-
-def draw_povm(rng: np.random.Generator, dim: int, outcomes: int, *, retry: bool = False) -> np.ndarray:
-    """Gaussian factors G_w, shape ``(outcomes, dim, dim)``, of one random
-    POVM.  With ``retry``, factors whose Gram blocks do not whiten (see
-    ``povm_effects``) are drawn again from the same stream until they do."""
-    while True:
-        factors = _complex_normals(rng, outcomes, (dim, dim))
-        if not retry or povm_effects(factors)[1]:
-            return factors
+    return haar_unitaries(complex_stack(gaussians(rng, (2, dim, dim))))[0]
 
 
 def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,9 +117,9 @@ def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (effects + effects.conj().swapaxes(-1, -2)) / 2.0, ok
 
 
-def draw_state(rng: np.random.Generator, dim: int, mixedness: str) -> np.ndarray:
-    """A ket ``(dim,)`` for a pure state, a Ginibre matrix ``(dim, dim)`` otherwise."""
-    return _complex_normal(rng, dim if mixedness == "pure" else (dim, dim))
+def whitens(factors: np.ndarray) -> bool:
+    """Whether the raw factors ``(n, 2, d, d)`` of one POVM whiten (``povm_effects``)."""
+    return bool(povm_effects(complex_stack([factors]))[1][0])
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:
@@ -120,22 +128,18 @@ def ginibre_states(g: np.ndarray) -> np.ndarray:
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def state_matrices(draws, pure) -> np.ndarray:
-    """Unvalidated states ``(N, d, d)`` from N state draws: ``pure_states``
-    where ``pure`` (one flag per draw, or one for all) holds,
-    ``ginibre_states`` otherwise."""
-    pure = np.broadcast_to(np.asarray(pure, dtype=bool), (len(draws),))
-    dim = len(draws[0])
-    out = np.empty((len(draws), dim, dim), dtype=complex)
+def state_matrices(raws, pure) -> np.ndarray:
+    """Unvalidated states ``(N, d, d)`` from N raw draws: ``pure_states`` of
+    a ket ``(2, d)`` where ``pure`` (one flag per draw, or one for all)
+    holds, ``ginibre_states`` of a matrix ``(2, d, d)`` otherwise."""
+    pure = np.broadcast_to(np.asarray(pure, dtype=bool), (len(raws),))
+    dim = raws[0].shape[-1]
+    out = np.empty((len(raws), dim, dim), dtype=complex)
     if pure.any():
-        out[pure] = pure_states(np.stack([x for x, p in zip(draws, pure) if p]))
+        out[pure] = pure_states(complex_stack([x for x, p in zip(raws, pure) if p], axis=-2))
     if not pure.all():
-        out[~pure] = ginibre_states(np.stack([x for x, p in zip(draws, pure) if not p]))
+        out[~pure] = ginibre_states(complex_stack([x for x, p in zip(raws, pure) if not p]))
     return out
-
-
-def draw_observable(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return _complex_normal(rng, (dim, dim))
 
 
 def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.ndarray:
@@ -149,35 +153,26 @@ def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.nda
 
 
 def random_state(cfg: GenConfig, rng: np.random.Generator) -> DensityOperator:
-    draw = draw_state(rng, cfg.dim, cfg.mixedness)
-    mat = pure_states(draw) if cfg.mixedness == "pure" else ginibre_states(draw)
+    pure = cfg.mixedness == "pure"
+    mat = state_matrices(gaussians(rng, (2, cfg.dim) if pure else (2, cfg.dim, cfg.dim)), pure)[0]
     if cfg.mixedness == "blend":
         mat = (1.0 - cfg.blend) * mat + cfg.blend * np.eye(cfg.dim) / cfg.dim
     return DensityOperator(mat)
 
 
-def random_observable(
-    cfg: GenConfig,
-    rng: np.random.Generator,
-    *,
-    traceless: bool = False,
-) -> HermitianObservable:
+def random_observable(cfg: GenConfig, rng: np.random.Generator, *, traceless: bool = False) -> HermitianObservable:
     """Gaussian Hermitian matrix (G + G^dag)/2, optionally trace-projected."""
-    return HermitianObservable(observable_matrices(draw_observable(rng, cfg.dim), traceless=traceless))
+    raw = gaussians(rng, (2, cfg.dim, cfg.dim))
+    return HermitianObservable(observable_matrices(complex_stack(raw), traceless=traceless)[0])
 
 
 def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:
     """Generic full-rank POVM: Gaussian Gram blocks whitened by the inverse
     square root of their sum.  Outcome values default to 1..n."""
-    effects, _ = povm_effects(draw_povm(rng, cfg.dim, cfg.outcomes, retry=True))
+    raw = gaussians(rng, (cfg.outcomes, 2, cfg.dim, cfg.dim), accept=whitens)
+    effects = povm_effects(complex_stack(raw))[0][0]
     space = OutcomeSpace.from_values(np.arange(1, cfg.outcomes + 1, dtype=float))
     return Povm(space, effects, kind=MeasurementKind.CUSTOM)
-
-
-def draw_indirect_model(rng: np.random.Generator, dim: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ancilla ket ``(ancilla_dim,)`` and the Gaussian factor ``(D, D)``
-    of the Haar interaction of one random indirect model, in stream order."""
-    return _complex_normal(rng, ancilla_dim), _complex_normal(rng, (dim * ancilla_dim,) * 2)
 
 
 def diagonal_meter(ancilla_dim: int) -> np.ndarray:
@@ -185,13 +180,9 @@ def diagonal_meter(ancilla_dim: int) -> np.ndarray:
     return np.diag(np.arange(1, ancilla_dim + 1, dtype=complex))
 
 
-def random_indirect_model(
-    cfg: GenConfig,
-    rng: np.random.Generator,
-    *,
-    ancilla_dim: int = 2,
-) -> IndirectModel:
+def random_indirect_model(cfg: GenConfig, rng: np.random.Generator, *, ancilla_dim: int = 2) -> IndirectModel:
     """Haar interaction, random pure ancilla, nondegenerate diagonal meter."""
-    ket, factor = draw_indirect_model(rng, cfg.dim, ancilla_dim)
+    ket, factor = gaussians(rng, (2, ancilla_dim), (2,) + (cfg.dim * ancilla_dim,) * 2)
     meter = HermitianObservable(diagonal_meter(ancilla_dim))
-    return IndirectModel(cfg.dim, DensityOperator.pure(ket), haar_unitaries(factor), meter)
+    xi = DensityOperator.pure(complex_stack([ket], axis=-2)[0])
+    return IndirectModel(cfg.dim, xi, haar_unitaries(complex_stack([factor]))[0], meter)

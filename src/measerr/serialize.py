@@ -152,8 +152,8 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         inner = ", ".join(json_text(v, sig).strip() for v in obj)
         return f"{pad}[{inner}]"
-    if isinstance(obj, bool) or obj is None:
-        return pad + json.dumps(obj)
+    if obj is None or isinstance(obj, (bool, np.bool_)):
+        return pad + json.dumps(None if obj is None else bool(obj))
     if isinstance(obj, (int, np.integer)):
         return pad + str(int(obj))
     if isinstance(obj, (float, np.floating)):

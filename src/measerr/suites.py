@@ -16,22 +16,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import kernels
 from .generate import (
+    complex_stack,
     diagonal_meter,
-    draw_indirect_model,
-    draw_observable,
-    draw_povm,
-    draw_state,
+    gaussians,
     ginibre_states,
     haar_unitaries,
     observable_matrices,
     povm_effects,
     state_matrices,
+    whitens,
 )
 from .indirect import check_unitaries
 from .measurement import check_effects
@@ -115,8 +114,18 @@ class SuiteResult:
 _BLOCK = 32
 
 
+@lru_cache(maxsize=16)
+def _seed_words(seed: int) -> tuple[int, ...]:
+    """The little-endian 32-bit words of ``seed % 2**63``: two from 2**32 on."""
+    low, high = seed % 2**32, seed % 2**63 >> 32
+    return (low, high) if high else (low,)
+
+
 def _rng(seed: int, suite: str, *parts: int) -> np.random.Generator:
-    return np.random.default_rng([seed % 2**63, _SUITE_STREAM[suite], *map(int, parts)])
+    """The stream of one instance: ``default_rng`` keyed by the seed's words,
+    the suite's stream id and ``parts`` (each below 2**32), the words numpy
+    derives from the list ``[seed % 2**63, stream, *parts]``."""
+    return np.random.default_rng(np.array((*_seed_words(seed), _SUITE_STREAM[suite], *parts), dtype=np.uint32))
 
 
 def _pad(rows) -> np.ndarray:
@@ -137,37 +146,35 @@ def _sweep(dims, n: int):
 def _draw_block(seed: int, suite: str, dim: int, block: range, draw) -> dict:
     """Draw the instances ``block`` of one (suite, dim) sweep, each from its
     own stream and in index order, as columns: ``draw(rng, dim, retry)``
-    returns one instance's raw draws as a dict.  Gaussian POVM factors under
+    returns one instance's raw draws as a dict.  Raw POVM factors under
     "povm" come back as validated effects (zero-padded), and an instance
     whose factors do not whiten is drawn again with ``retry``, so its stream
     runs as ``random_povm`` would run it."""
     rows = [draw(_rng(seed, suite, dim, i), dim, False) for i in block]
     cols = {key: [row[key] for row in rows] for key in rows[0]}
     if "povm" in cols:
-        effects, ok = povm_effects(_pad(cols["povm"]))
+        effects, ok = povm_effects(complex_stack(_pad(cols["povm"])))
         for k in np.flatnonzero(~ok):
             redrawn = draw(_rng(seed, suite, dim, block[k]), dim, True)
             for key in cols:
                 cols[key][k] = redrawn[key]
         if not ok.all():
-            effects, _ = povm_effects(_pad(cols["povm"]))
+            effects, _ = povm_effects(complex_stack(_pad(cols["povm"])))
         check_effects(effects)
         cols["povm"] = effects
     return cols
 
 
-def _draw_instance(rng: np.random.Generator, dim: int, retry: bool, with_f: bool = False) -> dict:
+def _draw_instance(rng: np.random.Generator, dim: int, retry: bool, with_f: bool = False, **more) -> dict:
     """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two
-    observables and, ``with_f``, an outcome function uniform in [-2, 2)."""
+    observables, the complex Gaussian arrays of the raw shapes ``more`` (by
+    name) and, ``with_f``, an outcome function uniform in [-2, 2)."""
     outcomes = int(rng.integers(2, 7))
     pure = bool(rng.random() < 0.3)
-    inst = {
-        "povm": draw_povm(rng, dim, outcomes, retry=retry),
-        "pure": pure,
-        "rho": draw_state(rng, dim, "pure" if pure else "ginibre"),
-        "a": draw_observable(rng, dim),
-        "b": draw_observable(rng, dim),
-    }
+    shapes = {"povm": (outcomes, 2, dim, dim), "rho": (2, dim) if pure else (2, dim, dim)}
+    shapes.update(a=(2, dim, dim), b=(2, dim, dim), **more)
+    inst = dict(zip(shapes, gaussians(rng, *shapes.values(), accept=whitens if retry else None)))
+    inst["pure"] = pure
     if with_f:
         inst["f"] = rng.uniform(-2.0, 2.0, outcomes)
     return inst
@@ -177,8 +184,8 @@ def _states(draws, pure) -> np.ndarray:
     return check_states(state_matrices(draws, pure))
 
 
-def _observables(draws) -> np.ndarray:
-    mat = observable_matrices(np.stack(draws))
+def _observables(raws) -> np.ndarray:
+    mat = observable_matrices(complex_stack(raws))
     check_observables(mat)
     return mat
 
@@ -207,12 +214,9 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 
 def _draw_affineness(rng, dim, retry):
     outcomes = int(rng.integers(2, 7))
-    return {
-        "povm": draw_povm(rng, dim, outcomes, retry=retry),
-        "rho1": draw_state(rng, dim, "ginibre"),
-        "rho2": draw_state(rng, dim, "pure"),
-        "lam": rng.uniform(),
-    }
+    shapes = (outcomes, 2, dim, dim), (2, dim, dim), (2, dim)
+    povm, rho1, rho2 = gaussians(rng, *shapes, accept=whitens if retry else None)
+    return {"povm": povm, "rho1": rho1, "rho2": rho2, "lam": rng.uniform()}
 
 
 def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -385,8 +389,7 @@ def suite_relation_and_proof_tie(
 
 
 def _draw_errorless_equivalence(rng, dim, retry):
-    inst = _draw_instance(rng, dim, retry)
-    inst["rho2"] = draw_state(rng, dim, "ginibre")
+    inst = _draw_instance(rng, dim, retry, rho2=(2, dim, dim))
     inst["scale"] = rng.uniform(0.5, 2.0)
     inst["shift"] = rng.uniform(-1.0, 1.0)
     return inst
@@ -445,7 +448,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def _draw_trivial_reduction(rng, dim, retry):
-    inst = {"rho": draw_state(rng, dim, "ginibre"), "a": draw_observable(rng, dim), "b": draw_observable(rng, dim)}
+    inst = dict(zip(("rho", "a", "b"), gaussians(rng, *[(2, dim, dim)] * 3)))
     inst["p0"] = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
     return inst
 
@@ -486,15 +489,13 @@ def _chain_models(seed: int, dim: int, ancilla: int, block: range) -> tuple:
     observables of the random models ``block``, each drawn from its own
     stream in the order of ``random_indirect_model``, ``random_state`` and
     ``random_observable``."""
-    draws = []
-    for i in block:
-        rng = _rng(seed, "ozawa-chain", dim, ancilla, i)
-        ket, factor = draw_indirect_model(rng, dim, ancilla)
-        draws.append((ket, factor, draw_state(rng, dim, "ginibre"), draw_observable(rng, dim), draw_observable(rng, dim)))
-    kets, factors, g, a, b = (np.stack(col) for col in zip(*draws))
-    u = haar_unitaries(factors)
+    joint = dim * ancilla
+    shapes = (2, ancilla), (2, joint, joint), (2, dim, dim), (2, dim, dim), (2, dim, dim)
+    kets, factors, g, a, b = zip(*(gaussians(_rng(seed, "ozawa-chain", dim, ancilla, i), *shapes) for i in block))
+    u = haar_unitaries(complex_stack(factors))
     check_unitaries(u)
-    return check_states(pure_states(kets)), u, check_states(ginibre_states(g)), _observables(a), _observables(b)
+    xi = check_states(pure_states(complex_stack(kets, axis=-2)))
+    return xi, u, check_states(ginibre_states(complex_stack(g))), _observables(a), _observables(b)
 
 
 def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:

@@ -29,8 +29,8 @@ class LocalContext:
 
     ``support`` holds the labels with weight above the cutoff; ``tiny_support``
     flags the ones close enough to zero (at most ``DEFAULT_TOL.tiny_support``) that
-    dividing by them is numerically delicate.  ``arrays`` is the same
-    context as the ``kernels.Context`` of one instance.
+    dividing by them is numerically delicate; both are computed when read.
+    ``arrays`` is the same context as the ``kernels.Context`` of one instance.
     """
 
     def __init__(self, povm: Povm, rho: DensityOperator):
@@ -38,11 +38,18 @@ class LocalContext:
         self.rho = rho
         self.prob = povm.apply(rho)
         self.arrays = kernels.context(povm.effects, rho.matrix, self.prob.weights)
-        mask = self.arrays.mask
-        mask.setflags(write=False)
-        labels = np.array(povm.space.labels, dtype=object)
-        self.support = frozenset(labels[mask])
-        self.tiny_support = frozenset(labels[mask & (self.prob.weights <= DEFAULT_TOL.tiny_support)])
+        self.arrays.mask.setflags(write=False)
+
+    @property
+    def support(self) -> frozenset:
+        return self._labels(self.arrays.mask)
+
+    @property
+    def tiny_support(self) -> frozenset:
+        return self._labels(self.arrays.mask & (self.prob.weights <= DEFAULT_TOL.tiny_support))
+
+    def _labels(self, where: np.ndarray) -> frozenset:
+        return frozenset(np.array(self.space.labels, dtype=object)[where])
 
     @property
     def dim(self) -> int:

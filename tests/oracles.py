@@ -145,3 +145,60 @@ def std_dev_brute(a, rho):
     """sqrt(<a^2> - <a>^2) over rho, clipped at zero."""
     mean = trace_expectation(a, rho).real
     return np.sqrt(max(trace_expectation(a @ a, rho).real - mean * mean, 0.0))
+
+
+def complex_gaussian(rng, shape):
+    """One complex Gaussian array drawn plainly: a ``standard_normal(shape)``
+    call for the real part, then one for the imaginary part."""
+    re = rng.standard_normal(shape)
+    return re + 1j * rng.standard_normal(shape)
+
+
+def povm_factors(rng, outcomes, dim, min_condition):
+    """The Gaussian factors of one random POVM, factor by factor, drawn again
+    until sum_w G_w^dag G_w has its smallest eigenvalue above
+    ``min_condition`` times its largest."""
+    while True:
+        g = np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(outcomes)])
+        w = np.linalg.eigvalsh(sum(x.conj().T @ x for x in g))
+        if w[0] > min_condition * w[-1]:
+            return g
+
+
+def verify_draws(rng, suite, dim, min_condition):
+    """One instance of a ``verify`` suite drawn call by call in the
+    documented order: the outcome count (and the pure-state coin), the POVM
+    factors, the states and observables (kets ``(dim,)``, matrices
+    ``(dim, dim)``), then the suite's uniform or Dirichlet draws."""
+    if suite == "trivial-reduction":
+        out = {key: complex_gaussian(rng, (dim, dim)) for key in ("rho", "a", "b")}
+        out["p0"] = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+        return out
+    outcomes = int(rng.integers(2, 7))
+    if suite == "affineness":
+        povm = povm_factors(rng, outcomes, dim, min_condition)
+        rho1, rho2 = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim,))
+        return {"povm": povm, "rho1": rho1, "rho2": rho2, "lam": rng.uniform()}
+    pure = bool(rng.random() < 0.3)
+    out = {"povm": povm_factors(rng, outcomes, dim, min_condition), "pure": pure}
+    out["rho"] = complex_gaussian(rng, (dim,) if pure else (dim, dim))
+    out["a"], out["b"] = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim, dim))
+    if suite == "errorless-equivalence":
+        out["rho2"] = complex_gaussian(rng, (dim, dim))
+        out["scale"], out["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    elif suite != "main-relation":
+        out["f"] = rng.uniform(-2.0, 2.0, outcomes)
+    if suite == "transport-adjointness":
+        out["alpha"], out["beta"] = rng.uniform(-2.0, 2.0, 2)
+    elif suite == "error-decomposition":
+        out["delta"], out["step"] = rng.uniform(-2.0, 2.0, outcomes), rng.uniform(-1.0, 1.0)
+    return out
+
+
+def chain_draws(rng, dim, ancilla):
+    """The Gaussian draws of one random ``chain`` model, in order: the
+    ancilla ket, the interaction's factor, a Ginibre state and two
+    observables."""
+    joint = dim * ancilla
+    shapes = [(ancilla,), (joint, joint), (dim, dim), (dim, dim), (dim, dim)]
+    return [complex_gaussian(rng, shape) for shape in shapes]

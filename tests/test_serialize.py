@@ -117,6 +117,13 @@ class TestFloatPolicy:
         assert parsed["items"] == [1, 2.5, None]
         assert parsed["name"] == "abc"
 
+    def test_numpy_bools_are_json_booleans(self):
+        assert json_text(np.True_) == "true"
+        assert json_text(np.False_) == "false"
+        text = json_text({"x": np.bool_(False), "flags": [np.bool_(True), np.False_, True]})
+        assert json.loads(text) == {"x": False, "flags": [True, False, True]}
+        assert '"True"' not in text and '"False"' not in text
+
     def test_non_finite_floats_stay_strict_json(self):
         text = json_text({"w": float("nan"), "up": np.inf, "down": [-np.inf, 1.5]})
 

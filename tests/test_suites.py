@@ -5,8 +5,10 @@ import ast
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
+import oracles
 import pytest
 
 from measerr import (
@@ -21,6 +23,7 @@ from measerr import (
     random_state,
 )
 from measerr import generate, kernels, suites
+from measerr.states import check_states, pure_states
 from measerr.suites import SuiteResult
 
 
@@ -128,28 +131,107 @@ class TestRecordBlock:
         assert (out.checks, out.failures, out.worst, out.messages) == (4, 1, 2.0, ["b at dim=2 i=1"])
 
 
+# The drawer of each verify suite ("contractivity" draws as
+# "adjoint-characterization" does).
+DRAWERS = {
+    "affineness": suites._draw_affineness,
+    "adjoint-characterization": partial(suites._draw_instance, with_f=True),
+    "transport-adjointness": suites._draw_transport_adjointness,
+    "error-decomposition": suites._draw_error_decomposition,
+    "main-relation": suites._draw_instance,
+    "errorless-equivalence": suites._draw_errorless_equivalence,
+    "trivial-reduction": suites._draw_trivial_reduction,
+}
+
+
+def complex_column(col) -> list:
+    """The complex arrays of a raw column of ``_draw_block``, combined as the
+    suites combine them: the kets and the matrices each as one stack."""
+    out = [None] * len(col)
+    for ndim in {x.ndim for x in col}:
+        rows = [i for i, x in enumerate(col) if x.ndim == ndim]
+        for i, z in zip(rows, generate.complex_stack([col[i] for i in rows], axis=-ndim)):
+            out[i] = z
+    return out
+
+
+def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
+    """Every column of a ``_draw_block`` result equals, instance by instance,
+    ``oracles.verify_draws`` on the instance's stream: the POVM as the
+    effects of the plain factors (zero-padded), the other complex arrays
+    exactly, and every other draw exactly."""
+    for k, i in enumerate(block):
+        plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim, generate._MIN_CONDITION)
+        assert cols.keys() == plain.keys()
+        for key, want in plain.items():
+            if key == "povm":
+                assert np.array_equal(cols[key][k, : len(want)], generate.povm_effects(want)[0])
+                assert np.all(cols[key][k, len(want) :] == 0.0)
+            elif np.iscomplexobj(want):
+                assert np.array_equal(complex_column(cols[key])[k], want), key
+            else:
+                assert np.array_equal(cols[key][k], want), key
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWERS))
+@pytest.mark.parametrize("dim", [2, 5])
+def test_block_columns_are_the_plain_sequential_draws(suite, dim):
+    block = range(3, 15)
+    cols = suites._draw_block(19, suite, dim, block, DRAWERS[suite])
+    assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
+
+
+@pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
+def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
+    block = range(4, 10)
+    xi, u, rho, a, b = suites._chain_models(23, dim, ancilla, block)
+    for k, i in enumerate(block):
+        ket, factor, g, a_i, b_i = oracles.chain_draws(suites._rng(23, "ozawa-chain", dim, ancilla, i), dim, ancilla)
+        assert np.array_equal(xi[k], check_states(pure_states(ket)))
+        assert np.array_equal(u[k], generate.haar_unitaries(factor))
+        assert np.array_equal(rho[k], check_states(generate.ginibre_states(g)))
+        assert np.array_equal(a[k], generate.observable_matrices(a_i))
+        assert np.array_equal(b[k], generate.observable_matrices(b_i))
+
+
+@pytest.mark.parametrize("seed", [0, 1, -1, 812, 20240811, 2**32 - 1, 2**32, 2**63 - 1])
+@pytest.mark.parametrize("suite,parts", [("main-relation", (2, 0)), ("ozawa-chain", (3, 0, 7)), ("affineness", (0, 0))])
+def test_stream_key_is_the_key_numpy_derives_from_the_list(seed, suite, parts):
+    """``_rng`` keys each stream by the seed's 32-bit words (two from 2**32
+    on), the suite's stream id and the parts: the same stream as numpy's
+    ``default_rng`` of the list."""
+    ours = suites._rng(seed, suite, *parts)
+    plain = np.random.default_rng([seed % 2**63, suites._SUITE_STREAM[suite], *parts])
+    assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
+    assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
+    assert len(suites._seed_words(seed)) == (2 if seed % 2**63 >= 2**32 else 1)
+
+
 def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
     """An instance whose POVM factors fail the whitening test is drawn again,
     and then its POVM and every later draw are those of the per-instance
-    generators run on its stream."""
+    generators run on its stream; also in the suites that draw more after
+    the POVM."""
     monkeypatch.setattr(generate, "_MIN_CONDITION", 0.2)
-    retried = []
+    for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
+        retried = []
 
-    def draw(rng, dim, retry):
-        retried.append(retry)
-        return suites._draw_instance(rng, dim, retry)
+        def draw(rng, dim, retry):
+            retried.append(retry)
+            return DRAWERS[suite](rng, dim, retry)
 
-    cols = suites._draw_block(11, "main-relation", 4, range(12), draw)
-    assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
-    for i in range(12):
-        rng = suites._rng(11, "main-relation", 4, i)
-        outcomes = int(rng.integers(2, 7))
-        cfg = GenConfig(dim=4, outcomes=outcomes, mixedness="pure" if rng.random() < 0.3 else "ginibre")
-        assert np.array_equal(cols["povm"][i, :outcomes], random_povm(cfg, rng).effects)
-        assert np.all(cols["povm"][i, outcomes:] == 0.0)
-        rho = suites._states([cols["rho"][i]], [cfg.mixedness == "pure"])[0]
-        assert np.array_equal(rho, random_state(cfg, rng).matrix)
-        assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
+        cols = suites._draw_block(11, suite, 4, range(12), draw)
+        assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
+        for i in range(12):
+            rng = suites._rng(11, suite, 4, i)
+            outcomes = int(rng.integers(2, 7))
+            cfg = GenConfig(dim=4, outcomes=outcomes, mixedness="pure" if rng.random() < 0.3 else "ginibre")
+            assert np.array_equal(cols["povm"][i, :outcomes], random_povm(cfg, rng).effects)
+            assert np.all(cols["povm"][i, outcomes:] == 0.0)
+            rho = suites._states([cols["rho"][i]], [cfg.mixedness == "pure"])[0]
+            assert np.array_equal(rho, random_state(cfg, rng).matrix)
+            assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
+        assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
 
 
 def test_chain_failure_names_the_model():
