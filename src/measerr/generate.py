@@ -114,7 +114,9 @@ def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inv_sqrt = (v / np.sqrt(np.where(ok[..., None], w, 1.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
     inv_sqrt = inv_sqrt[..., None, :, :]
     effects = inv_sqrt @ blocks @ inv_sqrt
-    return (effects + effects.conj().swapaxes(-1, -2)) / 2.0, ok
+    effects += effects.conj().swapaxes(-1, -2)
+    effects /= 2.0
+    return effects, ok
 
 
 def whitens(factors: np.ndarray) -> bool:

@@ -13,6 +13,11 @@ Ragged outcome counts are padded with zero effects: a zero effect has zero
 weight, falls outside the support and contributes exactly 0.0 to every sum,
 which is the canonical-class convention of ``transport``.
 
+Traces.  Tr[X Y] is one elementwise contraction, O(d^2) where forming X Y is
+O(d^3) (``trace_product``); only ``norm`` traces the formed X X rho.  Every
+kernel is stack-invariant: a row of a stacked call equals the call on that
+row alone bit for bit, whatever the broadcast (``np.einsum`` traces are not).
+
 Inputs are trusted: states, effects and observables are validated once, at
 the boundary (the constructors and the stacked validators in ``states`` and
 ``measurement``).  The checks left here are the numerical invariants whose
@@ -57,13 +62,22 @@ def dot(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (f[..., None, :] @ g[..., :, None])[..., 0, 0]
 
 
-def expect(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Real Tr[X rho], broadcast over leading axes."""
-    val = np.trace(x @ rho, axis1=-2, axis2=-1)
+def trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Tr[X Y], broadcast over leading axes, as sum_ij X_ij Y_ji."""
+    return (x * y.swapaxes(-1, -2)).sum(axis=(-2, -1))
+
+
+def _real(val: np.ndarray) -> np.ndarray:
+    """The real part of expectations ``val``, which must be real up to roundoff."""
     bad = np.abs(val.imag) > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val))
     if bad.any():
         raise ArithmeticError(f"expected a real expectation, got {first_flagged(val, bad)}")
     return val.real
+
+
+def expect(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Real Tr[X rho], broadcast over leading axes."""
+    return _real(trace_product(x, rho))
 
 
 def anti(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -78,7 +92,7 @@ def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Seminorm sqrt(<X^2>_rho); a square below -DEFAULT_TOL.psd is an error."""
-    val = expect(x @ x, rho)
+    val = _real(np.trace(x @ x @ rho, axis1=-2, axis2=-1))
     if (val < -DEFAULT_TOL.psd).any():
         raise ArithmeticError(f"negative squared norm {val.min():.3e}")
     return np.sqrt(np.maximum(val, 0.0))
@@ -146,9 +160,10 @@ def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Contex
 
 
 def pushforward(ctx: Context, a: np.ndarray) -> np.ndarray:
-    """<A, E_w>_rho / p(w) on the support, zero off it: the optimal estimator."""
-    a = a[..., None, :, :]
-    inner = expect((a @ ctx.effects + ctx.effects @ a) / 2.0, ctx.rho[..., None, :, :])
+    """<A, E_w>_rho / p(w) on the support, zero off it: the optimal estimator.
+    <A, E_w>_rho = Tr[E_w J] with the Jordan product J = (A rho + rho A)/2."""
+    jordan = (a @ ctx.rho + ctx.rho @ a) / 2.0
+    inner = expect(ctx.effects, jordan[..., None, :, :])
     return np.divide(inner, ctx.weights, out=np.zeros(ctx.weights.shape), where=ctx.mask)
 
 
@@ -277,8 +292,8 @@ def semi_inner(ctx: Context, u: tuple, v: tuple) -> np.ndarray:
     """Composite semi-inner product <(X,f),(Y,g)> = <XY>_rho + <fg>_p -
     <(M'f)(M'g)>_rho on operator-function pairs, each given as (X, f, M'f)."""
     (x, f, adj_f), (y, g, adj_g) = u, v
-    first = np.trace(x @ y @ ctx.rho, axis1=-2, axis2=-1)
-    third = np.trace(adj_f @ adj_g @ ctx.rho, axis1=-2, axis2=-1)
+    first = trace_product(x @ y, ctx.rho)
+    third = trace_product(adj_f @ adj_g, ctx.rho)
     return first + class_inner(f, g, ctx.weights) - third
 
 

@@ -111,7 +111,7 @@ class SuiteResult:
 
 
 # Largest number of instances checked as one stack.
-_BLOCK = 32
+_BLOCK = 128
 
 
 @lru_cache(maxsize=16)
@@ -470,7 +470,8 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         sigma = np.maximum(np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
         cov = kernels.anti(a, b, rho) - kernels.expect(a, rho) * kernels.expect(b, rho)
         comm = kernels.comm(a, b, rho)
-        terms = np.maximum(np.abs(rel.real_term - cov), np.abs(rel.imag_term - comm))
+        bound_gap = np.abs(rel.bound - np.hypot(cov, comm))
+        terms = np.maximum(np.maximum(np.abs(rel.real_term - cov), np.abs(rel.imag_term - comm)), bound_gap)
         out.record_block(dim, block, [
             (sigma <= tol.expectation * (1.0 + sigma_a + sigma_b), sigma,
              "error != standard deviation", lambda i: f"{sigma[i]:.3e}"),

@@ -31,6 +31,11 @@ def trace_expectation(x, rho):
     return total
 
 
+def trace_matmul(x, rho):
+    """Tr[x rho] by forming the product x @ rho, broadcast over leading axes."""
+    return np.trace(np.asarray(x) @ np.asarray(rho), axis1=-2, axis2=-1)
+
+
 def sym_inner(a, b, rho):
     """Symmetrized product expectation <{a,b}/2> over rho."""
     return trace_expectation((a @ b + b @ a) / 2.0, rho).real

@@ -223,6 +223,30 @@ def test_single_instances_need_no_leading_axis():
         assert getattr(rel_one, field) == getattr(rel, field)[1]
 
 
+@pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])
+def test_traces_are_stack_invariant(dim, outcomes):
+    """Each row of a stacked ``expect``, ``born`` and ``pushforward``, with the
+    state broadcast over the outcomes, equals the call on that row alone bit
+    for bit, and agrees with the trace of the formed product within 1e-12."""
+    rng = np.random.default_rng([dim, outcomes])
+    rows = []
+    for mixedness in ("pure", "ginibre", "ginibre", "pure"):
+        cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
+        rows.append((random_povm(cfg, rng).effects, random_state(cfg, rng).matrix, random_observable(cfg, rng).matrix))
+    effects, rho, a = (np.stack(col) for col in zip(*rows))
+    expect = kernels.expect(effects, rho[:, None])
+    weights = kernels.born(effects, rho)
+    fwd = kernels.pushforward(kernels.context(effects, rho, weights), a)
+    for i in range(len(rows)):
+        assert np.array_equal(kernels.expect(effects[i], rho[i]), expect[i])
+        assert np.array_equal(kernels.born(effects[i], rho[i]), weights[i])
+        assert np.array_equal(kernels.pushforward(kernels.context(effects[i], rho[i], weights[i]), a[i]), fwd[i])
+    assert np.array_equal(expect, weights)
+    assert np.max(np.abs(weights - oracles.trace_matmul(effects, rho[:, None]).real)) <= TOL
+    inner = oracles.trace_matmul((a[:, None] @ effects + effects @ a[:, None]) / 2.0, rho[:, None]).real
+    assert np.max(np.abs(fwd * weights - inner)) <= TOL * max(scale(x) for x in a)
+
+
 def rank_state(rng, dim, rank):
     """A random state of the given rank (pure for rank 1)."""
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))

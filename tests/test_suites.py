@@ -267,3 +267,43 @@ def test_errorless_failure_lists_the_conditions(monkeypatch):
     for message in out.messages:
         assert re.fullmatch(rf"[a-z ]+ at dim=[23] i=[0-3]: .*?{fields}\)?", message), message
         assert "np." not in message
+
+
+def summaries(results) -> list:
+    return [(r.name, r.checks, r.failures, repr(r.worst), r.messages) for r in results]
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
+    """Blocks of 3 (two full blocks and a ragged last one) give every suite
+    the checks, failures, worst residual and messages of one block; also on
+    failing runs, with the sign flip and roundoff-level slacks."""
+    tol = Tolerances(validation=1e-16, identity=1e-16, expectation=1e-16) if failing else Tolerances()
+
+    def run():
+        results = suites.run_verify((2, 3), 7, seed=9, tol=tol, sign_flip=failing)
+        return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, tol=tol)])
+
+    default = run()
+    assert sum(failures > 0 for _, _, failures, _, _ in default) == (8 if failing else 0)
+    monkeypatch.setattr(suites, "_BLOCK", 3)
+    assert run() == default
+
+
+def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
+    """With the bound |I| in place of sqrt(R^2 + I^2) (R dropped), every
+    instance fails trivial-reduction, which checks the bound against
+    hypot(Cov, <[A,B]/2i>); unmutated, the suite passes."""
+    relation = kernels.relation
+
+    def dropped_r(*args, **kwargs):
+        rel = relation(*args, **kwargs)
+        rel.bound = np.abs(rel.imag_term)
+        rel.slack = rel.eps_a * rel.eps_b - rel.bound
+        return rel
+
+    assert suites.suite_trivial_reduction((2, 3), 20, seed=3).passed
+    monkeypatch.setattr(kernels, "relation", dropped_r)
+    out = suites.suite_trivial_reduction((2, 3), 20, seed=3)
+    assert (out.checks, out.failures) == (160, 40)
+    assert all(m.startswith("reduced terms mismatch at dim=2 i=") for m in out.messages)
