@@ -2,8 +2,8 @@
 
 All randomness flows through an explicit numpy Generator (PCG64 under
 ``default_rng``); nothing touches global state.  The same generator state
-always reproduces the same objects.  The sweeps key each instance's stream
-by the seed's 32-bit words, the suite's stream id and the parts (``suites._rng``).
+always reproduces the same objects.  The sweeps hash a suite's stream keys
+in one pass to the seed states ``default_rng`` derives (``suites._seed_states``).
 
 Generation is split in two.  ``gaussians`` makes all of one instance's
 complex Gaussian arrays with one ``standard_normal`` call (the POVM factors

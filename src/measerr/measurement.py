@@ -33,12 +33,17 @@ def check_effects(stack: np.ndarray) -> None:
     """Validate POVM effects, one ``(n, d, d)`` set or a stack of them:
     finite, Hermitian, no eigenvalue below -DEFAULT_TOL.psd, and each set
     summing to the identity within DEFAULT_TOL.identity.  Zero effects (the
-    padding of ragged stacks) pass."""
+    padding of ragged stacks) pass.  One Cholesky factorization of the stack
+    shifted by psd/2 succeeds only where the eigenvalue test passes; that
+    test runs, and alone decides, when it fails."""
     _check_finite(stack, "effect")
     _check_hermitian(stack, "effect")
-    smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
-    if smallest < -DEFAULT_TOL.psd:
-        raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
+    try:
+        np.linalg.cholesky(stack + DEFAULT_TOL.psd / 2.0 * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
+        if smallest < -DEFAULT_TOL.psd:
+            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD") from None
     residual = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
     if residual > DEFAULT_TOL.identity:
         raise ValueError(f"effects sum to identity only within {residual:.3e}")

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
 from .generate import (
@@ -114,18 +115,69 @@ class SuiteResult:
 _BLOCK = 128
 
 
-@lru_cache(maxsize=16)
 def _seed_words(seed: int) -> tuple[int, ...]:
     """The little-endian 32-bit words of ``seed % 2**63``: two from 2**32 on."""
     low, high = seed % 2**32, seed % 2**63 >> 32
     return (low, high) if high else (low,)
 
 
+# numpy's SeedSequence constants (pool of 4 words); a hash constant steps by one product per use.
+_POOL_HASH, _OUT_HASH = (np.array([c * pow(m, j, 2**32) % 2**32 for j in range(k)], dtype=np.uint32)[:, None]
+                         for c, m, k in ((0x43B0D7E5, 0x931E8875, 33), (0x8B51F9DD, 0x58F38DED, 9)))
+_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+
+
+def _hash(value: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Hash ``value`` with each consecutive pair of ``table``: one row per pair."""
+    value = (value ^ table[:-1]) * table[1:]
+    return value ^ value >> _SHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = _MIX_L * x - _MIX_R * y
+    return out ^ out >> _SHIFT
+
+
+def _seed_states(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence(key).generate_state(4, np.uint64)`` for each key of 4 to
+    8 uint32 words, the keys as the columns of ``words`` (one row per word):
+    each hash step acts on a pool row of all the keys at once.  Operands
+    stay arrays, where uint32 wrap-around is silent."""
+    pool = _hash(words[:4], _POOL_HASH[:5])
+    for src, others in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
+        pool[others] = _mix(pool[others], _hash(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src]))
+    for k, word in enumerate(words[4:]):
+        pool = _mix(pool, _hash(word, _POOL_HASH[16 + 4 * k : 21 + 4 * k]))
+    out = _hash(np.tile(pool, (2, 1)), _OUT_HASH)
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """A row of ``_seed_states``: all ``PCG64`` asks of its seed sequence."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The generator ``default_rng`` makes of the key of a seed state row."""
+    return np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def _stream_states(seed: int, suite: str, parts) -> np.ndarray:
+    """The seed states of the streams keyed by the rows of ``parts`` (each
+    entry below 2**32), those numpy derives from ``[seed % 2**63, stream, *row]``."""
+    parts = np.asarray(parts, dtype=np.uint32).T
+    head = np.array((*_seed_words(seed), _SUITE_STREAM[suite]), dtype=np.uint32)[:, None]
+    return _seed_states(np.vstack([np.repeat(head, parts.shape[1], axis=1), parts]))
+
+
 def _rng(seed: int, suite: str, *parts: int) -> np.random.Generator:
-    """The stream of one instance: ``default_rng`` keyed by the seed's words,
-    the suite's stream id and ``parts`` (each below 2**32), the words numpy
-    derives from the list ``[seed % 2**63, stream, *parts]``."""
-    return np.random.default_rng(np.array((*_seed_words(seed), _SUITE_STREAM[suite], *parts), dtype=np.uint32))
+    """The stream of one instance: ``default_rng([seed % 2**63, stream, *parts])``."""
+    return _generator(_stream_states(seed, suite, [parts])[0])
 
 
 def _pad(rows) -> np.ndarray:
@@ -136,26 +188,30 @@ def _pad(rows) -> np.ndarray:
     return out
 
 
-def _sweep(dims, n: int):
-    """(dim, block) for every dimension, with its n instance indices in
-    consecutive blocks of at most ``_BLOCK``, so the stacked arrays of a
-    suite stay small whatever n is."""
-    return [(dim, range(lo, min(lo + _BLOCK, n))) for dim in dims for lo in range(0, n, _BLOCK)]
+def _sweep(seed: int, suite: str, keys, n: int):
+    """(key, block, states) for every key (a dim, or a (dim, ancilla) pair),
+    with its n instance indices in consecutive blocks of at most ``_BLOCK``,
+    so the stacked arrays of a suite stay small whatever n is, and the seed
+    states of the blocks' streams, keyed (*key, index), all hashed at once."""
+    parts = np.column_stack([np.repeat(np.column_stack([keys]), n, axis=0), np.tile(np.arange(n), len(keys))])
+    states = _stream_states(seed, suite, parts).reshape(len(keys), n, 4)
+    return [(key, range(lo, min(lo + _BLOCK, n)), states[k, lo : lo + _BLOCK])
+            for k, key in enumerate(keys) for lo in range(0, n, _BLOCK)]
 
 
-def _draw_block(seed: int, suite: str, dim: int, block: range, draw) -> dict:
-    """Draw the instances ``block`` of one (suite, dim) sweep, each from its
-    own stream and in index order, as columns: ``draw(rng, dim, retry)``
-    returns one instance's raw draws as a dict.  Raw POVM factors under
-    "povm" come back as validated effects (zero-padded), and an instance
-    whose factors do not whiten is drawn again with ``retry``, so its stream
-    runs as ``random_povm`` would run it."""
-    rows = [draw(_rng(seed, suite, dim, i), dim, False) for i in block]
+def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
+    """Draw the instances of one block, each from the stream of its row of
+    seed ``states``, in order, as columns: ``draw(rng, dim, retry)`` returns
+    one instance's raw draws as a dict.  Raw POVM factors under "povm" come
+    back as validated effects (zero-padded), and an instance whose factors
+    do not whiten is drawn again on a fresh generator of its stream with
+    ``retry``, so its stream runs as ``random_povm`` would run it."""
+    rows = [draw(_generator(state), dim, False) for state in states]
     cols = {key: [row[key] for row in rows] for key in rows[0]}
     if "povm" in cols:
         effects, ok = povm_effects(complex_stack(_pad(cols["povm"])))
         for k in np.flatnonzero(~ok):
-            redrawn = draw(_rng(seed, suite, dim, block[k]), dim, True)
+            redrawn = draw(_generator(states[k]), dim, True)
             for key in cols:
                 cols[key][k] = redrawn[key]
         if not ok.all():
@@ -222,8 +278,8 @@ def _draw_affineness(rng, dim, retry):
 def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
     """Measurements respect probabilistic mixtures of states exactly."""
     out = SuiteResult("affineness")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, _draw_affineness)
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, _draw_affineness)
         effects = cols["povm"]
         rho1, rho2 = _states(cols["rho1"], False), _states(cols["rho2"], True)
         lam = np.array(cols["lam"])
@@ -242,8 +298,8 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
     out = SuiteResult("adjoint-characterization")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, partial(_draw_instance, with_f=True))
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
         ctx, a, _ = _instances(cols)
         f = _pad(cols["f"])
         rhs = kernels.dot(f, ctx.weights)
@@ -263,8 +319,8 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
     out = SuiteResult("contractivity")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, partial(_draw_instance, with_f=True))
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
         ctx, _, _ = _instances(cols)
         classical, adjoint_norm, gap_min = kernels.contractivity(ctx, _pad(cols["f"]))
         gap = adjoint_norm - classical
@@ -287,8 +343,8 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
     out = SuiteResult("transport-adjointness")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, _draw_transport_adjointness)
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, _draw_transport_adjointness)
         ctx, a, b = _instances(cols)
         f = _pad(cols["f"])
         t = kernels.transport(ctx, a)
@@ -332,8 +388,8 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
     out = SuiteResult("error-decomposition")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, _draw_error_decomposition)
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, _draw_error_decomposition)
         ctx, a, _ = _instances(cols)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, _pad(cols["f"]))
@@ -365,8 +421,8 @@ def suite_relation_and_proof_tie(
     ``kernels.relation``)."""
     relation = SuiteResult("main-relation")
     proof = SuiteResult("proof-tie-identity")
-    for dim, block in _sweep(dims, n):
-        ctx, a, b = _instances(_draw_block(seed, "main-relation", dim, block, _draw_instance))
+    for dim, block, states in _sweep(seed, relation.name, dims, n):
+        ctx, a, b = _instances(_draw_block(states, dim, _draw_instance))
         rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
         hierarchy = np.abs(rel.imag_term)
         relation.record_block(dim, block, [
@@ -417,8 +473,8 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
     out = SuiteResult("errorless-equivalence")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, _draw_errorless_equivalence)
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, _draw_errorless_equivalence)
         ctx, a, b = _instances(cols)
         conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
         comm = np.abs(kernels.comm(a, b, ctx.rho))
@@ -458,8 +514,8 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
     out = SuiteResult("trivial-reduction")
-    for dim, block in _sweep(dims, n):
-        cols = _draw_block(seed, out.name, dim, block, _draw_trivial_reduction)
+    for dim, block, states in _sweep(seed, out.name, dims, n):
+        cols = _draw_block(states, dim, _draw_trivial_reduction)
         rho = _states(cols["rho"], False)
         a, b = _observables(cols["a"]), _observables(cols["b"])
         effects = check_weights(_pad(cols["p0"]))[:, :, None, None] * np.eye(dim, dtype=complex)
@@ -485,14 +541,14 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     return out
 
 
-def _chain_models(seed: int, dim: int, ancilla: int, block: range) -> tuple:
+def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
     """The validated ancilla states, interactions, Ginibre states and two
-    observables of the random models ``block``, each drawn from its own
-    stream in the order of ``random_indirect_model``, ``random_state`` and
-    ``random_observable``."""
+    observables of the random models whose streams have the seed ``states``,
+    each drawn from its own stream in the order of ``random_indirect_model``,
+    ``random_state`` and ``random_observable``."""
     joint = dim * ancilla
     shapes = (2, ancilla), (2, joint, joint), (2, dim, dim), (2, dim, dim), (2, dim, dim)
-    kets, factors, g, a, b = zip(*(gaussians(_rng(seed, "ozawa-chain", dim, ancilla, i), *shapes) for i in block))
+    kets, factors, g, a, b = zip(*(gaussians(_generator(state), *shapes) for state in states))
     u = haar_unitaries(complex_stack(factors))
     check_unitaries(u)
     xi = check_states(pure_states(complex_stack(kets, axis=-2)))
@@ -504,33 +560,32 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
     out = SuiteResult("ozawa-chain")
-    for dim, ancilla in pairs:
+    for (dim, ancilla), block, states in _sweep(seed, out.name, pairs, n):
         meter = diagonal_meter(ancilla)
         values, projectors = kernels.spectral(meter)
-        for _, block in _sweep((dim,), n):
-            xi, u, rho, a, b = _chain_models(seed, dim, ancilla, block)
-            effects = kernels.induced_effects(u, xi, projectors)
-            check_effects(effects)
-            ctx = _context(effects, rho)
-            joint = kernels.kron(rho, xi)
-            c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, tol.identity)
+        xi, u, rho, a, b = _chain_models(states, dim, ancilla)
+        effects = kernels.induced_effects(u, xi, projectors)
+        check_effects(effects)
+        ctx = _context(effects, rho)
+        joint = kernels.kron(rho, xi)
+        c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, tol.identity)
 
-            # the induced distribution, read off the evolved joint state
-            evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
-            direct = np.trace(evolved @ kernels.kron(np.eye(dim), projectors), axis1=-2, axis2=-1).real
-            distribution = _max_abs(ctx.weights - direct)
-            bridge = np.maximum(c.bridge_residual_a, c.bridge_residual_b)
-            links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
-            out.record_block(f"{dim}x{ancilla}", block, [
-                (distribution <= tol.expectation, distribution,
-                 "induced distribution mismatch", lambda i: f"{distribution[i]:.3e}"),
-                (bridge <= tol.identity * (1.0 + c.rms_a + c.rms_b), bridge,
-                 "bridge identity broke", lambda i: f"{bridge[i]:.3e}"),
-                (c.dominance_a & c.dominance_b, np.maximum(np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b), 0.0),
-                 "rms error below intrinsic error"),
-                (c.holds.all(axis=1), links,
-                 "chain broke", lambda i: f"{tuple(c.values[i].tolist())}"),
-            ])
+        # the induced distribution, read off the evolved joint state
+        evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
+        direct = np.trace(evolved @ kernels.kron(np.eye(dim), projectors), axis1=-2, axis2=-1).real
+        distribution = _max_abs(ctx.weights - direct)
+        bridge = np.maximum(c.bridge_residual_a, c.bridge_residual_b)
+        links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
+        out.record_block(f"{dim}x{ancilla}", block, [
+            (distribution <= tol.expectation, distribution,
+             "induced distribution mismatch", lambda i: f"{distribution[i]:.3e}"),
+            (bridge <= tol.identity * (1.0 + c.rms_a + c.rms_b), bridge,
+             "bridge identity broke", lambda i: f"{bridge[i]:.3e}"),
+            (c.dominance_a & c.dominance_b, np.maximum(np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b), 0.0),
+             "rms error below intrinsic error"),
+            (c.holds.all(axis=1), links,
+             "chain broke", lambda i: f"{tuple(c.values[i].tolist())}"),
+        ])
     return out
 
 

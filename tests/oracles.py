@@ -146,6 +146,14 @@ def induced_effects_brute(xi, u, meter_projs):
     return effects
 
 
+def effects_psd_message(stack, psd):
+    """The PSD verdict of ``check_effects`` by the plain eigenvalue test on
+    the whole stack: None when no effect has an eigenvalue below -psd, else
+    the message naming the smallest one."""
+    smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
+    return None if smallest >= -psd else f"effect has eigenvalue {smallest:.3e}, not PSD"
+
+
 def std_dev_brute(a, rho):
     """sqrt(<a^2> - <a>^2) over rho, clipped at zero."""
     mean = trace_expectation(a, rho).real

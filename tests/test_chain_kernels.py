@@ -34,10 +34,16 @@ def per_model_draws(rng, dim, ancilla):
     return DensityOperator.pure(ket).matrix, q * (d / np.abs(d))
 
 
+def chain_models(seed, dim, ancilla, block):
+    """``suites._chain_models`` of the models ``block`` of one (dim, ancilla) sweep."""
+    states = suites._stream_states(seed, "ozawa-chain", [(dim, ancilla, i) for i in block])
+    return suites._chain_models(states, dim, ancilla)
+
+
 @pytest.mark.parametrize("dim,ancilla", CASES)
 def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
     block = range(5, 8)
-    xi, u, rho, a, b = suites._chain_models(17, dim, ancilla, block)
+    xi, u, rho, a, b = chain_models(17, dim, ancilla, block)
     cfg = GenConfig(dim=dim, mixedness="ginibre")
     for k, i in enumerate(block):
         rng = suites._rng(17, "ozawa-chain", dim, ancilla, i)
@@ -108,7 +114,7 @@ def check_against_oracles(meter, projectors, xi, u, rho, a, b):
 def test_kernels_match_joint_system_oracles(dim, ancilla):
     meter = diagonal_meter(ancilla)
     projectors = [np.diag(np.eye(ancilla)[k]).astype(complex) for k in range(ancilla)]
-    check_against_oracles(meter, projectors, *suites._chain_models(3, dim, ancilla, range(3)))
+    check_against_oracles(meter, projectors, *chain_models(3, dim, ancilla, range(3)))
 
 
 @settings(max_examples=15, deadline=None)
@@ -120,7 +126,7 @@ def test_kernels_match_joint_system_oracles(dim, ancilla):
 def test_edge_models_at_d8(meter, ranks, seed):
     """Pure and rank-deficient states at d=8 read through meters with
     merged eigenvalues (one induced outcome per distinct eigenvalue)."""
-    xi, u, _, a, b = suites._chain_models(seed, 8, len(meter), range(len(ranks)))
+    xi, u, _, a, b = chain_models(seed, 8, len(meter), range(len(ranks)))
     rng = np.random.default_rng(seed)
     rho = check_states(np.stack([rank_state(rng, 8, r) for r in ranks]))
     projectors = [np.diag((np.array(meter) == v).astype(complex)) for v in np.unique(meter)]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from measerr import (
+    DEFAULT_TOL,
     DensityOperator,
     GenConfig,
     HermitianObservable,
@@ -26,6 +27,9 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
+from measerr.generate import haar_unitaries
+from measerr.kernels import spectral
+from measerr.measurement import check_effects
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -240,3 +244,67 @@ class TestPovmValidation:
     def test_ragged_dimensions_rejected(self):
         with pytest.raises(ValueError):
             Povm(PM_SPACE, [np.eye(2) / 2, np.eye(3) / 2])
+
+
+PSD = DEFAULT_TOL.psd
+PLANTED = [-PSD * 1.001, -PSD * 0.999, -PSD / 2 * 1.001, -PSD / 2 * 0.999, -1e-16, 0.0]
+
+
+def planted_stack(rng, dim, planted):
+    """Three sets of 2 to 5 effects that complete to I, zero-padded to 5; in
+    one random set, one effect has its smallest eigenvalue at ``planted``
+    (the others' spectra lie in [0.05, 0.95]), and the rest of that set
+    splits I minus it.  The other sets are built alike around 0.3."""
+    stack = np.zeros((3, 5, dim, dim), dtype=complex)
+    bad = rng.integers(3)
+    for k in range(3):
+        u = haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = np.concatenate([[planted if k == bad else 0.3], rng.uniform(0.05, 0.95, dim - 1)])
+        first = (u * w) @ u.conj().T
+        first = (first + first.conj().T) / 2.0
+        n = rng.integers(2, 6)
+        rest = rng.dirichlet(np.ones(n - 1))[:, None, None] * (np.eye(dim) - first)
+        stack[k, :n] = np.concatenate([[first], rest])[rng.permutation(n)]
+    return stack
+
+
+def verdict(stack):
+    try:
+        check_effects(stack)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_effect_positivity_matches_eigvalsh(dim, monkeypatch):
+    """``check_effects`` gives the verdict and message of the plain
+    ``eigvalsh`` test (``oracles.effects_psd_message``) on effects that
+    complete to I with one eigenvalue planted just above and below -psd and
+    -psd/2, at -1e-16 and at 0.  Zero-padded stacks and spectral projectors
+    pass without an eigenvalue call (the shifted Cholesky decides them), an
+    effect below -psd takes one, and a NaN still fails as "finite"."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(1) or eigvalsh(x))
+    rng = np.random.default_rng(dim)
+    for planted in PLANTED:
+        for _ in range(30):
+            stack = planted_stack(rng, dim, planted)
+            calls.clear()
+            got, eigenvalue_calls = verdict(stack), len(calls)
+            assert got == oracles.effects_psd_message(stack, PSD)
+            if planted < -PSD:
+                assert got.endswith("not PSD") and eigenvalue_calls == 1
+            elif planted >= -1e-16:
+                assert eigenvalue_calls == 0
+    for _ in range(30):
+        eigs = rng.integers(-2, 3, dim).astype(float)
+        u = haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        _, projectors = spectral(np.stack([(u * eigs) @ u.conj().T, np.diag(eigs[::-1] + 0j)]))
+        calls.clear()
+        assert verdict(projectors) is None and not calls
+        assert oracles.effects_psd_message(projectors, PSD) is None
+    stack = planted_stack(rng, dim, 0.0)
+    stack[1, 0, 0, 0] = np.nan
+    assert verdict(stack) == "effect entries must be finite"

@@ -155,6 +155,11 @@ def complex_column(col) -> list:
     return out
 
 
+def draw_block(seed, suite, dim, block, draw):
+    """``suites._draw_block`` of the instances ``block`` of one (suite, dim) sweep."""
+    return suites._draw_block(suites._stream_states(seed, suite, [(dim, i) for i in block]), dim, draw)
+
+
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
     """Every column of a ``_draw_block`` result equals, instance by instance,
     ``oracles.verify_draws`` on the instance's stream: the POVM as the
@@ -177,14 +182,15 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
 @pytest.mark.parametrize("dim", [2, 5])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     block = range(3, 15)
-    cols = suites._draw_block(19, suite, dim, block, DRAWERS[suite])
+    cols = draw_block(19, suite, dim, block, DRAWERS[suite])
     assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
 
 
 @pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
 def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
     block = range(4, 10)
-    xi, u, rho, a, b = suites._chain_models(23, dim, ancilla, block)
+    states = suites._stream_states(23, "ozawa-chain", [(dim, ancilla, i) for i in block])
+    xi, u, rho, a, b = suites._chain_models(states, dim, ancilla)
     for k, i in enumerate(block):
         ket, factor, g, a_i, b_i = oracles.chain_draws(suites._rng(23, "ozawa-chain", dim, ancilla, i), dim, ancilla)
         assert np.array_equal(xi[k], check_states(pure_states(ket)))
@@ -199,12 +205,36 @@ def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
 def test_stream_key_is_the_key_numpy_derives_from_the_list(seed, suite, parts):
     """``_rng`` keys each stream by the seed's 32-bit words (two from 2**32
     on), the suite's stream id and the parts: the same stream as numpy's
-    ``default_rng`` of the list."""
+    ``default_rng`` of the list.  The block seeding hashes batches of such
+    keys (keys of 4 to 6 words, zero parts among them) in one pass to the
+    seed states numpy derives, and so to the same streams."""
     ours = suites._rng(seed, suite, *parts)
     plain = np.random.default_rng([seed % 2**63, suites._SUITE_STREAM[suite], *parts])
     assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
     assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
     assert len(suites._seed_words(seed)) == (2 if seed % 2**63 >= 2**32 else 1)
+    for batch in (1, 3, 128, 129, 400):
+        rows = [(*parts[:-1], parts[-1] + i) for i in range(batch)]
+        states = suites._stream_states(seed, suite, rows)
+        assert states.shape == (batch, 4)
+        keys = [[seed % 2**63, suites._SUITE_STREAM[suite], *row] for row in rows]
+        for key, state in zip(keys, states):
+            assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
+        for k in {0, batch // 2, batch - 1}:
+            ours, plain = suites._generator(states[k]), np.random.default_rng(keys[k])
+            assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
+            assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
+
+
+@pytest.mark.parametrize("words", [4, 5, 6, 7, 8])
+def test_seed_states_are_numpys_seed_sequence(words):
+    """``_seed_states`` hashes any keys of 4 to 8 uint32 words, all-zero and
+    all-ones keys among them, as ``SeedSequence(key).generate_state(4, np.uint64)``."""
+    keys = np.random.default_rng(words).integers(0, 2**32, (200, words), dtype=np.uint64).astype(np.uint32)
+    keys[0], keys[1], keys[2, 1:] = 0, 2**32 - 1, 0
+    states = suites._seed_states(keys.T)
+    for key, state in zip(keys, states):
+        assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
 
 
 def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
@@ -220,7 +250,7 @@ def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
             retried.append(retry)
             return DRAWERS[suite](rng, dim, retry)
 
-        cols = suites._draw_block(11, suite, 4, range(12), draw)
+        cols = draw_block(11, suite, 4, range(12), draw)
         assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
         for i in range(12):
             rng = suites._rng(11, suite, 4, i)
