@@ -49,7 +49,6 @@ from .errors import (
     quantum_error,
 )
 from .relations import (
-    SchroedingerReport,
     commutator_expectation,
     evaluate_relation,
     proof_device_check,
@@ -108,7 +107,6 @@ __all__ = [
     "errorless_check",
     "f_error",
     "quantum_error",
-    "SchroedingerReport",
     "commutator_expectation",
     "evaluate_relation",
     "proof_device_check",

@@ -116,9 +116,10 @@ def _parse_tolerance(text: str) -> float:
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Accept 'a,b,c' or 'start:stop:step' (stop inclusive up to roundoff).
 
-    The grid must not be empty, and a range may hold at most
-    ``_MAX_GRID_POINTS`` points; that count is checked before any point is
-    built."""
+    A range holds start + k step for k up to the floor of (stop - start) /
+    step plus 1e-9 for roundoff, so no point runs past stop.  The grid must
+    not be empty, and a range may hold at most ``_MAX_GRID_POINTS`` points;
+    that count is checked before any point is built."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -131,7 +132,7 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         span = (stop - start) / step
         if not span <= _MAX_GRID_POINTS - 1:
             raise argparse.ArgumentTypeError(f"grid range holds more than {_MAX_GRID_POINTS} points")
-        grid = tuple(start + k * step for k in range(int(round(span)) + 1))
+        grid = tuple(start + k * step for k in range(math.floor(span + 1e-9) + 1))
     else:
         try:
             grid = tuple(float(p) for p in text.split(",") if p.strip())

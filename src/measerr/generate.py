@@ -5,15 +5,14 @@ All randomness flows through an explicit numpy Generator (PCG64 under
 always reproduces the same objects.  The sweeps hash a suite's stream keys
 in one pass to the seed states ``default_rng`` derives (``suites._seed_states``).
 
-Generation is split in two.  ``gaussians`` makes all of one instance's
-complex Gaussian arrays with one ``standard_normal`` call (the POVM factors
-may take one of their own, so that a retry repeats just that call), in
-draw order, each array (each POVM factor) as its real block, then its
-imaginary block.  The stacked functions (``complex_stack``,
-``povm_effects``, ``state_matrices``, ``observable_matrices``,
-``haar_unitaries``) turn a whole stack of such draws into matrices at once.
-The ``random_*`` generators are both steps for one instance; the suites
-draw instance by instance and build each block of instances as one stack.
+Generation is split in two.  ``fill_gaussians`` draws all of one
+instance's complex Gaussian arrays into one flat row by one call, in draw
+order, each array (each POVM factor) as its real block, then its imaginary
+block.  The stacked functions (``complex_stack``, ``povm_effects``,
+``ginibre_states``, ``observable_matrices``, ``haar_unitaries``) turn a
+stack of draws into matrices at once.  The ``random_*`` generators are both
+steps for one instance; the suites draw a block of instances into the rows
+of one buffer (``suites._Block``).
 """
 
 from __future__ import annotations
@@ -62,30 +61,35 @@ class GenConfig:
             raise ValueError("blend weight must lie in [0, 1]")
 
 
-def gaussians(rng: np.random.Generator, *shapes, accept=None) -> list[np.ndarray]:
-    """Real Gaussian arrays of the raw ``shapes``, in order, from one
-    ``standard_normal`` call: views of one buffer, filled in stream order.
-    A complex array of shape ``s`` has the raw shape ``(2,) + s``, its real
-    block then its imaginary block; the n factors of a POVM have
-    ``(n, 2, d, d)``, factor by factor.  ``complex_stack`` combines them.
-    With ``accept``, the first array takes a call of its own, repeated until
-    ``accept`` takes it, and the rest one more call."""
-    head = []
-    if accept is not None:
-        while not accept(first := rng.standard_normal(shapes[0])):
+def fill_gaussians(rng: np.random.Generator, row: np.ndarray, first: tuple, whiten: bool = False) -> None:
+    """Fill the flat float64 ``row`` with standard normals by one call; to
+    ``whiten``, its head, raw POVM factors of shape ``first``, takes calls
+    of its own until they whiten (``povm_effects``), the rest one more."""
+    if whiten:
+        head = row[: math.prod(first)]
+        while not povm_effects(complex_stack([rng.standard_normal(out=head).reshape(first)]))[1][0]:
             pass
-        head, shapes = [first], shapes[1:]
+        row = row[head.size :]
+    rng.standard_normal(out=row)
+
+
+def gaussians(rng: np.random.Generator, *shapes, whiten: bool = False) -> list[np.ndarray]:
+    """Real Gaussian arrays of the raw ``shapes``, in order, as views of one
+    row (``fill_gaussians``).  A complex array of shape ``s`` has the raw
+    shape ``(2,) + s``; the n factors of a POVM have ``(n, 2, d, d)``."""
     sizes = [math.prod(s) for s in shapes]
-    flat = rng.standard_normal(sum(sizes))
-    return head + [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, sizes, accumulate(sizes))]
+    flat = np.empty(sum(sizes))
+    fill_gaussians(rng, flat, shapes[0], whiten)
+    return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, sizes, accumulate(sizes))]
 
 
 def complex_stack(raws, axis: int = -3) -> np.ndarray:
     """The complex stack of raw arrays from ``gaussians`` (a list of them, or
     one array stacking them) whose real and imaginary blocks lie along
     ``axis``: -3 for matrices and POVM factors, -2 for kets."""
-    re, im = np.moveaxis(np.asarray(raws), axis, 0)
-    return re + 1j * im
+    raws = np.asarray(raws)
+    pair = (slice(None),) * (raws.ndim + axis)
+    return raws[pair + (0,)] + 1j * raws[pair + (1,)]
 
 
 def haar_unitaries(factors: np.ndarray) -> np.ndarray:
@@ -119,29 +123,10 @@ def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return effects, ok
 
 
-def whitens(factors: np.ndarray) -> bool:
-    """Whether the raw factors ``(n, 2, d, d)`` of one POVM whiten (``povm_effects``)."""
-    return bool(povm_effects(complex_stack([factors]))[1][0])
-
-
 def ginibre_states(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr[G G^dag] for one Ginibre draw ``(d, d)`` or a stack."""
     mat = g @ g.conj().swapaxes(-1, -2)
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def state_matrices(raws, pure) -> np.ndarray:
-    """Unvalidated states ``(N, d, d)`` from N raw draws: ``pure_states`` of
-    a ket ``(2, d)`` where ``pure`` (one flag per draw, or one for all)
-    holds, ``ginibre_states`` of a matrix ``(2, d, d)`` otherwise."""
-    pure = np.broadcast_to(np.asarray(pure, dtype=bool), (len(raws),))
-    dim = raws[0].shape[-1]
-    out = np.empty((len(raws), dim, dim), dtype=complex)
-    if pure.any():
-        out[pure] = pure_states(complex_stack([x for x, p in zip(raws, pure) if p], axis=-2))
-    if not pure.all():
-        out[~pure] = ginibre_states(complex_stack([x for x, p in zip(raws, pure) if not p]))
-    return out
 
 
 def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.ndarray:
@@ -156,7 +141,8 @@ def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.nda
 
 def random_state(cfg: GenConfig, rng: np.random.Generator) -> DensityOperator:
     pure = cfg.mixedness == "pure"
-    mat = state_matrices(gaussians(rng, (2, cfg.dim) if pure else (2, cfg.dim, cfg.dim)), pure)[0]
+    raw = gaussians(rng, (2, cfg.dim) if pure else (2, cfg.dim, cfg.dim))
+    mat = pure_states(complex_stack(raw, axis=-2))[0] if pure else ginibre_states(complex_stack(raw))[0]
     if cfg.mixedness == "blend":
         mat = (1.0 - cfg.blend) * mat + cfg.blend * np.eye(cfg.dim) / cfg.dim
     return DensityOperator(mat)
@@ -171,7 +157,7 @@ def random_observable(cfg: GenConfig, rng: np.random.Generator, *, traceless: bo
 def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:
     """Generic full-rank POVM: Gaussian Gram blocks whitened by the inverse
     square root of their sum.  Outcome values default to 1..n."""
-    raw = gaussians(rng, (cfg.outcomes, 2, cfg.dim, cfg.dim), accept=whitens)
+    raw = gaussians(rng, (cfg.outcomes, 2, cfg.dim, cfg.dim), whiten=True)
     effects = povm_effects(complex_stack(raw))[0][0]
     space = OutcomeSpace.from_values(np.arange(1, cfg.outcomes + 1, dtype=float))
     return Povm(space, effects, kind=MeasurementKind.CUSTOM)

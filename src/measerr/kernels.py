@@ -288,6 +288,23 @@ def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = Fa
     return Relation(t_a.error, t_b.error, real, imag, bound, product - bound, naive, product < naive - 1e-12, t_a, t_b)
 
 
+class Schroedinger(_Record):
+    """The standard deviations, their product, the Schroedinger bound sqrt(Cov^2 + C^2) with C =
+    <[A,B]/2i>_rho, the commutator bound |C|, Cov and C, and the errors' residuals against them."""
+
+    __slots__ = ("sigma_a", "sigma_b", "product", "bound", "kr_bound", "covariance", "commutator",
+                 "eps_sigma_residual_a", "eps_sigma_residual_b")
+
+
+def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> Schroedinger:
+    """The relation ``rel`` of A and B on a trivial measurement ``ctx``, in its standard-deviation form."""
+    sigma_a, sigma_b = std_dev(a, ctx.rho), std_dev(b, ctx.rho)
+    covariance = anti(a, b, ctx.rho) - expect(a, ctx.rho) * expect(b, ctx.rho)
+    commutator = comm(a, b, ctx.rho)
+    return Schroedinger(sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator),
+                        covariance, commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
+
+
 def semi_inner(ctx: Context, u: tuple, v: tuple) -> np.ndarray:
     """Composite semi-inner product <(X,f),(Y,g)> = <XY>_rho + <fg>_p -
     <(M'f)(M'g)>_rho on operator-function pairs, each given as (X, f, M'f)."""

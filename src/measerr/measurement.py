@@ -24,6 +24,7 @@ from .states import (
     ProbabilityDistribution,
     _check_finite,
     _check_hermitian,
+    _positive_definite,
     spectral_decompose,
 )
 from .tolerances import DEFAULT_TOL
@@ -38,12 +39,10 @@ def check_effects(stack: np.ndarray) -> None:
     test runs, and alone decides, when it fails."""
     _check_finite(stack, "effect")
     _check_hermitian(stack, "effect")
-    try:
-        np.linalg.cholesky(stack + DEFAULT_TOL.psd / 2.0 * np.eye(stack.shape[-1]))
-    except np.linalg.LinAlgError:
+    if not _positive_definite(stack, DEFAULT_TOL.psd / 2.0):
         smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
         if smallest < -DEFAULT_TOL.psd:
-            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD") from None
+            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
     residual = float(np.max(np.abs(stack.sum(axis=-3) - np.eye(stack.shape[-1]))))
     if residual > DEFAULT_TOL.identity:
         raise ValueError(f"effects sum to identity only within {residual:.3e}")

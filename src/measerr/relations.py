@@ -12,40 +12,19 @@ Schroedinger inequality, hence also the textbook commutator bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
 from . import kernels
 from .measurement import trivial_measurement
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeSpace,
-    ProbabilityDistribution,
-    expectation,
-    state_inner,
-    std_dev_q,
-    _check_same_dim,
-)
+from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution, _check_same_dim
 from .transport import LocalContext
 
 
-def commutator_expectation(
-    a: HermitianObservable,
-    b: HermitianObservable,
-    rho: DensityOperator,
-) -> float:
+def commutator_expectation(a: HermitianObservable, b: HermitianObservable, rho: DensityOperator) -> float:
     """<[A,B]/2i>_rho, real for self-adjoint arguments."""
     return float(kernels.comm(a.matrix, b.matrix, rho.matrix))
 
 
 def evaluate_relation(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    b: HermitianObservable,
-    *,
-    sign_flip: bool = False,
+    ctx: LocalContext, a: HermitianObservable, b: HermitianObservable, *, sign_flip: bool = False
 ) -> kernels.Relation:
     """eps_a, eps_b, R, I and the bound, from one transport per observable
     (``kernels.relation``, which holds the formulas and the ``sign_flip``
@@ -57,10 +36,7 @@ def evaluate_relation(
 
 
 def proof_device_check(
-    ctx: LocalContext,
-    a: HermitianObservable,
-    b: HermitianObservable,
-    report: kernels.Relation,
+    ctx: LocalContext, a: HermitianObservable, b: HermitianObservable, report: kernels.Relation
 ) -> kernels.ProofDevice:
     """Evaluate the composite semi-inner product on the transports held by
     ``report`` (from ``evaluate_relation(ctx, a, b)``) and compare it with
@@ -70,44 +46,8 @@ def proof_device_check(
     return kernels.proof_device(ctx.arrays, a.matrix, b.matrix, report)
 
 
-@dataclass(frozen=True)
-class SchroedingerReport:
-    """The relation specialized to a trivial measurement: errors collapse to
-    standard deviations, the bound to the Schroedinger form, and the bare
-    commutator bound is the weaker corollary."""
-
-    sigma_a: float
-    sigma_b: float
-    product: float
-    bound: float
-    kr_bound: float
-    covariance: float
-    commutator: float
-    eps_sigma_residual_a: float
-    eps_sigma_residual_b: float
-
-
-def schroedinger_reduction(
-    rho: DensityOperator,
-    a: HermitianObservable,
-    b: HermitianObservable,
-) -> SchroedingerReport:
+def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:
+    """The relation under a trivial measurement (``kernels.schroedinger``)."""
     space = OutcomeSpace(("t0", "t1"), (0.0, 1.0))
-    p0 = ProbabilityDistribution(space, [0.5, 0.5])
-    ctx = LocalContext(trivial_measurement(p0, rho.dim), rho)
-    report = evaluate_relation(ctx, a, b)
-    sigma_a = std_dev_q(a, rho)
-    sigma_b = std_dev_q(b, rho)
-    covariance = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
-    commutator = commutator_expectation(a, b, rho)
-    return SchroedingerReport(
-        sigma_a=sigma_a,
-        sigma_b=sigma_b,
-        product=sigma_a * sigma_b,
-        bound=float(np.hypot(covariance, commutator)),
-        kr_bound=abs(commutator),
-        covariance=covariance,
-        commutator=commutator,
-        eps_sigma_residual_a=abs(report.eps_a - sigma_a),
-        eps_sigma_residual_b=abs(report.eps_b - sigma_b),
-    )
+    ctx = LocalContext(trivial_measurement(ProbabilityDistribution(space, [0.5, 0.5]), rho.dim), rho)
+    return kernels.schroedinger(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))

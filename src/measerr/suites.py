@@ -25,13 +25,11 @@ from . import kernels
 from .generate import (
     complex_stack,
     diagonal_meter,
-    gaussians,
+    fill_gaussians,
     ginibre_states,
     haar_unitaries,
     observable_matrices,
     povm_effects,
-    state_matrices,
-    whitens,
 )
 from .indirect import check_unitaries
 from .measurement import check_effects
@@ -180,14 +178,6 @@ def _rng(seed: int, suite: str, *parts: int) -> np.random.Generator:
     return _generator(_stream_states(seed, suite, [parts])[0])
 
 
-def _pad(rows) -> np.ndarray:
-    """Stack arrays whose first axis (the outcomes) is ragged, zero-padded at the end."""
-    out = np.zeros((len(rows), max(len(r) for r in rows)) + rows[0].shape[1:], dtype=rows[0].dtype)
-    for i, r in enumerate(rows):
-        out[i, : len(r)] = r
-    return out
-
-
 def _sweep(seed: int, suite: str, keys, n: int):
     """(key, block, states) for every key (a dim, or a (dim, ancilla) pair),
     with its n instance indices in consecutive blocks of at most ``_BLOCK``,
@@ -199,51 +189,116 @@ def _sweep(seed: int, suite: str, keys, n: int):
             for k, key in enumerate(keys) for lo in range(0, n, _BLOCK)]
 
 
+# Most outcomes, and most complex Gaussian (d, d) arrays, of one verify instance.
+_OUTCOMES, _MATRICES = 6, 10
+
+
+class _Block:
+    """The draws of N instances.  Row k of ``buffer`` holds instance k's
+    complex Gaussians in the layout it draws them in, (name, raw shape)
+    pairs in draw order; the instances of one layout form a group.  Other
+    draws go into columns, ``(N,)`` or ``(N, _OUTCOMES)`` zero-padded."""
+
+    def __init__(self, n: int, dim: int, width: int):
+        self.dim, self.buffer = dim, np.empty((n, width))
+        self.groups, self.cols, self.width = {}, {}, 0
+
+    def gaussians(self, k: int, rng: np.random.Generator, retry: bool, *layout) -> None:
+        """Fill row k; on a ``retry`` (a redraw), the leading POVM factors until they whiten."""
+        group = self.groups.get(layout) or self.groups.setdefault(layout, (sum(math.prod(s) for _, s in layout), []))
+        if not retry:
+            group[1].append(k)
+        fill_gaussians(rng, self.buffer[k, : group[0]], layout[0][1], retry)
+
+    def put(self, name: str, k: int, value) -> None:
+        """Instance k's ``value`` (a number, a flag or a row over outcomes) into column ``name``."""
+        row = isinstance(value, np.ndarray)
+        if name not in self.cols:
+            self.cols[name] = np.zeros((len(self.buffer), _OUTCOMES) if row else len(self.buffer), np.asarray(value).dtype)
+        if row:
+            self.width = max(self.width, len(value))
+            self.cols[name][k, : len(value)] = value
+        else:
+            self.cols[name][k] = value
+
+    def columns(self) -> dict:
+        """The block as stacks: rows over outcomes cut to the widest drawn (contiguous), each
+        Gaussian array gathered from its groups' offsets as one complex stack, POVM factors
+        zero-padded, states (names from "rho") as a ket's projector or G G^dag / Tr."""
+        n, dim = len(self.buffer), self.dim
+        cols = {name: col[:, : self.width].copy() if col.ndim > 1 else col for name, col in self.cols.items()}
+        spans, counts = {}, np.zeros(n, dtype=int)
+        for layout, (_, rows) in self.groups.items():
+            start = 0
+            for name, shape in layout:
+                if name == "povm":
+                    counts[rows] = shape[0]
+                else:
+                    span = spans.setdefault((name, shape), ([], []))
+                    span[0].extend(rows)
+                    span[1].extend([start] * len(rows))
+                start += math.prod(shape)
+        if counts.any():
+            raw = self.buffer[:, : counts.max() * 2 * dim * dim].reshape(n, -1, 2, dim, dim)
+            padded = np.arange(counts.max()) >= counts[:, None]
+            cols["povm"] = complex_stack(np.where(padded[..., None, None, None], 0.0, raw))
+        for (name, shape), (rows, starts) in spans.items():
+            index = np.array(starts)[:, None] + np.arange(math.prod(shape))
+            z = complex_stack(self.buffer[np.array(rows)[:, None], index].reshape(len(rows), *shape), axis=-len(shape))
+            if name.startswith("rho"):
+                z = pure_states(z) if len(shape) == 2 else ginibre_states(z)
+            cols.setdefault(name, np.empty((n, *z.shape[1:]), complex))[rows] = z
+        return cols
+
+
 def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
-    """Draw the instances of one block, each from the stream of its row of
-    seed ``states``, in order, as columns: ``draw(rng, dim, retry)`` returns
-    one instance's raw draws as a dict.  Raw POVM factors under "povm" come
-    back as validated effects (zero-padded), and an instance whose factors
-    do not whiten is drawn again on a fresh generator of its stream with
-    ``retry``, so its stream runs as ``random_povm`` would run it."""
-    rows = [draw(_generator(state), dim, False) for state in states]
-    cols = {key: [row[key] for row in rows] for key in rows[0]}
+    """The columns of a block drawn by ``draw(rng, block, k, retry)`` on the
+    streams of seed ``states``, the POVM factors as validated effects.  An
+    instance whose factors do not whiten is drawn again on a fresh generator
+    of its stream with ``retry``, as ``random_povm`` would draw it."""
+    block = _Block(len(states), dim, 2 * _MATRICES * dim * dim)
+    for k, state in enumerate(states):
+        draw(_generator(state), block, k, False)
+    cols = block.columns()
     if "povm" in cols:
-        effects, ok = povm_effects(complex_stack(_pad(cols["povm"])))
-        for k in np.flatnonzero(~ok):
-            redrawn = draw(_generator(states[k]), dim, True)
-            for key in cols:
-                cols[key][k] = redrawn[key]
+        effects, ok = povm_effects(cols["povm"])
         if not ok.all():
-            effects, _ = povm_effects(complex_stack(_pad(cols["povm"])))
+            for k in np.flatnonzero(~ok):
+                draw(_generator(states[k]), block, k, True)
+            cols = block.columns()
+            effects, _ = povm_effects(cols["povm"])
         check_effects(effects)
         cols["povm"] = effects
     return cols
 
 
-def _draw_instance(rng: np.random.Generator, dim: int, retry: bool, with_f: bool = False, **more) -> dict:
-    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two
-    observables, the complex Gaussian arrays of the raw shapes ``more`` (by
-    name) and, ``with_f``, an outcome function uniform in [-2, 2)."""
+def _draw_instance(rng, block: _Block, k: int, retry: bool, with_f: bool = False, more=()) -> int:
+    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two observables, the arrays
+    ``more`` and, ``with_f``, an outcome function uniform in [-2, 2).  Returns the outcome count."""
     outcomes = int(rng.integers(2, 7))
     pure = bool(rng.random() < 0.3)
-    shapes = {"povm": (outcomes, 2, dim, dim), "rho": (2, dim) if pure else (2, dim, dim)}
-    shapes.update(a=(2, dim, dim), b=(2, dim, dim), **more)
-    inst = dict(zip(shapes, gaussians(rng, *shapes.values(), accept=whitens if retry else None)))
-    inst["pure"] = pure
+    matrix = (2, block.dim, block.dim)
+    block.gaussians(k, rng, retry, ("povm", (outcomes, *matrix)), ("rho", (2, block.dim) if pure else matrix),
+                    ("a", matrix), ("b", matrix), *more)
+    block.put("pure", k, pure)
     if with_f:
-        inst["f"] = rng.uniform(-2.0, 2.0, outcomes)
-    return inst
+        block.put("f", k, rng.uniform(-2.0, 2.0, outcomes))
+    return outcomes
 
 
-def _states(draws, pure) -> np.ndarray:
-    return check_states(state_matrices(draws, pure))
+def _states(mats, pure) -> np.ndarray:
+    """The validated states ``mats``, the pure ones (flags ``pure``) and the
+    mixed ones as two stacks, so that the mixed take the Cholesky test."""
+    mats, pure = np.array(mats), np.broadcast_to(pure, len(mats))
+    for rows in (pure, ~pure):
+        if rows.any():
+            mats[rows] = check_states(mats[rows])
+    return mats
 
 
-def _observables(raws) -> np.ndarray:
-    mat = observable_matrices(complex_stack(raws))
-    check_observables(mat)
-    return mat
+def _observables(g) -> np.ndarray:
+    """The validated observables (G + G^dag)/2 of complex Gaussian matrices ``g``."""
+    return check_observables(observable_matrices(np.asarray(g)))
 
 
 def _context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
@@ -268,11 +323,10 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _draw_affineness(rng, dim, retry):
-    outcomes = int(rng.integers(2, 7))
-    shapes = (outcomes, 2, dim, dim), (2, dim, dim), (2, dim)
-    povm, rho1, rho2 = gaussians(rng, *shapes, accept=whitens if retry else None)
-    return {"povm": povm, "rho1": rho1, "rho2": rho2, "lam": rng.uniform()}
+def _draw_affineness(rng, block, k, retry):
+    outcomes, dim = int(rng.integers(2, 7)), block.dim
+    block.gaussians(k, rng, retry, ("povm", (outcomes, 2, dim, dim)), ("rho1", (2, dim, dim)), ("rho2", (2, dim)))
+    block.put("lam", k, rng.uniform())
 
 
 def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -282,7 +336,7 @@ def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResul
         cols = _draw_block(states, dim, _draw_affineness)
         effects = cols["povm"]
         rho1, rho2 = _states(cols["rho1"], False), _states(cols["rho2"], True)
-        lam = np.array(cols["lam"])
+        lam = cols["lam"]
         mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
         direct = check_weights(kernels.born(effects, mixed))
         p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
@@ -301,7 +355,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
     for dim, block, states in _sweep(seed, out.name, dims, n):
         cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
         ctx, a, _ = _instances(cols)
-        f = _pad(cols["f"])
+        f = cols["f"]
         rhs = kernels.dot(f, ctx.weights)
         identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
         values, projectors = _projective(a)
@@ -322,7 +376,7 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     for dim, block, states in _sweep(seed, out.name, dims, n):
         cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
         ctx, _, _ = _instances(cols)
-        classical, adjoint_norm, gap_min = kernels.contractivity(ctx, _pad(cols["f"]))
+        classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
         gap = adjoint_norm - classical
         out.record_block(dim, block, [
             (gap <= tol.identity * (1.0 + classical), np.maximum(gap, 0.0),
@@ -333,10 +387,11 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     return out
 
 
-def _draw_transport_adjointness(rng, dim, retry):
-    inst = _draw_instance(rng, dim, retry, with_f=True)
-    inst["alpha"], inst["beta"] = rng.uniform(-2.0, 2.0, 2)
-    return inst
+def _draw_transport_adjointness(rng, block, k, retry):
+    _draw_instance(rng, block, k, retry, with_f=True)
+    alpha, beta = rng.uniform(-2.0, 2.0, 2)
+    block.put("alpha", k, alpha)
+    block.put("beta", k, beta)
 
 
 def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -346,7 +401,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     for dim, block, states in _sweep(seed, out.name, dims, n):
         cols = _draw_block(states, dim, _draw_transport_adjointness)
         ctx, a, b = _instances(cols)
-        f = _pad(cols["f"])
+        f = cols["f"]
         t = kernels.transport(ctx, a)
         norm_a = kernels.norm(a, ctx.rho)
         adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
@@ -361,7 +416,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         chain_ok = (norm_a >= norm_fwd - slack) & (norm_fwd >= norm_back - slack)
         chain = np.maximum(np.maximum(norm_fwd - norm_a, norm_back - norm_fwd), 0.0)
 
-        alpha, beta = np.array(cols["alpha"]), np.array(cols["beta"])
+        alpha, beta = cols["alpha"], cols["beta"]
         lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
         combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
         linearity = _max_abs(lin - combo)
@@ -377,11 +432,10 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     return out
 
 
-def _draw_error_decomposition(rng, dim, retry):
-    inst = _draw_instance(rng, dim, retry, with_f=True)
-    inst["delta"] = rng.uniform(-2.0, 2.0, len(inst["f"]))
-    inst["step"] = rng.uniform(-1.0, 1.0)
-    return inst
+def _draw_error_decomposition(rng, block, k, retry):
+    outcomes = _draw_instance(rng, block, k, retry, with_f=True)
+    block.put("delta", k, rng.uniform(-2.0, 2.0, outcomes))
+    block.put("step", k, rng.uniform(-1.0, 1.0))
 
 
 def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -392,11 +446,11 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
         cols = _draw_block(states, dim, _draw_error_decomposition)
         ctx, a, _ = _instances(cols)
         t = kernels.transport(ctx, a)
-        split = kernels.f_error_split(ctx, a, t, _pad(cols["f"]))
+        split = kernels.f_error_split(ctx, a, t, cols["f"])
         decomposition = kernels.split_residual(*split)
         shortfall = split.quantum_error - split.f_error
 
-        delta, step = _pad(cols["delta"]), np.array(cols["step"])
+        delta, step = cols["delta"], cols["step"]
         perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
         expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
         excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
@@ -444,11 +498,10 @@ def suite_relation_and_proof_tie(
     return relation, proof
 
 
-def _draw_errorless_equivalence(rng, dim, retry):
-    inst = _draw_instance(rng, dim, retry, rho2=(2, dim, dim))
-    inst["scale"] = rng.uniform(0.5, 2.0)
-    inst["shift"] = rng.uniform(-1.0, 1.0)
-    return inst
+def _draw_errorless_equivalence(rng, block, k, retry):
+    _draw_instance(rng, block, k, retry, more=[("rho2", (2, block.dim, block.dim))])
+    block.put("scale", k, rng.uniform(0.5, 2.0))
+    block.put("shift", k, rng.uniform(-1.0, 1.0))
 
 
 def _row(record, i) -> str:
@@ -483,7 +536,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         # constructed errorless case: projectively measure a itself
         rho = _states(cols["rho2"], False)
         exact = _context(_projective(a)[1], rho)
-        scale, shift = (np.array(cols[key])[:, None, None] for key in ("scale", "shift"))
+        scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
         shifted = scale * a + shift * np.eye(dim, dtype=complex)
         exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
         # a and its affine shift commute, so a simultaneous errorless
@@ -503,10 +556,10 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     return out
 
 
-def _draw_trivial_reduction(rng, dim, retry):
-    inst = dict(zip(("rho", "a", "b"), gaussians(rng, *[(2, dim, dim)] * 3)))
-    inst["p0"] = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
-    return inst
+def _draw_trivial_reduction(rng, block, k, retry):
+    matrix = (2, block.dim, block.dim)
+    block.gaussians(k, rng, False, ("rho", matrix), ("a", matrix), ("b", matrix))
+    block.put("p0", k, rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
 
 
 def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -518,22 +571,20 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         cols = _draw_block(states, dim, _draw_trivial_reduction)
         rho = _states(cols["rho"], False)
         a, b = _observables(cols["a"]), _observables(cols["b"])
-        effects = check_weights(_pad(cols["p0"]))[:, :, None, None] * np.eye(dim, dtype=complex)
+        effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(dim, dtype=complex)
         check_effects(effects)
-        rel = kernels.relation(_context(effects, rho), a, b)
-
-        sigma_a, sigma_b = kernels.std_dev(a, rho), kernels.std_dev(b, rho)
-        sigma = np.maximum(np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
-        cov = kernels.anti(a, b, rho) - kernels.expect(a, rho) * kernels.expect(b, rho)
-        comm = kernels.comm(a, b, rho)
-        bound_gap = np.abs(rel.bound - np.hypot(cov, comm))
-        terms = np.maximum(np.maximum(np.abs(rel.real_term - cov), np.abs(rel.imag_term - comm)), bound_gap)
+        ctx = _context(effects, rho)
+        rel = kernels.relation(ctx, a, b)
+        red = kernels.schroedinger(ctx, a, b, rel)
+        sigma = np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b)
+        terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
+        terms = np.maximum(terms, np.abs(rel.bound - red.bound))
         out.record_block(dim, block, [
-            (sigma <= tol.expectation * (1.0 + sigma_a + sigma_b), sigma,
+            (sigma <= tol.expectation * (1.0 + red.sigma_a + red.sigma_b), sigma,
              "error != standard deviation", lambda i: f"{sigma[i]:.3e}"),
-            (terms <= tol.expectation * (1.0 + np.abs(cov) + np.abs(comm)), terms,
+            (terms <= tol.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound), terms,
              "reduced terms mismatch", lambda i: f"{terms[i]:.3e}"),
-            (np.abs(comm) <= rel.bound + 1e-12, np.maximum(np.abs(comm) - rel.bound, 0.0),
+            (red.kr_bound <= rel.bound + 1e-12, np.maximum(red.kr_bound - rel.bound, 0.0),
              "commutator bound above the reduced bound"),
             (rel.slack >= -tol.identity * (1.0 + rel.eps_a * rel.eps_b), np.maximum(-rel.slack, 0.0),
              "reduced relation violated", lambda i: f"{rel.slack[i]:.3e}"),
@@ -543,16 +594,19 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
 
 def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
     """The validated ancilla states, interactions, Ginibre states and two
-    observables of the random models whose streams have the seed ``states``,
-    each drawn from its own stream in the order of ``random_indirect_model``,
-    ``random_state`` and ``random_observable``."""
-    joint = dim * ancilla
-    shapes = (2, ancilla), (2, joint, joint), (2, dim, dim), (2, dim, dim), (2, dim, dim)
-    kets, factors, g, a, b = zip(*(gaussians(_generator(state), *shapes) for state in states))
-    u = haar_unitaries(complex_stack(factors))
+    observables of the models whose streams have the seed ``states``, each
+    drawn as ``random_indirect_model``, ``random_state`` and
+    ``random_observable`` draw them in turn."""
+    joint, matrix = dim * ancilla, (2, dim, dim)
+    block = _Block(len(states), dim, 2 * (ancilla + joint * joint + 3 * dim * dim))
+    for k, state in enumerate(states):
+        block.gaussians(k, _generator(state), False, ("rho_ancilla", (2, ancilla)), ("u", (2, joint, joint)),
+                        ("rho", matrix), ("a", matrix), ("b", matrix))
+    cols = block.columns()
+    u = haar_unitaries(cols["u"])
     check_unitaries(u)
-    xi = check_states(pure_states(complex_stack(kets, axis=-2)))
-    return xi, u, check_states(ginibre_states(complex_stack(g))), _observables(a), _observables(b)
+    xi, rho = check_states(cols["rho_ancilla"]), check_states(cols["rho"])
+    return xi, u, rho, _observables(cols["a"]), _observables(cols["b"])
 
 
 def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -589,15 +643,8 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
     return out
 
 
-def run_verify(
-    dims,
-    n: int,
-    seed: int,
-    tol: Tolerances = DEFAULT_TOL,
-    sign_flip: bool = False,
-) -> list[SuiteResult]:
-    """Run every property suite; ``sign_flip`` exists for harness
-    self-tests."""
+def run_verify(dims, n: int, seed: int, tol: Tolerances = DEFAULT_TOL, sign_flip: bool = False) -> list[SuiteResult]:
+    """Run every property suite; ``sign_flip`` exists for harness self-tests."""
     relation, proof = suite_relation_and_proof_tie(dims, n, seed, tol, sign_flip)
     return [
         suite_affineness(dims, n, seed, tol),

@@ -154,6 +154,24 @@ def effects_psd_message(stack, psd):
     return None if smallest >= -psd else f"effect has eigenvalue {smallest:.3e}, not PSD"
 
 
+def states_psd(stack, psd):
+    """The positivity test of density operators by plain ``eigvalsh``,
+    matrix by matrix: the message naming the smallest eigenvalue of the
+    stack when one lies below -psd, else the stack with each matrix whose
+    smallest eigenvalue is negative rebuilt from its eigenvalues clipped at
+    zero and renormalized, by the formulas of ``check_states``."""
+    smallest = np.array([np.linalg.eigvalsh(m)[0] for m in stack])
+    if (smallest < -psd).any():
+        return f"density operator has eigenvalue {smallest.min():.3e} below -{psd:.0e}"
+    out = np.array(stack)
+    for k in np.flatnonzero(smallest < 0.0):
+        w, v = np.linalg.eigh(stack[k])
+        fixed = (v * np.maximum(w, 0.0)[None, :]) @ v.conj().T
+        fixed = (fixed + fixed.conj().T) / 2.0
+        out[k] = fixed / np.trace(fixed).real
+    return out
+
+
 def std_dev_brute(a, rho):
     """sqrt(<a^2> - <a>^2) over rho, clipped at zero."""
     mean = trace_expectation(a, rho).real

@@ -189,6 +189,23 @@ class TestScan:
             main(["scan", "--family", "unsharp", "--grid", "0:1:1e-9"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "text,points",
+        [("0:1:0.35", 3), ("0:0.9:0.6", 2), ("0:1:0.1", 11), ("0:1:0.05", 21), ("0:0.3:0.1", 4), ("0:1:1", 2)],
+    )
+    def test_range_stops_at_its_stop(self, text, points):
+        # the point count is floored, not rounded: 0:1:0.35 used to run on to 1.05
+        start, stop, step = (float(p) for p in text.split(":"))
+        grid = _parse_grid(text)
+        assert grid == tuple(start + k * step for k in range(points))
+        assert grid[-1] <= stop + 1e-9 * step
+
+    def test_unsharp_scan_stays_inside_the_sharpness_range(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--family", "unsharp", "--grid", "0:1:0.35", "--out", str(out)]) == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [float(row.split(",")[2]) for row in rows] == [0.0, 0.35, 0.7]
+
     def test_tolerance_does_not_loosen_povm_validation(self, tmp_path):
         # effects sum to I + 2e-3 X: rejected at the default tolerances, and
         # still rejected when the property-check slack is loosened

@@ -26,6 +26,9 @@ from measerr import (
     state_norm,
     std_dev_q,
 )
+from measerr.generate import ginibre_states, haar_unitaries, pure_states
+from measerr.states import check_states
+from measerr.tolerances import DEFAULT_TOL
 
 X = HermitianObservable(PAULI_X)
 Y = HermitianObservable(PAULI_Y)
@@ -257,3 +260,72 @@ class TestValidation:
             OutcomeSpace((), ())
         with pytest.raises(ValueError):
             OutcomeSpace(("a",), (1.0, 2.0))
+
+
+PSD = DEFAULT_TOL.psd
+PLANTED = [PSD * 1.001, PSD * 0.999, 1e-16, 0.0, -1e-16, -PSD * 0.999, -PSD * 1.001]
+
+
+def planted_states(rng, dim, planted, n=4):
+    """n unit-trace states of dimension ``dim``; one random state has its
+    smallest eigenvalue at ``planted``, the others' spectra lie in [0.05,
+    0.95] before the trace is normalized."""
+    stack = np.empty((n, dim, dim), dtype=complex)
+    bad = rng.integers(n)
+    for k in range(n):
+        u = haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+        w = rng.uniform(0.05, 0.95, dim)
+        w = np.concatenate([[planted], (1.0 - planted) * w[1:] / w[1:].sum()]) if k == bad else w / w.sum()
+        m = (u * w) @ u.conj().T
+        stack[k] = (m + m.conj().T) / 2.0
+    return stack
+
+
+def state_verdict(stack):
+    try:
+        return check_states(stack)
+    except ValueError as exc:
+        return str(exc)
+
+
+def same_verdict(got, want) -> bool:
+    if isinstance(want, str):
+        return isinstance(got, str) and got == want
+    return isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_state_positivity_matches_eigvalsh(dim, monkeypatch):
+    """``check_states`` returns the stack, clipped where the plain
+    ``eigvalsh`` test clips, or the message, of ``oracles.states_psd``: on
+    stacks with one smallest eigenvalue planted around +-psd, at +-1e-16
+    and at 0, and on stacks of rank-1 states.  Full-rank Ginibre stacks
+    take no eigenvalue call (the shifted Cholesky decides them), and a
+    single state takes no Cholesky factorization."""
+    calls = {"eigvalsh": 0, "cholesky": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(x, name=name, original=original):
+            calls[name] += 1
+            return original(x)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(dim)
+    stacks = [planted_states(rng, dim, planted) for planted in PLANTED for _ in range(10)]
+    stacks += [pure_states(rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))) for _ in range(10)]
+    for stack in stacks:
+        assert same_verdict(state_verdict(stack.copy()), oracles.states_psd(stack, PSD))
+        for m in stack:
+            want = oracles.states_psd(m[None], PSD)
+            assert same_verdict(state_verdict(m.copy()), want if isinstance(want, str) else want[0])
+    for n in (2, 50):
+        stack = ginibre_states(rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim)))
+        calls.update(eigvalsh=0, cholesky=0)
+        got = check_states(stack.copy())
+        assert calls == {"eigvalsh": 0, "cholesky": 1}
+        assert np.array_equal(got, oracles.states_psd(stack, PSD))
+        for single in (stack[0], stack[:1]):
+            calls.update(eigvalsh=0, cholesky=0)
+            check_states(single.copy())
+            assert calls == {"eigvalsh": 1, "cholesky": 0}

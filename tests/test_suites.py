@@ -144,17 +144,6 @@ DRAWERS = {
 }
 
 
-def complex_column(col) -> list:
-    """The complex arrays of a raw column of ``_draw_block``, combined as the
-    suites combine them: the kets and the matrices each as one stack."""
-    out = [None] * len(col)
-    for ndim in {x.ndim for x in col}:
-        rows = [i for i, x in enumerate(col) if x.ndim == ndim]
-        for i, z in zip(rows, generate.complex_stack([col[i] for i in rows], axis=-ndim)):
-            out[i] = z
-    return out
-
-
 def draw_block(seed, suite, dim, block, draw):
     """``suites._draw_block`` of the instances ``block`` of one (suite, dim) sweep."""
     return suites._draw_block(suites._stream_states(seed, suite, [(dim, i) for i in block]), dim, draw)
@@ -163,19 +152,22 @@ def draw_block(seed, suite, dim, block, draw):
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
     """Every column of a ``_draw_block`` result equals, instance by instance,
     ``oracles.verify_draws`` on the instance's stream: the POVM as the
-    effects of the plain factors (zero-padded), the other complex arrays
-    exactly, and every other draw exactly."""
+    effects of the plain factors, a state as the projector of its ket or
+    the normalized Ginibre matrix, the other complex arrays and every other
+    draw exactly, with rows over outcomes zero-padded."""
     for k, i in enumerate(block):
         plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim, generate._MIN_CONDITION)
         assert cols.keys() == plain.keys()
         for key, want in plain.items():
+            got = cols[key][k]
             if key == "povm":
-                assert np.array_equal(cols[key][k, : len(want)], generate.povm_effects(want)[0])
-                assert np.all(cols[key][k, len(want) :] == 0.0)
-            elif np.iscomplexobj(want):
-                assert np.array_equal(complex_column(cols[key])[k], want), key
-            else:
-                assert np.array_equal(cols[key][k], want), key
+                want = generate.povm_effects(want)[0]
+            elif key.startswith("rho"):
+                want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
+            if np.ndim(want) and len(want) < len(got):
+                assert np.all(got[len(want) :] == 0.0), key
+                got = got[: len(want)]
+            assert np.array_equal(got, want), key
 
 
 @pytest.mark.parametrize("suite", sorted(DRAWERS))
@@ -184,6 +176,21 @@ def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     block = range(3, 15)
     cols = draw_block(19, suite, dim, block, DRAWERS[suite])
     assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
+
+
+@pytest.mark.parametrize("suite", sorted(DRAWERS))
+@pytest.mark.parametrize("dim", [2, 5])
+def test_full_block_unpacks_every_group(suite, dim):
+    """A full block of ``_BLOCK`` instances holds every layout group its
+    drawer makes, (outcome count, pure) pairs (the trivial measurement's
+    outcome count alone), and each instance equals its plain draws."""
+    block = range(suites._BLOCK)
+    cols = draw_block(29, suite, dim, block, DRAWERS[suite])
+    assert_block_is_the_plain_draws(cols, 29, suite, dim, block)
+    draws = [oracles.verify_draws(suites._rng(29, suite, dim, i), suite, dim, generate._MIN_CONDITION) for i in block]
+    groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
+    pure = (False, True) if "pure" in draws[0] else (None,)
+    assert groups == ({1, 2, 3, 4} if suite == "trivial-reduction" else {(n, p) for n in range(2, 7) for p in pure})
 
 
 @pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
@@ -246,9 +253,9 @@ def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
         retried = []
 
-        def draw(rng, dim, retry):
+        def draw(rng, block, k, retry):
             retried.append(retry)
-            return DRAWERS[suite](rng, dim, retry)
+            return DRAWERS[suite](rng, block, k, retry)
 
         cols = draw_block(11, suite, 4, range(12), draw)
         assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
