@@ -11,8 +11,8 @@ order, each array (each POVM factor) as its real block, then its imaginary
 block.  The stacked functions (``complex_stack``, ``povm_effects``,
 ``ginibre_states``, ``observable_matrices``, ``haar_unitaries``) turn a
 stack of draws into matrices at once.  The ``random_*`` generators are both
-steps for one instance; the suites draw a block of instances into the rows
-of one buffer (``suites._Block``).
+steps for one instance; a verify block draws into the rows of one buffer
+(``suites._Block``), a chain block into one it reads as fixed-offset views.
 """
 
 from __future__ import annotations

@@ -90,6 +90,12 @@ def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return expect((x @ y - y @ x) / 2j, rho)
 
 
+def _anti_comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``anti`` and ``comm`` of X and Y, with XY and YX formed once."""
+    xy, yx = x @ y, y @ x
+    return expect((xy + yx) / 2.0, rho), expect((xy - yx) / 2j, rho)
+
+
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Seminorm sqrt(<X^2>_rho); a square below -DEFAULT_TOL.psd is an error."""
     val = _real(np.trace(x @ x @ rho, axis1=-2, axis2=-1))
@@ -98,10 +104,14 @@ def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(val, 0.0))
 
 
+def _spread(norm_x: np.ndarray, mean_x: np.ndarray) -> np.ndarray:
+    """Standard deviation sqrt(||X||_rho^2 - <X>_rho^2) from the norm and the mean, clipped at zero."""
+    return np.sqrt(np.maximum(norm_x**2 - mean_x**2, 0.0))
+
+
 def std_dev(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Quantum standard deviation sqrt(<X^2> - <X>^2), clipped at zero."""
-    variance = norm(x, rho) ** 2 - expect(x, rho) ** 2
-    return np.sqrt(np.maximum(variance, 0.0))
+    """Quantum standard deviation sqrt(<X^2> - <X>^2) (``spread``)."""
+    return _spread(norm(x, rho), expect(x, rho))
 
 
 def class_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -179,9 +189,9 @@ def pullback(ctx: Context, f: np.ndarray) -> np.ndarray:
 
 
 class Transported(_Record):
-    """An observable carried through a context: pushforward, round trip and error."""
+    """An observable carried through a context: pushforward, round trip, error and ||A||_rho (``norm``)."""
 
-    __slots__ = ("pushforward", "roundtrip", "error")
+    __slots__ = ("pushforward", "roundtrip", "error", "norm")
 
 
 def transport(ctx: Context, a: np.ndarray) -> Transported:
@@ -189,11 +199,11 @@ def transport(ctx: Context, a: np.ndarray) -> Transported:
     sqrt(||A||_rho^2 - ||pushforward(A)||_p^2).  The radicand is clipped at
     zero when only roundoff-negative; below -DEFAULT_TOL.psd contractivity
     failed, which is a bug, so it raises."""
-    fwd = pushforward(ctx, a)
-    radicand = norm(a, ctx.rho) ** 2 - class_norm(fwd, ctx.weights) ** 2
+    fwd, norm_a = pushforward(ctx, a), norm(a, ctx.rho)
+    radicand = norm_a**2 - class_norm(fwd, ctx.weights) ** 2
     if (radicand < -DEFAULT_TOL.psd).any():
         raise RuntimeError(f"contractivity violated: radicand {radicand.min():.3e}")
-    return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)))
+    return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)), norm_a)
 
 
 def adjointness(ctx: Context, a: np.ndarray, fwd: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -237,20 +247,21 @@ class FError(_Record):
 
 
 def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) -> FError:
-    """The f-error sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 -
-    ||pullback(f)||_rho^2)) of the estimator f for A (transported as ``t``),
-    with its split into t.error and ||pushforward(A) - f||_p."""
+    """The f-error sqrt(||A - M'f||_rho^2 + (||f||_p^2 - ||M'f||_rho^2)) of the estimator f for A
+    (transported as ``t``), M' the pullback, with its split into t.error and ||pushforward(A) - f||_p."""
+    return _f_errors(ctx, f, (a, t))[0]
+
+
+def _f_errors(ctx: Context, f: np.ndarray, *observables) -> list[FError]:
+    """``f_error_split`` of f for each (A, t) of ``observables``, from one pullback of f and its cost."""
     rep = pullback(ctx, f)
-    algebraic = norm(a - rep, ctx.rho) ** 2
     cost = class_norm(f, ctx.weights) ** 2 - norm(rep, ctx.rho) ** 2
     if (cost < -DEFAULT_TOL.psd).any():
         raise RuntimeError(f"contractivity violated: reconstruction cost {cost.min():.3e}")
-    out = FError(
-        quantum_error=t.error,
-        estimation_error=class_norm(t.pushforward - f, ctx.weights),
-        f_error=np.sqrt(np.maximum(algebraic + cost, 0.0)),
-    )
-    check_split(*out)
+    out = [FError(t.error, class_norm(t.pushforward - f, ctx.weights),
+                  np.sqrt(np.maximum(norm(a - rep, ctx.rho) ** 2 + cost, 0.0))) for a, t in observables]
+    for split in out:
+        check_split(*split)
     return out
 
 
@@ -278,8 +289,8 @@ def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = Fa
     """
     t_a = transport(ctx, a)
     t_b = transport(ctx, b)
-    real = anti(a, b, ctx.rho) - class_inner(t_a.pushforward, t_b.pushforward, ctx.weights)
-    commutator = comm(a, b, ctx.rho)
+    symmetric, commutator = _anti_comm(a, b, ctx.rho)
+    real = symmetric - class_inner(t_a.pushforward, t_b.pushforward, ctx.weights)
     sign = -1.0 if sign_flip else 1.0
     imag = commutator - sign * comm(t_a.roundtrip, b, ctx.rho) - comm(a, t_b.roundtrip, ctx.rho)
     bound = np.hypot(real, imag)
@@ -298,9 +309,10 @@ class Schroedinger(_Record):
 
 def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> Schroedinger:
     """The relation ``rel`` of A and B on a trivial measurement ``ctx``, in its standard-deviation form."""
-    sigma_a, sigma_b = std_dev(a, ctx.rho), std_dev(b, ctx.rho)
-    covariance = anti(a, b, ctx.rho) - expect(a, ctx.rho) * expect(b, ctx.rho)
-    commutator = comm(a, b, ctx.rho)
+    mean_a, mean_b = expect(a, ctx.rho), expect(b, ctx.rho)
+    sigma_a, sigma_b = _spread(rel.transport_a.norm, mean_a), _spread(rel.transport_b.norm, mean_b)
+    symmetric, commutator = _anti_comm(a, b, ctx.rho)
+    covariance = symmetric - mean_a * mean_b
     return Schroedinger(sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator),
                         covariance, commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
 
@@ -357,9 +369,8 @@ def errorless(ctx: Context, a: np.ndarray) -> Errorless:
     ||A||_rho >= ||f_A||_p >= ||roundtrip||_rho are at most tau scale.  The
     error is O(sqrt(mu)) while the residual of (b) and the drops of (c) are
     O(mu), so (a) compares the square of the error."""
-    scale = norm(a, ctx.rho)
-    threshold = DEFAULT_TOL.errorless * scale
     t = transport(ctx, a)
+    scale, threshold = t.norm, DEFAULT_TOL.errorless * t.norm
     residual = norm(a - t.roundtrip, ctx.rho)
     norm_fwd = class_norm(t.pushforward, ctx.weights)
     norm_back = norm(t.roundtrip, ctx.rho)
@@ -428,7 +439,8 @@ def chain(
     to the induced measurement."""
     rel = relation(ctx, a, b)
     rms_a, rms_b = rms_error(meter_h, joint, a), rms_error(meter_h, joint, b)
-    sigma_a, sigma_b = std_dev(a, ctx.rho), std_dev(b, ctx.rho)
+    sigma_a, sigma_b = _spread(rel.transport_a.norm, expect(a, ctx.rho)), _spread(rel.transport_b.norm, expect(b, ctx.rho))
+    split_a, split_b = _f_errors(ctx, estimator, (a, rel.transport_a), (b, rel.transport_b))
     values = np.stack([
         rms_a * rms_b,
         rel.eps_a * rel.eps_b,
@@ -440,8 +452,7 @@ def chain(
     rms_slack = slack * (1.0 + rms_a + rms_b)
     return Chain(
         values, holds, rms_a, rms_b, rel.eps_a, rel.eps_b, sigma_a, sigma_b,
-        np.abs(rms_a - f_error_split(ctx, a, rel.transport_a, estimator).f_error),
-        np.abs(rms_b - f_error_split(ctx, b, rel.transport_b, estimator).f_error),
+        np.abs(rms_a - split_a.f_error), np.abs(rms_b - split_b.f_error),
         rms_a >= rel.eps_a - rms_slack,
         rms_b >= rel.eps_b - rms_slack,
     )

@@ -194,13 +194,13 @@ _OUTCOMES, _MATRICES = 6, 10
 
 
 class _Block:
-    """The draws of N instances.  Row k of ``buffer`` holds instance k's
+    """The draws of N verify instances.  Row k of ``buffer`` holds instance k's
     complex Gaussians in the layout it draws them in, (name, raw shape)
     pairs in draw order; the instances of one layout form a group.  Other
     draws go into columns, ``(N,)`` or ``(N, _OUTCOMES)`` zero-padded."""
 
-    def __init__(self, n: int, dim: int, width: int):
-        self.dim, self.buffer = dim, np.empty((n, width))
+    def __init__(self, n: int, dim: int):
+        self.dim, self.buffer = dim, np.empty((n, 2 * _MATRICES * dim * dim))
         self.groups, self.cols, self.width = {}, {}, 0
 
     def gaussians(self, k: int, rng: np.random.Generator, retry: bool, *layout) -> None:
@@ -256,7 +256,7 @@ def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
     streams of seed ``states``, the POVM factors as validated effects.  An
     instance whose factors do not whiten is drawn again on a fresh generator
     of its stream with ``retry``, as ``random_povm`` would draw it."""
-    block = _Block(len(states), dim, 2 * _MATRICES * dim * dim)
+    block = _Block(len(states), dim)
     for k, state in enumerate(states):
         draw(_generator(state), block, k, False)
     cols = block.columns()
@@ -403,18 +403,17 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         ctx, a, b = _instances(cols)
         f = cols["f"]
         t = kernels.transport(ctx, a)
-        norm_a = kernels.norm(a, ctx.rho)
         adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
-        adjointness_ok = adjointness <= tol.identity * (1.0 + norm_a * kernels.class_norm(f, ctx.weights))
+        adjointness_ok = adjointness <= tol.identity * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))
 
         mean_a = kernels.expect(a, ctx.rho)
         drift = np.abs(kernels.dot(t.pushforward, ctx.weights) - mean_a)
 
         norm_fwd = kernels.class_norm(t.pushforward, ctx.weights)
         norm_back = kernels.norm(t.roundtrip, ctx.rho)
-        slack = tol.identity * (1.0 + norm_a)
-        chain_ok = (norm_a >= norm_fwd - slack) & (norm_fwd >= norm_back - slack)
-        chain = np.maximum(np.maximum(norm_fwd - norm_a, norm_back - norm_fwd), 0.0)
+        slack = tol.identity * (1.0 + t.norm)
+        chain_ok = (t.norm >= norm_fwd - slack) & (norm_fwd >= norm_back - slack)
+        chain = np.maximum(np.maximum(norm_fwd - t.norm, norm_back - norm_fwd), 0.0)
 
         alpha, beta = cols["alpha"], cols["beta"]
         lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
@@ -593,20 +592,20 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
 
 
 def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
-    """The validated ancilla states, interactions, Ginibre states and two
-    observables of the models whose streams have the seed ``states``, each
-    drawn as ``random_indirect_model``, ``random_state`` and
-    ``random_observable`` draw them in turn."""
-    joint, matrix = dim * ancilla, (2, dim, dim)
-    block = _Block(len(states), dim, 2 * (ancilla + joint * joint + 3 * dim * dim))
-    for k, state in enumerate(states):
-        block.gaussians(k, _generator(state), False, ("rho_ancilla", (2, ancilla)), ("u", (2, joint, joint)),
-                        ("rho", matrix), ("a", matrix), ("b", matrix))
-    cols = block.columns()
-    u = haar_unitaries(cols["u"])
+    """The validated ancilla states, interactions, Ginibre states and observables
+    A and B of the models with seed ``states``, in ``random_indirect_model``,
+    ``random_state`` and ``random_observable`` order: one call fills a model's
+    buffer row, and each array is a view of the buffer at a fixed offset."""
+    n, shapes = len(states), [(2, ancilla), (2, dim * ancilla, dim * ancilla)] + [(2, dim, dim)] * 3
+    ends = np.cumsum([math.prod(s) for s in shapes])
+    buffer = np.empty((n, ends[-1]))
+    for row, state in zip(buffer, states):
+        _generator(state).standard_normal(out=row)
+    ket, u, rho, a, b = (complex_stack(part.reshape(n, *s), axis=-len(s))
+                         for part, s in zip(np.split(buffer, ends[:-1], axis=1), shapes))
+    u = haar_unitaries(u)
     check_unitaries(u)
-    xi, rho = check_states(cols["rho_ancilla"]), check_states(cols["rho"])
-    return xi, u, rho, _observables(cols["a"]), _observables(cols["b"])
+    return check_states(pure_states(ket)), u, check_states(ginibre_states(rho)), _observables(a), _observables(b)
 
 
 def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:

@@ -6,9 +6,9 @@ operators (the adjoint, descended to equivalence classes); the pushforward
 carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
 ``transport`` pushes one observable forward once and returns, with the
-pushforward, its round trip and the error (the ``kernels.Transported``
-record of one instance); callers read that record instead of deriving any
-of the three again.
+pushforward, its round trip, the error and the norm ||A||_rho (the
+``kernels.Transported`` record of one instance); callers read that record
+instead of deriving any of the four again.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.

@@ -2,7 +2,10 @@
 ``rms_error`` and ``chain``) on stacks of random models built as
 ``suite_ozawa_chain`` builds them: against the joint-system formulas in
 ``oracles`` within 1e-12 times the instance's scale, against their own N=1
-calls, and the stacked draws against the per-model generators."""
+calls, and the stacked draws against the per-model generators.  The kernels
+that read a value another kernel already computed (``chain``, ``relation``,
+``errorless`` and ``schroedinger``) are compared bit for bit with the same
+formulas composed of one call per value."""
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from measerr import DensityOperator, GenConfig, random_observable, random_state
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter
 from measerr.states import check_states
+from measerr.tolerances import DEFAULT_TOL
 from test_kernels import rank_state
 
 TOL = 1e-12
@@ -53,6 +57,108 @@ def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
         assert np.array_equal(rho[k], random_state(cfg, rng).matrix)
         assert np.array_equal(a[k], random_observable(cfg, rng).matrix)
         assert np.array_equal(b[k], random_observable(cfg, rng).matrix)
+
+
+def chain_arguments(seed, dim, ancilla, block):
+    """``kernels.chain``'s arguments but the slack, for the models ``block`` as ``suite_ozawa_chain`` builds them."""
+    xi, u, rho, a, b = chain_models(seed, dim, ancilla, block)
+    meter = diagonal_meter(ancilla)
+    values, projectors = kernels.spectral(meter)
+    ctx = suites._context(kernels.induced_effects(u, xi, projectors), rho)
+    return ctx, a, b, kernels.heisenberg(u, meter), kernels.kron(rho, xi), values
+
+
+def per_call_relation(ctx, a, b, sign_flip=False):
+    """``kernels.relation`` with A.B and B.A formed once per kernel call (``anti``, then ``comm``)."""
+    t_a, t_b = kernels.transport(ctx, a), kernels.transport(ctx, b)
+    real = kernels.anti(a, b, ctx.rho) - kernels.class_inner(t_a.pushforward, t_b.pushforward, ctx.weights)
+    commutator = kernels.comm(a, b, ctx.rho)
+    sign = -1.0 if sign_flip else 1.0
+    imag = commutator - sign * kernels.comm(t_a.roundtrip, b, ctx.rho) - kernels.comm(a, t_b.roundtrip, ctx.rho)
+    bound, naive, product = np.hypot(real, imag), np.abs(commutator), t_a.error * t_b.error
+    return kernels.Relation(t_a.error, t_b.error, real, imag, bound, product - bound, naive, product < naive - 1e-12, t_a, t_b)
+
+
+def per_call_f_error(ctx, a, t, f):
+    """The f-error split with its own pullback of f and reconstruction cost."""
+    rep = kernels.pullback(ctx, f)
+    algebraic = kernels.norm(a - rep, ctx.rho) ** 2
+    cost = kernels.class_norm(f, ctx.weights) ** 2 - kernels.norm(rep, ctx.rho) ** 2
+    return [t.error, kernels.class_norm(t.pushforward - f, ctx.weights), np.sqrt(np.maximum(algebraic + cost, 0.0))]
+
+
+def per_call_errorless(ctx, a):
+    """``kernels.errorless`` with the scale ||A||_rho from its own ``norm`` call."""
+    scale = kernels.norm(a, ctx.rho)
+    threshold = DEFAULT_TOL.errorless * scale
+    t = kernels.transport(ctx, a)
+    residual = kernels.norm(a - t.roundtrip, ctx.rho)
+    norm_fwd, norm_back = kernels.class_norm(t.pushforward, ctx.weights), kernels.norm(t.roundtrip, ctx.rho)
+    drops = ((scale - norm_fwd) <= threshold) & ((scale - norm_back) <= threshold)
+    return [t.error**2 <= DEFAULT_TOL.errorless * scale**2, residual <= threshold, drops, t.error, residual, scale]
+
+
+def per_call_schroedinger(ctx, a, b, rel):
+    """``kernels.schroedinger`` from ``std_dev``, ``anti`` and ``comm``."""
+    sigma_a, sigma_b = kernels.std_dev(a, ctx.rho), kernels.std_dev(b, ctx.rho)
+    covariance = kernels.anti(a, b, ctx.rho) - kernels.expect(a, ctx.rho) * kernels.expect(b, ctx.rho)
+    commutator = kernels.comm(a, b, ctx.rho)
+    return [sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator), covariance,
+            commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b)]
+
+
+def per_call_chain(ctx, a, b, meter_h, joint, estimator, slack):
+    """``kernels.chain`` from ``std_dev`` and two ``f_error_split`` calls."""
+    rel = per_call_relation(ctx, a, b)
+    rms_a, rms_b = kernels.rms_error(meter_h, joint, a), kernels.rms_error(meter_h, joint, b)
+    sigma_a, sigma_b = kernels.std_dev(a, ctx.rho), kernels.std_dev(b, ctx.rho)
+    values = np.stack([rms_a * rms_b, rel.eps_a * rel.eps_b, rel.bound, np.abs(rel.imag_term),
+                       rel.naive_bound - rms_a * sigma_b - sigma_a * rms_b], axis=-1)
+    holds = values[..., :-1] >= values[..., 1:] - slack * (1.0 + np.abs(values[..., :-1]))
+    rms_slack = slack * (1.0 + rms_a + rms_b)
+    return [
+        values, holds, rms_a, rms_b, rel.eps_a, rel.eps_b, sigma_a, sigma_b,
+        np.abs(rms_a - kernels.f_error_split(ctx, a, rel.transport_a, estimator).f_error),
+        np.abs(rms_b - kernels.f_error_split(ctx, b, rel.transport_b, estimator).f_error),
+        rms_a >= rel.eps_a - rms_slack, rms_b >= rel.eps_b - rms_slack,
+    ]
+
+
+def assert_same_bits(got, expected):
+    """Every field of the record ``got`` (a transport's fields too) equals ``expected``'s bit for bit."""
+    got, expected = list(got), list(expected)
+    assert len(got) == len(expected)
+    for k, (x, y) in enumerate(zip(got, expected)):
+        if isinstance(y, kernels.Transported):
+            assert_same_bits(x, y)
+        else:
+            assert np.array_equal(x, y), k
+
+
+@pytest.mark.parametrize("dim,ancilla", CASES)
+def test_shared_values_are_the_per_call_values(dim, ancilla):
+    """chain, relation, errorless, schroedinger and f_error_split equal their
+    per-call formulas bit for bit, on a stacked block and on each of its
+    instances alone, on the induced measurement and on a trivial one."""
+    ctx, a, b, meter_h, joint, values = chain_arguments(7, dim, ancilla, range(4))
+    p0 = np.random.default_rng(dim * ancilla).dirichlet(np.ones(3), 4)
+    trivial = suites._context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
+    f = np.random.default_rng(dim).uniform(-2.0, 2.0, ancilla)
+    for k in (slice(None), 0, 1, 2, 3):
+        args = [ctx.effects[k], ctx.rho[k], ctx.weights[k]]
+        one, x, y = kernels.context(*args), a[k], b[k]
+        assert_same_bits(kernels.chain(one, x, y, meter_h[k], joint[k], values, 1e-9),
+                         per_call_chain(one, x, y, meter_h[k], joint[k], values, 1e-9))
+        t = kernels.transport(one, x)
+        assert np.array_equal(t.norm, kernels.norm(x, one.rho))
+        assert_same_bits(kernels.f_error_split(one, x, t, f), per_call_f_error(one, x, t, f))
+        for c in (one, kernels.context(trivial.effects[k], trivial.rho[k], trivial.weights[k])):
+            for flip in (False, True):
+                assert_same_bits(kernels.relation(c, x, y, sign_flip=flip), per_call_relation(c, x, y, flip))
+            rel = kernels.relation(c, x, y)
+            assert_same_bits(kernels.schroedinger(c, x, y, rel), per_call_schroedinger(c, x, y, rel))
+            assert_same_bits(kernels.errorless(c, x), per_call_errorless(c, x))
+            assert_same_bits(kernels.errorless(c, y), per_call_errorless(c, y))
 
 
 def scale(x):

@@ -25,6 +25,7 @@ from measerr import (
 from measerr import generate, kernels, suites
 from measerr.states import check_states, pure_states
 from measerr.suites import SuiteResult
+from test_chain_kernels import chain_arguments
 
 
 class TestSuiteResult:
@@ -65,9 +66,32 @@ def transport_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The names of the ``kernels.norm`` and ``kernels.pullback`` calls, in call order."""
+    calls = []
+    for name in ("norm", "pullback"):
+        def counted(*args, name=name, original=getattr(kernels, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
 class TestTransportOnce:
     """Each (context, observable) is transported once: by one kernel call per
-    observable per (suite, dim) block."""
+    observable per (suite, dim) block.  A kernel reads the norms ||A||_rho,
+    the estimator's pullback and its reconstruction cost that the block has
+    already computed instead of computing them again."""
+
+    @pytest.mark.parametrize("kernel,norms,pullbacks", [("chain", 7, 3), ("errorless", 3, 1), ("relation", 2, 2)])
+    def test_norm_and_pullback_calls(self, kernel_calls, kernel, norms, pullbacks):
+        ctx, a, b, meter_h, joint, values = chain_arguments(5, 3, 2, range(4))
+        args = {"chain": (ctx, a, b, meter_h, joint, values, 1e-9), "errorless": (ctx, a), "relation": (ctx, a, b)}
+        kernel_calls.clear()
+        getattr(kernels, kernel)(*args[kernel])
+        assert (kernel_calls.count("norm"), kernel_calls.count("pullback")) == (norms, pullbacks)
 
     def test_evaluate_relation(self, transport_calls):
         rng = np.random.default_rng(1)
