@@ -202,18 +202,25 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     started = time.perf_counter()
     tol = _tolerances(args)
+    custom = args.family == "custom"
+    usage = None
     if args.family not in _FAMILIES:
-        print(f"unknown family {args.family!r}; choose from {_FAMILIES}", file=sys.stderr)
+        usage = f"unknown family {args.family!r}; choose from {_FAMILIES}"
+    elif custom and not args.povm:
+        usage = "family 'custom' needs --povm FILE"
+    elif custom and args.grid is not None:
+        usage = "family 'custom' takes no --grid"
+    elif not custom and args.povm is not None:
+        usage = f"family {args.family!r} takes no --povm"
+    if usage:
+        print(usage, file=sys.stderr)
         return EXIT_USAGE
     rho = load_state(args.state) if args.state else DensityOperator.maximally_mixed(2)
     obs_a = load_observable(args.obs_a) if args.obs_a else HermitianObservable(PAULI_Z)
     obs_b = load_observable(args.obs_b) if args.obs_b else HermitianObservable(PAULI_X)
 
     rows = []
-    if args.family == "custom":
-        if not args.povm:
-            print("family 'custom' needs --povm FILE", file=sys.stderr)
-            return EXIT_USAGE
+    if custom:
         povm = load_povm(args.povm)
         ctx = LocalContext(povm, rho)
         rows.append((None, ctx, evaluate_relation(ctx, obs_a, obs_b)))

@@ -5,14 +5,16 @@ All randomness flows through an explicit numpy Generator (PCG64 under
 always reproduces the same objects.  The sweeps hash a suite's stream keys
 in one pass to the seed states ``default_rng`` derives (``suites._seed_states``).
 
-Generation is split in two.  ``fill_gaussians`` draws all of one
-instance's complex Gaussian arrays into one flat row by one call, in draw
-order, each array (each POVM factor) as its real block, then its imaginary
-block.  The stacked functions (``complex_stack``, ``povm_effects``,
+Generation is split in two.  ``gaussians`` draws all of one instance's
+complex Gaussian arrays by one ``standard_normal`` call, in draw order,
+each array (each POVM factor) as its real block, then its imaginary block.
+The stacked functions (``complex_stack``, ``povm_effects``,
 ``ginibre_states``, ``observable_matrices``, ``haar_unitaries``) turn a
 stack of draws into matrices at once.  The ``random_*`` generators are both
 steps for one instance; a verify block draws into the rows of one buffer
 (``suites._Block``), a chain block into one it reads as fixed-offset views.
+Every instance is drawn in one pass: effects whitened from ill-conditioned
+factors are rejected by ``measurement.check_effects``, not drawn again.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ from .states import DensityOperator, HermitianObservable, OutcomeSpace, pure_sta
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
 MIXEDNESS_CHOICES = ("pure", "ginibre", "blend")
-
-# Smallest ratio of the extreme eigenvalues of S = sum_w G_w^dag G_w that
-# povm_effects whitens.
-_MIN_CONDITION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,25 +59,12 @@ class GenConfig:
             raise ValueError("blend weight must lie in [0, 1]")
 
 
-def fill_gaussians(rng: np.random.Generator, row: np.ndarray, first: tuple, whiten: bool = False) -> None:
-    """Fill the flat float64 ``row`` with standard normals by one call; to
-    ``whiten``, its head, raw POVM factors of shape ``first``, takes calls
-    of its own until they whiten (``povm_effects``), the rest one more."""
-    if whiten:
-        head = row[: math.prod(first)]
-        while not povm_effects(complex_stack([rng.standard_normal(out=head).reshape(first)]))[1][0]:
-            pass
-        row = row[head.size :]
-    rng.standard_normal(out=row)
-
-
-def gaussians(rng: np.random.Generator, *shapes, whiten: bool = False) -> list[np.ndarray]:
+def gaussians(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
     """Real Gaussian arrays of the raw ``shapes``, in order, as views of one
-    row (``fill_gaussians``).  A complex array of shape ``s`` has the raw
+    ``standard_normal`` call.  A complex array of shape ``s`` has the raw
     shape ``(2,) + s``; the n factors of a POVM have ``(n, 2, d, d)``."""
     sizes = [math.prod(s) for s in shapes]
-    flat = np.empty(sum(sizes))
-    fill_gaussians(rng, flat, shapes[0], whiten)
+    flat = rng.standard_normal(sum(sizes))
     return [flat[end - n : end].reshape(s) for s, n, end in zip(shapes, sizes, accumulate(sizes))]
 
 
@@ -106,21 +91,20 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(complex_stack(gaussians(rng, (2, dim, dim))))[0]
 
 
-def povm_effects(factors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def povm_effects(factors: np.ndarray) -> np.ndarray:
     """Effects E_w = S^-1/2 G_w^dag G_w S^-1/2 with S = sum_w G_w^dag G_w,
     for one set ``(n, d, d)`` of factors or a stack of them (zero factors
-    give zero effects), and per set whether S was well enough conditioned
-    (smallest eigenvalue above ``_MIN_CONDITION`` times the largest) to
-    whiten."""
+    give zero effects).  Nothing here tests that S is invertible: factors
+    too ill-conditioned give inaccurate effects, and a singular S (with a
+    RuntimeWarning) non-finite ones, which ``check_effects`` rejects."""
     blocks = factors.conj().swapaxes(-1, -2) @ factors
     w, v = np.linalg.eigh(blocks.sum(axis=-3))
-    ok = w[..., 0] > _MIN_CONDITION * w[..., -1]
-    inv_sqrt = (v / np.sqrt(np.where(ok[..., None], w, 1.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     inv_sqrt = inv_sqrt[..., None, :, :]
     effects = inv_sqrt @ blocks @ inv_sqrt
     effects += effects.conj().swapaxes(-1, -2)
     effects /= 2.0
-    return effects, ok
+    return effects
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:
@@ -157,8 +141,8 @@ def random_observable(cfg: GenConfig, rng: np.random.Generator, *, traceless: bo
 def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:
     """Generic full-rank POVM: Gaussian Gram blocks whitened by the inverse
     square root of their sum.  Outcome values default to 1..n."""
-    raw = gaussians(rng, (cfg.outcomes, 2, cfg.dim, cfg.dim), whiten=True)
-    effects = povm_effects(complex_stack(raw))[0][0]
+    raw = gaussians(rng, (cfg.outcomes, 2, cfg.dim, cfg.dim))
+    effects = povm_effects(complex_stack(raw))[0]
     space = OutcomeSpace.from_values(np.arange(1, cfg.outcomes + 1, dtype=float))
     return Povm(space, effects, kind=MeasurementKind.CUSTOM)
 

@@ -25,7 +25,6 @@ from . import kernels
 from .generate import (
     complex_stack,
     diagonal_meter,
-    fill_gaussians,
     ginibre_states,
     haar_unitaries,
     observable_matrices,
@@ -203,12 +202,11 @@ class _Block:
         self.dim, self.buffer = dim, np.empty((n, 2 * _MATRICES * dim * dim))
         self.groups, self.cols, self.width = {}, {}, 0
 
-    def gaussians(self, k: int, rng: np.random.Generator, retry: bool, *layout) -> None:
-        """Fill row k; on a ``retry`` (a redraw), the leading POVM factors until they whiten."""
+    def gaussians(self, k: int, rng: np.random.Generator, *layout) -> None:
+        """Fill row k with the Gaussians of ``layout`` by one call."""
         group = self.groups.get(layout) or self.groups.setdefault(layout, (sum(math.prod(s) for _, s in layout), []))
-        if not retry:
-            group[1].append(k)
-        fill_gaussians(rng, self.buffer[k, : group[0]], layout[0][1], retry)
+        group[1].append(k)
+        rng.standard_normal(out=self.buffer[k, : group[0]])
 
     def put(self, name: str, k: int, value) -> None:
         """Instance k's ``value`` (a number, a flag or a row over outcomes) into column ``name``."""
@@ -252,33 +250,26 @@ class _Block:
 
 
 def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
-    """The columns of a block drawn by ``draw(rng, block, k, retry)`` on the
-    streams of seed ``states``, the POVM factors as validated effects.  An
-    instance whose factors do not whiten is drawn again on a fresh generator
-    of its stream with ``retry``, as ``random_povm`` would draw it."""
+    """The columns of a block drawn by ``draw(rng, block, k)`` on the streams
+    of seed ``states``, the POVM factors as validated effects: each instance
+    is drawn once, and a block whose factors do not whiten raises."""
     block = _Block(len(states), dim)
     for k, state in enumerate(states):
-        draw(_generator(state), block, k, False)
+        draw(_generator(state), block, k)
     cols = block.columns()
     if "povm" in cols:
-        effects, ok = povm_effects(cols["povm"])
-        if not ok.all():
-            for k in np.flatnonzero(~ok):
-                draw(_generator(states[k]), block, k, True)
-            cols = block.columns()
-            effects, _ = povm_effects(cols["povm"])
-        check_effects(effects)
-        cols["povm"] = effects
+        cols["povm"] = povm_effects(cols["povm"])
+        check_effects(cols["povm"])
     return cols
 
 
-def _draw_instance(rng, block: _Block, k: int, retry: bool, with_f: bool = False, more=()) -> int:
+def _draw_instance(rng, block: _Block, k: int, with_f: bool = False, more=()) -> int:
     """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two observables, the arrays
     ``more`` and, ``with_f``, an outcome function uniform in [-2, 2).  Returns the outcome count."""
     outcomes = int(rng.integers(2, 7))
     pure = bool(rng.random() < 0.3)
     matrix = (2, block.dim, block.dim)
-    block.gaussians(k, rng, retry, ("povm", (outcomes, *matrix)), ("rho", (2, block.dim) if pure else matrix),
+    block.gaussians(k, rng, ("povm", (outcomes, *matrix)), ("rho", (2, block.dim) if pure else matrix),
                     ("a", matrix), ("b", matrix), *more)
     block.put("pure", k, pure)
     if with_f:
@@ -323,9 +314,9 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _draw_affineness(rng, block, k, retry):
+def _draw_affineness(rng, block, k):
     outcomes, dim = int(rng.integers(2, 7)), block.dim
-    block.gaussians(k, rng, retry, ("povm", (outcomes, 2, dim, dim)), ("rho1", (2, dim, dim)), ("rho2", (2, dim)))
+    block.gaussians(k, rng, ("povm", (outcomes, 2, dim, dim)), ("rho1", (2, dim, dim)), ("rho2", (2, dim)))
     block.put("lam", k, rng.uniform())
 
 
@@ -387,8 +378,8 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     return out
 
 
-def _draw_transport_adjointness(rng, block, k, retry):
-    _draw_instance(rng, block, k, retry, with_f=True)
+def _draw_transport_adjointness(rng, block, k):
+    _draw_instance(rng, block, k, with_f=True)
     alpha, beta = rng.uniform(-2.0, 2.0, 2)
     block.put("alpha", k, alpha)
     block.put("beta", k, beta)
@@ -431,8 +422,8 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     return out
 
 
-def _draw_error_decomposition(rng, block, k, retry):
-    outcomes = _draw_instance(rng, block, k, retry, with_f=True)
+def _draw_error_decomposition(rng, block, k):
+    outcomes = _draw_instance(rng, block, k, with_f=True)
     block.put("delta", k, rng.uniform(-2.0, 2.0, outcomes))
     block.put("step", k, rng.uniform(-1.0, 1.0))
 
@@ -497,8 +488,8 @@ def suite_relation_and_proof_tie(
     return relation, proof
 
 
-def _draw_errorless_equivalence(rng, block, k, retry):
-    _draw_instance(rng, block, k, retry, more=[("rho2", (2, block.dim, block.dim))])
+def _draw_errorless_equivalence(rng, block, k):
+    _draw_instance(rng, block, k, more=[("rho2", (2, block.dim, block.dim))])
     block.put("scale", k, rng.uniform(0.5, 2.0))
     block.put("shift", k, rng.uniform(-1.0, 1.0))
 
@@ -555,9 +546,9 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     return out
 
 
-def _draw_trivial_reduction(rng, block, k, retry):
+def _draw_trivial_reduction(rng, block, k):
     matrix = (2, block.dim, block.dim)
-    block.gaussians(k, rng, False, ("rho", matrix), ("a", matrix), ("b", matrix))
+    block.gaussians(k, rng, ("rho", matrix), ("a", matrix), ("b", matrix))
     block.put("p0", k, rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
 
 
@@ -625,7 +616,7 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
 
         # the induced distribution, read off the evolved joint state
         evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
-        direct = np.trace(evolved @ kernels.kron(np.eye(dim), projectors), axis1=-2, axis2=-1).real
+        direct = kernels.trace_product(evolved, kernels.kron(np.eye(dim), projectors)).real
         distribution = _max_abs(ctx.weights - direct)
         bridge = np.maximum(c.bridge_residual_a, c.bridge_residual_b)
         links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)

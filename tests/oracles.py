@@ -185,18 +185,12 @@ def complex_gaussian(rng, shape):
     return re + 1j * rng.standard_normal(shape)
 
 
-def povm_factors(rng, outcomes, dim, min_condition):
-    """The Gaussian factors of one random POVM, factor by factor, drawn again
-    until sum_w G_w^dag G_w has its smallest eigenvalue above
-    ``min_condition`` times its largest."""
-    while True:
-        g = np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(outcomes)])
-        w = np.linalg.eigvalsh(sum(x.conj().T @ x for x in g))
-        if w[0] > min_condition * w[-1]:
-            return g
+def povm_factors(rng, outcomes, dim):
+    """The Gaussian factors of one random POVM, factor by factor."""
+    return np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(outcomes)])
 
 
-def verify_draws(rng, suite, dim, min_condition):
+def verify_draws(rng, suite, dim):
     """One instance of a ``verify`` suite drawn call by call in the
     documented order: the outcome count (and the pure-state coin), the POVM
     factors, the states and observables (kets ``(dim,)``, matrices
@@ -207,11 +201,11 @@ def verify_draws(rng, suite, dim, min_condition):
         return out
     outcomes = int(rng.integers(2, 7))
     if suite == "affineness":
-        povm = povm_factors(rng, outcomes, dim, min_condition)
+        povm = povm_factors(rng, outcomes, dim)
         rho1, rho2 = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim,))
         return {"povm": povm, "rho1": rho1, "rho2": rho2, "lam": rng.uniform()}
     pure = bool(rng.random() < 0.3)
-    out = {"povm": povm_factors(rng, outcomes, dim, min_condition), "pure": pure}
+    out = {"povm": povm_factors(rng, outcomes, dim), "pure": pure}
     out["rho"] = complex_gaussian(rng, (dim,) if pure else (dim, dim))
     out["a"], out["b"] = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim, dim))
     if suite == "errorless-equivalence":

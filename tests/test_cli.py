@@ -174,6 +174,20 @@ class TestScan:
     def test_custom_without_povm_is_usage_error(self):
         assert main(["scan", "--family", "custom", "--out", "/tmp/x.csv"]) == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--family", "noisy-projective", "--povm", "does-not-exist.json", "--grid", "1"],
+         "family 'noisy-projective' takes no --povm"),
+        (["--family", "custom", "--povm", "POVM", "--grid", "0:1:0.5"], "family 'custom' takes no --grid"),
+    ])
+    def test_flag_of_another_family_is_usage_error(self, argv, message, tmp_path, capsys):
+        path = tmp_path / "povm.json"
+        path.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        out = tmp_path / "scan.csv"
+        argv = [str(path) if arg == "POVM" else arg for arg in argv]
+        assert main(["scan", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         out = tmp_path / "empty.csv"
         with pytest.raises(SystemExit) as excinfo:

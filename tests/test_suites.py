@@ -23,6 +23,7 @@ from measerr import (
     random_state,
 )
 from measerr import generate, kernels, suites
+from measerr.cli import main
 from measerr.states import check_states, pure_states
 from measerr.suites import SuiteResult
 from test_chain_kernels import chain_arguments
@@ -180,12 +181,12 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
     the normalized Ginibre matrix, the other complex arrays and every other
     draw exactly, with rows over outcomes zero-padded."""
     for k, i in enumerate(block):
-        plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim, generate._MIN_CONDITION)
+        plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim)
         assert cols.keys() == plain.keys()
         for key, want in plain.items():
             got = cols[key][k]
             if key == "povm":
-                want = generate.povm_effects(want)[0]
+                want = generate.povm_effects(want)
             elif key.startswith("rho"):
                 want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
             if np.ndim(want) and len(want) < len(got):
@@ -211,7 +212,7 @@ def test_full_block_unpacks_every_group(suite, dim):
     block = range(suites._BLOCK)
     cols = draw_block(29, suite, dim, block, DRAWERS[suite])
     assert_block_is_the_plain_draws(cols, 29, suite, dim, block)
-    draws = [oracles.verify_draws(suites._rng(29, suite, dim, i), suite, dim, generate._MIN_CONDITION) for i in block]
+    draws = [oracles.verify_draws(suites._rng(29, suite, dim, i), suite, dim) for i in block]
     groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
     pure = (False, True) if "pure" in draws[0] else (None,)
     assert groups == ({1, 2, 3, 4} if suite == "trivial-reduction" else {(n, p) for n in range(2, 7) for p in pure})
@@ -268,21 +269,12 @@ def test_seed_states_are_numpys_seed_sequence(words):
         assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
 
 
-def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
-    """An instance whose POVM factors fail the whitening test is drawn again,
-    and then its POVM and every later draw are those of the per-instance
-    generators run on its stream; also in the suites that draw more after
-    the POVM."""
-    monkeypatch.setattr(generate, "_MIN_CONDITION", 0.2)
+def test_block_instances_are_the_generators_on_their_own_streams():
+    """Each instance's POVM, state and first observable are those of the
+    per-instance generators run on its stream; also in the suites that draw
+    more after the POVM."""
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
-        retried = []
-
-        def draw(rng, block, k, retry):
-            retried.append(retry)
-            return DRAWERS[suite](rng, block, k, retry)
-
-        cols = draw_block(11, suite, 4, range(12), draw)
-        assert 0 < sum(retried) < 12 and len(retried) == 12 + sum(retried)
+        cols = draw_block(11, suite, 4, range(12), DRAWERS[suite])
         for i in range(12):
             rng = suites._rng(11, suite, 4, i)
             outcomes = int(rng.integers(2, 7))
@@ -293,6 +285,27 @@ def test_block_redraws_an_unwhitened_instance_from_its_own_stream(monkeypatch):
             assert np.array_equal(rho, random_state(cfg, rng).matrix)
             assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
+
+
+def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
+    """Zero POVM factors (a singular sum_w G_w^dag G_w) in one instance are not
+    drawn again: ``_draw_block`` raises, and ``verify`` exits 2 with one
+    "error:" line and no report, as any block that ``check_effects`` rejects."""
+    draw_instance = suites._draw_instance
+
+    def zeroed(rng, block, k, **kwargs):
+        outcomes = draw_instance(rng, block, k, **kwargs)
+        if k == 1:
+            block.buffer[k, : outcomes * 2 * block.dim**2] = 0.0
+        return outcomes
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            draw_block(5, "main-relation", 3, range(4), zeroed)
+        monkeypatch.setattr(suites, "_draw_instance", zeroed)
+        code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", "error: effect entries must be finite\n")
 
 
 def test_chain_failure_names_the_model():
