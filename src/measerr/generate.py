@@ -2,8 +2,8 @@
 
 All randomness flows through an explicit numpy Generator (PCG64 under
 ``default_rng``); nothing touches global state.  The same generator state
-always reproduces the same objects.  The sweeps hash a suite's stream keys
-in one pass to the seed states ``default_rng`` derives (``suites._seed_states``).
+always reproduces the same objects.  The sweeps hash stream keys in batches
+to the seed states ``default_rng`` derives (``suites._seed_states``).
 
 Generation is split in two.  ``gaussians`` draws all of one instance's
 complex Gaussian arrays by one ``standard_normal`` call, in draw order,
@@ -94,17 +94,17 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 def povm_effects(factors: np.ndarray) -> np.ndarray:
     """Effects E_w = S^-1/2 G_w^dag G_w S^-1/2 with S = sum_w G_w^dag G_w,
     for one set ``(n, d, d)`` of factors or a stack of them (zero factors
-    give zero effects).  Nothing here tests that S is invertible: factors
-    too ill-conditioned give inaccurate effects, and a singular S (with a
+    give zero effects), by n + 3 products: with the factors stacked as one
+    ``(n d, d)`` matrix F, S = F^dag F, Y = F S^-1/2 and E_w = Y_w^dag Y_w,
+    symmetrized.  Nothing tests that S is invertible: ill-conditioned
+    factors give inaccurate effects, and a singular S (with a
     RuntimeWarning) non-finite ones, which ``check_effects`` rejects."""
-    blocks = factors.conj().swapaxes(-1, -2) @ factors
-    w, v = np.linalg.eigh(blocks.sum(axis=-3))
+    f = factors.reshape(*factors.shape[:-3], -1, factors.shape[-1])
+    w, v = np.linalg.eigh(f.conj().swapaxes(-1, -2) @ f)
     inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    inv_sqrt = inv_sqrt[..., None, :, :]
-    effects = inv_sqrt @ blocks @ inv_sqrt
-    effects += effects.conj().swapaxes(-1, -2)
-    effects /= 2.0
-    return effects
+    y = (f @ inv_sqrt).reshape(factors.shape)
+    effects = y.conj().swapaxes(-1, -2) @ y
+    return (effects + effects.conj().swapaxes(-1, -2)) / 2.0
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:

@@ -14,15 +14,17 @@ weight, falls outside the support and contributes exactly 0.0 to every sum,
 which is the canonical-class convention of ``transport``.
 
 Traces.  Tr[X Y] is one elementwise contraction, O(d^2) where forming X Y is
-O(d^3) (``trace_product``); only ``norm`` traces the formed X X rho.  Every
-kernel is stack-invariant: a row of a stacked call equals the call on that
-row alone bit for bit, whatever the broadcast (``np.einsum`` traces are not).
+O(d^3) (``trace_product``); only ``norm`` traces the formed X X rho.  For
+Hermitian X, Y, rho, ``anti`` and ``comm`` are Re and Im of Tr[X Y rho], and
+``pushforward`` takes <A, E_w>_rho as Re Tr[E_w A rho]: one product each.
+Every kernel is stack-invariant: a row of a stacked call equals the call on
+that row alone bit for bit, whatever the broadcast (``np.einsum`` is not).
 
 Inputs are trusted: states, effects and observables are validated once, at
 the boundary (the constructors and the stacked validators in ``states`` and
-``measurement``).  The checks left here are the numerical invariants whose
-failure means a bug: a non-real expectation (``ArithmeticError``), a
-contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
+``measurement``).  The checks left here are the invariants whose failure
+means a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``),
+a contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
 broken f-error split (``AssertionError``).  Each raises for the whole stack.
 """
 
@@ -80,20 +82,20 @@ def expect(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _real(trace_product(x, rho))
 
 
+def _anti_comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<{X,Y}/2>_rho and <[X,Y]/2i>_rho: Re and Im of Tr[X Y rho] (X, Y and rho Hermitian)."""
+    val = trace_product(x, y @ rho)
+    return val.real, val.imag
+
+
 def anti(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """<{X,Y}/2>_rho, the state inner product."""
-    return expect((x @ y + y @ x) / 2.0, rho)
+    """<{X,Y}/2>_rho = Re Tr[X Y rho], the state inner product."""
+    return _anti_comm(x, y, rho)[0]
 
 
 def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """<[X,Y]/2i>_rho, real for self-adjoint arguments."""
-    return expect((x @ y - y @ x) / 2j, rho)
-
-
-def _anti_comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``anti`` and ``comm`` of X and Y, with XY and YX formed once."""
-    xy, yx = x @ y, y @ x
-    return expect((xy + yx) / 2.0, rho), expect((xy - yx) / 2j, rho)
+    """<[X,Y]/2i>_rho = Im Tr[X Y rho]."""
+    return _anti_comm(x, y, rho)[1]
 
 
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -171,9 +173,8 @@ def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Contex
 
 def pushforward(ctx: Context, a: np.ndarray) -> np.ndarray:
     """<A, E_w>_rho / p(w) on the support, zero off it: the optimal estimator.
-    <A, E_w>_rho = Tr[E_w J] with the Jordan product J = (A rho + rho A)/2."""
-    jordan = (a @ ctx.rho + ctx.rho @ a) / 2.0
-    inner = expect(ctx.effects, jordan[..., None, :, :])
+    <A, E_w>_rho = Tr[E_w (A rho + rho A)/2] = Re Tr[E_w A rho]."""
+    inner = trace_product(ctx.effects, (a @ ctx.rho)[..., None, :, :]).real
     return np.divide(inner, ctx.weights, out=np.zeros(ctx.weights.shape), where=ctx.mask)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate, islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -108,8 +109,9 @@ class SuiteResult:
         }
 
 
-# Largest number of instances checked as one stack.
-_BLOCK = 128
+# Largest number of instances checked as one stack, and of blocks whose
+# streams are seeded by one hash pass.
+_BLOCK, _BATCH = 128, 8
 
 
 def _seed_words(seed: int) -> tuple[int, ...]:
@@ -181,35 +183,51 @@ def _sweep(seed: int, suite: str, keys, n: int):
     """(key, block, states) for every key (a dim, or a (dim, ancilla) pair),
     with its n instance indices in consecutive blocks of at most ``_BLOCK``,
     so the stacked arrays of a suite stay small whatever n is, and the seed
-    states of the blocks' streams, keyed (*key, index), all hashed at once."""
-    parts = np.column_stack([np.repeat(np.column_stack([keys]), n, axis=0), np.tile(np.arange(n), len(keys))])
-    states = _stream_states(seed, suite, parts).reshape(len(keys), n, 4)
-    return [(key, range(lo, min(lo + _BLOCK, n)), states[k, lo : lo + _BLOCK])
-            for k, key in enumerate(keys) for lo in range(0, n, _BLOCK)]
+    states of the blocks' streams, keyed (*key, index).  The states are
+    hashed in one pass per ``_BATCH`` consecutive blocks, as the blocks are
+    reached, so a suite's memory stays bounded too."""
+    blocks = ((key, range(lo, min(lo + _BLOCK, n))) for key in keys for lo in range(0, n, _BLOCK))
+    while batch := list(islice(blocks, _BATCH)):
+        sizes = [len(block) for _, block in batch]
+        index = np.concatenate([np.arange(block.start, block.stop) for _, block in batch])
+        states = _stream_states(seed, suite, np.column_stack([np.repeat([key for key, _ in batch], sizes, axis=0), index]))
+        for (key, block), end in zip(batch, accumulate(sizes)):
+            yield key, block, states[end - len(block) : end]
 
 
 # Most outcomes, and most complex Gaussian (d, d) arrays, of one verify instance.
 _OUTCOMES, _MATRICES = 6, 10
 
+# The fixed layouts of verify instances: after the POVM factors, each complex
+# Gaussian array in draw order as (name, rank if mixed, rank if pure), rank 2
+# a (d, d) matrix and rank 1 a (d,) ket; "rho" names are states.
+_INSTANCE = (("rho", 2, 1), ("a", 2, 2), ("b", 2, 2))
+_AFFINE = (("rho1", 2, 2), ("rho2", 1, 1))
+_ERRORLESS = _INSTANCE + (("rho2", 2, 2),)
+_TRIVIAL = (("rho", 2, 2), ("a", 2, 2), ("b", 2, 2))
+
 
 class _Block:
-    """The draws of N verify instances.  Row k of ``buffer`` holds instance k's
-    complex Gaussians in the layout it draws them in, (name, raw shape)
-    pairs in draw order; the instances of one layout form a group.  Other
-    draws go into columns, ``(N,)`` or ``(N, _OUTCOMES)`` zero-padded."""
+    """The draws of N verify instances in one fixed ``layout``.  Row k of
+    ``buffer`` holds instance k's complex Gaussians, each array its real
+    block, then its imaginary block; ``outcomes`` and ``pure`` record the
+    two numbers its row layout depends on.  Other draws go into columns,
+    ``(N,)`` or ``(N, _OUTCOMES)`` zero-padded."""
 
-    def __init__(self, n: int, dim: int):
-        self.dim, self.buffer = dim, np.empty((n, 2 * _MATRICES * dim * dim))
-        self.groups, self.cols, self.width = {}, {}, 0
+    def __init__(self, n: int, dim: int, layout):
+        self.dim, self.layout, self.buffer = dim, layout, np.empty((n, 2 * _MATRICES * dim * dim))
+        self.outcomes, self.pure = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
+        self.rest = [2 * sum(dim ** ranks[p] for _, *ranks in layout) for p in (0, 1)]
+        self.cols, self.width = {}, 0
 
-    def gaussians(self, k: int, rng: np.random.Generator, *layout) -> None:
-        """Fill row k with the Gaussians of ``layout`` by one call."""
-        group = self.groups.get(layout) or self.groups.setdefault(layout, (sum(math.prod(s) for _, s in layout), []))
-        group[1].append(k)
-        rng.standard_normal(out=self.buffer[k, : group[0]])
+    def gaussians(self, k: int, rng: np.random.Generator, outcomes: int = 0, pure: bool = False) -> None:
+        """Fill row k by one call with ``outcomes`` POVM factors and the
+        layout's arrays, its state a ket when ``pure``."""
+        self.outcomes[k], self.pure[k] = outcomes, pure
+        rng.standard_normal(out=self.buffer[k, : 2 * self.dim**2 * outcomes + self.rest[pure]])
 
     def put(self, name: str, k: int, value) -> None:
-        """Instance k's ``value`` (a number, a flag or a row over outcomes) into column ``name``."""
+        """Instance k's ``value`` (a number or a row over outcomes) into column ``name``."""
         row = isinstance(value, np.ndarray)
         if name not in self.cols:
             self.cols[name] = np.zeros((len(self.buffer), _OUTCOMES) if row else len(self.buffer), np.asarray(value).dtype)
@@ -220,40 +238,37 @@ class _Block:
             self.cols[name][k] = value
 
     def columns(self) -> dict:
-        """The block as stacks: rows over outcomes cut to the widest drawn (contiguous), each
-        Gaussian array gathered from its groups' offsets as one complex stack, POVM factors
-        zero-padded, states (names from "rho") as a ket's projector or G G^dag / Tr."""
+        """The block as stacks: rows over outcomes cut to the widest drawn
+        (contiguous), the POVM factors zero-padded to the most outcomes, and
+        each array cut out where ``outcomes`` and ``pure`` place it, one gather
+        per rank, "rho" arrays as validated states (ket projectors, G G^dag / Tr)."""
         n, dim = len(self.buffer), self.dim
         cols = {name: col[:, : self.width].copy() if col.ndim > 1 else col for name, col in self.cols.items()}
-        spans, counts = {}, np.zeros(n, dtype=int)
-        for layout, (_, rows) in self.groups.items():
-            start = 0
-            for name, shape in layout:
-                if name == "povm":
-                    counts[rows] = shape[0]
-                else:
-                    span = spans.setdefault((name, shape), ([], []))
-                    span[0].extend(rows)
-                    span[1].extend([start] * len(rows))
-                start += math.prod(shape)
-        if counts.any():
-            raw = self.buffer[:, : counts.max() * 2 * dim * dim].reshape(n, -1, 2, dim, dim)
-            padded = np.arange(counts.max()) >= counts[:, None]
+        top = self.outcomes.max()
+        if top:
+            raw = self.buffer[:, : top * 2 * dim * dim].reshape(n, top, 2, dim, dim)
+            padded = np.arange(top) >= self.outcomes[:, None]
             cols["povm"] = complex_stack(np.where(padded[..., None, None, None], 0.0, raw))
-        for (name, shape), (rows, starts) in spans.items():
-            index = np.array(starts)[:, None] + np.arange(math.prod(shape))
-            z = complex_stack(self.buffer[np.array(rows)[:, None], index].reshape(len(rows), *shape), axis=-len(shape))
-            if name.startswith("rho"):
-                z = pure_states(z) if len(shape) == 2 else ginibre_states(z)
-            cols.setdefault(name, np.empty((n, *z.shape[1:]), complex))[rows] = z
+        start = 2 * dim * dim * self.outcomes
+        for name, mixed, pure in self.layout:
+            ranks, cols[name] = np.where(self.pure, pure, mixed), np.empty((n, dim, dim), complex)
+            for rank in set(ranks.tolist()):
+                rows, shape = np.flatnonzero(ranks == rank), (2,) + (dim,) * rank
+                z = self.buffer[rows[:, None], start[rows, None] + np.arange(math.prod(shape))]
+                z = complex_stack(z.reshape(-1, *shape), axis=-1 - rank)
+                if name.startswith("rho"):
+                    z = check_states(pure_states(z) if rank == 1 else ginibre_states(z))
+                cols[name][rows] = z
+            start = start + 2 * dim**ranks
         return cols
 
 
-def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
-    """The columns of a block drawn by ``draw(rng, block, k)`` on the streams
-    of seed ``states``, the POVM factors as validated effects: each instance
-    is drawn once, and a block whose factors do not whiten raises."""
-    block = _Block(len(states), dim)
+def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
+    """The columns of a block in ``layout`` drawn by ``draw(rng, block, k)``
+    on the streams of seed ``states``, the POVM factors as validated
+    effects: each instance is drawn once, and a block whose factors do not
+    whiten raises."""
+    block = _Block(len(states), dim, layout)
     for k, state in enumerate(states):
         draw(_generator(state), block, k)
     cols = block.columns()
@@ -263,28 +278,15 @@ def _draw_block(states: np.ndarray, dim: int, draw) -> dict:
     return cols
 
 
-def _draw_instance(rng, block: _Block, k: int, with_f: bool = False, more=()) -> int:
-    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, two observables, the arrays
-    ``more`` and, ``with_f``, an outcome function uniform in [-2, 2).  Returns the outcome count."""
+def _draw_instance(rng, block: _Block, k: int, with_f: bool = False) -> int:
+    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, the
+    layout's other arrays and, ``with_f``, an outcome function uniform in
+    [-2, 2).  Returns the outcome count."""
     outcomes = int(rng.integers(2, 7))
-    pure = bool(rng.random() < 0.3)
-    matrix = (2, block.dim, block.dim)
-    block.gaussians(k, rng, ("povm", (outcomes, *matrix)), ("rho", (2, block.dim) if pure else matrix),
-                    ("a", matrix), ("b", matrix), *more)
-    block.put("pure", k, pure)
+    block.gaussians(k, rng, outcomes, bool(rng.random() < 0.3))
     if with_f:
         block.put("f", k, rng.uniform(-2.0, 2.0, outcomes))
     return outcomes
-
-
-def _states(mats, pure) -> np.ndarray:
-    """The validated states ``mats``, the pure ones (flags ``pure``) and the
-    mixed ones as two stacks, so that the mixed take the Cholesky test."""
-    mats, pure = np.array(mats), np.broadcast_to(pure, len(mats))
-    for rows in (pure, ~pure):
-        if rows.any():
-            mats[rows] = check_states(mats[rows])
-    return mats
 
 
 def _observables(g) -> np.ndarray:
@@ -298,8 +300,7 @@ def _context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
 
 def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
     """The context and the two observables of ``_draw_instance`` columns."""
-    ctx = _context(cols["povm"], _states(cols["rho"], cols["pure"]))
-    return ctx, _observables(cols["a"]), _observables(cols["b"])
+    return _context(cols["povm"], cols["rho"]), _observables(cols["a"]), _observables(cols["b"])
 
 
 def _projective(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +316,7 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 
 
 def _draw_affineness(rng, block, k):
-    outcomes, dim = int(rng.integers(2, 7)), block.dim
-    block.gaussians(k, rng, ("povm", (outcomes, 2, dim, dim)), ("rho1", (2, dim, dim)), ("rho2", (2, dim)))
+    block.gaussians(k, rng, int(rng.integers(2, 7)))
     block.put("lam", k, rng.uniform())
 
 
@@ -324,9 +324,9 @@ def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResul
     """Measurements respect probabilistic mixtures of states exactly."""
     out = SuiteResult("affineness")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _draw_affineness)
+        cols = _draw_block(states, dim, _AFFINE, _draw_affineness)
         effects = cols["povm"]
-        rho1, rho2 = _states(cols["rho1"], False), _states(cols["rho2"], True)
+        rho1, rho2 = cols["rho1"], cols["rho2"]
         lam = cols["lam"]
         mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
         direct = check_weights(kernels.born(effects, mixed))
@@ -344,7 +344,7 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
     with the identity estimator reconstructs A."""
     out = SuiteResult("adjoint-characterization")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
+        cols = _draw_block(states, dim, _INSTANCE, partial(_draw_instance, with_f=True))
         ctx, a, _ = _instances(cols)
         f = cols["f"]
         rhs = kernels.dot(f, ctx.weights)
@@ -365,7 +365,7 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
     out = SuiteResult("contractivity")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, partial(_draw_instance, with_f=True))
+        cols = _draw_block(states, dim, _INSTANCE, partial(_draw_instance, with_f=True))
         ctx, _, _ = _instances(cols)
         classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
         gap = adjoint_norm - classical
@@ -390,7 +390,7 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     values, contracts twice, and is linear."""
     out = SuiteResult("transport-adjointness")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _draw_transport_adjointness)
+        cols = _draw_block(states, dim, _INSTANCE, _draw_transport_adjointness)
         ctx, a, b = _instances(cols)
         f = cols["f"]
         t = kernels.transport(ctx, a)
@@ -433,7 +433,7 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
     quadratic excess law for perturbed estimators."""
     out = SuiteResult("error-decomposition")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _draw_error_decomposition)
+        cols = _draw_block(states, dim, _INSTANCE, _draw_error_decomposition)
         ctx, a, _ = _instances(cols)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, cols["f"])
@@ -466,7 +466,7 @@ def suite_relation_and_proof_tie(
     relation = SuiteResult("main-relation")
     proof = SuiteResult("proof-tie-identity")
     for dim, block, states in _sweep(seed, relation.name, dims, n):
-        ctx, a, b = _instances(_draw_block(states, dim, _draw_instance))
+        ctx, a, b = _instances(_draw_block(states, dim, _INSTANCE, _draw_instance))
         rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
         hierarchy = np.abs(rel.imag_term)
         relation.record_block(dim, block, [
@@ -489,7 +489,7 @@ def suite_relation_and_proof_tie(
 
 
 def _draw_errorless_equivalence(rng, block, k):
-    _draw_instance(rng, block, k, more=[("rho2", (2, block.dim, block.dim))])
+    _draw_instance(rng, block, k)
     block.put("scale", k, rng.uniform(0.5, 2.0))
     block.put("shift", k, rng.uniform(-1.0, 1.0))
 
@@ -517,14 +517,14 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
     noncommuting pair."""
     out = SuiteResult("errorless-equivalence")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _draw_errorless_equivalence)
+        cols = _draw_block(states, dim, _ERRORLESS, _draw_errorless_equivalence)
         ctx, a, b = _instances(cols)
         conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
         comm = np.abs(kernels.comm(a, b, ctx.rho))
         both = conds_a.cond_a & conds_b.cond_a
 
         # constructed errorless case: projectively measure a itself
-        rho = _states(cols["rho2"], False)
+        rho = cols["rho2"]
         exact = _context(_projective(a)[1], rho)
         scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
         shifted = scale * a + shift * np.eye(dim, dtype=complex)
@@ -547,8 +547,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
 
 def _draw_trivial_reduction(rng, block, k):
-    matrix = (2, block.dim, block.dim)
-    block.gaussians(k, rng, ("rho", matrix), ("a", matrix), ("b", matrix))
+    block.gaussians(k, rng)
     block.put("p0", k, rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
 
 
@@ -558,8 +557,8 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
     commutator bound below it."""
     out = SuiteResult("trivial-reduction")
     for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _draw_trivial_reduction)
-        rho = _states(cols["rho"], False)
+        cols = _draw_block(states, dim, _TRIVIAL, _draw_trivial_reduction)
+        rho = cols["rho"]
         a, b = _observables(cols["a"]), _observables(cols["b"])
         effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(dim, dtype=complex)
         check_effects(effects)

@@ -190,6 +190,15 @@ def povm_factors(rng, outcomes, dim):
     return np.stack([complex_gaussian(rng, (dim, dim)) for _ in range(outcomes)])
 
 
+def whitened_effects(factors):
+    """Effects S^-1/2 G_w^dag G_w S^-1/2 of one set of POVM factors G_w,
+    with S = sum_w G_w^dag G_w, each effect formed by its own products."""
+    blocks = [g.conj().T @ g for g in factors]
+    w, v = np.linalg.eigh(sum(blocks))
+    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
+    return np.array([inv_sqrt @ block @ inv_sqrt for block in blocks])
+
+
 def verify_draws(rng, suite, dim):
     """One instance of a ``verify`` suite drawn call by call in the
     documented order: the outcome count (and the pure-state coin), the POVM

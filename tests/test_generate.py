@@ -1,8 +1,10 @@
 """Seeded generators: determinism, validity, ensemble shapes."""
 
 import numpy as np
+import oracles
 import pytest
 
+from measerr import generate
 from measerr import (
     GenConfig,
     cnot_model,
@@ -99,6 +101,25 @@ class TestPovms:
             povm = random_povm(cfg, np.random.default_rng(seed))
             rho = random_state(cfg, np.random.default_rng(seed))
             assert float(np.min(povm.apply(rho).weights)) > 0.0
+
+
+@pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])
+def test_gram_whitening_is_stack_invariant(dim, outcomes):
+    """Each row of a stacked ``povm_effects``, its factors zero-padded to 6
+    outcomes, equals the call on that row alone and the call on the unpadded
+    factors bit for bit, padded factors give exactly zero effects, and the
+    effects agree with the three-product whitening within 1e-12."""
+    rng = np.random.default_rng([dim, outcomes])
+    rows = [oracles.povm_factors(rng, n, dim) for n in (outcomes, 6, 1)]
+    factors = np.zeros((len(rows), 6, dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        factors[i, : len(row)] = row
+    effects = generate.povm_effects(factors)
+    for i, row in enumerate(rows):
+        assert np.array_equal(generate.povm_effects(factors[i]), effects[i])
+        assert np.array_equal(generate.povm_effects(row), effects[i, : len(row)])
+        assert np.all(effects[i, len(row) :] == 0.0)
+        assert np.max(np.abs(effects[i, : len(row)] - oracles.whitened_effects(row))) <= 1e-12
 
 
 class TestUnitariesAndModels:

@@ -225,26 +225,59 @@ def test_single_instances_need_no_leading_axis():
 
 @pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])
 def test_traces_are_stack_invariant(dim, outcomes):
-    """Each row of a stacked ``expect``, ``born`` and ``pushforward``, with the
-    state broadcast over the outcomes, equals the call on that row alone bit
-    for bit, and agrees with the trace of the formed product within 1e-12."""
+    """Each row of a stacked ``expect``, ``born``, ``pushforward``, ``anti``,
+    ``comm`` and ``_anti_comm``, with the state broadcast over the outcomes
+    and the POVMs zero-padded to 6 outcomes, equals the call on that row
+    alone bit for bit, also on the unpadded effects, padded outcomes give
+    exactly 0.0, and each agrees with the trace of the formed products
+    (``Tr[(XY +- YX) rho]/2(i)``, the Jordan product) within 1e-12."""
     rng = np.random.default_rng([dim, outcomes])
     rows = []
     for mixedness in ("pure", "ginibre", "ginibre", "pure"):
         cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
-        rows.append((random_povm(cfg, rng).effects, random_state(cfg, rng).matrix, random_observable(cfg, rng).matrix))
-    effects, rho, a = (np.stack(col) for col in zip(*rows))
+        rows.append((random_povm(cfg, rng).effects, random_state(cfg, rng).matrix,
+                     random_observable(cfg, rng).matrix, random_observable(cfg, rng).matrix))
+    effects = np.zeros((len(rows), 6, dim, dim), dtype=complex)
+    for i, row in enumerate(rows):
+        effects[i, :outcomes] = row[0]
+    rho, a, b = (np.stack(col) for col in list(zip(*rows))[1:])
     expect = kernels.expect(effects, rho[:, None])
     weights = kernels.born(effects, rho)
     fwd = kernels.pushforward(kernels.context(effects, rho, weights), a)
-    for i in range(len(rows)):
+    symmetric, commutator = kernels._anti_comm(a, b, rho)
+    for i, (unpadded, *_) in enumerate(rows):
         assert np.array_equal(kernels.expect(effects[i], rho[i]), expect[i])
         assert np.array_equal(kernels.born(effects[i], rho[i]), weights[i])
         assert np.array_equal(kernels.pushforward(kernels.context(effects[i], rho[i], weights[i]), a[i]), fwd[i])
+        one = kernels.context(unpadded, rho[i], kernels.born(unpadded, rho[i]))
+        assert np.array_equal(one.weights, weights[i, :outcomes]) and np.all(weights[i, outcomes:] == 0.0)
+        assert np.array_equal(kernels.pushforward(one, a[i]), fwd[i, :outcomes]) and np.all(fwd[i, outcomes:] == 0.0)
+        assert kernels._anti_comm(a[i], b[i], rho[i]) == (symmetric[i], commutator[i])
+        assert (kernels.anti(a[i], b[i], rho[i]), kernels.comm(a[i], b[i], rho[i])) == (symmetric[i], commutator[i])
+    assert np.array_equal(kernels.anti(a, b, rho), symmetric) and np.array_equal(kernels.comm(a, b, rho), commutator)
     assert np.array_equal(expect, weights)
     assert np.max(np.abs(weights - oracles.trace_matmul(effects, rho[:, None]).real)) <= TOL
     inner = oracles.trace_matmul((a[:, None] @ effects + effects @ a[:, None]) / 2.0, rho[:, None]).real
     assert np.max(np.abs(fwd * weights - inner)) <= TOL * max(scale(x) for x in a)
+    product = max(scale(x) for x in a) * max(scale(x) for x in b)
+    assert np.max(np.abs(symmetric - oracles.trace_matmul((a @ b + b @ a) / 2.0, rho).real)) <= TOL * product
+    assert np.max(np.abs(commutator - (oracles.trace_matmul(a @ b - b @ a, rho) / 2j).real)) <= TOL * product
+
+
+def test_non_real_expectations_raise():
+    """``expect``, ``born`` and ``norm`` keep the realness guard: the
+    expectation of a non-Hermitian operator raises ArithmeticError.
+    (``anti``, ``comm`` and ``pushforward`` take the real or imaginary part
+    of one trace by construction.)"""
+    rho = np.eye(2, dtype=complex) / 2.0
+    x = np.diag([1.0 + 1.0j, 0.0])
+    with pytest.raises(ArithmeticError, match="expected a real expectation"):
+        kernels.expect(x, rho)
+    with pytest.raises(ArithmeticError, match="expected a real expectation"):
+        kernels.born(np.stack([x, np.eye(2) - x]), rho)
+    with pytest.raises(ArithmeticError, match="expected a real expectation"):
+        kernels.norm(x, rho)
+    assert kernels.expect(x.real, rho) == 0.5 and kernels.norm(x.real, rho) == np.sqrt(0.5)
 
 
 def rank_state(rng, dim, rank):

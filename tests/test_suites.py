@@ -156,39 +156,44 @@ class TestRecordBlock:
         assert (out.checks, out.failures, out.worst, out.messages) == (4, 1, 2.0, ["b at dim=2 i=1"])
 
 
-# The drawer of each verify suite ("contractivity" draws as
+# The layout and the drawer of each verify suite ("contractivity" draws as
 # "adjoint-characterization" does).
 DRAWERS = {
-    "affineness": suites._draw_affineness,
-    "adjoint-characterization": partial(suites._draw_instance, with_f=True),
-    "transport-adjointness": suites._draw_transport_adjointness,
-    "error-decomposition": suites._draw_error_decomposition,
-    "main-relation": suites._draw_instance,
-    "errorless-equivalence": suites._draw_errorless_equivalence,
-    "trivial-reduction": suites._draw_trivial_reduction,
+    "affineness": (suites._AFFINE, suites._draw_affineness),
+    "adjoint-characterization": (suites._INSTANCE, partial(suites._draw_instance, with_f=True)),
+    "transport-adjointness": (suites._INSTANCE, suites._draw_transport_adjointness),
+    "error-decomposition": (suites._INSTANCE, suites._draw_error_decomposition),
+    "main-relation": (suites._INSTANCE, suites._draw_instance),
+    "errorless-equivalence": (suites._ERRORLESS, suites._draw_errorless_equivalence),
+    "trivial-reduction": (suites._TRIVIAL, suites._draw_trivial_reduction),
 }
 
 
-def draw_block(seed, suite, dim, block, draw):
-    """``suites._draw_block`` of the instances ``block`` of one (suite, dim) sweep."""
-    return suites._draw_block(suites._stream_states(seed, suite, [(dim, i) for i in block]), dim, draw)
+def draw_block(seed, suite, dim, block, draw=None):
+    """``suites._draw_block`` of the instances ``block`` of one (suite, dim)
+    sweep, by the suite's drawer or by ``draw`` in the suite's layout."""
+    layout, default = DRAWERS[suite]
+    states = suites._stream_states(seed, suite, [(dim, i) for i in block])
+    return suites._draw_block(states, dim, layout, draw or default)
 
 
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
     """Every column of a ``_draw_block`` result equals, instance by instance,
     ``oracles.verify_draws`` on the instance's stream: the POVM as the
-    effects of the plain factors, a state as the projector of its ket or
-    the normalized Ginibre matrix, the other complex arrays and every other
-    draw exactly, with rows over outcomes zero-padded."""
+    effects of the plain factors, a state as the validated projector of its
+    ket or normalized Ginibre matrix (so the pure-state coin decides which),
+    the other complex arrays and every other draw exactly, with rows over
+    outcomes zero-padded."""
     for k, i in enumerate(block):
         plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim)
+        plain.pop("pure", None)
         assert cols.keys() == plain.keys()
         for key, want in plain.items():
             got = cols[key][k]
             if key == "povm":
                 want = generate.povm_effects(want)
             elif key.startswith("rho"):
-                want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
+                want = check_states(pure_states(want) if want.ndim == 1 else generate.ginibre_states(want))
             if np.ndim(want) and len(want) < len(got):
                 assert np.all(got[len(want) :] == 0.0), key
                 got = got[: len(want)]
@@ -199,18 +204,18 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
 @pytest.mark.parametrize("dim", [2, 5])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     block = range(3, 15)
-    cols = draw_block(19, suite, dim, block, DRAWERS[suite])
+    cols = draw_block(19, suite, dim, block)
     assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
 
 
 @pytest.mark.parametrize("suite", sorted(DRAWERS))
 @pytest.mark.parametrize("dim", [2, 5])
 def test_full_block_unpacks_every_group(suite, dim):
-    """A full block of ``_BLOCK`` instances holds every layout group its
+    """A full block of ``_BLOCK`` instances holds every row layout its
     drawer makes, (outcome count, pure) pairs (the trivial measurement's
     outcome count alone), and each instance equals its plain draws."""
     block = range(suites._BLOCK)
-    cols = draw_block(29, suite, dim, block, DRAWERS[suite])
+    cols = draw_block(29, suite, dim, block)
     assert_block_is_the_plain_draws(cols, 29, suite, dim, block)
     draws = [oracles.verify_draws(suites._rng(29, suite, dim, i), suite, dim) for i in block]
     groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
@@ -274,15 +279,14 @@ def test_block_instances_are_the_generators_on_their_own_streams():
     per-instance generators run on its stream; also in the suites that draw
     more after the POVM."""
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
-        cols = draw_block(11, suite, 4, range(12), DRAWERS[suite])
+        cols = draw_block(11, suite, 4, range(12))
         for i in range(12):
             rng = suites._rng(11, suite, 4, i)
             outcomes = int(rng.integers(2, 7))
             cfg = GenConfig(dim=4, outcomes=outcomes, mixedness="pure" if rng.random() < 0.3 else "ginibre")
             assert np.array_equal(cols["povm"][i, :outcomes], random_povm(cfg, rng).effects)
             assert np.all(cols["povm"][i, outcomes:] == 0.0)
-            rho = suites._states([cols["rho"][i]], [cfg.mixedness == "pure"])[0]
-            assert np.array_equal(rho, random_state(cfg, rng).matrix)
+            assert np.array_equal(cols["rho"][i], random_state(cfg, rng).matrix)
             assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
 
@@ -347,21 +351,40 @@ def summaries(results) -> list:
     return [(r.name, r.checks, r.failures, repr(r.worst), r.messages) for r in results]
 
 
+def sweep_summaries(failing: bool = False) -> list:
+    """Every verify suite and the chain suite at dims 2 and 3, n 7, seed 9;
+    ``failing``, with the sign flip and roundoff-level slacks."""
+    tol = Tolerances(validation=1e-16, identity=1e-16, expectation=1e-16) if failing else Tolerances()
+    results = suites.run_verify((2, 3), 7, seed=9, tol=tol, sign_flip=failing)
+    return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, tol=tol)])
+
+
 @pytest.mark.parametrize("failing", [False, True])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
     """Blocks of 3 (two full blocks and a ragged last one) give every suite
     the checks, failures, worst residual and messages of one block; also on
     failing runs, with the sign flip and roundoff-level slacks."""
-    tol = Tolerances(validation=1e-16, identity=1e-16, expectation=1e-16) if failing else Tolerances()
-
-    def run():
-        results = suites.run_verify((2, 3), 7, seed=9, tol=tol, sign_flip=failing)
-        return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, tol=tol)])
-
-    default = run()
+    default = sweep_summaries(failing)
     assert sum(failures > 0 for _, _, failures, _, _ in default) == (8 if failing else 0)
     monkeypatch.setattr(suites, "_BLOCK", 3)
-    assert run() == default
+    assert sweep_summaries(failing) == default
+
+
+@pytest.mark.parametrize("batch,passes", [(1, [3, 3, 1, 3, 3, 1]), (2, [6, 4, 4])])
+def test_results_do_not_depend_on_the_hash_batch(monkeypatch, batch, passes):
+    """In blocks of 3, the seed states hashed one block per pass, or two
+    blocks per pass (which splits a dimension's three blocks over two
+    passes), give every suite the results of one pass over all six blocks."""
+    monkeypatch.setattr(suites, "_BLOCK", 3)
+    default = sweep_summaries()
+    monkeypatch.setattr(suites, "_BATCH", batch)
+    hashed, stream_states = [], suites._stream_states
+    monkeypatch.setattr(suites, "_stream_states", lambda seed, suite, parts: hashed.append(len(parts)) or
+                        stream_states(seed, suite, parts))
+    sweeps = list(suites._sweep(9, "main-relation", (2, 3), 7))
+    assert [block for _, block, _ in sweeps] == [range(0, 3), range(3, 6), range(6, 7)] * 2
+    assert hashed == passes
+    assert sweep_summaries() == default
 
 
 def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
