@@ -85,6 +85,8 @@ def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
     if not dims or any(d < low or d > high for d in dims):
         raise argparse.ArgumentTypeError(f"dimensions must lie in {low}..{high}")
+    if len(set(dims)) < len(dims):
+        raise argparse.ArgumentTypeError(f"repeated dimension in {text!r}")
     return dims
 
 

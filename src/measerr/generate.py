@@ -71,10 +71,13 @@ def gaussians(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
 def complex_stack(raws, axis: int = -3) -> np.ndarray:
     """The complex stack of raw arrays from ``gaussians`` (a list of them, or
     one array stacking them) whose real and imaginary blocks lie along
-    ``axis``: -3 for matrices and POVM factors, -2 for kets."""
+    ``axis``: -3 for matrices and POVM factors, -2 for kets.  It holds the
+    bits of ``re + 1j * im``, an input -0.0 keeping its sign, in one array."""
     raws = np.asarray(raws)
     pair = (slice(None),) * (raws.ndim + axis)
-    return raws[pair + (0,)] + 1j * raws[pair + (1,)]
+    out = np.empty(raws[pair + (0,)].shape, complex)
+    out.real, out.imag = raws[pair + (0,)], raws[pair + (1,)]
+    return out
 
 
 def haar_unitaries(factors: np.ndarray) -> np.ndarray:

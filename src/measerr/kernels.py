@@ -14,9 +14,9 @@ weight, falls outside the support and contributes exactly 0.0 to every sum,
 which is the canonical-class convention of ``transport``.
 
 Traces.  Tr[X Y] is one elementwise contraction, O(d^2) where forming X Y is
-O(d^3) (``trace_product``); only ``norm`` traces the formed X X rho.  For
-Hermitian X, Y, rho, ``anti`` and ``comm`` are Re and Im of Tr[X Y rho], and
-``pushforward`` takes <A, E_w>_rho as Re Tr[E_w A rho]: one product each.
+O(d^3) (``trace_product``).  For Hermitian X, Y, rho, ``anti`` and ``comm``
+are Re and Im of Tr[X Y rho], ``pushforward`` takes <A, E_w>_rho as
+Re Tr[E_w A rho] and ``norm`` squares as Tr[X X rho]: one product each.
 Every kernel is stack-invariant: a row of a stacked call equals the call on
 that row alone bit for bit, whatever the broadcast (``np.einsum`` is not).
 
@@ -99,8 +99,8 @@ def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Seminorm sqrt(<X^2>_rho); a square below -DEFAULT_TOL.psd is an error."""
-    val = _real(np.trace(x @ x @ rho, axis1=-2, axis2=-1))
+    """Seminorm sqrt(<X^2>_rho) = sqrt(Tr[X (X rho)]); a square below -DEFAULT_TOL.psd is an error."""
+    val = _real(trace_product(x, x @ rho))
     if (val < -DEFAULT_TOL.psd).any():
         raise ArithmeticError(f"negative squared norm {val.min():.3e}")
     return np.sqrt(np.maximum(val, 0.0))

@@ -211,14 +211,14 @@ class _Block:
     """The draws of N verify instances in one fixed ``layout``.  Row k of
     ``buffer`` holds instance k's complex Gaussians, each array its real
     block, then its imaginary block; ``outcomes`` and ``pure`` record the
-    two numbers its row layout depends on.  Other draws go into columns,
-    ``(N,)`` or ``(N, _OUTCOMES)`` zero-padded."""
+    two numbers its row layout depends on.  Other draws go raw into columns,
+    ``(N,)`` or ``(N, _OUTCOMES)``, read once per column by ``columns``."""
 
     def __init__(self, n: int, dim: int, layout):
         self.dim, self.layout, self.buffer = dim, layout, np.empty((n, 2 * _MATRICES * dim * dim))
         self.outcomes, self.pure = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
         self.rest = [2 * sum(dim ** ranks[p] for _, *ranks in layout) for p in (0, 1)]
-        self.cols, self.width = {}, 0
+        self.cols, self.bounds, self.sizes = {}, {}, np.zeros(n, dtype=int)
 
     def gaussians(self, k: int, rng: np.random.Generator, outcomes: int = 0, pure: bool = False) -> None:
         """Fill row k by one call with ``outcomes`` POVM factors and the
@@ -226,29 +226,40 @@ class _Block:
         self.outcomes[k], self.pure[k] = outcomes, pure
         rng.standard_normal(out=self.buffer[k, : 2 * self.dim**2 * outcomes + self.rest[pure]])
 
-    def put(self, name: str, k: int, value) -> None:
-        """Instance k's ``value`` (a number or a row over outcomes) into column ``name``."""
-        row = isinstance(value, np.ndarray)
+    def raw(self, name: str, k: int, rng: np.random.Generator, size: int = 0, bounds=None) -> None:
+        """Instance k's raw draws into column ``name``: one number, or a row of
+        ``size``, the same in every row column of an instance.  With ``bounds``
+        (lo, hi) they are ``rng.random`` doubles u and the column reads
+        lo + (hi - lo) u, numpy's ``uniform(lo, hi)``; without, they are
+        standard exponentials and each row reads times the reciprocal of its
+        sum, numpy's ``dirichlet`` of ones."""
         if name not in self.cols:
-            self.cols[name] = np.zeros((len(self.buffer), _OUTCOMES) if row else len(self.buffer), np.asarray(value).dtype)
-        if row:
-            self.width = max(self.width, len(value))
-            self.cols[name][k, : len(value)] = value
-        else:
-            self.cols[name][k] = value
+            self.cols[name], self.bounds[name] = np.zeros((len(self.buffer), _OUTCOMES) if size else len(self.buffer)), bounds
+        if size:
+            self.sizes[k] = size
+        fill = rng.standard_exponential if bounds is None else rng.random
+        fill(out=self.cols[name][k, :size] if size else self.cols[name][k : k + 1])
 
     def columns(self) -> dict:
-        """The block as stacks: rows over outcomes cut to the widest drawn
-        (contiguous), the POVM factors zero-padded to the most outcomes, and
-        each array cut out where ``outcomes`` and ``pure`` place it, one gather
-        per rank, "rho" arrays as validated states (ket projectors, G G^dag / Tr)."""
-        n, dim = len(self.buffer), self.dim
-        cols = {name: col[:, : self.width].copy() if col.ndim > 1 else col for name, col in self.cols.items()}
+        """The block as stacks: the raw columns as they read (``raw``), rows
+        cut to the widest drawn and zero-padded, the POVM factors zero-padded
+        to the most outcomes, and each array cut out where ``outcomes`` and
+        ``pure`` place it, one gather per rank, "rho" arrays as validated
+        states (ket projectors, G G^dag / Tr)."""
+        n, dim, width, cols = len(self.buffer), self.dim, self.sizes.max(), {}
+        for name, col in self.cols.items():
+            col = col[:, :width] if col.ndim > 1 else col
+            if self.bounds[name] is None:
+                cols[name] = col * (1.0 / col.sum(axis=1))[:, None]
+            else:
+                lo, hi = self.bounds[name]
+                cols[name] = lo + (hi - lo) * col
+            if col.ndim > 1:
+                cols[name][np.arange(width) >= self.sizes[:, None]] = 0.0
         top = self.outcomes.max()
         if top:
-            raw = self.buffer[:, : top * 2 * dim * dim].reshape(n, top, 2, dim, dim)
-            padded = np.arange(top) >= self.outcomes[:, None]
-            cols["povm"] = complex_stack(np.where(padded[..., None, None, None], 0.0, raw))
+            cols["povm"] = complex_stack(self.buffer[:, : top * 2 * dim * dim].reshape(n, top, 2, dim, dim))
+            cols["povm"][np.arange(top) >= self.outcomes[:, None]] = 0.0
         start = 2 * dim * dim * self.outcomes
         for name, mixed, pure in self.layout:
             ranks, cols[name] = np.where(self.pure, pure, mixed), np.empty((n, dim, dim), complex)
@@ -285,7 +296,7 @@ def _draw_instance(rng, block: _Block, k: int, with_f: bool = False) -> int:
     outcomes = int(rng.integers(2, 7))
     block.gaussians(k, rng, outcomes, bool(rng.random() < 0.3))
     if with_f:
-        block.put("f", k, rng.uniform(-2.0, 2.0, outcomes))
+        block.raw("f", k, rng, outcomes, (-2.0, 2.0))
     return outcomes
 
 
@@ -317,7 +328,7 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 
 def _draw_affineness(rng, block, k):
     block.gaussians(k, rng, int(rng.integers(2, 7)))
-    block.put("lam", k, rng.uniform())
+    block.raw("lam", k, rng, bounds=(0.0, 1.0))
 
 
 def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -380,9 +391,8 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
 
 def _draw_transport_adjointness(rng, block, k):
     _draw_instance(rng, block, k, with_f=True)
-    alpha, beta = rng.uniform(-2.0, 2.0, 2)
-    block.put("alpha", k, alpha)
-    block.put("beta", k, beta)
+    block.raw("alpha", k, rng, bounds=(-2.0, 2.0))
+    block.raw("beta", k, rng, bounds=(-2.0, 2.0))
 
 
 def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -424,8 +434,8 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
 def _draw_error_decomposition(rng, block, k):
     outcomes = _draw_instance(rng, block, k, with_f=True)
-    block.put("delta", k, rng.uniform(-2.0, 2.0, outcomes))
-    block.put("step", k, rng.uniform(-1.0, 1.0))
+    block.raw("delta", k, rng, outcomes, (-2.0, 2.0))
+    block.raw("step", k, rng, bounds=(-1.0, 1.0))
 
 
 def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -490,8 +500,8 @@ def suite_relation_and_proof_tie(
 
 def _draw_errorless_equivalence(rng, block, k):
     _draw_instance(rng, block, k)
-    block.put("scale", k, rng.uniform(0.5, 2.0))
-    block.put("shift", k, rng.uniform(-1.0, 1.0))
+    block.raw("scale", k, rng, bounds=(0.5, 2.0))
+    block.raw("shift", k, rng, bounds=(-1.0, 1.0))
 
 
 def _row(record, i) -> str:
@@ -548,7 +558,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
 def _draw_trivial_reduction(rng, block, k):
     block.gaussians(k, rng)
-    block.put("p0", k, rng.dirichlet(np.ones(int(rng.integers(1, 5)))))
+    block.raw("p0", k, rng, int(rng.integers(1, 5)))
 
 
 def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:

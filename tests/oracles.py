@@ -36,6 +36,11 @@ def trace_matmul(x, rho):
     return np.trace(np.asarray(x) @ np.asarray(rho), axis1=-2, axis2=-1)
 
 
+def norm_square_matmul(x, rho):
+    """<X^2>_rho as Tr[X X rho] with both products formed, broadcast over leading axes."""
+    return trace_matmul(np.asarray(x) @ np.asarray(x), rho).real
+
+
 def sym_inner(a, b, rho):
     """Symmetrized product expectation <{a,b}/2> over rho."""
     return trace_expectation((a @ b + b @ a) / 2.0, rho).real

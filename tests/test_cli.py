@@ -30,6 +30,14 @@ class TestVerify:
             main(["verify", "--dims", "99"])
         assert excinfo.value.code == 2
 
+    def test_repeated_dimension_is_usage_error(self, capsys):
+        """A repeated dimension would draw the same instances twice and
+        count their checks twice."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--dims", "2,3,2", "--n", "5"])
+        assert excinfo.value.code == 2
+        assert "repeated dimension in '2,3,2'" in capsys.readouterr().err
+
     def test_sign_flip_self_test_fails_with_suite_name(self, capsys):
         code = main(["verify", "--dims", "2", "--n", "10", "--seed", "3", "--self-test-sign-flip"])
         captured = capsys.readouterr()
@@ -290,6 +298,12 @@ class TestChain:
         with pytest.raises(SystemExit) as excinfo:
             main(["chain", "--dims", "2", "--n", "0"])
         assert excinfo.value.code == 2
+
+    def test_repeated_dimension_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["chain", "--dims", "3,3", "--n", "5"])
+        assert excinfo.value.code == 2
+        assert "repeated dimension in '3,3'" in capsys.readouterr().err
 
     def test_missing_model_file_is_usage_error(self, capsys):
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2

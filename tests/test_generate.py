@@ -103,6 +103,19 @@ class TestPovms:
             assert float(np.min(povm.apply(rho).weights)) > 0.0
 
 
+@pytest.mark.parametrize("axis,shape", [(-3, (6, 2, 5, 5)), (-2, (6, 2, 5))])
+def test_complex_stack_is_re_plus_i_im(axis, shape):
+    """``complex_stack`` of a stack of raw draws (factors or kets), rows
+    zero-padded as a verify block pads them, is ``re + 1j * im`` bit for bit."""
+    raws = np.random.default_rng(len(shape)).standard_normal((4,) + shape)
+    raws[1, 3:] = 0.0
+    pair = (slice(None),) * (raws.ndim + axis)
+    want = raws[pair + (0,)] + 1j * raws[pair + (1,)]
+    got = generate.complex_stack(raws, axis)
+    assert got.dtype == want.dtype and got.shape == want.shape == (4, 6) + shape[2:]
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])
 def test_gram_whitening_is_stack_invariant(dim, outcomes):
     """Each row of a stacked ``povm_effects``, its factors zero-padded to 6

@@ -226,11 +226,12 @@ def test_single_instances_need_no_leading_axis():
 @pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])
 def test_traces_are_stack_invariant(dim, outcomes):
     """Each row of a stacked ``expect``, ``born``, ``pushforward``, ``anti``,
-    ``comm`` and ``_anti_comm``, with the state broadcast over the outcomes
-    and the POVMs zero-padded to 6 outcomes, equals the call on that row
-    alone bit for bit, also on the unpadded effects, padded outcomes give
-    exactly 0.0, and each agrees with the trace of the formed products
-    (``Tr[(XY +- YX) rho]/2(i)``, the Jordan product) within 1e-12."""
+    ``comm``, ``_anti_comm`` and ``norm``, with the state broadcast over the
+    outcomes and the POVMs zero-padded to 6 outcomes, equals the call on
+    that row alone bit for bit, also on the unpadded effects, padded
+    outcomes give exactly 0.0, and each agrees with the trace of the formed
+    products (``Tr[(XY +- YX) rho]/2(i)``, the Jordan product,
+    ``Tr[X X rho]``) within 1e-12."""
     rng = np.random.default_rng([dim, outcomes])
     rows = []
     for mixedness in ("pure", "ginibre", "ginibre", "pure"):
@@ -245,6 +246,7 @@ def test_traces_are_stack_invariant(dim, outcomes):
     weights = kernels.born(effects, rho)
     fwd = kernels.pushforward(kernels.context(effects, rho, weights), a)
     symmetric, commutator = kernels._anti_comm(a, b, rho)
+    norms, effect_norms = kernels.norm(a, rho), kernels.norm(effects, rho[:, None])
     for i, (unpadded, *_) in enumerate(rows):
         assert np.array_equal(kernels.expect(effects[i], rho[i]), expect[i])
         assert np.array_equal(kernels.born(effects[i], rho[i]), weights[i])
@@ -254,6 +256,10 @@ def test_traces_are_stack_invariant(dim, outcomes):
         assert np.array_equal(kernels.pushforward(one, a[i]), fwd[i, :outcomes]) and np.all(fwd[i, outcomes:] == 0.0)
         assert kernels._anti_comm(a[i], b[i], rho[i]) == (symmetric[i], commutator[i])
         assert (kernels.anti(a[i], b[i], rho[i]), kernels.comm(a[i], b[i], rho[i])) == (symmetric[i], commutator[i])
+        assert kernels.norm(a[i], rho[i]) == norms[i]
+        assert np.array_equal(kernels.norm(effects[i], rho[i]), effect_norms[i])
+        assert np.array_equal(kernels.norm(unpadded, rho[i]), effect_norms[i, :outcomes])
+        assert np.all(effect_norms[i, outcomes:] == 0.0)
     assert np.array_equal(kernels.anti(a, b, rho), symmetric) and np.array_equal(kernels.comm(a, b, rho), commutator)
     assert np.array_equal(expect, weights)
     assert np.max(np.abs(weights - oracles.trace_matmul(effects, rho[:, None]).real)) <= TOL
@@ -262,6 +268,8 @@ def test_traces_are_stack_invariant(dim, outcomes):
     product = max(scale(x) for x in a) * max(scale(x) for x in b)
     assert np.max(np.abs(symmetric - oracles.trace_matmul((a @ b + b @ a) / 2.0, rho).real)) <= TOL * product
     assert np.max(np.abs(commutator - (oracles.trace_matmul(a @ b - b @ a, rho) / 2j).real)) <= TOL * product
+    assert np.max(np.abs(norms**2 - oracles.norm_square_matmul(a, rho))) <= TOL * max(scale(x) for x in a) ** 2
+    assert np.max(np.abs(effect_norms**2 - oracles.norm_square_matmul(effects, rho[:, None]))) <= TOL
 
 
 def test_non_real_expectations_raise():

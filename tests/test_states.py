@@ -20,6 +20,7 @@ from measerr import (
     class_mean,
     class_norm,
     expectation,
+    kernels,
     qubit_state,
     spectral_decompose,
     state_inner,
@@ -128,14 +129,21 @@ class TestNormsAndDeviations:
         assert std_dev_q(X, rho) == pytest.approx(1.0)
 
     def test_seminorm_degeneracy(self):
-        rng = np.random.default_rng(11)
-        psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        psi /= np.linalg.norm(psi)
-        phi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        phi -= (psi.conj() @ phi) * psi
-        phi /= np.linalg.norm(phi)
-        annihilator = HermitianObservable(np.outer(phi, phi.conj()))
-        assert state_norm(annihilator, DensityOperator.pure(psi)) <= 1e-9
+        """A projector orthogonal to a pure state has seminorm 0 there.  Its
+        square is a sum of roundoff, bounded by 8 d eps over 1000 random
+        pairs at each d (through ``state_norm`` on the first 20); the
+        seminorm itself, the square root of that, reads up to ~1e-8 and
+        bounds nothing."""
+        eps = np.finfo(float).eps
+        for dim in (2, 3, 5, 8):
+            rng = np.random.default_rng([11, dim])
+            psi, phi = rng.standard_normal((2, 1000, dim)) + 1j * rng.standard_normal((2, 1000, dim))
+            psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
+            phi -= (psi.conj() * phi).sum(axis=-1, keepdims=True) * psi
+            rho, annihilator = pure_states(psi), pure_states(phi)
+            objects = [state_norm(HermitianObservable(x), DensityOperator(r)) for x, r in zip(annihilator[:20], rho)]
+            assert np.max(kernels.norm(annihilator, rho) ** 2) <= 8 * dim * eps, dim
+            assert np.max(np.square(objects)) <= 8 * dim * eps, dim
 
 
 class TestClassicalGeometry:
