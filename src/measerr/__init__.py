@@ -3,63 +3,37 @@
 Finite-dimensional states and POVM measurements, state-local pushforward and
 pullback transport, measurement-error functionals, the error-error
 uncertainty bound sqrt(R^2 + I^2) with its standard-deviation and
-commutator reductions, and indirect-model comparisons.
+commutator reductions, and indirect-model comparisons.  Every formula is in
+``measerr.kernels``, which works on stacked arrays; the names exported here
+are the types, constructors and single-instance checks the CLI uses.
 """
 
 from .tolerances import DEFAULT_TOL, Tolerances
 from .states import (
     DensityOperator,
     HermitianObservable,
-    OutcomeFunction,
     OutcomeSpace,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     ProbabilityDistribution,
-    class_inner,
-    class_mean,
-    class_norm,
-    expectation,
     qubit_state,
-    spectral_decompose,
-    state_inner,
-    state_norm,
-    std_dev_q,
 )
 from .measurement import (
     MeasurementKind,
     Povm,
-    contractivity_check,
     noisy_projective,
     projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
-# ``transport(ctx, a)`` itself stays in ``measerr.transport``: exported here,
-# the function would shadow that module.
-from .transport import (
-    LocalContext,
-    adjointness_residual,
-    pullback_rep,
-    pushforward,
-)
-from .errors import (
-    errorless_check,
-    f_error,
-    quantum_error,
-)
-from .relations import (
-    commutator_expectation,
-    evaluate_relation,
-    proof_device_check,
-    schroedinger_reduction,
-)
+from .transport import LocalContext
+from .relations import evaluate_relation, schroedinger_reduction
 from .indirect import (
     IndirectModel,
     chain_check,
     cnot_model,
     induced_povm,
-    ozawa_error,
 )
 from .generate import (
     GenConfig,
@@ -78,44 +52,25 @@ __all__ = [
     "Tolerances",
     "DensityOperator",
     "HermitianObservable",
-    "OutcomeFunction",
     "OutcomeSpace",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "ProbabilityDistribution",
-    "class_inner",
-    "class_mean",
-    "class_norm",
-    "expectation",
     "qubit_state",
-    "spectral_decompose",
-    "state_inner",
-    "state_norm",
-    "std_dev_q",
     "MeasurementKind",
     "Povm",
-    "contractivity_check",
     "noisy_projective",
     "projective_from",
     "trivial_measurement",
     "unsharp_qubit",
     "LocalContext",
-    "adjointness_residual",
-    "pullback_rep",
-    "pushforward",
-    "errorless_check",
-    "f_error",
-    "quantum_error",
-    "commutator_expectation",
     "evaluate_relation",
-    "proof_device_check",
     "schroedinger_reduction",
     "IndirectModel",
     "chain_check",
     "cnot_model",
     "induced_povm",
-    "ozawa_error",
     "GenConfig",
     "RNG_ALGORITHM",
     "haar_unitary",

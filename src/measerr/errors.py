@@ -5,6 +5,8 @@ pushforward induces; choosing an explicit estimator f instead gives the
 f-error, whose square splits exactly into the squared error plus the squared
 classical distance between f and the pushforward.  The pushforward is
 therefore the optimal estimator, and the error the minimum over f-errors.
+The formulas are ``kernels.transport``, ``kernels.f_error_split`` and
+``kernels.errorless``; this module holds only their rationale.
 
 Errorless measurements.  The paper's three equivalent conditions are (a)
 eps(A) = 0, (b) the round trip reproduces A and (c) the transport norm chain
@@ -20,32 +22,3 @@ projective measurement, whose eps sits near 1e-8 scale.  In a band of mu
 around tau the conditions cross their thresholds at slightly different mu;
 no single threshold can make them agree there.
 """
-
-from __future__ import annotations
-
-from . import kernels
-from .states import HermitianObservable, OutcomeFunction, _check_same_dim
-from .transport import LocalContext, transport
-
-
-def quantum_error(ctx: LocalContext, a: HermitianObservable) -> float:
-    """sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the contraction amount
-    (see ``transport`` for the clipping of its radicand)."""
-    return transport(ctx, a).error
-
-
-def f_error(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> kernels.FError:
-    """Reconstruction gauge for the estimator f of A:
-    sqrt(||A - pullback(f)||_rho^2 + (||f||_p^2 - ||pullback(f)||_rho^2)),
-    split into the error of A and the estimation error ||pushforward(A) - f||_p."""
-    if f.space != ctx.space:
-        raise ValueError("outcome spaces do not match")
-    return kernels.f_error_split(ctx.arrays, a.matrix, transport(ctx, a), f.values)
-
-
-def errorless_check(ctx: LocalContext, a: HermitianObservable) -> kernels.Errorless:
-    """Conditions (a), (b) and (c) for A over ``ctx`` (see the module docstring):
-    (a) zero error, (b) the round trip reproduces A as an equivalence class,
-    (c) the transport norm chain is flat."""
-    _check_same_dim(a, ctx)
-    return kernels.errorless(ctx.arrays, a.matrix)

@@ -89,14 +89,6 @@ def _meter_and_joint(model: IndirectModel, rho: DensityOperator) -> tuple[np.nda
     )
 
 
-def ozawa_error(model: IndirectModel, rho: DensityOperator, a: HermitianObservable) -> float:
-    """Root-mean-square deviation between the evolved meter and the target
-    observable over rho (x) ancilla state."""
-    if a.dim != model.system_dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {model.system_dim}")
-    return float(kernels.rms_error(*_meter_and_joint(model, rho), a.matrix))
-
-
 def chain_check(
     model: IndirectModel,
     rho: DensityOperator,

@@ -1,10 +1,11 @@
 """The numerical core: pure functions on stacked arrays.
 
-Each formula that the object API and the suites share lives here once: the
-object API (``LocalContext``, ``transport``, ``evaluate_relation``,
-``errorless_check``, ``chain_check``, ...) calls it on single instances and
-returns its records as they are, with numpy scalars in their scalar fields;
-the suites call it on whole (suite, dimension) blocks.
+Each formula of the package lives here once.  The object API that the CLI
+uses (``LocalContext``, ``evaluate_relation``, ``schroedinger_reduction``,
+``chain_check``, ``induced_povm``, ``Povm.apply``) calls it on single
+instances and returns its records as they are, with numpy scalars in their
+scalar fields; the suites call it on whole (suite, dimension) blocks, and
+the tests call it directly.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any

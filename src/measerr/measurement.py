@@ -2,8 +2,8 @@
 
 Every affine map from density operators to distributions over finitely many
 outcomes is realized by a POVM, so this module's ``Povm`` is the concrete
-carrier for all measurements handled by the package.  The adjoint sends
-outcome functions back to operators.
+carrier for all measurements handled by the package.  Its adjoint, which
+sends outcome functions back to operators, is ``kernels.adjoint``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from . import kernels
 from .states import (
     DensityOperator,
     HermitianObservable,
-    OutcomeFunction,
     OutcomeSpace,
     PAULI_X,
     PAULI_Y,
@@ -25,7 +24,6 @@ from .states import (
     _check_finite,
     _check_hermitian,
     _positive_definite,
-    spectral_decompose,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -91,12 +89,6 @@ class Povm:
             raise ValueError(f"dimension mismatch: {self.dim} vs {rho.dim}")
         return ProbabilityDistribution(self.space, kernels.born(self.effects, rho.matrix))
 
-    def adjoint(self, f: OutcomeFunction) -> HermitianObservable:
-        """Operator sum_w f(w) E_w; satisfies <adjoint(f)>_rho = <f>_{apply(rho)}."""
-        if f.space != self.space:
-            raise ValueError("outcome spaces do not match")
-        return HermitianObservable._trusted(kernels.adjoint(self.effects, f.values))
-
     def __repr__(self) -> str:
         return f"Povm(kind={self.kind.value!r}, dim={self.dim}, outcomes={self.space.size})"
 
@@ -104,9 +96,8 @@ class Povm:
 def projective_from(a: HermitianObservable) -> Povm:
     """Projection measurement of an observable: outcomes are its (merged)
     eigenvalues, effects its spectral projectors."""
-    decomp = spectral_decompose(a)
-    space = OutcomeSpace.from_values([val for val, _ in decomp])
-    return Povm(space, [proj.matrix for _, proj in decomp], kind=MeasurementKind.PROJECTIVE)
+    values, projectors = kernels.spectral(a.matrix)
+    return Povm(OutcomeSpace.from_values(values), projectors, kind=MeasurementKind.PROJECTIVE)
 
 
 def trivial_measurement(p0: ProbabilityDistribution, dim: int) -> Povm:
@@ -143,13 +134,3 @@ def noisy_projective(a: HermitianObservable, lam: float) -> Povm:
     base = projective_from(a)
     effects = lam * base.effects + (1.0 - lam) * np.eye(base.dim, dtype=complex) / base.space.size
     return Povm(base.space, effects, kind=MeasurementKind.NOISY_PROJECTIVE)
-
-
-def contractivity_check(
-    povm: Povm,
-    f: OutcomeFunction,
-    rho: DensityOperator,
-) -> kernels.Contractivity:
-    """Evaluate ||f||_p >= ||M'f||_rho and the positivity of the operator gap
-    M'(f^2) - (M'f)^2."""
-    return kernels.contractivity(kernels.context(povm.effects, rho.matrix, povm.apply(rho).weights), f.values)

@@ -4,10 +4,11 @@ For any measurement and pair of observables, the product of the two errors
 is bounded below by sqrt(R^2 + I^2): R is the covariance lost under the
 pushforward, I a three-commutator term that survives only for genuinely
 quantum measurements.  The bound follows from Cauchy-Schwarz applied to a
-composite semi-inner product, which is also evaluated here so the
-implementation stays tied to that derivation (it catches sign mistakes in
-the commutator terms).  A trivial measurement turns the relation into the
-Schroedinger inequality, hence also the textbook commutator bound.
+composite semi-inner product, which the suites also evaluate
+(``kernels.proof_device``) so the implementation stays tied to that
+derivation (it catches sign mistakes in the commutator terms).  A trivial
+measurement turns the relation into the Schroedinger inequality, hence also
+the textbook commutator bound.
 """
 
 from __future__ import annotations
@@ -18,32 +19,17 @@ from .states import DensityOperator, HermitianObservable, OutcomeSpace, Probabil
 from .transport import LocalContext
 
 
-def commutator_expectation(a: HermitianObservable, b: HermitianObservable, rho: DensityOperator) -> float:
-    """<[A,B]/2i>_rho, real for self-adjoint arguments."""
-    return float(kernels.comm(a.matrix, b.matrix, rho.matrix))
-
-
 def evaluate_relation(
     ctx: LocalContext, a: HermitianObservable, b: HermitianObservable, *, sign_flip: bool = False
 ) -> kernels.Relation:
     """eps_a, eps_b, R, I and the bound, from one transport per observable
     (``kernels.relation``, which holds the formulas and the ``sign_flip``
-    hook of the harness self-test).  The transports of A and B are kept for
-    ``proof_device_check``."""
+    hook of the harness self-test).  The record keeps the transports of A
+    and B, which ``kernels.schroedinger`` and ``kernels.proof_device``
+    read."""
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
     return kernels.relation(ctx.arrays, a.matrix, b.matrix, sign_flip=sign_flip)
-
-
-def proof_device_check(
-    ctx: LocalContext, a: HermitianObservable, b: HermitianObservable, report: kernels.Relation
-) -> kernels.ProofDevice:
-    """Evaluate the composite semi-inner product on the transports held by
-    ``report`` (from ``evaluate_relation(ctx, a, b)``) and compare it with
-    the report's errors and R + iI: the composite seminorm of (A -
-    roundtrip(A), pushforward(A)) equals the error, and the composite cross
-    product equals R + iI."""
-    return kernels.proof_device(ctx.arrays, a.matrix, b.matrix, report)
 
 
 def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:

@@ -1,10 +1,9 @@
 """JSON and CSV interchange.
 
-Complex matrices serialize as nested arrays of [re, im] pairs, distributions
-as {label: weight} maps.  JSON floats are emitted at 17 significant digits
-(round-trip exact), CSV at 12 (plot-ready).  All formatting is
-locale-independent.  The loaders reject a malformed file with ``ValueError``
-before building anything from it.
+Complex matrices serialize as nested arrays of [re, im] pairs.  JSON floats
+are emitted at 17 significant digits (round-trip exact), CSV at 12
+(plot-ready).  All formatting is locale-independent.  The loaders reject a
+malformed file with ``ValueError`` before building anything from it.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .indirect import IndirectModel
 from .measurement import MeasurementKind, Povm
-from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution
+from .states import DensityOperator, HermitianObservable, OutcomeSpace
 
 CSV_HEADER = "dim,kind,param,epsA,epsB,R,I,bound,slack,naiveBound,naiveViolated"
 
@@ -45,10 +44,6 @@ def matrix_from_json(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def distribution_to_json(p: ProbabilityDistribution) -> dict[str, float]:
-    return p.as_dict()
-
-
 def povm_to_json(povm: Povm) -> dict:
     return {
         "kind": povm.kind.value,
@@ -73,9 +68,13 @@ def _json_list(data: dict, key: str) -> list:
 
 
 def _check_declared(data: dict, key: str, actual: int) -> None:
-    """A dimension the file declares under ``key`` must match its matrices."""
-    if key in data and data[key] != actual:
-        raise ValueError(f"{key} is {data[key]}, but the matrices are {actual}-dimensional")
+    """A dimension the file declares under ``key`` must be an integer (a bool
+    is not one) equal to that of its matrices."""
+    value = data.get(key, actual)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value != actual:
+        raise ValueError(f"{key} is {value!r}, but the matrices are {actual}-dimensional")
 
 
 def povm_from_json(data: dict) -> Povm:

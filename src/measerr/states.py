@@ -3,7 +3,9 @@
 A density operator rho equips observables with the symmetrized inner product
 <A,B>_rho = <{A,B}/2>_rho; a probability distribution p equips outcome
 functions with <f,g>_p = <fg>_p.  Both induce seminorms and standard
-deviations, which is all the downstream geometry needs.
+deviations, which is all the downstream geometry needs.  The formulas are
+in ``kernels`` (``anti``, ``norm``, ``std_dev``, ``class_inner``,
+``class_norm``); this module holds the validated types they act on.
 """
 
 from __future__ import annotations
@@ -226,9 +228,6 @@ class OutcomeSpace:
     def size(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 class ProbabilityDistribution:
     """Nonnegative weights over an outcome space, summing to one.
@@ -243,9 +242,6 @@ class ProbabilityDistribution:
         self.space = space
         self.weights = check_weights(weights)
 
-    def weight(self, label: str) -> float:
-        return float(self.weights[self.space.index(label)])
-
     def as_dict(self) -> dict[str, float]:
         return {lab: float(w) for lab, w in zip(self.space.labels, self.weights)}
 
@@ -253,108 +249,6 @@ class ProbabilityDistribution:
         return f"ProbabilityDistribution({self.as_dict()!r})"
 
 
-class OutcomeFunction:
-    """Real-valued function on an outcome space (estimators, pushforwards)."""
-
-    def __init__(self, space: OutcomeSpace, values):
-        v = np.asarray(values, dtype=float).copy()
-        if v.shape != (space.size,):
-            raise ValueError("need exactly one value per label")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("function values must be finite")
-        v.setflags(write=False)
-        self.space = space
-        self.values = v
-
-    @classmethod
-    def identity(cls, space: OutcomeSpace) -> "OutcomeFunction":
-        """The estimator reading off the numeric outcome value, f(w) = w."""
-        return cls(space, np.asarray(space.values, dtype=float))
-
-    @classmethod
-    def constant(cls, space: OutcomeSpace, value: float) -> "OutcomeFunction":
-        return cls(space, np.full(space.size, float(value)))
-
-    def __call__(self, label: str) -> float:
-        return float(self.values[self.space.index(label)])
-
-    def __add__(self, other: "OutcomeFunction") -> "OutcomeFunction":
-        _check_same_space(self.space, other.space)
-        return OutcomeFunction(self.space, self.values + other.values)
-
-    def __sub__(self, other: "OutcomeFunction") -> "OutcomeFunction":
-        _check_same_space(self.space, other.space)
-        return OutcomeFunction(self.space, self.values - other.values)
-
-    def __rmul__(self, scalar: float) -> "OutcomeFunction":
-        return OutcomeFunction(self.space, float(scalar) * self.values)
-
-    __mul__ = __rmul__
-
-    def __repr__(self) -> str:
-        return f"OutcomeFunction({dict(zip(self.space.labels, self.values))!r})"
-
-
 def _check_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
-def _check_same_space(sa: OutcomeSpace, sb: OutcomeSpace) -> None:
-    if sa != sb:
-        raise ValueError("outcome spaces do not match")
-
-
-def expectation(x: HermitianObservable, rho: DensityOperator) -> float:
-    """Tr[X rho]."""
-    _check_same_dim(x, rho)
-    return float(kernels.expect(x.matrix, rho.matrix))
-
-
-def state_inner(a: HermitianObservable, b: HermitianObservable, rho: DensityOperator) -> float:
-    """Symmetrized inner product <{A,B}/2>_rho."""
-    _check_same_dim(a, b)
-    _check_same_dim(a, rho)
-    return float(kernels.anti(a.matrix, b.matrix, rho.matrix))
-
-
-def state_norm(a: HermitianObservable, rho: DensityOperator) -> float:
-    """Seminorm sqrt(<A^2>_rho)."""
-    _check_same_dim(a, rho)
-    return float(kernels.norm(a.matrix, rho.matrix))
-
-
-def std_dev_q(a: HermitianObservable, rho: DensityOperator) -> float:
-    """Quantum standard deviation sqrt(<A^2> - <A>^2), clipped at zero."""
-    _check_same_dim(a, rho)
-    return float(kernels.std_dev(a.matrix, rho.matrix))
-
-
-def class_mean(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
-    """<f>_p."""
-    _check_same_space(f.space, p.space)
-    return float(kernels.dot(f.values, p.weights))
-
-
-def class_inner(f: OutcomeFunction, g: OutcomeFunction, p: ProbabilityDistribution) -> float:
-    """<fg>_p."""
-    _check_same_space(f.space, g.space)
-    _check_same_space(f.space, p.space)
-    return float(kernels.class_inner(f.values, g.values, p.weights))
-
-
-def class_norm(f: OutcomeFunction, p: ProbabilityDistribution) -> float:
-    """Seminorm sqrt(<f^2>_p); zero-weight outcomes contribute exactly nothing."""
-    _check_same_space(f.space, p.space)
-    return float(kernels.class_norm(f.values, p.weights))
-
-
-def spectral_decompose(a: HermitianObservable) -> list[tuple[float, HermitianObservable]]:
-    """Eigenvalues with orthogonal projectors, nearly-equal eigenvalues merged.
-
-    Eigenvalues within ``DEFAULT_TOL.eig_merge * max|eig|`` of each other share one
-    projector, so projective measurements of degenerate observables are
-    well defined.  Returned in ascending eigenvalue order.
-    """
-    values, projectors = kernels.spectral(a.matrix)
-    return [(float(val), HermitianObservable._trusted(proj)) for val, proj in zip(values, projectors)]

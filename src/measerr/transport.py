@@ -5,10 +5,11 @@ and a quantum one at rho.  The pullback carries outcome functions to
 operators (the adjoint, descended to equivalence classes); the pushforward
 carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
-``transport`` pushes one observable forward once and returns, with the
-pushforward, its round trip, the error and the norm ||A||_rho (the
-``kernels.Transported`` record of one instance); callers read that record
-instead of deriving any of the four again.
+``LocalContext`` pins the pair; its ``arrays`` is the ``kernels.Context``
+that ``kernels.pushforward``, ``kernels.pullback`` and ``kernels.transport``
+take.  ``kernels.transport`` pushes one observable forward once and returns,
+with the pushforward, its round trip, the error and the norm ||A||_rho;
+callers read that record instead of deriving any of the four again.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .measurement import Povm
-from .states import DensityOperator, HermitianObservable, OutcomeFunction, _check_same_dim
+from .states import DensityOperator
 from .tolerances import DEFAULT_TOL
 
 
@@ -61,36 +62,3 @@ class LocalContext:
 
     def __repr__(self) -> str:
         return f"LocalContext({self.povm!r}, dim={self.dim})"
-
-
-def pushforward(ctx: LocalContext, a: HermitianObservable) -> OutcomeFunction:
-    """Outcome function <A, E_w>_rho / p(w) on the support, zero off it.
-
-    This is the locally optimal estimator of the observable from measurement
-    data; its expectation under p equals <A>_rho.
-    """
-    _check_same_dim(a, ctx)
-    return OutcomeFunction(ctx.space, kernels.pushforward(ctx.arrays, a.matrix))
-
-
-def pullback_rep(ctx: LocalContext, f: OutcomeFunction) -> HermitianObservable:
-    """Operator representative of the pullback of f: the adjoint applied to
-    the canonical (off-support-zeroed) representative, so equivalent
-    functions map to identical operators."""
-    if f.space != ctx.space:
-        raise ValueError("outcome spaces do not match")
-    return HermitianObservable._trusted(kernels.pullback(ctx.arrays, f.values))
-
-
-def transport(ctx: LocalContext, a: HermitianObservable) -> kernels.Transported:
-    """Push ``a`` forward once and derive the round trip and the error from it
-    (``kernels.transport``, which raises if contractivity fails)."""
-    _check_same_dim(a, ctx)
-    return kernels.transport(ctx.arrays, a.matrix)
-
-
-def adjointness_residual(ctx: LocalContext, a: HermitianObservable, f: OutcomeFunction) -> float:
-    """|<A, pullback(f)>_rho - <pushforward(A), f>_p|; zero up to roundoff."""
-    if f.space != ctx.space:
-        raise ValueError("outcome spaces do not match")
-    return kernels.adjointness(ctx.arrays, a.matrix, pushforward(ctx, a).values, f.values)

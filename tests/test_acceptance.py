@@ -19,8 +19,8 @@ from measerr import (
     chain_check,
     cnot_model,
     evaluate_relation,
+    kernels,
     projective_from,
-    quantum_error,
     qubit_state,
     schroedinger_reduction,
     unsharp_qubit,
@@ -119,7 +119,7 @@ def test_criterion_6_closed_form_family():
     worst = 0.0
     for eta in [k / 10.0 for k in range(11)]:
         ctx = LocalContext(unsharp_qubit((0, 0, 1), eta), mixed)
-        measured = quantum_error(ctx, Z)
+        measured = kernels.transport(ctx.arrays, Z.matrix).error
         brute = oracles.unsharp_eps_z(eta)
         closed = float(np.sqrt(1.0 - eta * eta))
         worst = max(worst, abs(measured - brute), abs(measured - closed))

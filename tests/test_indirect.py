@@ -11,25 +11,27 @@ from measerr import (
     IndirectModel,
     LocalContext,
     MeasurementKind,
-    OutcomeFunction,
     PAULI_X,
     PAULI_Z,
     chain_check,
     cnot_model,
-    f_error,
     induced_povm,
-    ozawa_error,
-    quantum_error,
+    kernels,
     qubit_state,
     random_indirect_model,
     random_observable,
     random_state,
-    spectral_decompose,
 )
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
 MIXED = DensityOperator.maximally_mixed(2)
+
+
+def ozawa_error(model, rho, a):
+    """Ozawa's rms error of the meter for ``a`` over rho (x) the ancilla state."""
+    meter = kernels.heisenberg(model.interaction, model.meter.matrix)
+    return kernels.rms_error(meter, kernels.kron(rho.matrix, model.ancilla_state.matrix), a.matrix)
 
 
 def random_model(dim, ancilla, seed):
@@ -69,11 +71,8 @@ class TestInducedPovm:
             povm = induced_povm(model)  # constructor enforces PSD + completeness
             total = sum(povm.effects)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
-            projs = [p for _, p in spectral_decompose(model.meter)]
-            direct = oracles.joint_meter_distribution(
-                rho.matrix, model.ancilla_state.matrix, model.interaction,
-                [p.matrix for p in projs],
-            )
+            _, projs = kernels.spectral(model.meter.matrix)
+            direct = oracles.joint_meter_distribution(rho.matrix, model.ancilla_state.matrix, model.interaction, projs)
             assert np.allclose(povm.apply(rho).weights, direct, atol=1e-10)
 
     def test_invalid_unitary_rejected(self):
@@ -115,10 +114,6 @@ class TestOzawaError:
         val = ozawa_error(model, MIXED, Z)
         assert val == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ozawa_error(cnot_model(), MIXED, HermitianObservable.identity(3))
-
 
 class TestBridgeIdentity:
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (3, 2), (2, 3)])
@@ -126,16 +121,17 @@ class TestBridgeIdentity:
         for seed in range(10):
             model, rho, a, _ = random_model(dim, ancilla, 100 + seed)
             ctx = LocalContext(induced_povm(model), rho)
-            est = OutcomeFunction.identity(ctx.space)
+            t = kernels.transport(ctx.arrays, a.matrix)
+            est = np.array(ctx.space.values)
             assert ozawa_error(model, rho, a) == pytest.approx(
-                f_error(ctx, a, est).f_error, abs=1e-9
+                kernels.f_error_split(ctx.arrays, a.matrix, t, est).f_error, abs=1e-9
             )
 
     def test_rms_error_dominates_intrinsic_error(self):
         for seed in range(15):
             model, rho, a, _ = random_model(2, 2, 300 + seed)
             ctx = LocalContext(induced_povm(model), rho)
-            assert ozawa_error(model, rho, a) >= quantum_error(ctx, a) - 1e-9
+            assert ozawa_error(model, rho, a) >= kernels.transport(ctx.arrays, a.matrix).error - 1e-9
 
 
 class TestChain:
@@ -160,6 +156,10 @@ class TestChain:
         assert report.eps_a == pytest.approx(report.sigma_a, abs=1e-10)
         assert report.rms_a >= report.eps_a - 1e-9
         assert report.holds.all()
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            chain_check(cnot_model(), MIXED, X, HermitianObservable.identity(3))
 
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (3, 2)])
     def test_chain_on_random_models(self, dim, ancilla):

@@ -10,16 +10,14 @@ from measerr import (
     DensityOperator,
     GenConfig,
     HermitianObservable,
+    LocalContext,
     MeasurementKind,
-    OutcomeFunction,
     OutcomeSpace,
     PAULI_X,
     PAULI_Z,
     Povm,
     ProbabilityDistribution,
-    contractivity_check,
-    expectation,
-    class_mean,
+    kernels,
     noisy_projective,
     projective_from,
     random_povm,
@@ -28,7 +26,6 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.generate import haar_unitaries
-from measerr.kernels import spectral
 from measerr.measurement import check_effects
 
 X = HermitianObservable(PAULI_X)
@@ -63,20 +60,20 @@ class TestApply:
 class TestAdjoint:
     def test_projective_identity_estimator(self):
         povm = projective_from(Z)
-        rebuilt = povm.adjoint(OutcomeFunction.identity(povm.space))
-        assert np.allclose(rebuilt.matrix, PAULI_Z, atol=1e-12)
+        rebuilt = kernels.adjoint(povm.effects, np.array(povm.space.values))
+        assert np.allclose(rebuilt, PAULI_Z, atol=1e-12)
 
     def test_constant_function_gives_identity(self):
         for seed in range(5):
             cfg = GenConfig(dim=3, outcomes=4)
             povm = random_povm(cfg, np.random.default_rng(seed))
-            total = povm.adjoint(OutcomeFunction.constant(povm.space, 1.0))
-            assert np.max(np.abs(total.matrix - np.eye(3))) <= 1e-10
+            total = kernels.adjoint(povm.effects, np.full(povm.space.size, 1.0))
+            assert np.max(np.abs(total - np.eye(3))) <= 1e-10
 
     def test_unsharp_shrinks_observable(self):
         povm = unsharp_qubit((0, 0, 1), 0.6)
-        adj = povm.adjoint(OutcomeFunction(povm.space, [1.0, -1.0]))
-        assert np.allclose(adj.matrix, 0.6 * PAULI_Z, atol=1e-12)
+        adj = kernels.adjoint(povm.effects, np.array([1.0, -1.0]))
+        assert np.allclose(adj, 0.6 * PAULI_Z, atol=1e-12)
 
     def test_characterization_sweep(self):
         for dim in (2, 3, 4):
@@ -85,15 +82,10 @@ class TestAdjoint:
                 cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
                 povm = random_povm(cfg, rng)
                 rho = random_state(cfg, rng)
-                f = OutcomeFunction(povm.space, rng.uniform(-2, 2, povm.space.size))
-                lhs = expectation(povm.adjoint(f), rho)
-                rhs = class_mean(f, povm.apply(rho))
+                f = rng.uniform(-2, 2, povm.space.size)
+                lhs = kernels.expect(kernels.adjoint(povm.effects, f), rho.matrix)
+                rhs = kernels.dot(f, povm.apply(rho).weights)
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
-
-    def test_space_mismatch(self):
-        povm = projective_from(Z)
-        with pytest.raises(ValueError):
-            povm.adjoint(OutcomeFunction(PM_SPACE, [1.0, -1.0]))
 
 
 class TestProjectiveFrom:
@@ -170,31 +162,25 @@ class TestUnsharpFamily:
             noisy_projective(Z, -0.1)
 
 
+def contractivity(povm, f, rho):
+    return kernels.contractivity(LocalContext(povm, rho).arrays, np.asarray(f, dtype=float))
+
+
 class TestContractivity:
     def test_projective_saturates(self):
-        report = contractivity_check(
-            projective_from(Z),
-            OutcomeFunction(OutcomeSpace.from_values((-1.0, 1.0)), [-1.0, 1.0]),
-            DensityOperator.maximally_mixed(2),
-        )
+        report = contractivity(projective_from(Z), [-1.0, 1.0], DensityOperator.maximally_mixed(2))
         assert report.classical_norm == pytest.approx(report.adjoint_norm, abs=1e-12)
         assert abs(report.gap_min_eigenvalue) <= 1e-12
 
     def test_unsharp_gap(self):
         povm = unsharp_qubit((0, 0, 1), 0.6)
-        report = contractivity_check(
-            povm, OutcomeFunction(povm.space, [1.0, -1.0]), DensityOperator.maximally_mixed(2)
-        )
+        report = contractivity(povm, [1.0, -1.0], DensityOperator.maximally_mixed(2))
         assert report.gap_min_eigenvalue == pytest.approx(0.64, abs=1e-12)
 
     def test_constant_function_gap_vanishes(self):
         cfg = GenConfig(dim=3, outcomes=4)
         povm = random_povm(cfg, np.random.default_rng(5))
-        report = contractivity_check(
-            povm,
-            OutcomeFunction.constant(povm.space, 1.7),
-            random_state(cfg, np.random.default_rng(5)),
-        )
+        report = contractivity(povm, np.full(povm.space.size, 1.7), random_state(cfg, np.random.default_rng(5)))
         assert abs(report.gap_min_eigenvalue) <= 1e-9
 
 
@@ -301,7 +287,7 @@ def test_effect_positivity_matches_eigvalsh(dim, monkeypatch):
     for _ in range(30):
         eigs = rng.integers(-2, 3, dim).astype(float)
         u = haar_unitaries(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        _, projectors = spectral(np.stack([(u * eigs) @ u.conj().T, np.diag(eigs[::-1] + 0j)]))
+        _, projectors = kernels.spectral(np.stack([(u * eigs) @ u.conj().T, np.diag(eigs[::-1] + 0j)]))
         calls.clear()
         assert verdict(projectors) is None and not calls
         assert oracles.effects_psd_message(projectors, PSD) is None

@@ -11,19 +11,14 @@ from measerr import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    commutator_expectation,
-    errorless_check,
     evaluate_relation,
-    expectation,
-    proof_device_check,
+    kernels,
     projective_from,
-    quantum_error,
     qubit_state,
     random_observable,
     random_povm,
     random_state,
     schroedinger_reduction,
-    state_inner,
     trivial_measurement,
 )
 from measerr.serialize import relation_as_dict
@@ -32,6 +27,20 @@ from measerr.states import OutcomeSpace, ProbabilityDistribution
 X = HermitianObservable(PAULI_X)
 Y = HermitianObservable(PAULI_Y)
 Z = HermitianObservable(PAULI_Z)
+
+
+def covariance(a, b, rho):
+    """<{A,B}/2>_rho - <A>_rho <B>_rho."""
+    mean_a, mean_b = (kernels.expect(x.matrix, rho.matrix) for x in (a, b))
+    return kernels.anti(a.matrix, b.matrix, rho.matrix) - mean_a * mean_b
+
+
+def commutator(a, b, rho):
+    return kernels.comm(a.matrix, b.matrix, rho.matrix)
+
+
+def errorless_a(ctx, a):
+    return kernels.errorless(ctx.arrays, a.matrix).cond_a
 
 
 def random_setup(dim, seed, mixedness="ginibre"):
@@ -58,7 +67,7 @@ class TestRealPart:
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
             ctx = trivial_ctx(rho, seed)
-            closed = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
+            closed = covariance(a, b, rho)
             assert evaluate_relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
@@ -68,9 +77,8 @@ class TestRealPart:
     def test_diagonal_case_is_squared_error(self):
         for seed in range(8):
             ctx, a, _, _ = random_setup(3, 40 + seed)
-            assert evaluate_relation(ctx, a, a).real_term == pytest.approx(
-                quantum_error(ctx, a) ** 2, abs=1e-9 * (1 + quantum_error(ctx, a) ** 2)
-            )
+            eps = kernels.transport(ctx.arrays, a.matrix).error
+            assert evaluate_relation(ctx, a, a).real_term == pytest.approx(eps**2, abs=1e-9 * (1 + eps**2))
 
 
 class TestImagPart:
@@ -82,7 +90,7 @@ class TestImagPart:
             a = random_observable(cfg, rng)
             b = random_observable(cfg, rng)
             ctx = trivial_ctx(rho, seed)
-            bare = commutator_expectation(a, b, rho)
+            bare = commutator(a, b, rho)
             assert evaluate_relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
@@ -125,6 +133,11 @@ class TestEvaluateRelation:
                 assert report.slack >= -1e-9 * (1 + abs(report.eps_a * report.eps_b))
                 assert report.bound >= abs(report.imag_term) - 1e-12
 
+    def test_dimension_mismatch_rejected(self):
+        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+            evaluate_relation(ctx, X, HermitianObservable.identity(3))
+
     def test_report_serialization_keys(self):
         ctx, a, b, _ = random_setup(2, 5)
         d = relation_as_dict(ctx, evaluate_relation(ctx, a, b))
@@ -137,9 +150,9 @@ class TestEvaluateRelation:
 class TestProofDevice:
     def test_diagonal_recovers_error(self):
         ctx, a, _, _ = random_setup(3, 8)
-        report = proof_device_check(ctx, a, a, evaluate_relation(ctx, a, a))
+        report = kernels.proof_device(ctx.arrays, a.matrix, a.matrix, evaluate_relation(ctx, a, a))
         assert report.residual_a <= 1e-9
-        assert report.cross_value.real == pytest.approx(quantum_error(ctx, a) ** 2, abs=1e-9)
+        assert report.cross_value.real == pytest.approx(kernels.transport(ctx.arrays, a.matrix).error ** 2, abs=1e-9)
         assert abs(report.cross_value.imag) <= 1e-10
 
     def test_trivial_reduces_to_covariance_form(self):
@@ -149,16 +162,16 @@ class TestProofDevice:
         a = random_observable(cfg, rng)
         b = random_observable(cfg, rng)
         ctx = trivial_ctx(rho, 3)
-        report = proof_device_check(ctx, a, b, evaluate_relation(ctx, a, b))
-        cov = state_inner(a, b, rho) - expectation(a, rho) * expectation(b, rho)
-        comm = commutator_expectation(a, b, rho)
+        report = kernels.proof_device(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+        cov = covariance(a, b, rho)
+        comm = commutator(a, b, rho)
         assert report.cross_value == pytest.approx(complex(cov, comm), abs=1e-9)
 
     def test_residuals_on_sweep(self):
         for dim in (2, 3, 4, 5):
             for seed in range(10):
                 ctx, a, b, _ = random_setup(dim, 5000 + 100 * dim + seed)
-                report = proof_device_check(ctx, a, b, evaluate_relation(ctx, a, b))
+                report = kernels.proof_device(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
                 assert report.residual_a <= 1e-9
                 assert report.residual_b <= 1e-9
                 assert report.cross_residual <= 1e-9
@@ -195,8 +208,8 @@ class TestNoSimultaneousErrorless:
     def test_on_random_sweep(self):
         for seed in range(40):
             ctx, a, b, _ = random_setup(2 + seed % 3, 7000 + seed)
-            comm = abs(commutator_expectation(a, b, ctx.rho))
-            both = errorless_check(ctx, a).cond_a and errorless_check(ctx, b).cond_a
+            comm = abs(commutator(a, b, ctx.rho))
+            both = errorless_a(ctx, a) and errorless_a(ctx, b)
             assert not (both and comm > 1e-6)
 
     def test_errorless_pair_must_commute_in_effect(self):
@@ -204,6 +217,6 @@ class TestNoSimultaneousErrorless:
         # a noncommuting pair over a commutator-witnessing state never has
         # both errors vanish
         ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
-        comm = abs(commutator_expectation(X, Z, ctx.rho))
+        comm = abs(commutator(X, Z, ctx.rho))
         assert comm > 1e-6
-        assert not (errorless_check(ctx, X).cond_a and errorless_check(ctx, Z).cond_a)
+        assert not (errorless_a(ctx, X) and errorless_a(ctx, Z))

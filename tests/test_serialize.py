@@ -1,6 +1,7 @@
 """Wire formats: matrix/POVM/model JSON, float digit policy, CSV rows."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from measerr import (
 )
 from measerr.serialize import (
     CSV_HEADER,
-    distribution_to_json,
     format_float,
     json_text,
     matrix_from_json,
@@ -88,12 +88,27 @@ class TestModelFormat:
         assert model_from_json(data).ancilla_dim == 2
 
 
+@pytest.mark.parametrize("key", ["dim", "ancilla_dim"])
+@pytest.mark.parametrize("declared", ["2", 2.0, True])
+def test_declared_dimension_must_be_an_integer(key, declared):
+    """A declared dimension that is a string, a float or a bool is rejected
+    with its own repr, whether or not it compares equal to the true one."""
+    to_json, from_json, make = {
+        "dim": (povm_to_json, povm_from_json, lambda: unsharp_qubit((0, 0, 1), 0.3)),
+        "ancilla_dim": (model_to_json, model_from_json, cnot_model),
+    }[key]
+    data = to_json(make())
+    data[key] = declared
+    with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {declared!r}")):
+        from_json(data)
+
+
 class TestDistributionFormat:
     def test_label_weight_map(self):
         cfg = GenConfig(dim=2, outcomes=3)
         povm = random_povm(cfg, np.random.default_rng(1))
         p = povm.apply(random_state(cfg, np.random.default_rng(1)))
-        data = distribution_to_json(p)
+        data = p.as_dict()
         assert set(data) == set(povm.space.labels)
         assert sum(data.values()) == pytest.approx(1.0, abs=1e-10)
 

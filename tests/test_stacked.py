@@ -1,7 +1,8 @@
 """Differential tests: the stacked-effect paths of ``Povm.apply``,
-``Povm.adjoint``, ``pushforward`` and ``transport`` (round trip and error)
-against the per-outcome formulas in ``oracles``, on instances that hold an
-off-support zero effect and an outcome inside ``tiny_support``."""
+``kernels.adjoint``, ``kernels.pushforward`` and ``kernels.transport``
+(round trip and error) against the per-outcome formulas in ``oracles``, on
+instances that hold an off-support zero effect and an outcome inside
+``tiny_support``."""
 
 import numpy as np
 import pytest
@@ -10,15 +11,13 @@ import oracles
 from measerr import (
     GenConfig,
     LocalContext,
-    OutcomeFunction,
     OutcomeSpace,
     Povm,
-    pushforward,
+    kernels,
     random_observable,
     random_povm,
     random_state,
 )
-from measerr.transport import transport
 
 # Weight fraction split off the first effect: its outcome lands inside
 # tiny_support (weight ~1e-10, between the 1e-12 cutoff and 1e-8).
@@ -53,17 +52,17 @@ def test_stacked_paths_match_per_outcome_formulas(dim, mixedness, seed):
     assert np.max(np.abs(weights - oracles.probabilities(effects, rho.matrix))) <= 1e-12
 
     g = rng.uniform(-2.0, 2.0, len(effects))
-    adjoint = povm.adjoint(OutcomeFunction(povm.space, g)).matrix
+    adjoint = kernels.adjoint(povm.effects, g)
     expected = oracles.adjoint_brute(effects, g)
     assert np.max(np.abs(adjoint - expected)) <= 1e-12 * (1.0 + np.max(np.abs(g)))
 
-    fwd = pushforward(ctx, a).values
+    fwd = kernels.pushforward(ctx.arrays, a.matrix)
     expected = oracles.pushforward_brute(effects, rho.matrix, a.matrix)
     scale = 1.0 + np.linalg.norm(a.matrix, 2)
     assert np.max(np.abs(fwd - expected)) <= 1e-12 * scale
     assert fwd[-1] == 0.0
 
-    t = transport(ctx, a)
+    t = kernels.transport(ctx.arrays, a.matrix)
     roundtrip = oracles.adjoint_brute(effects, expected)
     assert np.max(np.abs(t.roundtrip - roundtrip)) <= 1e-12 * scale
     error = oracles.quantum_error_brute(effects, rho.matrix, a.matrix)
