@@ -38,10 +38,7 @@ from .indirect import (
 from .generate import (
     GenConfig,
     RNG_ALGORITHM,
-    haar_unitary,
-    random_indirect_model,
     random_observable,
-    random_povm,
     random_state,
 )
 
@@ -73,9 +70,6 @@ __all__ = [
     "induced_povm",
     "GenConfig",
     "RNG_ALGORITHM",
-    "haar_unitary",
-    "random_indirect_model",
     "random_observable",
-    "random_povm",
     "random_state",
 ]

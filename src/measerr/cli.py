@@ -244,7 +244,11 @@ def cmd_scan(args) -> int:
     else:
         print(text, end="")
 
-    failed = sum(rep.slack < -tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b)) for _, _, rep in rows)
+    # main-relation's rule: a row passes where its residual -slack is finite and within tolerance
+    failed = sum(
+        not (math.isfinite(rep.slack) and -rep.slack <= tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b)))
+        for _, _, rep in rows
+    )
     if args.json:
         manifest = _manifest(
             args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)

@@ -61,44 +61,35 @@ class SuiteResult:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def record(self, ok: bool, residual: float, message) -> None:
-        """Count one check.  A NaN or infinite residual is a failure whatever
-        ``ok`` says, and the first one seen stays the suite's worst.
-        ``message`` is the failure's text, or a function returning it that
-        is called only if the failure is kept."""
-        self.checks += 1
-        finite = math.isfinite(residual)
-        if math.isfinite(self.worst):
-            self.worst = max(self.worst, residual) if finite else residual
-        if not (ok and finite):
-            self.failures += 1
-            if len(self.messages) < 5:
-                self.messages.append(message() if callable(message) else message)
-
     def record_block(self, dim, block: range, checks) -> None:
         """Count the checks of the instances ``block`` of dimension ``dim`` (a
-        number, or a label such as "3x2") as ``record`` counts them, instance
-        by instance and, within an instance, in the order of ``checks``.  A
-        check is (ok, residual, what, detail):
-        ok and residual are arrays over the block (or one value for all), and
-        a failure reads "<what> at dim=<dim> i=<index>", followed by
-        ": <detail(i)>" when ``detail`` is given (i indexes the block).  A
-        block that passes with finite residuals is counted at once."""
-        n = len(block)
-        ok = np.stack([np.broadcast_to(c[0], (n,)) for c in checks], axis=1)
-        residual = np.stack([np.broadcast_to(np.asarray(c[1], dtype=float), (n,)) for c in checks], axis=1)
-        if ok.all() and np.isfinite(residual).all():
-            self.checks += ok.size
-            if math.isfinite(self.worst):
-                self.worst = max(self.worst, float(residual.max()))
-            return
-        for i in range(n):
-            for k, (_, _, what, *detail) in enumerate(checks):
-                def message(i=i, what=what, detail=detail):
-                    text = f"{what} at dim={dim} i={block[i]}"
-                    return f"{text}: {detail[0](i)}" if detail else text
-
-                self.record(bool(ok[i, k]), float(residual[i, k]), message)
+        number, or a label such as "3x2"), instance by instance and, within
+        an instance, in the order of ``checks``.  A check is (what, residual,
+        slack[, detail]), residual and slack arrays over the block or one
+        value for all.  It passes where its residual is finite and at most its
+        slack or, for a boolean slack (a kernel's verdict), true.  The worst
+        residual is the largest seen or the first NaN or infinite one, which
+        then stays; it starts at 0.0, so a negative residual (a check met with
+        room) needs no clamp.  The first five failures read "<what> at
+        dim=<dim> i=<index>: <detail>", detail the residual as ``.3e``,
+        ``detail(i)`` when given (i indexes the block), or nothing after the
+        index when it is ``None``."""
+        shape = (len(block), len(checks))
+        residual, verdict = np.empty(shape), np.empty(shape, dtype=bool)
+        for k, (_, r, slack, *_) in enumerate(checks):
+            residual[:, k], slack = r, np.asarray(slack)
+            verdict[:, k] = slack if slack.dtype == bool else residual[:, k] <= slack
+        finite = np.isfinite(residual)
+        failed = np.flatnonzero(~(finite & verdict))
+        self.checks += residual.size
+        self.failures += len(failed)
+        if math.isfinite(self.worst):
+            self.worst = max(self.worst, float(residual.max())) if finite.all() else float(residual[~finite][0])
+        for i, k in zip(*np.divmod(failed[: 5 - len(self.messages)], len(checks))):
+            what, _, _, *detail = checks[k]
+            detail = detail[0] if detail else lambda i: f"{residual[i, k]:.3e}"
+            text = f"{what} at dim={dim} i={block[i]}"
+            self.messages.append(f"{text}: {detail(int(i))}" if detail else text)
 
     def as_dict(self) -> dict:
         return {
@@ -343,10 +334,7 @@ def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResul
         direct = check_weights(kernels.born(effects, mixed))
         p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
         residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
-        out.record_block(dim, block, [
-            (residual <= tol.validation, residual,
-             "affineness broke", lambda i: f"{residual[i]:.3e}"),
-        ])
+        out.record_block(dim, block, [("affineness broke", residual, tol.validation)])
     return out
 
 
@@ -363,10 +351,8 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
         values, projectors = _projective(a)
         rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
         out.record_block(dim, block, [
-            (identity <= tol.expectation * (1.0 + np.abs(rhs)), identity,
-             "adjoint identity broke", lambda i: f"{identity[i]:.3e}"),
-            (rebuilt <= tol.identity * (1.0 + _max_abs(a)), rebuilt,
-             "projective reconstruction broke", lambda i: f"{rebuilt[i]:.3e}"),
+            ("adjoint identity broke", identity, tol.expectation * (1.0 + np.abs(rhs))),
+            ("projective reconstruction broke", rebuilt, tol.identity * (1.0 + _max_abs(a))),
         ])
     return out
 
@@ -381,10 +367,8 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
         classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
         gap = adjoint_norm - classical
         out.record_block(dim, block, [
-            (gap <= tol.identity * (1.0 + classical), np.maximum(gap, 0.0),
-             "norm contraction broke", lambda i: f"gap {gap[i]:.3e}"),
-            (gap_min >= -tol.identity, np.maximum(-gap_min, 0.0),
-             "operator gap not PSD", lambda i: f"{gap_min[i]:.3e}"),
+            ("norm contraction broke", gap, tol.identity * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
+            ("operator gap not PSD", -gap_min, tol.identity, lambda i: f"{gap_min[i]:.3e}"),
         ])
     return out
 
@@ -405,29 +389,23 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         f = cols["f"]
         t = kernels.transport(ctx, a)
         adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
-        adjointness_ok = adjointness <= tol.identity * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))
 
         mean_a = kernels.expect(a, ctx.rho)
         drift = np.abs(kernels.dot(t.pushforward, ctx.weights) - mean_a)
 
         norm_fwd = kernels.class_norm(t.pushforward, ctx.weights)
         norm_back = kernels.norm(t.roundtrip, ctx.rho)
-        slack = tol.identity * (1.0 + t.norm)
-        chain_ok = (t.norm >= norm_fwd - slack) & (norm_fwd >= norm_back - slack)
-        chain = np.maximum(np.maximum(norm_fwd - t.norm, norm_back - norm_fwd), 0.0)
+        chain = np.maximum(norm_fwd - t.norm, norm_back - norm_fwd)
 
         alpha, beta = cols["alpha"], cols["beta"]
         lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
         combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
         linearity = _max_abs(lin - combo)
         out.record_block(dim, block, [
-            (adjointness_ok, adjointness,
-             "adjointness broke", lambda i: f"{adjointness[i]:.3e}"),
-            (drift <= tol.expectation * (1.0 + np.abs(mean_a)), drift,
-             "expectation not preserved", lambda i: f"{drift[i]:.3e}"),
-            (chain_ok, chain, "double contraction broke"),
-            (linearity <= tol.expectation * (1.0 + _max_abs(combo)), linearity,
-             "linearity broke", lambda i: f"{linearity[i]:.3e}"),
+            ("adjointness broke", adjointness, tol.identity * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
+            ("expectation not preserved", drift, tol.expectation * (1.0 + np.abs(mean_a))),
+            ("double contraction broke", chain, tol.identity * (1.0 + t.norm), None),
+            ("linearity broke", linearity, tol.expectation * (1.0 + _max_abs(combo))),
         ])
     return out
 
@@ -447,20 +425,15 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
         ctx, a, _ = _instances(cols)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, cols["f"])
-        decomposition = kernels.split_residual(*split)
-        shortfall = split.quantum_error - split.f_error
 
         delta, step = cols["delta"], cols["step"]
         perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
         expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
         excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
         out.record_block(dim, block, [
-            (decomposition <= tol.identity, decomposition,
-             "decomposition broke", lambda i: f"{decomposition[i]:.3e}"),
-            (shortfall <= tol.identity, np.maximum(shortfall, 0.0),
-             "estimator beat the optimum", lambda i: f"{shortfall[i]:.3e}"),
-            (excess_law <= tol.identity, excess_law,
-             "quadratic excess law broke", lambda i: f"{excess_law[i]:.3e}"),
+            ("decomposition broke", kernels.split_residual(*split), tol.identity),
+            ("estimator beat the optimum", split.quantum_error - split.f_error, tol.identity),
+            ("quadratic excess law broke", excess_law, tol.identity),
         ])
     return out
 
@@ -478,22 +451,16 @@ def suite_relation_and_proof_tie(
     for dim, block, states in _sweep(seed, relation.name, dims, n):
         ctx, a, b = _instances(_draw_block(states, dim, _INSTANCE, _draw_instance))
         rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
-        hierarchy = np.abs(rel.imag_term)
         relation.record_block(dim, block, [
-            (rel.slack >= -tol.identity * (1.0 + np.abs(rel.eps_a * rel.eps_b)), np.maximum(-rel.slack, 0.0),
-             "relation violated", lambda i: f"slack {rel.slack[i]:.3e}"),
-            (rel.bound >= hierarchy - 1e-12, np.maximum(hierarchy - rel.bound, 0.0),
-             "bound hierarchy broke"),
+            ("relation violated", -rel.slack, tol.identity * (1.0 + np.abs(rel.eps_a * rel.eps_b)),
+             lambda i: f"slack {rel.slack[i]:.3e}"),
+            ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
         ])
 
         device = kernels.proof_device(ctx, a, b, rel)
-        seminorm = np.maximum(device.residual_a, device.residual_b)
-        cross = device.cross_residual
         proof.record_block(dim, block, [
-            (seminorm <= tol.identity, seminorm,
-             "seminorm-error identity broke", lambda i: f"{seminorm[i]:.3e}"),
-            (cross <= tol.identity, cross,
-             "cross-product identity broke", lambda i: f"{cross[i]:.3e}"),
+            ("seminorm-error identity broke", np.maximum(device.residual_a, device.residual_b), tol.identity),
+            ("cross-product identity broke", device.cross_residual, tol.identity),
         ])
     return relation, proof
 
@@ -512,13 +479,12 @@ def _row(record, i) -> str:
 def _agreement(e: kernels.Errorless) -> tuple:
     """The check that conditions (a), (b) and (c) agree."""
     same = (e.cond_a == e.cond_b) & (e.cond_b == e.cond_c)
-    return same, np.where(same, 0.0, 1.0), "conditions disagree", partial(_row, e)
+    return "conditions disagree", np.where(same, 0.0, 1.0), 0.0, partial(_row, e)
 
 
 def _errorless(e: kernels.Errorless) -> tuple:
     """The check that a constructed errorless case meets all three conditions."""
-    ok = e.cond_a & e.cond_b & e.cond_c
-    return ok, e.error, "constructed errorless case failed", partial(_row, e)
+    return "constructed errorless case failed", e.error, e.cond_a & e.cond_b & e.cond_c, partial(_row, e)
 
 
 def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
@@ -546,12 +512,10 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         out.record_block(dim, block, [
             _agreement(conds_a),
             _agreement(conds_b),
-            (~(both & (comm > 1e-6)), np.where(both, comm, 0.0),
-             "simultaneous errorless noncommuting pair"),
+            ("simultaneous errorless noncommuting pair", np.where(both, comm, 0.0), 1e-6, None),
             _errorless(exact_a),
             _errorless(exact_shifted),
-            (shifted_comm <= 1e-6, shifted_comm,
-             "constructed commuting pair has nonzero commutator"),
+            ("constructed commuting pair has nonzero commutator", shifted_comm, 1e-6, None),
         ])
     return out
 
@@ -575,18 +539,15 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         ctx = _context(effects, rho)
         rel = kernels.relation(ctx, a, b)
         red = kernels.schroedinger(ctx, a, b, rel)
-        sigma = np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b)
         terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
         terms = np.maximum(terms, np.abs(rel.bound - red.bound))
         out.record_block(dim, block, [
-            (sigma <= tol.expectation * (1.0 + red.sigma_a + red.sigma_b), sigma,
-             "error != standard deviation", lambda i: f"{sigma[i]:.3e}"),
-            (terms <= tol.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound), terms,
-             "reduced terms mismatch", lambda i: f"{terms[i]:.3e}"),
-            (red.kr_bound <= rel.bound + 1e-12, np.maximum(red.kr_bound - rel.bound, 0.0),
-             "commutator bound above the reduced bound"),
-            (rel.slack >= -tol.identity * (1.0 + rel.eps_a * rel.eps_b), np.maximum(-rel.slack, 0.0),
-             "reduced relation violated", lambda i: f"{rel.slack[i]:.3e}"),
+            ("error != standard deviation", np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b),
+             tol.expectation * (1.0 + red.sigma_a + red.sigma_b)),
+            ("reduced terms mismatch", terms, tol.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
+            ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
+            ("reduced relation violated", -rel.slack, tol.identity * (1.0 + rel.eps_a * rel.eps_b),
+             lambda i: f"{rel.slack[i]:.3e}"),
         ])
     return out
 
@@ -626,18 +587,14 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
         # the induced distribution, read off the evolved joint state
         evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
         direct = kernels.trace_product(evolved, kernels.kron(np.eye(dim), projectors)).real
-        distribution = _max_abs(ctx.weights - direct)
-        bridge = np.maximum(c.bridge_residual_a, c.bridge_residual_b)
         links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
         out.record_block(f"{dim}x{ancilla}", block, [
-            (distribution <= tol.expectation, distribution,
-             "induced distribution mismatch", lambda i: f"{distribution[i]:.3e}"),
-            (bridge <= tol.identity * (1.0 + c.rms_a + c.rms_b), bridge,
-             "bridge identity broke", lambda i: f"{bridge[i]:.3e}"),
-            (c.dominance_a & c.dominance_b, np.maximum(np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b), 0.0),
-             "rms error below intrinsic error"),
-            (c.holds.all(axis=1), links,
-             "chain broke", lambda i: f"{tuple(c.values[i].tolist())}"),
+            ("induced distribution mismatch", _max_abs(ctx.weights - direct), tol.expectation),
+            ("bridge identity broke", np.maximum(c.bridge_residual_a, c.bridge_residual_b),
+             tol.identity * (1.0 + c.rms_a + c.rms_b)),
+            ("rms error below intrinsic error", np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b),
+             c.dominance_a & c.dominance_b, None),
+            ("chain broke", links, c.holds.all(axis=1), lambda i: f"{tuple(c.values[i].tolist())}"),
         ])
     return out
 

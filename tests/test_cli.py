@@ -171,6 +171,21 @@ class TestScan:
         assert main([*argv, "--json", str(report)]) == 0
         assert json.loads(report.read_text())["manifest"]["instances"] == 1
 
+    def test_non_finite_relation_fails(self, tmp_path):
+        """Finite entries whose products overflow give a NaN relation row,
+        and the row fails as a NaN residual fails a suite check."""
+        big = tmp_path / "big.json"
+        big.write_text(json_text(matrix_to_json(np.diag([1e200, -1e200]))))
+        povm = tmp_path / "povm.json"
+        povm.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        out, report = tmp_path / "c.csv", tmp_path / "scan.json"
+        argv = ["scan", "--family", "custom", "--povm", str(povm), "--obs-a", str(big), "--obs-b", str(big)]
+        with np.errstate(all="ignore"):
+            assert main([*argv, "--out", str(out), "--json", str(report)]) == 1
+        assert out.read_text().splitlines()[1].split(",")[8] == "nan"
+        manifest = json.loads(report.read_text())["manifest"]
+        assert (manifest["checks_passed"], manifest["checks_failed"]) == (0, 1)
+
     def test_unknown_family_is_usage_error(self, capsys):
         assert main(["scan", "--family", "nope", "--out", "/tmp/x.csv"]) == 2
         assert "unknown family" in capsys.readouterr().err

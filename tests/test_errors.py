@@ -13,15 +13,14 @@ from measerr import (
     PAULI_X,
     PAULI_Z,
     Povm,
-    haar_unitary,
     kernels,
     projective_from,
     random_observable,
-    random_povm,
     random_state,
     trivial_measurement,
     unsharp_qubit,
 )
+from measerr.generate import haar_unitary, random_povm
 from measerr.states import OutcomeSpace, ProbabilityDistribution
 
 X = HermitianObservable(PAULI_X)

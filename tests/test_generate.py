@@ -8,13 +8,11 @@ from measerr import generate
 from measerr import (
     GenConfig,
     cnot_model,
-    haar_unitary,
     induced_povm,
-    random_indirect_model,
     random_observable,
-    random_povm,
     random_state,
 )
+from measerr.generate import haar_unitary, random_indirect_model, random_povm
 
 
 class TestDeterminism:

@@ -18,10 +18,10 @@ from measerr import (
     induced_povm,
     kernels,
     qubit_state,
-    random_indirect_model,
     random_observable,
     random_state,
 )
+from measerr.generate import random_indirect_model
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)

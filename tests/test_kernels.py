@@ -13,8 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from measerr import GenConfig, kernels, random_observable, random_povm, random_state
-from measerr.generate import haar_unitaries, observable_matrices
+from measerr import GenConfig, kernels, random_observable, random_state
+from measerr.generate import haar_unitaries, observable_matrices, random_povm
 from measerr.measurement import check_effects
 from measerr.states import check_states, check_weights
 from measerr.tolerances import DEFAULT_TOL

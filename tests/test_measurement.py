@@ -20,12 +20,11 @@ from measerr import (
     kernels,
     noisy_projective,
     projective_from,
-    random_povm,
     random_state,
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import haar_unitaries
+from measerr.generate import haar_unitaries, random_povm
 from measerr.measurement import check_effects
 
 X = HermitianObservable(PAULI_X)

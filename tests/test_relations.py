@@ -16,11 +16,11 @@ from measerr import (
     projective_from,
     qubit_state,
     random_observable,
-    random_povm,
     random_state,
     schroedinger_reduction,
     trivial_measurement,
 )
+from measerr.generate import random_povm
 from measerr.serialize import relation_as_dict
 from measerr.states import OutcomeSpace, ProbabilityDistribution
 

@@ -12,10 +12,10 @@ from measerr import (
     cnot_model,
     evaluate_relation,
     random_observable,
-    random_povm,
     random_state,
     unsharp_qubit,
 )
+from measerr.generate import random_povm
 from measerr.serialize import (
     CSV_HEADER,
     format_float,

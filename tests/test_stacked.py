@@ -15,9 +15,9 @@ from measerr import (
     Povm,
     kernels,
     random_observable,
-    random_povm,
     random_state,
 )
+from measerr.generate import random_povm
 
 # Weight fraction split off the first effect: its outcome lands inside
 # tiny_support (weight ~1e-10, between the 1e-12 cutoff and 1e-8).

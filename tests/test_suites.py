@@ -2,6 +2,7 @@
 and how often the suites transport an observable."""
 
 import ast
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -17,13 +18,12 @@ from measerr import (
     Tolerances,
     chain_check,
     evaluate_relation,
-    random_indirect_model,
     random_observable,
-    random_povm,
     random_state,
 )
 from measerr import generate, kernels, suites
 from measerr.cli import main
+from measerr.generate import random_indirect_model, random_povm
 from measerr.states import check_states, pure_states
 from measerr.suites import SuiteResult
 from test_chain_kernels import chain_arguments
@@ -32,21 +32,21 @@ from test_chain_kernels import chain_arguments
 class TestSuiteResult:
     def test_finite_residuals_keep_the_largest(self):
         out = SuiteResult("s")
-        out.record(True, 1e-12, "")
-        out.record(True, 3e-12, "")
-        out.record(True, 2e-12, "")
+        for residual in (1e-12, 3e-12, 2e-12):
+            out.record_block(2, range(1), [("s", residual, 1.0)])
         assert (out.checks, out.failures, out.worst) == (3, 0, 3e-12)
 
     def test_non_finite_residual_is_a_failure_and_the_worst(self):
-        for bad in (math.nan, math.inf):
+        # whatever a kernel's verdict (True) or a numeric slack (inf) says
+        for slack, bad in itertools.product((True, math.inf), (math.nan, math.inf)):
             out = SuiteResult("s")
-            out.record(True, 1e-12, "fine")
-            out.record(True, bad, "non-finite")
-            out.record(True, 5.0, "fine again")
+            out.record_block(2, range(1), [("fine", 1e-12, slack)])
+            out.record_block(2, range(1), [("non-finite", bad, slack, None)])
+            out.record_block(2, range(1), [("fine again", 5.0, slack)])
             assert out.checks == 3
             assert out.failures == 1
             assert not out.passed
-            assert out.messages == ["non-finite"]
+            assert out.messages == ["non-finite at dim=2 i=0"]
             assert not math.isfinite(out.worst)
             assert repr(out.worst) == repr(bad)
 
@@ -132,28 +132,60 @@ class TestTransportOnce:
 
 
 class TestRecordBlock:
-    def test_matches_record_check_by_check(self):
+    def test_matches_one_instance_blocks_check_by_check(self):
         rng = np.random.default_rng(0)
         n = 40
-        residuals = [rng.uniform(0.0, 2.0, n) for _ in range(3)]
+        residuals = [rng.uniform(0.0, 2.0, n) for _ in range(4)]
         residuals[1][[7, 30]] = [math.nan, math.inf]
-        oks = [r <= 1.5 for r in residuals]
-        checks = [(ok, r, f"check {k}", lambda i: f"{i}") for k, (ok, r) in enumerate(zip(oks, residuals))]
+
+        def checks(rows, label):
+            """The checks of the instances ``rows``, each kind of slack and detail."""
+            r = [x[rows] for x in residuals]
+            return [
+                ("check 0", r[0], 1.5),
+                ("check 1", r[1], 1.5, lambda i: f"{label(i)}"),
+                ("check 2", r[2], r[2] <= 1.5, None),
+                ("check 3", r[3], np.full(len(r[3]), 1.5)),
+            ]
+
         block = SuiteResult("s")
-        block.record(True, 0.25, "")
-        block.record_block(3, range(10, 10 + n), checks)
+        block.record_block(3, range(1), [("first", 0.25, 1.0)])
+        block.record_block(3, range(10, 10 + n), checks(slice(None), lambda i: i))
         single = SuiteResult("s")
-        single.record(True, 0.25, "")
+        single.record_block(3, range(1), [("first", 0.25, 1.0)])
         for i in range(n):
-            for k, (ok, r) in enumerate(zip(oks, residuals)):
-                single.record(bool(ok[i]), float(r[i]), f"check {k} at dim=3 i={10 + i}: {i}")
+            single.record_block(3, range(10 + i, 11 + i), checks(slice(i, i + 1), lambda _, i=i: i))
+        assert block.failures > 5
         assert (block.checks, block.failures, block.messages) == (single.checks, single.failures, single.messages)
         assert repr(block.worst) == repr(single.worst) == "nan"
 
     def test_scalar_checks_broadcast(self):
         out = SuiteResult("s")
-        out.record_block(2, range(2), [(True, 0.0, "a"), (np.array([True, False]), np.array([1.0, 2.0]), "b")])
+        out.record_block(2, range(2), [("a", 0.0, 1.0), ("b", np.array([1.0, 2.0]), 1.5, None)])
         assert (out.checks, out.failures, out.worst, out.messages) == (4, 1, 2.0, ["b at dim=2 i=1"])
+
+    def test_boolean_slack_is_the_verdict(self):
+        # a residual above any numeric slack passes on a true verdict, one
+        # of 0 fails on a false one, and a NaN fails on a true one
+        out = SuiteResult("s")
+        out.record_block(2, range(3), [("v", np.array([5.0, 0.0, math.nan]), np.array([True, False, True]))])
+        assert (out.checks, out.failures) == (3, 2)
+        assert out.messages == ["v at dim=2 i=1: 0.000e+00", "v at dim=2 i=2: nan"]
+        assert repr(out.worst) == "nan"
+
+    def test_detail_default_none_and_callable(self):
+        out = SuiteResult("s")
+        out.record_block(4, range(5, 6), [
+            ("default", 2.0, 1.0), ("none", 2.0, 1.0, None), ("callable", 2.0, 1.0, lambda i: f"row {i}"),
+        ])
+        assert out.messages == [
+            "default at dim=4 i=5: 2.000e+00", "none at dim=4 i=5", "callable at dim=4 i=5: row 0",
+        ]
+
+    def test_negative_residual_is_never_the_worst(self):
+        out = SuiteResult("s")
+        out.record_block(2, range(2), [("room", np.array([-3.0, -1e-300]), 0.0)])
+        assert (out.checks, out.failures, out.worst) == (2, 0, 0.0)
 
 
 # The layout and the drawer of each verify suite ("contractivity" draws as

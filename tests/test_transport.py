@@ -17,11 +17,11 @@ from measerr import (
     kernels,
     projective_from,
     random_observable,
-    random_povm,
     random_state,
     trivial_measurement,
     unsharp_qubit,
 )
+from measerr.generate import random_povm
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
