@@ -5,7 +5,9 @@ pullback transport, measurement-error functionals, the error-error
 uncertainty bound sqrt(R^2 + I^2) with its standard-deviation and
 commutator reductions, and indirect-model comparisons.  Every formula is in
 ``measerr.kernels``, which works on stacked arrays; the names exported here
-are the types, constructors and single-instance checks the CLI uses.
+are the types, constructors and single-instance checks the CLI uses, and
+``local_context``, which pins effects to a state as the ``kernels.Context``
+those kernels take.
 """
 
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -27,7 +29,7 @@ from .measurement import (
     trivial_measurement,
     unsharp_qubit,
 )
-from .transport import LocalContext
+from .transport import local_context
 from .relations import evaluate_relation, schroedinger_reduction
 from .indirect import (
     IndirectModel,
@@ -61,7 +63,7 @@ __all__ = [
     "projective_from",
     "trivial_measurement",
     "unsharp_qubit",
-    "LocalContext",
+    "local_context",
     "evaluate_relation",
     "schroedinger_reduction",
     "IndirectModel",

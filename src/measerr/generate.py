@@ -31,7 +31,7 @@ from .states import DensityOperator, HermitianObservable, OutcomeSpace, pure_sta
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
-MIXEDNESS_CHOICES = ("pure", "ginibre", "blend")
+MIXEDNESS_CHOICES = ("pure", "ginibre")
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,12 @@ class GenConfig:
     """Instance-generator knobs.
 
     mixedness: "pure" for Haar-random pure states, "ginibre" for generic
-    full-rank mixed states, "blend" for a ginibre state mixed with the
-    maximally mixed one at weight ``blend``.
+    full-rank mixed states.
     """
 
     dim: int = 2
     outcomes: int = 2
     mixedness: str = "ginibre"
-    blend: float = 0.5
 
     def __post_init__(self):
         if self.dim < 2:
@@ -55,8 +53,6 @@ class GenConfig:
             raise ValueError("need at least one outcome")
         if self.mixedness not in MIXEDNESS_CHOICES:
             raise ValueError(f"mixedness must be one of {MIXEDNESS_CHOICES}")
-        if not 0.0 <= self.blend <= 1.0:
-            raise ValueError("blend weight must lie in [0, 1]")
 
 
 def gaussians(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
@@ -116,29 +112,22 @@ def ginibre_states(g: np.ndarray) -> np.ndarray:
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def observable_matrices(draws: np.ndarray, *, traceless: bool = False) -> np.ndarray:
-    """Gaussian Hermitian matrices (G + G^dag)/2 from one draw or a stack,
-    optionally trace-projected."""
-    mat = (draws + draws.conj().swapaxes(-1, -2)) / 2.0
-    if traceless:
-        dim = mat.shape[-1]
-        mat = mat - (np.trace(mat, axis1=-2, axis2=-1).real / dim)[..., None, None] * np.eye(dim)
-    return mat
+def observable_matrices(draws: np.ndarray) -> np.ndarray:
+    """Gaussian Hermitian matrices (G + G^dag)/2 from one draw or a stack."""
+    return (draws + draws.conj().swapaxes(-1, -2)) / 2.0
 
 
 def random_state(cfg: GenConfig, rng: np.random.Generator) -> DensityOperator:
     pure = cfg.mixedness == "pure"
     raw = gaussians(rng, (2, cfg.dim) if pure else (2, cfg.dim, cfg.dim))
     mat = pure_states(complex_stack(raw, axis=-2))[0] if pure else ginibre_states(complex_stack(raw))[0]
-    if cfg.mixedness == "blend":
-        mat = (1.0 - cfg.blend) * mat + cfg.blend * np.eye(cfg.dim) / cfg.dim
     return DensityOperator(mat)
 
 
-def random_observable(cfg: GenConfig, rng: np.random.Generator, *, traceless: bool = False) -> HermitianObservable:
-    """Gaussian Hermitian matrix (G + G^dag)/2, optionally trace-projected."""
+def random_observable(cfg: GenConfig, rng: np.random.Generator) -> HermitianObservable:
+    """Gaussian Hermitian matrix (G + G^dag)/2."""
     raw = gaussians(rng, (2, cfg.dim, cfg.dim))
-    return HermitianObservable(observable_matrices(complex_stack(raw), traceless=traceless)[0])
+    return HermitianObservable(observable_matrices(complex_stack(raw))[0])
 
 
 def random_povm(cfg: GenConfig, rng: np.random.Generator) -> Povm:

@@ -17,7 +17,7 @@ import numpy as np
 from . import kernels
 from .measurement import MeasurementKind, Povm
 from .states import DensityOperator, HermitianObservable, OutcomeSpace, PAULI_Z, _check_finite, _check_same_dim
-from .transport import LocalContext
+from .transport import local_context
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -105,9 +105,9 @@ def chain_check(
     the rms error to the identity-estimator f-error of the induced
     measurement, which is the decisive correctness check of the induced POVM."""
     povm = induced_povm(model)
-    ctx = LocalContext(povm, rho)
+    ctx = local_context(povm.effects, rho.matrix)
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
     return kernels.chain(
-        ctx.arrays, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), tol.identity
+        ctx, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), tol.identity
     )

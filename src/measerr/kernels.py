@@ -1,11 +1,12 @@
 """The numerical core: pure functions on stacked arrays.
 
 Each formula of the package lives here once.  The object API that the CLI
-uses (``LocalContext``, ``evaluate_relation``, ``schroedinger_reduction``,
-``chain_check``, ``induced_povm``, ``Povm.apply``) calls it on single
-instances and returns its records as they are, with numpy scalars in their
-scalar fields; the suites call it on whole (suite, dimension) blocks, and
-the tests call it directly.
+uses (``evaluate_relation``, ``schroedinger_reduction``, ``chain_check``,
+``induced_povm``) calls it on single instances and returns its records as
+they are, with numpy scalars in their scalar fields; the suites call it on
+whole (suite, dimension) blocks, and the tests call it directly.  Both pin
+measurements to states through ``transport.local_context``, which returns
+this module's ``Context``.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
@@ -166,6 +167,10 @@ class Context(_Record):
     (weights above ``DEFAULT_TOL.support_cutoff``)."""
 
     __slots__ = ("effects", "rho", "weights", "mask")
+
+    @property
+    def dim(self) -> int:
+        return self.rho.shape[-1]
 
 
 def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Context:

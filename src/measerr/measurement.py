@@ -2,8 +2,10 @@
 
 Every affine map from density operators to distributions over finitely many
 outcomes is realized by a POVM, so this module's ``Povm`` is the concrete
-carrier for all measurements handled by the package.  Its adjoint, which
-sends outcome functions back to operators, is ``kernels.adjoint``.
+carrier for all measurements handled by the package.  Its outcome
+distribution at a state is the weights of ``transport.local_context(effects,
+rho)``; its adjoint, which sends outcome functions back to operators, is
+``kernels.adjoint``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from . import kernels
 from .states import (
-    DensityOperator,
     HermitianObservable,
     OutcomeSpace,
     PAULI_X,
@@ -82,12 +83,6 @@ class Povm:
     @property
     def dim(self) -> int:
         return self.effects.shape[1]
-
-    def apply(self, rho: DensityOperator) -> ProbabilityDistribution:
-        """Born weights Tr[E_w rho]."""
-        if rho.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {rho.dim}")
-        return ProbabilityDistribution(self.space, kernels.born(self.effects, rho.matrix))
 
     def __repr__(self) -> str:
         return f"Povm(kind={self.kind.value!r}, dim={self.dim}, outcomes={self.space.size})"

@@ -16,11 +16,11 @@ from __future__ import annotations
 from . import kernels
 from .measurement import trivial_measurement
 from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution, _check_same_dim
-from .transport import LocalContext
+from .transport import local_context
 
 
 def evaluate_relation(
-    ctx: LocalContext, a: HermitianObservable, b: HermitianObservable, *, sign_flip: bool = False
+    ctx: kernels.Context, a: HermitianObservable, b: HermitianObservable, *, sign_flip: bool = False
 ) -> kernels.Relation:
     """eps_a, eps_b, R, I and the bound, from one transport per observable
     (``kernels.relation``, which holds the formulas and the ``sign_flip``
@@ -29,11 +29,12 @@ def evaluate_relation(
     read."""
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
-    return kernels.relation(ctx.arrays, a.matrix, b.matrix, sign_flip=sign_flip)
+    return kernels.relation(ctx, a.matrix, b.matrix, sign_flip=sign_flip)
 
 
 def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:
     """The relation under a trivial measurement (``kernels.schroedinger``)."""
     space = OutcomeSpace(("t0", "t1"), (0.0, 1.0))
-    ctx = LocalContext(trivial_measurement(ProbabilityDistribution(space, [0.5, 0.5]), rho.dim), rho)
-    return kernels.schroedinger(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+    povm = trivial_measurement(ProbabilityDistribution(space, [0.5, 0.5]), rho.dim)
+    ctx = local_context(povm.effects, rho.matrix)
+    return kernels.schroedinger(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))

@@ -163,12 +163,12 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def relation_as_dict(ctx, report) -> dict:
-    """The relation ``report`` (from ``evaluate_relation``) on ``ctx`` under
-    its serialized names, in CSV column order."""
+def relation_as_dict(povm: Povm, report) -> dict:
+    """The relation ``report`` (from ``evaluate_relation``) under ``povm``
+    with its serialized names, in CSV column order."""
     return {
-        "dim": ctx.dim,
-        "kind": ctx.povm.kind.value,
+        "dim": povm.dim,
+        "kind": povm.kind.value,
         "epsA": report.eps_a,
         "epsB": report.eps_b,
         "R": report.real_term,
@@ -180,10 +180,10 @@ def relation_as_dict(ctx, report) -> dict:
     }
 
 
-def relation_csv_row(ctx, report, param: float | None) -> str:
+def relation_csv_row(povm: Povm, report, param: float | None) -> str:
     """One CSV line in the fixed column order; the param cell is empty when
     the row does not belong to a parameter scan."""
-    d = relation_as_dict(ctx, report)
+    d = relation_as_dict(povm, report)
     numbers = [format_float(d[key], 12) for key in ("epsA", "epsB", "R", "I", "bound", "slack", "naiveBound")]
     param_cell = "" if param is None else format_float(param, 12)
     return ",".join([str(d["dim"]), d["kind"], param_cell, *numbers, "true" if d["naiveViolated"] else "false"])

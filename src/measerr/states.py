@@ -127,39 +127,6 @@ class HermitianObservable:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "HermitianObservable":
-        return cls(np.eye(dim, dtype=complex))
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray) -> "HermitianObservable":
-        """Wrap a matrix Hermitian by construction (a real combination of validated
-        operators, a symmetrized projector) without validating it again."""
-        obs = cls.__new__(cls)
-        matrix.setflags(write=False)
-        obs.matrix = matrix
-        return obs
-
-    def __add__(self, other: "HermitianObservable") -> "HermitianObservable":
-        _check_same_dim(self, other)
-        return HermitianObservable._trusted(self.matrix + other.matrix)
-
-    def __sub__(self, other: "HermitianObservable") -> "HermitianObservable":
-        _check_same_dim(self, other)
-        return HermitianObservable._trusted(self.matrix - other.matrix)
-
-    def __neg__(self) -> "HermitianObservable":
-        return HermitianObservable._trusted(-self.matrix)
-
-    def __rmul__(self, scalar: float) -> "HermitianObservable":
-        if isinstance(scalar, complex) and abs(scalar.imag) > 0:
-            raise TypeError("only real scalars keep an observable self-adjoint")
-        if not np.isfinite(scalar):
-            raise ValueError(f"scalar must be finite, got {scalar}")
-        return HermitianObservable._trusted(float(scalar) * self.matrix)
-
-    __mul__ = __rmul__
-
     def __repr__(self) -> str:
         return f"HermitianObservable(dim={self.dim})"
 

@@ -35,6 +35,7 @@ from .indirect import check_unitaries
 from .measurement import check_effects
 from .states import check_observables, check_states, check_weights, pure_states
 from .tolerances import DEFAULT_TOL, Tolerances
+from .transport import local_context
 
 _SUITE_STREAM = {
     "affineness": 1,
@@ -296,13 +297,9 @@ def _observables(g) -> np.ndarray:
     return check_observables(observable_matrices(np.asarray(g)))
 
 
-def _context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
-    return kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))
-
-
 def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
     """The context and the two observables of ``_draw_instance`` columns."""
-    return _context(cols["povm"], cols["rho"]), _observables(cols["a"]), _observables(cols["b"])
+    return local_context(cols["povm"], cols["rho"]), _observables(cols["a"]), _observables(cols["b"])
 
 
 def _projective(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -501,7 +498,7 @@ def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
 
         # constructed errorless case: projectively measure a itself
         rho = cols["rho2"]
-        exact = _context(_projective(a)[1], rho)
+        exact = local_context(_projective(a)[1], rho)
         scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
         shifted = scale * a + shift * np.eye(dim, dtype=complex)
         exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
@@ -536,7 +533,7 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         a, b = _observables(cols["a"]), _observables(cols["b"])
         effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(dim, dtype=complex)
         check_effects(effects)
-        ctx = _context(effects, rho)
+        ctx = local_context(effects, rho)
         rel = kernels.relation(ctx, a, b)
         red = kernels.schroedinger(ctx, a, b, rel)
         terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
@@ -580,7 +577,7 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
         xi, u, rho, a, b = _chain_models(states, dim, ancilla)
         effects = kernels.induced_effects(u, xi, projectors)
         check_effects(effects)
-        ctx = _context(effects, rho)
+        ctx = local_context(effects, rho)
         joint = kernels.kron(rho, xi)
         c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, tol.identity)
 

@@ -5,11 +5,12 @@ and a quantum one at rho.  The pullback carries outcome functions to
 operators (the adjoint, descended to equivalence classes); the pushforward
 carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
-``LocalContext`` pins the pair; its ``arrays`` is the ``kernels.Context``
-that ``kernels.pushforward``, ``kernels.pullback`` and ``kernels.transport``
-take.  ``kernels.transport`` pushes one observable forward once and returns,
-with the pushforward, its round trip, the error and the norm ||A||_rho;
-callers read that record instead of deriving any of the four again.
+``local_context`` pins the pair, for one instance or a stack, as the
+``kernels.Context`` that ``kernels.pushforward``, ``kernels.pullback`` and
+``kernels.transport`` take.  ``kernels.transport`` pushes one observable
+forward once and returns, with the pushforward, its round trip, the error
+and the norm ||A||_rho; callers read that record instead of deriving any of
+the four again.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.
@@ -20,45 +21,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .measurement import Povm
-from .states import DensityOperator
-from .tolerances import DEFAULT_TOL
+from .states import check_weights
 
 
-class LocalContext:
-    """A measurement pinned to a state, with the outcome distribution cached.
-
-    ``support`` holds the labels with weight above the cutoff; ``tiny_support``
-    flags the ones close enough to zero (at most ``DEFAULT_TOL.tiny_support``) that
-    dividing by them is numerically delicate; both are computed when read.
-    ``arrays`` is the same context as the ``kernels.Context`` of one instance.
-    """
-
-    def __init__(self, povm: Povm, rho: DensityOperator):
-        self.povm = povm
-        self.rho = rho
-        self.prob = povm.apply(rho)
-        self.arrays = kernels.context(povm.effects, rho.matrix, self.prob.weights)
-        self.arrays.mask.setflags(write=False)
-
-    @property
-    def support(self) -> frozenset:
-        return self._labels(self.arrays.mask)
-
-    @property
-    def tiny_support(self) -> frozenset:
-        return self._labels(self.arrays.mask & (self.prob.weights <= DEFAULT_TOL.tiny_support))
-
-    def _labels(self, where: np.ndarray) -> frozenset:
-        return frozenset(np.array(self.space.labels, dtype=object)[where])
-
-    @property
-    def dim(self) -> int:
-        return self.povm.dim
-
-    @property
-    def space(self):
-        return self.povm.space
-
-    def __repr__(self) -> str:
-        return f"LocalContext({self.povm!r}, dim={self.dim})"
+def local_context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
+    """Validated effects ``(..., n, d, d)`` pinned to validated states
+    ``(..., d, d)``: their Born weights, checked by ``check_weights`` (which
+    clips roundoff-negative weights to zero), and the support mask."""
+    if effects.shape[-1] != rho.shape[-1]:
+        raise ValueError(f"dimension mismatch: {effects.shape[-1]} vs {rho.shape[-1]}")
+    return kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))

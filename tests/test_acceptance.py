@@ -12,7 +12,6 @@ import oracles
 from measerr import (
     DensityOperator,
     HermitianObservable,
-    LocalContext,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
@@ -20,6 +19,7 @@ from measerr import (
     cnot_model,
     evaluate_relation,
     kernels,
+    local_context,
     projective_from,
     qubit_state,
     schroedinger_reduction,
@@ -118,8 +118,8 @@ def test_criterion_6_closed_form_family():
     mixed = DensityOperator.maximally_mixed(2)
     worst = 0.0
     for eta in [k / 10.0 for k in range(11)]:
-        ctx = LocalContext(unsharp_qubit((0, 0, 1), eta), mixed)
-        measured = kernels.transport(ctx.arrays, Z.matrix).error
+        ctx = local_context(unsharp_qubit((0, 0, 1), eta).effects, mixed.matrix)
+        measured = kernels.transport(ctx, Z.matrix).error
         brute = oracles.unsharp_eps_z(eta)
         closed = float(np.sqrt(1.0 - eta * eta))
         worst = max(worst, abs(measured - brute), abs(measured - closed))
@@ -128,7 +128,7 @@ def test_criterion_6_closed_form_family():
 
 
 def test_criterion_7_commutator_bound_undercut():
-    ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+    ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
     rel = evaluate_relation(ctx, X, Z)
     ok = (
         abs(rel.eps_a * rel.eps_b) <= 1e-10

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from measerr import DensityOperator, GenConfig, random_observable, random_state
+from measerr import DensityOperator, GenConfig, local_context, random_observable, random_state
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter
 from measerr.states import check_states
@@ -64,7 +64,7 @@ def chain_arguments(seed, dim, ancilla, block):
     xi, u, rho, a, b = chain_models(seed, dim, ancilla, block)
     meter = diagonal_meter(ancilla)
     values, projectors = kernels.spectral(meter)
-    ctx = suites._context(kernels.induced_effects(u, xi, projectors), rho)
+    ctx = local_context(kernels.induced_effects(u, xi, projectors), rho)
     return ctx, a, b, kernels.heisenberg(u, meter), kernels.kron(rho, xi), values
 
 
@@ -142,7 +142,7 @@ def test_shared_values_are_the_per_call_values(dim, ancilla):
     instances alone, on the induced measurement and on a trivial one."""
     ctx, a, b, meter_h, joint, values = chain_arguments(7, dim, ancilla, range(4))
     p0 = np.random.default_rng(dim * ancilla).dirichlet(np.ones(3), 4)
-    trivial = suites._context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
+    trivial = local_context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
     f = np.random.default_rng(dim).uniform(-2.0, 2.0, ancilla)
     for k in (slice(None), 0, 1, 2, 3):
         args = [ctx.effects[k], ctx.rho[k], ctx.weights[k]]

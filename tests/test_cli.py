@@ -2,17 +2,19 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import measerr
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
-from measerr.generate import GenConfig, random_indirect_model
+from measerr.generate import GenConfig, random_indirect_model, random_povm
 from measerr.serialize import json_text, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import cnot_model
 from measerr.measurement import unsharp_qubit
@@ -211,6 +213,27 @@ class TestScan:
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "custom", "--povm", "POVM3", "--state", "STATE2"],
+        ["--family", "unsharp", "--obs-a", "OBS3"],
+        ["--family", "noisy-projective", "--obs-a", "OBS3"],
+        ["--family", "unsharp", "--obs-b", "OBS3"],
+    ])
+    def test_dimension_mismatch_is_usage_error(self, argv, tmp_path, capsys):
+        """A 3-dimensional POVM, or observable, against the 2-dimensional state."""
+        files = {
+            "POVM3": povm_to_json(random_povm(GenConfig(dim=3), np.random.default_rng(0))),
+            "STATE2": matrix_to_json(np.eye(2) / 2),
+            "OBS3": matrix_to_json(np.diag([1.0, 0.0, -1.0])),
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_text(json_text(data))
+        out = tmp_path / "scan.csv"
+        argv = [str(tmp_path / arg) if arg in files else arg for arg in argv]
+        assert main(["scan", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dimension mismatch: 3 vs 2\n"
+        assert not out.exists()
+
     def test_empty_grid_is_usage_error(self, tmp_path):
         out = tmp_path / "empty.csv"
         with pytest.raises(SystemExit) as excinfo:
@@ -280,6 +303,19 @@ class TestDemo:
         main(["demo", "naive-violation"])
         second = capsys.readouterr().out.split("manifest:")[0]
         assert first == second
+
+    @pytest.mark.parametrize("slack,product,holds", [
+        (-2e-9, 3.0, True),
+        (-5e-9, 3.0, False),
+        (math.inf, 1.0, False),
+        (math.nan, 1.0, False),
+    ])
+    def test_naive_violation_judges_the_relation_as_scan_does(self, slack, product, holds, monkeypatch, capsys):
+        """main-relation's rule: -slack finite and at most 1e-9 (1 + |epsA epsB|)."""
+        report = SimpleNamespace(eps_a=product, eps_b=1.0, bound=0.0, naive_bound=0.8, naive_violated=True, slack=slack)
+        monkeypatch.setattr("measerr.cli.evaluate_relation", lambda *args: report)
+        assert main(["demo", "naive-violation"]) == (0 if holds else 1)
+        assert f"(relation itself holds: {holds})" in capsys.readouterr().out
 
     def test_unknown_demo_is_usage_error(self, capsys):
         assert main(["demo", "not-a-demo"]) == 2

@@ -9,11 +9,11 @@ from measerr import (
     DensityOperator,
     GenConfig,
     HermitianObservable,
-    LocalContext,
     PAULI_X,
     PAULI_Z,
     Povm,
     kernels,
+    local_context,
     projective_from,
     random_observable,
     random_state,
@@ -29,50 +29,51 @@ MIXED = DensityOperator.maximally_mixed(2)
 
 
 def eps(ctx, a):
-    return kernels.transport(ctx.arrays, a.matrix).error
+    return kernels.transport(ctx, a.matrix).error
 
 
 def f_error_split(ctx, a, f):
-    return kernels.f_error_split(ctx.arrays, a.matrix, kernels.transport(ctx.arrays, a.matrix), f)
+    return kernels.f_error_split(ctx, a.matrix, kernels.transport(ctx, a.matrix), f)
 
 
 def pushforward(ctx, a):
-    return kernels.pushforward(ctx.arrays, a.matrix)
+    return kernels.pushforward(ctx, a.matrix)
 
 
 def conditions(ctx, a):
-    return kernels.errorless(ctx.arrays, a.matrix)
+    return kernels.errorless(ctx, a.matrix)
 
 
 def random_ctx(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)), mixedness=mixedness)
-    return LocalContext(random_povm(cfg, rng), random_state(cfg, rng)), random_observable(cfg, rng), rng
+    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
+    return ctx, random_observable(cfg, rng), rng
 
 
 class TestQuantumError:
     def test_projective_own_basis_is_errorless(self):
-        ctx = LocalContext(projective_from(Z), MIXED)
+        ctx = local_context(projective_from(Z).effects, MIXED.matrix)
         assert eps(ctx, Z) <= 1e-12
 
     def test_projective_transverse_is_maximal(self):
-        ctx = LocalContext(projective_from(Z), MIXED)
+        ctx = local_context(projective_from(Z).effects, MIXED.matrix)
         assert eps(ctx, X) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsharp_closed_form(self):
-        ctx = LocalContext(unsharp_qubit((0, 0, 1), 0.6), MIXED)
+        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6).effects, MIXED.matrix)
         assert oracles.unsharp_eps_z(0.6) == pytest.approx(0.8, abs=1e-12)
         assert eps(ctx, Z) == pytest.approx(0.8, abs=1e-10)
 
     def test_matches_brute_formula_on_sweep(self):
         for seed in range(10):
             ctx, a, _ = random_ctx(3, seed)
-            brute = oracles.quantum_error_brute(ctx.povm.effects, ctx.rho.matrix, a.matrix)
+            brute = oracles.quantum_error_brute(ctx.effects, ctx.rho, a.matrix)
             assert eps(ctx, a) == pytest.approx(brute, abs=1e-9)
 
     def test_unsharp_eta_grid(self):
         for eta in np.arange(0.0, 1.01, 0.1):
-            ctx = LocalContext(unsharp_qubit((0, 0, 1), float(eta)), MIXED)
+            ctx = local_context(unsharp_qubit((0, 0, 1), float(eta)).effects, MIXED.matrix)
             closed = np.sqrt(1 - eta * eta)
             assert eps(ctx, Z) == pytest.approx(closed, abs=1e-10)
             assert eps(ctx, Z) == pytest.approx(
@@ -89,13 +90,15 @@ class TestFError:
             assert breakdown.estimation_error <= 1e-12
 
     def test_exact_reconstruction(self):
-        ctx = LocalContext(projective_from(Z), MIXED)
-        f = np.array(ctx.space.values)
+        povm = projective_from(Z)
+        ctx = local_context(povm.effects, MIXED.matrix)
+        f = np.array(povm.space.values)
         assert f_error_split(ctx, Z, f).f_error <= 1e-12
 
     def test_scaled_estimator_pays_one(self):
-        ctx = LocalContext(projective_from(Z), MIXED)
-        f = 2.0 * np.array(ctx.space.values)
+        povm = projective_from(Z)
+        ctx = local_context(povm.effects, MIXED.matrix)
+        f = 2.0 * np.array(povm.space.values)
         breakdown = f_error_split(ctx, Z, f)
         assert breakdown.estimation_error == pytest.approx(1.0, abs=1e-12)
         assert breakdown.f_error == pytest.approx(1.0, abs=1e-12)
@@ -103,7 +106,7 @@ class TestFError:
     def test_decomposition_residual_sweep(self):
         for seed in range(20):
             ctx, a, rng = random_ctx(int(rng_dim(seed)), 100 + seed)
-            f = rng.uniform(-2, 2, ctx.space.size)
+            f = rng.uniform(-2, 2, len(ctx.weights))
             breakdown = f_error_split(ctx, a, f)
             residual = abs(
                 breakdown.f_error**2 - breakdown.quantum_error**2 - breakdown.estimation_error**2
@@ -124,22 +127,22 @@ class TestMinimality:
     def test_frozen_quadratic_excess(self):
         # sharpness 0.6, delta = (1,-1), t = 0.1: excess must be exactly
         # t^2 ||delta||_p^2 = 0.01 with the uniform outcome distribution
-        ctx = LocalContext(unsharp_qubit((0, 0, 1), 0.6), MIXED)
+        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6).effects, MIXED.matrix)
         opt = pushforward(ctx, Z)
         delta = np.array([1.0, -1.0])
         perturbed = f_error_split(ctx, Z, opt + 0.1 * delta)
         excess = perturbed.f_error**2 - eps(ctx, Z) ** 2
-        assert kernels.class_norm(delta, ctx.prob.weights) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.class_norm(delta, ctx.weights) == pytest.approx(1.0, abs=1e-12)
         assert excess == pytest.approx(0.01, abs=1e-12)
 
 
 class TestErrorless:
     def test_own_basis_all_true(self):
-        conds = conditions(LocalContext(projective_from(Z), MIXED), Z)
+        conds = conditions(local_context(projective_from(Z).effects, MIXED.matrix), Z)
         assert conds.cond_a and conds.cond_b and conds.cond_c
 
     def test_transverse_all_false(self):
-        conds = conditions(LocalContext(projective_from(Z), MIXED), X)
+        conds = conditions(local_context(projective_from(Z).effects, MIXED.matrix), X)
         assert not (conds.cond_a or conds.cond_b or conds.cond_c)
 
     def test_state_local_equivalence(self):
@@ -147,7 +150,7 @@ class TestErrorless:
         # state: the pushforward is the constant 1 and its pullback is the
         # identity, which agrees with X on the state
         plus = DensityOperator.pure([1, 1])
-        ctx = LocalContext(projective_from(Z), plus)
+        ctx = local_context(projective_from(Z).effects, plus.matrix)
         f = pushforward(ctx, X)
         assert np.allclose(f, 1.0, atol=1e-10)
         conds = conditions(ctx, X)
@@ -176,7 +179,7 @@ class TestErrorless:
         for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
                               (1e-5, False), (1e-4, False), (1e-2, False)]:
             povm = Povm(space, [p1 + mu * p2, (1.0 - mu) * p2])
-            conds = conditions(LocalContext(povm, rho), a)
+            conds = conditions(local_context(povm.effects, rho.matrix), a)
             assert (conds.cond_a, conds.cond_b, conds.cond_c) == (errorless,) * 3, (mu, conds)
 
 
@@ -184,7 +187,7 @@ class TestErrorless:
 @given(t=st.floats(-3.0, 3.0), seed=st.integers(0, 10**6))
 def test_homogeneity(t, seed):
     ctx, a, _ = random_ctx(3, seed)
-    scaled = eps(ctx, t * a)
+    scaled = eps(ctx, HermitianObservable(t * a.matrix))
     base = eps(ctx, a)
     assert abs(scaled - abs(t) * base) <= 1e-10 * (1 + abs(t)) * (1 + base)
 
@@ -195,10 +198,10 @@ def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
-    ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
+    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
     a = random_observable(cfg, rng)
     b = random_observable(cfg, rng)
-    assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, a + b) - 1e-9
+    assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, HermitianObservable(a.matrix + b.matrix)) - 1e-9
 
 
 def test_trivial_measurement_reduces_to_standard_deviation():
@@ -209,5 +212,5 @@ def test_trivial_measurement_reduces_to_standard_deviation():
         cfg = GenConfig(dim=3)
         rho = random_state(cfg, rng)
         a = random_observable(cfg, rng)
-        ctx = LocalContext(trivial_measurement(p0, 3), rho)
+        ctx = local_context(trivial_measurement(p0, 3).effects, rho.matrix)
         assert eps(ctx, a) == pytest.approx(kernels.std_dev(a.matrix, rho.matrix), abs=1e-10)

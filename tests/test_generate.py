@@ -9,6 +9,7 @@ from measerr import (
     GenConfig,
     cnot_model,
     induced_povm,
+    local_context,
     random_observable,
     random_state,
 )
@@ -56,10 +57,6 @@ class TestStates:
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
-    def test_full_blend_is_maximally_mixed(self):
-        rho = random_state(GenConfig(dim=3, mixedness="blend", blend=1.0), np.random.default_rng(3))
-        assert np.allclose(rho.matrix, np.eye(3) / 3, atol=1e-15)
-
     def test_clipping_is_rare(self):
         clipped = 0
         for seed in range(100):
@@ -78,10 +75,6 @@ class TestObservables:
             a = random_observable(GenConfig(dim=4), np.random.default_rng(seed))
             assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
 
-    def test_traceless_projection(self):
-        a = random_observable(GenConfig(dim=2), np.random.default_rng(5), traceless=True)
-        assert abs(np.trace(a.matrix)) <= 1e-12
-
 
 class TestPovms:
     def test_single_outcome_forces_identity(self):
@@ -98,7 +91,7 @@ class TestPovms:
             cfg = GenConfig(dim=3, outcomes=4)
             povm = random_povm(cfg, np.random.default_rng(seed))
             rho = random_state(cfg, np.random.default_rng(seed))
-            assert float(np.min(povm.apply(rho).weights)) > 0.0
+            assert float(np.min(local_context(povm.effects, rho.matrix).weights)) > 0.0
 
 
 @pytest.mark.parametrize("axis,shape", [(-3, (6, 2, 5, 5)), (-2, (6, 2, 5))])
@@ -164,5 +157,3 @@ class TestConfigValidation:
             GenConfig(outcomes=0)
         with pytest.raises(ValueError):
             GenConfig(mixedness="thermal")
-        with pytest.raises(ValueError):
-            GenConfig(blend=1.5)

@@ -7,12 +7,12 @@ from measerr import (
     DensityOperator,
     GenConfig,
     HermitianObservable,
-    LocalContext,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     evaluate_relation,
     kernels,
+    local_context,
     projective_from,
     qubit_state,
     random_observable,
@@ -40,13 +40,13 @@ def commutator(a, b, rho):
 
 
 def errorless_a(ctx, a):
-    return kernels.errorless(ctx.arrays, a.matrix).cond_a
+    return kernels.errorless(ctx, a.matrix).cond_a
 
 
 def random_setup(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 7)), mixedness=mixedness)
-    ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
+    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
     return ctx, random_observable(cfg, rng), random_observable(cfg, rng), rng
 
 
@@ -55,7 +55,7 @@ def trivial_ctx(rho, seed=0):
     k = int(rng.integers(1, 5))
     space = OutcomeSpace.from_values(np.arange(float(k)))
     p0 = ProbabilityDistribution(space, rng.dirichlet(np.ones(k)))
-    return LocalContext(trivial_measurement(p0, rho.dim), rho)
+    return local_context(trivial_measurement(p0, rho.dim).effects, rho.matrix)
 
 
 class TestRealPart:
@@ -71,13 +71,13 @@ class TestRealPart:
             assert evaluate_relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
-        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         assert evaluate_relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_case_is_squared_error(self):
         for seed in range(8):
             ctx, a, _, _ = random_setup(3, 40 + seed)
-            eps = kernels.transport(ctx.arrays, a.matrix).error
+            eps = kernels.transport(ctx, a.matrix).error
             assert evaluate_relation(ctx, a, a).real_term == pytest.approx(eps**2, abs=1e-9 * (1 + eps**2))
 
 
@@ -94,7 +94,7 @@ class TestImagPart:
             assert evaluate_relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
-        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         assert evaluate_relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry_on_diagonal(self):
@@ -104,7 +104,7 @@ class TestImagPart:
 
 class TestEvaluateRelation:
     def test_commutator_bound_undercut_scenario(self):
-        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         report = evaluate_relation(ctx, X, Z)
         assert report.eps_a * report.eps_b == pytest.approx(0.0, abs=1e-10)
         assert report.bound == pytest.approx(0.0, abs=1e-10)
@@ -134,13 +134,14 @@ class TestEvaluateRelation:
                 assert report.bound >= abs(report.imag_term) - 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
+        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            evaluate_relation(ctx, X, HermitianObservable.identity(3))
+            evaluate_relation(ctx, X, HermitianObservable(np.eye(3)))
 
     def test_report_serialization_keys(self):
-        ctx, a, b, _ = random_setup(2, 5)
-        d = relation_as_dict(ctx, evaluate_relation(ctx, a, b))
+        povm = projective_from(Z)
+        ctx = local_context(povm.effects, qubit_state(y=0.8).matrix)
+        d = relation_as_dict(povm, evaluate_relation(ctx, X, Z))
         assert list(d) == [
             "dim", "kind", "epsA", "epsB", "R", "I", "bound", "slack",
             "naiveBound", "naiveViolated",
@@ -150,9 +151,9 @@ class TestEvaluateRelation:
 class TestProofDevice:
     def test_diagonal_recovers_error(self):
         ctx, a, _, _ = random_setup(3, 8)
-        report = kernels.proof_device(ctx.arrays, a.matrix, a.matrix, evaluate_relation(ctx, a, a))
+        report = kernels.proof_device(ctx, a.matrix, a.matrix, evaluate_relation(ctx, a, a))
         assert report.residual_a <= 1e-9
-        assert report.cross_value.real == pytest.approx(kernels.transport(ctx.arrays, a.matrix).error ** 2, abs=1e-9)
+        assert report.cross_value.real == pytest.approx(kernels.transport(ctx, a.matrix).error ** 2, abs=1e-9)
         assert abs(report.cross_value.imag) <= 1e-10
 
     def test_trivial_reduces_to_covariance_form(self):
@@ -162,7 +163,7 @@ class TestProofDevice:
         a = random_observable(cfg, rng)
         b = random_observable(cfg, rng)
         ctx = trivial_ctx(rho, 3)
-        report = kernels.proof_device(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+        report = kernels.proof_device(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
         cov = covariance(a, b, rho)
         comm = commutator(a, b, rho)
         assert report.cross_value == pytest.approx(complex(cov, comm), abs=1e-9)
@@ -171,7 +172,7 @@ class TestProofDevice:
         for dim in (2, 3, 4, 5):
             for seed in range(10):
                 ctx, a, b, _ = random_setup(dim, 5000 + 100 * dim + seed)
-                report = kernels.proof_device(ctx.arrays, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+                report = kernels.proof_device(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
                 assert report.residual_a <= 1e-9
                 assert report.residual_b <= 1e-9
                 assert report.cross_residual <= 1e-9
@@ -208,7 +209,7 @@ class TestNoSimultaneousErrorless:
     def test_on_random_sweep(self):
         for seed in range(40):
             ctx, a, b, _ = random_setup(2 + seed % 3, 7000 + seed)
-            comm = abs(commutator(a, b, ctx.rho))
+            comm = abs(kernels.comm(a.matrix, b.matrix, ctx.rho))
             both = errorless_a(ctx, a) and errorless_a(ctx, b)
             assert not (both and comm > 1e-6)
 
@@ -216,7 +217,8 @@ class TestNoSimultaneousErrorless:
         # projective Z measures Z errorlessly; X carries the full error, so
         # a noncommuting pair over a commutator-witnessing state never has
         # both errors vanish
-        ctx = LocalContext(projective_from(Z), qubit_state(y=0.8))
-        comm = abs(commutator(X, Z, ctx.rho))
+        rho = qubit_state(y=0.8)
+        ctx = local_context(projective_from(Z).effects, rho.matrix)
+        comm = abs(commutator(X, Z, rho))
         assert comm > 1e-6
         assert not (errorless_a(ctx, X) and errorless_a(ctx, Z))

@@ -8,9 +8,10 @@ import pytest
 
 from measerr import (
     GenConfig,
-    LocalContext,
+    ProbabilityDistribution,
     cnot_model,
     evaluate_relation,
+    local_context,
     random_observable,
     random_state,
     unsharp_qubit,
@@ -107,7 +108,8 @@ class TestDistributionFormat:
     def test_label_weight_map(self):
         cfg = GenConfig(dim=2, outcomes=3)
         povm = random_povm(cfg, np.random.default_rng(1))
-        p = povm.apply(random_state(cfg, np.random.default_rng(1)))
+        rho = random_state(cfg, np.random.default_rng(1))
+        p = ProbabilityDistribution(povm.space, local_context(povm.effects, rho.matrix).weights)
         data = p.as_dict()
         assert set(data) == set(povm.space.labels)
         assert sum(data.values()) == pytest.approx(1.0, abs=1e-10)
@@ -153,9 +155,9 @@ class TestCsvRow:
     def _report(self):
         cfg = GenConfig(dim=2, outcomes=3)
         povm = random_povm(cfg, np.random.default_rng(2))
-        ctx = LocalContext(povm, random_state(cfg, np.random.default_rng(2)))
+        ctx = local_context(povm.effects, random_state(cfg, np.random.default_rng(2)).matrix)
         rng = np.random.default_rng(5)
-        return ctx, evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
+        return povm, evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
 
     def test_header_and_width(self):
         assert CSV_HEADER.split(",") == [

@@ -14,10 +14,10 @@ import pytest
 
 from measerr import (
     GenConfig,
-    LocalContext,
     Tolerances,
     chain_check,
     evaluate_relation,
+    local_context,
     random_observable,
     random_state,
 )
@@ -97,7 +97,7 @@ class TestTransportOnce:
     def test_evaluate_relation(self, transport_calls):
         rng = np.random.default_rng(1)
         cfg = GenConfig(dim=3, outcomes=4)
-        ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
+        ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
         evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
         assert transport_calls == [(3, 3)] * 2
 

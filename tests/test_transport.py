@@ -8,13 +8,13 @@ from measerr import (
     DensityOperator,
     GenConfig,
     HermitianObservable,
-    LocalContext,
     OutcomeSpace,
     PAULI_X,
     PAULI_Z,
     Povm,
     ProbabilityDistribution,
     kernels,
+    local_context,
     projective_from,
     random_observable,
     random_state,
@@ -22,32 +22,33 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.generate import random_povm
+from measerr.tolerances import DEFAULT_TOL
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
 
 
 def make_ctx(povm, rho):
-    return LocalContext(povm, rho)
+    return local_context(povm.effects, rho.matrix)
 
 
 def pushforward(ctx, a):
-    return kernels.pushforward(ctx.arrays, a.matrix)
+    return kernels.pushforward(ctx, a.matrix)
 
 
 def pullback(ctx, f):
-    return kernels.pullback(ctx.arrays, np.asarray(f, dtype=float))
+    return kernels.pullback(ctx, np.asarray(f, dtype=float))
 
 
 def adjointness(ctx, a, f):
-    return kernels.adjointness(ctx.arrays, a.matrix, pushforward(ctx, a), f)
+    return kernels.adjointness(ctx, a.matrix, pushforward(ctx, a), f)
 
 
 def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = outcomes or int(rng.integers(2, 6))
     cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
-    ctx = LocalContext(random_povm(cfg, rng), random_state(cfg, rng))
+    ctx = make_ctx(random_povm(cfg, rng), random_state(cfg, rng))
     return ctx, random_observable(cfg, rng), rng
 
 
@@ -76,39 +77,40 @@ class TestPushforward:
     @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
     def test_matches_generic_linear_solve(self, dim, seed):
         ctx, a, _ = random_ctx(dim, seed)
-        expected = oracles.pushforward_lstsq(ctx.povm.effects, ctx.rho.matrix, a.matrix)
+        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a.matrix)
         assert np.allclose(pushforward(ctx, a), expected, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_generic_solve_on_pure_states(self, seed):
         # pure states exercise rank deficiency in the quantum inner product
         ctx, a, _ = random_ctx(3, 100 + seed, mixedness="pure")
-        expected = oracles.pushforward_lstsq(ctx.povm.effects, ctx.rho.matrix, a.matrix)
+        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a.matrix)
         assert np.allclose(pushforward(ctx, a), expected, atol=1e-8)
 
     def test_expectation_preserved(self):
         for seed in range(10):
             ctx, a, _ = random_ctx(3, 200 + seed)
-            drift = abs(kernels.dot(pushforward(ctx, a), ctx.prob.weights) - kernels.expect(a.matrix, ctx.rho.matrix))
-            assert drift <= 1e-10 * (1 + abs(kernels.expect(a.matrix, ctx.rho.matrix)))
+            drift = abs(kernels.dot(pushforward(ctx, a), ctx.weights) - kernels.expect(a.matrix, ctx.rho))
+            assert drift <= 1e-10 * (1 + abs(kernels.expect(a.matrix, ctx.rho)))
 
     def test_linearity(self):
         ctx, a, rng = random_ctx(4, 17)
         b = HermitianObservable(np.diag(rng.uniform(-1, 1, 4)).astype(complex))
-        combo = pushforward(ctx, 1.5 * a - 0.5 * b)
+        combo = pushforward(ctx, HermitianObservable(1.5 * a.matrix - 0.5 * b.matrix))
         parts = 1.5 * pushforward(ctx, a) - 0.5 * pushforward(ctx, b)
         assert np.allclose(combo, parts, atol=1e-10)
 
 
 class TestPullback:
     def test_projective_full_support(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
-        rep = pullback(ctx, ctx.space.values)
+        povm = projective_from(Z)
+        ctx = make_ctx(povm, DensityOperator.maximally_mixed(2))
+        rep = pullback(ctx, povm.space.values)
         assert np.allclose(rep, PAULI_Z, atol=1e-12)
 
     def test_equivalent_functions_share_one_representative(self):
+        # values (-1, +1); the -1 outcome has zero weight
         ctx = make_ctx(projective_from(Z), DensityOperator.pure([1, 0]))
-        space = ctx.space  # values (-1, +1); the -1 outcome has zero weight
         rep_f = pullback(ctx, [7.0, 1.0])
         rep_g = pullback(ctx, [0.0, 1.0])
         assert np.array_equal(rep_f, rep_g)
@@ -124,7 +126,7 @@ class TestPullback:
 class TestAdjointness:
     def test_constant_function_reduces_to_expectation(self):
         ctx, a, _ = random_ctx(3, 5)
-        assert adjointness(ctx, a, np.full(ctx.space.size, 1.0)) <= 1e-10
+        assert adjointness(ctx, a, np.full(len(ctx.weights), 1.0)) <= 1e-10
 
     def test_transverse_case_vanishes(self):
         ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
@@ -135,8 +137,8 @@ class TestAdjointness:
     def test_sweep(self, dim):
         for seed in range(25):
             ctx, a, rng = random_ctx(dim, 1000 * dim + seed)
-            f = rng.uniform(-2, 2, ctx.space.size)
-            assert adjointness(ctx, a, f) <= 1e-9 * (1 + abs(kernels.dot(f, ctx.prob.weights)) + 1)
+            f = rng.uniform(-2, 2, len(ctx.weights))
+            assert adjointness(ctx, a, f) <= 1e-9 * (1 + abs(kernels.dot(f, ctx.weights)) + 1)
 
 
 def norm_chain(ctx, a):
@@ -144,9 +146,9 @@ def norm_chain(ctx, a):
     the round trip (pullback of the pushforward): a non-increasing chain."""
     fwd = pushforward(ctx, a)
     return (
-        kernels.norm(a.matrix, ctx.rho.matrix),
-        kernels.class_norm(fwd, ctx.prob.weights),
-        kernels.norm(pullback(ctx, fwd), ctx.rho.matrix),
+        kernels.norm(a.matrix, ctx.rho),
+        kernels.class_norm(fwd, ctx.weights),
+        kernels.norm(pullback(ctx, fwd), ctx.rho),
     )
 
 
@@ -188,20 +190,21 @@ class TestSupportHandling:
         for seed in range(5):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a = HermitianObservable((g + g.conj().T) / 2)
-            f1 = pushforward(LocalContext(self._split_minus_povm(0.3), rho), a)
-            f2 = pushforward(LocalContext(self._split_minus_povm(0.4), rho), a)
+            f1 = pushforward(make_ctx(self._split_minus_povm(0.3), rho), a)
+            f2 = pushforward(make_ctx(self._split_minus_povm(0.4), rho), a)
             assert abs(f1[0] - f2[0]) <= 1e-10
             assert f1[1] == f2[1] == 0.0
 
     def test_context_support_bookkeeping(self):
-        ctx = LocalContext(self._split_minus_povm(0.3), DensityOperator.pure([1, 0]))
-        assert ctx.support == {"+"}
-        assert ctx.tiny_support == frozenset()
+        # outcomes ("+", "-a", "-b")
+        ctx = make_ctx(self._split_minus_povm(0.3), DensityOperator.pure([1, 0]))
+        assert ctx.mask.tolist() == [True, False, False]
+        assert not (ctx.mask & (ctx.weights <= DEFAULT_TOL.tiny_support)).any()
         near = DensityOperator(np.diag([1 - 1e-10, 1e-10]))
-        ctx2 = LocalContext(self._split_minus_povm(0.5), near)
-        assert "+" in ctx2.support
-        assert ctx2.tiny_support == {"-a", "-b"}
+        ctx2 = make_ctx(self._split_minus_povm(0.5), near)
+        assert ctx2.mask[0]
+        assert (ctx2.mask & (ctx2.weights <= DEFAULT_TOL.tiny_support)).tolist() == [False, True, True]
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            LocalContext(projective_from(Z), DensityOperator.maximally_mixed(3))
+        with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
+            make_ctx(projective_from(Z), DensityOperator.maximally_mixed(3))
