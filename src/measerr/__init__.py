@@ -10,7 +10,7 @@ are the types, constructors and single-instance checks the CLI uses, and
 those kernels take.
 """
 
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 from .states import (
     DensityOperator,
     HermitianObservable,
@@ -18,7 +18,6 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ProbabilityDistribution,
     qubit_state,
 )
 from .measurement import (
@@ -37,25 +36,18 @@ from .indirect import (
     cnot_model,
     induced_povm,
 )
-from .generate import (
-    GenConfig,
-    RNG_ALGORITHM,
-    random_observable,
-    random_state,
-)
+from .generate import RNG_ALGORITHM
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL",
-    "Tolerances",
     "DensityOperator",
     "HermitianObservable",
     "OutcomeSpace",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
-    "ProbabilityDistribution",
     "qubit_state",
     "MeasurementKind",
     "Povm",
@@ -70,8 +62,5 @@ __all__ = [
     "chain_check",
     "cnot_model",
     "induced_povm",
-    "GenConfig",
     "RNG_ALGORITHM",
-    "random_observable",
-    "random_state",
 ]

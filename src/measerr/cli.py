@@ -15,12 +15,12 @@ import functools
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import __version__
-from .generate import GenConfig, RNG_ALGORITHM, random_observable, random_state
+from .generate import RNG_ALGORITHM, complex_stack, ginibre_states, observable_matrices
 from .indirect import chain_check, cnot_model
 from .measurement import noisy_projective, projective_from, unsharp_qubit
 from .relations import evaluate_relation, schroedinger_reduction
@@ -43,7 +43,7 @@ from .states import (
     qubit_state,
 )
 from .suites import run_verify, suite_ozawa_chain
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 from .transport import local_context
 
 EXIT_OK = 0
@@ -69,7 +69,7 @@ class RunManifest:
     dims: tuple[int, ...]
     instances: int
     rng_algorithm: str
-    tolerances: Tolerances
+    tolerances: dict
     checks_passed: int
     checks_failed: int
     wall_time_s: float
@@ -145,12 +145,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _tolerances(args) -> Tolerances:
-    if args.tolerance is None:
-        return DEFAULT_TOL
-    return replace(DEFAULT_TOL, identity=args.tolerance)
-
-
 def _manifest(
     args, subcommand: str, passed: int, failed: int, started: float, dims=(), instances: int = 0
 ) -> RunManifest:
@@ -161,7 +155,7 @@ def _manifest(
         dims=tuple(dims),
         instances=instances,
         rng_algorithm=RNG_ALGORITHM,
-        tolerances=_tolerances(args),
+        tolerances={**asdict(DEFAULT_TOL), "identity": args.tolerance},
         checks_passed=passed,
         checks_failed=failed,
         wall_time_s=time.perf_counter() - started,
@@ -179,8 +173,7 @@ def _emit_json(args, payload: dict) -> None:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
-    tol = _tolerances(args)
-    results = run_verify(args.dims, args.n, args.seed, tol, sign_flip=args.self_test_sign_flip)
+    results = run_verify(args.dims, args.n, args.seed, args.tolerance, sign_flip=args.self_test_sign_flip)
     passed = sum(r.checks - r.failures for r in results)
     failed = sum(r.failures for r in results)
     for r in results:
@@ -201,15 +194,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _relation_holds(rep, tol: Tolerances) -> bool:
-    """main-relation's rule: the residual -slack of the relation ``rep`` is
-    finite and at most tol.identity (1 + |eps_a eps_b|)."""
-    return math.isfinite(rep.slack) and -rep.slack <= tol.identity * (1.0 + abs(rep.eps_a * rep.eps_b))
+def _relation_holds(rep, slack: float) -> bool:
+    """main-relation's rule: the residual -rep.slack of the relation ``rep``
+    is finite and at most slack (1 + |eps_a eps_b|)."""
+    return math.isfinite(rep.slack) and -rep.slack <= slack * (1.0 + abs(rep.eps_a * rep.eps_b))
 
 
 def cmd_scan(args) -> int:
     started = time.perf_counter()
-    tol = _tolerances(args)
     custom = args.family == "custom"
     usage = None
     if args.family not in _FAMILIES:
@@ -248,7 +240,7 @@ def cmd_scan(args) -> int:
     else:
         print(text, end="")
 
-    failed = sum(not _relation_holds(rep, tol) for _, _, rep in rows)
+    failed = sum(not _relation_holds(rep, args.tolerance) for _, _, rep in rows)
     if args.json:
         manifest = _manifest(
             args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
@@ -257,11 +249,11 @@ def cmd_scan(args) -> int:
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
-def _demo_naive_violation(tol: Tolerances) -> tuple[list[str], int]:
+def _demo_naive_violation(slack: float) -> tuple[list[str], int]:
     rho = qubit_state(y=0.8)
     ctx = local_context(projective_from(HermitianObservable(PAULI_Z)).effects, rho.matrix)
     report = evaluate_relation(ctx, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z))
-    holds = _relation_holds(report, tol)
+    holds = _relation_holds(report, slack)
     lines = [
         "scenario: sharp Z readout on the qubit state (I + 0.8 Y)/2, observables X and Z",
         f"error product  = {format_float(report.eps_a * report.eps_b, 12)}",
@@ -272,13 +264,14 @@ def _demo_naive_violation(tol: Tolerances) -> tuple[list[str], int]:
     return lines, 0 if report.naive_violated and holds else EXIT_VIOLATION
 
 
-def _demo_kr_reduction(tol: Tolerances) -> tuple[list[str], int]:
+def _demo_kr_reduction(slack: float) -> tuple[list[str], int]:
+    """Its three checks keep fixed slacks, whatever ``slack`` is."""
     rho = DensityOperator.pure([1.0, 0.0])
     report = schroedinger_reduction(rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Y))
     ok = (
-        abs(report.product - report.bound) <= tol.expectation
+        abs(report.product - report.bound) <= DEFAULT_TOL.expectation
         and report.kr_bound <= report.bound + 1e-12
-        and max(report.eps_sigma_residual_a, report.eps_sigma_residual_b) <= tol.expectation
+        and max(report.eps_sigma_residual_a, report.eps_sigma_residual_b) <= DEFAULT_TOL.expectation
     )
     lines = [
         "scenario: non-informative measurement on |0><0|, observables X and Y",
@@ -290,12 +283,10 @@ def _demo_kr_reduction(tol: Tolerances) -> tuple[list[str], int]:
     return lines, 0 if ok else EXIT_VIOLATION
 
 
-def _demo_ozawa_chain(tol: Tolerances) -> tuple[list[str], int]:
+def _demo_ozawa_chain(slack: float) -> tuple[list[str], int]:
     model = cnot_model()
     rho = qubit_state(y=0.8)
-    report = chain_check(
-        model, rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z), tol=tol
-    )
+    report = chain_check(model, rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z), slack=slack)
     names = (
         "rms product",
         "error product",
@@ -314,7 +305,6 @@ def _demo_ozawa_chain(tol: Tolerances) -> tuple[list[str], int]:
 
 def cmd_demo(args) -> int:
     started = time.perf_counter()
-    tol = _tolerances(args)
     if args.name not in _DEMOS:
         print(f"unknown demo {args.name!r}; choose from {_DEMOS}", file=sys.stderr)
         return EXIT_USAGE
@@ -323,7 +313,7 @@ def cmd_demo(args) -> int:
         "kr-reduction": _demo_kr_reduction,
         "ozawa-chain": _demo_ozawa_chain,
     }[args.name]
-    lines, code = runner(tol)
+    lines, code = runner(args.tolerance)
     for line in lines:
         print(line)
     manifest = _manifest(args, f"demo:{args.name}", int(code == 0), int(code != 0), started)
@@ -335,26 +325,25 @@ def cmd_demo(args) -> int:
 
 def cmd_chain(args) -> int:
     started = time.perf_counter()
-    tol = _tolerances(args)
     checks_failed = 0
     checks_passed = 0
 
     if args.model:
         model = load_model(args.model)
         dims, instances = (model.system_dim,), 1
-        rng = np.random.default_rng(args.seed)
-        cfg = GenConfig(dim=model.system_dim)
-        rho = random_state(cfg, rng)
-        a = random_observable(cfg, rng)
-        b = random_observable(cfg, rng)
-        report = chain_check(model, rho, a, b, tol=tol)
+        # a Ginibre state, then A, then B: each its real block, then its imaginary block
+        dim = model.system_dim
+        draws = complex_stack(np.random.default_rng(args.seed).standard_normal((3, 2, dim, dim)))
+        rho = DensityOperator(ginibre_states(draws[0]))
+        a, b = (HermitianObservable(m) for m in observable_matrices(draws[1:]))
+        report = chain_check(model, rho, a, b, slack=args.tolerance)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")
         holds = report.holds.all()
         print(f"chain holds: {holds}")
         checks_passed += int(holds)
         checks_failed += int(not holds)
     else:
-        demo_lines, demo_code = _demo_ozawa_chain(tol)
+        demo_lines, demo_code = _demo_ozawa_chain(args.tolerance)
         for line in demo_lines:
             print(line)
         checks_passed += int(demo_code == 0)
@@ -362,7 +351,7 @@ def cmd_chain(args) -> int:
 
         dims, instances = args.dims, args.n
         pairs = tuple((d, args.ancilla) for d in dims)
-        result = suite_ozawa_chain(pairs, args.n, args.seed, tol)
+        result = suite_ozawa_chain(pairs, args.n, args.seed, args.tolerance)
         status = "ok" if result.passed else "FAIL"
         print(f"{status:4s} {result.name}: {result.checks} checks, {result.failures} failures, worst {result.worst:.3e}")
         for msg in result.messages:
@@ -388,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--tolerance", type=_parse_tolerance, default=None, help="slack of the property checks (default 1e-9); inputs and built objects are always validated at the defaults")
+    common.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOL.identity, help="slack of the property checks (default 1e-9); inputs and built objects are always validated at the defaults")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")

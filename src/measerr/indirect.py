@@ -18,7 +18,7 @@ from . import kernels
 from .measurement import MeasurementKind, Povm
 from .states import DensityOperator, HermitianObservable, OutcomeSpace, PAULI_Z, _check_finite, _check_same_dim
 from .transport import local_context
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 
 
 def check_unitaries(stack: np.ndarray) -> None:
@@ -95,19 +95,17 @@ def chain_check(
     a: HermitianObservable,
     b: HermitianObservable,
     *,
-    tol: Tolerances = DEFAULT_TOL,
+    slack: float = DEFAULT_TOL.identity,
 ) -> kernels.Chain:
     """The five-term comparison chain on one model and state pair:
     rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
     minus the rms/sigma cross terms.  ``values`` holds the five terms in that
-    order, and ``holds[i]`` whether values[i] >= values[i + 1] within the
-    slack ``tol.identity`` (``kernels.chain``).  ``bridge_residual_*`` ties
-    the rms error to the identity-estimator f-error of the induced
-    measurement, which is the decisive correctness check of the induced POVM."""
+    order, and ``holds[i]`` whether values[i] >= values[i + 1] within
+    ``slack`` (``kernels.chain``).  ``bridge_residual_*`` ties the rms error
+    to the identity-estimator f-error of the induced measurement, which is
+    the decisive correctness check of the induced POVM."""
     povm = induced_povm(model)
     ctx = local_context(povm.effects, rho.matrix)
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
-    return kernels.chain(
-        ctx, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), tol.identity
-    )
+    return kernels.chain(ctx, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), slack)

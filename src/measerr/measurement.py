@@ -21,10 +21,10 @@ from .states import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ProbabilityDistribution,
     _check_finite,
     _check_hermitian,
     _positive_definite,
+    check_weights,
 )
 from .tolerances import DEFAULT_TOL
 
@@ -95,10 +95,12 @@ def projective_from(a: HermitianObservable) -> Povm:
     return Povm(OutcomeSpace.from_values(values), projectors, kind=MeasurementKind.PROJECTIVE)
 
 
-def trivial_measurement(p0: ProbabilityDistribution, dim: int) -> Povm:
-    """Non-informative measurement: every state maps to the fixed p0."""
-    effects = p0.weights[:, None, None] * np.eye(dim, dtype=complex)
-    return Povm(p0.space, effects, kind=MeasurementKind.TRIVIAL)
+def trivial_measurement(p0, dim: int) -> Povm:
+    """Non-informative measurement: every state maps to the fixed weights
+    ``p0`` (validated by ``check_weights``), outcome values 0..n-1."""
+    weights = check_weights(p0)
+    effects = weights[:, None, None] * np.eye(dim, dtype=complex)
+    return Povm(OutcomeSpace.from_values(np.arange(len(weights))), effects, kind=MeasurementKind.TRIVIAL)
 
 
 def unsharp_qubit(axis, eta: float) -> Povm:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from . import kernels
 from .measurement import trivial_measurement
-from .states import DensityOperator, HermitianObservable, OutcomeSpace, ProbabilityDistribution, _check_same_dim
+from .states import DensityOperator, HermitianObservable, _check_same_dim
 from .transport import local_context
 
 
@@ -34,7 +34,6 @@ def evaluate_relation(
 
 def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:
     """The relation under a trivial measurement (``kernels.schroedinger``)."""
-    space = OutcomeSpace(("t0", "t1"), (0.0, 1.0))
-    povm = trivial_measurement(ProbabilityDistribution(space, [0.5, 0.5]), rho.dim)
+    povm = trivial_measurement([0.5, 0.5], rho.dim)
     ctx = local_context(povm.effects, rho.matrix)
     return kernels.schroedinger(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))

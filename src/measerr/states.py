@@ -196,26 +196,6 @@ class OutcomeSpace:
         return len(self.labels)
 
 
-class ProbabilityDistribution:
-    """Nonnegative weights over an outcome space, summing to one.
-
-    Weights in [-1e-12, 0) are clipped to zero (roundoff forgiveness); more
-    negative weights are rejected.
-    """
-
-    def __init__(self, space: OutcomeSpace, weights):
-        if np.shape(weights) != (space.size,):
-            raise ValueError("need exactly one weight per label")
-        self.space = space
-        self.weights = check_weights(weights)
-
-    def as_dict(self) -> dict[str, float]:
-        return {lab: float(w) for lab, w in zip(self.space.labels, self.weights)}
-
-    def __repr__(self) -> str:
-        return f"ProbabilityDistribution({self.as_dict()!r})"
-
-
 def _check_same_dim(a, b) -> None:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")

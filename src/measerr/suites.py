@@ -34,7 +34,7 @@ from .generate import (
 from .indirect import check_unitaries
 from .measurement import check_effects
 from .states import check_observables, check_states, check_weights, pure_states
-from .tolerances import DEFAULT_TOL, Tolerances
+from .tolerances import DEFAULT_TOL
 from .transport import local_context
 
 _SUITE_STREAM = {
@@ -319,7 +319,7 @@ def _draw_affineness(rng, block, k):
     block.raw("lam", k, rng, bounds=(0.0, 1.0))
 
 
-def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_affineness(dims, n, seed) -> SuiteResult:
     """Measurements respect probabilistic mixtures of states exactly."""
     out = SuiteResult("affineness")
     for dim, block, states in _sweep(seed, out.name, dims, n):
@@ -331,11 +331,11 @@ def suite_affineness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResul
         direct = check_weights(kernels.born(effects, mixed))
         p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
         residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
-        out.record_block(dim, block, [("affineness broke", residual, tol.validation)])
+        out.record_block(dim, block, [("affineness broke", residual, DEFAULT_TOL.validation)])
     return out
 
 
-def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_adjoint_characterization(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
     out = SuiteResult("adjoint-characterization")
@@ -348,13 +348,13 @@ def suite_adjoint_characterization(dims, n, seed, tol: Tolerances = DEFAULT_TOL)
         values, projectors = _projective(a)
         rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
         out.record_block(dim, block, [
-            ("adjoint identity broke", identity, tol.expectation * (1.0 + np.abs(rhs))),
-            ("projective reconstruction broke", rebuilt, tol.identity * (1.0 + _max_abs(a))),
+            ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
+            ("projective reconstruction broke", rebuilt, slack * (1.0 + _max_abs(a))),
         ])
     return out
 
 
-def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_contractivity(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
     out = SuiteResult("contractivity")
@@ -364,8 +364,8 @@ def suite_contractivity(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRe
         classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
         gap = adjoint_norm - classical
         out.record_block(dim, block, [
-            ("norm contraction broke", gap, tol.identity * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
-            ("operator gap not PSD", -gap_min, tol.identity, lambda i: f"{gap_min[i]:.3e}"),
+            ("norm contraction broke", gap, slack * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
+            ("operator gap not PSD", -gap_min, slack, lambda i: f"{gap_min[i]:.3e}"),
         ])
     return out
 
@@ -376,7 +376,7 @@ def _draw_transport_adjointness(rng, block, k):
     block.raw("beta", k, rng, bounds=(-2.0, 2.0))
 
 
-def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_transport_adjointness(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
     out = SuiteResult("transport-adjointness")
@@ -399,10 +399,10 @@ def suite_transport_adjointness(dims, n, seed, tol: Tolerances = DEFAULT_TOL) ->
         combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
         linearity = _max_abs(lin - combo)
         out.record_block(dim, block, [
-            ("adjointness broke", adjointness, tol.identity * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
-            ("expectation not preserved", drift, tol.expectation * (1.0 + np.abs(mean_a))),
-            ("double contraction broke", chain, tol.identity * (1.0 + t.norm), None),
-            ("linearity broke", linearity, tol.expectation * (1.0 + _max_abs(combo))),
+            ("adjointness broke", adjointness, slack * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
+            ("expectation not preserved", drift, DEFAULT_TOL.expectation * (1.0 + np.abs(mean_a))),
+            ("double contraction broke", chain, slack * (1.0 + t.norm), None),
+            ("linearity broke", linearity, DEFAULT_TOL.expectation * (1.0 + _max_abs(combo))),
         ])
     return out
 
@@ -413,7 +413,7 @@ def _draw_error_decomposition(rng, block, k):
     block.raw("step", k, rng, bounds=(-1.0, 1.0))
 
 
-def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_error_decomposition(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
     out = SuiteResult("error-decomposition")
@@ -428,15 +428,15 @@ def suite_error_decomposition(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> S
         expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
         excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
         out.record_block(dim, block, [
-            ("decomposition broke", kernels.split_residual(*split), tol.identity),
-            ("estimator beat the optimum", split.quantum_error - split.f_error, tol.identity),
-            ("quadratic excess law broke", excess_law, tol.identity),
+            ("decomposition broke", kernels.split_residual(*split), slack),
+            ("estimator beat the optimum", split.quantum_error - split.f_error, slack),
+            ("quadratic excess law broke", excess_law, slack),
         ])
     return out
 
 
 def suite_relation_and_proof_tie(
-    dims, n, seed, tol: Tolerances = DEFAULT_TOL, sign_flip: bool = False
+    dims, n, seed, slack: float = DEFAULT_TOL.identity, sign_flip: bool = False
 ) -> tuple[SuiteResult, SuiteResult]:
     """Main relation sweep plus the proof-tie identities, on the same
     instances: slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy,
@@ -449,15 +449,15 @@ def suite_relation_and_proof_tie(
         ctx, a, b = _instances(_draw_block(states, dim, _INSTANCE, _draw_instance))
         rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
         relation.record_block(dim, block, [
-            ("relation violated", -rel.slack, tol.identity * (1.0 + np.abs(rel.eps_a * rel.eps_b)),
+            ("relation violated", -rel.slack, slack * (1.0 + np.abs(rel.eps_a * rel.eps_b)),
              lambda i: f"slack {rel.slack[i]:.3e}"),
             ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
         ])
 
         device = kernels.proof_device(ctx, a, b, rel)
         proof.record_block(dim, block, [
-            ("seminorm-error identity broke", np.maximum(device.residual_a, device.residual_b), tol.identity),
-            ("cross-product identity broke", device.cross_residual, tol.identity),
+            ("seminorm-error identity broke", np.maximum(device.residual_a, device.residual_b), slack),
+            ("cross-product identity broke", device.cross_residual, slack),
         ])
     return relation, proof
 
@@ -484,7 +484,7 @@ def _errorless(e: kernels.Errorless) -> tuple:
     return "constructed errorless case failed", e.error, e.cond_a & e.cond_b & e.cond_c, partial(_row, e)
 
 
-def suite_errorless_equivalence(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_errorless_equivalence(dims, n, seed) -> SuiteResult:
     """Conditions (a), (b), (c) agree on random and constructed-errorless
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
@@ -522,7 +522,7 @@ def _draw_trivial_reduction(rng, block, k):
     block.raw("p0", k, rng, int(rng.integers(1, 5)))
 
 
-def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_trivial_reduction(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
@@ -540,10 +540,10 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
         terms = np.maximum(terms, np.abs(rel.bound - red.bound))
         out.record_block(dim, block, [
             ("error != standard deviation", np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b),
-             tol.expectation * (1.0 + red.sigma_a + red.sigma_b)),
-            ("reduced terms mismatch", terms, tol.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
+             DEFAULT_TOL.expectation * (1.0 + red.sigma_a + red.sigma_b)),
+            ("reduced terms mismatch", terms, DEFAULT_TOL.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
             ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
-            ("reduced relation violated", -rel.slack, tol.identity * (1.0 + rel.eps_a * rel.eps_b),
+            ("reduced relation violated", -rel.slack, slack * (1.0 + rel.eps_a * rel.eps_b),
              lambda i: f"{rel.slack[i]:.3e}"),
         ])
     return out
@@ -551,9 +551,10 @@ def suite_trivial_reduction(dims, n, seed, tol: Tolerances = DEFAULT_TOL) -> Sui
 
 def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
     """The validated ancilla states, interactions, Ginibre states and observables
-    A and B of the models with seed ``states``, in ``random_indirect_model``,
-    ``random_state`` and ``random_observable`` order: one call fills a model's
-    buffer row, and each array is a view of the buffer at a fixed offset."""
+    A and B of the models with seed ``states``, in ``oracles.chain_draws``
+    order (the ancilla ket, the interaction's factor, the state, A, then B):
+    one call fills a model's buffer row, and each array is a view of the
+    buffer at a fixed offset."""
     n, shapes = len(states), [(2, ancilla), (2, dim * ancilla, dim * ancilla)] + [(2, dim, dim)] * 3
     ends = np.cumsum([math.prod(s) for s in shapes])
     buffer = np.empty((n, ends[-1]))
@@ -566,7 +567,7 @@ def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
     return check_states(pure_states(ket)), u, check_states(ginibre_states(rho)), _observables(a), _observables(b)
 
 
-def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteResult:
+def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
     """Random indirect models: induced POVM consistency with the joint meter
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
@@ -579,16 +580,16 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
         check_effects(effects)
         ctx = local_context(effects, rho)
         joint = kernels.kron(rho, xi)
-        c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, tol.identity)
+        c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, slack)
 
         # the induced distribution, read off the evolved joint state
         evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
         direct = kernels.trace_product(evolved, kernels.kron(np.eye(dim), projectors)).real
         links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
         out.record_block(f"{dim}x{ancilla}", block, [
-            ("induced distribution mismatch", _max_abs(ctx.weights - direct), tol.expectation),
+            ("induced distribution mismatch", _max_abs(ctx.weights - direct), DEFAULT_TOL.expectation),
             ("bridge identity broke", np.maximum(c.bridge_residual_a, c.bridge_residual_b),
-             tol.identity * (1.0 + c.rms_a + c.rms_b)),
+             slack * (1.0 + c.rms_a + c.rms_b)),
             ("rms error below intrinsic error", np.maximum(c.eps_a - c.rms_a, c.eps_b - c.rms_b),
              c.dominance_a & c.dominance_b, None),
             ("chain broke", links, c.holds.all(axis=1), lambda i: f"{tuple(c.values[i].tolist())}"),
@@ -596,17 +597,20 @@ def suite_ozawa_chain(pairs, n, seed, tol: Tolerances = DEFAULT_TOL) -> SuiteRes
     return out
 
 
-def run_verify(dims, n: int, seed: int, tol: Tolerances = DEFAULT_TOL, sign_flip: bool = False) -> list[SuiteResult]:
-    """Run every property suite; ``sign_flip`` exists for harness self-tests."""
-    relation, proof = suite_relation_and_proof_tie(dims, n, seed, tol, sign_flip)
+def run_verify(dims, n: int, seed: int, slack: float = DEFAULT_TOL.identity, sign_flip: bool = False) -> list[SuiteResult]:
+    """Run every property suite.  ``slack`` is the slack of the derived
+    identities and inequalities (``DEFAULT_TOL.identity`` unless the CLI's
+    ``--tolerance`` sets it); every other check keeps its fixed slack.
+    ``sign_flip`` exists for harness self-tests."""
+    relation, proof = suite_relation_and_proof_tie(dims, n, seed, slack, sign_flip)
     return [
-        suite_affineness(dims, n, seed, tol),
-        suite_adjoint_characterization(dims, n, seed, tol),
-        suite_contractivity(dims, n, seed, tol),
-        suite_transport_adjointness(dims, n, seed, tol),
-        suite_error_decomposition(dims, n, seed, tol),
+        suite_affineness(dims, n, seed),
+        suite_adjoint_characterization(dims, n, seed, slack),
+        suite_contractivity(dims, n, seed, slack),
+        suite_transport_adjointness(dims, n, seed, slack),
+        suite_error_decomposition(dims, n, seed, slack),
         relation,
         proof,
-        suite_errorless_equivalence(dims, n, seed, tol),
-        suite_trivial_reduction(dims, n, seed, tol),
+        suite_errorless_equivalence(dims, n, seed),
+        suite_trivial_reduction(dims, n, seed, slack),
     ]

@@ -2,10 +2,12 @@
 
 Policy: construction-time validation is absolute and tight (1e-12 scale),
 derived identities and inequality slacks are checked at 1e-9 relative to the
-magnitudes involved.  The library validates and builds at ``DEFAULT_TOL``,
-always.  Only the code that judges a property (the suites, ``chain_check``
-and the CLI's scan and demo checks) takes a ``Tolerances``; the CLI's
-``--tolerance`` replaces its ``identity`` field there, and nowhere else.
+magnitudes involved.  The library validates, builds and judges at
+``DEFAULT_TOL``, always, with one exception: the code that judges a property
+with the ``identity`` slack (``run_verify`` and the suites, ``chain_check``,
+and the CLI's scan and its naive-violation and ozawa-chain demos) takes that
+slack as one float, ``slack``, which the CLI's ``--tolerance`` sets.  The
+kr-reduction demo's checks keep fixed slacks.
 """
 
 from __future__ import annotations

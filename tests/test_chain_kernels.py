@@ -7,12 +7,13 @@ that read a value another kernel already computed (``chain``, ``relation``,
 ``errorless`` and ``schroedinger``) are compared bit for bit with the same
 formulas composed of one call per value."""
 
+import instances
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from measerr import DensityOperator, GenConfig, local_context, random_observable, random_state
+from measerr import DensityOperator, local_context
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter
 from measerr.states import check_states
@@ -48,15 +49,14 @@ def chain_models(seed, dim, ancilla, block):
 def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
     block = range(5, 8)
     xi, u, rho, a, b = chain_models(17, dim, ancilla, block)
-    cfg = GenConfig(dim=dim, mixedness="ginibre")
     for k, i in enumerate(block):
         rng = suites._rng(17, "ozawa-chain", dim, ancilla, i)
         xi_i, u_i = per_model_draws(rng, dim, ancilla)
         assert np.array_equal(xi[k], xi_i)
         assert np.array_equal(u[k], u_i)
-        assert np.array_equal(rho[k], random_state(cfg, rng).matrix)
-        assert np.array_equal(a[k], random_observable(cfg, rng).matrix)
-        assert np.array_equal(b[k], random_observable(cfg, rng).matrix)
+        assert np.array_equal(rho[k], instances.state(rng, dim).matrix)
+        assert np.array_equal(a[k], instances.observable(rng, dim).matrix)
+        assert np.array_equal(b[k], instances.observable(rng, dim).matrix)
 
 
 def chain_arguments(seed, dim, ancilla, block):

@@ -12,11 +12,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import instances
 import measerr
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
-from measerr.generate import GenConfig, random_indirect_model, random_povm
-from measerr.serialize import json_text, matrix_to_json, model_to_json, povm_to_json
-from measerr.indirect import cnot_model
+from measerr.serialize import format_float, json_text, load_model, matrix_to_json, model_to_json, povm_to_json
+from measerr.indirect import chain_check, cnot_model
 from measerr.measurement import unsharp_qubit
 
 
@@ -222,7 +222,7 @@ class TestScan:
     def test_dimension_mismatch_is_usage_error(self, argv, tmp_path, capsys):
         """A 3-dimensional POVM, or observable, against the 2-dimensional state."""
         files = {
-            "POVM3": povm_to_json(random_povm(GenConfig(dim=3), np.random.default_rng(0))),
+            "POVM3": povm_to_json(instances.povm(np.random.default_rng(0), 3)),
             "STATE2": matrix_to_json(np.eye(2) / 2),
             "OBS3": matrix_to_json(np.diag([1.0, 0.0, -1.0])),
         }
@@ -335,9 +335,25 @@ class TestChain:
         assert main(["chain", "--model", str(path), "--seed", "4"]) == 0
         assert "chain holds: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seed", [4, 20240811])
+    @pytest.mark.parametrize("system", ["cnot", "random-5"])
+    def test_custom_model_draws_state_then_a_then_b(self, system, seed, tmp_path, capsys):
+        """``chain --model`` checks a Ginibre state, then A, then B, each
+        drawn from ``default_rng(seed)`` as one complex Gaussian matrix, its
+        real part, then its imaginary part: the printed chain values are
+        those of ``chain_check`` on the draws taken call by call."""
+        model = cnot_model() if system == "cnot" else instances.indirect_model(np.random.default_rng(5), 5)
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(model)))
+        assert main(["chain", "--model", str(path), "--seed", str(seed)]) == 0
+        rng = np.random.default_rng(seed)
+        dim = model.system_dim
+        rho, a, b = instances.state(rng, dim), instances.observable(rng, dim), instances.observable(rng, dim)
+        values = [format_float(v, 12) for v in chain_check(load_model(path), rho, a, b).values]
+        assert f"custom model chain values: {values}\n" in capsys.readouterr().out
+
     def test_custom_model_manifest_records_the_model_run(self, tmp_path, capsys):
-        rng = np.random.default_rng(5)
-        model = random_indirect_model(GenConfig(dim=5), rng, ancilla_dim=2)
+        model = instances.indirect_model(np.random.default_rng(5), 5)
         path = tmp_path / "model.json"
         path.write_text(json_text(model_to_json(model)))
         out = tmp_path / "chain.json"

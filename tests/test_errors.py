@@ -1,5 +1,6 @@
 """Error functionals: contraction error, f-error split, minimality, errorless."""
 
+import instances
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from measerr import (
     DensityOperator,
-    GenConfig,
     HermitianObservable,
     PAULI_X,
     PAULI_Z,
@@ -15,13 +15,10 @@ from measerr import (
     kernels,
     local_context,
     projective_from,
-    random_observable,
-    random_state,
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import haar_unitary, random_povm
-from measerr.states import OutcomeSpace, ProbabilityDistribution
+from measerr.states import OutcomeSpace
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -46,9 +43,9 @@ def conditions(ctx, a):
 
 def random_ctx(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)), mixedness=mixedness)
-    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
-    return ctx, random_observable(cfg, rng), rng
+    outcomes = int(rng.integers(2, 6))
+    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix)
+    return ctx, instances.observable(rng, dim), rng
 
 
 class TestQuantumError:
@@ -168,13 +165,13 @@ class TestErrorless:
         # projective measurement of A = P_1 - 2 P_2: eps is O(sqrt(mu)), the
         # residual of (b) and the drops of (c) are O(mu)
         rng = np.random.default_rng(dim)
-        u = haar_unitary(dim, rng)
+        u = instances.haar_unitary(rng, dim)
         cols = u[:, : dim // 2]
         p1 = cols @ cols.conj().T
         p1 = (p1 + p1.conj().T) / 2.0
         p2 = np.eye(dim) - p1
         a = HermitianObservable(p1 - 2.0 * p2)
-        rho = random_state(GenConfig(dim=dim), rng)
+        rho = instances.state(rng, dim)
         space = OutcomeSpace.from_values([1.0, -2.0])
         for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
                               (1e-5, False), (1e-4, False), (1e-2, False)]:
@@ -197,20 +194,17 @@ def test_homogeneity(t, seed):
 def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
-    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
-    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
-    a = random_observable(cfg, rng)
-    b = random_observable(cfg, rng)
+    outcomes = int(rng.integers(2, 6))
+    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim).matrix)
+    a = instances.observable(rng, dim)
+    b = instances.observable(rng, dim)
     assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, HermitianObservable(a.matrix + b.matrix)) - 1e-9
 
 
 def test_trivial_measurement_reduces_to_standard_deviation():
-    space = OutcomeSpace(("a", "b"), (0.0, 1.0))
-    p0 = ProbabilityDistribution(space, [0.25, 0.75])
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = GenConfig(dim=3)
-        rho = random_state(cfg, rng)
-        a = random_observable(cfg, rng)
-        ctx = local_context(trivial_measurement(p0, 3).effects, rho.matrix)
+        rho = instances.state(rng, 3)
+        a = instances.observable(rng, 3)
+        ctx = local_context(trivial_measurement([0.25, 0.75], 3).effects, rho.matrix)
         assert eps(ctx, a) == pytest.approx(kernels.std_dev(a.matrix, rho.matrix), abs=1e-10)

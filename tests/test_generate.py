@@ -1,59 +1,48 @@
-"""Seeded generators: determinism, validity, ensemble shapes."""
+"""Stacked generators on seeded draws: determinism, validity, ensemble shapes."""
 
+import instances
 import numpy as np
 import oracles
 import pytest
 
-from measerr import generate
-from measerr import (
-    GenConfig,
-    cnot_model,
-    induced_povm,
-    local_context,
-    random_observable,
-    random_state,
-)
-from measerr.generate import haar_unitary, random_indirect_model, random_povm
+from measerr import cnot_model, generate, induced_povm, local_context
 
 
 class TestDeterminism:
     def test_state_bitwise_reproducible(self):
-        cfg = GenConfig(dim=3, mixedness="ginibre")
-        rho1, rho2 = (random_state(cfg, np.random.default_rng(42)) for _ in range(2))
+        rho1, rho2 = (instances.state(np.random.default_rng(42), 3) for _ in range(2))
         assert np.array_equal(rho1.matrix, rho2.matrix)
 
     def test_observable_and_povm_reproducible(self):
-        cfg = GenConfig(dim=3, outcomes=4)
-        a1, a2 = (random_observable(cfg, np.random.default_rng(42)) for _ in range(2))
+        a1, a2 = (instances.observable(np.random.default_rng(42), 3) for _ in range(2))
         assert np.array_equal(a1.matrix, a2.matrix)
-        p1, p2 = random_povm(cfg, np.random.default_rng(42)), random_povm(cfg, np.random.default_rng(42))
+        p1, p2 = instances.povm(np.random.default_rng(42), 3, 4), instances.povm(np.random.default_rng(42), 3, 4)
         for e1, e2 in zip(p1.effects, p2.effects):
             assert np.array_equal(e1, e2)
 
     def test_model_reproducible(self):
-        cfg = GenConfig(dim=2)
-        m1 = random_indirect_model(cfg, np.random.default_rng(7))
-        m2 = random_indirect_model(cfg, np.random.default_rng(7))
+        m1 = instances.indirect_model(np.random.default_rng(7), 2)
+        m2 = instances.indirect_model(np.random.default_rng(7), 2)
         assert np.array_equal(m1.interaction, m2.interaction)
         assert np.array_equal(m1.ancilla_state.matrix, m2.ancilla_state.matrix)
 
     def test_different_seeds_differ(self):
-        a = random_state(GenConfig(dim=3), np.random.default_rng(1))
-        b = random_state(GenConfig(dim=3), np.random.default_rng(2))
+        a = instances.state(np.random.default_rng(1), 3)
+        b = instances.state(np.random.default_rng(2), 3)
         assert not np.array_equal(a.matrix, b.matrix)
 
 
 class TestStates:
     def test_pure_is_rank_one(self):
         for seed in range(10):
-            rho = random_state(GenConfig(dim=4, mixedness="pure"), np.random.default_rng(seed))
+            rho = instances.state(np.random.default_rng(seed), 4, pure=True)
             eigvals = np.linalg.eigvalsh(rho.matrix)
             assert eigvals[-1] == pytest.approx(1.0, abs=1e-9)
             assert np.max(np.abs(eigvals[:-1])) <= 1e-9
 
     def test_ginibre_is_valid(self):
         for seed in range(10):
-            rho = random_state(GenConfig(dim=3), np.random.default_rng(seed))
+            rho = instances.state(np.random.default_rng(seed), 3)
             assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.eigvalsh(rho.matrix)[0] >= -1e-10
 
@@ -72,25 +61,24 @@ class TestStates:
 class TestObservables:
     def test_hermitian_by_construction(self):
         for seed in range(10):
-            a = random_observable(GenConfig(dim=4), np.random.default_rng(seed))
+            a = instances.observable(np.random.default_rng(seed), 4)
             assert np.max(np.abs(a.matrix - a.matrix.conj().T)) == 0.0
 
 
 class TestPovms:
     def test_single_outcome_forces_identity(self):
-        povm = random_povm(GenConfig(dim=3, outcomes=1), np.random.default_rng(1))
+        povm = instances.povm(np.random.default_rng(1), 3, 1)
         assert np.allclose(povm.effects[0], np.eye(3), atol=1e-12)
 
     def test_completeness_and_values(self):
-        povm = random_povm(GenConfig(dim=2, outcomes=4), np.random.default_rng(7))
+        povm = instances.povm(np.random.default_rng(7), 2, 4)
         assert np.max(np.abs(sum(povm.effects) - np.eye(2))) <= 1e-10
         assert povm.space.values == (1.0, 2.0, 3.0, 4.0)
 
     def test_generic_full_support(self):
         for seed in range(20):
-            cfg = GenConfig(dim=3, outcomes=4)
-            povm = random_povm(cfg, np.random.default_rng(seed))
-            rho = random_state(cfg, np.random.default_rng(seed))
+            povm = instances.povm(np.random.default_rng(seed), 3, 4)
+            rho = instances.state(np.random.default_rng(seed), 3)
             assert float(np.min(local_context(povm.effects, rho.matrix).weights)) > 0.0
 
 
@@ -129,18 +117,18 @@ def test_gram_whitening_is_stack_invariant(dim, outcomes):
 class TestUnitariesAndModels:
     def test_haar_unitarity(self):
         for seed in range(10):
-            u = haar_unitary(5, np.random.default_rng(seed))
+            u = instances.haar_unitary(np.random.default_rng(seed), 5)
             assert np.max(np.abs(u.conj().T @ u - np.eye(5))) <= 1e-9
 
     def test_model_unitarity_and_meter(self):
-        model = random_indirect_model(GenConfig(dim=3), np.random.default_rng(9), ancilla_dim=2)
+        model = instances.indirect_model(np.random.default_rng(9), 3)
         u = model.interaction
         assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-9
         assert np.allclose(model.meter.matrix, np.diag([1.0, 2.0]), atol=1e-15)
 
     def test_induced_povms_valid_over_seeds(self):
         for seed in range(20):
-            model = random_indirect_model(GenConfig(dim=2), np.random.default_rng(seed), ancilla_dim=2)
+            model = instances.indirect_model(np.random.default_rng(seed), 2)
             povm = induced_povm(model)  # raises if PSD/completeness fail
             assert povm.space.size == 2
 
@@ -148,12 +136,3 @@ class TestUnitariesAndModels:
         u = cnot_model().interaction
         assert np.max(np.abs(u.conj().T @ u - np.eye(4))) == 0.0
 
-
-class TestConfigValidation:
-    def test_bad_values_rejected(self):
-        with pytest.raises(ValueError):
-            GenConfig(dim=1)
-        with pytest.raises(ValueError):
-            GenConfig(outcomes=0)
-        with pytest.raises(ValueError):
-            GenConfig(mixedness="thermal")

@@ -1,12 +1,12 @@
 """Indirect models: induced POVM, rms error, bridge identity, comparison chain."""
 
+import instances
 import numpy as np
 import pytest
 
 import oracles
 from measerr import (
     DensityOperator,
-    GenConfig,
     HermitianObservable,
     IndirectModel,
     MeasurementKind,
@@ -18,10 +18,7 @@ from measerr import (
     kernels,
     local_context,
     qubit_state,
-    random_observable,
-    random_state,
 )
-from measerr.generate import random_indirect_model
 
 X = HermitianObservable(PAULI_X)
 Z = HermitianObservable(PAULI_Z)
@@ -36,11 +33,10 @@ def ozawa_error(model, rho, a):
 
 def random_model(dim, ancilla, seed):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(dim=dim)
-    model = random_indirect_model(cfg, rng, ancilla_dim=ancilla)
-    rho = random_state(cfg, rng)
-    a = random_observable(cfg, rng)
-    b = random_observable(cfg, rng)
+    model = instances.indirect_model(rng, dim, ancilla)
+    rho = instances.state(rng, dim)
+    a = instances.observable(rng, dim)
+    b = instances.observable(rng, dim)
     return model, rho, a, b
 
 

@@ -8,13 +8,14 @@ unpadded instance within 1e-12 times the instance's scale, and every padded
 zero effect must give exactly 0.0.
 """
 
+import instances
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from measerr import GenConfig, kernels, random_observable, random_state
-from measerr.generate import haar_unitaries, observable_matrices, random_povm
+from measerr import kernels
+from measerr.generate import haar_unitaries, observable_matrices
 from measerr.measurement import check_effects
 from measerr.states import check_states, check_weights
 from measerr.tolerances import DEFAULT_TOL
@@ -26,11 +27,10 @@ TOL = 1e-12
 
 
 def instance(dim, outcomes, mixedness, rng):
-    cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
-    base = random_povm(cfg, rng).effects
+    base = instances.povm(rng, dim, outcomes).effects
     effects = np.array([(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:]])
-    rho = random_state(cfg, rng).matrix
-    a, b = (random_observable(cfg, rng).matrix for _ in range(2))
+    rho = instances.state(rng, dim, pure=mixedness == "pure").matrix
+    a, b = (instances.observable(rng, dim).matrix for _ in range(2))
     return effects, rho, a, b, rng.uniform(-2.0, 2.0, len(effects))
 
 
@@ -235,9 +235,8 @@ def test_traces_are_stack_invariant(dim, outcomes):
     rng = np.random.default_rng([dim, outcomes])
     rows = []
     for mixedness in ("pure", "ginibre", "ginibre", "pure"):
-        cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
-        rows.append((random_povm(cfg, rng).effects, random_state(cfg, rng).matrix,
-                     random_observable(cfg, rng).matrix, random_observable(cfg, rng).matrix))
+        rows.append((instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix,
+                     instances.observable(rng, dim).matrix, instances.observable(rng, dim).matrix))
     effects = np.zeros((len(rows), 6, dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         effects[i, :outcomes] = row[0]
@@ -330,7 +329,7 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     rho = check_states(np.stack([rank_state(rng, dim, r) for r in ranks]))
     rows = []
     for _ in ranks:
-        base = random_povm(GenConfig(dim=dim, outcomes=3), rng).effects
+        base = instances.povm(rng, dim, 3).effects
         rows.append(np.array([(1.0 - split) * base[0], split * base[0], *base[1:]]))
     effects = np.stack(rows)
     check_effects(effects)

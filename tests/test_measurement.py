@@ -1,5 +1,6 @@
 """POVM construction, application, adjoint, named families, contractivity."""
 
+import instances
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,23 +9,20 @@ import oracles
 from measerr import (
     DEFAULT_TOL,
     DensityOperator,
-    GenConfig,
     HermitianObservable,
     MeasurementKind,
     OutcomeSpace,
     PAULI_X,
     PAULI_Z,
     Povm,
-    ProbabilityDistribution,
     kernels,
     local_context,
     noisy_projective,
     projective_from,
-    random_state,
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import haar_unitaries, random_povm
+from measerr.generate import haar_unitaries
 from measerr.measurement import check_effects
 
 X = HermitianObservable(PAULI_X)
@@ -64,8 +62,7 @@ class TestAdjoint:
 
     def test_constant_function_gives_identity(self):
         for seed in range(5):
-            cfg = GenConfig(dim=3, outcomes=4)
-            povm = random_povm(cfg, np.random.default_rng(seed))
+            povm = instances.povm(np.random.default_rng(seed), 3, 4)
             total = kernels.adjoint(povm.effects, np.full(povm.space.size, 1.0))
             assert np.max(np.abs(total - np.eye(3))) <= 1e-10
 
@@ -78,9 +75,9 @@ class TestAdjoint:
         for dim in (2, 3, 4):
             for seed in range(30):
                 rng = np.random.default_rng((dim, seed))
-                cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
-                povm = random_povm(cfg, rng)
-                rho = random_state(cfg, rng)
+                outcomes = int(rng.integers(2, 6))
+                povm = instances.povm(rng, dim, outcomes)
+                rho = instances.state(rng, dim)
                 f = rng.uniform(-2, 2, povm.space.size)
                 lhs = kernels.expect(kernels.adjoint(povm.effects, f), rho.matrix)
                 rhs = kernels.dot(f, local_context(povm.effects, rho.matrix).weights)
@@ -107,20 +104,17 @@ class TestProjectiveFrom:
 
 class TestTrivial:
     def test_uniform_qubit(self):
-        p0 = ProbabilityDistribution(PM_SPACE, [0.5, 0.5])
-        povm = trivial_measurement(p0, 2)
+        povm = trivial_measurement([0.5, 0.5], 2)
         assert povm.kind is MeasurementKind.TRIVIAL
         for eff in povm.effects:
             assert np.allclose(eff, np.eye(2) / 2, atol=1e-15)
 
     def test_single_outcome(self):
-        space = OutcomeSpace(("only",), (1.0,))
-        povm = trivial_measurement(ProbabilityDistribution(space, [1.0]), 3)
+        povm = trivial_measurement([1.0], 3)
         assert np.allclose(povm.effects[0], np.eye(3), atol=1e-15)
 
     def test_state_independent(self):
-        space = OutcomeSpace(("a", "b"), (0.0, 1.0))
-        povm = trivial_measurement(ProbabilityDistribution(space, [0.3, 0.7]), 3)
+        povm = trivial_measurement([0.3, 0.7], 3)
         assert np.allclose(povm.effects[0], 0.3 * np.eye(3), atol=1e-15)
         rho1 = DensityOperator.maximally_mixed(3)
         rho2 = DensityOperator.pure([1, 0, 0])
@@ -178,9 +172,8 @@ class TestContractivity:
         assert report.gap_min_eigenvalue == pytest.approx(0.64, abs=1e-12)
 
     def test_constant_function_gap_vanishes(self):
-        cfg = GenConfig(dim=3, outcomes=4)
-        povm = random_povm(cfg, np.random.default_rng(5))
-        report = contractivity(povm, np.full(povm.space.size, 1.7), random_state(cfg, np.random.default_rng(5)))
+        povm = instances.povm(np.random.default_rng(5), 3, 4)
+        report = contractivity(povm, np.full(povm.space.size, 1.7), instances.state(np.random.default_rng(5), 3))
         assert abs(report.gap_min_eigenvalue) <= 1e-9
 
 
@@ -189,10 +182,10 @@ class TestContractivity:
 def test_affineness(seed, lam):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 6))
-    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 6)))
-    povm = random_povm(cfg, rng)
-    rho1 = random_state(cfg, rng)
-    rho2 = random_state(GenConfig(dim=dim, mixedness="pure"), rng)
+    outcomes = int(rng.integers(2, 6))
+    povm = instances.povm(rng, dim, outcomes)
+    rho1 = instances.state(rng, dim)
+    rho2 = instances.state(rng, dim, pure=True)
     mixed = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
     lhs, p1, p2 = (local_context(povm.effects, rho.matrix).weights for rho in (mixed, rho1, rho2))
     rhs = lam * p1 + (1 - lam) * p2

@@ -1,11 +1,11 @@
 """Uncertainty relation: R/I terms, the bound, the proof device, reductions."""
 
+import instances
 import numpy as np
 import pytest
 
 from measerr import (
     DensityOperator,
-    GenConfig,
     HermitianObservable,
     PAULI_X,
     PAULI_Y,
@@ -15,14 +15,10 @@ from measerr import (
     local_context,
     projective_from,
     qubit_state,
-    random_observable,
-    random_state,
     schroedinger_reduction,
     trivial_measurement,
 )
-from measerr.generate import random_povm
 from measerr.serialize import relation_as_dict
-from measerr.states import OutcomeSpace, ProbabilityDistribution
 
 X = HermitianObservable(PAULI_X)
 Y = HermitianObservable(PAULI_Y)
@@ -45,27 +41,24 @@ def errorless_a(ctx, a):
 
 def random_setup(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
-    cfg = GenConfig(dim=dim, outcomes=int(rng.integers(2, 7)), mixedness=mixedness)
-    ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
-    return ctx, random_observable(cfg, rng), random_observable(cfg, rng), rng
+    outcomes = int(rng.integers(2, 7))
+    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix)
+    return ctx, instances.observable(rng, dim), instances.observable(rng, dim), rng
 
 
 def trivial_ctx(rho, seed=0):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
-    space = OutcomeSpace.from_values(np.arange(float(k)))
-    p0 = ProbabilityDistribution(space, rng.dirichlet(np.ones(k)))
-    return local_context(trivial_measurement(p0, rho.dim).effects, rho.matrix)
+    return local_context(trivial_measurement(rng.dirichlet(np.ones(k)), rho.dim).effects, rho.matrix)
 
 
 class TestRealPart:
     def test_trivial_measurement_closed_form(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            cfg = GenConfig(dim=3)
-            rho = random_state(cfg, rng)
-            a = random_observable(cfg, rng)
-            b = random_observable(cfg, rng)
+            rho = instances.state(rng, 3)
+            a = instances.observable(rng, 3)
+            b = instances.observable(rng, 3)
             ctx = trivial_ctx(rho, seed)
             closed = covariance(a, b, rho)
             assert evaluate_relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
@@ -85,10 +78,9 @@ class TestImagPart:
     def test_trivial_measurement_keeps_bare_commutator(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            cfg = GenConfig(dim=3)
-            rho = random_state(cfg, rng)
-            a = random_observable(cfg, rng)
-            b = random_observable(cfg, rng)
+            rho = instances.state(rng, 3)
+            a = instances.observable(rng, 3)
+            b = instances.observable(rng, 3)
             ctx = trivial_ctx(rho, seed)
             bare = commutator(a, b, rho)
             assert evaluate_relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
@@ -158,10 +150,9 @@ class TestProofDevice:
 
     def test_trivial_reduces_to_covariance_form(self):
         rng = np.random.default_rng(3)
-        cfg = GenConfig(dim=3)
-        rho = random_state(cfg, rng)
-        a = random_observable(cfg, rng)
-        b = random_observable(cfg, rng)
+        rho = instances.state(rng, 3)
+        a = instances.observable(rng, 3)
+        b = instances.observable(rng, 3)
         ctx = trivial_ctx(rho, 3)
         report = kernels.proof_device(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
         cov = covariance(a, b, rho)
@@ -196,10 +187,9 @@ class TestSchroedingerReduction:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             dim = int(rng.integers(2, 6))
-            cfg = GenConfig(dim=dim)
-            rho = random_state(cfg, rng)
-            a = random_observable(cfg, rng)
-            b = random_observable(cfg, rng)
+            rho = instances.state(rng, dim)
+            a = instances.observable(rng, dim)
+            b = instances.observable(rng, dim)
             report = schroedinger_reduction(rho, a, b)
             assert report.product >= report.bound - 1e-9 * (1 + report.product)
             assert report.kr_bound <= report.bound + 1e-12

@@ -3,20 +3,16 @@
 import json
 import re
 
+import instances
 import numpy as np
 import pytest
 
 from measerr import (
-    GenConfig,
-    ProbabilityDistribution,
     cnot_model,
     evaluate_relation,
     local_context,
-    random_observable,
-    random_state,
     unsharp_qubit,
 )
-from measerr.generate import random_povm
 from measerr.serialize import (
     CSV_HEADER,
     format_float,
@@ -56,7 +52,7 @@ class TestPovmFormat:
             assert np.array_equal(e1, e2)
 
     def test_round_trip_through_text(self):
-        povm = random_povm(GenConfig(dim=3, outcomes=3), np.random.default_rng(3))
+        povm = instances.povm(np.random.default_rng(3), 3, 3)
         text = json_text(povm_to_json(povm))
         clone = povm_from_json(json.loads(text))
         for e1, e2 in zip(clone.effects, povm.effects):
@@ -104,17 +100,6 @@ def test_declared_dimension_must_be_an_integer(key, declared):
         from_json(data)
 
 
-class TestDistributionFormat:
-    def test_label_weight_map(self):
-        cfg = GenConfig(dim=2, outcomes=3)
-        povm = random_povm(cfg, np.random.default_rng(1))
-        rho = random_state(cfg, np.random.default_rng(1))
-        p = ProbabilityDistribution(povm.space, local_context(povm.effects, rho.matrix).weights)
-        data = p.as_dict()
-        assert set(data) == set(povm.space.labels)
-        assert sum(data.values()) == pytest.approx(1.0, abs=1e-10)
-
-
 class TestFloatPolicy:
     def test_seventeen_significant_digits(self):
         text = format_float(1.0 / 3.0, 17)
@@ -153,11 +138,10 @@ class TestFloatPolicy:
 
 class TestCsvRow:
     def _report(self):
-        cfg = GenConfig(dim=2, outcomes=3)
-        povm = random_povm(cfg, np.random.default_rng(2))
-        ctx = local_context(povm.effects, random_state(cfg, np.random.default_rng(2)).matrix)
+        povm = instances.povm(np.random.default_rng(2), 2, 3)
+        ctx = local_context(povm.effects, instances.state(np.random.default_rng(2), 2).matrix)
         rng = np.random.default_rng(5)
-        return povm, evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
+        return povm, evaluate_relation(ctx, instances.observable(rng, 2), instances.observable(rng, 2))
 
     def test_header_and_width(self):
         assert CSV_HEADER.split(",") == [

@@ -4,20 +4,17 @@
 instances that hold an off-support zero effect and an outcome inside
 ``tiny_support``."""
 
+import instances
 import numpy as np
 import pytest
 
 import oracles
 from measerr import (
-    GenConfig,
     OutcomeSpace,
     Povm,
     kernels,
     local_context,
-    random_observable,
-    random_state,
 )
-from measerr.generate import random_povm
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -29,13 +26,12 @@ def edge_instance(dim, mixedness, seed):
     """Random POVM with outcome 0 split into (1 - SPLIT) E_0 and SPLIT E_0,
     plus a zero effect last; a random state and observable."""
     rng = np.random.default_rng([dim, seed])
-    cfg = GenConfig(dim=dim, outcomes=3, mixedness=mixedness)
-    base = random_povm(cfg, rng).effects
+    base = instances.povm(rng, dim, 3).effects
     zero = np.zeros((dim, dim), dtype=complex)
     effects = [(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:], zero]
     space = OutcomeSpace.from_values(np.arange(len(effects), dtype=float))
     povm = Povm(space, effects)
-    return povm, effects, random_state(cfg, rng), random_observable(cfg, rng), rng
+    return povm, effects, instances.state(rng, dim, pure=mixedness == "pure"), instances.observable(rng, dim), rng
 
 
 CASES = [(dim, mixedness, seed) for dim in (2, 5, 8) for mixedness in ("pure", "ginibre") for seed in range(3)]

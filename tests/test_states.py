@@ -12,12 +12,11 @@ from measerr import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    ProbabilityDistribution,
     kernels,
     qubit_state,
 )
-from measerr.generate import ginibre_states, haar_unitaries, pure_states
-from measerr.states import check_states
+from measerr.generate import ginibre_states, haar_unitaries
+from measerr.states import check_states, check_weights, pure_states
 from measerr.tolerances import DEFAULT_TOL
 
 X = HermitianObservable(PAULI_X)
@@ -142,29 +141,27 @@ class TestNormsAndDeviations:
 
 
 class TestClassicalGeometry:
-    space = OutcomeSpace(("+", "-"), (1.0, -1.0))
-
     def test_unit_norm(self):
-        p = ProbabilityDistribution(self.space, [0.5, 0.5])
+        p = check_weights([0.5, 0.5])
         f = np.array([1.0, -1.0])
-        assert kernels.class_inner(f, f, p.weights) == pytest.approx(1.0)
+        assert kernels.class_inner(f, f, p) == pytest.approx(1.0)
 
     def test_constant(self):
-        p = ProbabilityDistribution(self.space, [0.3, 0.7])
+        p = check_weights([0.3, 0.7])
         f = np.full(2, 2.5)
-        assert kernels.dot(f, p.weights) == pytest.approx(2.5)
+        assert kernels.dot(f, p) == pytest.approx(2.5)
 
     def test_weighted_product(self):
-        p = ProbabilityDistribution(self.space, [0.75, 0.25])
+        p = check_weights([0.75, 0.25])
         f = np.array([1.0, -1.0])
         g = np.array([1.0, 0.0])
-        assert kernels.class_inner(f, g, p.weights) == pytest.approx(0.75, abs=1e-12)
+        assert kernels.class_inner(f, g, p) == pytest.approx(0.75, abs=1e-12)
 
     def test_zero_weight_label_is_invisible(self):
-        p = ProbabilityDistribution(self.space, [1.0, 0.0])
+        p = check_weights([1.0, 0.0])
         f = np.array([2.0, 3.0])
         g = np.array([2.0, -70.0])
-        assert kernels.class_norm(f, p.weights) == kernels.class_norm(g, p.weights)
+        assert kernels.class_norm(f, p) == kernels.class_norm(g, p)
 
 
 class TestSpectralDecompose:
@@ -230,13 +227,11 @@ class TestValidation:
         assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
 
     def test_distribution_clip_and_reject(self):
-        space = OutcomeSpace(("a", "b"), (0.0, 1.0))
-        p = ProbabilityDistribution(space, [1.0, -1e-13])
-        assert p.weights[1] == 0.0
+        assert check_weights([1.0, -1e-13])[1] == 0.0
         with pytest.raises(ValueError):
-            ProbabilityDistribution(space, [1.0, -1e-11])
+            check_weights([1.0, -1e-11])
         with pytest.raises(ValueError):
-            ProbabilityDistribution(space, [0.7, 0.2])
+            check_weights([0.7, 0.2])
 
     def test_outcome_space_validation(self):
         with pytest.raises(ValueError):

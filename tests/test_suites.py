@@ -8,23 +8,16 @@ import re
 from dataclasses import replace
 from functools import partial
 
+import instances
 import numpy as np
 import oracles
 import pytest
 
-from measerr import (
-    GenConfig,
-    Tolerances,
-    chain_check,
-    evaluate_relation,
-    local_context,
-    random_observable,
-    random_state,
-)
+from measerr import chain_check, evaluate_relation, local_context
 from measerr import generate, kernels, suites
 from measerr.cli import main
-from measerr.generate import random_indirect_model, random_povm
 from measerr.states import check_states, pure_states
+from measerr.tolerances import DEFAULT_TOL
 from measerr.suites import SuiteResult
 from test_chain_kernels import chain_arguments
 
@@ -96,18 +89,16 @@ class TestTransportOnce:
 
     def test_evaluate_relation(self, transport_calls):
         rng = np.random.default_rng(1)
-        cfg = GenConfig(dim=3, outcomes=4)
-        ctx = local_context(random_povm(cfg, rng).effects, random_state(cfg, rng).matrix)
-        evaluate_relation(ctx, random_observable(cfg, rng), random_observable(cfg, rng))
+        ctx = local_context(instances.povm(rng, 3, 4).effects, instances.state(rng, 3).matrix)
+        evaluate_relation(ctx, instances.observable(rng, 3), instances.observable(rng, 3))
         assert transport_calls == [(3, 3)] * 2
 
     def test_chain_check(self, transport_calls):
         rng = np.random.default_rng(2)
         for dim in (2, 3, 5):
-            cfg = GenConfig(dim=dim, mixedness="ginibre")
-            model = random_indirect_model(cfg, rng, ancilla_dim=2)
-            rho = random_state(cfg, rng)
-            chain_check(model, rho, random_observable(cfg, rng), random_observable(cfg, rng))
+            model = instances.indirect_model(rng, dim)
+            rho = instances.state(rng, dim)
+            chain_check(model, rho, instances.observable(rng, dim), instances.observable(rng, dim))
         assert len(transport_calls) == 2 * 3
 
     def test_error_decomposition(self, transport_calls):
@@ -307,19 +298,19 @@ def test_seed_states_are_numpys_seed_sequence(words):
 
 
 def test_block_instances_are_the_generators_on_their_own_streams():
-    """Each instance's POVM, state and first observable are those of the
-    per-instance generators run on its stream; also in the suites that draw
-    more after the POVM."""
+    """Each instance's POVM, state and first observable are those drawn on
+    its stream one instance at a time (``instances``); also in the suites
+    that draw more after the POVM."""
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
         cols = draw_block(11, suite, 4, range(12))
         for i in range(12):
             rng = suites._rng(11, suite, 4, i)
             outcomes = int(rng.integers(2, 7))
-            cfg = GenConfig(dim=4, outcomes=outcomes, mixedness="pure" if rng.random() < 0.3 else "ginibre")
-            assert np.array_equal(cols["povm"][i, :outcomes], random_povm(cfg, rng).effects)
+            pure = rng.random() < 0.3
+            assert np.array_equal(cols["povm"][i, :outcomes], instances.povm(rng, 4, outcomes).effects)
             assert np.all(cols["povm"][i, outcomes:] == 0.0)
-            assert np.array_equal(cols["rho"][i], random_state(cfg, rng).matrix)
-            assert np.array_equal(suites._observables([cols["a"][i]])[0], random_observable(cfg, rng).matrix)
+            assert np.array_equal(cols["rho"][i], instances.state(rng, 4, pure).matrix)
+            assert np.array_equal(suites._observables([cols["a"][i]])[0], instances.observable(rng, 4).matrix)
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
 
 
@@ -347,18 +338,16 @@ def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
 def test_chain_failure_names_the_model():
     """A chain failure reads "<what> at dim=<d>x<a> i=<i>", and its values
     are those of ``chain_check`` on the same model."""
-    tol = Tolerances(identity=-1.0)
-    out = suites.suite_ozawa_chain(((3, 2),), 2, seed=4, tol=tol)
+    out = suites.suite_ozawa_chain(((3, 2),), 2, seed=4, slack=-1.0)
     assert out.failures == 6 and len(out.messages) == 5
     assert out.messages[0].startswith("bridge identity broke at dim=3x2 i=0: ")
     assert out.messages[1] == "rms error below intrinsic error at dim=3x2 i=0"
     head, values = out.messages[2].split(": ", 1)
     assert head == "chain broke at dim=3x2 i=0"
     rng = suites._rng(4, "ozawa-chain", 3, 2, 0)
-    cfg = GenConfig(dim=3, mixedness="ginibre")
-    model = random_indirect_model(cfg, rng, ancilla_dim=2)
-    rho = random_state(cfg, rng)
-    report = chain_check(model, rho, random_observable(cfg, rng), random_observable(cfg, rng), tol=tol)
+    model = instances.indirect_model(rng, 3)
+    rho = instances.state(rng, 3)
+    report = chain_check(model, rho, instances.observable(rng, 3), instances.observable(rng, 3), slack=-1.0)
     assert np.allclose(ast.literal_eval(values), report.values, rtol=0.0, atol=1e-12)
     assert out.messages[3].startswith("bridge identity broke at dim=3x2 i=1: ")
 
@@ -385,17 +374,20 @@ def summaries(results) -> list:
 
 def sweep_summaries(failing: bool = False) -> list:
     """Every verify suite and the chain suite at dims 2 and 3, n 7, seed 9;
-    ``failing``, with the sign flip and roundoff-level slacks."""
-    tol = Tolerances(validation=1e-16, identity=1e-16, expectation=1e-16) if failing else Tolerances()
-    results = suites.run_verify((2, 3), 7, seed=9, tol=tol, sign_flip=failing)
-    return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, tol=tol)])
+    ``failing``, with the sign flip and a roundoff-level slack."""
+    slack = 1e-16 if failing else DEFAULT_TOL.identity
+    results = suites.run_verify((2, 3), 7, seed=9, slack=slack, sign_flip=failing)
+    return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, slack=slack)])
 
 
 @pytest.mark.parametrize("failing", [False, True])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
     """Blocks of 3 (two full blocks and a ragged last one) give every suite
     the checks, failures, worst residual and messages of one block; also on
-    failing runs, with the sign flip and roundoff-level slacks."""
+    failing runs, with the sign flip and roundoff-level slacks: the slack,
+    and the suites' fixed validation and expectation slacks."""
+    if failing:
+        monkeypatch.setattr(suites, "DEFAULT_TOL", replace(DEFAULT_TOL, validation=1e-16, expectation=1e-16))
     default = sweep_summaries(failing)
     assert sum(failures > 0 for _, _, failures, _, _ in default) == (8 if failing else 0)
     monkeypatch.setattr(suites, "_BLOCK", 3)

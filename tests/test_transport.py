@@ -1,27 +1,23 @@
 """State-local pushforward/pullback, adjointness, contraction chain."""
 
+import instances
 import numpy as np
 import pytest
 
 import oracles
 from measerr import (
     DensityOperator,
-    GenConfig,
     HermitianObservable,
     OutcomeSpace,
     PAULI_X,
     PAULI_Z,
     Povm,
-    ProbabilityDistribution,
     kernels,
     local_context,
     projective_from,
-    random_observable,
-    random_state,
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import random_povm
 from measerr.tolerances import DEFAULT_TOL
 
 X = HermitianObservable(PAULI_X)
@@ -47,9 +43,8 @@ def adjointness(ctx, a, f):
 def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = outcomes or int(rng.integers(2, 6))
-    cfg = GenConfig(dim=dim, outcomes=outcomes, mixedness=mixedness)
-    ctx = make_ctx(random_povm(cfg, rng), random_state(cfg, rng))
-    return ctx, random_observable(cfg, rng), rng
+    ctx = make_ctx(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
+    return ctx, instances.observable(rng, dim), rng
 
 
 class TestPushforward:
@@ -64,13 +59,10 @@ class TestPushforward:
         assert np.allclose(f, 0.0, atol=1e-12)
 
     def test_trivial_gives_constant_expectation(self):
-        space = OutcomeSpace(("a", "b", "c"), (0.0, 1.0, 2.0))
-        p0 = ProbabilityDistribution(space, [0.2, 0.3, 0.5])
         rng = np.random.default_rng(4)
-        cfg = GenConfig(dim=3)
-        rho = random_state(cfg, rng)
-        a = random_observable(cfg, rng)
-        ctx = make_ctx(trivial_measurement(p0, 3), rho)
+        rho = instances.state(rng, 3)
+        a = instances.observable(rng, 3)
+        ctx = make_ctx(trivial_measurement([0.2, 0.3, 0.5], 3), rho)
         f = pushforward(ctx, a)
         assert np.allclose(f, kernels.expect(a.matrix, rho.matrix), atol=1e-10)
 
