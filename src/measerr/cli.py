@@ -15,7 +15,7 @@ import functools
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -51,31 +51,11 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_DEMOS = ("naive-violation", "kr-reduction", "ozawa-chain")
 _FAMILIES = ("unsharp", "noisy-projective", "custom")
 # Largest number of points a start:stop:step grid may hold.
 _MAX_GRID_POINTS = 10_000
 # Largest ancilla dimension of random chain models: joint dimensions stay at most 8 * 8.
 _MAX_ANCILLA = 8
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance block embedded in every report."""
-
-    spec_version: str
-    subcommand: str
-    seed: int
-    dims: tuple[int, ...]
-    instances: int
-    rng_algorithm: str
-    tolerances: dict
-    checks_passed: int
-    checks_failed: int
-    wall_time_s: float
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "dims": list(self.dims)}
 
 
 def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
@@ -145,21 +125,20 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return grid
 
 
-def _manifest(
-    args, subcommand: str, passed: int, failed: int, started: float, dims=(), instances: int = 0
-) -> RunManifest:
-    return RunManifest(
-        spec_version=__version__,
-        subcommand=subcommand,
-        seed=getattr(args, "seed", 0),
-        dims=tuple(dims),
-        instances=instances,
-        rng_algorithm=RNG_ALGORITHM,
-        tolerances={**asdict(DEFAULT_TOL), "identity": args.tolerance},
-        checks_passed=passed,
-        checks_failed=failed,
-        wall_time_s=time.perf_counter() - started,
-    )
+def _manifest(args, subcommand: str, passed: int, failed: int, started: float, dims=(), instances: int = 0) -> dict:
+    """The provenance block embedded in every report."""
+    return {
+        "spec_version": __version__,
+        "subcommand": subcommand,
+        "seed": getattr(args, "seed", 0),
+        "dims": list(dims),
+        "instances": instances,
+        "rng_algorithm": RNG_ALGORITHM,
+        "tolerances": {**asdict(DEFAULT_TOL), "identity": args.tolerance},
+        "checks_passed": passed,
+        "checks_failed": failed,
+        "wall_time_s": time.perf_counter() - started,
+    }
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -183,7 +162,7 @@ def cmd_verify(args) -> int:
             print(f"     {msg}")
     manifest = _manifest(args, "verify", passed, failed, started, dims=args.dims, instances=args.n)
     payload = {
-        "manifest": manifest.as_dict(),
+        "manifest": manifest,
         "suites": {r.name: r.as_dict() for r in results},
     }
     _emit_json(args, payload)
@@ -245,7 +224,7 @@ def cmd_scan(args) -> int:
         manifest = _manifest(
             args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
         )
-        _emit_json(args, {"manifest": manifest.as_dict(), "rows": len(rows), "family": args.family})
+        _emit_json(args, {"manifest": manifest, "rows": len(rows), "family": args.family})
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
@@ -265,7 +244,9 @@ def _demo_naive_violation(slack: float) -> tuple[list[str], int]:
 
 
 def _demo_kr_reduction(slack: float) -> tuple[list[str], int]:
-    """Its three checks keep fixed slacks, whatever ``slack`` is."""
+    """Its three checks keep fixed slacks, so it takes only the default ``slack``."""
+    if slack != DEFAULT_TOL.identity:
+        raise ValueError("demo kr-reduction takes no --tolerance: its checks keep fixed slacks")
     rho = DensityOperator.pure([1.0, 0.0])
     report = schroedinger_reduction(rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Y))
     ok = (
@@ -303,23 +284,25 @@ def _demo_ozawa_chain(slack: float) -> tuple[list[str], int]:
     return lines, 0 if report.holds.all() else EXIT_VIOLATION
 
 
+_DEMOS = {
+    "naive-violation": _demo_naive_violation,
+    "kr-reduction": _demo_kr_reduction,
+    "ozawa-chain": _demo_ozawa_chain,
+}
+
+
 def cmd_demo(args) -> int:
     started = time.perf_counter()
     if args.name not in _DEMOS:
-        print(f"unknown demo {args.name!r}; choose from {_DEMOS}", file=sys.stderr)
+        print(f"unknown demo {args.name!r}; choose from {tuple(_DEMOS)}", file=sys.stderr)
         return EXIT_USAGE
-    runner = {
-        "naive-violation": _demo_naive_violation,
-        "kr-reduction": _demo_kr_reduction,
-        "ozawa-chain": _demo_ozawa_chain,
-    }[args.name]
-    lines, code = runner(args.tolerance)
+    lines, code = _DEMOS[args.name](args.tolerance)
     for line in lines:
         print(line)
     manifest = _manifest(args, f"demo:{args.name}", int(code == 0), int(code != 0), started)
-    print("manifest: " + json_text(manifest.as_dict(), sig=17).replace("\n", " "))
+    print("manifest: " + json_text(manifest, sig=17).replace("\n", " "))
     if args.json:
-        _emit_json(args, {"manifest": manifest.as_dict(), "lines": lines})
+        _emit_json(args, {"manifest": manifest, "lines": lines})
     return code
 
 
@@ -361,7 +344,7 @@ def cmd_chain(args) -> int:
 
     manifest = _manifest(args, "chain", checks_passed, checks_failed, started, dims=dims, instances=instances)
     if args.json:
-        _emit_json(args, {"manifest": manifest.as_dict()})
+        _emit_json(args, {"manifest": manifest})
     return EXIT_VIOLATION if checks_failed else EXIT_OK
 
 
@@ -399,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--out", type=str, default=None, help="CSV output path (default: stdout)")
 
     p_demo = sub.add_parser("demo", parents=[common], help="named deterministic scenarios")
-    p_demo.add_argument("name", type=str, help=f"one of {_DEMOS}")
+    p_demo.add_argument("name", type=str, help=f"one of {tuple(_DEMOS)}")
 
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
     p_chain.add_argument("--dims", type=_parse_dims, default=(2, 3), help="system dimensions")

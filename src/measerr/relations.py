@@ -19,17 +19,14 @@ from .states import DensityOperator, HermitianObservable, _check_same_dim
 from .transport import local_context
 
 
-def evaluate_relation(
-    ctx: kernels.Context, a: HermitianObservable, b: HermitianObservable, *, sign_flip: bool = False
-) -> kernels.Relation:
+def evaluate_relation(ctx: kernels.Context, a: HermitianObservable, b: HermitianObservable) -> kernels.Relation:
     """eps_a, eps_b, R, I and the bound, from one transport per observable
-    (``kernels.relation``, which holds the formulas and the ``sign_flip``
-    hook of the harness self-test).  The record keeps the transports of A
-    and B, which ``kernels.schroedinger`` and ``kernels.proof_device``
-    read."""
+    (``kernels.relation``, which holds the formulas).  The record keeps the
+    transports of A and B, which ``kernels.schroedinger`` and
+    ``kernels.proof_device`` read."""
     _check_same_dim(a, ctx)
     _check_same_dim(b, ctx)
-    return kernels.relation(ctx, a.matrix, b.matrix, sign_flip=sign_flip)
+    return kernels.relation(ctx, a.matrix, b.matrix)
 
 
 def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:

@@ -163,27 +163,12 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def relation_as_dict(povm: Povm, report) -> dict:
-    """The relation ``report`` (from ``evaluate_relation``) under ``povm``
-    with its serialized names, in CSV column order."""
-    return {
-        "dim": povm.dim,
-        "kind": povm.kind.value,
-        "epsA": report.eps_a,
-        "epsB": report.eps_b,
-        "R": report.real_term,
-        "I": report.imag_term,
-        "bound": report.bound,
-        "slack": report.slack,
-        "naiveBound": report.naive_bound,
-        "naiveViolated": report.naive_violated,
-    }
-
-
 def relation_csv_row(povm: Povm, report, param: float | None) -> str:
-    """One CSV line in the fixed column order; the param cell is empty when
+    """One CSV line of the relation ``report`` (from ``evaluate_relation``)
+    under ``povm``, in the fixed column order; the param cell is empty when
     the row does not belong to a parameter scan."""
-    d = relation_as_dict(povm, report)
-    numbers = [format_float(d[key], 12) for key in ("epsA", "epsB", "R", "I", "bound", "slack", "naiveBound")]
+    numbers = (report.eps_a, report.eps_b, report.real_term, report.imag_term, report.bound, report.slack,
+               report.naive_bound)
     param_cell = "" if param is None else format_float(param, 12)
-    return ",".join([str(d["dim"]), d["kind"], param_cell, *numbers, "true" if d["naiveViolated"] else "false"])
+    flag = "true" if report.naive_violated else "false"
+    return ",".join([str(povm.dim), povm.kind.value, param_cell, *(format_float(x, 12) for x in numbers), flag])

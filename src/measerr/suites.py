@@ -9,7 +9,10 @@ The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
 most ``_BLOCK``; each instance is drawn from its own stream, in index order,
 then the whole block is built, validated once and checked with the stacked
-formulas of ``kernels``.
+formulas of ``kernels``.  The verify suites are the rows of one table,
+``_SUITES`` (a layout, a drawer and a checks function each), which one
+driver, ``_run``, sweeps; ``suite_ozawa_chain``, keyed by (dimension,
+ancilla) pairs, sweeps its own models.
 """
 
 from __future__ import annotations
@@ -281,15 +284,19 @@ def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
     return cols
 
 
-def _draw_instance(rng, block: _Block, k: int, with_f: bool = False) -> int:
-    """A random POVM of 2..6 outcomes, a pure (30%) or Ginibre state, the
-    layout's other arrays and, ``with_f``, an outcome function uniform in
-    [-2, 2).  Returns the outcome count."""
+def _draw_instance(rng, block: _Block, k: int, coin: bool = True, uniforms=()) -> None:
+    """A random POVM of 2..6 outcomes, with the ``coin`` a pure (30%) or
+    Ginibre state, the layout's other arrays, then the raw uniforms, each
+    (name, (lo, hi), per_outcome): one number, or one per outcome."""
     outcomes = int(rng.integers(2, 7))
-    block.gaussians(k, rng, outcomes, bool(rng.random() < 0.3))
-    if with_f:
-        block.raw("f", k, rng, outcomes, (-2.0, 2.0))
-    return outcomes
+    block.gaussians(k, rng, outcomes, coin and bool(rng.random() < 0.3))
+    for name, bounds, per_outcome in uniforms:
+        block.raw(name, k, rng, outcomes if per_outcome else 0, bounds)
+
+
+def _draw_trivial_reduction(rng, block, k):
+    block.gaussians(k, rng)
+    block.raw("p0", k, rng, int(rng.integers(1, 5)))
 
 
 def _observables(g) -> np.ndarray:
@@ -314,158 +321,108 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _draw_affineness(rng, block, k):
-    block.gaussians(k, rng, int(rng.integers(2, 7)))
-    block.raw("lam", k, rng, bounds=(0.0, 1.0))
-
-
-def suite_affineness(dims, n, seed) -> SuiteResult:
+def _affineness(cols, slack, sign_flip) -> dict:
     """Measurements respect probabilistic mixtures of states exactly."""
-    out = SuiteResult("affineness")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _AFFINE, _draw_affineness)
-        effects = cols["povm"]
-        rho1, rho2 = cols["rho1"], cols["rho2"]
-        lam = cols["lam"]
-        mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
-        direct = check_weights(kernels.born(effects, mixed))
-        p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
-        residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
-        out.record_block(dim, block, [("affineness broke", residual, DEFAULT_TOL.validation)])
-    return out
+    effects, rho1, rho2, lam = cols["povm"], cols["rho1"], cols["rho2"], cols["lam"]
+    mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
+    direct = check_weights(kernels.born(effects, mixed))
+    p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
+    residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
+    return {"affineness": [("affineness broke", residual, DEFAULT_TOL.validation)]}
 
 
-def suite_adjoint_characterization(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
+def _adjoint_characterization(cols, slack, sign_flip) -> dict:
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
-    out = SuiteResult("adjoint-characterization")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _INSTANCE, partial(_draw_instance, with_f=True))
-        ctx, a, _ = _instances(cols)
-        f = cols["f"]
-        rhs = kernels.dot(f, ctx.weights)
-        identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
-        values, projectors = _projective(a)
-        rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
-        out.record_block(dim, block, [
-            ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
-            ("projective reconstruction broke", rebuilt, slack * (1.0 + _max_abs(a))),
-        ])
-    return out
+    ctx, a, _ = _instances(cols)
+    f = cols["f"]
+    rhs = kernels.dot(f, ctx.weights)
+    identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
+    values, projectors = _projective(a)
+    rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
+    return {"adjoint-characterization": [
+        ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
+        ("projective reconstruction broke", rebuilt, slack * (1.0 + _max_abs(a))),
+    ]}
 
 
-def suite_contractivity(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
+def _contractivity(cols, slack, sign_flip) -> dict:
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
-    out = SuiteResult("contractivity")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _INSTANCE, partial(_draw_instance, with_f=True))
-        ctx, _, _ = _instances(cols)
-        classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
-        gap = adjoint_norm - classical
-        out.record_block(dim, block, [
-            ("norm contraction broke", gap, slack * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
-            ("operator gap not PSD", -gap_min, slack, lambda i: f"{gap_min[i]:.3e}"),
-        ])
-    return out
+    ctx, _, _ = _instances(cols)
+    classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
+    gap = adjoint_norm - classical
+    return {"contractivity": [
+        ("norm contraction broke", gap, slack * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
+        ("operator gap not PSD", -gap_min, slack, lambda i: f"{gap_min[i]:.3e}"),
+    ]}
 
 
-def _draw_transport_adjointness(rng, block, k):
-    _draw_instance(rng, block, k, with_f=True)
-    block.raw("alpha", k, rng, bounds=(-2.0, 2.0))
-    block.raw("beta", k, rng, bounds=(-2.0, 2.0))
-
-
-def suite_transport_adjointness(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
+def _transport_adjointness(cols, slack, sign_flip) -> dict:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
-    out = SuiteResult("transport-adjointness")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _INSTANCE, _draw_transport_adjointness)
-        ctx, a, b = _instances(cols)
-        f = cols["f"]
-        t = kernels.transport(ctx, a)
-        adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
+    ctx, a, b = _instances(cols)
+    f = cols["f"]
+    t = kernels.transport(ctx, a)
+    adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
 
-        mean_a = kernels.expect(a, ctx.rho)
-        drift = np.abs(kernels.dot(t.pushforward, ctx.weights) - mean_a)
+    mean_a = kernels.expect(a, ctx.rho)
+    drift = np.abs(kernels.dot(t.pushforward, ctx.weights) - mean_a)
 
-        norm_fwd = kernels.class_norm(t.pushforward, ctx.weights)
-        norm_back = kernels.norm(t.roundtrip, ctx.rho)
-        chain = np.maximum(norm_fwd - t.norm, norm_back - norm_fwd)
+    norm_fwd = kernels.class_norm(t.pushforward, ctx.weights)
+    norm_back = kernels.norm(t.roundtrip, ctx.rho)
+    chain = np.maximum(norm_fwd - t.norm, norm_back - norm_fwd)
 
-        alpha, beta = cols["alpha"], cols["beta"]
-        lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
-        combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
-        linearity = _max_abs(lin - combo)
-        out.record_block(dim, block, [
-            ("adjointness broke", adjointness, slack * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
-            ("expectation not preserved", drift, DEFAULT_TOL.expectation * (1.0 + np.abs(mean_a))),
-            ("double contraction broke", chain, slack * (1.0 + t.norm), None),
-            ("linearity broke", linearity, DEFAULT_TOL.expectation * (1.0 + _max_abs(combo))),
-        ])
-    return out
+    alpha, beta = cols["alpha"], cols["beta"]
+    lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
+    combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
+    linearity = _max_abs(lin - combo)
+    return {"transport-adjointness": [
+        ("adjointness broke", adjointness, slack * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
+        ("expectation not preserved", drift, DEFAULT_TOL.expectation * (1.0 + np.abs(mean_a))),
+        ("double contraction broke", chain, slack * (1.0 + t.norm), None),
+        ("linearity broke", linearity, DEFAULT_TOL.expectation * (1.0 + _max_abs(combo))),
+    ]}
 
 
-def _draw_error_decomposition(rng, block, k):
-    outcomes = _draw_instance(rng, block, k, with_f=True)
-    block.raw("delta", k, rng, outcomes, (-2.0, 2.0))
-    block.raw("step", k, rng, bounds=(-1.0, 1.0))
-
-
-def suite_error_decomposition(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
+def _error_decomposition(cols, slack, sign_flip) -> dict:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
-    out = SuiteResult("error-decomposition")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _INSTANCE, _draw_error_decomposition)
-        ctx, a, _ = _instances(cols)
-        t = kernels.transport(ctx, a)
-        split = kernels.f_error_split(ctx, a, t, cols["f"])
+    ctx, a, _ = _instances(cols)
+    t = kernels.transport(ctx, a)
+    split = kernels.f_error_split(ctx, a, t, cols["f"])
 
-        delta, step = cols["delta"], cols["step"]
-        perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
-        expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
-        excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
-        out.record_block(dim, block, [
-            ("decomposition broke", kernels.split_residual(*split), slack),
-            ("estimator beat the optimum", split.quantum_error - split.f_error, slack),
-            ("quadratic excess law broke", excess_law, slack),
-        ])
-    return out
+    delta, step = cols["delta"], cols["step"]
+    perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
+    expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
+    excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
+    return {"error-decomposition": [
+        ("decomposition broke", kernels.split_residual(*split), slack),
+        ("estimator beat the optimum", split.quantum_error - split.f_error, slack),
+        ("quadratic excess law broke", excess_law, slack),
+    ]}
 
 
-def suite_relation_and_proof_tie(
-    dims, n, seed, slack: float = DEFAULT_TOL.identity, sign_flip: bool = False
-) -> tuple[SuiteResult, SuiteResult]:
-    """Main relation sweep plus the proof-tie identities, on the same
-    instances: slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy,
-    the composite-seminorm-equals-error identity, and R+iI against the
-    composite cross product.  ``sign_flip`` corrupts I on purpose (see
+def _relation_and_proof_tie(cols, slack, sign_flip) -> dict:
+    """Main relation plus the proof-tie identities, on the same instances:
+    slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, the
+    composite-seminorm-equals-error identity, and R+iI against the composite
+    cross product.  ``sign_flip`` corrupts I on purpose (see
     ``kernels.relation``)."""
-    relation = SuiteResult("main-relation")
-    proof = SuiteResult("proof-tie-identity")
-    for dim, block, states in _sweep(seed, relation.name, dims, n):
-        ctx, a, b = _instances(_draw_block(states, dim, _INSTANCE, _draw_instance))
-        rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
-        relation.record_block(dim, block, [
+    ctx, a, b = _instances(cols)
+    rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
+    device = kernels.proof_device(ctx, a, b, rel)
+    return {
+        "main-relation": [
             ("relation violated", -rel.slack, slack * (1.0 + np.abs(rel.eps_a * rel.eps_b)),
              lambda i: f"slack {rel.slack[i]:.3e}"),
             ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
-        ])
-
-        device = kernels.proof_device(ctx, a, b, rel)
-        proof.record_block(dim, block, [
+        ],
+        "proof-tie-identity": [
             ("seminorm-error identity broke", np.maximum(device.residual_a, device.residual_b), slack),
             ("cross-product identity broke", device.cross_residual, slack),
-        ])
-    return relation, proof
-
-
-def _draw_errorless_equivalence(rng, block, k):
-    _draw_instance(rng, block, k)
-    block.raw("scale", k, rng, bounds=(0.5, 2.0))
-    block.raw("shift", k, rng, bounds=(-1.0, 1.0))
+        ],
+    }
 
 
 def _row(record, i) -> str:
@@ -484,69 +441,92 @@ def _errorless(e: kernels.Errorless) -> tuple:
     return "constructed errorless case failed", e.error, e.cond_a & e.cond_b & e.cond_c, partial(_row, e)
 
 
-def suite_errorless_equivalence(dims, n, seed) -> SuiteResult:
+def _errorless_equivalence(cols, slack, sign_flip) -> dict:
     """Conditions (a), (b), (c) agree on random and constructed-errorless
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
-    out = SuiteResult("errorless-equivalence")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _ERRORLESS, _draw_errorless_equivalence)
-        ctx, a, b = _instances(cols)
-        conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
-        comm = np.abs(kernels.comm(a, b, ctx.rho))
-        both = conds_a.cond_a & conds_b.cond_a
+    ctx, a, b = _instances(cols)
+    conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
+    comm = np.abs(kernels.comm(a, b, ctx.rho))
+    both = conds_a.cond_a & conds_b.cond_a
 
-        # constructed errorless case: projectively measure a itself
-        rho = cols["rho2"]
-        exact = local_context(_projective(a)[1], rho)
-        scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
-        shifted = scale * a + shift * np.eye(dim, dtype=complex)
-        exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
-        # a and its affine shift commute, so a simultaneous errorless
-        # pair here is consistent with the noncommutativity statement
-        shifted_comm = np.abs(kernels.comm(a, shifted, rho))
+    # constructed errorless case: projectively measure a itself
+    rho = cols["rho2"]
+    exact = local_context(_projective(a)[1], rho)
+    scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
+    shifted = scale * a + shift * np.eye(a.shape[-1], dtype=complex)
+    exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
+    # a and its affine shift commute, so a simultaneous errorless
+    # pair here is consistent with the noncommutativity statement
+    shifted_comm = np.abs(kernels.comm(a, shifted, rho))
 
-        out.record_block(dim, block, [
-            _agreement(conds_a),
-            _agreement(conds_b),
-            ("simultaneous errorless noncommuting pair", np.where(both, comm, 0.0), 1e-6, None),
-            _errorless(exact_a),
-            _errorless(exact_shifted),
-            ("constructed commuting pair has nonzero commutator", shifted_comm, 1e-6, None),
-        ])
-    return out
+    return {"errorless-equivalence": [
+        _agreement(conds_a),
+        _agreement(conds_b),
+        ("simultaneous errorless noncommuting pair", np.where(both, comm, 0.0), 1e-6, None),
+        _errorless(exact_a),
+        _errorless(exact_shifted),
+        ("constructed commuting pair has nonzero commutator", shifted_comm, 1e-6, None),
+    ]}
 
 
-def _draw_trivial_reduction(rng, block, k):
-    block.gaussians(k, rng)
-    block.raw("p0", k, rng, int(rng.integers(1, 5)))
-
-
-def suite_trivial_reduction(dims, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
+def _trivial_reduction(cols, slack, sign_flip) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
-    out = SuiteResult("trivial-reduction")
-    for dim, block, states in _sweep(seed, out.name, dims, n):
-        cols = _draw_block(states, dim, _TRIVIAL, _draw_trivial_reduction)
-        rho = cols["rho"]
-        a, b = _observables(cols["a"]), _observables(cols["b"])
-        effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(dim, dtype=complex)
-        check_effects(effects)
-        ctx = local_context(effects, rho)
-        rel = kernels.relation(ctx, a, b)
-        red = kernels.schroedinger(ctx, a, b, rel)
-        terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
-        terms = np.maximum(terms, np.abs(rel.bound - red.bound))
-        out.record_block(dim, block, [
-            ("error != standard deviation", np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b),
-             DEFAULT_TOL.expectation * (1.0 + red.sigma_a + red.sigma_b)),
-            ("reduced terms mismatch", terms, DEFAULT_TOL.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
-            ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
-            ("reduced relation violated", -rel.slack, slack * (1.0 + rel.eps_a * rel.eps_b),
-             lambda i: f"{rel.slack[i]:.3e}"),
-        ])
-    return out
+    rho = cols["rho"]
+    a, b = _observables(cols["a"]), _observables(cols["b"])
+    effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(rho.shape[-1], dtype=complex)
+    check_effects(effects)
+    ctx = local_context(effects, rho)
+    rel = kernels.relation(ctx, a, b)
+    red = kernels.schroedinger(ctx, a, b, rel)
+    terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
+    terms = np.maximum(terms, np.abs(rel.bound - red.bound))
+    return {"trivial-reduction": [
+        ("error != standard deviation", np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b),
+         DEFAULT_TOL.expectation * (1.0 + red.sigma_a + red.sigma_b)),
+        ("reduced terms mismatch", terms, DEFAULT_TOL.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
+        ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
+        ("reduced relation violated", -rel.slack, slack * (1.0 + rel.eps_a * rel.eps_b),
+         lambda i: f"{rel.slack[i]:.3e}"),
+    ]}
+
+
+# An outcome function uniform in [-2, 2), as a ``_draw_instance`` uniform.
+_F = ("f", (-2.0, 2.0), True)
+
+# The verify suites in report order, keyed by stream name: (layout, drawer,
+# checks).  ``checks(cols, slack, sign_flip)`` maps each result name to the
+# checks of a block's columns.
+_SUITES = {
+    "affineness": (_AFFINE, partial(_draw_instance, coin=False, uniforms=(("lam", (0.0, 1.0), False),)), _affineness),
+    "adjoint-characterization": (_INSTANCE, partial(_draw_instance, uniforms=(_F,)), _adjoint_characterization),
+    "contractivity": (_INSTANCE, partial(_draw_instance, uniforms=(_F,)), _contractivity),
+    "transport-adjointness": (_INSTANCE, partial(
+        _draw_instance, uniforms=(_F, ("alpha", (-2.0, 2.0), False), ("beta", (-2.0, 2.0), False))),
+        _transport_adjointness),
+    "error-decomposition": (_INSTANCE, partial(
+        _draw_instance, uniforms=(_F, ("delta", (-2.0, 2.0), True), ("step", (-1.0, 1.0), False))),
+        _error_decomposition),
+    "main-relation": (_INSTANCE, _draw_instance, _relation_and_proof_tie),
+    "errorless-equivalence": (_ERRORLESS, partial(
+        _draw_instance, uniforms=(("scale", (0.5, 2.0), False), ("shift", (-1.0, 1.0), False))),
+        _errorless_equivalence),
+    "trivial-reduction": (_TRIVIAL, _draw_trivial_reduction, _trivial_reduction),
+}
+
+
+def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) -> list[SuiteResult]:
+    """The results of the suites ``entries`` (entries of ``_SUITES``), in
+    entry order and, within an entry, in the order its checks name them:
+    each block of each entry is swept, drawn and checked once."""
+    results = {}
+    for stream, (layout, draw, checks) in entries.items():
+        for dim, block, states in _sweep(seed, stream, dims, n):
+            for name, rows in checks(_draw_block(states, dim, layout, draw), slack, sign_flip).items():
+                results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
+    return list(results.values())
 
 
 def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
@@ -598,19 +578,8 @@ def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> Su
 
 
 def run_verify(dims, n: int, seed: int, slack: float = DEFAULT_TOL.identity, sign_flip: bool = False) -> list[SuiteResult]:
-    """Run every property suite.  ``slack`` is the slack of the derived
-    identities and inequalities (``DEFAULT_TOL.identity`` unless the CLI's
-    ``--tolerance`` sets it); every other check keeps its fixed slack.
-    ``sign_flip`` exists for harness self-tests."""
-    relation, proof = suite_relation_and_proof_tie(dims, n, seed, slack, sign_flip)
-    return [
-        suite_affineness(dims, n, seed),
-        suite_adjoint_characterization(dims, n, seed, slack),
-        suite_contractivity(dims, n, seed, slack),
-        suite_transport_adjointness(dims, n, seed, slack),
-        suite_error_decomposition(dims, n, seed, slack),
-        relation,
-        proof,
-        suite_errorless_equivalence(dims, n, seed),
-        suite_trivial_reduction(dims, n, seed, slack),
-    ]
+    """Run every property suite of ``_SUITES``.  ``slack`` is the slack of
+    the derived identities and inequalities (``DEFAULT_TOL.identity`` unless
+    the CLI's ``--tolerance`` sets it); every other check keeps its fixed
+    slack.  ``sign_flip`` exists for harness self-tests."""
+    return _run(_SUITES, dims, n, seed, slack, sign_flip)

@@ -7,7 +7,7 @@ magnitudes involved.  The library validates, builds and judges at
 with the ``identity`` slack (``run_verify`` and the suites, ``chain_check``,
 and the CLI's scan and its naive-violation and ozawa-chain demos) takes that
 slack as one float, ``slack``, which the CLI's ``--tolerance`` sets.  The
-kr-reduction demo's checks keep fixed slacks.
+kr-reduction demo's checks keep fixed slacks, so it rejects ``--tolerance``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ class Tolerances:
                                     # must sit well above machine eps, the floor of that
                                     # O(norm^2) cancellation
     support_cutoff: float = 1e-12   # outcome weights at or below this are off-support
-    tiny_support: float = 1e-8      # weights below this draw a conditioning warning
+    tiny_support: float = 1e-8      # tiny-support threshold the tests use; recorded in the manifest
 
 
 DEFAULT_TOL = Tolerances()

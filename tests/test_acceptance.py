@@ -26,19 +26,18 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.cli import main as cli_main
-from measerr.suites import (
-    suite_contractivity,
-    suite_error_decomposition,
-    suite_errorless_equivalence,
-    suite_ozawa_chain,
-    suite_relation_and_proof_tie,
-    suite_trivial_reduction,
-)
+from measerr.suites import _SUITES, _run, suite_ozawa_chain
+from measerr.tolerances import DEFAULT_TOL
 
 SEED = 20240811
 X = HermitianObservable(PAULI_X)
 Y = HermitianObservable(PAULI_Y)
 Z = HermitianObservable(PAULI_Z)
+
+
+def run_suite(suite, dims, n):
+    """The results of one verify suite at ``SEED``, run with its one table entry."""
+    return _run({suite: _SUITES[suite]}, dims, n, SEED, DEFAULT_TOL.identity, False)
 
 
 def report(num, ok, detail):
@@ -50,7 +49,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def relation_sweep():
     # 1000 instances per dimension in {2,3,4,5}, shared by criteria 1 and 2
-    return suite_relation_and_proof_tie((2, 3, 4, 5), 1000, SEED)
+    return run_suite("main-relation", (2, 3, 4, 5), 1000)
 
 
 def test_criterion_1_main_relation(relation_sweep):
@@ -76,7 +75,7 @@ def test_criterion_2_proof_tie_identities(relation_sweep):
 
 
 def test_criterion_3_decomposition_and_minimality():
-    result = suite_error_decomposition((2, 3, 4), 334, SEED)
+    [result] = run_suite("error-decomposition", (2, 3, 4), 334)
     ok = result.failures == 0 and result.checks >= 3000
     report(
         3,
@@ -87,7 +86,7 @@ def test_criterion_3_decomposition_and_minimality():
 
 
 def test_criterion_4_contractivity():
-    result = suite_contractivity((2, 3, 4, 5), 250, SEED)
+    [result] = run_suite("contractivity", (2, 3, 4, 5), 250)
     ok = result.failures == 0
     report(
         4,
@@ -98,7 +97,7 @@ def test_criterion_4_contractivity():
 
 
 def test_criterion_5_trivial_reduction():
-    result = suite_trivial_reduction((2, 3, 4, 5), 50, SEED)
+    [result] = run_suite("trivial-reduction", (2, 3, 4, 5), 50)
     saturation = schroedinger_reduction(DensityOperator.pure([1, 0]), X, Y)
     saturated = (
         abs(saturation.product - 1.0) <= 1e-10
@@ -146,7 +145,7 @@ def test_criterion_7_commutator_bound_undercut():
 
 
 def test_criterion_8_errorless_equivalence():
-    result = suite_errorless_equivalence((2, 3, 4, 5), 125, SEED)
+    [result] = run_suite("errorless-equivalence", (2, 3, 4, 5), 125)
     ok = result.failures == 0
     report(
         8,

@@ -54,34 +54,34 @@ class TestVerify:
         ])
         assert code == 1
         suites = json.loads(out.read_text())["suites"]
-        assert {name: (s["checks"], s["failures"]) for name, s in suites.items()} == {
-            "affineness": (10, 0),
-            "adjoint-characterization": (20, 0),
-            "contractivity": (20, 0),
-            "transport-adjointness": (40, 0),
-            "error-decomposition": (30, 0),
-            "main-relation": (20, 4),
-            "proof-tie-identity": (20, 10),
-            "errorless-equivalence": (60, 0),
-            "trivial-reduction": (40, 0),
-        }
+        assert [(name, (s["checks"], s["failures"])) for name, s in suites.items()] == [
+            ("affineness", (10, 0)),
+            ("adjoint-characterization", (20, 0)),
+            ("contractivity", (20, 0)),
+            ("transport-adjointness", (40, 0)),
+            ("error-decomposition", (30, 0)),
+            ("main-relation", (20, 4)),
+            ("proof-tie-identity", (20, 10)),
+            ("errorless-equivalence", (60, 0)),
+            ("trivial-reduction", (40, 0)),
+        ]
 
     def test_counts_pinned_at_every_dimension(self, tmp_path, capsys):
         out = tmp_path / "pinned.json"
         code = main(["verify", "--dims", "2,3,4,5,6,7,8", "--n", "5", "--seed", "3", "--json", str(out)])
         assert code == 0
         suites = json.loads(out.read_text())["suites"]
-        assert {name: (s["checks"], s["failures"]) for name, s in suites.items()} == {
-            "affineness": (35, 0),
-            "adjoint-characterization": (70, 0),
-            "contractivity": (70, 0),
-            "transport-adjointness": (140, 0),
-            "error-decomposition": (105, 0),
-            "main-relation": (70, 0),
-            "proof-tie-identity": (70, 0),
-            "errorless-equivalence": (210, 0),
-            "trivial-reduction": (140, 0),
-        }
+        assert [(name, (s["checks"], s["failures"])) for name, s in suites.items()] == [
+            ("affineness", (35, 0)),
+            ("adjoint-characterization", (70, 0)),
+            ("contractivity", (70, 0)),
+            ("transport-adjointness", (140, 0)),
+            ("error-decomposition", (105, 0)),
+            ("main-relation", (70, 0)),
+            ("proof-tie-identity", (70, 0)),
+            ("errorless-equivalence", (210, 0)),
+            ("trivial-reduction", (140, 0)),
+        ]
 
     def test_zero_instances_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
@@ -292,6 +292,13 @@ class TestDemo:
     def test_kr_reduction(self, capsys):
         assert main(["demo", "kr-reduction"]) == 0
         assert "saturated" in capsys.readouterr().out
+
+    def test_kr_reduction_rejects_a_tolerance(self, capsys):
+        """Its checks keep fixed slacks, so a --tolerance it would not read is
+        a usage error, as any flag a command does not read."""
+        assert main(["demo", "kr-reduction", "--tolerance", "1e-300"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: demo kr-reduction takes no --tolerance: its checks keep fixed slacks\n")
 
     def test_ozawa_chain(self, capsys):
         assert main(["demo", "ozawa-chain"]) == 0

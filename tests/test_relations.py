@@ -18,7 +18,6 @@ from measerr import (
     schroedinger_reduction,
     trivial_measurement,
 )
-from measerr.serialize import relation_as_dict
 
 X = HermitianObservable(PAULI_X)
 Y = HermitianObservable(PAULI_Y)
@@ -129,15 +128,6 @@ class TestEvaluateRelation:
         ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
             evaluate_relation(ctx, X, HermitianObservable(np.eye(3)))
-
-    def test_report_serialization_keys(self):
-        povm = projective_from(Z)
-        ctx = local_context(povm.effects, qubit_state(y=0.8).matrix)
-        d = relation_as_dict(povm, evaluate_relation(ctx, X, Z))
-        assert list(d) == [
-            "dim", "kind", "epsA", "epsB", "R", "I", "bound", "slack",
-            "naiveBound", "naiveViolated",
-        ]
 
 
 class TestProofDevice:

@@ -148,12 +148,15 @@ class TestCsvRow:
             "dim", "kind", "param", "epsA", "epsB", "R", "I", "bound",
             "slack", "naiveBound", "naiveViolated",
         ]
-        row = relation_csv_row(*self._report(), 0.25)
-        cells = row.split(",")
+        povm, report = self._report()
+        cells = relation_csv_row(povm, report, 0.25).split(",")
         assert len(cells) == 11
         assert cells[0] == "2"
+        assert cells[1] == povm.kind.value
         assert cells[2] == "0.25"
-        assert cells[-1] in ("true", "false")
+        fields = ("eps_a", "eps_b", "real_term", "imag_term", "bound", "slack", "naive_bound")
+        assert cells[3:10] == [format_float(getattr(report, field), 12) for field in fields]
+        assert cells[-1] == ("true" if report.naive_violated else "false")
 
     def test_param_cell_empty_outside_scans(self):
         row = relation_csv_row(*self._report(), None)

@@ -6,7 +6,6 @@ import itertools
 import math
 import re
 from dataclasses import replace
-from functools import partial
 
 import instances
 import numpy as np
@@ -42,6 +41,11 @@ class TestSuiteResult:
             assert out.messages == ["non-finite at dim=2 i=0"]
             assert not math.isfinite(out.worst)
             assert repr(out.worst) == repr(bad)
+
+
+def run(suite, dims, n, seed, slack=DEFAULT_TOL.identity, sign_flip=False) -> list:
+    """The results of one verify suite, run by ``suites._run`` with its one entry."""
+    return suites._run({suite: suites._SUITES[suite]}, dims, n, seed, slack, sign_flip)
 
 
 @pytest.fixture
@@ -102,12 +106,12 @@ class TestTransportOnce:
         assert len(transport_calls) == 2 * 3
 
     def test_error_decomposition(self, transport_calls):
-        suites.suite_error_decomposition((2, 4), 3, seed=5)
+        run("error-decomposition", (2, 4), 3, seed=5)
         assert transport_calls == [(3, 2, 2), (3, 4, 4)]
 
     def test_blocks_bound_the_stack(self, transport_calls):
         n = 2 * suites._BLOCK + 1
-        suites.suite_error_decomposition((3,), n, seed=5)
+        run("error-decomposition", (3,), n, seed=5)
         assert transport_calls == [(suites._BLOCK, 3, 3)] * 2 + [(1, 3, 3)]
 
     def test_ozawa_chain(self, transport_calls):
@@ -118,7 +122,7 @@ class TestTransportOnce:
 
     def test_transport_adjointness(self, transport_calls):
         # a, b and the linear combination alpha a + beta b, per block
-        suites.suite_transport_adjointness((2, 4), 3, seed=5)
+        run("transport-adjointness", (2, 4), 3, seed=5)
         assert transport_calls == [(3, 2, 2)] * 3 + [(3, 4, 4)] * 3
 
 
@@ -179,25 +183,12 @@ class TestRecordBlock:
         assert (out.checks, out.failures, out.worst) == (2, 0, 0.0)
 
 
-# The layout and the drawer of each verify suite ("contractivity" draws as
-# "adjoint-characterization" does).
-DRAWERS = {
-    "affineness": (suites._AFFINE, suites._draw_affineness),
-    "adjoint-characterization": (suites._INSTANCE, partial(suites._draw_instance, with_f=True)),
-    "transport-adjointness": (suites._INSTANCE, suites._draw_transport_adjointness),
-    "error-decomposition": (suites._INSTANCE, suites._draw_error_decomposition),
-    "main-relation": (suites._INSTANCE, suites._draw_instance),
-    "errorless-equivalence": (suites._ERRORLESS, suites._draw_errorless_equivalence),
-    "trivial-reduction": (suites._TRIVIAL, suites._draw_trivial_reduction),
-}
-
-
-def draw_block(seed, suite, dim, block, draw=None):
+def draw_block(seed, suite, dim, block):
     """``suites._draw_block`` of the instances ``block`` of one (suite, dim)
-    sweep, by the suite's drawer or by ``draw`` in the suite's layout."""
-    layout, default = DRAWERS[suite]
+    sweep, in the suite's layout and by its drawer."""
+    layout, draw, _ = suites._SUITES[suite]
     states = suites._stream_states(seed, suite, [(dim, i) for i in block])
-    return suites._draw_block(states, dim, layout, draw or default)
+    return suites._draw_block(states, dim, layout, draw)
 
 
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
@@ -223,7 +214,7 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
             assert np.array_equal(got, want), key
 
 
-@pytest.mark.parametrize("suite", sorted(DRAWERS))
+@pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     block = range(3, 15)
@@ -231,7 +222,7 @@ def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
 
 
-@pytest.mark.parametrize("suite", sorted(DRAWERS))
+@pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5])
 def test_full_block_unpacks_every_group(suite, dim):
     """A full block of ``_BLOCK`` instances holds every row layout its
@@ -318,18 +309,17 @@ def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
     """Zero POVM factors (a singular sum_w G_w^dag G_w) in one instance are not
     drawn again: ``_draw_block`` raises, and ``verify`` exits 2 with one
     "error:" line and no report, as any block that ``check_effects`` rejects."""
-    draw_instance = suites._draw_instance
+    gaussians = suites._Block.gaussians
 
-    def zeroed(rng, block, k, **kwargs):
-        outcomes = draw_instance(rng, block, k, **kwargs)
+    def zeroed(block, k, rng, outcomes=0, pure=False):
+        gaussians(block, k, rng, outcomes, pure)
         if k == 1:
             block.buffer[k, : outcomes * 2 * block.dim**2] = 0.0
-        return outcomes
 
+    monkeypatch.setattr(suites._Block, "gaussians", zeroed)
     with np.errstate(divide="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            draw_block(5, "main-relation", 3, range(4), zeroed)
-        monkeypatch.setattr(suites, "_draw_instance", zeroed)
+            draw_block(5, "main-relation", 3, range(4))
         code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: effect entries must be finite\n")
@@ -357,7 +347,7 @@ def test_errorless_failure_lists_the_conditions(monkeypatch):
     followed by the six fields of the instance's conditions as Python
     scalars."""
     monkeypatch.setattr(kernels, "DEFAULT_TOL", replace(kernels.DEFAULT_TOL, errorless=0.0))
-    out = suites.suite_errorless_equivalence((2, 3), 4, seed=6)
+    [out] = run("errorless-equivalence", (2, 3), 4, seed=6)
     assert out.failures > 0 and out.messages
     flag, number = r"(True|False)", r"(-?[0-9][0-9.e+-]*|nan|inf)"
     fields = ", ".join(
@@ -423,8 +413,8 @@ def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
         rel.slack = rel.eps_a * rel.eps_b - rel.bound
         return rel
 
-    assert suites.suite_trivial_reduction((2, 3), 20, seed=3).passed
+    assert run("trivial-reduction", (2, 3), 20, seed=3)[0].passed
     monkeypatch.setattr(kernels, "relation", dropped_r)
-    out = suites.suite_trivial_reduction((2, 3), 20, seed=3)
+    [out] = run("trivial-reduction", (2, 3), 20, seed=3)
     assert (out.checks, out.failures) == (160, 40)
     assert all(m.startswith("reduced terms mismatch at dim=2 i=") for m in out.messages)
