@@ -306,12 +306,20 @@ def cmd_demo(args) -> int:
     return code
 
 
+# The random chain sweep's flags and their defaults; ``chain --model`` reads none of them.
+_CHAIN_SWEEP = {"dims": (2, 3), "ancilla": 2, "n": 50}
+
+
 def cmd_chain(args) -> int:
     started = time.perf_counter()
     checks_failed = 0
     checks_passed = 0
 
+    given = {name: getattr(args, name) for name in _CHAIN_SWEEP if getattr(args, name) is not None}
     if args.model:
+        if given:
+            flags = ", ".join(f"--{name}" for name in given)
+            raise ValueError(f"chain --model takes no {flags}: it checks the one model on one drawn state")
         model = load_model(args.model)
         dims, instances = (model.system_dim,), 1
         # a Ginibre state, then A, then B: each its real block, then its imaginary block
@@ -332,9 +340,10 @@ def cmd_chain(args) -> int:
         checks_passed += int(demo_code == 0)
         checks_failed += int(demo_code != 0)
 
-        dims, instances = args.dims, args.n
-        pairs = tuple((d, args.ancilla) for d in dims)
-        result = suite_ozawa_chain(pairs, args.n, args.seed, args.tolerance)
+        sweep = {**_CHAIN_SWEEP, **given}
+        dims, instances = sweep["dims"], sweep["n"]
+        pairs = tuple((d, sweep["ancilla"]) for d in dims)
+        result = suite_ozawa_chain(pairs, instances, args.seed, args.tolerance)
         status = "ok" if result.passed else "FAIL"
         print(f"{status:4s} {result.name}: {result.checks} checks, {result.failures} failures, worst {result.worst:.3e}")
         for msg in result.messages:
@@ -385,9 +394,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", type=str, help=f"one of {tuple(_DEMOS)}")
 
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
-    p_chain.add_argument("--dims", type=_parse_dims, default=(2, 3), help="system dimensions")
-    p_chain.add_argument("--ancilla", type=_int_range(1, _MAX_ANCILLA), default=2, help=f"ancilla dimension in 1..{_MAX_ANCILLA} for random models")
-    p_chain.add_argument("--n", type=_int_range(1), default=50, help="random models per dimension")
+    # The random sweep's flags default to None, so that ``--model`` can reject them.
+    p_chain.add_argument("--dims", type=_parse_dims, default=None, help="system dimensions (default 2,3)")
+    p_chain.add_argument("--ancilla", type=_int_range(1, _MAX_ANCILLA), default=None, help=f"ancilla dimension in 1..{_MAX_ANCILLA} for random models (default 2)")
+    p_chain.add_argument("--n", type=_int_range(1), default=None, help="random models per dimension (default 50)")
     p_chain.add_argument("--model", type=str, default=None, help="JSON indirect model to check instead")
 
     return parser

@@ -206,14 +206,16 @@ class _Block:
     """The draws of N verify instances in one fixed ``layout``.  Row k of
     ``buffer`` holds instance k's complex Gaussians, each array its real
     block, then its imaginary block; ``outcomes`` and ``pure`` record the
-    two numbers its row layout depends on.  Other draws go raw into columns,
-    ``(N,)`` or ``(N, _OUTCOMES)``, read once per column by ``columns``."""
+    two numbers its row layout depends on.  Row k of ``uniform`` holds its
+    uniform doubles, field after field, and the trivial measurement's
+    exponentials go into a row column (``raw``); ``columns`` reads each
+    field once per block."""
 
     def __init__(self, n: int, dim: int, layout):
         self.dim, self.layout, self.buffer = dim, layout, np.empty((n, 2 * _MATRICES * dim * dim))
         self.outcomes, self.pure = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
         self.rest = [2 * sum(dim ** ranks[p] for _, *ranks in layout) for p in (0, 1)]
-        self.cols, self.bounds, self.sizes = {}, {}, np.zeros(n, dtype=int)
+        self.fields, self.cols, self.sizes = (), {}, np.zeros(n, dtype=int)
 
     def gaussians(self, k: int, rng: np.random.Generator, outcomes: int = 0, pure: bool = False) -> None:
         """Fill row k by one call with ``outcomes`` POVM factors and the
@@ -221,40 +223,49 @@ class _Block:
         self.outcomes[k], self.pure[k] = outcomes, pure
         rng.standard_normal(out=self.buffer[k, : 2 * self.dim**2 * outcomes + self.rest[pure]])
 
-    def raw(self, name: str, k: int, rng: np.random.Generator, size: int = 0, bounds=None) -> None:
-        """Instance k's raw draws into column ``name``: one number, or a row of
-        ``size``, the same in every row column of an instance.  With ``bounds``
-        (lo, hi) they are ``rng.random`` doubles u and the column reads
-        lo + (hi - lo) u, numpy's ``uniform(lo, hi)``; without, they are
-        standard exponentials and each row reads times the reciprocal of its
-        sum, numpy's ``dirichlet`` of ones."""
+    def uniforms(self, k: int, rng: np.random.Generator, fields, outcomes: int) -> None:
+        """Instance k's uniform doubles u for ``fields``, each (name, (lo, hi),
+        per_outcome), by one ``rng.random`` call into row k of ``uniform``:
+        in field order, one double per field, or ``outcomes`` of them, the
+        numbers one ``random`` call per field would draw.  Every instance of
+        a block has the same fields."""
+        if not self.fields:
+            self.fields, self.per_outcome = fields, sum(per for *_, per in fields)
+            self.uniform = np.zeros((len(self.buffer), len(fields) + self.per_outcome * (_OUTCOMES - 1)))
+        rng.random(out=self.uniform[k, : len(fields) + self.per_outcome * (outcomes - 1)])
+
+    def raw(self, name: str, k: int, rng: np.random.Generator, size: int) -> None:
+        """Instance k's ``size`` standard exponentials into row column ``name``,
+        which reads each row times the reciprocal of its sum: numpy's
+        ``dirichlet`` of ones."""
         if name not in self.cols:
-            self.cols[name], self.bounds[name] = np.zeros((len(self.buffer), _OUTCOMES) if size else len(self.buffer)), bounds
-        if size:
-            self.sizes[k] = size
-        fill = rng.standard_exponential if bounds is None else rng.random
-        fill(out=self.cols[name][k, :size] if size else self.cols[name][k : k + 1])
+            self.cols[name] = np.zeros((len(self.buffer), _OUTCOMES))
+        self.sizes[k] = size
+        rng.standard_exponential(out=self.cols[name][k, :size])
 
     def columns(self) -> dict:
-        """The block as stacks: the raw columns as they read (``raw``), rows
-        cut to the widest drawn and zero-padded, the POVM factors zero-padded
-        to the most outcomes, and each array cut out where ``outcomes`` and
-        ``pure`` place it, one gather per rank, "rho" arrays as validated
-        states (ket projectors, G G^dag / Tr)."""
-        n, dim, width, cols = len(self.buffer), self.dim, self.sizes.max(), {}
-        for name, col in self.cols.items():
-            col = col[:, :width] if col.ndim > 1 else col
-            if self.bounds[name] is None:
-                cols[name] = col * (1.0 / col.sum(axis=1))[:, None]
+        """The block as stacks: the uniform fields as lo + (hi - lo) u,
+        numpy's ``uniform(lo, hi)``, each cut from ``uniform`` where the
+        outcome counts place it; the ``raw`` columns as they read; rows over
+        outcomes zero-padded to the widest drawn, the POVM factors among
+        them; and each array cut out where ``outcomes`` and ``pure`` place
+        it, one gather per rank, "rho" arrays as validated states (ket
+        projectors, G G^dag / Tr)."""
+        n, dim, top, cols = len(self.buffer), self.dim, self.outcomes.max(), {}
+        index, start, padding = np.arange(n), np.zeros(n, dtype=int), np.arange(top) >= self.outcomes[:, None]
+        for name, (lo, hi), per_outcome in self.fields:
+            if per_outcome:
+                cols[name] = lo + (hi - lo) * self.uniform[index[:, None], start[:, None] + np.arange(top)]
+                cols[name][padding] = 0.0
             else:
-                lo, hi = self.bounds[name]
-                cols[name] = lo + (hi - lo) * col
-            if col.ndim > 1:
-                cols[name][np.arange(width) >= self.sizes[:, None]] = 0.0
-        top = self.outcomes.max()
+                cols[name] = lo + (hi - lo) * self.uniform[index, start]
+            start = start + (self.outcomes if per_outcome else 1)
+        for name, col in self.cols.items():
+            col = col[:, : self.sizes.max()]
+            cols[name] = col * (1.0 / col.sum(axis=1))[:, None]
         if top:
             cols["povm"] = complex_stack(self.buffer[:, : top * 2 * dim * dim].reshape(n, top, 2, dim, dim))
-            cols["povm"][np.arange(top) >= self.outcomes[:, None]] = 0.0
+            cols["povm"][padding] = 0.0
         start = 2 * dim * dim * self.outcomes
         for name, mixed, pure in self.layout:
             ranks, cols[name] = np.where(self.pure, pure, mixed), np.empty((n, dim, dim), complex)
@@ -284,19 +295,39 @@ def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
     return cols
 
 
+def _integer(raw, low: int, high: int) -> int:
+    """numpy's ``integers(low, high)`` (1 < high - low < 2**32) as a
+    generator's first 32-bit draw, read from its raw outputs ``raw()``:
+    Lemire's multiply-shift on each 32-bit half of an output, low half
+    first, taking the next half while the product's low word is below
+    2**32 mod (high - low).  An unused high half, which numpy keeps for the
+    generator's next 32-bit draw, is dropped: no later draw takes one."""
+    span = high - low
+    while True:
+        x = raw()
+        for half in (x & 0xFFFFFFFF, x >> 32):
+            m = half * span
+            if m & 0xFFFFFFFF >= 2**32 % span:
+                return low + (m >> 32)
+
+
 def _draw_instance(rng, block: _Block, k: int, coin: bool = True, uniforms=()) -> None:
     """A random POVM of 2..6 outcomes, with the ``coin`` a pure (30%) or
-    Ginibre state, the layout's other arrays, then the raw uniforms, each
-    (name, (lo, hi), per_outcome): one number, or one per outcome."""
-    outcomes = int(rng.integers(2, 7))
-    block.gaussians(k, rng, outcomes, coin and bool(rng.random() < 0.3))
-    for name, bounds, per_outcome in uniforms:
-        block.raw(name, k, rng, outcomes if per_outcome else 0, bounds)
+    Ginibre state, the layout's other arrays, then the uniforms, each
+    (name, (lo, hi), per_outcome): one number, or one per outcome.  The
+    outcome count is ``integers(2, 7)`` (``_integer``) and the coin is
+    numpy's ``random() < 0.3``, (x >> 11) 2**-53 of the next raw output x,
+    so every draw is the plain call's (``oracles.verify_draws``)."""
+    raw = rng.bit_generator.random_raw
+    outcomes = _integer(raw, 2, 7)
+    block.gaussians(k, rng, outcomes, coin and (raw() >> 11) * 2**-53 < 0.3)
+    if uniforms:
+        block.uniforms(k, rng, uniforms, outcomes)
 
 
 def _draw_trivial_reduction(rng, block, k):
     block.gaussians(k, rng)
-    block.raw("p0", k, rng, int(rng.integers(1, 5)))
+    block.raw("p0", k, rng, _integer(rng.bit_generator.random_raw, 1, 5))
 
 
 def _observables(g) -> np.ndarray:

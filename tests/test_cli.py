@@ -368,6 +368,18 @@ class TestChain:
         manifest = json.loads(out.read_text())["manifest"]
         assert (manifest["dims"], manifest["instances"]) == ([5], 1)
 
+    @pytest.mark.parametrize("flag,value", [("--dims", "5"), ("--n", "3"), ("--ancilla", "4")])
+    def test_random_sweep_flag_with_a_model_is_usage_error(self, flag, value, tmp_path, capsys):
+        """``--model`` checks one model on one drawn state, so a flag of the
+        random sweep, which it would not read, is a usage error: no report."""
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(cnot_model())))
+        out = tmp_path / "chain.json"
+        assert main(["chain", "--model", str(path), flag, value, "--json", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: chain --model takes no {flag}: it checks the one model on one drawn state\n")
+        assert not out.exists()
+
     def test_zero_models_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["chain", "--dims", "2", "--n", "0"])

@@ -2,6 +2,7 @@
 and how often the suites transport an observable."""
 
 import ast
+import collections
 import itertools
 import math
 import re
@@ -191,15 +192,16 @@ def draw_block(seed, suite, dim, block):
     return suites._draw_block(states, dim, layout, draw)
 
 
-def assert_block_is_the_plain_draws(cols, seed, suite, dim, block):
+def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites._rng):
     """Every column of a ``_draw_block`` result equals, instance by instance,
-    ``oracles.verify_draws`` on the instance's stream: the POVM as the
+    ``oracles.verify_draws`` on the instance's stream (``stream(seed, suite,
+    dim, i)``): the POVM as the
     effects of the plain factors, a state as the validated projector of its
     ket or normalized Ginibre matrix (so the pure-state coin decides which),
     the other complex arrays and every other draw exactly, with rows over
     outcomes zero-padded."""
     for k, i in enumerate(block):
-        plain = oracles.verify_draws(suites._rng(seed, suite, dim, i), suite, dim)
+        plain = oracles.verify_draws(stream(seed, suite, dim, i), suite, dim)
         plain.pop("pure", None)
         assert cols.keys() == plain.keys()
         for key, want in plain.items():
@@ -303,6 +305,87 @@ def test_block_instances_are_the_generators_on_their_own_streams():
             assert np.array_equal(cols["rho"][i], instances.state(rng, 4, pure).matrix)
             assert np.array_equal(suites._observables([cols["a"][i]])[0], instances.observable(rng, 4).matrix)
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
+
+
+# numpy's PCG64 multiplier.  A step maps the 128-bit state S to S mult + inc
+# and outputs rotr64(hi ^ lo, hi >> 58) of the stepped state's two words.
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def generator_next_raw(x, hi=0x9E3779B97F4A7C15, inc=0xDA3E39CB94B95BDB):
+    """A fresh ``PCG64`` generator whose next raw output is ``x``: the stepped
+    state of high word ``hi`` that outputs x, stepped back once."""
+    rot = hi >> 58
+    stepped = hi << 64 | hi ^ ((x << rot | x >> (64 - rot)) & (2**64 - 1))
+    bit_generator = np.random.PCG64()
+    bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": (stepped - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bit_generator)
+
+
+# A rejected low half, both halves rejected (the next output decides), two plain outputs.
+_RAW = [0xDEADBEEF00000000, 0, 0x0123456789ABCDEF, 0xFEDCBA9876543210]
+
+
+@pytest.mark.parametrize("x", _RAW)
+@pytest.mark.parametrize("low,high", [(2, 7), (1, 5)])
+def test_raw_reads_are_numpys_bounded_draws(x, low, high):
+    """``_integer`` reads ``integers(low, high)`` from raw outputs as numpy's
+    Lemire draw does, in the rejection branches too, which no seed reaches
+    (probability 2**-32 an instance), and leaves the stream where numpy
+    does: the next ``random`` and ``standard_normal`` draws are numpy's."""
+    assert generator_next_raw(x).bit_generator.random_raw() == x
+    for draw in ("random", "standard_normal"):
+        plain, ours = generator_next_raw(x), generator_next_raw(x)
+        assert suites._integer(ours.bit_generator.random_raw, low, high) == plain.integers(low, high)
+        assert np.float64(getattr(ours, draw)()).tobytes() == np.float64(getattr(plain, draw)()).tobytes()
+
+
+@pytest.mark.parametrize("x", _RAW)
+@pytest.mark.parametrize("suite", suites._SUITES)
+def test_drawers_are_the_plain_draws_on_any_raw_output(x, suite, monkeypatch):
+    """Each drawer, on a stream whose first raw output is ``x``, draws the
+    plain calls' instance, whichever branch its outcome count takes."""
+    monkeypatch.setattr(suites, "_generator", lambda state: generator_next_raw(x))
+    layout, draw, _ = suites._SUITES[suite]
+    cols = suites._draw_block(np.zeros((1, 4), dtype=np.uint64), 3, layout, draw)
+    assert_block_is_the_plain_draws(cols, 0, suite, 3, range(1), stream=lambda *_: generator_next_raw(x))
+
+
+class CountingGenerator:
+    """A generator that counts the calls of its methods by name in ``calls``."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("suite", suites._SUITES)
+def test_draws_make_no_integers_call_and_one_uniform_read(suite, monkeypatch):
+    """An instance's outcome count and coin are read from raw outputs and its
+    uniforms by one call: ``_draw_block`` calls no ``integers`` and reads
+    uniform doubles at most once per instance."""
+    calls = collections.Counter()
+    generator = suites._generator
+    monkeypatch.setattr(suites, "_generator", lambda state: CountingGenerator(generator(state), calls))
+    draw_block(3, suite, 3, range(40))
+    assert calls["integers"] == 0
+    assert calls["random"] + calls["uniform"] <= 40
+    assert calls["standard_normal"] == 40
 
 
 def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
