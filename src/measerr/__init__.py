@@ -4,53 +4,30 @@ Finite-dimensional states and POVM measurements, state-local pushforward and
 pullback transport, measurement-error functionals, the error-error
 uncertainty bound sqrt(R^2 + I^2) with its standard-deviation and
 commutator reductions, and indirect-model comparisons.  Every formula is in
-``measerr.kernels``, which works on stacked arrays; the names exported here
-are the types, constructors and single-instance checks the CLI uses, and
-``local_context``, which pins effects to a state as the ``kernels.Context``
-those kernels take.
+``measerr.kernels``, which works on stacked arrays.  States, observables,
+effects and models are validated arrays (``check_states``,
+``check_observables``, ``check_effects``, ``check_unitaries``); the names
+exported here are the builders and checks the CLI and the suites share, each
+taking one instance or a stack, and ``local_context``, which pins effects to
+a state as the ``kernels.Context`` those kernels take.
 """
 
 from .tolerances import DEFAULT_TOL
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeSpace,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    qubit_state,
-)
-from .measurement import (
-    MeasurementKind,
-    Povm,
-    noisy_projective,
-    projective_from,
-    trivial_measurement,
-    unsharp_qubit,
-)
+from .states import PAULI_X, PAULI_Y, PAULI_Z, qubit_state
+from .measurement import noisy_projective, projective_from, trivial_measurement, unsharp_qubit
 from .transport import local_context
 from .relations import evaluate_relation, schroedinger_reduction
-from .indirect import (
-    IndirectModel,
-    chain_check,
-    cnot_model,
-    induced_povm,
-)
+from .indirect import chain_check, cnot_model, induced_povm
 from .generate import RNG_ALGORITHM
 
 __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_TOL",
-    "DensityOperator",
-    "HermitianObservable",
-    "OutcomeSpace",
     "PAULI_X",
     "PAULI_Y",
     "PAULI_Z",
     "qubit_state",
-    "MeasurementKind",
-    "Povm",
     "noisy_projective",
     "projective_from",
     "trivial_measurement",
@@ -58,7 +35,6 @@ __all__ = [
     "local_context",
     "evaluate_relation",
     "schroedinger_reduction",
-    "IndirectModel",
     "chain_check",
     "cnot_model",
     "induced_povm",

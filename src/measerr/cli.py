@@ -34,17 +34,9 @@ from .serialize import (
     load_state,
     relation_csv_row,
 )
-from .states import (
-    DensityOperator,
-    HermitianObservable,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    qubit_state,
-)
+from .states import PAULI_X, PAULI_Y, PAULI_Z, check_observables, check_states, qubit_state
 from .suites import run_verify, suite_ozawa_chain
 from .tolerances import DEFAULT_TOL
-from .transport import local_context
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -182,36 +174,33 @@ def _relation_holds(rep, slack: float) -> bool:
 def cmd_scan(args) -> int:
     started = time.perf_counter()
     custom = args.family == "custom"
-    usage = None
     if args.family not in _FAMILIES:
-        usage = f"unknown family {args.family!r}; choose from {_FAMILIES}"
-    elif custom and not args.povm:
-        usage = "family 'custom' needs --povm FILE"
-    elif custom and args.grid is not None:
-        usage = "family 'custom' takes no --grid"
-    elif not custom and args.povm is not None:
-        usage = f"family {args.family!r} takes no --povm"
-    if usage:
-        print(usage, file=sys.stderr)
-        return EXIT_USAGE
-    rho = load_state(args.state) if args.state else DensityOperator.maximally_mixed(2)
-    obs_a = load_observable(args.obs_a) if args.obs_a else HermitianObservable(PAULI_Z)
-    obs_b = load_observable(args.obs_b) if args.obs_b else HermitianObservable(PAULI_X)
+        raise ValueError(f"unknown family {args.family!r}; choose from {_FAMILIES}")
+    if custom and not args.povm:
+        raise ValueError("family 'custom' needs --povm FILE")
+    if custom and args.grid is not None:
+        raise ValueError("family 'custom' takes no --grid")
+    if not custom and args.povm is not None:
+        raise ValueError(f"family {args.family!r} takes no --povm")
+    rho = load_state(args.state) if args.state else check_states(np.eye(2, dtype=complex) / 2.0)
+    obs_a = load_observable(args.obs_a) if args.obs_a else PAULI_Z
+    obs_b = load_observable(args.obs_b) if args.obs_b else PAULI_X
 
     rows = []
     if custom:
-        povm = load_povm(args.povm)
-        rows.append((None, povm, evaluate_relation(local_context(povm.effects, rho.matrix), obs_a, obs_b)))
+        kind, effects = load_povm(args.povm)
+        rows.append((None, kind, evaluate_relation(effects, rho, obs_a, obs_b)))
     else:
         grid = args.grid if args.grid is not None else tuple(k / 10.0 for k in range(11))
         for param in grid:
             if args.family == "unsharp":
-                povm = unsharp_qubit((0.0, 0.0, 1.0), param)
+                effects = unsharp_qubit((0.0, 0.0, 1.0), param)
             else:
-                povm = noisy_projective(obs_a, param)
-            rows.append((param, povm, evaluate_relation(local_context(povm.effects, rho.matrix), obs_a, obs_b)))
+                effects = noisy_projective(obs_a, param)
+            rows.append((param, args.family, evaluate_relation(effects, rho, obs_a, obs_b)))
 
-    lines = [CSV_HEADER] + [relation_csv_row(povm, rep, param) for param, povm, rep in rows]
+    dim = rho.shape[-1]
+    lines = [CSV_HEADER] + [relation_csv_row(dim, kind, rep, param) for param, kind, rep in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -222,16 +211,14 @@ def cmd_scan(args) -> int:
     failed = sum(not _relation_holds(rep, args.tolerance) for _, _, rep in rows)
     if args.json:
         manifest = _manifest(
-            args, "scan", len(rows) - failed, failed, started, dims=(rho.dim,), instances=len(rows)
+            args, "scan", len(rows) - failed, failed, started, dims=(dim,), instances=len(rows)
         )
         _emit_json(args, {"manifest": manifest, "rows": len(rows), "family": args.family})
     return EXIT_VIOLATION if failed else EXIT_OK
 
 
 def _demo_naive_violation(slack: float) -> tuple[list[str], int]:
-    rho = qubit_state(y=0.8)
-    ctx = local_context(projective_from(HermitianObservable(PAULI_Z)).effects, rho.matrix)
-    report = evaluate_relation(ctx, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z))
+    report = evaluate_relation(projective_from(PAULI_Z)[1], qubit_state(y=0.8), PAULI_X, PAULI_Z)
     holds = _relation_holds(report, slack)
     lines = [
         "scenario: sharp Z readout on the qubit state (I + 0.8 Y)/2, observables X and Z",
@@ -247,8 +234,7 @@ def _demo_kr_reduction(slack: float) -> tuple[list[str], int]:
     """Its three checks keep fixed slacks, so it takes only the default ``slack``."""
     if slack != DEFAULT_TOL.identity:
         raise ValueError("demo kr-reduction takes no --tolerance: its checks keep fixed slacks")
-    rho = DensityOperator.pure([1.0, 0.0])
-    report = schroedinger_reduction(rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Y))
+    _, report = schroedinger_reduction([0.5, 0.5], qubit_state(z=1.0), PAULI_X, PAULI_Y)
     ok = (
         abs(report.product - report.bound) <= DEFAULT_TOL.expectation
         and report.kr_bound <= report.bound + 1e-12
@@ -265,9 +251,7 @@ def _demo_kr_reduction(slack: float) -> tuple[list[str], int]:
 
 
 def _demo_ozawa_chain(slack: float) -> tuple[list[str], int]:
-    model = cnot_model()
-    rho = qubit_state(y=0.8)
-    report = chain_check(model, rho, HermitianObservable(PAULI_X), HermitianObservable(PAULI_Z), slack=slack)
+    _, report = chain_check(*cnot_model(), qubit_state(y=0.8), PAULI_X, PAULI_Z, slack)
     names = (
         "rms product",
         "error product",
@@ -294,8 +278,7 @@ _DEMOS = {
 def cmd_demo(args) -> int:
     started = time.perf_counter()
     if args.name not in _DEMOS:
-        print(f"unknown demo {args.name!r}; choose from {tuple(_DEMOS)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"unknown demo {args.name!r}; choose from {tuple(_DEMOS)}")
     lines, code = _DEMOS[args.name](args.tolerance)
     for line in lines:
         print(line)
@@ -320,14 +303,13 @@ def cmd_chain(args) -> int:
         if given:
             flags = ", ".join(f"--{name}" for name in given)
             raise ValueError(f"chain --model takes no {flags}: it checks the one model on one drawn state")
-        model = load_model(args.model)
-        dims, instances = (model.system_dim,), 1
+        xi, u, meter = load_model(args.model)
+        dim = u.shape[-1] // xi.shape[-1]
+        dims, instances = (dim,), 1
         # a Ginibre state, then A, then B: each its real block, then its imaginary block
-        dim = model.system_dim
         draws = complex_stack(np.random.default_rng(args.seed).standard_normal((3, 2, dim, dim)))
-        rho = DensityOperator(ginibre_states(draws[0]))
-        a, b = (HermitianObservable(m) for m in observable_matrices(draws[1:]))
-        report = chain_check(model, rho, a, b, slack=args.tolerance)
+        a, b = check_observables(observable_matrices(draws[1:]))
+        _, report = chain_check(xi, u, meter, check_states(ginibre_states(draws[0])), a, b, args.tolerance)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")
         holds = report.holds.all()
         print(f"chain holds: {holds}")
@@ -368,11 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
     common.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOL.identity, help="slack of the property checks (default 1e-9); inputs and built objects are always validated at the defaults")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")
+    p_verify.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p_verify.add_argument("--dims", type=_parse_dims, default=(2, 3), help="comma-separated dimensions in 2..8")
     p_verify.add_argument("--n", type=_int_range(1), default=200, help="instances per dimension per suite")
     p_verify.add_argument(
@@ -394,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("name", type=str, help=f"one of {tuple(_DEMOS)}")
 
     p_chain = sub.add_parser("chain", parents=[common], help="indirect-model error comparison chain")
+    p_chain.add_argument("--seed", type=int, default=0, help="base RNG seed")
     # The random sweep's flags default to None, so that ``--model`` can reject them.
     p_chain.add_argument("--dims", type=_parse_dims, default=None, help="system dimensions (default 2,3)")
     p_chain.add_argument("--ancilla", type=_int_range(1, _MAX_ANCILLA), default=None, help=f"ancilla dimension in 1..{_MAX_ANCILLA} for random models (default 2)")

@@ -7,7 +7,12 @@ the f-error of the induced measurement with the identity estimator, and is
 therefore never below the intrinsic error; the full comparison chain down
 to Ozawa's bound is evaluated by ``chain_check``.
 
-Tensor-product convention: the system factor comes first.
+A model is three validated arrays, one model or a stack of them: the
+ancilla state xi (``check_states``), the joint unitary U
+(``check_unitaries``) and the meter M on the ancilla (``check_observables``),
+checked for each other's dimensions where they enter (``serialize.load_model``,
+the chain suite's draws).  Tensor-product convention: the system factor
+comes first.
 """
 
 from __future__ import annotations
@@ -15,97 +20,57 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .measurement import MeasurementKind, Povm
-from .states import DensityOperator, HermitianObservable, OutcomeSpace, PAULI_Z, _check_finite, _check_same_dim
+from .measurement import check_effects
+from .states import PAULI_Z, _check_finite, qubit_state
 from .transport import local_context
 from .tolerances import DEFAULT_TOL
 
 
-def check_unitaries(stack: np.ndarray) -> None:
+def check_unitaries(stack: np.ndarray) -> np.ndarray:
     """Validate interactions, one ``(D, D)`` matrix or a stack: finite and
-    unitary within DEFAULT_TOL.identity."""
+    unitary within DEFAULT_TOL.identity.  Returns them."""
     _check_finite(stack, "interaction")
     residual = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))))
     if residual > DEFAULT_TOL.identity:
         raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
+    return stack
 
 
-class IndirectModel:
-    """Ancilla state, joint unitary on system (x) ancilla, meter on the ancilla."""
-
-    def __init__(
-        self,
-        system_dim: int,
-        ancilla_state: DensityOperator,
-        interaction,
-        meter: HermitianObservable,
-    ):
-        if system_dim < 2:
-            raise ValueError("system dimension must be at least 2")
-        u = np.array(interaction, dtype=complex)
-        joint_dim = system_dim * ancilla_state.dim
-        if u.shape != (joint_dim, joint_dim):
-            raise ValueError(
-                f"interaction must act on the {joint_dim}-dimensional joint system"
-            )
-        check_unitaries(u)
-        if meter.dim != ancilla_state.dim:
-            raise ValueError("meter must act on the ancilla")
-        u.setflags(write=False)
-        self.system_dim = system_dim
-        self.ancilla_dim = ancilla_state.dim
-        self.ancilla_state = ancilla_state
-        self.interaction = u
-        self.meter = meter
-
-    def __repr__(self) -> str:
-        return f"IndirectModel(system={self.system_dim}, ancilla={self.ancilla_dim})"
+def cnot_model() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Qubit probe read out by a controlled flip, as (ancilla state,
+    interaction, meter): system controls, ancilla starts in |0>, meter is
+    the ancilla Z.  Induces the projective Z measurement on the system."""
+    u = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    return qubit_state(z=1.0), check_unitaries(u), PAULI_Z
 
 
-def cnot_model() -> IndirectModel:
-    """Qubit probe read out by a controlled flip: system controls, ancilla
-    starts in |0>, meter is the ancilla Z.  Induces the projective Z
-    measurement on the system."""
-    u = np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    )
-    ancilla = DensityOperator.pure([1.0, 0.0])
-    return IndirectModel(2, ancilla, u, HermitianObservable(PAULI_Z))
-
-
-def induced_povm(model: IndirectModel) -> Povm:
-    """System POVM obtained by tracing the ancilla out of the evolved meter
-    projectors: E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U]."""
-    values, projectors = kernels.spectral(model.meter.matrix)
-    effects = kernels.induced_effects(model.interaction, model.ancilla_state.matrix, projectors)
-    return Povm(OutcomeSpace.from_values(values), effects, kind=MeasurementKind.INDUCED)
-
-
-def _meter_and_joint(model: IndirectModel, rho: DensityOperator) -> tuple[np.ndarray, np.ndarray]:
-    """The Heisenberg meter U^dag (I (x) M) U and the joint state rho (x) xi."""
-    return (
-        kernels.heisenberg(model.interaction, model.meter.matrix),
-        kernels.kron(rho.matrix, model.ancilla_state.matrix),
-    )
+def induced_povm(xi: np.ndarray, u: np.ndarray, meter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome values (the meter's eigenvalues) and validated effects of the
+    system POVMs E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U], for ancilla
+    states ``xi`` ``(..., a, a)``, interactions ``u`` ``(..., D, D)`` and
+    meters ``(..., a, a)``, one model or a stack."""
+    values, projectors = kernels.spectral(meter)
+    return values, check_effects(kernels.induced_effects(u, xi, projectors))
 
 
 def chain_check(
-    model: IndirectModel,
-    rho: DensityOperator,
-    a: HermitianObservable,
-    b: HermitianObservable,
-    *,
+    xi: np.ndarray,
+    u: np.ndarray,
+    meter: np.ndarray,
+    rho: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
     slack: float = DEFAULT_TOL.identity,
-) -> kernels.Chain:
-    """The five-term comparison chain on one model and state pair:
+) -> tuple[kernels.Context, kernels.Chain]:
+    """The induced measurement pinned to the states ``rho`` and its five-term
+    comparison chain, one model and state or a stack:
     rms(A)rms(B) >= eps(A)eps(B) >= sqrt(R^2+I^2) >= |I| >= commutator bound
     minus the rms/sigma cross terms.  ``values`` holds the five terms in that
     order, and ``holds[i]`` whether values[i] >= values[i + 1] within
-    ``slack`` (``kernels.chain``).  ``bridge_residual_*`` ties the rms error
+    ``slack`` (``kernels.chain``), with the Heisenberg meter U^dag (I (x) M) U
+    and the joint state rho (x) xi.  ``bridge_residual_*`` ties the rms error
     to the identity-estimator f-error of the induced measurement, which is
     the decisive correctness check of the induced POVM."""
-    povm = induced_povm(model)
-    ctx = local_context(povm.effects, rho.matrix)
-    _check_same_dim(a, ctx)
-    _check_same_dim(b, ctx)
-    return kernels.chain(ctx, a.matrix, b.matrix, *_meter_and_joint(model, rho), np.array(povm.space.values), slack)
+    values, effects = induced_povm(xi, u, meter)
+    ctx = local_context(effects, rho, a, b)
+    return ctx, kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), kernels.kron(rho, xi), values, slack)

@@ -1,12 +1,13 @@
 """The numerical core: pure functions on stacked arrays.
 
-Each formula of the package lives here once.  The object API that the CLI
-uses (``evaluate_relation``, ``schroedinger_reduction``, ``chain_check``,
-``induced_povm``) calls it on single instances and returns its records as
-they are, with numpy scalars in their scalar fields; the suites call it on
-whole (suite, dimension) blocks, and the tests call it directly.  Both pin
-measurements to states through ``transport.local_context``, which returns
-this module's ``Context``.
+Each formula of the package lives here once.  The builders that the CLI
+and the suites share (``projective_from``, ``trivial_measurement``,
+``evaluate_relation``, ``schroedinger_reduction``, ``induced_povm``,
+``chain_check``) call it on validated arrays and return its records as they
+are: the CLI on single instances, with numpy scalars in the scalar fields,
+the suites on whole (suite, dimension) blocks.  The tests call it directly.
+All pin measurements to states through ``transport.local_context``, which
+returns this module's ``Context``.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
@@ -22,9 +23,10 @@ Re Tr[E_w A rho] and ``norm`` squares as Tr[X X rho]: one product each.
 Every kernel is stack-invariant: a row of a stacked call equals the call on
 that row alone bit for bit, whatever the broadcast (``np.einsum`` is not).
 
-Inputs are trusted: states, effects and observables are validated once, at
-the boundary (the constructors and the stacked validators in ``states`` and
-``measurement``).  The checks left here are the invariants whose failure
+Inputs are trusted: states, effects, observables and interactions are
+validated once, at the boundary (the JSON loaders, the builders and the
+suites' draws, through the validators ``check_states``,
+``check_observables``, ``check_effects`` and ``check_unitaries``).  The checks left here are the invariants whose failure
 means a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``),
 a contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
 broken f-error split (``AssertionError``).  Each raises for the whole stack.

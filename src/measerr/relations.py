@@ -13,24 +13,28 @@ the textbook commutator bound.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import kernels
 from .measurement import trivial_measurement
-from .states import DensityOperator, HermitianObservable, _check_same_dim
 from .transport import local_context
 
 
-def evaluate_relation(ctx: kernels.Context, a: HermitianObservable, b: HermitianObservable) -> kernels.Relation:
-    """eps_a, eps_b, R, I and the bound, from one transport per observable
-    (``kernels.relation``, which holds the formulas).  The record keeps the
-    transports of A and B, which ``kernels.schroedinger`` and
+def evaluate_relation(effects: np.ndarray, rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> kernels.Relation:
+    """eps_a, eps_b, R, I and the bound of the measurements ``effects`` at the
+    states ``rho``, one instance or a stack, from one transport per
+    observable (``kernels.relation``, which holds the formulas).  The record
+    keeps the transports of A and B, which ``kernels.schroedinger`` and
     ``kernels.proof_device`` read."""
-    _check_same_dim(a, ctx)
-    _check_same_dim(b, ctx)
-    return kernels.relation(ctx, a.matrix, b.matrix)
+    return kernels.relation(local_context(effects, rho, a, b), a, b)
 
 
-def schroedinger_reduction(rho: DensityOperator, a: HermitianObservable, b: HermitianObservable) -> kernels.Schroedinger:
-    """The relation under a trivial measurement (``kernels.schroedinger``)."""
-    povm = trivial_measurement([0.5, 0.5], rho.dim)
-    ctx = local_context(povm.effects, rho.matrix)
-    return kernels.schroedinger(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+def schroedinger_reduction(
+    weights, rho: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[kernels.Relation, kernels.Schroedinger]:
+    """The relation under the trivial measurements of ``weights`` and its
+    standard-deviation form (``kernels.schroedinger``), one instance or a
+    stack."""
+    ctx = local_context(trivial_measurement(weights, rho.shape[-1]), rho, a, b)
+    rel = kernels.relation(ctx, a, b)
+    return rel, kernels.schroedinger(ctx, a, b, rel)

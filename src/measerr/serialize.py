@@ -2,8 +2,9 @@
 
 Complex matrices serialize as nested arrays of [re, im] pairs.  JSON floats
 are emitted at 17 significant digits (round-trip exact), CSV at 12
-(plot-ready).  All formatting is locale-independent.  The loaders reject a
-malformed file with ``ValueError`` before building anything from it.
+(plot-ready).  All formatting is locale-independent.  The loaders return
+validated arrays (``check_states``, ``check_observables``, ``check_effects``,
+``check_unitaries``), and reject a malformed file with ``ValueError``.
 """
 
 from __future__ import annotations
@@ -13,11 +14,13 @@ import math
 
 import numpy as np
 
-from .indirect import IndirectModel
-from .measurement import MeasurementKind, Povm
-from .states import DensityOperator, HermitianObservable, OutcomeSpace
+from .indirect import check_unitaries
+from .measurement import check_effects
+from .states import check_observables, check_states
 
 CSV_HEADER = "dim,kind,param,epsA,epsB,R,I,bound,slack,naiveBound,naiveViolated"
+# The kinds a POVM file may declare.
+KINDS = ("projective", "trivial", "unsharp", "noisy-projective", "induced-from-indirect", "custom")
 
 
 def matrix_to_json(matrix) -> list:
@@ -44,13 +47,22 @@ def matrix_from_json(data) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def povm_to_json(povm: Povm) -> dict:
+def _square_from_json(data) -> np.ndarray:
+    matrix = matrix_from_json(data)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    return matrix
+
+
+def povm_to_json(kind: str, values, effects: np.ndarray) -> dict:
+    """A POVM file of ``kind`` holding ``effects`` and their outcome
+    ``values``, labelled m0, m1, ..."""
     return {
-        "kind": povm.kind.value,
-        "labels": list(povm.space.labels),
-        "values": [float(v) for v in povm.space.values],
-        "dim": povm.dim,
-        "effects": [matrix_to_json(e) for e in povm.effects],
+        "kind": kind,
+        "labels": [f"m{i}" for i in range(len(effects))],
+        "values": [float(v) for v in values],
+        "dim": effects.shape[-1],
+        "effects": [matrix_to_json(e) for e in effects],
     }
 
 
@@ -77,62 +89,84 @@ def _check_declared(data: dict, key: str, actual: int) -> None:
         raise ValueError(f"{key} is {value!r}, but the matrices are {actual}-dimensional")
 
 
-def povm_from_json(data: dict) -> Povm:
+def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
+    """The kind and validated ``(n, d, d)`` effects of a POVM file, whose n
+    labels must be distinct and whose n values finite numbers."""
     data = _json_object(data, "POVM")
     values = _json_list(data, "values")
     if not _numbers(values):
         raise ValueError("values must be numbers")
-    space = OutcomeSpace(tuple(_json_list(data, "labels")), tuple(values))
-    effects = [matrix_from_json(e) for e in _json_list(data, "effects")]
-    kind = MeasurementKind(data.get("kind", "custom"))
-    povm = Povm(space, effects, kind=kind)
-    _check_declared(data, "dim", povm.dim)
-    return povm
+    labels, values = [str(x) for x in _json_list(data, "labels")], [float(v) for v in values]
+    if not labels:
+        raise ValueError("outcome space needs at least one label")
+    if len(set(labels)) != len(labels):
+        raise ValueError("outcome labels must be distinct")
+    if len(values) != len(labels):
+        raise ValueError("need exactly one value per label")
+    if not all(np.isfinite(values)):
+        raise ValueError("outcome values must be finite")
+    effects = np.array([matrix_from_json(e) for e in _json_list(data, "effects")], dtype=complex)
+    kind = data.get("kind", "custom")
+    if kind not in KINDS:
+        raise ValueError(f"unknown POVM kind {kind!r}; choose from {KINDS}")
+    if effects.ndim != 3 or effects.shape != (len(labels), effects.shape[2], effects.shape[2]):
+        raise ValueError(f"need {len(labels)} square effects of one dimension, got shape {effects.shape}")
+    check_effects(effects)
+    _check_declared(data, "dim", effects.shape[-1])
+    return kind, effects
 
 
-def model_to_json(model: IndirectModel) -> dict:
+def model_to_json(xi: np.ndarray, u: np.ndarray, meter: np.ndarray) -> dict:
+    """A model file of ancilla state ``xi``, interaction ``u`` and ``meter``."""
     return {
-        "system_dim": model.system_dim,
-        "ancilla_dim": model.ancilla_dim,
-        "ancilla_state": matrix_to_json(model.ancilla_state.matrix),
-        "interaction": matrix_to_json(model.interaction),
-        "meter": matrix_to_json(model.meter.matrix),
+        "system_dim": u.shape[-1] // xi.shape[-1],
+        "ancilla_dim": xi.shape[-1],
+        "ancilla_state": matrix_to_json(xi),
+        "interaction": matrix_to_json(u),
+        "meter": matrix_to_json(meter),
     }
 
 
-def model_from_json(data: dict) -> IndirectModel:
+def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The validated ancilla state, interaction and meter of a model file."""
     data = _json_object(data, "model")
     system_dim = data["system_dim"]
     if not isinstance(system_dim, int) or isinstance(system_dim, bool):
         raise ValueError(f"system_dim must be an integer, got {system_dim!r}")
-    model = IndirectModel(
-        system_dim,
-        DensityOperator(matrix_from_json(data["ancilla_state"])),
-        matrix_from_json(data["interaction"]),
-        HermitianObservable(matrix_from_json(data["meter"])),
-    )
-    _check_declared(data, "ancilla_dim", model.ancilla_dim)
-    return model
+    xi = check_states(_square_from_json(data["ancilla_state"]))
+    u = matrix_from_json(data["interaction"])
+    meter = check_observables(_square_from_json(data["meter"]))
+    if system_dim < 2:
+        raise ValueError("system dimension must be at least 2")
+    joint_dim = system_dim * xi.shape[-1]
+    if u.shape != (joint_dim, joint_dim):
+        raise ValueError(f"interaction must act on the {joint_dim}-dimensional joint system")
+    check_unitaries(u)
+    if meter.shape[-1] != xi.shape[-1]:
+        raise ValueError("meter must act on the ancilla")
+    _check_declared(data, "ancilla_dim", xi.shape[-1])
+    return xi, u, meter
 
 
-def load_state(path) -> DensityOperator:
+def _load(path, parse):
     with open(path, encoding="utf-8") as fh:
-        return DensityOperator(matrix_from_json(json.load(fh)))
+        return parse(json.load(fh))
 
 
-def load_observable(path) -> HermitianObservable:
-    with open(path, encoding="utf-8") as fh:
-        return HermitianObservable(matrix_from_json(json.load(fh)))
+def load_state(path) -> np.ndarray:
+    return check_states(_load(path, _square_from_json))
 
 
-def load_povm(path) -> Povm:
-    with open(path, encoding="utf-8") as fh:
-        return povm_from_json(json.load(fh))
+def load_observable(path) -> np.ndarray:
+    return check_observables(_load(path, _square_from_json))
 
 
-def load_model(path) -> IndirectModel:
-    with open(path, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+def load_povm(path) -> tuple[str, np.ndarray]:
+    return _load(path, povm_from_json)
+
+
+def load_model(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return _load(path, model_from_json)
 
 
 def format_float(x: float, sig: int) -> str:
@@ -163,12 +197,13 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     return pad + json.dumps(str(obj))
 
 
-def relation_csv_row(povm: Povm, report, param: float | None) -> str:
+def relation_csv_row(dim: int, kind: str, report, param: float | None) -> str:
     """One CSV line of the relation ``report`` (from ``evaluate_relation``)
-    under ``povm``, in the fixed column order; the param cell is empty when
-    the row does not belong to a parameter scan."""
+    of a ``dim``-dimensional measurement of ``kind``, in the fixed column
+    order; the param cell is empty when the row does not belong to a
+    parameter scan."""
     numbers = (report.eps_a, report.eps_b, report.real_term, report.imag_term, report.bound, report.slack,
                report.naive_bound)
     param_cell = "" if param is None else format_float(param, 12)
     flag = "true" if report.naive_violated else "false"
-    return ",".join([str(povm.dim), povm.kind.value, param_cell, *(format_float(x, 12) for x in numbers), flag])
+    return ",".join([str(dim), kind, param_cell, *(format_float(x, 12) for x in numbers), flag])

@@ -1,16 +1,16 @@
-"""Quantum and classical state-space types and their local geometry.
+"""Validated quantum and classical states and observables, as arrays.
 
 A density operator rho equips observables with the symmetrized inner product
 <A,B>_rho = <{A,B}/2>_rho; a probability distribution p equips outcome
 functions with <f,g>_p = <fg>_p.  Both induce seminorms and standard
 deviations, which is all the downstream geometry needs.  The formulas are
 in ``kernels`` (``anti``, ``norm``, ``std_dev``, ``class_inner``,
-``class_norm``); this module holds the validated types they act on.
+``class_norm``); this module holds the validators of the arrays they act
+on (``check_states``, ``check_observables``, ``check_weights``), each
+taking one instance or a stack and returning it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,6 @@ from .tolerances import DEFAULT_TOL
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _as_square_complex(matrix) -> np.ndarray:
-    arr = np.array(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    return arr
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
@@ -114,88 +107,8 @@ def check_weights(weights) -> np.ndarray:
     return w
 
 
-class HermitianObservable:
-    """Self-adjoint operator on a finite-dimensional system."""
-
-    def __init__(self, matrix):
-        arr = _as_square_complex(matrix)
-        check_observables(arr)
-        arr.setflags(write=False)
-        self.matrix = arr
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __repr__(self) -> str:
-        return f"HermitianObservable(dim={self.dim})"
-
-
-class DensityOperator:
-    """Unit-trace positive-semidefinite Hermitian matrix: the quantum state.
-
-    Eigenvalues in [-psd_tol, 0) are clipped to zero and the trace is
-    renormalized, so states assembled from noisy numerics stay valid.
-    Anything more negative is rejected.
-    """
-
-    def __init__(self, matrix):
-        self.matrix = check_states(_as_square_complex(matrix))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @classmethod
-    def pure(cls, ket) -> "DensityOperator":
-        return cls(pure_states(np.asarray(ket, dtype=complex).reshape(-1)))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=complex) / dim)
-
-    def __repr__(self) -> str:
-        return f"DensityOperator(dim={self.dim})"
-
-
-def qubit_state(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> DensityOperator:
+def qubit_state(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
     """Qubit state (I + x X + y Y + z Z)/2 for a Bloch vector of length <= 1."""
     if x * x + y * y + z * z > 1.0 + 1e-12:
         raise ValueError("Bloch vector must have length at most 1")
-    return DensityOperator((np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)
-
-
-@dataclass(frozen=True)
-class OutcomeSpace:
-    """Finite set of outcome labels, each carrying a numeric value."""
-
-    labels: tuple[str, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        values = tuple(float(v) for v in self.values)
-        if len(labels) == 0:
-            raise ValueError("outcome space needs at least one label")
-        if len(set(labels)) != len(labels):
-            raise ValueError("outcome labels must be distinct")
-        if len(values) != len(labels):
-            raise ValueError("need exactly one value per label")
-        if not all(np.isfinite(values)):
-            raise ValueError("outcome values must be finite")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, values) -> "OutcomeSpace":
-        values = tuple(float(v) for v in values)
-        return cls(tuple(f"m{i}" for i in range(len(values))), values)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-
-def _check_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return check_states((np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)

@@ -34,8 +34,9 @@ from .generate import (
     observable_matrices,
     povm_effects,
 )
-from .indirect import check_unitaries
-from .measurement import check_effects
+from .indirect import chain_check, check_unitaries
+from .measurement import check_effects, projective_from
+from .relations import schroedinger_reduction
 from .states import check_observables, check_states, check_weights, pure_states
 from .tolerances import DEFAULT_TOL
 from .transport import local_context
@@ -290,8 +291,7 @@ def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
         draw(_generator(state), block, k)
     cols = block.columns()
     if "povm" in cols:
-        cols["povm"] = povm_effects(cols["povm"])
-        check_effects(cols["povm"])
+        cols["povm"] = check_effects(povm_effects(cols["povm"]))
     return cols
 
 
@@ -340,14 +340,6 @@ def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
     return local_context(cols["povm"], cols["rho"]), _observables(cols["a"]), _observables(cols["b"])
 
 
-def _projective(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projective measurements of a stack of observables (``projective_from``):
-    outcome values and validated effects, both zero-padded."""
-    values, effects = kernels.spectral(a)
-    check_effects(effects)
-    return values, effects
-
-
 def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
@@ -369,7 +361,7 @@ def _adjoint_characterization(cols, slack, sign_flip) -> dict:
     f = cols["f"]
     rhs = kernels.dot(f, ctx.weights)
     identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
-    values, projectors = _projective(a)
+    values, projectors = projective_from(a)
     rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
     return {"adjoint-characterization": [
         ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
@@ -483,7 +475,7 @@ def _errorless_equivalence(cols, slack, sign_flip) -> dict:
 
     # constructed errorless case: projectively measure a itself
     rho = cols["rho2"]
-    exact = local_context(_projective(a)[1], rho)
+    exact = local_context(projective_from(a)[1], rho)
     scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
     shifted = scale * a + shift * np.eye(a.shape[-1], dtype=complex)
     exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
@@ -505,13 +497,7 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
-    rho = cols["rho"]
-    a, b = _observables(cols["a"]), _observables(cols["b"])
-    effects = check_weights(cols["p0"])[:, :, None, None] * np.eye(rho.shape[-1], dtype=complex)
-    check_effects(effects)
-    ctx = local_context(effects, rho)
-    rel = kernels.relation(ctx, a, b)
-    red = kernels.schroedinger(ctx, a, b, rel)
+    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], _observables(cols["a"]), _observables(cols["b"]))
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
     return {"trivial-reduction": [
@@ -573,8 +559,7 @@ def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
         _generator(state).standard_normal(out=row)
     ket, u, rho, a, b = (complex_stack(part.reshape(n, *s), axis=-len(s))
                          for part, s in zip(np.split(buffer, ends[:-1], axis=1), shapes))
-    u = haar_unitaries(u)
-    check_unitaries(u)
+    u = check_unitaries(haar_unitaries(u))
     return check_states(pure_states(ket)), u, check_states(ginibre_states(rho)), _observables(a), _observables(b)
 
 
@@ -585,17 +570,12 @@ def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> Su
     out = SuiteResult("ozawa-chain")
     for (dim, ancilla), block, states in _sweep(seed, out.name, pairs, n):
         meter = diagonal_meter(ancilla)
-        values, projectors = kernels.spectral(meter)
         xi, u, rho, a, b = _chain_models(states, dim, ancilla)
-        effects = kernels.induced_effects(u, xi, projectors)
-        check_effects(effects)
-        ctx = local_context(effects, rho)
-        joint = kernels.kron(rho, xi)
-        c = kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), joint, values, slack)
+        ctx, c = chain_check(xi, u, meter, rho, a, b, slack)
 
         # the induced distribution, read off the evolved joint state
-        evolved = (u @ joint @ u.conj().swapaxes(-1, -2))[:, None]
-        direct = kernels.trace_product(evolved, kernels.kron(np.eye(dim), projectors)).real
+        evolved = (u @ kernels.kron(rho, xi) @ u.conj().swapaxes(-1, -2))[:, None]
+        direct = kernels.trace_product(evolved, kernels.kron(np.eye(dim), kernels.spectral(meter)[1])).real
         links = np.where(c.holds, 0.0, c.values[:, 1:] - c.values[:, :-1]).max(axis=1)
         out.record_block(f"{dim}x{ancilla}", block, [
             ("induced distribution mismatch", _max_abs(ctx.weights - direct), DEFAULT_TOL.expectation),

@@ -24,10 +24,12 @@ from . import kernels
 from .states import check_weights
 
 
-def local_context(effects: np.ndarray, rho: np.ndarray) -> kernels.Context:
+def local_context(effects: np.ndarray, rho: np.ndarray, *observables: np.ndarray) -> kernels.Context:
     """Validated effects ``(..., n, d, d)`` pinned to validated states
     ``(..., d, d)``: their Born weights, checked by ``check_weights`` (which
-    clips roundoff-negative weights to zero), and the support mask."""
-    if effects.shape[-1] != rho.shape[-1]:
-        raise ValueError(f"dimension mismatch: {effects.shape[-1]} vs {rho.shape[-1]}")
+    clips roundoff-negative weights to zero), and the support mask.  The
+    effects, then each of ``observables``, must act on the states' space."""
+    for x in (effects, *observables):
+        if x.shape[-1] != rho.shape[-1]:
+            raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rho.shape[-1]}")
     return kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))

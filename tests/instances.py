@@ -1,31 +1,33 @@
 """Random single instances for tests: Gaussian arrays drawn call by call with
 ``oracles.complex_gaussian`` (real part, then imaginary part), in the order
 the package's sweeps draw them, and built by the stacked generators of
-``measerr.generate``.  The same generator state gives the same instance."""
+``measerr.generate`` into validated arrays.  The same generator state gives
+the same instance."""
 
 import numpy as np
 import oracles
 
-from measerr import DensityOperator, HermitianObservable, IndirectModel, OutcomeSpace, Povm
 from measerr.generate import diagonal_meter, ginibre_states, haar_unitaries, observable_matrices, povm_effects
+from measerr.indirect import check_unitaries
+from measerr.measurement import check_effects
+from measerr.states import check_observables, check_states, pure_states
 
 
-def state(rng, dim: int, pure: bool = False) -> DensityOperator:
+def state(rng, dim: int, pure: bool = False) -> np.ndarray:
     """A Haar-random pure state from a ket draw, or a Ginibre state G G^dag / Tr."""
     if pure:
-        return DensityOperator.pure(oracles.complex_gaussian(rng, (dim,)))
-    return DensityOperator(ginibre_states(oracles.complex_gaussian(rng, (dim, dim))))
+        return check_states(pure_states(oracles.complex_gaussian(rng, (dim,))))
+    return check_states(ginibre_states(oracles.complex_gaussian(rng, (dim, dim))))
 
 
-def observable(rng, dim: int) -> HermitianObservable:
+def observable(rng, dim: int) -> np.ndarray:
     """A Gaussian Hermitian matrix (G + G^dag)/2."""
-    return HermitianObservable(observable_matrices(oracles.complex_gaussian(rng, (dim, dim))))
+    return check_observables(observable_matrices(oracles.complex_gaussian(rng, (dim, dim))))
 
 
-def povm(rng, dim: int, outcomes: int = 2) -> Povm:
-    """A full-rank POVM of whitened Gaussian factors, outcome values 1..n."""
-    effects = povm_effects(oracles.povm_factors(rng, outcomes, dim))
-    return Povm(OutcomeSpace.from_values(np.arange(1, outcomes + 1, dtype=float)), effects)
+def povm(rng, dim: int, outcomes: int = 2) -> np.ndarray:
+    """The effects of a full-rank POVM of whitened Gaussian factors."""
+    return check_effects(povm_effects(oracles.povm_factors(rng, outcomes, dim)))
 
 
 def haar_unitary(rng, dim: int) -> np.ndarray:
@@ -33,8 +35,17 @@ def haar_unitary(rng, dim: int) -> np.ndarray:
     return haar_unitaries(oracles.complex_gaussian(rng, (dim, dim)))
 
 
-def indirect_model(rng, dim: int, ancilla: int = 2) -> IndirectModel:
+def indirect_model(rng, dim: int, ancilla: int = 2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A random pure ancilla, a Haar interaction and the meter diag(1, ..., ancilla)."""
-    ket = oracles.complex_gaussian(rng, (ancilla,))
-    u = haar_unitary(rng, dim * ancilla)
-    return IndirectModel(dim, DensityOperator.pure(ket), u, HermitianObservable(diagonal_meter(ancilla)))
+    xi = check_states(pure_states(oracles.complex_gaussian(rng, (ancilla,))))
+    return xi, check_unitaries(haar_unitary(rng, dim * ancilla)), diagonal_meter(ancilla)
+
+
+def pure(ket) -> np.ndarray:
+    """The validated projector onto the normalized ``ket``."""
+    return check_states(pure_states(np.array(ket, dtype=complex)))
+
+
+def mixed(dim: int) -> np.ndarray:
+    """The validated maximally mixed state I/dim."""
+    return check_states(np.eye(dim, dtype=complex) / dim)

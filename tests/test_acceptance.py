@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 import oracles
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULI_X as X,
+    PAULI_Y as Y,
+    PAULI_Z as Z,
     chain_check,
     cnot_model,
     evaluate_relation,
@@ -30,9 +29,6 @@ from measerr.suites import _SUITES, _run, suite_ozawa_chain
 from measerr.tolerances import DEFAULT_TOL
 
 SEED = 20240811
-X = HermitianObservable(PAULI_X)
-Y = HermitianObservable(PAULI_Y)
-Z = HermitianObservable(PAULI_Z)
 
 
 def run_suite(suite, dims, n):
@@ -98,7 +94,7 @@ def test_criterion_4_contractivity():
 
 def test_criterion_5_trivial_reduction():
     [result] = run_suite("trivial-reduction", (2, 3, 4, 5), 50)
-    saturation = schroedinger_reduction(DensityOperator.pure([1, 0]), X, Y)
+    saturation = schroedinger_reduction([0.5, 0.5], pure([1, 0]), X, Y)[1]
     saturated = (
         abs(saturation.product - 1.0) <= 1e-10
         and abs(saturation.bound - 1.0) <= 1e-10
@@ -114,11 +110,10 @@ def test_criterion_5_trivial_reduction():
 
 
 def test_criterion_6_closed_form_family():
-    mixed = DensityOperator.maximally_mixed(2)
     worst = 0.0
     for eta in [k / 10.0 for k in range(11)]:
-        ctx = local_context(unsharp_qubit((0, 0, 1), eta).effects, mixed.matrix)
-        measured = kernels.transport(ctx, Z.matrix).error
+        ctx = local_context(unsharp_qubit((0, 0, 1), eta), mixed(2))
+        measured = kernels.transport(ctx, Z).error
         brute = oracles.unsharp_eps_z(eta)
         closed = float(np.sqrt(1.0 - eta * eta))
         worst = max(worst, abs(measured - brute), abs(measured - closed))
@@ -127,8 +122,7 @@ def test_criterion_6_closed_form_family():
 
 
 def test_criterion_7_commutator_bound_undercut():
-    ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
-    rel = evaluate_relation(ctx, X, Z)
+    rel = evaluate_relation(projective_from(Z)[1], qubit_state(y=0.8), X, Z)
     ok = (
         abs(rel.eps_a * rel.eps_b) <= 1e-10
         and abs(rel.bound) <= 1e-10
@@ -157,7 +151,7 @@ def test_criterion_8_errorless_equivalence():
 
 def test_criterion_9_ozawa_chain():
     result = suite_ozawa_chain(((2, 2), (3, 2)), 150, SEED)
-    cnot = chain_check(cnot_model(), DensityOperator.maximally_mixed(2), X, Z)
+    _, cnot = chain_check(*cnot_model(), mixed(2), X, Z)
     exact = (
         abs(cnot.rms_a - np.sqrt(2.0)) <= 1e-9
         and abs(cnot.eps_a - 1.0) <= 1e-9

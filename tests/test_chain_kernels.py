@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from measerr import DensityOperator, local_context
+from measerr import local_context
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter
-from measerr.states import check_states
+from measerr.states import check_states, pure_states
 from measerr.tolerances import DEFAULT_TOL
 from test_kernels import rank_state
 
@@ -36,7 +36,7 @@ def per_model_draws(rng, dim, ancilla):
     ket = normal((ancilla,))
     q, r = np.linalg.qr(normal((dim * ancilla,) * 2))
     d = np.diagonal(r)
-    return DensityOperator.pure(ket).matrix, q * (d / np.abs(d))
+    return check_states(pure_states(ket)), q * (d / np.abs(d))
 
 
 def chain_models(seed, dim, ancilla, block):
@@ -54,9 +54,9 @@ def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
         xi_i, u_i = per_model_draws(rng, dim, ancilla)
         assert np.array_equal(xi[k], xi_i)
         assert np.array_equal(u[k], u_i)
-        assert np.array_equal(rho[k], instances.state(rng, dim).matrix)
-        assert np.array_equal(a[k], instances.observable(rng, dim).matrix)
-        assert np.array_equal(b[k], instances.observable(rng, dim).matrix)
+        assert np.array_equal(rho[k], instances.state(rng, dim))
+        assert np.array_equal(a[k], instances.observable(rng, dim))
+        assert np.array_equal(b[k], instances.observable(rng, dim))
 
 
 def chain_arguments(seed, dim, ancilla, block):

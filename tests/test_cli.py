@@ -20,6 +20,11 @@ from measerr.indirect import chain_check, cnot_model
 from measerr.measurement import unsharp_qubit
 
 
+def unsharp_file() -> dict:
+    """The POVM file of the unsharp Z measurement at sharpness 0.6."""
+    return povm_to_json("unsharp", (1.0, -1.0), unsharp_qubit((0, 0, 1), 0.6))
+
+
 class TestVerify:
     def test_clean_run_exits_zero(self, capsys):
         assert main(["verify", "--dims", "2,3", "--n", "15", "--seed", "1"]) == 0
@@ -126,7 +131,7 @@ class TestScan:
 
     def test_custom_family_reads_povm_json(self, tmp_path):
         path = tmp_path / "povm.json"
-        path.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        path.write_text(json_text(unsharp_file()))
         out = tmp_path / "custom.csv"
         assert main(["scan", "--family", "custom", "--povm", str(path), "--out", str(out)]) == 0
         rows = out.read_text().strip().splitlines()
@@ -136,7 +141,7 @@ class TestScan:
         assert float(cells[3]) == pytest.approx(0.8, abs=1e-9)
 
     def test_povm_with_wrong_declared_dim_is_usage_error(self, tmp_path, capsys):
-        data = povm_to_json(unsharp_qubit((0, 0, 1), 0.6))
+        data = unsharp_file()
         data["dim"] = 5
         path = tmp_path / "povm.json"
         path.write_text(json_text(data))
@@ -167,7 +172,7 @@ class TestScan:
 
     def test_custom_manifest_counts_one_instance(self, tmp_path):
         path = tmp_path / "povm.json"
-        path.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        path.write_text(json_text(unsharp_file()))
         report = tmp_path / "custom.json"
         argv = ["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "c.csv")]
         assert main([*argv, "--json", str(report)]) == 0
@@ -179,7 +184,7 @@ class TestScan:
         big = tmp_path / "big.json"
         big.write_text(json_text(matrix_to_json(np.diag([1e200, -1e200]))))
         povm = tmp_path / "povm.json"
-        povm.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        povm.write_text(json_text(unsharp_file()))
         out, report = tmp_path / "c.csv", tmp_path / "scan.json"
         argv = ["scan", "--family", "custom", "--povm", str(povm), "--obs-a", str(big), "--obs-b", str(big)]
         with np.errstate(all="ignore"):
@@ -190,14 +195,15 @@ class TestScan:
 
     def test_unknown_family_is_usage_error(self, capsys):
         assert main(["scan", "--family", "nope", "--out", "/tmp/x.csv"]) == 2
-        assert "unknown family" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: unknown family 'nope'; choose from ")
 
     def test_unwritable_output_is_usage_error(self, capsys):
         code = main(["scan", "--family", "unsharp", "--grid", "0.5", "--out", "/nonexistent/dir/x.csv"])
         assert code == 2
 
-    def test_custom_without_povm_is_usage_error(self):
+    def test_custom_without_povm_is_usage_error(self, capsys):
         assert main(["scan", "--family", "custom", "--out", "/tmp/x.csv"]) == 2
+        assert capsys.readouterr().err == "error: family 'custom' needs --povm FILE\n"
 
     @pytest.mark.parametrize("argv,message", [
         (["--family", "noisy-projective", "--povm", "does-not-exist.json", "--grid", "1"],
@@ -206,11 +212,11 @@ class TestScan:
     ])
     def test_flag_of_another_family_is_usage_error(self, argv, message, tmp_path, capsys):
         path = tmp_path / "povm.json"
-        path.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        path.write_text(json_text(unsharp_file()))
         out = tmp_path / "scan.csv"
         argv = [str(path) if arg == "POVM" else arg for arg in argv]
         assert main(["scan", *argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == message + "\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -222,7 +228,7 @@ class TestScan:
     def test_dimension_mismatch_is_usage_error(self, argv, tmp_path, capsys):
         """A 3-dimensional POVM, or observable, against the 2-dimensional state."""
         files = {
-            "POVM3": povm_to_json(instances.povm(np.random.default_rng(0), 3)),
+            "POVM3": povm_to_json("custom", (1.0, 2.0), instances.povm(np.random.default_rng(0), 3)),
             "STATE2": matrix_to_json(np.eye(2) / 2),
             "OBS3": matrix_to_json(np.diag([1.0, 0.0, -1.0])),
         }
@@ -326,7 +332,7 @@ class TestDemo:
 
     def test_unknown_demo_is_usage_error(self, capsys):
         assert main(["demo", "not-a-demo"]) == 2
-        assert "unknown demo" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: unknown demo 'not-a-demo'; choose from ")
 
 
 class TestChain:
@@ -338,7 +344,7 @@ class TestChain:
 
     def test_custom_model_json(self, tmp_path, capsys):
         path = tmp_path / "model.json"
-        path.write_text(json_text(model_to_json(cnot_model())))
+        path.write_text(json_text(model_to_json(*cnot_model())))
         assert main(["chain", "--model", str(path), "--seed", "4"]) == 0
         assert "chain holds: True" in capsys.readouterr().out
 
@@ -351,18 +357,18 @@ class TestChain:
         those of ``chain_check`` on the draws taken call by call."""
         model = cnot_model() if system == "cnot" else instances.indirect_model(np.random.default_rng(5), 5)
         path = tmp_path / "model.json"
-        path.write_text(json_text(model_to_json(model)))
+        path.write_text(json_text(model_to_json(*model)))
         assert main(["chain", "--model", str(path), "--seed", str(seed)]) == 0
         rng = np.random.default_rng(seed)
-        dim = model.system_dim
+        dim = model[1].shape[-1] // model[0].shape[-1]
         rho, a, b = instances.state(rng, dim), instances.observable(rng, dim), instances.observable(rng, dim)
-        values = [format_float(v, 12) for v in chain_check(load_model(path), rho, a, b).values]
+        values = [format_float(v, 12) for v in chain_check(*load_model(path), rho, a, b)[1].values]
         assert f"custom model chain values: {values}\n" in capsys.readouterr().out
 
     def test_custom_model_manifest_records_the_model_run(self, tmp_path, capsys):
         model = instances.indirect_model(np.random.default_rng(5), 5)
         path = tmp_path / "model.json"
-        path.write_text(json_text(model_to_json(model)))
+        path.write_text(json_text(model_to_json(*model)))
         out = tmp_path / "chain.json"
         assert main(["chain", "--model", str(path), "--seed", "4", "--json", str(out)]) == 0
         manifest = json.loads(out.read_text())["manifest"]
@@ -373,7 +379,7 @@ class TestChain:
         """``--model`` checks one model on one drawn state, so a flag of the
         random sweep, which it would not read, is a usage error: no report."""
         path = tmp_path / "model.json"
-        path.write_text(json_text(model_to_json(cnot_model())))
+        path.write_text(json_text(model_to_json(*cnot_model())))
         out = tmp_path / "chain.json"
         assert main(["chain", "--model", str(path), flag, value, "--json", str(out)]) == 2
         assert capsys.readouterr() == (
@@ -395,7 +401,7 @@ class TestChain:
         assert main(["chain", "--model", "/nonexistent/model.json"]) == 2
 
     def test_wrong_declared_ancilla_dim_is_usage_error(self, tmp_path, capsys):
-        data = model_to_json(cnot_model())
+        data = model_to_json(*cnot_model())
         data["ancilla_dim"] = 3
         path = tmp_path / "model.json"
         path.write_text(json_text(data))
@@ -403,7 +409,7 @@ class TestChain:
         assert "ancilla_dim is 3" in capsys.readouterr().err
 
     def test_non_finite_interaction_is_usage_error(self, tmp_path, capsys):
-        data = model_to_json(cnot_model())
+        data = model_to_json(*cnot_model())
         data["interaction"][1][2][0] = float("nan")
         path = tmp_path / "model.json"
         path.write_text(json.dumps(data))
@@ -448,6 +454,15 @@ class TestUsageAndInternalErrors:
             main(argv + ["--tolerance", value])
         assert excinfo.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["scan", "--family", "unsharp"], ["demo", "naive-violation"]])
+    def test_seed_outside_verify_and_chain_is_usage_error(self, argv, capsys):
+        """``scan`` and ``demo`` draw nothing, so they take no ``--seed``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "1"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err
 
     @pytest.mark.parametrize("value", ["0", "9"])
     def test_ancilla_out_of_range_is_usage_error(self, value):
@@ -500,9 +515,9 @@ class TestMalformedFiles:
     def test_malformed_file_is_usage_error(self, kind, edit, message, tmp_path, capsys):
         path, out = tmp_path / "input.json", str(tmp_path / "o.csv")
         data, argv = {
-            "model": (model_to_json(cnot_model()), ["chain", "--model", str(path)]),
+            "model": (model_to_json(*cnot_model()), ["chain", "--model", str(path)]),
             "povm": (
-                povm_to_json(unsharp_qubit((0, 0, 1), 0.6)),
+                unsharp_file(),
                 ["scan", "--family", "custom", "--povm", str(path), "--out", out],
             ),
             "state": ({}, ["scan", "--family", "unsharp", "--grid", "0.5", "--state", str(path), "--out", out]),
@@ -518,7 +533,7 @@ class TestParserReuse:
 
     def test_default_observable_does_not_leak(self, tmp_path):
         povm = tmp_path / "povm.json"
-        povm.write_text(json_text(povm_to_json(unsharp_qubit((0, 0, 1), 0.6))))
+        povm.write_text(json_text(unsharp_file()))
         x = tmp_path / "x.json"
         x.write_text(json_text(matrix_to_json([[0, 1], [1, 0]])))
         argv = ["scan", "--family", "custom", "--povm", str(povm)]

@@ -6,71 +6,68 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    PAULI_X,
-    PAULI_Z,
-    Povm,
+    PAULI_X as X,
+    PAULI_Z as Z,
     kernels,
     local_context,
     projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.states import OutcomeSpace
+from measerr.measurement import check_effects
+from measerr.states import check_observables
 
-X = HermitianObservable(PAULI_X)
-Z = HermitianObservable(PAULI_Z)
-MIXED = DensityOperator.maximally_mixed(2)
+MIXED = mixed(2)
 
 
 def eps(ctx, a):
-    return kernels.transport(ctx, a.matrix).error
+    return kernels.transport(ctx, a).error
 
 
 def f_error_split(ctx, a, f):
-    return kernels.f_error_split(ctx, a.matrix, kernels.transport(ctx, a.matrix), f)
+    return kernels.f_error_split(ctx, a, kernels.transport(ctx, a), f)
 
 
 def pushforward(ctx, a):
-    return kernels.pushforward(ctx, a.matrix)
+    return kernels.pushforward(ctx, a)
 
 
 def conditions(ctx, a):
-    return kernels.errorless(ctx, a.matrix)
+    return kernels.errorless(ctx, a)
 
 
 def random_ctx(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = int(rng.integers(2, 6))
-    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix)
+    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
     return ctx, instances.observable(rng, dim), rng
 
 
 class TestQuantumError:
     def test_projective_own_basis_is_errorless(self):
-        ctx = local_context(projective_from(Z).effects, MIXED.matrix)
+        ctx = local_context(projective_from(Z)[1], MIXED)
         assert eps(ctx, Z) <= 1e-12
 
     def test_projective_transverse_is_maximal(self):
-        ctx = local_context(projective_from(Z).effects, MIXED.matrix)
+        ctx = local_context(projective_from(Z)[1], MIXED)
         assert eps(ctx, X) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsharp_closed_form(self):
-        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6).effects, MIXED.matrix)
+        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
         assert oracles.unsharp_eps_z(0.6) == pytest.approx(0.8, abs=1e-12)
         assert eps(ctx, Z) == pytest.approx(0.8, abs=1e-10)
 
     def test_matches_brute_formula_on_sweep(self):
         for seed in range(10):
             ctx, a, _ = random_ctx(3, seed)
-            brute = oracles.quantum_error_brute(ctx.effects, ctx.rho, a.matrix)
+            brute = oracles.quantum_error_brute(ctx.effects, ctx.rho, a)
             assert eps(ctx, a) == pytest.approx(brute, abs=1e-9)
 
     def test_unsharp_eta_grid(self):
         for eta in np.arange(0.0, 1.01, 0.1):
-            ctx = local_context(unsharp_qubit((0, 0, 1), float(eta)).effects, MIXED.matrix)
+            ctx = local_context(unsharp_qubit((0, 0, 1), float(eta)), MIXED)
             closed = np.sqrt(1 - eta * eta)
             assert eps(ctx, Z) == pytest.approx(closed, abs=1e-10)
             assert eps(ctx, Z) == pytest.approx(
@@ -87,15 +84,14 @@ class TestFError:
             assert breakdown.estimation_error <= 1e-12
 
     def test_exact_reconstruction(self):
-        povm = projective_from(Z)
-        ctx = local_context(povm.effects, MIXED.matrix)
-        f = np.array(povm.space.values)
+        f, effects = projective_from(Z)
+        ctx = local_context(effects, MIXED)
         assert f_error_split(ctx, Z, f).f_error <= 1e-12
 
     def test_scaled_estimator_pays_one(self):
-        povm = projective_from(Z)
-        ctx = local_context(povm.effects, MIXED.matrix)
-        f = 2.0 * np.array(povm.space.values)
+        values, effects = projective_from(Z)
+        ctx = local_context(effects, MIXED)
+        f = 2.0 * values
         breakdown = f_error_split(ctx, Z, f)
         assert breakdown.estimation_error == pytest.approx(1.0, abs=1e-12)
         assert breakdown.f_error == pytest.approx(1.0, abs=1e-12)
@@ -124,7 +120,7 @@ class TestMinimality:
     def test_frozen_quadratic_excess(self):
         # sharpness 0.6, delta = (1,-1), t = 0.1: excess must be exactly
         # t^2 ||delta||_p^2 = 0.01 with the uniform outcome distribution
-        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6).effects, MIXED.matrix)
+        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
         opt = pushforward(ctx, Z)
         delta = np.array([1.0, -1.0])
         perturbed = f_error_split(ctx, Z, opt + 0.1 * delta)
@@ -135,19 +131,19 @@ class TestMinimality:
 
 class TestErrorless:
     def test_own_basis_all_true(self):
-        conds = conditions(local_context(projective_from(Z).effects, MIXED.matrix), Z)
+        conds = conditions(local_context(projective_from(Z)[1], MIXED), Z)
         assert conds.cond_a and conds.cond_b and conds.cond_c
 
     def test_transverse_all_false(self):
-        conds = conditions(local_context(projective_from(Z).effects, MIXED.matrix), X)
+        conds = conditions(local_context(projective_from(Z)[1], MIXED), X)
         assert not (conds.cond_a or conds.cond_b or conds.cond_c)
 
     def test_state_local_equivalence(self):
         # measuring Z on an X eigenstate still reconstructs X over that
         # state: the pushforward is the constant 1 and its pullback is the
         # identity, which agrees with X on the state
-        plus = DensityOperator.pure([1, 1])
-        ctx = local_context(projective_from(Z).effects, plus.matrix)
+        plus = pure([1, 1])
+        ctx = local_context(projective_from(Z)[1], plus)
         f = pushforward(ctx, X)
         assert np.allclose(f, 1.0, atol=1e-10)
         conds = conditions(ctx, X)
@@ -170,13 +166,12 @@ class TestErrorless:
         p1 = cols @ cols.conj().T
         p1 = (p1 + p1.conj().T) / 2.0
         p2 = np.eye(dim) - p1
-        a = HermitianObservable(p1 - 2.0 * p2)
+        a = check_observables(p1 - 2.0 * p2)
         rho = instances.state(rng, dim)
-        space = OutcomeSpace.from_values([1.0, -2.0])
         for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
                               (1e-5, False), (1e-4, False), (1e-2, False)]:
-            povm = Povm(space, [p1 + mu * p2, (1.0 - mu) * p2])
-            conds = conditions(local_context(povm.effects, rho.matrix), a)
+            effects = check_effects(np.array([p1 + mu * p2, (1.0 - mu) * p2]))
+            conds = conditions(local_context(effects, rho), a)
             assert (conds.cond_a, conds.cond_b, conds.cond_c) == (errorless,) * 3, (mu, conds)
 
 
@@ -184,7 +179,7 @@ class TestErrorless:
 @given(t=st.floats(-3.0, 3.0), seed=st.integers(0, 10**6))
 def test_homogeneity(t, seed):
     ctx, a, _ = random_ctx(3, seed)
-    scaled = eps(ctx, HermitianObservable(t * a.matrix))
+    scaled = eps(ctx, check_observables(t * a))
     base = eps(ctx, a)
     assert abs(scaled - abs(t) * base) <= 1e-10 * (1 + abs(t)) * (1 + base)
 
@@ -195,10 +190,10 @@ def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     outcomes = int(rng.integers(2, 6))
-    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim).matrix)
+    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim))
     a = instances.observable(rng, dim)
     b = instances.observable(rng, dim)
-    assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, HermitianObservable(a.matrix + b.matrix)) - 1e-9
+    assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, check_observables(a + b)) - 1e-9
 
 
 def test_trivial_measurement_reduces_to_standard_deviation():
@@ -206,5 +201,5 @@ def test_trivial_measurement_reduces_to_standard_deviation():
         rng = np.random.default_rng(seed)
         rho = instances.state(rng, 3)
         a = instances.observable(rng, 3)
-        ctx = local_context(trivial_measurement([0.25, 0.75], 3).effects, rho.matrix)
-        assert eps(ctx, a) == pytest.approx(kernels.std_dev(a.matrix, rho.matrix), abs=1e-10)
+        ctx = local_context(trivial_measurement([0.25, 0.75], 3), rho)
+        assert eps(ctx, a) == pytest.approx(kernels.std_dev(a, rho), abs=1e-10)

@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 import oracles
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    IndirectModel,
-    MeasurementKind,
-    PAULI_X,
-    PAULI_Z,
+    PAULI_X as X,
+    PAULI_Z as Z,
     chain_check,
     cnot_model,
     induced_povm,
@@ -19,16 +16,17 @@ from measerr import (
     local_context,
     qubit_state,
 )
+from measerr.serialize import model_from_json, model_to_json
 
-X = HermitianObservable(PAULI_X)
-Z = HermitianObservable(PAULI_Z)
-MIXED = DensityOperator.maximally_mixed(2)
+MIXED = mixed(2)
+# No interaction: the ancilla |+> read by Z, a model of arrays (xi, U, meter).
+IDLE = (pure([1.0, 1.0]), np.eye(4, dtype=complex), Z)
 
 
 def ozawa_error(model, rho, a):
     """Ozawa's rms error of the meter for ``a`` over rho (x) the ancilla state."""
-    meter = kernels.heisenberg(model.interaction, model.meter.matrix)
-    return kernels.rms_error(meter, kernels.kron(rho.matrix, model.ancilla_state.matrix), a.matrix)
+    xi, u, meter = model
+    return kernels.rms_error(kernels.heisenberg(u, meter), kernels.kron(rho, xi), a)
 
 
 def random_model(dim, ancilla, seed):
@@ -42,48 +40,46 @@ def random_model(dim, ancilla, seed):
 
 class TestInducedPovm:
     def test_cnot_reduces_to_projective_z(self):
-        povm = induced_povm(cnot_model())
-        assert povm.kind is MeasurementKind.INDUCED
-        assert povm.space.values == (-1.0, 1.0)
-        assert np.allclose(povm.effects[0], np.diag([0.0, 1.0]), atol=1e-12)
-        assert np.allclose(povm.effects[1], np.diag([1.0, 0.0]), atol=1e-12)
+        values, effects = induced_povm(*cnot_model())
+        assert values.tolist() == [-1.0, 1.0]
+        assert np.allclose(effects[0], np.diag([0.0, 1.0]), atol=1e-12)
+        assert np.allclose(effects[1], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_no_interaction_gives_trivial_measurement(self):
-        ancilla = DensityOperator.pure([1.0, 1.0])
-        model = IndirectModel(2, ancilla, np.eye(4), HermitianObservable(PAULI_Z))
-        povm = induced_povm(model)
+        _, effects = induced_povm(*IDLE)
         # effects are multiples of the identity weighted by the meter
         # distribution in the ancilla state (1/2 each for |+> and Z)
-        for eff in povm.effects:
+        for eff in effects:
             assert np.allclose(eff, 0.5 * np.eye(2), atol=1e-12)
-        p1 = local_context(povm.effects, MIXED.matrix).weights
-        p2 = local_context(povm.effects, DensityOperator.pure([1, 0]).matrix).weights
+        p1 = local_context(effects, MIXED).weights
+        p2 = local_context(effects, pure([1, 0])).weights
         assert np.allclose(p1, p2, atol=1e-15)
 
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (2, 3), (3, 2)])
     def test_random_models_induce_valid_povms(self, dim, ancilla):
         for seed in range(10):
             model, rho, _, _ = random_model(dim, ancilla, seed)
-            povm = induced_povm(model)  # constructor enforces PSD + completeness
-            total = sum(povm.effects)
+            xi, u, meter = model
+            _, effects = induced_povm(xi, u, meter)  # check_effects enforces PSD + completeness
+            total = sum(effects)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
-            _, projs = kernels.spectral(model.meter.matrix)
-            direct = oracles.joint_meter_distribution(rho.matrix, model.ancilla_state.matrix, model.interaction, projs)
-            assert np.allclose(local_context(povm.effects, rho.matrix).weights, direct, atol=1e-10)
+            _, projs = kernels.spectral(meter)
+            direct = oracles.joint_meter_distribution(rho, xi, u, projs)
+            assert np.allclose(local_context(effects, rho).weights, direct, atol=1e-10)
 
     def test_invalid_unitary_rejected(self):
         with pytest.raises(ValueError):
-            IndirectModel(2, DensityOperator.pure([1, 0]), np.eye(4) * 0.9, HermitianObservable(PAULI_Z))
+            model_from_json(model_to_json(pure([1, 0]), np.eye(4) * 0.9, Z))
 
     def test_non_finite_interaction_rejected(self):
         u = np.eye(4, dtype=complex)
         u[1, 2] = np.nan
         with pytest.raises(ValueError, match="interaction entries must be finite"):
-            IndirectModel(2, DensityOperator.pure([1, 0]), u, HermitianObservable(PAULI_Z))
+            model_from_json(model_to_json(pure([1, 0]), u, Z))
 
     def test_meter_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            IndirectModel(2, DensityOperator.pure([1, 0]), np.eye(4), HermitianObservable(np.eye(3)))
+            model_from_json(model_to_json(pure([1, 0]), np.eye(4), np.eye(3)))
 
 
 class TestOzawaError:
@@ -94,20 +90,18 @@ class TestOzawaError:
         val = ozawa_error(cnot_model(), MIXED, X)
         assert val == pytest.approx(np.sqrt(2.0), abs=1e-12)
         brute = oracles.ozawa_error_brute(
-            MIXED.matrix,
+            MIXED,
             np.diag([1.0, 0.0]).astype(complex),
-            cnot_model().interaction,
-            PAULI_Z,
-            PAULI_X,
+            cnot_model()[1],
+            Z,
+            X,
         )
         assert val == pytest.approx(brute, abs=1e-12)
 
     def test_no_interaction_centered_meter(self):
         # centered meter: <meter> = 0 in the ancilla state, so the squared
         # error expands with no cross term to <meter^2> + <A^2>
-        ancilla = DensityOperator.pure([1.0, 1.0])
-        model = IndirectModel(2, ancilla, np.eye(4), HermitianObservable(PAULI_Z))
-        val = ozawa_error(model, MIXED, Z)
+        val = ozawa_error(IDLE, MIXED, Z)
         assert val == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
@@ -116,24 +110,23 @@ class TestBridgeIdentity:
     def test_rms_error_is_identity_estimator_f_error(self, dim, ancilla):
         for seed in range(10):
             model, rho, a, _ = random_model(dim, ancilla, 100 + seed)
-            povm = induced_povm(model)
-            ctx = local_context(povm.effects, rho.matrix)
-            t = kernels.transport(ctx, a.matrix)
-            est = np.array(povm.space.values)
+            est, effects = induced_povm(*model)
+            ctx = local_context(effects, rho)
+            t = kernels.transport(ctx, a)
             assert ozawa_error(model, rho, a) == pytest.approx(
-                kernels.f_error_split(ctx, a.matrix, t, est).f_error, abs=1e-9
+                kernels.f_error_split(ctx, a, t, est).f_error, abs=1e-9
             )
 
     def test_rms_error_dominates_intrinsic_error(self):
         for seed in range(15):
             model, rho, a, _ = random_model(2, 2, 300 + seed)
-            ctx = local_context(induced_povm(model).effects, rho.matrix)
-            assert ozawa_error(model, rho, a) >= kernels.transport(ctx, a.matrix).error - 1e-9
+            ctx = local_context(induced_povm(*model)[1], rho)
+            assert ozawa_error(model, rho, a) >= kernels.transport(ctx, a).error - 1e-9
 
 
 class TestChain:
     def test_cnot_scenario_exact_values(self):
-        report = chain_check(cnot_model(), qubit_state(y=0.8), X, Z)
+        _, report = chain_check(*cnot_model(), qubit_state(y=0.8), X, Z)
         assert report.rms_a == pytest.approx(np.sqrt(2.0), abs=1e-9)
         assert report.eps_a == pytest.approx(1.0, abs=1e-9)
         assert report.eps_b == pytest.approx(0.0, abs=1e-9)
@@ -145,9 +138,7 @@ class TestChain:
         assert report.holds.all()
 
     def test_no_interaction_model_reduces_to_deviation(self):
-        ancilla = DensityOperator.pure([1.0, 1.0])
-        model = IndirectModel(2, ancilla, np.eye(4), HermitianObservable(PAULI_Z))
-        report = chain_check(model, MIXED, Z, X)
+        _, report = chain_check(*IDLE, MIXED, Z, X)
         # trivial induced measurement: intrinsic error equals the standard
         # deviation, and the rms error can only be larger
         assert report.eps_a == pytest.approx(report.sigma_a, abs=1e-10)
@@ -156,12 +147,12 @@ class TestChain:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            chain_check(cnot_model(), MIXED, X, HermitianObservable(np.eye(3)))
+            chain_check(*cnot_model(), MIXED, X, np.eye(3, dtype=complex))
 
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (3, 2)])
     def test_chain_on_random_models(self, dim, ancilla):
         for seed in range(15):
             model, rho, a, b = random_model(dim, ancilla, 700 + seed)
-            report = chain_check(model, rho, a, b)
+            _, report = chain_check(*model, rho, a, b)
             assert report.holds.all(), report.values
             assert report.dominance_a and report.dominance_b

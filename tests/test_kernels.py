@@ -27,10 +27,10 @@ TOL = 1e-12
 
 
 def instance(dim, outcomes, mixedness, rng):
-    base = instances.povm(rng, dim, outcomes).effects
+    base = instances.povm(rng, dim, outcomes)
     effects = np.array([(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:]])
-    rho = instances.state(rng, dim, pure=mixedness == "pure").matrix
-    a, b = (instances.observable(rng, dim).matrix for _ in range(2))
+    rho = instances.state(rng, dim, pure=mixedness == "pure")
+    a, b = (instances.observable(rng, dim) for _ in range(2))
     return effects, rho, a, b, rng.uniform(-2.0, 2.0, len(effects))
 
 
@@ -235,8 +235,8 @@ def test_traces_are_stack_invariant(dim, outcomes):
     rng = np.random.default_rng([dim, outcomes])
     rows = []
     for mixedness in ("pure", "ginibre", "ginibre", "pure"):
-        rows.append((instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix,
-                     instances.observable(rng, dim).matrix, instances.observable(rng, dim).matrix))
+        rows.append((instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"),
+                     instances.observable(rng, dim), instances.observable(rng, dim)))
     effects = np.zeros((len(rows), 6, dim, dim), dtype=complex)
     for i, row in enumerate(rows):
         effects[i, :outcomes] = row[0]
@@ -329,7 +329,7 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     rho = check_states(np.stack([rank_state(rng, dim, r) for r in ranks]))
     rows = []
     for _ in ranks:
-        base = instances.povm(rng, dim, 3).effects
+        base = instances.povm(rng, dim, 3)
         rows.append(np.array([(1.0 - split) * base[0], split * base[0], *base[1:]]))
     effects = np.stack(rows)
     check_effects(effects)

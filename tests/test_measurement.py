@@ -1,4 +1,4 @@
-"""POVM construction, application, adjoint, named families, contractivity."""
+"""POVM builders and validation, application, adjoint, named families, contractivity."""
 
 import instances
 import numpy as np
@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from instances import mixed, pure
 from measerr import (
     DEFAULT_TOL,
-    DensityOperator,
-    HermitianObservable,
-    MeasurementKind,
-    OutcomeSpace,
-    PAULI_X,
-    PAULI_Z,
-    Povm,
+    PAULI_X as X,
+    PAULI_Z as Z,
     kernels,
     local_context,
     noisy_projective,
@@ -24,119 +20,117 @@ from measerr import (
 )
 from measerr.generate import haar_unitaries
 from measerr.measurement import check_effects
+from measerr.serialize import matrix_to_json, povm_from_json
+from measerr.states import check_states
 
-X = HermitianObservable(PAULI_X)
-Z = HermitianObservable(PAULI_Z)
-PM_SPACE = OutcomeSpace(("+", "-"), (1.0, -1.0))
+
+def povm_file(effects, values=(1.0, -1.0)) -> dict:
+    """A POVM file of ``effects``, labelled by their ``values``."""
+    return {"labels": [str(v) for v in values], "values": list(values),
+            "effects": [matrix_to_json(np.asarray(e, dtype=complex)) for e in effects]}
 
 
 class TestApply:
     def test_projective_on_mixed(self):
-        p = local_context(projective_from(Z).effects, DensityOperator.maximally_mixed(2).matrix)
+        p = local_context(projective_from(Z)[1], mixed(2))
         assert np.allclose(p.weights, [0.5, 0.5], atol=1e-12)
 
     def test_projective_on_eigenstate(self):
-        povm = projective_from(Z)
-        p = local_context(povm.effects, DensityOperator.pure([1, 0]).matrix)
+        values, effects = projective_from(Z)
+        p = local_context(effects, pure([1, 0]))
         # ascending eigenvalue order: outcome values (-1, +1)
-        assert povm.space.values == (-1.0, 1.0)
+        assert values.tolist() == [-1.0, 1.0]
         assert np.allclose(p.weights, [0.0, 1.0], atol=1e-12)
 
     def test_unsharp_on_eigenstate(self):
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        rho = DensityOperator.pure([1, 0])
-        expected = oracles.probabilities(povm.effects, rho.matrix)
+        effects = unsharp_qubit((0, 0, 1), 0.6)
+        rho = pure([1, 0])
+        expected = oracles.probabilities(effects, rho)
         assert expected == pytest.approx([0.8, 0.2], abs=1e-12)
-        assert np.allclose(local_context(povm.effects, rho.matrix).weights, [0.8, 0.2], atol=1e-10)
+        assert np.allclose(local_context(effects, rho).weights, [0.8, 0.2], atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            local_context(projective_from(Z).effects, DensityOperator.maximally_mixed(3).matrix)
+            local_context(projective_from(Z)[1], mixed(3))
 
 
 class TestAdjoint:
     def test_projective_identity_estimator(self):
-        povm = projective_from(Z)
-        rebuilt = kernels.adjoint(povm.effects, np.array(povm.space.values))
-        assert np.allclose(rebuilt, PAULI_Z, atol=1e-12)
+        values, effects = projective_from(Z)
+        rebuilt = kernels.adjoint(effects, values)
+        assert np.allclose(rebuilt, Z, atol=1e-12)
 
     def test_constant_function_gives_identity(self):
         for seed in range(5):
-            povm = instances.povm(np.random.default_rng(seed), 3, 4)
-            total = kernels.adjoint(povm.effects, np.full(povm.space.size, 1.0))
+            effects = instances.povm(np.random.default_rng(seed), 3, 4)
+            total = kernels.adjoint(effects, np.full(len(effects), 1.0))
             assert np.max(np.abs(total - np.eye(3))) <= 1e-10
 
     def test_unsharp_shrinks_observable(self):
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        adj = kernels.adjoint(povm.effects, np.array([1.0, -1.0]))
-        assert np.allclose(adj, 0.6 * PAULI_Z, atol=1e-12)
+        adj = kernels.adjoint(unsharp_qubit((0, 0, 1), 0.6), np.array([1.0, -1.0]))
+        assert np.allclose(adj, 0.6 * Z, atol=1e-12)
 
     def test_characterization_sweep(self):
         for dim in (2, 3, 4):
             for seed in range(30):
                 rng = np.random.default_rng((dim, seed))
                 outcomes = int(rng.integers(2, 6))
-                povm = instances.povm(rng, dim, outcomes)
+                effects = instances.povm(rng, dim, outcomes)
                 rho = instances.state(rng, dim)
-                f = rng.uniform(-2, 2, povm.space.size)
-                lhs = kernels.expect(kernels.adjoint(povm.effects, f), rho.matrix)
-                rhs = kernels.dot(f, local_context(povm.effects, rho.matrix).weights)
+                f = rng.uniform(-2, 2, len(effects))
+                lhs = kernels.expect(kernels.adjoint(effects, f), rho)
+                rhs = kernels.dot(f, local_context(effects, rho).weights)
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
 class TestProjectiveFrom:
     def test_pauli_z(self):
-        povm = projective_from(Z)
-        assert povm.kind is MeasurementKind.PROJECTIVE
-        assert povm.space.values == (-1.0, 1.0)
-        assert np.allclose(povm.effects[1], np.diag([1.0, 0.0]), atol=1e-12)
+        values, effects = projective_from(Z)
+        assert values.tolist() == [-1.0, 1.0]
+        assert np.allclose(effects[1], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_degenerate_identity_is_trivial_shape(self):
-        povm = projective_from(HermitianObservable(np.eye(2)))
-        assert povm.space.size == 1
-        assert np.allclose(povm.effects[0], np.eye(2), atol=1e-12)
+        values, effects = projective_from(np.eye(2, dtype=complex))
+        assert len(values) == len(effects) == 1
+        assert np.allclose(effects[0], np.eye(2), atol=1e-12)
 
     def test_pauli_x_hand_projectors(self):
-        povm = projective_from(X)
-        assert np.allclose(povm.effects[1], oracles.FLIP_PROJ_PLUS, atol=1e-9)
-        assert np.allclose(povm.effects[0], oracles.FLIP_PROJ_MINUS, atol=1e-9)
+        _, effects = projective_from(X)
+        assert np.allclose(effects[1], oracles.FLIP_PROJ_PLUS, atol=1e-9)
+        assert np.allclose(effects[0], oracles.FLIP_PROJ_MINUS, atol=1e-9)
 
 
 class TestTrivial:
     def test_uniform_qubit(self):
-        povm = trivial_measurement([0.5, 0.5], 2)
-        assert povm.kind is MeasurementKind.TRIVIAL
-        for eff in povm.effects:
+        effects = trivial_measurement([0.5, 0.5], 2)
+        assert effects.shape == (2, 2, 2)
+        for eff in effects:
             assert np.allclose(eff, np.eye(2) / 2, atol=1e-15)
 
     def test_single_outcome(self):
-        povm = trivial_measurement([1.0], 3)
-        assert np.allclose(povm.effects[0], np.eye(3), atol=1e-15)
+        effects = trivial_measurement([1.0], 3)
+        assert np.allclose(effects[0], np.eye(3), atol=1e-15)
 
     def test_state_independent(self):
-        povm = trivial_measurement([0.3, 0.7], 3)
-        assert np.allclose(povm.effects[0], 0.3 * np.eye(3), atol=1e-15)
-        rho1 = DensityOperator.maximally_mixed(3)
-        rho2 = DensityOperator.pure([1, 0, 0])
-        p1, p2 = (local_context(povm.effects, rho.matrix).weights for rho in (rho1, rho2))
+        effects = trivial_measurement([0.3, 0.7], 3)
+        assert np.allclose(effects[0], 0.3 * np.eye(3), atol=1e-15)
+        p1, p2 = (local_context(effects, rho).weights for rho in (mixed(3), pure([1, 0, 0])))
         assert np.array_equal(p1, p2)
 
 
 class TestUnsharpFamily:
     def test_sharp_limit_is_projective(self):
         sharp = unsharp_qubit((0, 0, 1), 1.0)
-        proj = projective_from(Z)
-        assert np.allclose(sharp.effects[0], proj.effects[1], atol=1e-12)
-        assert np.allclose(sharp.effects[1], proj.effects[0], atol=1e-12)
+        _, proj = projective_from(Z)
+        assert np.allclose(sharp[0], proj[1], atol=1e-12)
+        assert np.allclose(sharp[1], proj[0], atol=1e-12)
 
     def test_blind_limit_is_trivial_uniform(self):
-        blind = unsharp_qubit((0, 0, 1), 0.0)
-        for eff in blind.effects:
+        for eff in unsharp_qubit((0, 0, 1), 0.0):
             assert np.allclose(eff, np.eye(2) / 2, atol=1e-15)
 
     def test_intermediate_effect(self):
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        assert np.allclose(povm.effects[0], np.diag([0.8, 0.2]), atol=1e-12)
+        assert np.allclose(unsharp_qubit((0, 0, 1), 0.6)[0], np.diag([0.8, 0.2]), atol=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -145,35 +139,32 @@ class TestUnsharpFamily:
             unsharp_qubit((0, 0, 1), 1.5)
 
     def test_noisy_projective_path(self):
-        assert np.allclose(
-            noisy_projective(Z, 1.0).effects[1], np.diag([1.0, 0.0]), atol=1e-12
-        )
-        for eff in noisy_projective(Z, 0.0).effects:
+        assert np.allclose(noisy_projective(Z, 1.0)[1], np.diag([1.0, 0.0]), atol=1e-12)
+        for eff in noisy_projective(Z, 0.0):
             assert np.allclose(eff, np.eye(2) / 2, atol=1e-12)
         halfway = noisy_projective(Z, 0.5)
-        assert np.allclose(halfway.effects[1], np.diag([0.75, 0.25]), atol=1e-12)
+        assert np.allclose(halfway[1], np.diag([0.75, 0.25]), atol=1e-12)
         with pytest.raises(ValueError):
             noisy_projective(Z, -0.1)
 
 
-def contractivity(povm, f, rho):
-    return kernels.contractivity(local_context(povm.effects, rho.matrix), np.asarray(f, dtype=float))
+def contractivity(effects, f, rho):
+    return kernels.contractivity(local_context(effects, rho), np.asarray(f, dtype=float))
 
 
 class TestContractivity:
     def test_projective_saturates(self):
-        report = contractivity(projective_from(Z), [-1.0, 1.0], DensityOperator.maximally_mixed(2))
+        report = contractivity(projective_from(Z)[1], [-1.0, 1.0], mixed(2))
         assert report.classical_norm == pytest.approx(report.adjoint_norm, abs=1e-12)
         assert abs(report.gap_min_eigenvalue) <= 1e-12
 
     def test_unsharp_gap(self):
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        report = contractivity(povm, [1.0, -1.0], DensityOperator.maximally_mixed(2))
+        report = contractivity(unsharp_qubit((0, 0, 1), 0.6), [1.0, -1.0], mixed(2))
         assert report.gap_min_eigenvalue == pytest.approx(0.64, abs=1e-12)
 
     def test_constant_function_gap_vanishes(self):
-        povm = instances.povm(np.random.default_rng(5), 3, 4)
-        report = contractivity(povm, np.full(povm.space.size, 1.7), instances.state(np.random.default_rng(5), 3))
+        effects = instances.povm(np.random.default_rng(5), 3, 4)
+        report = contractivity(effects, np.full(len(effects), 1.7), instances.state(np.random.default_rng(5), 3))
         assert abs(report.gap_min_eigenvalue) <= 1e-9
 
 
@@ -183,11 +174,11 @@ def test_affineness(seed, lam):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 6))
     outcomes = int(rng.integers(2, 6))
-    povm = instances.povm(rng, dim, outcomes)
+    effects = instances.povm(rng, dim, outcomes)
     rho1 = instances.state(rng, dim)
     rho2 = instances.state(rng, dim, pure=True)
-    mixed = DensityOperator(lam * rho1.matrix + (1 - lam) * rho2.matrix)
-    lhs, p1, p2 = (local_context(povm.effects, rho.matrix).weights for rho in (mixed, rho1, rho2))
+    mix = check_states(lam * rho1 + (1 - lam) * rho2)
+    lhs, p1, p2 = (local_context(effects, rho).weights for rho in (mix, rho1, rho2))
     rhs = lam * p1 + (1 - lam) * p2
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -195,34 +186,32 @@ def test_affineness(seed, lam):
 class TestPovmValidation:
     def test_incomplete_rejected(self):
         with pytest.raises(ValueError):
-            Povm(PM_SPACE, [np.eye(2) / 2, np.eye(2) / 3])
+            check_effects(np.array([np.eye(2) / 2, np.eye(2) / 3], dtype=complex))
 
     def test_negative_effect_rejected(self):
         with pytest.raises(ValueError):
-            Povm(PM_SPACE, [1.5 * np.eye(2), -0.5 * np.eye(2)])
+            check_effects(np.array([1.5 * np.eye(2), -0.5 * np.eye(2)], dtype=complex))
 
     def test_wrong_count_rejected(self):
         with pytest.raises(ValueError):
-            Povm(PM_SPACE, [np.eye(2)])
+            povm_from_json(povm_file([np.eye(2)]))
 
     def test_one_small_non_hermitian_effect_rejected(self):
         # the bad effect is tiny: its residual is far below the scale of
         # the other effects, so it must be judged against its own scale
-        space = OutcomeSpace.from_values((0.0, 1.0, 2.0))
         bad = 1e-6 * (np.diag([1.0, 0.0]) + 1e-8 * np.array([[0, 1], [0, 0]]))
         effects = [np.diag([0.5, 0.5]), np.diag([0.5, 0.5]) - 1e-6 * np.diag([1.0, 0.0]), bad]
         with pytest.raises(ValueError, match="not Hermitian"):
-            Povm(space, effects)
+            check_effects(np.array(effects, dtype=complex))
 
     def test_one_effect_with_negative_eigenvalue_rejected(self):
-        space = OutcomeSpace.from_values((0.0, 1.0, 2.0))
         effects = [np.diag([0.6, 0.3]), np.diag([0.41, 0.3]), np.diag([-0.01, 0.4])]
         with pytest.raises(ValueError, match="not PSD"):
-            Povm(space, effects)
+            check_effects(np.array(effects, dtype=complex))
 
     def test_ragged_dimensions_rejected(self):
         with pytest.raises(ValueError):
-            Povm(PM_SPACE, [np.eye(2) / 2, np.eye(3) / 2])
+            povm_from_json(povm_file([np.eye(2) / 2, np.eye(3) / 2]))
 
 
 PSD = DEFAULT_TOL.psd

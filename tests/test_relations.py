@@ -4,12 +4,11 @@ import instances
 import numpy as np
 import pytest
 
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULI_X as X,
+    PAULI_Y as Y,
+    PAULI_Z as Z,
     evaluate_relation,
     kernels,
     local_context,
@@ -19,36 +18,37 @@ from measerr import (
     trivial_measurement,
 )
 
-X = HermitianObservable(PAULI_X)
-Y = HermitianObservable(PAULI_Y)
-Z = HermitianObservable(PAULI_Z)
+
+
+def relation(ctx, a, b):
+    """``evaluate_relation`` on the measurement and state of ``ctx``."""
+    return evaluate_relation(ctx.effects, ctx.rho, a, b)
 
 
 def covariance(a, b, rho):
     """<{A,B}/2>_rho - <A>_rho <B>_rho."""
-    mean_a, mean_b = (kernels.expect(x.matrix, rho.matrix) for x in (a, b))
-    return kernels.anti(a.matrix, b.matrix, rho.matrix) - mean_a * mean_b
+    mean_a, mean_b = (kernels.expect(x, rho) for x in (a, b))
+    return kernels.anti(a, b, rho) - mean_a * mean_b
 
 
-def commutator(a, b, rho):
-    return kernels.comm(a.matrix, b.matrix, rho.matrix)
+commutator = kernels.comm
 
 
 def errorless_a(ctx, a):
-    return kernels.errorless(ctx, a.matrix).cond_a
+    return kernels.errorless(ctx, a).cond_a
 
 
 def random_setup(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = int(rng.integers(2, 7))
-    ctx = local_context(instances.povm(rng, dim, outcomes).effects, instances.state(rng, dim, pure=mixedness == "pure").matrix)
+    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
     return ctx, instances.observable(rng, dim), instances.observable(rng, dim), rng
 
 
 def trivial_ctx(rho, seed=0):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
-    return local_context(trivial_measurement(rng.dirichlet(np.ones(k)), rho.dim).effects, rho.matrix)
+    return local_context(trivial_measurement(rng.dirichlet(np.ones(k)), rho.shape[-1]), rho)
 
 
 class TestRealPart:
@@ -60,17 +60,17 @@ class TestRealPart:
             b = instances.observable(rng, 3)
             ctx = trivial_ctx(rho, seed)
             closed = covariance(a, b, rho)
-            assert evaluate_relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
+            assert relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
-        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
-        assert evaluate_relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
+        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        assert relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_case_is_squared_error(self):
         for seed in range(8):
             ctx, a, _, _ = random_setup(3, 40 + seed)
-            eps = kernels.transport(ctx, a.matrix).error
-            assert evaluate_relation(ctx, a, a).real_term == pytest.approx(eps**2, abs=1e-9 * (1 + eps**2))
+            eps = kernels.transport(ctx, a).error
+            assert relation(ctx, a, a).real_term == pytest.approx(eps**2, abs=1e-9 * (1 + eps**2))
 
 
 class TestImagPart:
@@ -82,21 +82,21 @@ class TestImagPart:
             b = instances.observable(rng, 3)
             ctx = trivial_ctx(rho, seed)
             bare = commutator(a, b, rho)
-            assert evaluate_relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
+            assert relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
-        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
-        assert evaluate_relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
+        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        assert relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry_on_diagonal(self):
         ctx, a, _, _ = random_setup(4, 77)
-        assert evaluate_relation(ctx, a, a).imag_term == pytest.approx(0.0, abs=1e-12)
+        assert relation(ctx, a, a).imag_term == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEvaluateRelation:
     def test_commutator_bound_undercut_scenario(self):
-        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
-        report = evaluate_relation(ctx, X, Z)
+        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        report = relation(ctx, X, Z)
         assert report.eps_a * report.eps_b == pytest.approx(0.0, abs=1e-10)
         assert report.bound == pytest.approx(0.0, abs=1e-10)
         assert report.naive_bound == pytest.approx(0.8, abs=1e-10)
@@ -104,8 +104,8 @@ class TestEvaluateRelation:
         assert report.slack >= -1e-9
 
     def test_trivial_saturation(self):
-        ctx = trivial_ctx(DensityOperator.pure([1, 0]))
-        report = evaluate_relation(ctx, X, Y)
+        ctx = trivial_ctx(pure([1, 0]))
+        report = relation(ctx, X, Y)
         assert report.eps_a * report.eps_b == pytest.approx(1.0, abs=1e-10)
         assert report.bound == pytest.approx(1.0, abs=1e-10)
         assert abs(report.slack) <= 1e-10
@@ -113,29 +113,28 @@ class TestEvaluateRelation:
     def test_diagonal_slack_vanishes(self):
         for seed in range(8):
             ctx, a, _, _ = random_setup(3, 90 + seed)
-            report = evaluate_relation(ctx, a, a)
+            report = relation(ctx, a, a)
             assert abs(report.slack) <= 1e-12 * (1 + report.eps_a**2)
 
     def test_holds_on_random_sweep(self):
         for dim in (2, 3, 4):
             for seed in range(25):
                 ctx, a, b, _ = random_setup(dim, 1000 * dim + seed)
-                report = evaluate_relation(ctx, a, b)
+                report = relation(ctx, a, b)
                 assert report.slack >= -1e-9 * (1 + abs(report.eps_a * report.eps_b))
                 assert report.bound >= abs(report.imag_term) - 1e-12
 
     def test_dimension_mismatch_rejected(self):
-        ctx = local_context(projective_from(Z).effects, qubit_state(y=0.8).matrix)
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            evaluate_relation(ctx, X, HermitianObservable(np.eye(3)))
+            evaluate_relation(projective_from(Z)[1], qubit_state(y=0.8), X, np.eye(3, dtype=complex))
 
 
 class TestProofDevice:
     def test_diagonal_recovers_error(self):
         ctx, a, _, _ = random_setup(3, 8)
-        report = kernels.proof_device(ctx, a.matrix, a.matrix, evaluate_relation(ctx, a, a))
+        report = kernels.proof_device(ctx, a, a, relation(ctx, a, a))
         assert report.residual_a <= 1e-9
-        assert report.cross_value.real == pytest.approx(kernels.transport(ctx, a.matrix).error ** 2, abs=1e-9)
+        assert report.cross_value.real == pytest.approx(kernels.transport(ctx, a).error ** 2, abs=1e-9)
         assert abs(report.cross_value.imag) <= 1e-10
 
     def test_trivial_reduces_to_covariance_form(self):
@@ -144,7 +143,7 @@ class TestProofDevice:
         a = instances.observable(rng, 3)
         b = instances.observable(rng, 3)
         ctx = trivial_ctx(rho, 3)
-        report = kernels.proof_device(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+        report = kernels.proof_device(ctx, a, b, relation(ctx, a, b))
         cov = covariance(a, b, rho)
         comm = commutator(a, b, rho)
         assert report.cross_value == pytest.approx(complex(cov, comm), abs=1e-9)
@@ -153,7 +152,7 @@ class TestProofDevice:
         for dim in (2, 3, 4, 5):
             for seed in range(10):
                 ctx, a, b, _ = random_setup(dim, 5000 + 100 * dim + seed)
-                report = kernels.proof_device(ctx, a.matrix, b.matrix, evaluate_relation(ctx, a, b))
+                report = kernels.proof_device(ctx, a, b, relation(ctx, a, b))
                 assert report.residual_a <= 1e-9
                 assert report.residual_b <= 1e-9
                 assert report.cross_residual <= 1e-9
@@ -161,7 +160,7 @@ class TestProofDevice:
 
 class TestSchroedingerReduction:
     def test_saturation_case(self):
-        report = schroedinger_reduction(DensityOperator.pure([1, 0]), X, Y)
+        report = schroedinger_reduction([0.5, 0.5], pure([1, 0]), X, Y)[1]
         assert report.product == pytest.approx(1.0, abs=1e-10)
         assert report.bound == pytest.approx(1.0, abs=1e-10)
         assert report.kr_bound == pytest.approx(1.0, abs=1e-10)
@@ -169,7 +168,7 @@ class TestSchroedingerReduction:
         assert report.eps_sigma_residual_b <= 1e-10
 
     def test_uncorrelated_case(self):
-        report = schroedinger_reduction(DensityOperator.maximally_mixed(2), X, Z)
+        report = schroedinger_reduction([0.5, 0.5], mixed(2), X, Z)[1]
         assert report.product == pytest.approx(1.0, abs=1e-12)
         assert report.bound == pytest.approx(0.0, abs=1e-12)
 
@@ -180,7 +179,7 @@ class TestSchroedingerReduction:
             rho = instances.state(rng, dim)
             a = instances.observable(rng, dim)
             b = instances.observable(rng, dim)
-            report = schroedinger_reduction(rho, a, b)
+            report = schroedinger_reduction([0.5, 0.5], rho, a, b)[1]
             assert report.product >= report.bound - 1e-9 * (1 + report.product)
             assert report.kr_bound <= report.bound + 1e-12
 
@@ -189,7 +188,7 @@ class TestNoSimultaneousErrorless:
     def test_on_random_sweep(self):
         for seed in range(40):
             ctx, a, b, _ = random_setup(2 + seed % 3, 7000 + seed)
-            comm = abs(kernels.comm(a.matrix, b.matrix, ctx.rho))
+            comm = abs(kernels.comm(a, b, ctx.rho))
             both = errorless_a(ctx, a) and errorless_a(ctx, b)
             assert not (both and comm > 1e-6)
 
@@ -198,7 +197,7 @@ class TestNoSimultaneousErrorless:
         # a noncommuting pair over a commutator-witnessing state never has
         # both errors vanish
         rho = qubit_state(y=0.8)
-        ctx = local_context(projective_from(Z).effects, rho.matrix)
+        ctx = local_context(projective_from(Z)[1], rho)
         comm = abs(commutator(X, Z, rho))
         assert comm > 1e-6
         assert not (errorless_a(ctx, X) and errorless_a(ctx, Z))

@@ -7,12 +7,7 @@ import instances
 import numpy as np
 import pytest
 
-from measerr import (
-    cnot_model,
-    evaluate_relation,
-    local_context,
-    unsharp_qubit,
-)
+from measerr import cnot_model, evaluate_relation, unsharp_qubit
 from measerr.serialize import (
     CSV_HEADER,
     format_float,
@@ -44,45 +39,51 @@ class TestMatrixFormat:
 
 class TestPovmFormat:
     def test_round_trip(self):
-        povm = unsharp_qubit((0, 0, 1), 0.3)
-        clone = povm_from_json(povm_to_json(povm))
-        assert clone.kind == povm.kind
-        assert clone.space == povm.space
-        for e1, e2 in zip(clone.effects, povm.effects):
+        effects = unsharp_qubit((0, 0, 1), 0.3)
+        data = povm_to_json("unsharp", (1.0, -1.0), effects)
+        kind, clone = povm_from_json(data)
+        assert kind == "unsharp"
+        assert (data["labels"], data["values"]) == (["m0", "m1"], [1.0, -1.0])
+        for e1, e2 in zip(clone, effects):
             assert np.array_equal(e1, e2)
 
     def test_round_trip_through_text(self):
-        povm = instances.povm(np.random.default_rng(3), 3, 3)
-        text = json_text(povm_to_json(povm))
-        clone = povm_from_json(json.loads(text))
-        for e1, e2 in zip(clone.effects, povm.effects):
+        effects = instances.povm(np.random.default_rng(3), 3, 3)
+        text = json_text(povm_to_json("custom", (1.0, 2.0, 3.0), effects))
+        _, clone = povm_from_json(json.loads(text))
+        for e1, e2 in zip(clone, effects):
             assert np.max(np.abs(e1 - e2)) == 0.0
 
+    def test_unknown_kind_rejected(self):
+        data = povm_to_json("x", (1.0, -1.0), unsharp_qubit((0, 0, 1), 0.3))
+        with pytest.raises(ValueError, match="unknown POVM kind 'x'"):
+            povm_from_json(data)
 
     def test_declared_dim_must_match_the_effects(self):
-        data = povm_to_json(unsharp_qubit((0, 0, 1), 0.3))
+        data = povm_to_json("unsharp", (1.0, -1.0), unsharp_qubit((0, 0, 1), 0.3))
         data["dim"] = 5
         with pytest.raises(ValueError, match="dim is 5, but the matrices are 2-dimensional"):
             povm_from_json(data)
         del data["dim"]
-        assert povm_from_json(data).dim == 2
+        assert povm_from_json(data)[1].shape[-1] == 2
 
 
 class TestModelFormat:
     def test_round_trip(self):
         model = cnot_model()
-        clone = model_from_json(model_to_json(model))
-        assert clone.system_dim == 2 and clone.ancilla_dim == 2
-        assert np.array_equal(clone.interaction, model.interaction)
-        assert np.array_equal(clone.meter.matrix, model.meter.matrix)
+        data = model_to_json(*model)
+        clone = model_from_json(data)
+        assert data["system_dim"] == 2 and data["ancilla_dim"] == 2
+        for got, want in zip(clone, model):
+            assert np.array_equal(got, want)
 
     def test_declared_ancilla_dim_must_match_the_ancilla_state(self):
-        data = model_to_json(cnot_model())
+        data = model_to_json(*cnot_model())
         data["ancilla_dim"] = 3
         with pytest.raises(ValueError, match="ancilla_dim is 3, but the matrices are 2-dimensional"):
             model_from_json(data)
         del data["ancilla_dim"]
-        assert model_from_json(data).ancilla_dim == 2
+        assert model_from_json(data)[0].shape[-1] == 2
 
 
 @pytest.mark.parametrize("key", ["dim", "ancilla_dim"])
@@ -90,11 +91,11 @@ class TestModelFormat:
 def test_declared_dimension_must_be_an_integer(key, declared):
     """A declared dimension that is a string, a float or a bool is rejected
     with its own repr, whether or not it compares equal to the true one."""
-    to_json, from_json, make = {
-        "dim": (povm_to_json, povm_from_json, lambda: unsharp_qubit((0, 0, 1), 0.3)),
-        "ancilla_dim": (model_to_json, model_from_json, cnot_model),
+    make, from_json = {
+        "dim": (lambda: povm_to_json("unsharp", (1.0, -1.0), unsharp_qubit((0, 0, 1), 0.3)), povm_from_json),
+        "ancilla_dim": (lambda: model_to_json(*cnot_model()), model_from_json),
     }[key]
-    data = to_json(make())
+    data = make()
     data[key] = declared
     with pytest.raises(ValueError, match=re.escape(f"{key} must be an integer, got {declared!r}")):
         from_json(data)
@@ -138,21 +139,21 @@ class TestFloatPolicy:
 
 class TestCsvRow:
     def _report(self):
-        povm = instances.povm(np.random.default_rng(2), 2, 3)
-        ctx = local_context(povm.effects, instances.state(np.random.default_rng(2), 2).matrix)
+        effects = instances.povm(np.random.default_rng(2), 2, 3)
+        rho = instances.state(np.random.default_rng(2), 2)
         rng = np.random.default_rng(5)
-        return povm, evaluate_relation(ctx, instances.observable(rng, 2), instances.observable(rng, 2))
+        return 2, "custom", evaluate_relation(effects, rho, instances.observable(rng, 2), instances.observable(rng, 2))
 
     def test_header_and_width(self):
         assert CSV_HEADER.split(",") == [
             "dim", "kind", "param", "epsA", "epsB", "R", "I", "bound",
             "slack", "naiveBound", "naiveViolated",
         ]
-        povm, report = self._report()
-        cells = relation_csv_row(povm, report, 0.25).split(",")
+        dim, kind, report = self._report()
+        cells = relation_csv_row(dim, kind, report, 0.25).split(",")
         assert len(cells) == 11
         assert cells[0] == "2"
-        assert cells[1] == povm.kind.value
+        assert cells[1] == kind
         assert cells[2] == "0.25"
         fields = ("eps_a", "eps_b", "real_term", "imag_term", "bound", "slack", "naive_bound")
         assert cells[3:10] == [format_float(getattr(report, field), 12) for field in fields]

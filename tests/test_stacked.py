@@ -2,7 +2,8 @@
 ``kernels.adjoint``, ``kernels.pushforward`` and ``kernels.transport``
 (round trip and error) against the per-outcome formulas in ``oracles``, on
 instances that hold an off-support zero effect and an outcome inside
-``tiny_support``."""
+``tiny_support``; and the shared builders, whose rows on a stack are their
+one-instance calls bit for bit."""
 
 import instances
 import numpy as np
@@ -10,11 +11,16 @@ import pytest
 
 import oracles
 from measerr import (
-    OutcomeSpace,
-    Povm,
+    chain_check,
+    evaluate_relation,
+    induced_povm,
     kernels,
     local_context,
+    projective_from,
+    schroedinger_reduction,
+    trivial_measurement,
 )
+from measerr.measurement import check_effects
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -26,12 +32,10 @@ def edge_instance(dim, mixedness, seed):
     """Random POVM with outcome 0 split into (1 - SPLIT) E_0 and SPLIT E_0,
     plus a zero effect last; a random state and observable."""
     rng = np.random.default_rng([dim, seed])
-    base = instances.povm(rng, dim, 3).effects
+    base = instances.povm(rng, dim, 3)
     zero = np.zeros((dim, dim), dtype=complex)
     effects = [(1.0 - SPLIT) * base[0], SPLIT * base[0], *base[1:], zero]
-    space = OutcomeSpace.from_values(np.arange(len(effects), dtype=float))
-    povm = Povm(space, effects)
-    return povm, effects, instances.state(rng, dim, pure=mixedness == "pure"), instances.observable(rng, dim), rng
+    return check_effects(np.array(effects)), effects, instances.state(rng, dim, pure=mixedness == "pure"), instances.observable(rng, dim), rng
 
 
 CASES = [(dim, mixedness, seed) for dim in (2, 5, 8) for mixedness in ("pure", "ginibre") for seed in range(3)]
@@ -39,26 +43,62 @@ CASES = [(dim, mixedness, seed) for dim in (2, 5, 8) for mixedness in ("pure", "
 
 @pytest.mark.parametrize("dim,mixedness,seed", CASES)
 def test_stacked_paths_match_per_outcome_formulas(dim, mixedness, seed):
-    povm, effects, rho, a, rng = edge_instance(dim, mixedness, seed)
-    ctx = local_context(povm.effects, rho.matrix)
+    stack, effects, rho, a, rng = edge_instance(dim, mixedness, seed)
+    ctx = local_context(stack, rho)
     assert ctx.mask[1] and ctx.weights[1] <= DEFAULT_TOL.tiny_support
     assert not ctx.mask[-1]
 
-    assert np.max(np.abs(ctx.weights - oracles.probabilities(effects, rho.matrix))) <= 1e-12
+    assert np.max(np.abs(ctx.weights - oracles.probabilities(effects, rho))) <= 1e-12
 
     g = rng.uniform(-2.0, 2.0, len(effects))
-    adjoint = kernels.adjoint(povm.effects, g)
+    adjoint = kernels.adjoint(stack, g)
     expected = oracles.adjoint_brute(effects, g)
     assert np.max(np.abs(adjoint - expected)) <= 1e-12 * (1.0 + np.max(np.abs(g)))
 
-    fwd = kernels.pushforward(ctx, a.matrix)
-    expected = oracles.pushforward_brute(effects, rho.matrix, a.matrix)
-    scale = 1.0 + np.linalg.norm(a.matrix, 2)
+    fwd = kernels.pushforward(ctx, a)
+    expected = oracles.pushforward_brute(effects, rho, a)
+    scale = 1.0 + np.linalg.norm(a, 2)
     assert np.max(np.abs(fwd - expected)) <= 1e-12 * scale
     assert fwd[-1] == 0.0
 
-    t = kernels.transport(ctx, a.matrix)
+    t = kernels.transport(ctx, a)
     roundtrip = oracles.adjoint_brute(effects, expected)
     assert np.max(np.abs(t.roundtrip - roundtrip)) <= 1e-12 * scale
-    error = oracles.quantum_error_brute(effects, rho.matrix, a.matrix)
+    error = oracles.quantum_error_brute(effects, rho, a)
     assert abs(t.error - error) <= 1e-12 * scale
+
+
+def same_row(stacked, one, k) -> bool:
+    """Whether row ``k`` of every field of ``stacked`` (a result, a record or a
+    tuple of them, nested records field by field) equals ``one`` bit for bit."""
+    if isinstance(one, (tuple, kernels._Record)):
+        parts = list(one)
+        return len(list(stacked)) == len(parts) and all(same_row(x, y, k) for x, y in zip(stacked, parts))
+    return np.array_equal(np.asarray(stacked)[k], one)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_builders_are_stack_invariant(dim):
+    """Row k of each builder the CLI and the suites share, called on stacks,
+    equals its call on instance k alone, bit for bit on every field."""
+    rng = np.random.default_rng([dim, 24])
+    n, ancilla = 4, 2
+    rho = np.stack([instances.state(rng, dim, pure=k % 2 == 0) for k in range(n)])
+    a, b = (np.stack([instances.observable(rng, dim) for _ in range(n)]) for _ in range(2))
+    effects = np.stack([instances.povm(rng, dim, 3) for _ in range(n)])
+    weights = rng.dirichlet(np.ones(3), n)
+    models = [instances.indirect_model(rng, dim, ancilla) for _ in range(n)]
+    xi, u = (np.stack([m[i] for m in models]) for i in (0, 1))
+    meter = np.stack([instances.observable(rng, ancilla) for _ in range(n)])
+    calls = [
+        (projective_from, (a,)),
+        (lambda w: trivial_measurement(w, dim), (weights,)),
+        (induced_povm, (xi, u, meter)),
+        (chain_check, (xi, u, meter, rho, a, b)),
+        (evaluate_relation, (effects, rho, a, b)),
+        (schroedinger_reduction, (weights, rho, a, b)),
+    ]
+    for builder, args in calls:
+        stacked = builder(*args)
+        for k in range(n):
+            assert same_row(stacked, builder(*(x[k] for x in args)), k), (builder, k)

@@ -1,63 +1,54 @@
-"""State-space types, inner products, seminorms, spectral decomposition."""
+"""State validation, inner products, seminorms, spectral decomposition."""
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeSpace,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
+    PAULI_X as X,
+    PAULI_Y as Y,
+    PAULI_Z as Z,
     kernels,
     qubit_state,
 )
 from measerr.generate import ginibre_states, haar_unitaries
-from measerr.states import check_states, check_weights, pure_states
+from measerr.serialize import load_observable, matrix_to_json, povm_from_json
+from measerr.states import check_observables, check_states, check_weights, pure_states
 from measerr.tolerances import DEFAULT_TOL
 
-X = HermitianObservable(PAULI_X)
-Y = HermitianObservable(PAULI_Y)
-Z = HermitianObservable(PAULI_Z)
-
-
-def anti(a, b, rho):
-    return kernels.anti(a.matrix, b.matrix, rho.matrix)
-
-
-def norm(a, rho):
-    return kernels.norm(a.matrix, rho.matrix)
+anti, norm = kernels.anti, kernels.norm
 
 
 def random_qubit_pair(seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    a = HermitianObservable((g + g.conj().T) / 2)
+    a = check_observables((g + g.conj().T) / 2)
     h = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    rho = DensityOperator(h @ h.conj().T / np.trace(h @ h.conj().T).real)
+    rho = check_states(h @ h.conj().T / np.trace(h @ h.conj().T).real)
     return a, rho
 
 
 class TestExpectation:
     def test_eigenstate(self):
-        assert kernels.expect(Z.matrix, DensityOperator.pure([1, 0]).matrix) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.expect(Z, pure([1, 0])) == pytest.approx(1.0, abs=1e-12)
 
     def test_traceless_on_mixed(self):
-        assert kernels.expect(X.matrix, DensityOperator.maximally_mixed(2).matrix) == pytest.approx(0.0, abs=1e-12)
+        assert kernels.expect(X, mixed(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bloch_y(self):
         rho = qubit_state(y=0.8)
         # frozen from the explicit-summation oracle
-        assert oracles.trace_expectation(PAULI_Y, rho.matrix).real == pytest.approx(0.8, abs=1e-12)
-        assert kernels.expect(Y.matrix, rho.matrix) == pytest.approx(0.8, abs=1e-10)
+        assert oracles.trace_expectation(Y, rho).real == pytest.approx(0.8, abs=1e-12)
+        assert kernels.expect(Y, rho) == pytest.approx(0.8, abs=1e-10)
 
 
 class TestStateInner:
     def test_squared_pauli(self):
-        assert anti(Z, Z, DensityOperator.maximally_mixed(2)) == pytest.approx(1.0)
+        assert anti(Z, Z, mixed(2)) == pytest.approx(1.0)
 
     def test_anticommuting(self):
         for seed in range(5):
@@ -65,9 +56,9 @@ class TestStateInner:
             assert anti(X, Z, rho) == pytest.approx(0.0, abs=1e-12)
 
     def test_projector_cross_term(self):
-        plus = DensityOperator.pure([1, 1])
-        proj_up = HermitianObservable((np.eye(2) + PAULI_Z) / 2)
-        expected = oracles.sym_inner(PAULI_X, (np.eye(2) + PAULI_Z) / 2, plus.matrix)
+        plus = pure([1, 1])
+        proj_up = check_observables((np.eye(2) + Z) / 2)
+        expected = oracles.sym_inner(X, (np.eye(2) + Z) / 2, plus)
         assert expected == pytest.approx(0.5, abs=1e-12)
         assert anti(X, proj_up, plus) == pytest.approx(0.5, abs=1e-10)
 
@@ -83,11 +74,11 @@ def test_polarization_identity(seed, dim):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     g2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = HermitianObservable((g1 + g1.conj().T) / 2)
-    b = HermitianObservable((g2 + g2.conj().T) / 2)
+    a = check_observables((g1 + g1.conj().T) / 2)
+    b = check_observables((g2 + g2.conj().T) / 2)
     h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = DensityOperator(h @ h.conj().T / np.trace(h @ h.conj().T).real)
-    plus, minus = HermitianObservable(a.matrix + b.matrix), HermitianObservable(a.matrix - b.matrix)
+    rho = check_states(h @ h.conj().T / np.trace(h @ h.conj().T).real)
+    plus, minus = check_observables(a + b), check_observables(a - b)
     polarized = (norm(plus, rho) ** 2 - norm(minus, rho) ** 2) / 4
     assert abs(anti(a, b, rho) - polarized) <= 1e-9 * (1 + abs(polarized))
 
@@ -98,33 +89,33 @@ def test_cauchy_schwarz(seed, dim):
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     g2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    a = HermitianObservable((g1 + g1.conj().T) / 2)
-    b = HermitianObservable((g2 + g2.conj().T) / 2)
-    rho = DensityOperator.pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    a = check_observables((g1 + g1.conj().T) / 2)
+    b = check_observables((g2 + g2.conj().T) / 2)
+    rho = pure(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     lhs = abs(anti(a, b, rho))
     assert lhs <= norm(a, rho) * norm(b, rho) + 1e-9
 
 
 class TestNormsAndDeviations:
     def test_mixed(self):
-        rho = DensityOperator.maximally_mixed(2)
+        rho = mixed(2)
         assert norm(Z, rho) == pytest.approx(1.0)
-        assert kernels.std_dev(Z.matrix, rho.matrix) == pytest.approx(1.0)
+        assert kernels.std_dev(Z, rho) == pytest.approx(1.0)
 
     def test_eigenstate_has_no_spread(self):
-        rho = DensityOperator.pure([1, 0])
+        rho = pure([1, 0])
         assert norm(Z, rho) == pytest.approx(1.0)
-        assert kernels.std_dev(Z.matrix, rho.matrix) == pytest.approx(0.0, abs=1e-10)
+        assert kernels.std_dev(Z, rho) == pytest.approx(0.0, abs=1e-10)
 
     def test_bloch_y_state(self):
         rho = qubit_state(y=0.8)
         assert norm(X, rho) == pytest.approx(1.0)
-        assert kernels.std_dev(X.matrix, rho.matrix) == pytest.approx(1.0)
+        assert kernels.std_dev(X, rho) == pytest.approx(1.0)
 
     def test_seminorm_degeneracy(self):
         """A projector orthogonal to a pure state has seminorm 0 there.  Its
         square is a sum of roundoff, bounded by 8 d eps over 1000 random
-        pairs at each d (and in lone calls on validated objects for the first
+        pairs at each d (and in lone calls on validated arrays for the first
         20); the
         seminorm itself, the square root of that, reads up to ~1e-8 and
         bounds nothing."""
@@ -135,7 +126,7 @@ class TestNormsAndDeviations:
             psi /= np.linalg.norm(psi, axis=-1, keepdims=True)
             phi -= (psi.conj() * phi).sum(axis=-1, keepdims=True) * psi
             rho, annihilator = pure_states(psi), pure_states(phi)
-            objects = [norm(HermitianObservable(x), DensityOperator(r)) for x, r in zip(annihilator[:20], rho)]
+            objects = [norm(check_observables(x.copy()), check_states(r.copy())) for x, r in zip(annihilator[:20], rho)]
             assert np.max(kernels.norm(annihilator, rho) ** 2) <= 8 * dim * eps, dim
             assert np.max(np.square(objects)) <= 8 * dim * eps, dim
 
@@ -166,19 +157,19 @@ class TestClassicalGeometry:
 
 class TestSpectralDecompose:
     def test_pauli_z(self):
-        values, (minus, plus) = kernels.spectral(Z.matrix)
+        values, (minus, plus) = kernels.spectral(Z)
         assert values == pytest.approx([-1.0, 1.0])
         assert np.allclose(plus, np.diag([1.0, 0.0]), atol=1e-12)
         assert np.allclose(minus, np.diag([0.0, 1.0]), atol=1e-12)
 
     def test_degenerate_identity(self):
-        values, projectors = kernels.spectral(HermitianObservable(np.eye(2)).matrix)
+        values, projectors = kernels.spectral(check_observables(np.eye(2, dtype=complex)))
         assert len(values) == len(projectors) == 1
         assert values[0] == pytest.approx(1.0)
         assert np.allclose(projectors[0], np.eye(2), atol=1e-12)
 
     def test_pauli_x_matches_hand_diagonalization(self):
-        values, projectors = kernels.spectral(X.matrix)
+        values, projectors = kernels.spectral(X)
         assert values == pytest.approx([-1.0, 1.0])
         assert np.allclose(projectors[1], oracles.FLIP_PROJ_PLUS, atol=1e-9)
         assert np.allclose(projectors[0], oracles.FLIP_PROJ_MINUS, atol=1e-9)
@@ -188,8 +179,8 @@ class TestSpectralDecompose:
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 6))
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = HermitianObservable((g + g.conj().T) / 2)
-        values, projectors = kernels.spectral(a.matrix)
+        a = check_observables((g + g.conj().T) / 2)
+        values, projectors = kernels.spectral(a)
         total = np.zeros((dim, dim), dtype=complex)
         rebuilt = np.zeros((dim, dim), dtype=complex)
         for val, m in zip(values, projectors):
@@ -197,7 +188,7 @@ class TestSpectralDecompose:
             total += m
             rebuilt += val * m
         assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
-        assert np.max(np.abs(rebuilt - a.matrix)) <= 1e-9
+        assert np.max(np.abs(rebuilt - a)) <= 1e-9
         for i, p1 in enumerate(projectors):
             for p2 in projectors[i + 1 :]:
                 assert np.max(np.abs(p1 @ p2)) <= 1e-9
@@ -206,25 +197,27 @@ class TestSpectralDecompose:
 class TestValidation:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
-            HermitianObservable([[0, 1], [0, 0]])
+            check_observables(np.array([[0, 1], [0, 0]], dtype=complex))
 
-    def test_non_square_rejected(self):
+    def test_non_square_rejected(self, tmp_path):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(matrix_to_json(np.zeros((2, 3)))))
         with pytest.raises(ValueError):
-            HermitianObservable(np.zeros((2, 3)))
+            load_observable(path)
 
     def test_density_trace_rejected(self):
         with pytest.raises(ValueError):
-            DensityOperator(np.eye(2))
+            check_states(np.eye(2, dtype=complex))
 
     def test_density_negative_eigenvalue_rejected(self):
         with pytest.raises(ValueError):
-            DensityOperator(np.diag([1.0 + 1e-9, -1e-9]))
+            check_states(np.diag([1.0 + 1e-9, -1e-9]).astype(complex))
 
     def test_density_roundoff_clipped(self):
         eps = 5e-11
-        rho = DensityOperator(np.diag([1.0 + eps, -eps]))
-        assert rho.matrix[1, 1] == 0.0
-        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        rho = check_states(np.diag([1.0 + eps, -eps]).astype(complex))
+        assert rho[1, 1] == 0.0
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-15)
 
     def test_distribution_clip_and_reject(self):
         assert check_weights([1.0, -1e-13])[1] == 0.0
@@ -234,12 +227,13 @@ class TestValidation:
             check_weights([0.7, 0.2])
 
     def test_outcome_space_validation(self):
+        """A POVM file's labels must be distinct and non-empty, one per value."""
         with pytest.raises(ValueError):
-            OutcomeSpace(("a", "a"), (0.0, 1.0))
+            povm_from_json({"labels": ["a", "a"], "values": [0.0, 1.0], "effects": []})
         with pytest.raises(ValueError):
-            OutcomeSpace((), ())
+            povm_from_json({"labels": [], "values": [], "effects": []})
         with pytest.raises(ValueError):
-            OutcomeSpace(("a",), (1.0, 2.0))
+            povm_from_json({"labels": ["a"], "values": [1.0, 2.0], "effects": []})
 
 
 PSD = DEFAULT_TOL.psd

@@ -13,7 +13,7 @@ import numpy as np
 import oracles
 import pytest
 
-from measerr import chain_check, evaluate_relation, local_context
+from measerr import chain_check, evaluate_relation
 from measerr import generate, kernels, suites
 from measerr.cli import main
 from measerr.states import check_states, pure_states
@@ -94,8 +94,8 @@ class TestTransportOnce:
 
     def test_evaluate_relation(self, transport_calls):
         rng = np.random.default_rng(1)
-        ctx = local_context(instances.povm(rng, 3, 4).effects, instances.state(rng, 3).matrix)
-        evaluate_relation(ctx, instances.observable(rng, 3), instances.observable(rng, 3))
+        effects, rho = instances.povm(rng, 3, 4), instances.state(rng, 3)
+        evaluate_relation(effects, rho, instances.observable(rng, 3), instances.observable(rng, 3))
         assert transport_calls == [(3, 3)] * 2
 
     def test_chain_check(self, transport_calls):
@@ -103,7 +103,7 @@ class TestTransportOnce:
         for dim in (2, 3, 5):
             model = instances.indirect_model(rng, dim)
             rho = instances.state(rng, dim)
-            chain_check(model, rho, instances.observable(rng, dim), instances.observable(rng, dim))
+            chain_check(*model, rho, instances.observable(rng, dim), instances.observable(rng, dim))
         assert len(transport_calls) == 2 * 3
 
     def test_error_decomposition(self, transport_calls):
@@ -300,10 +300,10 @@ def test_block_instances_are_the_generators_on_their_own_streams():
             rng = suites._rng(11, suite, 4, i)
             outcomes = int(rng.integers(2, 7))
             pure = rng.random() < 0.3
-            assert np.array_equal(cols["povm"][i, :outcomes], instances.povm(rng, 4, outcomes).effects)
+            assert np.array_equal(cols["povm"][i, :outcomes], instances.povm(rng, 4, outcomes))
             assert np.all(cols["povm"][i, outcomes:] == 0.0)
-            assert np.array_equal(cols["rho"][i], instances.state(rng, 4, pure).matrix)
-            assert np.array_equal(suites._observables([cols["a"][i]])[0], instances.observable(rng, 4).matrix)
+            assert np.array_equal(cols["rho"][i], instances.state(rng, 4, pure))
+            assert np.array_equal(suites._observables([cols["a"][i]])[0], instances.observable(rng, 4))
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
 
 
@@ -420,7 +420,7 @@ def test_chain_failure_names_the_model():
     rng = suites._rng(4, "ozawa-chain", 3, 2, 0)
     model = instances.indirect_model(rng, 3)
     rho = instances.state(rng, 3)
-    report = chain_check(model, rho, instances.observable(rng, 3), instances.observable(rng, 3), slack=-1.0)
+    _, report = chain_check(*model, rho, instances.observable(rng, 3), instances.observable(rng, 3), slack=-1.0)
     assert np.allclose(ast.literal_eval(values), report.values, rtol=0.0, atol=1e-12)
     assert out.messages[3].startswith("bridge identity broke at dim=3x2 i=1: ")
 

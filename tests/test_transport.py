@@ -5,31 +5,21 @@ import numpy as np
 import pytest
 
 import oracles
+from instances import mixed, pure
 from measerr import (
-    DensityOperator,
-    HermitianObservable,
-    OutcomeSpace,
-    PAULI_X,
-    PAULI_Z,
-    Povm,
+    PAULI_X as X,
+    PAULI_Z as Z,
     kernels,
     local_context,
     projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
+from measerr.measurement import check_effects
+from measerr.states import check_observables, check_states
 from measerr.tolerances import DEFAULT_TOL
 
-X = HermitianObservable(PAULI_X)
-Z = HermitianObservable(PAULI_Z)
-
-
-def make_ctx(povm, rho):
-    return local_context(povm.effects, rho.matrix)
-
-
-def pushforward(ctx, a):
-    return kernels.pushforward(ctx, a.matrix)
+make_ctx, pushforward = local_context, kernels.pushforward
 
 
 def pullback(ctx, f):
@@ -37,7 +27,7 @@ def pullback(ctx, f):
 
 
 def adjointness(ctx, a, f):
-    return kernels.adjointness(ctx, a.matrix, pushforward(ctx, a), f)
+    return kernels.adjointness(ctx, a, pushforward(ctx, a), f)
 
 
 def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
@@ -49,12 +39,12 @@ def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
 
 class TestPushforward:
     def test_projective_z_reads_off_eigenvalues(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(projective_from(Z)[1], mixed(2))
         f = pushforward(ctx, Z)
         assert np.allclose(f, [-1.0, 1.0], atol=1e-12)
 
     def test_projective_z_kills_transverse(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(projective_from(Z)[1], mixed(2))
         f = pushforward(ctx, X)
         assert np.allclose(f, 0.0, atol=1e-12)
 
@@ -64,55 +54,54 @@ class TestPushforward:
         a = instances.observable(rng, 3)
         ctx = make_ctx(trivial_measurement([0.2, 0.3, 0.5], 3), rho)
         f = pushforward(ctx, a)
-        assert np.allclose(f, kernels.expect(a.matrix, rho.matrix), atol=1e-10)
+        assert np.allclose(f, kernels.expect(a, rho), atol=1e-10)
 
     @pytest.mark.parametrize("dim,seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
     def test_matches_generic_linear_solve(self, dim, seed):
         ctx, a, _ = random_ctx(dim, seed)
-        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a.matrix)
+        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a)
         assert np.allclose(pushforward(ctx, a), expected, atol=1e-8)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_generic_solve_on_pure_states(self, seed):
         # pure states exercise rank deficiency in the quantum inner product
         ctx, a, _ = random_ctx(3, 100 + seed, mixedness="pure")
-        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a.matrix)
+        expected = oracles.pushforward_lstsq(ctx.effects, ctx.rho, a)
         assert np.allclose(pushforward(ctx, a), expected, atol=1e-8)
 
     def test_expectation_preserved(self):
         for seed in range(10):
             ctx, a, _ = random_ctx(3, 200 + seed)
-            drift = abs(kernels.dot(pushforward(ctx, a), ctx.weights) - kernels.expect(a.matrix, ctx.rho))
-            assert drift <= 1e-10 * (1 + abs(kernels.expect(a.matrix, ctx.rho)))
+            drift = abs(kernels.dot(pushforward(ctx, a), ctx.weights) - kernels.expect(a, ctx.rho))
+            assert drift <= 1e-10 * (1 + abs(kernels.expect(a, ctx.rho)))
 
     def test_linearity(self):
         ctx, a, rng = random_ctx(4, 17)
-        b = HermitianObservable(np.diag(rng.uniform(-1, 1, 4)).astype(complex))
-        combo = pushforward(ctx, HermitianObservable(1.5 * a.matrix - 0.5 * b.matrix))
+        b = check_observables(np.diag(rng.uniform(-1, 1, 4)).astype(complex))
+        combo = pushforward(ctx, check_observables(1.5 * a - 0.5 * b))
         parts = 1.5 * pushforward(ctx, a) - 0.5 * pushforward(ctx, b)
         assert np.allclose(combo, parts, atol=1e-10)
 
 
 class TestPullback:
     def test_projective_full_support(self):
-        povm = projective_from(Z)
-        ctx = make_ctx(povm, DensityOperator.maximally_mixed(2))
-        rep = pullback(ctx, povm.space.values)
-        assert np.allclose(rep, PAULI_Z, atol=1e-12)
+        values, effects = projective_from(Z)
+        ctx = make_ctx(effects, mixed(2))
+        rep = pullback(ctx, values)
+        assert np.allclose(rep, Z, atol=1e-12)
 
     def test_equivalent_functions_share_one_representative(self):
         # values (-1, +1); the -1 outcome has zero weight
-        ctx = make_ctx(projective_from(Z), DensityOperator.pure([1, 0]))
+        ctx = make_ctx(projective_from(Z)[1], pure([1, 0]))
         rep_f = pullback(ctx, [7.0, 1.0])
         rep_g = pullback(ctx, [0.0, 1.0])
         assert np.array_equal(rep_f, rep_g)
         assert np.allclose(rep_f, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_unsharp_shrinks(self):
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        ctx = make_ctx(povm, DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
         rep = pullback(ctx, [1.0, -1.0])
-        assert np.allclose(rep, 0.6 * PAULI_Z, atol=1e-12)
+        assert np.allclose(rep, 0.6 * Z, atol=1e-12)
 
 
 class TestAdjointness:
@@ -121,7 +110,7 @@ class TestAdjointness:
         assert adjointness(ctx, a, np.full(len(ctx.weights), 1.0)) <= 1e-10
 
     def test_transverse_case_vanishes(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(projective_from(Z)[1], mixed(2))
         f = np.array([1.0, -1.0])
         assert adjointness(ctx, X, f) <= 1e-12
 
@@ -138,7 +127,7 @@ def norm_chain(ctx, a):
     the round trip (pullback of the pushforward): a non-increasing chain."""
     fwd = pushforward(ctx, a)
     return (
-        kernels.norm(a.matrix, ctx.rho),
+        kernels.norm(a, ctx.rho),
         kernels.class_norm(fwd, ctx.weights),
         kernels.norm(pullback(ctx, fwd), ctx.rho),
     )
@@ -146,18 +135,17 @@ def norm_chain(ctx, a):
 
 class TestContractionReport:
     def test_errorless_chain_is_flat(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(projective_from(Z)[1], mixed(2))
         assert norm_chain(ctx, Z) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_transverse_collapses(self):
-        ctx = make_ctx(projective_from(Z), DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(projective_from(Z)[1], mixed(2))
         assert norm_chain(ctx, X) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_unsharp_triple_from_direct_evaluation(self):
         # direct formula evaluation: pushforward values are +-eta, so the
         # round trip is eta^2 Z with state norm eta^2
-        povm = unsharp_qubit((0, 0, 1), 0.6)
-        ctx = make_ctx(povm, DensityOperator.maximally_mixed(2))
+        ctx = make_ctx(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
         assert norm_chain(ctx, Z) == pytest.approx((1.0, 0.6, 0.36), abs=1e-12)
 
     def test_chain_monotone_on_sweep(self):
@@ -171,17 +159,16 @@ class TestContractionReport:
 
 class TestSupportHandling:
     def _split_minus_povm(self, split):
-        space = OutcomeSpace(("+", "-a", "-b"), (1.0, -1.0, -1.0))
         plus = np.diag([1.0, 0.0]).astype(complex)
         minus = np.diag([0.0, 1.0]).astype(complex)
-        return Povm(space, [plus, split * minus, (1 - split) * minus])
+        return check_effects(np.array([plus, split * minus, (1 - split) * minus]))
 
     def test_zero_probability_effects_do_not_leak(self):
-        rho = DensityOperator.pure([1, 0])
+        rho = pure([1, 0])
         rng = np.random.default_rng(0)
         for seed in range(5):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            a = HermitianObservable((g + g.conj().T) / 2)
+            a = check_observables((g + g.conj().T) / 2)
             f1 = pushforward(make_ctx(self._split_minus_povm(0.3), rho), a)
             f2 = pushforward(make_ctx(self._split_minus_povm(0.4), rho), a)
             assert abs(f1[0] - f2[0]) <= 1e-10
@@ -189,14 +176,14 @@ class TestSupportHandling:
 
     def test_context_support_bookkeeping(self):
         # outcomes ("+", "-a", "-b")
-        ctx = make_ctx(self._split_minus_povm(0.3), DensityOperator.pure([1, 0]))
+        ctx = make_ctx(self._split_minus_povm(0.3), pure([1, 0]))
         assert ctx.mask.tolist() == [True, False, False]
         assert not (ctx.mask & (ctx.weights <= DEFAULT_TOL.tiny_support)).any()
-        near = DensityOperator(np.diag([1 - 1e-10, 1e-10]))
+        near = check_states(np.diag([1 - 1e-10, 1e-10]).astype(complex))
         ctx2 = make_ctx(self._split_minus_povm(0.5), near)
         assert ctx2.mask[0]
         assert (ctx2.mask & (ctx2.weights <= DEFAULT_TOL.tiny_support)).tolist() == [False, True, True]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            make_ctx(projective_from(Z), DensityOperator.maximally_mixed(3))
+            make_ctx(projective_from(Z)[1], mixed(3))
