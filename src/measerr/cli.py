@@ -3,9 +3,9 @@
 Subcommands: ``verify`` (property suites), ``scan`` (parameter families to
 CSV), ``demo`` (named scenarios), ``chain`` (indirect-model comparison).
 Exit codes: 0 all checks pass, 1 a property was violated, 2 usage or I/O
-error, 3 internal numerical error (contractivity violated, a non-real
-expectation, a broken error decomposition).  Every report embeds a run
-manifest for reproducibility.
+error, 3 internal error: a numerical one (contractivity violated, a
+non-real expectation, a broken error decomposition) or a ``KeyError`` from a
+bug.  Every report embeds a run manifest for reproducibility.
 """
 
 from __future__ import annotations
@@ -142,16 +142,21 @@ def _emit_json(args, payload: dict) -> None:
         print(text)
 
 
-def cmd_verify(args) -> int:
-    started = time.perf_counter()
-    results = run_verify(args.dims, args.n, args.seed, args.tolerance, sign_flip=args.self_test_sign_flip)
-    passed = sum(r.checks - r.failures for r in results)
-    failed = sum(r.failures for r in results)
+def _print_suites(results) -> tuple[int, int]:
+    """Print each suite's status line and messages; return (checks passed, checks failed)."""
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4s} {r.name}: {r.checks} checks, {r.failures} failures, worst {r.worst:.3e}")
         for msg in r.messages:
             print(f"     {msg}")
+    failed = sum(r.failures for r in results)
+    return sum(r.checks for r in results) - failed, failed
+
+
+def cmd_verify(args) -> int:
+    started = time.perf_counter()
+    results = run_verify(args.dims, args.n, args.seed, args.tolerance, sign_flip=args.self_test_sign_flip)
+    passed, failed = _print_suites(results)
     manifest = _manifest(args, "verify", passed, failed, started, dims=args.dims, instances=args.n)
     payload = {
         "manifest": manifest,
@@ -325,13 +330,9 @@ def cmd_chain(args) -> int:
         sweep = {**_CHAIN_SWEEP, **given}
         dims, instances = sweep["dims"], sweep["n"]
         pairs = tuple((d, sweep["ancilla"]) for d in dims)
-        result = suite_ozawa_chain(pairs, instances, args.seed, args.tolerance)
-        status = "ok" if result.passed else "FAIL"
-        print(f"{status:4s} {result.name}: {result.checks} checks, {result.failures} failures, worst {result.worst:.3e}")
-        for msg in result.messages:
-            print(f"     {msg}")
-        checks_passed += result.checks - result.failures
-        checks_failed += result.failures
+        passed, failed = _print_suites([suite_ozawa_chain(pairs, instances, args.seed, args.tolerance)])
+        checks_passed += passed
+        checks_failed += failed
 
     manifest = _manifest(args, "chain", checks_passed, checks_failed, started, dims=dims, instances=instances)
     if args.json:
@@ -391,10 +392,10 @@ def main(argv=None) -> int:
     command = {"verify": cmd_verify, "scan": cmd_scan, "demo": cmd_demo, "chain": cmd_chain}[args.command]
     try:
         return command(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RuntimeError, ArithmeticError, AssertionError) as exc:
+    except (RuntimeError, ArithmeticError, AssertionError, KeyError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -72,8 +72,14 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _field(data: dict, key: str, what: str):
+    if key not in data:
+        raise ValueError(f"{what} JSON has no {key!r}")
+    return data[key]
+
+
 def _json_list(data: dict, key: str) -> list:
-    value = data[key]
+    value = _field(data, key, "POVM")
     if not isinstance(value, list):
         raise ValueError(f"{key} must be a JSON list, got {type(value).__name__}")
     return value
@@ -130,12 +136,12 @@ def model_to_json(xi: np.ndarray, u: np.ndarray, meter: np.ndarray) -> dict:
 def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The validated ancilla state, interaction and meter of a model file."""
     data = _json_object(data, "model")
-    system_dim = data["system_dim"]
+    system_dim = _field(data, "system_dim", "model")
     if not isinstance(system_dim, int) or isinstance(system_dim, bool):
         raise ValueError(f"system_dim must be an integer, got {system_dim!r}")
-    xi = check_states(_square_from_json(data["ancilla_state"]))
-    u = matrix_from_json(data["interaction"])
-    meter = check_observables(_square_from_json(data["meter"]))
+    xi = check_states(_square_from_json(_field(data, "ancilla_state", "model")))
+    u = matrix_from_json(_field(data, "interaction", "model"))
+    meter = check_observables(_square_from_json(_field(data, "meter", "model")))
     if system_dim < 2:
         raise ValueError("system dimension must be at least 2")
     joint_dim = system_dim * xi.shape[-1]

@@ -470,14 +470,21 @@ class TestUsageAndInternalErrors:
             main(["chain", "--dims", "2", "--n", "1", "--ancilla", value])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("error", [RuntimeError, ArithmeticError, AssertionError])
+    @pytest.mark.parametrize("error", [RuntimeError, ArithmeticError, AssertionError, KeyError])
     def test_internal_numerical_error_exits_3(self, error, monkeypatch, capsys):
+        """A ``KeyError`` raised inside a sweep is a bug, not a usage error."""
+
         def broken(*args, **kwargs):
             raise error("injected")
 
         monkeypatch.setattr("measerr.cli.run_verify", broken)
         assert main(["verify", "--dims", "2", "--n", "1"]) == 3
-        assert capsys.readouterr().err.strip() == "internal error: injected"
+        # str() of a KeyError quotes its key: 'injected'
+        assert capsys.readouterr().err.strip() == f"internal error: {error('injected')}"
+
+
+# An edit value that removes its key from the file.
+_DROP = object()
 
 
 def _z_effects(one) -> list:
@@ -505,11 +512,20 @@ class TestMalformedFiles:
             ("povm", {"effects": _z_effects("1")}, "matrix entries must be numbers"),
             ("povm", {"effects": _z_effects("1e0")}, "matrix entries must be numbers"),
             ("povm", {"effects": _z_effects(True)}, "matrix entries must be numbers"),
+            ("povm", {"values": _DROP}, "POVM JSON has no 'values'"),
+            ("povm", {"labels": _DROP}, "POVM JSON has no 'labels'"),
+            ("povm", {"effects": _DROP}, "POVM JSON has no 'effects'"),
+            ("model", {"system_dim": _DROP}, "model JSON has no 'system_dim'"),
+            ("model", {"ancilla_state": _DROP}, "model JSON has no 'ancilla_state'"),
+            ("model", {"interaction": _DROP}, "model JSON has no 'interaction'"),
+            ("model", {"meter": _DROP}, "model JSON has no 'meter'"),
         ],
         ids=[
             "system_dim-list", "system_dim-float", "model-list",
             "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "state-object",
             "entry-str", "entry-str-exp", "entry-bool",
+            "no-values", "no-labels", "no-effects",
+            "no-system_dim", "no-ancilla_state", "no-interaction", "no-meter",
         ],
     )
     def test_malformed_file_is_usage_error(self, kind, edit, message, tmp_path, capsys):
@@ -522,7 +538,8 @@ class TestMalformedFiles:
             ),
             "state": ({}, ["scan", "--family", "unsharp", "--grid", "0.5", "--state", str(path), "--out", out]),
         }[kind]
-        path.write_text(json.dumps([data] if edit is None else {**data, **edit}))
+        edited = None if edit is None else {k: v for k, v in {**data, **edit}.items() if v is not _DROP}
+        path.write_text(json.dumps([data] if edit is None else edited))
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
