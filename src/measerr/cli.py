@@ -34,7 +34,7 @@ from .serialize import (
     load_state,
     relation_csv_row,
 )
-from .states import PAULI_X, PAULI_Y, PAULI_Z, check_observables, check_states, qubit_state
+from .states import PAULI_X, PAULI_Y, PAULI_Z, check_states, qubit_state
 from .suites import run_verify, suite_ozawa_chain
 from .tolerances import DEFAULT_TOL
 
@@ -313,8 +313,8 @@ def cmd_chain(args) -> int:
         dims, instances = (dim,), 1
         # a Ginibre state, then A, then B: each its real block, then its imaginary block
         draws = complex_stack(np.random.default_rng(args.seed).standard_normal((3, 2, dim, dim)))
-        a, b = check_observables(observable_matrices(draws[1:]))
-        _, report = chain_check(xi, u, meter, check_states(ginibre_states(draws[0])), a, b, args.tolerance)
+        a, b = observable_matrices(draws[1:])
+        _, report = chain_check(xi, u, meter, ginibre_states(draws[0]), a, b, args.tolerance)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")
         holds = report.holds.all()
         print(f"chain holds: {holds}")

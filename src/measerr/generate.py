@@ -8,14 +8,16 @@ arrays from its own stream, in draw order, each array (each POVM factor) as
 its real block, then its imaginary block.  The functions here turn a stack
 of such draws into matrices at once: ``complex_stack`` pairs the blocks,
 and ``povm_effects``, ``ginibre_states``, ``observable_matrices`` and
-``haar_unitaries`` build from the result: plain arrays, which the callers
-validate (``check_states``, ``check_observables``, ``check_effects``,
-``check_unitaries``) and pass on as they are.  A verify block draws into the
+``haar_unitaries`` build from the result.  The states, observables and
+unitaries are valid by construction, and the callers pass them on
+unvalidated (``test_generated_arrays_are_valid_by_construction`` pins
+that).  A verify block draws into the
 rows of one buffer (``suites._Block``), a chain block into one it reads as
 fixed-offset views (``suites._chain_models``), and ``chain --model`` draws
 its state and two observables by one call.  Every instance is drawn in one
-pass: effects whitened from ill-conditioned factors are rejected by
-``measurement.check_effects``, not drawn again.
+pass: effects whitened from ill-conditioned factors, the one output a
+correct generator can spoil, are rejected by ``measurement.check_effects``,
+not drawn again.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ to Ozawa's bound is evaluated by ``chain_check``.
 A model is three validated arrays, one model or a stack of them: the
 ancilla state xi (``check_states``), the joint unitary U
 (``check_unitaries``) and the meter M on the ancilla (``check_observables``),
-checked for each other's dimensions where they enter (``serialize.load_model``,
-the chain suite's draws).  Tensor-product convention: the system factor
-comes first.
+checked for each other's dimensions where they enter (``serialize.load_model``);
+the chain suite's drawn models are valid by construction.  Tensor-product
+convention: the system factor comes first.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .states import PAULI_X, PAULI_Y, PAULI_Z, _check_finite, _check_hermitian, _positive_definite, check_weights
+from .states import PAULI_X, PAULI_Y, PAULI_Z, _check_finite, _check_hermitian, check_weights
 from .tolerances import DEFAULT_TOL
 
 
@@ -30,7 +30,9 @@ def check_effects(stack: np.ndarray) -> np.ndarray:
     fails."""
     _check_finite(stack, "effect")
     _check_hermitian(stack, "effect")
-    if not _positive_definite(stack, DEFAULT_TOL.psd / 2.0):
+    try:
+        np.linalg.cholesky(stack + DEFAULT_TOL.psd / 2.0 * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
         smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
         if smallest < -DEFAULT_TOL.psd:
             raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")

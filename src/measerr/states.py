@@ -45,38 +45,28 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     """Validate density operators, one ``(d, d)`` matrix or a stack: finite,
     Hermitian, unit trace and no eigenvalue below -DEFAULT_TOL.psd.  Returns
     them read-only, with every matrix whose smallest eigenvalue is negative
-    rebuilt from its eigenvalues clipped at zero and renormalized.  A stack
-    first tries one Cholesky factorization shifted by -psd, which succeeds
-    only if no matrix would clip or fail; the eigenvalue test runs when it
-    fails, and alone on one matrix, where a failed one costs more."""
+    rebuilt from its eigenvalues clipped at zero and renormalized.  States
+    from outside (the JSON loaders, ``qubit_state``, the CLI's default
+    state) enter through it; the generators' states are valid by
+    construction and do not."""
     _check_finite(stack, "matrix")
     _check_hermitian(stack, "density operator")
     trace = np.trace(stack, axis1=-2, axis2=-1)
     bad = np.abs(trace - 1.0) > DEFAULT_TOL.validation
     if bad.any():
         raise ValueError(f"density operator must have unit trace, got {kernels.first_flagged(trace, bad)}")
-    if not (stack.ndim > 2 and len(stack) > 1 and _positive_definite(stack, -DEFAULT_TOL.psd)):
-        smallest = np.linalg.eigvalsh(stack)[..., 0]
-        if (smallest < -DEFAULT_TOL.psd).any():
-            raise ValueError(f"density operator has eigenvalue {smallest.min():.3e} below -{DEFAULT_TOL.psd:.0e}")
-        clip = smallest < 0.0
-        if clip.any():
-            w, v = np.linalg.eigh(stack[clip])
-            fixed = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-            fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
-            stack = np.array(stack)
-            stack[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+    smallest = np.linalg.eigvalsh(stack)[..., 0]
+    if (smallest < -DEFAULT_TOL.psd).any():
+        raise ValueError(f"density operator has eigenvalue {smallest.min():.3e} below -{DEFAULT_TOL.psd:.0e}")
+    clip = smallest < 0.0
+    if clip.any():
+        w, v = np.linalg.eigh(stack[clip])
+        fixed = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+        stack = np.array(stack)
+        stack[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
     stack.setflags(write=False)
     return stack
-
-
-def _positive_definite(stack: np.ndarray, shift: float) -> bool:
-    """Whether one Cholesky factorization of ``stack + shift I`` succeeds."""
-    try:
-        np.linalg.cholesky(stack + shift * np.eye(stack.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def pure_states(kets: np.ndarray) -> np.ndarray:

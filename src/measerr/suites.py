@@ -8,11 +8,14 @@ order and stable across runs with the same seed.
 The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
 most ``_BLOCK``; each instance is drawn from its own stream, in index order,
-then the whole block is built, validated once and checked with the stacked
-formulas of ``kernels``.  The verify suites are the rows of one table,
-``_SUITES`` (a layout, a drawer and a checks function each), which one
-driver, ``_run``, sweeps; ``suite_ozawa_chain``, keyed by (dimension,
-ancilla) pairs, sweeps its own models.
+then the whole block is built and checked with the stacked formulas of
+``kernels``.  The drawn states, observables and unitaries are valid by
+construction and are not validated again; the whitened POVMs are
+(``check_effects``), and so are the Born weights (``check_weights``).  The
+verify suites are the rows of one table, ``_SUITES`` (a layout, a drawer
+and a checks function each), which one driver, ``_run``, sweeps;
+``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
+models.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from .generate import (
     observable_matrices,
     povm_effects,
 )
-from .indirect import chain_check, check_unitaries
+from .indirect import chain_check
 from .measurement import check_effects, projective_from
 from .relations import schroedinger_reduction
-from .states import check_observables, check_states, check_weights, pure_states
+from .states import check_weights, pure_states
 from .tolerances import DEFAULT_TOL
 from .transport import local_context
 
@@ -250,8 +253,8 @@ class _Block:
         outcome counts place it; the ``raw`` columns as they read; rows over
         outcomes zero-padded to the widest drawn, the POVM factors among
         them; and each array cut out where ``outcomes`` and ``pure`` place
-        it, one gather per rank, "rho" arrays as validated states (ket
-        projectors, G G^dag / Tr)."""
+        it, one gather per rank, "rho" arrays as states (ket projectors,
+        G G^dag / Tr)."""
         n, dim, top, cols = len(self.buffer), self.dim, self.outcomes.max(), {}
         index, start, padding = np.arange(n), np.zeros(n, dtype=int), np.arange(top) >= self.outcomes[:, None]
         for name, (lo, hi), per_outcome in self.fields:
@@ -275,7 +278,7 @@ class _Block:
                 z = self.buffer[rows[:, None], start[rows, None] + np.arange(math.prod(shape))]
                 z = complex_stack(z.reshape(-1, *shape), axis=-1 - rank)
                 if name.startswith("rho"):
-                    z = check_states(pure_states(z) if rank == 1 else ginibre_states(z))
+                    z = pure_states(z) if rank == 1 else ginibre_states(z)
                 cols[name][rows] = z
             start = start + 2 * dim**ranks
         return cols
@@ -330,14 +333,9 @@ def _draw_trivial_reduction(rng, block, k):
     block.raw("p0", k, rng, _integer(rng.bit_generator.random_raw, 1, 5))
 
 
-def _observables(g) -> np.ndarray:
-    """The validated observables (G + G^dag)/2 of complex Gaussian matrices ``g``."""
-    return check_observables(observable_matrices(np.asarray(g)))
-
-
 def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
     """The context and the two observables of ``_draw_instance`` columns."""
-    return local_context(cols["povm"], cols["rho"]), _observables(cols["a"]), _observables(cols["b"])
+    return local_context(cols["povm"], cols["rho"]), observable_matrices(cols["a"]), observable_matrices(cols["b"])
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
@@ -347,7 +345,7 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
 def _affineness(cols, slack, sign_flip) -> dict:
     """Measurements respect probabilistic mixtures of states exactly."""
     effects, rho1, rho2, lam = cols["povm"], cols["rho1"], cols["rho2"], cols["lam"]
-    mixed = check_states(lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2)
+    mixed = lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2
     direct = check_weights(kernels.born(effects, mixed))
     p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
     residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
@@ -497,7 +495,8 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
-    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], _observables(cols["a"]), _observables(cols["b"]))
+    a, b = observable_matrices(cols["a"]), observable_matrices(cols["b"])
+    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], a, b)
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
     return {"trivial-reduction": [
@@ -547,11 +546,11 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
 
 
 def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
-    """The validated ancilla states, interactions, Ginibre states and observables
-    A and B of the models with seed ``states``, in ``oracles.chain_draws``
-    order (the ancilla ket, the interaction's factor, the state, A, then B):
-    one call fills a model's buffer row, and each array is a view of the
-    buffer at a fixed offset."""
+    """The ancilla states, interactions, Ginibre states and observables A and
+    B of the models with seed ``states``, as the generators build them, in
+    ``oracles.chain_draws`` order (the ancilla ket, the interaction's
+    factor, the state, A, then B): one call fills a model's buffer row, and
+    each array is a view of the buffer at a fixed offset."""
     n, shapes = len(states), [(2, ancilla), (2, dim * ancilla, dim * ancilla)] + [(2, dim, dim)] * 3
     ends = np.cumsum([math.prod(s) for s in shapes])
     buffer = np.empty((n, ends[-1]))
@@ -559,8 +558,7 @@ def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
         _generator(state).standard_normal(out=row)
     ket, u, rho, a, b = (complex_stack(part.reshape(n, *s), axis=-len(s))
                          for part, s in zip(np.split(buffer, ends[:-1], axis=1), shapes))
-    u = check_unitaries(haar_unitaries(u))
-    return check_states(pure_states(ket)), u, check_states(ginibre_states(rho)), _observables(a), _observables(b)
+    return pure_states(ket), haar_unitaries(u), ginibre_states(rho), observable_matrices(a), observable_matrices(b)
 
 
 def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:

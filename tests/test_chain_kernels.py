@@ -36,7 +36,7 @@ def per_model_draws(rng, dim, ancilla):
     ket = normal((ancilla,))
     q, r = np.linalg.qr(normal((dim * ancilla,) * 2))
     d = np.diagonal(r)
-    return check_states(pure_states(ket)), q * (d / np.abs(d))
+    return pure_states(ket), q * (d / np.abs(d))
 
 
 def chain_models(seed, dim, ancilla, block):

@@ -4,8 +4,12 @@ import instances
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from measerr import cnot_model, generate, induced_povm, local_context
+from measerr.indirect import check_unitaries
+from measerr.measurement import check_effects
+from measerr.states import check_observables, check_states, pure_states
 
 
 class TestDeterminism:
@@ -112,6 +116,26 @@ def test_gram_whitening_is_stack_invariant(dim, outcomes):
         assert np.array_equal(generate.povm_effects(row), effects[i, : len(row)])
         assert np.all(effects[i, len(row) :] == 0.0)
         assert np.max(np.abs(effects[i, : len(row)] - oracles.whitened_effects(row))) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 8), n=st.integers(1, 5), outcomes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_generated_arrays_are_valid_by_construction(dim, n, outcomes, seed):
+    """The sweeps pass the generators' output on unvalidated, so each stack
+    passes its validator: Ginibre states unchanged bit for bit, ket
+    projectors with no eigenvalue below -1e-14 (far inside -psd, so the
+    kernels' guards cover them unclipped), Gaussian observables, Haar
+    unitaries, and the effects of full-rank factors."""
+    rng = np.random.default_rng(seed)
+    ginibre = generate.ginibre_states(oracles.complex_gaussian(rng, (n, dim, dim)))
+    assert np.array_equal(check_states(ginibre.copy()), ginibre)
+    pure = pure_states(oracles.complex_gaussian(rng, (n, dim)))
+    check_states(pure.copy())
+    assert np.linalg.eigvalsh(pure)[:, 0].min() >= -1e-14
+    check_observables(generate.observable_matrices(oracles.complex_gaussian(rng, (n, dim, dim))))
+    check_unitaries(generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim))))
+    factors = np.stack([oracles.povm_factors(rng, outcomes, dim) for _ in range(n)])
+    check_effects(generate.povm_effects(factors))
 
 
 class TestUnitariesAndModels:

@@ -273,9 +273,8 @@ def test_state_positivity_matches_eigvalsh(dim, monkeypatch):
     """``check_states`` returns the stack, clipped where the plain
     ``eigvalsh`` test clips, or the message, of ``oracles.states_psd``: on
     stacks with one smallest eigenvalue planted around +-psd, at +-1e-16
-    and at 0, and on stacks of rank-1 states.  Full-rank Ginibre stacks
-    take no eigenvalue call (the shifted Cholesky decides them), and a
-    single state takes no Cholesky factorization."""
+    and at 0, and on stacks of rank-1 states.  A Ginibre stack, like a
+    single state, takes one eigenvalue call and no Cholesky factorization."""
     calls = {"eigvalsh": 0, "cholesky": 0}
     for name in calls:
         original = getattr(np.linalg, name)
@@ -295,11 +294,8 @@ def test_state_positivity_matches_eigvalsh(dim, monkeypatch):
             assert same_verdict(state_verdict(m.copy()), want if isinstance(want, str) else want[0])
     for n in (2, 50):
         stack = ginibre_states(rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim)))
-        calls.update(eigvalsh=0, cholesky=0)
-        got = check_states(stack.copy())
-        assert calls == {"eigvalsh": 0, "cholesky": 1}
-        assert np.array_equal(got, oracles.states_psd(stack, PSD))
-        for single in (stack[0], stack[:1]):
+        assert np.array_equal(check_states(stack.copy()), oracles.states_psd(stack, PSD))
+        for states in (stack, stack[0], stack[:1]):
             calls.update(eigvalsh=0, cholesky=0)
-            check_states(single.copy())
+            check_states(states.copy())
             assert calls == {"eigvalsh": 1, "cholesky": 0}

@@ -16,7 +16,7 @@ import pytest
 from measerr import chain_check, evaluate_relation
 from measerr import generate, kernels, suites
 from measerr.cli import main
-from measerr.states import check_states, pure_states
+from measerr.states import pure_states
 from measerr.tolerances import DEFAULT_TOL
 from measerr.suites import SuiteResult
 from test_chain_kernels import chain_arguments
@@ -195,9 +195,9 @@ def draw_block(seed, suite, dim, block):
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites._rng):
     """Every column of a ``_draw_block`` result equals, instance by instance,
     ``oracles.verify_draws`` on the instance's stream (``stream(seed, suite,
-    dim, i)``): the POVM as the
-    effects of the plain factors, a state as the validated projector of its
-    ket or normalized Ginibre matrix (so the pure-state coin decides which),
+    dim, i)``): the POVM as the effects of the plain factors, a state as the
+    projector of its ket or normalized Ginibre matrix, as the generators
+    build them (so the pure-state coin decides which),
     the other complex arrays and every other draw exactly, with rows over
     outcomes zero-padded."""
     for k, i in enumerate(block):
@@ -209,7 +209,7 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites
             if key == "povm":
                 want = generate.povm_effects(want)
             elif key.startswith("rho"):
-                want = check_states(pure_states(want) if want.ndim == 1 else generate.ginibre_states(want))
+                want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
             if np.ndim(want) and len(want) < len(got):
                 assert np.all(got[len(want) :] == 0.0), key
                 got = got[: len(want)]
@@ -246,9 +246,9 @@ def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
     xi, u, rho, a, b = suites._chain_models(states, dim, ancilla)
     for k, i in enumerate(block):
         ket, factor, g, a_i, b_i = oracles.chain_draws(suites._rng(23, "ozawa-chain", dim, ancilla, i), dim, ancilla)
-        assert np.array_equal(xi[k], check_states(pure_states(ket)))
+        assert np.array_equal(xi[k], pure_states(ket))
         assert np.array_equal(u[k], generate.haar_unitaries(factor))
-        assert np.array_equal(rho[k], check_states(generate.ginibre_states(g)))
+        assert np.array_equal(rho[k], generate.ginibre_states(g))
         assert np.array_equal(a[k], generate.observable_matrices(a_i))
         assert np.array_equal(b[k], generate.observable_matrices(b_i))
 
@@ -292,8 +292,8 @@ def test_seed_states_are_numpys_seed_sequence(words):
 
 def test_block_instances_are_the_generators_on_their_own_streams():
     """Each instance's POVM, state and first observable are those drawn on
-    its stream one instance at a time (``instances``); also in the suites
-    that draw more after the POVM."""
+    its stream one instance at a time (``instances``, the state as the
+    generators build it); also in the suites that draw more after the POVM."""
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
         cols = draw_block(11, suite, 4, range(12))
         for i in range(12):
@@ -302,8 +302,9 @@ def test_block_instances_are_the_generators_on_their_own_streams():
             pure = rng.random() < 0.3
             assert np.array_equal(cols["povm"][i, :outcomes], instances.povm(rng, 4, outcomes))
             assert np.all(cols["povm"][i, outcomes:] == 0.0)
-            assert np.array_equal(cols["rho"][i], instances.state(rng, 4, pure))
-            assert np.array_equal(suites._observables([cols["a"][i]])[0], instances.observable(rng, 4))
+            g = oracles.complex_gaussian(rng, (4,) if pure else (4, 4))
+            assert np.array_equal(cols["rho"][i], pure_states(g) if pure else generate.ginibre_states(g))
+            assert np.array_equal(generate.observable_matrices(cols["a"][i]), instances.observable(rng, 4))
         assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
 
 
