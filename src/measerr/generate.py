@@ -8,21 +8,22 @@ arrays from its own stream, in draw order, each array (each POVM factor) as
 its real block, then its imaginary block.  The functions here turn a stack
 of such draws into matrices at once: ``complex_stack`` pairs the blocks,
 and ``povm_effects``, ``ginibre_states``, ``observable_matrices`` and
-``haar_unitaries`` build from the result.  The states, observables and
-unitaries are valid by construction, and the callers pass them on
-unvalidated (``test_generated_arrays_are_valid_by_construction`` pins
-that).  A verify block draws into the
-rows of one buffer (``suites._Block``), a chain block into one it reads as
-fixed-offset views (``suites._chain_models``), and ``chain --model`` draws
-its state and two observables by one call.  Every instance is drawn in one
-pass: effects whitened from ill-conditioned factors, the one output a
-correct generator can spoil, are rejected by ``measurement.check_effects``,
-not drawn again.
+``haar_unitaries`` build from the result, Hermitian, positive or unitary
+by construction; the callers pass it on unvalidated
+(``test_generated_arrays_are_valid_by_construction`` pins that).  A verify
+block draws into the rows of one buffer (``suites._Block``), a chain block
+into one it reads as fixed-offset views (``suites._chain_models``), and
+``chain --model`` draws its state and two observables by one call.  Every
+instance is drawn in one pass: effects whitened from ill-conditioned
+factors, the one output a correct generator can spoil, are rejected by
+``povm_effects``' own guard, not drawn again.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .tolerances import DEFAULT_TOL
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
@@ -53,15 +54,22 @@ def povm_effects(factors: np.ndarray) -> np.ndarray:
     for one set ``(n, d, d)`` of factors or a stack of them (zero factors
     give zero effects), by n + 3 products: with the factors stacked as one
     ``(n d, d)`` matrix F, S = F^dag F, Y = F S^-1/2 and E_w = Y_w^dag Y_w,
-    symmetrized.  Nothing tests that S is invertible: ill-conditioned
-    factors give inaccurate effects, and a singular S (with a
-    RuntimeWarning) non-finite ones, which ``check_effects`` rejects."""
+    symmetrized: Hermitian Gram matrices by construction.  One residual,
+    max |sum_w E_w - I| over the stack, guards the whitening with the
+    messages and threshold of ``check_effects``: a singular S gives
+    non-finite effects, ill-conditioned factors ones that miss I."""
     f = factors.reshape(*factors.shape[:-3], -1, factors.shape[-1])
     w, v = np.linalg.eigh(f.conj().swapaxes(-1, -2) @ f)
-    inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     y = (f @ inv_sqrt).reshape(factors.shape)
-    effects = y.conj().swapaxes(-1, -2) @ y
-    return (effects + effects.conj().swapaxes(-1, -2)) / 2.0
+    effects = observable_matrices(y.conj().swapaxes(-1, -2) @ y)
+    residual = float(np.max(np.abs(effects.sum(axis=-3) - np.eye(f.shape[-1]))))
+    if not np.isfinite(residual):
+        raise ValueError("effect entries must be finite")
+    if residual > DEFAULT_TOL.identity:
+        raise ValueError(f"effects sum to identity only within {residual:.3e}")
+    return effects
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ Inputs are trusted: states, effects, observables and interactions are
 validated once, where they enter (the JSON loaders and the builders,
 through the validators ``check_states``, ``check_observables``,
 ``check_effects`` and ``check_unitaries``), or are valid by construction
-(the generators' draws, of which only the whitened effects are checked).
+(the generators' draws; ``povm_effects`` guards its own whitening).
 The checks left here are the invariants whose failure
 means a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``),
 a contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a

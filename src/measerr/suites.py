@@ -9,9 +9,9 @@ The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
 most ``_BLOCK``; each instance is drawn from its own stream, in index order,
 then the whole block is built and checked with the stacked formulas of
-``kernels``.  The drawn states, observables and unitaries are valid by
-construction and are not validated again; the whitened POVMs are
-(``check_effects``), and so are the Born weights (``check_weights``).  The
+``kernels``.  The drawn states, observables, unitaries and POVMs are valid
+by construction and are not validated again (``povm_effects`` guards its
+own whitening); the Born weights are (``check_weights``).  The
 verify suites are the rows of one table, ``_SUITES`` (a layout, a drawer
 and a checks function each), which one driver, ``_run``, sweeps;
 ``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
@@ -38,7 +38,7 @@ from .generate import (
     povm_effects,
 )
 from .indirect import chain_check
-from .measurement import check_effects, projective_from
+from .measurement import projective_from
 from .relations import schroedinger_reduction
 from .states import check_weights, pure_states
 from .tolerances import DEFAULT_TOL
@@ -286,15 +286,15 @@ class _Block:
 
 def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
     """The columns of a block in ``layout`` drawn by ``draw(rng, block, k)``
-    on the streams of seed ``states``, the POVM factors as validated
-    effects: each instance is drawn once, and a block whose factors do not
-    whiten raises."""
+    on the streams of seed ``states``, the POVM factors as effects: each
+    instance is drawn once, and a block whose factors do not whiten raises
+    (``povm_effects``)."""
     block = _Block(len(states), dim, layout)
     for k, state in enumerate(states):
         draw(_generator(state), block, k)
     cols = block.columns()
     if "povm" in cols:
-        cols["povm"] = check_effects(povm_effects(cols["povm"]))
+        cols["povm"] = povm_effects(cols["povm"])
     return cols
 
 

@@ -118,6 +118,36 @@ def test_gram_whitening_is_stack_invariant(dim, outcomes):
         assert np.max(np.abs(effects[i, : len(row)] - oracles.whitened_effects(row))) <= 1e-12
 
 
+def ill_conditioned_factors(factors, rng):
+    """``factors`` with each factor's first column set to its second plus
+    1e-6 complex Gaussian noise: S = sum_w G_w^dag G_w is then about 1e-13
+    of its norm from singular, finite and positive, but too ill-conditioned
+    to whiten within DEFAULT_TOL.identity."""
+    factors = np.array(factors)
+    factors[..., 0] = factors[..., 1] + 1e-6 * oracles.complex_gaussian(rng, factors.shape[:-1])
+    return factors
+
+
+@pytest.mark.parametrize("spoil,message", [
+    (np.zeros_like, "effect entries must be finite"),
+    (lambda f: ill_conditioned_factors(f, np.random.default_rng(1)), "effects sum to identity only within "),
+], ids=["singular", "ill-conditioned"])
+def test_whitening_guards_its_output(spoil, message):
+    """``povm_effects`` checks what its construction cannot rule out, the
+    sum of the effects, with ``check_effects``' messages: a singular S (zero
+    factors) gives non-finite effects, with no numpy warning (pytest fails
+    on one), and ill-conditioned factors effects that miss the identity.  A
+    stack raises when one of its POVMs does."""
+    rng = np.random.default_rng(7)
+    factors = np.stack([oracles.povm_factors(rng, 4, 3) for _ in range(3)])
+    factors[1] = spoil(factors[1])
+    with pytest.raises(ValueError, match="^" + message):
+        generate.povm_effects(factors)
+    with pytest.raises(ValueError, match="^" + message):
+        generate.povm_effects(factors[1])
+    generate.povm_effects(factors[::2])
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.integers(2, 8), n=st.integers(1, 5), outcomes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_generated_arrays_are_valid_by_construction(dim, n, outcomes, seed):

@@ -20,6 +20,7 @@ from measerr.states import pure_states
 from measerr.tolerances import DEFAULT_TOL
 from measerr.suites import SuiteResult
 from test_chain_kernels import chain_arguments
+from test_generate import ill_conditioned_factors
 
 
 class TestSuiteResult:
@@ -389,24 +390,46 @@ def test_draws_make_no_integers_call_and_one_uniform_read(suite, monkeypatch):
     assert calls["standard_normal"] == 40
 
 
-def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
-    """Zero POVM factors (a singular sum_w G_w^dag G_w) in one instance are not
-    drawn again: ``_draw_block`` raises, and ``verify`` exits 2 with one
-    "error:" line and no report, as any block that ``check_effects`` rejects."""
+def spoil_factors(monkeypatch, spoil):
+    """Make ``_Block.gaussians`` pass instance 1 of each block's POVM factors,
+    as complex ``(outcomes, d, d)``, through ``spoil`` into its buffer row."""
     gaussians = suites._Block.gaussians
 
-    def zeroed(block, k, rng, outcomes=0, pure=False):
+    def spoiled(block, k, rng, outcomes=0, pure=False):
         gaussians(block, k, rng, outcomes, pure)
         if k == 1:
-            block.buffer[k, : outcomes * 2 * block.dim**2] = 0.0
+            row = block.buffer[k, : outcomes * 2 * block.dim**2].reshape(outcomes, 2, block.dim, block.dim)
+            factors = spoil(generate.complex_stack(row))
+            row[:, 0], row[:, 1] = factors.real, factors.imag
 
-    monkeypatch.setattr(suites._Block, "gaussians", zeroed)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        with pytest.raises(ValueError):
-            draw_block(5, "main-relation", 3, range(4))
-        code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
+    monkeypatch.setattr(suites._Block, "gaussians", spoiled)
+
+
+def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
+    """Zero POVM factors (a singular sum_w G_w^dag G_w) in one instance are not
+    drawn again: ``_draw_block`` raises, with no numpy warning (pytest fails
+    on one), and ``verify`` exits 2 with one "error:" line and no report, the
+    non-finite branch of ``povm_effects``' guard."""
+    spoil_factors(monkeypatch, np.zeros_like)
+    with pytest.raises(ValueError):
+        draw_block(5, "main-relation", 3, range(4))
+    code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: effect entries must be finite\n")
+
+
+def test_ill_conditioned_factors_fail_closed(monkeypatch, capsys):
+    """Finite factors too ill-conditioned to whiten in one instance make
+    ``_draw_block`` raise, and ``verify`` exit 2 with one "error:" line and
+    no report, the identity branch of ``povm_effects``' guard."""
+    rng = np.random.default_rng(1)
+    spoil_factors(monkeypatch, lambda factors: ill_conditioned_factors(factors, rng))
+    with pytest.raises(ValueError, match="^effects sum to identity only within "):
+        draw_block(5, "main-relation", 3, range(4))
+    code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: effects sum to identity only within \d\.\d{3}e-\d\d\n", err)
 
 
 def test_chain_failure_names_the_model():
