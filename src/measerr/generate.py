@@ -73,13 +73,13 @@ def povm_effects(factors: np.ndarray) -> np.ndarray:
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:
-    """G G^dag / Tr[G G^dag] for one Ginibre draw ``(d, d)`` or a stack."""
-    mat = g @ g.conj().swapaxes(-1, -2)
+    """G G^dag / Tr[G G^dag], symmetrized, for one Ginibre draw ``(d, d)`` or a stack."""
+    mat = observable_matrices(g @ g.conj().swapaxes(-1, -2))
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def observable_matrices(draws: np.ndarray) -> np.ndarray:
-    """Gaussian Hermitian matrices (G + G^dag)/2 from one draw or a stack."""
+    """Hermitian parts (G + G^dag)/2 of one matrix or a stack (of Gaussian draws: observables)."""
     return (draws + draws.conj().swapaxes(-1, -2)) / 2.0
 
 

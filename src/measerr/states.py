@@ -70,12 +70,13 @@ def check_states(stack: np.ndarray) -> np.ndarray:
 
 
 def pure_states(kets: np.ndarray) -> np.ndarray:
-    """Projectors onto the normalized kets, one ``(d,)`` ket or a stack."""
+    """Projectors onto the normalized kets, symmetrized, one ``(d,)`` ket or a stack."""
     norm = np.sqrt(kernels.dot(kets.real, kets.real) + kernels.dot(kets.imag, kets.imag))
     if (norm == 0).any():
         raise ValueError("cannot normalize the zero vector")
     vec = kets / norm[..., None]
-    return vec[..., :, None] * vec.conj()[..., None, :]
+    proj = vec[..., :, None] * vec.conj()[..., None, :]
+    return (proj + proj.conj().swapaxes(-1, -2)) / 2.0
 
 
 def check_weights(weights) -> np.ndarray:

@@ -155,17 +155,20 @@ def test_generated_arrays_are_valid_by_construction(dim, n, outcomes, seed):
     passes its validator: Ginibre states unchanged bit for bit, ket
     projectors with no eigenvalue below -1e-14 (far inside -psd, so the
     kernels' guards cover them unclipped), Gaussian observables, Haar
-    unitaries, and the effects of full-rank factors."""
+    unitaries, and the effects of full-rank factors.  Every Hermitian
+    output equals its conjugate transpose exactly (a real diagonal)."""
     rng = np.random.default_rng(seed)
     ginibre = generate.ginibre_states(oracles.complex_gaussian(rng, (n, dim, dim)))
     assert np.array_equal(check_states(ginibre.copy()), ginibre)
     pure = pure_states(oracles.complex_gaussian(rng, (n, dim)))
     check_states(pure.copy())
     assert np.linalg.eigvalsh(pure)[:, 0].min() >= -1e-14
-    check_observables(generate.observable_matrices(oracles.complex_gaussian(rng, (n, dim, dim))))
+    observables = check_observables(generate.observable_matrices(oracles.complex_gaussian(rng, (n, dim, dim))))
     check_unitaries(generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim))))
     factors = np.stack([oracles.povm_factors(rng, outcomes, dim) for _ in range(n)])
-    check_effects(generate.povm_effects(factors))
+    effects = check_effects(generate.povm_effects(factors))
+    for hermitian in (ginibre, pure, observables, effects):
+        assert np.array_equal(hermitian, hermitian.conj().swapaxes(-1, -2))
 
 
 class TestUnitariesAndModels:
