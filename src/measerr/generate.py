@@ -8,8 +8,8 @@ arrays from its own stream, in draw order, each array (each POVM factor) as
 its real block, then its imaginary block.  The functions here turn a stack
 of such draws into matrices at once: ``complex_stack`` pairs the blocks,
 and ``povm_effects``, ``ginibre_states``, ``observable_matrices`` and
-``haar_unitaries`` build from the result, Hermitian, positive or unitary
-by construction; the callers pass it on unvalidated
+``haar_unitaries`` build from the result matrices that are Hermitian,
+positive or unitary by construction, which the callers pass on unvalidated
 (``test_generated_arrays_are_valid_by_construction`` pins that).  A verify
 block draws into the rows of one buffer (``suites._Block``), a chain block
 into one it reads as fixed-offset views (``suites._chain_models``), and
