@@ -5,12 +5,12 @@ pullback transport, measurement-error functionals, the error-error
 uncertainty bound sqrt(R^2 + I^2) with its standard-deviation and
 commutator reductions, and indirect-model comparisons.  Every formula is in
 ``measerr.kernels``, which works on stacked arrays.  States, observables,
-effects and models are arrays, validated where they enter
-(``check_states``, ``check_observables``, ``check_effects``,
-``check_unitaries``) or valid by construction (``generate``); the names
-exported here are the builders and checks the CLI and the suites share, each
-taking one instance or a stack, and ``local_context``, which pins effects to
-a state as the ``kernels.Context`` those kernels take.
+effects and models are arrays, validated once where they enter by the
+``states`` validators, or valid by construction (the builders on checked
+parameters, and ``generate``); the names exported here are the builders and
+checks the CLI and the suites share, each taking one instance or a stack,
+and ``local_context``, which pins effects to a state as the
+``kernels.Context`` those kernels take.
 """
 
 from .tolerances import DEFAULT_TOL

@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOL.identity, help="slack of the property checks (default 1e-9); inputs and built objects are always validated at the defaults")
+    common.add_argument("--tolerance", type=_parse_tolerance, default=DEFAULT_TOL.identity, help="slack of the property checks (default 1e-9); inputs are always validated at the defaults")
     common.add_argument("--json", type=str, default=None, help="write the JSON report to this path")
 
     p_verify = sub.add_parser("verify", parents=[common], help="run every property suite")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import DEFAULT_TOL
+from .states import check_completeness
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
@@ -54,22 +54,16 @@ def povm_effects(factors: np.ndarray) -> np.ndarray:
     for one set ``(n, d, d)`` of factors or a stack of them (zero factors
     give zero effects), by n + 3 products: with the factors stacked as one
     ``(n d, d)`` matrix F, S = F^dag F, Y = F S^-1/2 and E_w = Y_w^dag Y_w,
-    symmetrized: Hermitian Gram matrices by construction.  One residual,
-    max |sum_w E_w - I| over the stack, guards the whitening with the
-    messages and threshold of ``check_effects``: a singular S gives
-    non-finite effects, ill-conditioned factors ones that miss I."""
+    symmetrized: Hermitian Gram matrices by construction.  Their sum, which
+    the whitening can spoil, passes ``states.check_completeness``: a
+    singular S gives non-finite effects, ill-conditioned factors ones that
+    miss I."""
     f = factors.reshape(*factors.shape[:-3], -1, factors.shape[-1])
     w, v = np.linalg.eigh(f.conj().swapaxes(-1, -2) @ f)
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     y = (f @ inv_sqrt).reshape(factors.shape)
-    effects = observable_matrices(y.conj().swapaxes(-1, -2) @ y)
-    residual = float(np.max(np.abs(effects.sum(axis=-3) - np.eye(f.shape[-1]))))
-    if not np.isfinite(residual):
-        raise ValueError("effect entries must be finite")
-    if residual > DEFAULT_TOL.identity:
-        raise ValueError(f"effects sum to identity only within {residual:.3e}")
-    return effects
+    return check_completeness(observable_matrices(y.conj().swapaxes(-1, -2) @ y))
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:

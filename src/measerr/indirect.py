@@ -7,12 +7,11 @@ the f-error of the induced measurement with the identity estimator, and is
 therefore never below the intrinsic error; the full comparison chain down
 to Ozawa's bound is evaluated by ``chain_check``.
 
-A model is three validated arrays, one model or a stack of them: the
-ancilla state xi (``check_states``), the joint unitary U
-(``check_unitaries``) and the meter M on the ancilla (``check_observables``),
-checked for each other's dimensions where they enter (``serialize.load_model``);
-the chain suite's drawn models are valid by construction.  Tensor-product
-convention: the system factor comes first.
+A model is three arrays, one model or a stack of them: the ancilla state
+xi, the joint unitary U and the meter M on the ancilla.  A model file is
+validated where it enters (``serialize.load_model``), its induced effects
+included; ``cnot_model`` and the chain suite's drawn models are valid by
+construction.  Tensor-product convention: the system factor comes first.
 """
 
 from __future__ import annotations
@@ -20,20 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .measurement import check_effects
-from .states import PAULI_Z, _check_finite, qubit_state
+from .states import PAULI_Z, qubit_state
 from .transport import local_context
 from .tolerances import DEFAULT_TOL
-
-
-def check_unitaries(stack: np.ndarray) -> np.ndarray:
-    """Validate interactions, one ``(D, D)`` matrix or a stack: finite and
-    unitary within DEFAULT_TOL.identity.  Returns them."""
-    _check_finite(stack, "interaction")
-    residual = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))))
-    if residual > DEFAULT_TOL.identity:
-        raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
-    return stack
 
 
 def cnot_model() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -41,16 +29,16 @@ def cnot_model() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     interaction, meter): system controls, ancilla starts in |0>, meter is
     the ancilla Z.  Induces the projective Z measurement on the system."""
     u = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    return qubit_state(z=1.0), check_unitaries(u), PAULI_Z
+    return qubit_state(z=1.0), u, PAULI_Z
 
 
 def induced_povm(xi: np.ndarray, u: np.ndarray, meter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome values (the meter's eigenvalues) and validated effects of the
-    system POVMs E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U], for ancilla
-    states ``xi`` ``(..., a, a)``, interactions ``u`` ``(..., D, D)`` and
-    meters ``(..., a, a)``, one model or a stack."""
+    """Outcome values (the meter's eigenvalues) and effects of the system
+    POVMs E_w = Tr_anc[(I (x) xi) U^dag (I (x) P_w) U], for ancilla states
+    ``xi`` ``(..., a, a)``, interactions ``u`` ``(..., D, D)`` and meters
+    ``(..., a, a)``, one model or a stack."""
     values, projectors = kernels.spectral(meter)
-    return values, check_effects(kernels.induced_effects(u, xi, projectors))
+    return values, kernels.induced_effects(u, xi, projectors)
 
 
 def chain_check(

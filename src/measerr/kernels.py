@@ -24,13 +24,13 @@ Every kernel is stack-invariant: a row of a stacked call equals the call on
 that row alone bit for bit, whatever the broadcast (``np.einsum`` is not).
 
 Inputs are trusted: states, effects, observables and interactions are
-validated once, where they enter (the JSON loaders and the builders,
-through the validators ``check_states``, ``check_observables``,
-``check_effects`` and ``check_unitaries``), or are valid by construction
-(the generators' draws; ``povm_effects`` guards its own whitening).
-The checks left here are the invariants whose failure
-means a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``),
-a contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
+validated once, where they enter (the JSON loaders, through the ``states``
+validators ``check_states``, ``check_observables``, ``check_effects`` and
+``check_unitaries``), or are valid by construction (the builders' output on
+checked parameters, and the generators' draws; ``povm_effects`` guards its
+own whitening).  The checks left here are the invariants whose failure means
+a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``), a
+contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
 broken f-error split (``AssertionError``).  Each raises for the whole stack.
 """
 

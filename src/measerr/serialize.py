@@ -2,9 +2,10 @@
 
 Complex matrices serialize as nested arrays of [re, im] pairs.  JSON floats
 are emitted at 17 significant digits (round-trip exact), CSV at 12
-(plot-ready).  All formatting is locale-independent.  The loaders return
-validated arrays (``check_states``, ``check_observables``, ``check_effects``,
-``check_unitaries``), and reject a malformed file with ``ValueError``.
+(plot-ready).  All formatting is locale-independent.  The loaders are the
+boundary where files enter: each array they return passes its ``states``
+validator, as do a model's induced effects (``check_effects``), and a
+malformed file raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 
 import numpy as np
 
-from .indirect import check_unitaries
-from .measurement import check_effects
-from .states import check_observables, check_states
+from .indirect import induced_povm
+from .states import check_effects, check_observables, check_states, check_unitaries
 
 CSV_HEADER = "dim,kind,param,epsA,epsB,R,I,bound,slack,naiveBound,naiveViolated"
 # The kinds a POVM file may declare.
@@ -134,7 +134,8 @@ def model_to_json(xi: np.ndarray, u: np.ndarray, meter: np.ndarray) -> dict:
 
 
 def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The validated ancilla state, interaction and meter of a model file."""
+    """The validated ancilla state, interaction and meter of a model file,
+    whose induced effects pass ``check_effects`` (a near-unitary U can miss I)."""
     data = _json_object(data, "model")
     system_dim = _field(data, "system_dim", "model")
     if not isinstance(system_dim, int) or isinstance(system_dim, bool):
@@ -151,6 +152,7 @@ def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if meter.shape[-1] != xi.shape[-1]:
         raise ValueError("meter must act on the ancilla")
     _check_declared(data, "ancilla_dim", xi.shape[-1])
+    check_effects(induced_povm(xi, u, meter)[1])
     return xi, u, meter
 
 

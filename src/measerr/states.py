@@ -1,13 +1,15 @@
-"""Validated quantum and classical states and observables, as arrays.
+"""Validated states, observables, weights, effects and interactions, as arrays.
 
 A density operator rho equips observables with the symmetrized inner product
 <A,B>_rho = <{A,B}/2>_rho; a probability distribution p equips outcome
 functions with <f,g>_p = <fg>_p.  Both induce seminorms and standard
 deviations, which is all the downstream geometry needs.  The formulas are
 in ``kernels`` (``anti``, ``norm``, ``std_dev``, ``class_inner``,
-``class_norm``); this module holds the validators of the arrays they act
-on (``check_states``, ``check_observables``, ``check_weights``), each
-taking one instance or a stack and returning it.
+``class_norm``).  This module holds every validator (``check_states``,
+``check_observables``, ``check_weights``, ``check_effects``,
+``check_unitaries``), each taking one instance or a stack and returning it;
+they run only where data enters, as builders and generators return arrays
+valid by construction.
 """
 
 from __future__ import annotations
@@ -45,10 +47,7 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     """Validate density operators, one ``(d, d)`` matrix or a stack: finite,
     Hermitian, unit trace and no eigenvalue below -DEFAULT_TOL.psd.  Returns
     them read-only, with every matrix whose smallest eigenvalue is negative
-    rebuilt from its eigenvalues clipped at zero and renormalized.  States
-    from outside (the JSON loaders, ``qubit_state``, the CLI's default
-    state) enter through it; the generators' states are valid by
-    construction and do not."""
+    rebuilt from its eigenvalues clipped at zero and renormalized."""
     _check_finite(stack, "matrix")
     _check_hermitian(stack, "density operator")
     trace = np.trace(stack, axis1=-2, axis2=-1)
@@ -66,6 +65,46 @@ def check_states(stack: np.ndarray) -> np.ndarray:
         stack = np.array(stack)
         stack[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
     stack.setflags(write=False)
+    return stack
+
+
+def check_completeness(effects: np.ndarray) -> np.ndarray:
+    """Validate that effects, one ``(n, d, d)`` set or a stack, sum to I within DEFAULT_TOL.identity;
+    the residual max |sum_w E_w - I| is not finite where an entry is not.  Returns them."""
+    residual = float(np.max(np.abs(effects.sum(axis=-3) - np.eye(effects.shape[-1]))))
+    if not np.isfinite(residual):
+        raise ValueError("effect entries must be finite")
+    if residual > DEFAULT_TOL.identity:
+        raise ValueError(f"effects sum to identity only within {residual:.3e}")
+    return effects
+
+
+def check_effects(stack: np.ndarray) -> np.ndarray:
+    """Validate POVM effects, one ``(n, d, d)`` set or a stack of them:
+    finite, Hermitian, no eigenvalue below -DEFAULT_TOL.psd, and each set
+    summing to the identity (``check_completeness``).  Returns them.  Zero
+    effects (the padding of ragged stacks) pass.  One Cholesky
+    factorization of the stack shifted by psd/2 succeeds only where the
+    eigenvalue test passes; that test runs, and alone decides, when it
+    fails."""
+    _check_finite(stack, "effect")
+    _check_hermitian(stack, "effect")
+    try:
+        np.linalg.cholesky(stack + DEFAULT_TOL.psd / 2.0 * np.eye(stack.shape[-1]))
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(stack)[..., 0].min())
+        if smallest < -DEFAULT_TOL.psd:
+            raise ValueError(f"effect has eigenvalue {smallest:.3e}, not PSD")
+    return check_completeness(stack)
+
+
+def check_unitaries(stack: np.ndarray) -> np.ndarray:
+    """Validate interactions, one ``(D, D)`` matrix or a stack: finite and
+    unitary within DEFAULT_TOL.identity.  Returns them."""
+    _check_finite(stack, "interaction")
+    residual = float(np.max(np.abs(stack.conj().swapaxes(-1, -2) @ stack - np.eye(stack.shape[-1]))))
+    if residual > DEFAULT_TOL.identity:
+        raise ValueError(f"interaction is not unitary (residual {residual:.3e})")
     return stack
 
 

@@ -9,13 +9,13 @@ The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
 most ``_BLOCK``; each instance is drawn from its own stream, in index order,
 then the whole block is built and checked with the stacked formulas of
-``kernels``.  The drawn states, observables, unitaries and POVMs are valid
-by construction and are not validated again (``povm_effects`` guards its
-own whitening); the Born weights are (``check_weights``).  The
-verify suites are the rows of one table, ``_SUITES`` (a layout, a drawer
-and a checks function each), which one driver, ``_run``, sweeps;
-``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
-models.
+``kernels``.  The drawn states, observables, unitaries and POVMs, and the
+measurements built from them, are valid by construction and are not
+validated again (``povm_effects`` guards its own whitening); the Born
+weights are (``check_weights``).  The verify suites are the rows of one
+table, ``_SUITES`` (a layout, a drawer and a checks function each), which
+one driver, ``_run``, sweeps; ``suite_ozawa_chain``, keyed by (dimension,
+ancilla) pairs, sweeps its own models.
 """
 
 from __future__ import annotations

@@ -8,9 +8,7 @@ import numpy as np
 import oracles
 
 from measerr.generate import diagonal_meter, ginibre_states, haar_unitaries, observable_matrices, povm_effects
-from measerr.indirect import check_unitaries
-from measerr.measurement import check_effects
-from measerr.states import check_observables, check_states, pure_states
+from measerr.states import check_effects, check_observables, check_states, check_unitaries, pure_states
 
 
 def state(rng, dim: int, pure: bool = False) -> np.ndarray:
@@ -39,6 +37,15 @@ def indirect_model(rng, dim: int, ancilla: int = 2) -> tuple[np.ndarray, np.ndar
     """A random pure ancilla, a Haar interaction and the meter diag(1, ..., ancilla)."""
     xi = check_states(pure_states(oracles.complex_gaussian(rng, (ancilla,))))
     return xi, check_unitaries(haar_unitary(rng, dim * ancilla)), diagonal_meter(ancilla)
+
+
+def near_unitary_model(delta: float = 4.9e-10) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A qubit model that passes ``check_unitaries`` but induces effects that
+    miss I by twice its residual: U = I + delta (|0><0| (x) J), J the
+    all-ones 2x2 matrix, ancilla |+> and meter diag(1, 2).  At delta =
+    4.9e-10, U^dag U misses I by 9.8e-10, the effects by 1.96e-9."""
+    u = np.eye(4, dtype=complex) + delta * np.kron(np.diag([1.0, 0.0]), np.ones((2, 2)))
+    return pure([1.0, 1.0]), u, diagonal_meter(2)
 
 
 def pure(ket) -> np.ndarray:

@@ -416,10 +416,19 @@ class TestChain:
         assert main(["chain", "--model", str(path)]) == 2
         assert capsys.readouterr().err.strip() == "error: interaction entries must be finite"
 
+    def test_model_inducing_incomplete_effects_is_usage_error(self, tmp_path, capsys):
+        """A near-unitary interaction within ``check_unitaries``' tolerance
+        whose induced effects miss I is rejected where the file is loaded."""
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(*instances.near_unitary_model())))
+        assert main(["chain", "--model", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: effects sum to identity only within 1.960e-09\n")
+
 
 class TestTolerancePolicy:
-    """--tolerance sets only the slack of the property checks: what the
-    program builds is validated at the default tolerances whatever it says."""
+    """--tolerance sets only the slack of the property checks: inputs are
+    validated at the default tolerances whatever it says, and what the
+    program builds from them is not validated again."""
 
     @pytest.mark.parametrize(
         "argv",

@@ -16,8 +16,7 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.measurement import check_effects
-from measerr.states import check_observables
+from measerr.states import check_effects, check_observables
 
 MIXED = mixed(2)
 

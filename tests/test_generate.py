@@ -6,10 +6,17 @@ import oracles
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from measerr import cnot_model, generate, induced_povm, local_context
-from measerr.indirect import check_unitaries
-from measerr.measurement import check_effects
-from measerr.states import check_observables, check_states, pure_states
+from measerr import (
+    cnot_model,
+    generate,
+    induced_povm,
+    local_context,
+    noisy_projective,
+    projective_from,
+    trivial_measurement,
+    unsharp_qubit,
+)
+from measerr.states import check_effects, check_observables, check_states, check_unitaries, pure_states
 
 
 class TestDeterminism:
@@ -171,6 +178,41 @@ def test_generated_arrays_are_valid_by_construction(dim, n, outcomes, seed):
         assert np.array_equal(hermitian, hermitian.conj().swapaxes(-1, -2))
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_built_arrays_are_valid_by_construction(dim):
+    """The builders return their effects unvalidated, so on valid inputs each
+    stack passes ``check_effects``: projective measurements of observables
+    with repeated eigenvalues (one of them a multiple of I), which
+    ``kernels.spectral`` merges into one projector each and zero-pads to
+    the stack's largest count; noisy projective ones at lam = 0, 1/2 and 1,
+    stacked and one by one; trivial measurements; unsharp qubit ones; and
+    the POVMs induced by drawn models.  ``cnot_model``'s interaction passes
+    ``check_unitaries``."""
+    rng = np.random.default_rng(dim)
+    n = 6
+    eigs = rng.integers(1, 4, (n, dim)).astype(float)
+    eigs[0] = 2.0
+    v = generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim)))
+    observables = check_observables(generate.observable_matrices((v * eigs[:, None, :]) @ v.conj().swapaxes(-1, -2)))
+    _, projectors = projective_from(observables)
+    check_effects(projectors)
+    groups = (np.abs(projectors).max(axis=(-2, -1)) > 0.0).sum(axis=-1)
+    assert groups.tolist() == [len(set(row)) for row in eigs.tolist()]
+    for lam in (0.0, 0.5, 1.0):
+        check_effects(noisy_projective(observables, lam))
+        for a in observables:
+            check_effects(noisy_projective(a, lam))
+    check_effects(trivial_measurement(rng.dirichlet(np.ones(4), n), dim))
+    axes = rng.standard_normal((n, 3))
+    for axis, eta in zip(axes / np.linalg.norm(axes, axis=1, keepdims=True), rng.uniform(0.0, 1.0, n)):
+        check_effects(unsharp_qubit(axis, eta))
+    for ancilla in (2, 3):
+        xi = pure_states(oracles.complex_gaussian(rng, (n, ancilla)))
+        u = generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim * ancilla, dim * ancilla)))
+        check_effects(induced_povm(xi, u, generate.diagonal_meter(ancilla))[1])
+    check_unitaries(cnot_model()[1])
+
+
 class TestUnitariesAndModels:
     def test_haar_unitarity(self):
         for seed in range(10):
@@ -185,7 +227,8 @@ class TestUnitariesAndModels:
     def test_induced_povms_valid_over_seeds(self):
         for seed in range(20):
             model = instances.indirect_model(np.random.default_rng(seed), 2)
-            values, effects = induced_povm(*model)  # raises if PSD/completeness fail
+            values, effects = induced_povm(*model)
+            check_effects(effects)
             assert len(values) == len(effects) == 2
 
     def test_cnot_factory_is_unitary(self):

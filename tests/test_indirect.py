@@ -17,6 +17,7 @@ from measerr import (
     qubit_state,
 )
 from measerr.serialize import model_from_json, model_to_json
+from measerr.states import check_effects, check_unitaries
 
 MIXED = mixed(2)
 # No interaction: the ancilla |+> read by Z, a model of arrays (xi, U, meter).
@@ -60,7 +61,8 @@ class TestInducedPovm:
         for seed in range(10):
             model, rho, _, _ = random_model(dim, ancilla, seed)
             xi, u, meter = model
-            _, effects = induced_povm(xi, u, meter)  # check_effects enforces PSD + completeness
+            _, effects = induced_povm(xi, u, meter)
+            check_effects(effects)
             total = sum(effects)
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
             _, projs = kernels.spectral(meter)
@@ -80,6 +82,16 @@ class TestInducedPovm:
     def test_meter_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             model_from_json(model_to_json(pure([1, 0]), np.eye(4), np.eye(3)))
+
+    def test_near_unitary_model_is_rejected_by_its_induced_effects(self):
+        """A model file enters through ``model_from_json``, which validates the
+        effects it induces: ``induced_povm`` trusts its model, and an
+        interaction that passes ``check_unitaries`` can still induce effects
+        that miss I."""
+        model = instances.near_unitary_model()
+        check_unitaries(model[1])
+        with pytest.raises(ValueError, match=r"^effects sum to identity only within 1\.960e-09$"):
+            model_from_json(model_to_json(*model))
 
 
 class TestOzawaError:

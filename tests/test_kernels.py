@@ -16,8 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from measerr import kernels
 from measerr.generate import haar_unitaries, observable_matrices
-from measerr.measurement import check_effects
-from measerr.states import check_states, check_weights
+from measerr.states import check_effects, check_states, check_weights
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside

@@ -19,9 +19,8 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.generate import haar_unitaries
-from measerr.measurement import check_effects
 from measerr.serialize import matrix_to_json, povm_from_json
-from measerr.states import check_states
+from measerr.states import check_effects, check_states
 
 
 def povm_file(effects, values=(1.0, -1.0)) -> dict:
@@ -133,10 +132,20 @@ class TestUnsharpFamily:
         assert np.allclose(unsharp_qubit((0, 0, 1), 0.6)[0], np.diag([0.8, 0.2]), atol=1e-12)
 
     def test_parameter_validation(self):
+        """The builders check their parameters and fail closed on NaN: their
+        output is not validated again."""
         with pytest.raises(ValueError):
             unsharp_qubit((0, 0, 2), 0.5)
         with pytest.raises(ValueError):
             unsharp_qubit((0, 0, 1), 1.5)
+        with pytest.raises(ValueError, match="unit vector"):
+            unsharp_qubit((np.nan, 0, 1), 0.5)
+        with pytest.raises(ValueError, match="sharpness must lie in"):
+            unsharp_qubit((0, 0, 1), np.nan)
+        with pytest.raises(ValueError, match="mixing weight must lie in"):
+            noisy_projective(Z, np.nan)
+        with pytest.raises(ValueError, match="weights must be finite"):
+            trivial_measurement([np.nan, 1.0], 2)
 
     def test_noisy_projective_path(self):
         assert np.allclose(noisy_projective(Z, 1.0)[1], np.diag([1.0, 0.0]), atol=1e-12)

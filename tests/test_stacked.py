@@ -20,7 +20,7 @@ from measerr import (
     schroedinger_reduction,
     trivial_measurement,
 )
-from measerr.measurement import check_effects
+from measerr.states import check_effects
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside

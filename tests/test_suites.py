@@ -6,6 +6,7 @@ import collections
 import itertools
 import math
 import re
+import sys
 from dataclasses import replace
 
 import instances
@@ -14,8 +15,9 @@ import oracles
 import pytest
 
 from measerr import chain_check, evaluate_relation
-from measerr import generate, kernels, suites
+from measerr import generate, kernels, states, suites
 from measerr.cli import main
+from measerr.serialize import model_from_json, model_to_json
 from measerr.states import pure_states
 from measerr.tolerances import DEFAULT_TOL
 from measerr.suites import SuiteResult
@@ -126,6 +128,43 @@ class TestTransportOnce:
         # a, b and the linear combination alpha a + beta b, per block
         run("transport-adjointness", (2, 4), 3, seed=5)
         assert transport_calls == [(3, 2, 2)] * 3 + [(3, 4, 4)] * 3
+
+
+@pytest.fixture
+def validator_calls(monkeypatch):
+    """The names of the calls of the array validators, counted under every
+    name a ``measerr`` module imports them as."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name == "measerr" or name.startswith("measerr.")]
+    for name in ("check_effects", "check_states", "check_observables", "check_unitaries"):
+        original = getattr(states, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestValidateOnce:
+    """Arrays are validated once, where they enter: the sweeps' draws and
+    what the builders build from them are valid by construction, so a sweep
+    validates nothing but its Born weights (``check_weights``)."""
+
+    def test_loader_calls_are_counted(self, validator_calls):
+        model_from_json(model_to_json(*instances.indirect_model(np.random.default_rng(3), 2)))
+        assert validator_calls == ["check_states", "check_observables", "check_unitaries", "check_effects"]
+
+    def test_verify(self, validator_calls):
+        suites.run_verify((2, 3), 5, 1)
+        assert validator_calls == []
+
+    def test_ozawa_chain(self, validator_calls):
+        suites.suite_ozawa_chain(((2, 2),), 5, 1)
+        assert validator_calls == []
 
 
 class TestRecordBlock:

@@ -15,8 +15,7 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.measurement import check_effects
-from measerr.states import check_observables, check_states
+from measerr.states import check_effects, check_observables, check_states
 from measerr.tolerances import DEFAULT_TOL
 
 make_ctx, pushforward = local_context, kernels.pushforward
