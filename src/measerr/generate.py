@@ -11,8 +11,10 @@ and ``povm_effects``, ``ginibre_states``, ``observable_matrices`` and
 ``haar_unitaries`` build from the result matrices that are Hermitian,
 positive or unitary by construction, which the callers pass on unvalidated
 (``test_generated_arrays_are_valid_by_construction`` pins that).  A verify
-block draws into the rows of one buffer (``suites._Block``), a chain block
-into one it reads as fixed-offset views (``suites._chain_models``), and
+block draws into the rows of one buffer and cuts its arrays out by one
+gather, a pure row's window shifted so that every array after the state
+lies at one offset (``suites._draw_block``); a chain block draws into one
+it reads as fixed-offset views (``suites._chain_models``), and
 ``chain --model`` draws its state and two observables by one call.  Every
 instance is drawn in one pass: effects whitened from ill-conditioned
 factors, the one output a correct generator can spoil, are rejected by

@@ -20,6 +20,8 @@ Traces.  Tr[X Y] is one elementwise contraction, O(d^2) where forming X Y is
 O(d^3) (``trace_product``).  For Hermitian X, Y, rho, ``anti`` and ``comm``
 are Re and Im of Tr[X Y rho], ``pushforward`` takes <A, E_w>_rho as
 Re Tr[E_w A rho] and ``norm`` squares as Tr[X X rho]: one product each.
+``transport`` forms A rho once for its pushforward and its norm and keeps
+it, and ``relation`` and ``schroedinger`` read B rho from B's transport.
 Every kernel is stack-invariant: a row of a stacked call equals the call on
 that row alone bit for bit, whatever the broadcast (``np.einsum`` is not).
 
@@ -106,7 +108,12 @@ def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Seminorm sqrt(<X^2>_rho) = sqrt(Tr[X (X rho)]); a square below -DEFAULT_TOL.psd is an error."""
-    val = _real(trace_product(x, x @ rho))
+    return _norm(x, x @ rho)
+
+
+def _norm(x: np.ndarray, x_rho: np.ndarray) -> np.ndarray:
+    """``norm`` of X from the product X rho."""
+    val = _real(trace_product(x, x_rho))
     if (val < -DEFAULT_TOL.psd).any():
         raise ArithmeticError(f"negative squared norm {val.min():.3e}")
     return np.sqrt(np.maximum(val, 0.0))
@@ -184,7 +191,12 @@ def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Contex
 def pushforward(ctx: Context, a: np.ndarray) -> np.ndarray:
     """<A, E_w>_rho / p(w) on the support, zero off it: the optimal estimator.
     <A, E_w>_rho = Tr[E_w (A rho + rho A)/2] = Re Tr[E_w A rho]."""
-    inner = trace_product(ctx.effects, (a @ ctx.rho)[..., None, :, :]).real
+    return _pushforward(ctx, a @ ctx.rho)
+
+
+def _pushforward(ctx: Context, a_rho: np.ndarray) -> np.ndarray:
+    """``pushforward`` of A from the product A rho."""
+    inner = trace_product(ctx.effects, a_rho[..., None, :, :]).real
     return np.divide(inner, ctx.weights, out=np.zeros(ctx.weights.shape), where=ctx.mask)
 
 
@@ -200,21 +212,23 @@ def pullback(ctx: Context, f: np.ndarray) -> np.ndarray:
 
 
 class Transported(_Record):
-    """An observable carried through a context: pushforward, round trip, error and ||A||_rho (``norm``)."""
+    """An observable A carried through a context: pushforward, round trip, error, ||A||_rho (``norm``) and A rho."""
 
-    __slots__ = ("pushforward", "roundtrip", "error", "norm")
+    __slots__ = ("pushforward", "roundtrip", "error", "norm", "product")
 
 
 def transport(ctx: Context, a: np.ndarray) -> Transported:
     """Push ``a`` forward once; the round trip is its pullback and the error
-    sqrt(||A||_rho^2 - ||pushforward(A)||_p^2).  The radicand is clipped at
-    zero when only roundoff-negative; below -DEFAULT_TOL.psd contractivity
-    failed, which is a bug, so it raises."""
-    fwd, norm_a = pushforward(ctx, a), norm(a, ctx.rho)
+    sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the pushforward and the norm
+    read from one product A rho.  The radicand is clipped at zero when only
+    roundoff-negative; below -DEFAULT_TOL.psd contractivity failed, which is
+    a bug, so it raises."""
+    a_rho = a @ ctx.rho
+    fwd, norm_a = _pushforward(ctx, a_rho), _norm(a, a_rho)
     radicand = norm_a**2 - class_norm(fwd, ctx.weights) ** 2
     if (radicand < -DEFAULT_TOL.psd).any():
         raise RuntimeError(f"contractivity violated: radicand {radicand.min():.3e}")
-    return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)), norm_a)
+    return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)), norm_a, a_rho)
 
 
 def adjointness(ctx: Context, a: np.ndarray, fwd: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -290,7 +304,7 @@ class Relation(_Record):
 
 def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = False) -> Relation:
     """eps_a, eps_b, R, I and the bound sqrt(R^2 + I^2), from one transport
-    per observable.
+    per observable, whose B rho gives Tr[A B rho] and Tr[roundtrip(A) B rho].
 
     R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
     because pushforwards preserve expectation values.  I is <[A,B]/2i>
@@ -298,12 +312,12 @@ def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = Fa
     ``sign_flip`` enters the first cross commutator with the wrong sign; it
     exists only to prove that the verify harness can fail.
     """
-    t_a = transport(ctx, a)
-    t_b = transport(ctx, b)
-    symmetric, commutator = _anti_comm(a, b, ctx.rho)
+    t_a, t_b = transport(ctx, a), transport(ctx, b)
+    abr = trace_product(a, t_b.product)
+    symmetric, commutator = abr.real, abr.imag
     real = symmetric - class_inner(t_a.pushforward, t_b.pushforward, ctx.weights)
     sign = -1.0 if sign_flip else 1.0
-    imag = commutator - sign * comm(t_a.roundtrip, b, ctx.rho) - comm(a, t_b.roundtrip, ctx.rho)
+    imag = commutator - sign * trace_product(t_a.roundtrip, t_b.product).imag - comm(a, t_b.roundtrip, ctx.rho)
     bound = np.hypot(real, imag)
     naive = np.abs(commutator)
     product = t_a.error * t_b.error
@@ -322,7 +336,8 @@ def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> S
     """The relation ``rel`` of A and B on a trivial measurement ``ctx``, in its standard-deviation form."""
     mean_a, mean_b = expect(a, ctx.rho), expect(b, ctx.rho)
     sigma_a, sigma_b = _spread(rel.transport_a.norm, mean_a), _spread(rel.transport_b.norm, mean_b)
-    symmetric, commutator = _anti_comm(a, b, ctx.rho)
+    abr = trace_product(a, rel.transport_b.product)
+    symmetric, commutator = abr.real, abr.imag
     covariance = symmetric - mean_a * mean_b
     return Schroedinger(sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator),
                         covariance, commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))

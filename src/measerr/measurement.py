@@ -53,10 +53,13 @@ def unsharp_qubit(axis, eta: float) -> np.ndarray:
 
 
 def noisy_projective(a: np.ndarray, lam: float) -> np.ndarray:
-    """Projective measurement of the observable ``a`` mixed with uniform
-    outcome noise: effects lam*E_w + (1-lam)*I/n, a path from projective
-    (lam=1) to trivial uniform (lam=0)."""
+    """Projective measurement of the observable ``a`` (one or a stack)
+    mixed with uniform outcome noise: effects lam*E_w + (1-lam)*I/n, n the
+    number of distinct eigenvalues, a path from projective (lam=1) to
+    trivial uniform (lam=0).  A stack's zero-padded outcomes stay zero."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
     _, base = projective_from(a)
-    return lam * base + (1.0 - lam) * np.eye(a.shape[-1], dtype=complex) / base.shape[-3]
+    outcomes = (base != 0.0).any(axis=(-2, -1))
+    noise = (1.0 - lam) * np.eye(a.shape[-1], dtype=complex) / outcomes.sum(axis=-1, keepdims=True)[..., None, None]
+    return lam * base + np.where(outcomes[..., None, None], noise, 0.0)

@@ -69,12 +69,15 @@ def check_states(stack: np.ndarray) -> np.ndarray:
 
 
 def check_completeness(effects: np.ndarray) -> np.ndarray:
-    """Validate that effects, one ``(n, d, d)`` set or a stack, sum to I within DEFAULT_TOL.identity;
-    the residual max |sum_w E_w - I| is not finite where an entry is not.  Returns them."""
-    residual = float(np.max(np.abs(effects.sum(axis=-3) - np.eye(effects.shape[-1]))))
-    if not np.isfinite(residual):
+    """Validate that effects, one ``(n, d, d)`` set or a stack, sum to I
+    within DEFAULT_TOL.identity.  The residual max |sum_w E_w - I| is not
+    finite where an entry is not, and is inf where finite entries overflow
+    the sum, which then misses I.  Returns them."""
+    with np.errstate(over="ignore"):
+        residual = float(np.max(np.abs(effects.sum(axis=-3) - np.eye(effects.shape[-1]))))
+    if not np.isfinite(residual) and not np.isfinite(effects).all():
         raise ValueError("effect entries must be finite")
-    if residual > DEFAULT_TOL.identity:
+    if not residual <= DEFAULT_TOL.identity:
         raise ValueError(f"effects sum to identity only within {residual:.3e}")
     return effects
 

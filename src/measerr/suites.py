@@ -13,9 +13,11 @@ then the whole block is built and checked with the stacked formulas of
 measurements built from them, are valid by construction and are not
 validated again (``povm_effects`` guards its own whitening); the Born
 weights are (``check_weights``).  The verify suites are the rows of one
-table, ``_SUITES`` (a layout, a drawer and a checks function each), which
-one driver, ``_run``, sweeps; ``suite_ozawa_chain``, keyed by (dimension,
-ancilla) pairs, sweeps its own models.
+table, ``_SUITES``: each row's draws as data (a layout, an outcome range, a
+pure-state coin and uniform fields), which ``_draw_block`` draws in one loop
+over a block's streams and cuts apart in one gather, and a checks function.
+One driver, ``_run``, sweeps the table; ``suite_ozawa_chain``, keyed by
+(dimension, ancilla) pairs, sweeps its own models.
 """
 
 from __future__ import annotations
@@ -198,104 +200,15 @@ def _sweep(seed: int, suite: str, keys, n: int):
 _OUTCOMES, _MATRICES = 6, 10
 
 # The fixed layouts of verify instances: after the POVM factors, each complex
-# Gaussian array in draw order as (name, rank if mixed, rank if pure), rank 2
-# a (d, d) matrix and rank 1 a (d,) ket; "rho" names are states.
-_INSTANCE = (("rho", 2, 1), ("a", 2, 2), ("b", 2, 2))
-_AFFINE = (("rho1", 2, 2), ("rho2", 1, 1))
-_ERRORLESS = _INSTANCE + (("rho2", 2, 2),)
-_TRIVIAL = (("rho", 2, 2), ("a", 2, 2), ("b", 2, 2))
+# Gaussian array in draw order as (name, rank), rank 2 a (d, d) matrix and
+# rank 1 a (d,) ket; "rho" names are states.  The pure-state coin, where a
+# suite tosses it, makes the first array a ket.
+_INSTANCE = (("rho", 2), ("a", 2), ("b", 2))
+_AFFINE = (("rho1", 2), ("rho2", 1))
+_ERRORLESS = _INSTANCE + (("rho2", 2),)
 
-
-class _Block:
-    """The draws of N verify instances in one fixed ``layout``.  Row k of
-    ``buffer`` holds instance k's complex Gaussians, each array its real
-    block, then its imaginary block; ``outcomes`` and ``pure`` record the
-    two numbers its row layout depends on.  Row k of ``uniform`` holds its
-    uniform doubles, field after field, and the trivial measurement's
-    exponentials go into a row column (``raw``); ``columns`` reads each
-    field once per block."""
-
-    def __init__(self, n: int, dim: int, layout):
-        self.dim, self.layout, self.buffer = dim, layout, np.empty((n, 2 * _MATRICES * dim * dim))
-        self.outcomes, self.pure = np.zeros(n, dtype=int), np.zeros(n, dtype=bool)
-        self.rest = [2 * sum(dim ** ranks[p] for _, *ranks in layout) for p in (0, 1)]
-        self.fields, self.cols, self.sizes = (), {}, np.zeros(n, dtype=int)
-
-    def gaussians(self, k: int, rng: np.random.Generator, outcomes: int = 0, pure: bool = False) -> None:
-        """Fill row k by one call with ``outcomes`` POVM factors and the
-        layout's arrays, its state a ket when ``pure``."""
-        self.outcomes[k], self.pure[k] = outcomes, pure
-        rng.standard_normal(out=self.buffer[k, : 2 * self.dim**2 * outcomes + self.rest[pure]])
-
-    def uniforms(self, k: int, rng: np.random.Generator, fields, outcomes: int) -> None:
-        """Instance k's uniform doubles u for ``fields``, each (name, (lo, hi),
-        per_outcome), by one ``rng.random`` call into row k of ``uniform``:
-        in field order, one double per field, or ``outcomes`` of them, the
-        numbers one ``random`` call per field would draw.  Every instance of
-        a block has the same fields."""
-        if not self.fields:
-            self.fields, self.per_outcome = fields, sum(per for *_, per in fields)
-            self.uniform = np.zeros((len(self.buffer), len(fields) + self.per_outcome * (_OUTCOMES - 1)))
-        rng.random(out=self.uniform[k, : len(fields) + self.per_outcome * (outcomes - 1)])
-
-    def raw(self, name: str, k: int, rng: np.random.Generator, size: int) -> None:
-        """Instance k's ``size`` standard exponentials into row column ``name``,
-        which reads each row times the reciprocal of its sum: numpy's
-        ``dirichlet`` of ones."""
-        if name not in self.cols:
-            self.cols[name] = np.zeros((len(self.buffer), _OUTCOMES))
-        self.sizes[k] = size
-        rng.standard_exponential(out=self.cols[name][k, :size])
-
-    def columns(self) -> dict:
-        """The block as stacks: the uniform fields as lo + (hi - lo) u,
-        numpy's ``uniform(lo, hi)``, each cut from ``uniform`` where the
-        outcome counts place it; the ``raw`` columns as they read; rows over
-        outcomes zero-padded to the widest drawn, the POVM factors among
-        them; and each array cut out where ``outcomes`` and ``pure`` place
-        it, one gather per rank, "rho" arrays as states (ket projectors,
-        G G^dag / Tr)."""
-        n, dim, top, cols = len(self.buffer), self.dim, self.outcomes.max(), {}
-        index, start, padding = np.arange(n), np.zeros(n, dtype=int), np.arange(top) >= self.outcomes[:, None]
-        for name, (lo, hi), per_outcome in self.fields:
-            if per_outcome:
-                cols[name] = lo + (hi - lo) * self.uniform[index[:, None], start[:, None] + np.arange(top)]
-                cols[name][padding] = 0.0
-            else:
-                cols[name] = lo + (hi - lo) * self.uniform[index, start]
-            start = start + (self.outcomes if per_outcome else 1)
-        for name, col in self.cols.items():
-            col = col[:, : self.sizes.max()]
-            cols[name] = col * (1.0 / col.sum(axis=1))[:, None]
-        if top:
-            cols["povm"] = complex_stack(self.buffer[:, : top * 2 * dim * dim].reshape(n, top, 2, dim, dim))
-            cols["povm"][padding] = 0.0
-        start = 2 * dim * dim * self.outcomes
-        for name, mixed, pure in self.layout:
-            ranks, cols[name] = np.where(self.pure, pure, mixed), np.empty((n, dim, dim), complex)
-            for rank in set(ranks.tolist()):
-                rows, shape = np.flatnonzero(ranks == rank), (2,) + (dim,) * rank
-                z = self.buffer[rows[:, None], start[rows, None] + np.arange(math.prod(shape))]
-                z = complex_stack(z.reshape(-1, *shape), axis=-1 - rank)
-                if name.startswith("rho"):
-                    z = pure_states(z) if rank == 1 else ginibre_states(z)
-                cols[name][rows] = z
-            start = start + 2 * dim**ranks
-        return cols
-
-
-def _draw_block(states: np.ndarray, dim: int, layout, draw) -> dict:
-    """The columns of a block in ``layout`` drawn by ``draw(rng, block, k)``
-    on the streams of seed ``states``, the POVM factors as effects: each
-    instance is drawn once, and a block whose factors do not whiten raises
-    (``povm_effects``)."""
-    block = _Block(len(states), dim, layout)
-    for k, state in enumerate(states):
-        draw(_generator(state), block, k)
-    cols = block.columns()
-    if "povm" in cols:
-        cols["povm"] = povm_effects(cols["povm"])
-    return cols
+# The range of the trivial measurement's outcome count, drawn after its Gaussians.
+_WEIGHTS = (1, 5)
 
 
 def _integer(raw, low: int, high: int) -> int:
@@ -314,27 +227,86 @@ def _integer(raw, low: int, high: int) -> int:
                 return low + (m >> 32)
 
 
-def _draw_instance(rng, block: _Block, k: int, coin: bool = True, uniforms=()) -> None:
-    """A random POVM of 2..6 outcomes, with the ``coin`` a pure (30%) or
-    Ginibre state, the layout's other arrays, then the uniforms, each
-    (name, (lo, hi), per_outcome): one number, or one per outcome.  The
-    outcome count is ``integers(2, 7)`` (``_integer``) and the coin is
+def _states(z: np.ndarray, dim: int, rank: int) -> np.ndarray:
+    """The states of raw draws ``z`` (one row each): kets as their
+    projectors, (d, d) draws as normalized Ginibre matrices."""
+    z = complex_stack(z.reshape(len(z), 2, *(dim,) * rank), axis=-1 - rank)
+    return pure_states(z) if rank == 1 else ginibre_states(z)
+
+
+def _draw_block(states: np.ndarray, dim: int, layout, outcomes, coin: bool, fields) -> dict:
+    """The columns of a block of verify instances, each drawn once from the
+    stream of its seed state in ``states``: with a POVM of ``integers(*outcomes)``
+    outcomes (none when ``outcomes`` is None), a pure (30%) or Ginibre state
+    when ``coin``, the arrays of ``layout``, then the uniforms of ``fields``,
+    each (name, (lo, hi), per_outcome): one number, or one per outcome.
+    Without a POVM the trivial measurement's weights come last (``_WEIGHTS``).
+
+    The outcome count is read from raw outputs (``_integer``) and the coin is
     numpy's ``random() < 0.3``, (x >> 11) 2**-53 of the next raw output x,
-    so every draw is the plain call's (``oracles.verify_draws``)."""
-    raw = rng.bit_generator.random_raw
-    outcomes = _integer(raw, 2, 7)
-    block.gaussians(k, rng, outcomes, coin and (raw() >> 11) * 2**-53 < 0.3)
-    if uniforms:
-        block.uniforms(k, rng, uniforms, outcomes)
+    so every draw is the plain call's (``oracles.verify_draws``).  Row k of
+    ``buffer`` takes instance k's complex Gaussians by one call, each array
+    its real block, then its imaginary block; row k of ``uniform`` its
+    uniform doubles by one call, field after field, or its weights as
+    standard exponentials.  The columns read the uniforms as lo + (hi - lo) u,
+    numpy's ``uniform(lo, hi)``, the weights times the reciprocal of their
+    sum, numpy's ``dirichlet`` of ones, and rows over outcomes zero-padded to
+    the widest drawn, the POVM factors whitened among them (a block whose
+    factors do not whiten raises, ``povm_effects``).  One gather cuts the
+    layout's arrays out of ``buffer``: a pure row's window starts 2 d^2 - 2 d
+    doubles early, so its ket fills the end of the state's (d, d) slot and
+    every later array lies at one offset in all rows."""
+    n, size, shift = len(states), 2 * dim * dim, 2 * dim * dim - 2 * dim
+    buffer, width = np.empty((n, _MATRICES * size)), sum(2 * dim**rank for _, rank in layout)
+    per_outcome = sum(per for *_, per in fields)
+    # a field takes at most _OUTCOMES doubles, as do the weights
+    uniform = np.zeros((n, _OUTCOMES * max(len(fields), 1)))
+    counts, pures, weights = [0] * n, [False] * n, []
+    for k, state in enumerate(states):
+        rng = _generator(state)
+        raw = rng.bit_generator.random_raw
+        counts[k] = count = _integer(raw, *outcomes) if outcomes else 0
+        pures[k] = pure = coin and (raw() >> 11) * 2**-53 < 0.3
+        rng.standard_normal(out=buffer[k, : size * count + width - shift * pure])
+        if fields:
+            rng.random(out=uniform[k, : len(fields) + per_outcome * (count - 1)])
+        elif not outcomes:
+            weights.append(_integer(raw, *_WEIGHTS))
+            rng.standard_exponential(out=uniform[k, : weights[-1]])
 
-
-def _draw_trivial_reduction(rng, block, k):
-    block.gaussians(k, rng)
-    block.raw("p0", k, rng, _integer(rng.bit_generator.random_raw, 1, 5))
+    count, pure, cols = np.array(counts), np.array(pures), {}
+    index, top = np.arange(n), count.max()
+    padding, start = np.arange(top) >= count[:, None], np.zeros(n, dtype=int)
+    for name, (lo, hi), per in fields:
+        if per:
+            cols[name] = lo + (hi - lo) * uniform[index[:, None], start[:, None] + np.arange(top)]
+            cols[name][padding] = 0.0
+        else:
+            cols[name] = lo + (hi - lo) * uniform[index, start]
+        start = start + (count if per else 1)
+    if weights:
+        col = uniform[:, : max(weights)]
+        cols["p0"] = col * (1.0 / col.sum(axis=1))[:, None]
+    if top:
+        povm = complex_stack(buffer[:, : top * size].reshape(n, top, 2, dim, dim))
+        povm[padding] = 0.0
+        cols["povm"] = povm_effects(povm)
+    window, at = buffer[index[:, None], (size * count - shift * pure)[:, None] + np.arange(width)], 0
+    for j, (name, rank) in enumerate(layout):
+        z, at = window[:, at : at + 2 * dim**rank], at + 2 * dim**rank
+        if coin and j == 0:
+            cols[name] = np.empty((n, dim, dim), complex)
+            cols[name][pure] = _states(z[pure, shift:], dim, 1)
+            cols[name][~pure] = _states(z[~pure], dim, 2)
+        elif name.startswith("rho"):
+            cols[name] = _states(z, dim, rank)
+        else:
+            cols[name] = complex_stack(z.reshape(n, 2, dim, dim))
+    return cols
 
 
 def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
-    """The context and the two observables of ``_draw_instance`` columns."""
+    """The context and the two observables of a block's columns."""
     return local_context(cols["povm"], cols["rho"]), observable_matrices(cols["a"]), observable_matrices(cols["b"])
 
 
@@ -509,27 +481,31 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
     ]}
 
 
-# An outcome function uniform in [-2, 2), as a ``_draw_instance`` uniform.
+# An outcome function uniform in [-2, 2), as a uniform field of ``_draw_block``.
 _F = ("f", (-2.0, 2.0), True)
 
-# The verify suites in report order, keyed by stream name: (layout, drawer,
-# checks).  ``checks(cols, slack, sign_flip)`` maps each result name to the
-# checks of a block's columns.
+# The POVM's outcome count, 2..6, drawn first.
+_POVM = (2, 7)
+
+# The verify suites in report order, keyed by stream name: (draws, checks).
+# ``draws`` are the arguments (layout, outcomes, coin, fields) of
+# ``_draw_block``; ``checks(cols, slack, sign_flip)`` maps each result name
+# to the checks of a block's columns.
 _SUITES = {
-    "affineness": (_AFFINE, partial(_draw_instance, coin=False, uniforms=(("lam", (0.0, 1.0), False),)), _affineness),
-    "adjoint-characterization": (_INSTANCE, partial(_draw_instance, uniforms=(_F,)), _adjoint_characterization),
-    "contractivity": (_INSTANCE, partial(_draw_instance, uniforms=(_F,)), _contractivity),
-    "transport-adjointness": (_INSTANCE, partial(
-        _draw_instance, uniforms=(_F, ("alpha", (-2.0, 2.0), False), ("beta", (-2.0, 2.0), False))),
+    "affineness": ((_AFFINE, _POVM, False, (("lam", (0.0, 1.0), False),)), _affineness),
+    "adjoint-characterization": ((_INSTANCE, _POVM, True, (_F,)), _adjoint_characterization),
+    "contractivity": ((_INSTANCE, _POVM, True, (_F,)), _contractivity),
+    "transport-adjointness": (
+        (_INSTANCE, _POVM, True, (_F, ("alpha", (-2.0, 2.0), False), ("beta", (-2.0, 2.0), False))),
         _transport_adjointness),
-    "error-decomposition": (_INSTANCE, partial(
-        _draw_instance, uniforms=(_F, ("delta", (-2.0, 2.0), True), ("step", (-1.0, 1.0), False))),
+    "error-decomposition": (
+        (_INSTANCE, _POVM, True, (_F, ("delta", (-2.0, 2.0), True), ("step", (-1.0, 1.0), False))),
         _error_decomposition),
-    "main-relation": (_INSTANCE, _draw_instance, _relation_and_proof_tie),
-    "errorless-equivalence": (_ERRORLESS, partial(
-        _draw_instance, uniforms=(("scale", (0.5, 2.0), False), ("shift", (-1.0, 1.0), False))),
+    "main-relation": ((_INSTANCE, _POVM, True, ()), _relation_and_proof_tie),
+    "errorless-equivalence": (
+        (_ERRORLESS, _POVM, True, (("scale", (0.5, 2.0), False), ("shift", (-1.0, 1.0), False))),
         _errorless_equivalence),
-    "trivial-reduction": (_TRIVIAL, _draw_trivial_reduction, _trivial_reduction),
+    "trivial-reduction": ((_INSTANCE, None, False, ()), _trivial_reduction),
 }
 
 
@@ -538,9 +514,9 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
     entry order and, within an entry, in the order its checks name them:
     each block of each entry is swept, drawn and checked once."""
     results = {}
-    for stream, (layout, draw, checks) in entries.items():
+    for stream, (draws, checks) in entries.items():
         for dim, block, states in _sweep(seed, stream, dims, n):
-            for name, rows in checks(_draw_block(states, dim, layout, draw), slack, sign_flip).items():
+            for name, rows in checks(_draw_block(states, dim, *draws), slack, sign_flip).items():
                 results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
     return list(results.values())
 

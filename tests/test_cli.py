@@ -140,6 +140,15 @@ class TestScan:
         assert cells[2] == ""
         assert float(cells[3]) == pytest.approx(0.8, abs=1e-9)
 
+    def test_povm_whose_sum_overflows_is_usage_error(self, tmp_path, capsys):
+        # finite PSD entries whose sum overflows miss I by inf, with no
+        # overflow warning (warnings are errors here)
+        effects = np.array([np.eye(2), np.eye(2)]) * 1e308
+        path = tmp_path / "povm.json"
+        path.write_text(json_text(povm_to_json("custom", (1.0, -1.0), effects)))
+        assert main(["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr() == ("", "error: effects sum to identity only within inf\n")
+
     def test_povm_with_wrong_declared_dim_is_usage_error(self, tmp_path, capsys):
         data = unsharp_file()
         data["dim"] = 5

@@ -16,6 +16,7 @@ from measerr import (
     induced_povm,
     kernels,
     local_context,
+    noisy_projective,
     projective_from,
     schroedinger_reduction,
     trivial_measurement,
@@ -80,7 +81,11 @@ def same_row(stacked, one, k) -> bool:
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_builders_are_stack_invariant(dim):
     """Row k of each builder the CLI and the suites share, called on stacks,
-    equals its call on instance k alone, bit for bit on every field."""
+    equals its call on instance k alone, bit for bit on every field.  Where
+    the rows have different outcome counts (``noisy_projective`` of
+    observables with different numbers of distinct eigenvalues), row k
+    equals the call alone on its outcomes and its padded outcomes are
+    exactly zero."""
     rng = np.random.default_rng([dim, 24])
     n, ancilla = 4, 2
     rho = np.stack([instances.state(rng, dim, pure=k % 2 == 0) for k in range(n)])
@@ -92,6 +97,7 @@ def test_builders_are_stack_invariant(dim):
     meter = np.stack([instances.observable(rng, ancilla) for _ in range(n)])
     calls = [
         (projective_from, (a,)),
+        (lambda x: noisy_projective(x, 0.5), (a,)),
         (lambda w: trivial_measurement(w, dim), (weights,)),
         (induced_povm, (xi, u, meter)),
         (chain_check, (xi, u, meter, rho, a, b)),
@@ -102,3 +108,10 @@ def test_builders_are_stack_invariant(dim):
         stacked = builder(*args)
         for k in range(n):
             assert same_row(stacked, builder(*(x[k] for x in args)), k), (builder, k)
+    ragged = np.stack([np.diag(np.arange(1.0, dim + 1)), np.diag([1.0, 1.0, *range(3, dim + 1)])]).astype(complex)
+    for lam in (0.0, 0.5, 1.0):
+        stacked = noisy_projective(ragged, lam)
+        for k, observable in enumerate(ragged):
+            alone = noisy_projective(observable, lam)
+            assert np.array_equal(stacked[k, : len(alone)], alone), (lam, k)
+            assert np.all(stacked[k, len(alone) :] == 0.0), (lam, k)

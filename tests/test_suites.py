@@ -54,27 +54,30 @@ def run(suite, dims, n, seed, slack=DEFAULT_TOL.identity, sign_flip=False) -> li
 
 @pytest.fixture
 def transport_calls(monkeypatch):
-    """Count the calls of the transport kernel ``kernels.pushforward``, which
-    ``kernels.transport`` calls once: one call transports one observable, for
-    one instance or for a whole (suite, dim) block."""
+    """Count the calls of the transport kernel ``kernels._pushforward`` (the
+    pushforward of A from A rho), which ``kernels.transport`` and
+    ``kernels.pushforward`` call once: one call transports one observable,
+    for one instance or for a whole (suite, dim) block."""
     calls = []
-    original = kernels.pushforward
+    original = kernels._pushforward
 
-    def counted(ctx, a):
-        calls.append(a.shape)
-        return original(ctx, a)
+    def counted(ctx, a_rho):
+        calls.append(a_rho.shape)
+        return original(ctx, a_rho)
 
-    monkeypatch.setattr(kernels, "pushforward", counted)
+    monkeypatch.setattr(kernels, "_pushforward", counted)
     return calls
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The names of the ``kernels.norm`` and ``kernels.pullback`` calls, in call order."""
+    """The names of the ``kernels._norm`` (which every norm, ``kernels.norm``
+    or ``transport``'s, calls once) and ``kernels.pullback`` calls, in call
+    order, each ``_norm`` call counted as "norm"."""
     calls = []
-    for name in ("norm", "pullback"):
-        def counted(*args, name=name, original=getattr(kernels, name)):
-            calls.append(name)
+    for name, counted_as in (("_norm", "norm"), ("pullback", "pullback")):
+        def counted(*args, counted_as=counted_as, original=getattr(kernels, name)):
+            calls.append(counted_as)
             return original(*args)
 
         monkeypatch.setattr(kernels, name, counted)
@@ -226,10 +229,10 @@ class TestRecordBlock:
 
 def draw_block(seed, suite, dim, block):
     """``suites._draw_block`` of the instances ``block`` of one (suite, dim)
-    sweep, in the suite's layout and by its drawer."""
-    layout, draw, _ = suites._SUITES[suite]
+    sweep, with the suite's draws."""
+    draws, _ = suites._SUITES[suite]
     states = suites._stream_states(seed, suite, [(dim, i) for i in block])
-    return suites._draw_block(states, dim, layout, draw)
+    return suites._draw_block(states, dim, *draws)
 
 
 def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites._rng):
@@ -257,7 +260,7 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
-@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("dim", [2, 5, 8])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
     block = range(3, 15)
     cols = draw_block(19, suite, dim, block)
@@ -265,11 +268,12 @@ def test_block_columns_are_the_plain_sequential_draws(suite, dim):
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
-@pytest.mark.parametrize("dim", [2, 5])
+@pytest.mark.parametrize("dim", [2, 5, 8])
 def test_full_block_unpacks_every_group(suite, dim):
     """A full block of ``_BLOCK`` instances holds every row layout its
-    drawer makes, (outcome count, pure) pairs (the trivial measurement's
-    outcome count alone), and each instance equals its plain draws."""
+    draws make, (outcome count, pure) pairs (the trivial measurement's
+    outcome count alone), and each instance equals its plain draws; at
+    d = 8 the buffer is widest and a pure row's window shifts most."""
     block = range(suites._BLOCK)
     cols = draw_block(29, suite, dim, block)
     assert_block_is_the_plain_draws(cols, 29, suite, dim, block)
@@ -277,6 +281,17 @@ def test_full_block_unpacks_every_group(suite, dim):
     groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
     pure = (False, True) if "pure" in draws[0] else (None,)
     assert groups == ({1, 2, 3, 4} if suite == "trivial-reduction" else {(n, p) for n in range(2, 7) for p in pure})
+
+
+@pytest.mark.parametrize("suite", [suite for suite, ((_, _, coin, _), _) in suites._SUITES.items() if coin])
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("pure", [False, True])
+def test_one_instance_blocks_of_one_kind_of_state(suite, dim, pure):
+    """A one-instance block whose state is only a ket, or only a Ginibre
+    draw, leaves the other kind's rows empty, and equals its plain draws."""
+    i = next(i for i in itertools.count() if oracles.verify_draws(suites._rng(31, suite, dim, i), suite, dim)["pure"] == pure)
+    cols = draw_block(31, suite, dim, range(i, i + 1))
+    assert_block_is_the_plain_draws(cols, 31, suite, dim, range(i, i + 1))
 
 
 @pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
@@ -389,11 +404,11 @@ def test_raw_reads_are_numpys_bounded_draws(x, low, high):
 @pytest.mark.parametrize("x", _RAW)
 @pytest.mark.parametrize("suite", suites._SUITES)
 def test_drawers_are_the_plain_draws_on_any_raw_output(x, suite, monkeypatch):
-    """Each drawer, on a stream whose first raw output is ``x``, draws the
+    """Each suite's draws, on a stream whose first raw output is ``x``, are the
     plain calls' instance, whichever branch its outcome count takes."""
     monkeypatch.setattr(suites, "_generator", lambda state: generator_next_raw(x))
-    layout, draw, _ = suites._SUITES[suite]
-    cols = suites._draw_block(np.zeros((1, 4), dtype=np.uint64), 3, layout, draw)
+    draws, _ = suites._SUITES[suite]
+    cols = suites._draw_block(np.zeros((1, 4), dtype=np.uint64), 3, *draws)
     assert_block_is_the_plain_draws(cols, 0, suite, 3, range(1), stream=lambda *_: generator_next_raw(x))
 
 
@@ -430,18 +445,17 @@ def test_draws_make_no_integers_call_and_one_uniform_read(suite, monkeypatch):
 
 
 def spoil_factors(monkeypatch, spoil):
-    """Make ``_Block.gaussians`` pass instance 1 of each block's POVM factors,
-    as complex ``(outcomes, d, d)``, through ``spoil`` into its buffer row."""
-    gaussians = suites._Block.gaussians
+    """Make ``_draw_block`` pass instance 1 of each block's POVM factors, as
+    complex ``(outcomes, d, d)`` without the zero padding, through ``spoil``
+    before it whitens them (``suites.povm_effects``)."""
+    whiten = suites.povm_effects
 
-    def spoiled(block, k, rng, outcomes=0, pure=False):
-        gaussians(block, k, rng, outcomes, pure)
-        if k == 1:
-            row = block.buffer[k, : outcomes * 2 * block.dim**2].reshape(outcomes, 2, block.dim, block.dim)
-            factors = spoil(generate.complex_stack(row))
-            row[:, 0], row[:, 1] = factors.real, factors.imag
+    def spoiled(factors):
+        outcomes = int(np.any(factors[1] != 0.0, axis=(-2, -1)).sum())
+        factors[1, :outcomes] = spoil(factors[1, :outcomes])
+        return whiten(factors)
 
-    monkeypatch.setattr(suites._Block, "gaussians", spoiled)
+    monkeypatch.setattr(suites, "povm_effects", spoiled)
 
 
 def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
