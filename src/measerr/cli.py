@@ -34,7 +34,7 @@ from .serialize import (
     load_state,
     relation_csv_row,
 )
-from .states import PAULI_X, PAULI_Y, PAULI_Z, check_states, qubit_state
+from .states import PAULI_X, PAULI_Y, PAULI_Z, qubit_state
 from .suites import run_verify, suite_ozawa_chain
 from .tolerances import DEFAULT_TOL
 
@@ -187,7 +187,7 @@ def cmd_scan(args) -> int:
         raise ValueError("family 'custom' takes no --grid")
     if not custom and args.povm is not None:
         raise ValueError(f"family {args.family!r} takes no --povm")
-    rho = load_state(args.state) if args.state else check_states(np.eye(2, dtype=complex) / 2.0)
+    rho = load_state(args.state) if args.state else np.eye(2, dtype=complex) / 2.0
     obs_a = load_observable(args.obs_a) if args.obs_a else PAULI_Z
     obs_b = load_observable(args.obs_b) if args.obs_b else PAULI_X
 

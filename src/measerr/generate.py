@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .states import check_completeness
 
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
@@ -76,7 +77,7 @@ def ginibre_states(g: np.ndarray) -> np.ndarray:
 
 def observable_matrices(draws: np.ndarray) -> np.ndarray:
     """Hermitian parts (G + G^dag)/2 of one matrix or a stack (of Gaussian draws: observables)."""
-    return (draws + draws.conj().swapaxes(-1, -2)) / 2.0
+    return kernels.hermitian_part(draws)
 
 
 def diagonal_meter(ancilla_dim: int) -> np.ndarray:

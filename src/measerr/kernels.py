@@ -30,10 +30,11 @@ validated once, where they enter (the JSON loaders, through the ``states``
 validators ``check_states``, ``check_observables``, ``check_effects`` and
 ``check_unitaries``), or are valid by construction (the builders' output on
 checked parameters, and the generators' draws; ``povm_effects`` guards its
-own whitening).  The checks left here are the invariants whose failure means
-a bug: a non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``), a
-contractivity radicand below ``-DEFAULT_TOL.psd`` (``RuntimeError``) and a
-broken f-error split (``AssertionError``).  Each raises for the whole stack.
+own whitening); ``born`` clips the derived Born weights and judges none.
+The checks left here are the invariants whose failure means a bug: a
+non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``), a broken
+f-error split (``AssertionError``) and a square negative beyond what valid
+input gives (``_guard``).  Each raises for the whole stack.
 """
 
 from __future__ import annotations
@@ -106,16 +107,29 @@ def comm(x: np.ndarray, y: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return _anti_comm(x, y, rho)[1]
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(X + X^dag)/2 of one matrix or a stack."""
+    return (x + x.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _guard(val: np.ndarray, size, error: type, what: str) -> None:
+    """Raise ``error`` where ``val`` (a square, or a difference of squares) is below -DEFAULT_TOL.psd
+    and below -DEFAULT_TOL.identity times ``size()``, its squared magnitude, formed only if needed."""
+    bad = val < -DEFAULT_TOL.psd
+    bad = bad & (val < -DEFAULT_TOL.identity * size()) if bad.any() else bad
+    if bad.any():
+        raise error(f"{what} {first_flagged(val, bad):.3e}")
+
+
 def norm(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Seminorm sqrt(<X^2>_rho) = sqrt(Tr[X (X rho)]); a square below -DEFAULT_TOL.psd is an error."""
+    """Seminorm sqrt(<X^2>_rho) = sqrt(Tr[X (X rho)]); a square below -identity ||X||_F^2 is an error."""
     return _norm(x, x @ rho)
 
 
 def _norm(x: np.ndarray, x_rho: np.ndarray) -> np.ndarray:
     """``norm`` of X from the product X rho."""
     val = _real(trace_product(x, x_rho))
-    if (val < -DEFAULT_TOL.psd).any():
-        raise ArithmeticError(f"negative squared norm {val.min():.3e}")
+    _guard(val, lambda: (np.abs(x) ** 2).sum(axis=(-2, -1)), ArithmeticError, "negative squared norm")
     return np.sqrt(np.maximum(val, 0.0))
 
 
@@ -140,8 +154,9 @@ def class_norm(f: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def born(effects: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Born weights Tr[E_w rho] (not yet clipped: see ``states.check_weights``)."""
-    return expect(effects, rho[..., None, :, :])
+    """Born weights Tr[E_w rho], the negative ones (which valid effects may give) clipped to zero, a -0.0 kept."""
+    w = expect(effects, rho[..., None, :, :])
+    return np.where(w < 0.0, 0.0, w)
 
 
 def adjoint(effects: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -169,7 +184,7 @@ def spectral(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         count = member.sum(axis=-1)
         values = np.divide((member @ w[..., None])[..., 0], count, out=np.zeros(count.shape), where=count > 0)
         proj = np.einsum("...gk,...kij->...gij", member, proj)
-    return values, (proj + proj.conj().swapaxes(-1, -2)) / 2.0
+    return values, hermitian_part(proj)
 
 
 class Context(_Record):
@@ -178,10 +193,6 @@ class Context(_Record):
     (weights above ``DEFAULT_TOL.support_cutoff``)."""
 
     __slots__ = ("effects", "rho", "weights", "mask")
-
-    @property
-    def dim(self) -> int:
-        return self.rho.shape[-1]
 
 
 def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Context:
@@ -220,14 +231,13 @@ class Transported(_Record):
 def transport(ctx: Context, a: np.ndarray) -> Transported:
     """Push ``a`` forward once; the round trip is its pullback and the error
     sqrt(||A||_rho^2 - ||pushforward(A)||_p^2), the pushforward and the norm
-    read from one product A rho.  The radicand is clipped at zero when only
-    roundoff-negative; below -DEFAULT_TOL.psd contractivity failed, which is
-    a bug, so it raises."""
+    read from one product A rho.  On valid effects the radicand is at least
+    -d DEFAULT_TOL.identity ||A||_rho^2 (Cauchy-Schwarz), and is clipped at
+    zero; below that contractivity failed, a bug, so it raises (``_guard``)."""
     a_rho = a @ ctx.rho
     fwd, norm_a = _pushforward(ctx, a_rho), _norm(a, a_rho)
     radicand = norm_a**2 - class_norm(fwd, ctx.weights) ** 2
-    if (radicand < -DEFAULT_TOL.psd).any():
-        raise RuntimeError(f"contractivity violated: radicand {radicand.min():.3e}")
+    _guard(radicand, lambda: a.shape[-1] * norm_a**2, RuntimeError, "contractivity violated: radicand")
     return Transported(fwd, pullback(ctx, fwd), np.sqrt(np.maximum(radicand, 0.0)), norm_a, a_rho)
 
 
@@ -278,11 +288,12 @@ def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) ->
 
 
 def _f_errors(ctx: Context, f: np.ndarray, *observables) -> list[FError]:
-    """``f_error_split`` of f for each (A, t) of ``observables``, from one pullback of f and its cost."""
+    """``f_error_split`` of f for each (A, t) of ``observables``, from one pullback of f and its
+    cost ||f||_p^2 - ||M'f||_rho^2, guarded as ``transport``'s radicand is, with f for A."""
     rep = pullback(ctx, f)
     cost = class_norm(f, ctx.weights) ** 2 - norm(rep, ctx.rho) ** 2
-    if (cost < -DEFAULT_TOL.psd).any():
-        raise RuntimeError(f"contractivity violated: reconstruction cost {cost.min():.3e}")
+    _guard(cost, lambda: ctx.rho.shape[-1] * class_norm(f, ctx.weights) ** 2,
+           RuntimeError, "contractivity violated: reconstruction cost")
     out = [FError(t.error, class_norm(t.pushforward - f, ctx.weights),
                   np.sqrt(np.maximum(norm(a - rep, ctx.rho) ** 2 + cost, 0.0))) for a, t in observables]
     for split in out:
@@ -431,8 +442,7 @@ def induced_effects(u: np.ndarray, xi: np.ndarray, projectors: np.ndarray) -> np
     ds = u.shape[-1] // da
     evolved = heisenberg(u[..., None, :, :], projectors)
     evolved = evolved.reshape(evolved.shape[:-2] + (ds, da, ds, da))
-    eff = np.einsum("...jl,...ilmj->...im", xi[..., None, :, :], evolved)
-    return (eff + eff.conj().swapaxes(-1, -2)) / 2.0
+    return hermitian_part(np.einsum("...jl,...ilmj->...im", xi[..., None, :, :], evolved))
 
 
 def rms_error(meter_h: np.ndarray, joint: np.ndarray, a: np.ndarray) -> np.ndarray:

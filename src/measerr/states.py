@@ -8,8 +8,8 @@ in ``kernels`` (``anti``, ``norm``, ``std_dev``, ``class_inner``,
 ``class_norm``).  This module holds every validator (``check_states``,
 ``check_observables``, ``check_weights``, ``check_effects``,
 ``check_unitaries``), each taking one instance or a stack and returning it;
-they run only where data enters, as builders and generators return arrays
-valid by construction.
+they run only where data enters, as builders, generators and Born weights
+(``kernels.born`` clips them) are valid by construction.
 """
 
 from __future__ import annotations
@@ -60,8 +60,7 @@ def check_states(stack: np.ndarray) -> np.ndarray:
     clip = smallest < 0.0
     if clip.any():
         w, v = np.linalg.eigh(stack[clip])
-        fixed = (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+        fixed = kernels.hermitian_part((v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2))
         stack = np.array(stack)
         stack[clip] = fixed / np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
     stack.setflags(write=False)
@@ -117,15 +116,14 @@ def pure_states(kets: np.ndarray) -> np.ndarray:
     if (norm == 0).any():
         raise ValueError("cannot normalize the zero vector")
     vec = kets / norm[..., None]
-    proj = vec[..., :, None] * vec.conj()[..., None, :]
-    return (proj + proj.conj().swapaxes(-1, -2)) / 2.0
+    return kernels.hermitian_part(vec[..., :, None] * vec.conj()[..., None, :])
 
 
 def check_weights(weights) -> np.ndarray:
     """Validate outcome weights, one row or a stack: finite, none below
     -DEFAULT_TOL.validation, each row summing to one within
-    DEFAULT_TOL.prob_sum.  Returns a read-only copy with the roundoff-negative
-    weights clipped to zero."""
+    DEFAULT_TOL.prob_sum.  Returns a copy with the roundoff-negative weights
+    clipped to zero."""
     w = np.array(weights, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError("weights must be finite")
@@ -136,12 +134,11 @@ def check_weights(weights) -> np.ndarray:
     bad = np.abs(total - 1.0) > DEFAULT_TOL.prob_sum
     if bad.any():
         raise ValueError(f"weights sum to {kernels.first_flagged(total, bad)}, not 1")
-    w.setflags(write=False)
     return w
 
 
 def qubit_state(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
-    """Qubit state (I + x X + y Y + z Z)/2 for a Bloch vector of length <= 1."""
+    """Qubit state (I + x X + y Y + z Z)/2, valid by construction for a Bloch vector of length <= 1."""
     if x * x + y * y + z * z > 1.0 + 1e-12:
         raise ValueError("Bloch vector must have length at most 1")
-    return check_states((np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0)
+    return (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0

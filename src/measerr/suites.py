@@ -9,13 +9,13 @@ The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
 most ``_BLOCK``; each instance is drawn from its own stream, in index order,
 then the whole block is built and checked with the stacked formulas of
-``kernels``.  The drawn states, observables, unitaries and POVMs, and the
-measurements built from them, are valid by construction and are not
-validated again (``povm_effects`` guards its own whitening); the Born
-weights are (``check_weights``).  The verify suites are the rows of one
-table, ``_SUITES``: each row's draws as data (a layout, an outcome range, a
-pure-state coin and uniform fields), which ``_draw_block`` draws in one loop
-over a block's streams and cuts apart in one gather, and a checks function.
+``kernels``.  The drawn states, observables, unitaries and POVMs, the
+measurements built from them and their Born weights (``kernels.born`` clips
+them) are valid by construction and are not validated again
+(``povm_effects`` guards its own whitening).  The verify suites are the
+rows of one table, ``_SUITES``: each row's draws as data (a layout, an
+outcome range, a pure-state coin and uniform fields), which ``_draw_block``
+draws in one loop and cuts apart in one gather, and a checks function.
 One driver, ``_run``, sweeps the table; ``suite_ozawa_chain``, keyed by
 (dimension, ancilla) pairs, sweeps its own models.
 """
@@ -42,7 +42,7 @@ from .generate import (
 from .indirect import chain_check
 from .measurement import projective_from
 from .relations import schroedinger_reduction
-from .states import check_weights, pure_states
+from .states import pure_states
 from .tolerances import DEFAULT_TOL
 from .transport import local_context
 
@@ -318,8 +318,7 @@ def _affineness(cols, slack, sign_flip) -> dict:
     """Measurements respect probabilistic mixtures of states exactly."""
     effects, rho1, rho2, lam = cols["povm"], cols["rho1"], cols["rho2"], cols["lam"]
     mixed = lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2
-    direct = check_weights(kernels.born(effects, mixed))
-    p1, p2 = check_weights(kernels.born(effects, rho1)), check_weights(kernels.born(effects, rho2))
+    direct, p1, p2 = kernels.born(effects, mixed), kernels.born(effects, rho1), kernels.born(effects, rho2)
     residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
     return {"affineness": [("affineness broke", residual, DEFAULT_TOL.validation)]}
 

@@ -7,10 +7,7 @@ carries observables to outcome functions and is its adjoint with respect to
 the two inner products.  Both contract the respective seminorms.
 ``local_context`` pins the pair, for one instance or a stack, as the
 ``kernels.Context`` that ``kernels.pushforward``, ``kernels.pullback`` and
-``kernels.transport`` take.  ``kernels.transport`` pushes one observable
-forward once and returns, with the pushforward, its round trip, the error
-and the norm ||A||_rho; callers read that record instead of deriving any of
-the four again.
+``kernels.transport`` (one observable's record, read by every caller) take.
 
 Equivalence classes of functions are represented canonically: zero on every
 outcome whose probability is at or below the support cutoff.
@@ -21,15 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
-from .states import check_weights
 
 
 def local_context(effects: np.ndarray, rho: np.ndarray, *observables: np.ndarray) -> kernels.Context:
     """Validated effects ``(..., n, d, d)`` pinned to validated states
-    ``(..., d, d)``: their Born weights, checked by ``check_weights`` (which
-    clips roundoff-negative weights to zero), and the support mask.  The
-    effects, then each of ``observables``, must act on the states' space."""
+    ``(..., d, d)``: their Born weights (``kernels.born``, which clips, not
+    validates, them) and the support mask.  The effects, then each of
+    ``observables``, must act on the states' space."""
     for x in (effects, *observables):
         if x.shape[-1] != rho.shape[-1]:
             raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rho.shape[-1]}")
-    return kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))
+    return kernels.context(effects, rho, kernels.born(effects, rho))

@@ -10,6 +10,10 @@ import oracles
 from measerr.generate import diagonal_meter, ginibre_states, haar_unitaries, observable_matrices, povm_effects
 from measerr.states import check_effects, check_observables, check_states, check_unitaries, pure_states
 
+# Outcome weights on the support (above the 1e-12 cutoff) and at or below
+# this are the tiny-support outcomes the tests build on purpose.
+TINY_SUPPORT = 1e-8
+
 
 def state(rng, dim: int, pure: bool = False) -> np.ndarray:
     """A Haar-random pure state from a ket draw, or a Ginibre state G G^dag / Tr."""

@@ -14,6 +14,7 @@ import pytest
 
 import instances
 import measerr
+from measerr import kernels
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
 from measerr.serialize import format_float, json_text, load_model, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import chain_check, cnot_model
@@ -462,6 +463,75 @@ class TestTolerancePolicy:
             assert main(argv + ["--json", str(report)]) == 0
             default = json.loads(report.read_text())["manifest"]
             assert checks["checks_passed"] + checks["checks_failed"] == default["checks_passed"] > 0
+
+
+def _finite_rows(path) -> list:
+    """The numeric cells (epsA to naiveBound) of each row of a scan CSV, all finite."""
+    rows = [[float(x) for x in line.split(",")[3:10]] for line in path.read_text().strip().splitlines()[1:]]
+    assert rows and np.isfinite(rows).all()
+    return rows
+
+
+class TestCoreAcceptsWhatTheBoundaryAdmits:
+    """Every input the validators admit runs: Born weights are clipped, not
+    judged again, and the kernels' guards judge a negative square against
+    the squared magnitude it comes from."""
+
+    @pytest.mark.parametrize(
+        "e0,e1,state,obs_a",
+        [
+            (np.diag([1 + 5e-11, -5e-11]), np.diag([-5e-11, 1 + 5e-11]), np.diag([0.0, 1.0]), None),
+            (np.diag([1 + 5e-10, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), None),
+            (np.diag([1 + 9e-11, 0.0]), np.diag([0.0, 1.0]), np.diag([1.0, 0.0]), np.diag([10.0, -10.0])),
+            (np.diag([1.0, 0.0]) + 0.99e-9 * np.ones((2, 2)), np.diag([0.0, 1.0]), np.ones((2, 2)) / 2, None),
+        ],
+        ids=["eigenvalue-inside-psd", "sum-inside-identity", "radicand-of-10z", "off-diagonal-sum"],
+    )
+    def test_povm_inside_the_tolerances(self, e0, e1, state, obs_a, tmp_path, capsys):
+        """An effect eigenvalue of -5e-11; effects that miss I by 5e-10;
+        effects that miss I by 9e-11 measuring 10 Z, whose radicand is
+        -9e-9 = -9e-11 ||A||^2; and effects whose sum I + 0.99e-9 J (J all
+        ones) misses I by 1.98e-9 in operator norm, inside d * identity.
+        Each passes ``check_effects``, so it runs."""
+        files = {"povm": povm_to_json("custom", (1.0, -1.0), np.array([e0, e1], dtype=complex)),
+                 "state": matrix_to_json(state), "obs-a": None if obs_a is None else matrix_to_json(obs_a)}
+        argv = ["scan", "--family", "custom"]
+        for flag, data in files.items():
+            if data is not None:
+                (tmp_path / f"{flag}.json").write_text(json_text(data))
+                argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0, capsys.readouterr().err
+        assert len(_finite_rows(tmp_path / "c.csv")) == 1
+
+    def test_noisy_projective_scan_of_a_large_observable(self, tmp_path, capsys):
+        """The projective row (lam = 1) of an observable of norm 1e3, whose
+        radicand is a roundoff -1e-10 or so: below -psd, far above -1e-9 ||A||^2."""
+        rng = np.random.default_rng(4)
+        rho, a, b = instances.state(rng, 3), instances.observable(rng, 3), instances.observable(rng, 3)
+        argv = ["scan", "--family", "noisy-projective"]
+        for flag, matrix in (("state", rho), ("obs-a", a * (1e3 / np.linalg.norm(a, 2))), ("obs-b", b)):
+            (tmp_path / f"{flag}.json").write_text(json_text(matrix_to_json(matrix)))
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+        assert main([*argv, "--out", str(tmp_path / "n.csv")]) == 0, capsys.readouterr().err
+        rows = _finite_rows(tmp_path / "n.csv")
+        assert len(rows) == 11 and rows[-1][0] <= 1e-7 * 1e3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_unitary_model_chain(self, seed, tmp_path, capsys):
+        """A model whose U misses unitarity by 2e-10 induces effects that
+        miss I by 4e-10, inside both ``check_unitaries`` and ``check_effects``."""
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(*instances.near_unitary_model(1e-10))))
+        assert main(["chain", "--model", str(path), "--seed", str(seed)]) == 0, capsys.readouterr().err
+        assert "chain holds: True" in capsys.readouterr().out
+
+    def test_planted_contractivity_bug_is_still_caught(self, monkeypatch, capsys):
+        """Pushforwards inflated by 1e-6 break contractivity by about 2e-6
+        ||A||^2, beyond roundoff at any scale: an internal error, exit 3."""
+        pushforward = kernels._pushforward
+        monkeypatch.setattr(kernels, "_pushforward", lambda ctx, a_rho: pushforward(ctx, a_rho) * (1.0 + 1e-6))
+        assert main(["demo", "naive-violation"]) == 3
+        assert capsys.readouterr().err.startswith("internal error: contractivity violated: radicand -2.000e-06")
 
 
 class TestUsageAndInternalErrors:

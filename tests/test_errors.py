@@ -12,6 +12,7 @@ from measerr import (
     PAULI_Z as Z,
     kernels,
     local_context,
+    noisy_projective,
     projective_from,
     trivial_measurement,
     unsharp_qubit,
@@ -193,6 +194,21 @@ def test_subadditivity(seed):
     a = instances.observable(rng, dim)
     b = instances.observable(rng, dim)
     assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, check_observables(a + b)) - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.integers(2, 8), outcomes=st.integers(2, 6), pure=st.booleans(), lam=st.floats(0.0, 1.0),
+       seed=st.integers(0, 10**6))
+def test_roundtrip_residual_is_at_most_the_error(dim, outcomes, pure, lam, seed):
+    """r^2 = eps^2 - (||f_A||_p^2 - ||roundtrip(A)||_rho^2) <= eps^2 for the
+    residual r of errorless condition (b), up to roundoff of scale^2, on a
+    random POVM and on the noisy projective measurement of A.  r is not
+    O(mu) in general: it ranges from about eps^2 / scale to about eps."""
+    rng = np.random.default_rng(seed)
+    rho, a = instances.state(rng, dim, pure=pure), instances.observable(rng, dim)
+    for effects in (instances.povm(rng, dim, outcomes), noisy_projective(a, lam)):
+        e = conditions(local_context(effects, rho), a)
+        assert e.roundtrip_residual**2 <= e.error**2 + 1e-13 * e.scale**2
 
 
 def test_trivial_measurement_reduces_to_standard_deviation():

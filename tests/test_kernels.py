@@ -15,8 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from measerr import kernels
-from measerr.generate import haar_unitaries, observable_matrices
-from measerr.states import check_effects, check_states, check_weights
+from measerr.generate import ginibre_states, haar_unitaries, observable_matrices
+from measerr.states import check_effects, check_states, check_weights, pure_states
+from measerr.transport import local_context
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -45,8 +46,7 @@ def stack(dim, seed):
         effects[i, : len(row[0])] = row[0]
         f[i, : len(row[4])] = row[4]
     rho, a, b = (np.stack([row[k] for row in rows]) for k in (1, 2, 3))
-    weights = kernels.born(effects, rho)
-    return rows, kernels.context(effects, rho, np.where(weights < 0.0, 0.0, weights)), a, b, f
+    return rows, kernels.context(effects, rho, kernels.born(effects, rho)), a, b, f
 
 
 def scale(a):
@@ -71,7 +71,7 @@ def test_padding_and_tiny_support(dim, seed):
         n = len(row[0])
         assert np.all(ctx.weights[i, n:] == 0.0)
         assert not ctx.mask[i, n:].any()
-        assert ctx.mask[i, 1] and ctx.weights[i, 1] <= DEFAULT_TOL.tiny_support
+        assert ctx.mask[i, 1] and ctx.weights[i, 1] <= instances.TINY_SUPPORT
     t = kernels.transport(ctx, a)
     for i, row in enumerate(rows):
         n = len(row[0])
@@ -174,6 +174,27 @@ def test_broken_split_raises():
         kernels.check_split(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([np.sqrt(2.0), 1.0]))
 
 
+@pytest.mark.parametrize("size", [1e3, 1e6])
+def test_projective_measurements_of_large_observables(size):
+    """Measured projectively, an observable of norm 1e3 or 1e6 has error 0
+    up to roundoff, and nothing raises: the guards judge the transport
+    radicand, the squared norms and the reconstruction cost of an estimator
+    (the eigenvalues shifted by ``size``, whose f-error is ``size``) against
+    the squares they come from, ~size^2, not against -psd."""
+    rng = np.random.default_rng(int(size))
+    for dim in (2, 3, 4, 5):
+        rho = np.concatenate([ginibre_states(oracles.complex_gaussian(rng, (40, dim, dim))),
+                              pure_states(oracles.complex_gaussian(rng, (40, dim)))])
+        a = observable_matrices(oracles.complex_gaussian(rng, (80, dim, dim)))
+        a *= size / np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None]
+        values, projectors = kernels.spectral(a)
+        ctx = local_context(projectors, rho)
+        t = kernels.transport(ctx, a)
+        split = kernels.f_error_split(ctx, a, t, values + size)
+        assert (t.error**2 <= DEFAULT_TOL.errorless * t.norm**2).all()
+        assert np.allclose(split.f_error, size, rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("dim,seed", CASES)
 def test_errorless_conditions(dim, seed):
     rows, ctx, a, _, _ = stack(dim, seed)
@@ -270,6 +291,15 @@ def test_traces_are_stack_invariant(dim, outcomes):
     assert np.max(np.abs(effect_norms**2 - oracles.norm_square_matmul(effects, rho[:, None]))) <= TOL
 
 
+def test_born_clips_roundoff_negative_weights():
+    """An effect eigenvalue of -5e-11, inside ``psd``, gives a weight of
+    exactly 0.0, off the support; the other weights are left as they are."""
+    effects = np.array([np.diag([1 + 5e-11, -5e-11]), np.diag([-5e-11, 1 + 5e-11])], dtype=complex)
+    weights = kernels.born(effects, np.diag([0.3, 0.7]).astype(complex))
+    assert weights[0] == 0.3 * (1 + 5e-11) - 0.7 * 5e-11
+    assert kernels.born(effects, np.diag([0.0, 1.0]).astype(complex)).tolist() == [0.0, 1 + 5e-11]
+
+
 def test_non_real_expectations_raise():
     """``expect``, ``born`` and ``norm`` keep the realness guard: the
     expectation of a non-Hermitian operator raises ArithmeticError.
@@ -350,7 +380,7 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     errorless = kernels.errorless(projective, a)
     m = len(distinct)
     for k in range(n):
-        assert ctx.mask[k, 1] and ctx.weights[k, 1] <= DEFAULT_TOL.tiny_support
+        assert ctx.mask[k, 1] and ctx.weights[k, 1] <= instances.TINY_SUPPORT
         assert np.max(np.abs(ctx.weights[k] - oracles.probabilities(rows[k], rho[k]))) <= TOL
         check_relation(rows[k], rho[k], a[k], b[k], rel, k)
         assert np.max(np.abs(values[k, :m] - distinct)) <= TOL * 3.0 and np.all(values[k, m:] == 0.0)

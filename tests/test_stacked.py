@@ -22,7 +22,6 @@ from measerr import (
     trivial_measurement,
 )
 from measerr.states import check_effects
-from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
 # tiny_support (weight ~1e-10, between the 1e-12 cutoff and 1e-8).
@@ -46,7 +45,7 @@ CASES = [(dim, mixedness, seed) for dim in (2, 5, 8) for mixedness in ("pure", "
 def test_stacked_paths_match_per_outcome_formulas(dim, mixedness, seed):
     stack, effects, rho, a, rng = edge_instance(dim, mixedness, seed)
     ctx = local_context(stack, rho)
-    assert ctx.mask[1] and ctx.weights[1] <= DEFAULT_TOL.tiny_support
+    assert ctx.mask[1] and ctx.weights[1] <= instances.TINY_SUPPORT
     assert not ctx.mask[-1]
 
     assert np.max(np.abs(ctx.weights - oracles.probabilities(effects, rho))) <= 1e-12

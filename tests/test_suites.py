@@ -14,6 +14,7 @@ import numpy as np
 import oracles
 import pytest
 
+import measerr
 from measerr import chain_check, evaluate_relation
 from measerr import generate, kernels, states, suites
 from measerr.cli import main
@@ -139,7 +140,7 @@ def validator_calls(monkeypatch):
     name a ``measerr`` module imports them as."""
     calls = []
     modules = [m for name, m in sys.modules.items() if name == "measerr" or name.startswith("measerr.")]
-    for name in ("check_effects", "check_states", "check_observables", "check_unitaries"):
+    for name in ("check_effects", "check_states", "check_observables", "check_unitaries", "check_weights"):
         original = getattr(states, name)
 
         def counted(*args, name=name, original=original):
@@ -153,17 +154,31 @@ def validator_calls(monkeypatch):
 
 
 class TestValidateOnce:
-    """Arrays are validated once, where they enter: the sweeps' draws and
-    what the builders build from them are valid by construction, so a sweep
-    validates nothing but its Born weights (``check_weights``)."""
+    """Arrays are validated once, where they enter: the sweeps' draws, what
+    the builders build from them and the Born weights derived from both
+    (clipped in ``kernels.born``) are valid by construction.  So a CLI run
+    that loads no file calls no validator, and a sweep none but the one of
+    ``trivial_measurement``, the builder that takes its weights as given."""
 
     def test_loader_calls_are_counted(self, validator_calls):
         model_from_json(model_to_json(*instances.indirect_model(np.random.default_rng(3), 2)))
         assert validator_calls == ["check_states", "check_observables", "check_unitaries", "check_effects"]
 
-    def test_verify(self, validator_calls):
-        suites.run_verify((2, 3), 5, 1)
+    def test_given_weights_are_counted(self, validator_calls):
+        measerr.trivial_measurement([0.25, 0.75], 2)
+        assert validator_calls == ["check_weights"]
+
+    @pytest.mark.parametrize("argv", [["demo", "ozawa-chain"], ["demo", "naive-violation"],
+                                      ["scan", "--family", "noisy-projective"]])
+    def test_cli_runs_without_files(self, argv, validator_calls, capsys):
+        """``qubit_state`` and the default state of ``scan`` are valid by construction."""
+        assert main(argv) == 0
         assert validator_calls == []
+
+    def test_verify(self, validator_calls):
+        # the trivial-reduction suite's drawn weights, one stack per block
+        suites.run_verify((2, 3), 5, 1)
+        assert validator_calls == ["check_weights"] * 2
 
     def test_ozawa_chain(self, validator_calls):
         suites.suite_ozawa_chain(((2, 2),), 5, 1)

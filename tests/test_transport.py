@@ -16,7 +16,6 @@ from measerr import (
     unsharp_qubit,
 )
 from measerr.states import check_effects, check_observables, check_states
-from measerr.tolerances import DEFAULT_TOL
 
 make_ctx, pushforward = local_context, kernels.pushforward
 
@@ -177,11 +176,11 @@ class TestSupportHandling:
         # outcomes ("+", "-a", "-b")
         ctx = make_ctx(self._split_minus_povm(0.3), pure([1, 0]))
         assert ctx.mask.tolist() == [True, False, False]
-        assert not (ctx.mask & (ctx.weights <= DEFAULT_TOL.tiny_support)).any()
+        assert not (ctx.mask & (ctx.weights <= instances.TINY_SUPPORT)).any()
         near = check_states(np.diag([1 - 1e-10, 1e-10]).astype(complex))
         ctx2 = make_ctx(self._split_minus_povm(0.5), near)
         assert ctx2.mask[0]
-        assert (ctx2.mask & (ctx2.weights <= DEFAULT_TOL.tiny_support)).tolist() == [False, True, True]
+        assert (ctx2.mask & (ctx2.weights <= instances.TINY_SUPPORT)).tolist() == [False, True, True]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
