@@ -28,7 +28,6 @@ class Tolerances:
                                     # must sit well above machine eps, the floor of that
                                     # O(norm^2) cancellation
     support_cutoff: float = 1e-12   # outcome weights at or below this are off-support
-    tiny_support: float = 1e-8      # tiny-support threshold the tests use; recorded in the manifest
 
 
 DEFAULT_TOL = Tolerances()
