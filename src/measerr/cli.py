@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .generate import RNG_ALGORITHM, complex_stack, ginibre_states, observable_matrices
 from .indirect import chain_check, cnot_model
+from .kernels import relation_allowance
 from .measurement import noisy_projective, projective_from, unsharp_qubit
 from .relations import evaluate_relation, schroedinger_reduction
 from .serialize import (
@@ -171,9 +172,8 @@ def cmd_verify(args) -> int:
 
 
 def _relation_holds(rep, slack: float) -> bool:
-    """main-relation's rule: the residual -rep.slack of the relation ``rep``
-    is finite and at most slack (1 + |eps_a eps_b|)."""
-    return math.isfinite(rep.slack) and -rep.slack <= slack * (1.0 + abs(rep.eps_a * rep.eps_b))
+    """main-relation's rule: -rep.slack is finite and at most ``kernels.relation_allowance``."""
+    return math.isfinite(rep.slack) and -rep.slack <= relation_allowance(rep, slack)
 
 
 def cmd_scan(args) -> int:

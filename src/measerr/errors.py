@@ -10,13 +10,11 @@ The formulas are ``kernels.transport``, ``kernels.f_error_split`` and
 
 Errorless measurements.  The paper's three equivalent conditions are (a)
 eps(A) = 0, (b) the round trip reproduces A and (c) the transport norm chain
-is flat.  Numerically each is judged against tau = DEFAULT_TOL.errorless
-relative to scale = ||A||_rho.  At distance mu from the projective
-measurement of A, eps is O(sqrt(mu)) while the drops of (c) are O(mu) (the
-first is eps^2 / (scale + ||f_A||_p)), so (a) is tested as eps^2 <= tau
-scale^2: eps <= tau scale failed the rounded projectors of a projective
-measurement, whose eps sits near 1e-8 scale.  The residual r of (b) obeys
-r^2 = eps^2 - (||f_A||_p^2 - ||roundtrip||_rho^2), so it ranges from about
-eps^2/scale to about eps.  Near tau no single threshold makes the three
-conditions agree (README, "Errorless conditions").
+||A||_rho >= ||f_A||_p >= m = ||roundtrip||_rho is flat.  With s = ||A||_rho
+and r = ||A - roundtrip||_rho, r^2 = eps^2 - (||f_A||_p^2 - m^2) and s <= m +
+r give r^2 <= eps^2 <= r (2m + r), and eps^2 and r^2 fix both drops of (c):
+each side is zero exactly when the others are, with no threshold.  Only (a)
+decides "errorless", as eps^2 <= tau s^2 (tau = DEFAULT_TOL.errorless): eps
+is O(sqrt(mu)) at distance mu from the projective measurement of A, whose
+rounded projectors give eps near 1e-8 s.
 """

@@ -335,6 +335,11 @@ def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = Fa
     return Relation(t_a.error, t_b.error, real, imag, bound, product - bound, naive, product < naive - 1e-12, t_a, t_b)
 
 
+def relation_allowance(rel: Relation, slack: float) -> np.ndarray:
+    """How far below zero the relation's slack may fall: slack (1 + eps_a eps_b)."""
+    return slack * (1.0 + rel.eps_a * rel.eps_b)
+
+
 class Schroedinger(_Record):
     """The standard deviations, their product, the Schroedinger bound sqrt(Cov^2 + C^2) with C =
     <[A,B]/2i>_rho, the commutator bound |C|, Cov and C, and the errors' residuals against them."""
@@ -392,33 +397,22 @@ def proof_device(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> P
 
 
 class Errorless(_Record):
-    """Conditions (a), (b) and (c) of an errorless measurement, with the
-    error, the round-trip residual and the scale they are judged by."""
+    """Condition (a) of an errorless measurement, the violation of the bound
+    tying it to (b) and (c), and the error, round-trip residual and scale."""
 
-    __slots__ = ("cond_a", "cond_b", "cond_c", "error", "roundtrip_residual", "scale")
+    __slots__ = ("errorless", "violation", "error", "roundtrip_residual", "scale")
 
 
 def errorless(ctx: Context, a: np.ndarray) -> Errorless:
-    """The three faces of an errorless measurement of A, each judged at
-    first order in the distance mu from one: with tau =
-    DEFAULT_TOL.errorless and scale = ||A||_rho, (a) eps^2 <= tau scale^2,
-    (b) ||A - roundtrip||_rho <= tau scale, (c) the drops of the norm chain
-    ||A||_rho >= ||f_A||_p >= ||roundtrip||_rho are at most tau scale.  The
-    error is O(sqrt(mu)) while the residual of (b) and the drops of (c) are
-    O(mu), so (a) compares the square of the error."""
+    """(a) eps^2 <= tau scale^2, tau = DEFAULT_TOL.errorless and scale =
+    ||A||_rho, and the violation max(r^2 - eps^2, eps^2 - r (2m + r)) of the
+    exact bound r^2 <= eps^2 <= r (2m + r), r = ||A - roundtrip||_rho and m
+    = ||roundtrip||_rho (``errors``): roundoff of scale^2 on every instance."""
     t = transport(ctx, a)
-    scale, threshold = t.norm, DEFAULT_TOL.errorless * t.norm
-    residual = norm(a - t.roundtrip, ctx.rho)
-    norm_fwd = class_norm(t.pushforward, ctx.weights)
-    norm_back = norm(t.roundtrip, ctx.rho)
-    return Errorless(
-        cond_a=t.error**2 <= DEFAULT_TOL.errorless * scale**2,
-        cond_b=residual <= threshold,
-        cond_c=((scale - norm_fwd) <= threshold) & ((scale - norm_back) <= threshold),
-        error=t.error,
-        roundtrip_residual=residual,
-        scale=scale,
-    )
+    residual, back = norm(a - t.roundtrip, ctx.rho), norm(t.roundtrip, ctx.rho)
+    square = t.error**2
+    violation = np.maximum(residual**2 - square, square - residual * (2.0 * back + residual))
+    return Errorless(square <= DEFAULT_TOL.errorless * t.norm**2, violation, t.error, residual, t.norm)
 
 
 def kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:

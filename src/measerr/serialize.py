@@ -38,6 +38,8 @@ def matrix_from_json(data) -> np.ndarray:
     message = "matrix JSON must be nested arrays of [re, im] pairs"
     try:
         arr = np.asarray(data, dtype=float)
+    except OverflowError as exc:
+        raise ValueError("matrix entries must be numbers a double can hold") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(message) from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
@@ -102,7 +104,11 @@ def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
     values = _json_list(data, "values")
     if not _numbers(values):
         raise ValueError("values must be numbers")
-    labels, values = [str(x) for x in _json_list(data, "labels")], [float(v) for v in values]
+    try:
+        values = [float(v) for v in values]
+    except OverflowError as exc:
+        raise ValueError("outcome values must be finite") from exc
+    labels = [str(x) for x in _json_list(data, "labels")]
     if not labels:
         raise ValueError("outcome space needs at least one label")
     if len(set(labels)) != len(labels):

@@ -406,7 +406,7 @@ def _relation_and_proof_tie(cols, slack, sign_flip) -> dict:
     device = kernels.proof_device(ctx, a, b, rel)
     return {
         "main-relation": [
-            ("relation violated", -rel.slack, slack * (1.0 + np.abs(rel.eps_a * rel.eps_b)),
+            ("relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
              lambda i: f"slack {rel.slack[i]:.3e}"),
             ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
         ],
@@ -422,25 +422,29 @@ def _row(record, i) -> str:
     return ", ".join(f"{name}={np.asarray(value)[i].item()!r}" for name, value in zip(record.__slots__, record))
 
 
-def _agreement(e: kernels.Errorless) -> tuple:
-    """The check that conditions (a), (b) and (c) agree."""
-    same = (e.cond_a == e.cond_b) & (e.cond_b == e.cond_c)
-    return "conditions disagree", np.where(same, 0.0, 1.0), 0.0, partial(_row, e)
+# Roundoff allowed to the exact errorless bound's violation, relative to ||A||_rho^2.
+_BOUND_ROUNDOFF = 1e-14
+
+
+def _bound(e: kernels.Errorless) -> tuple:
+    """The check that the exact bound r^2 <= eps^2 <= r (2m + r) holds up to roundoff."""
+    return "errorless bound broke", e.violation, _BOUND_ROUNDOFF * e.scale**2, partial(_row, e)
 
 
 def _errorless(e: kernels.Errorless) -> tuple:
-    """The check that a constructed errorless case meets all three conditions."""
-    return "constructed errorless case failed", e.error, e.cond_a & e.cond_b & e.cond_c, partial(_row, e)
+    """The check that a constructed errorless case is errorless and meets the bound."""
+    _, violation, roundoff, detail = _bound(e)
+    return "constructed errorless case failed", e.error, e.errorless & (violation <= roundoff), detail
 
 
 def _errorless_equivalence(cols, slack, sign_flip) -> dict:
-    """Conditions (a), (b), (c) agree on random and constructed-errorless
+    """The exact errorless bound holds on random and constructed-errorless
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
     ctx, a, b = _instances(cols)
     conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
     comm = np.abs(kernels.comm(a, b, ctx.rho))
-    both = conds_a.cond_a & conds_b.cond_a
+    both = conds_a.errorless & conds_b.errorless
 
     # constructed errorless case: projectively measure a itself
     rho = cols["rho2"]
@@ -453,8 +457,8 @@ def _errorless_equivalence(cols, slack, sign_flip) -> dict:
     shifted_comm = np.abs(kernels.comm(a, shifted, rho))
 
     return {"errorless-equivalence": [
-        _agreement(conds_a),
-        _agreement(conds_b),
+        _bound(conds_a),
+        _bound(conds_b),
         ("simultaneous errorless noncommuting pair", np.where(both, comm, 0.0), 1e-6, None),
         _errorless(exact_a),
         _errorless(exact_shifted),
@@ -475,7 +479,7 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
          DEFAULT_TOL.expectation * (1.0 + red.sigma_a + red.sigma_b)),
         ("reduced terms mismatch", terms, DEFAULT_TOL.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
         ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
-        ("reduced relation violated", -rel.slack, slack * (1.0 + rel.eps_a * rel.eps_b),
+        ("reduced relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
          lambda i: f"{rel.slack[i]:.3e}"),
     ]}
 

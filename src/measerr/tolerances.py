@@ -23,10 +23,8 @@ class Tolerances:
     identity: float = 1e-9          # derived identities and inequality slack
     expectation: float = 1e-10      # adjoint / expectation-preservation identities
     eig_merge: float = 1e-8         # eigenvalue clustering threshold, scaled by max |eig|
-    errorless: float = 1e-7         # errorless-condition threshold tau, relative to the state
-                                    # norm; the squared error is held to tau * norm^2, which
-                                    # must sit well above machine eps, the floor of that
-                                    # O(norm^2) cancellation
+    errorless: float = 1e-7         # tau: errorless where eps^2 <= tau ||A||_rho^2 (condition (a)
+                                    # only), well above roundoff of that O(||A||_rho^2) cancellation
     support_cutoff: float = 1e-12   # outcome weights at or below this are off-support
 
 

@@ -144,7 +144,7 @@ def test_criterion_8_errorless_equivalence():
     report(
         8,
         ok,
-        f"(a)/(b)/(c) agreement and no simultaneous errorless noncommuting pair "
+        f"errorless bound r^2 <= eps^2 <= r(2m + r) and no simultaneous errorless noncommuting pair "
         f"on 500 random + constructed instances: {result.failures} failures",
     )
 

@@ -3,9 +3,10 @@
 ``suite_ozawa_chain`` builds them: against the joint-system formulas in
 ``oracles`` within 1e-12 times the instance's scale, against their own N=1
 calls, and the stacked draws against the per-model generators.  The kernels
-that read a value another kernel already computed (``chain``, ``relation``,
-``errorless`` and ``schroedinger``) are compared bit for bit with the same
-formulas composed of one call per value."""
+that read a value another kernel already computed (``chain``, ``relation``
+and ``schroedinger``) are compared bit for bit with the same formulas
+composed of one call per value, and ``errorless``'s scale with a ``norm``
+call."""
 
 import instances
 import numpy as np
@@ -17,7 +18,6 @@ from measerr import local_context
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter
 from measerr.states import check_states, pure_states
-from measerr.tolerances import DEFAULT_TOL
 from test_kernels import rank_state
 
 TOL = 1e-12
@@ -87,17 +87,6 @@ def per_call_f_error(ctx, a, t, f):
     return [t.error, kernels.class_norm(t.pushforward - f, ctx.weights), np.sqrt(np.maximum(algebraic + cost, 0.0))]
 
 
-def per_call_errorless(ctx, a):
-    """``kernels.errorless`` with the scale ||A||_rho from its own ``norm`` call."""
-    scale = kernels.norm(a, ctx.rho)
-    threshold = DEFAULT_TOL.errorless * scale
-    t = kernels.transport(ctx, a)
-    residual = kernels.norm(a - t.roundtrip, ctx.rho)
-    norm_fwd, norm_back = kernels.class_norm(t.pushforward, ctx.weights), kernels.norm(t.roundtrip, ctx.rho)
-    drops = ((scale - norm_fwd) <= threshold) & ((scale - norm_back) <= threshold)
-    return [t.error**2 <= DEFAULT_TOL.errorless * scale**2, residual <= threshold, drops, t.error, residual, scale]
-
-
 def per_call_schroedinger(ctx, a, b, rel):
     """``kernels.schroedinger`` from ``std_dev``, ``anti`` and ``comm``."""
     sigma_a, sigma_b = kernels.std_dev(a, ctx.rho), kernels.std_dev(b, ctx.rho)
@@ -137,9 +126,10 @@ def assert_same_bits(got, expected):
 
 @pytest.mark.parametrize("dim,ancilla", CASES)
 def test_shared_values_are_the_per_call_values(dim, ancilla):
-    """chain, relation, errorless, schroedinger and f_error_split equal their
-    per-call formulas bit for bit, on a stacked block and on each of its
-    instances alone, on the induced measurement and on a trivial one."""
+    """chain, relation, schroedinger and f_error_split equal their per-call
+    formulas bit for bit, and errorless's scale a norm call, on a stacked
+    block and on each of its instances alone, on the induced measurement and
+    on a trivial one."""
     ctx, a, b, meter_h, joint, values = chain_arguments(7, dim, ancilla, range(4))
     p0 = np.random.default_rng(dim * ancilla).dirichlet(np.ones(3), 4)
     trivial = local_context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
@@ -157,8 +147,8 @@ def test_shared_values_are_the_per_call_values(dim, ancilla):
                 assert_same_bits(kernels.relation(c, x, y, sign_flip=flip), per_call_relation(c, x, y, flip))
             rel = kernels.relation(c, x, y)
             assert_same_bits(kernels.schroedinger(c, x, y, rel), per_call_schroedinger(c, x, y, rel))
-            assert_same_bits(kernels.errorless(c, x), per_call_errorless(c, x))
-            assert_same_bits(kernels.errorless(c, y), per_call_errorless(c, y))
+            for z in (x, y):
+                assert np.array_equal(kernels.errorless(c, z).scale, kernels.norm(z, c.rho))
 
 
 def scale(x):

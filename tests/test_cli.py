@@ -575,6 +575,14 @@ class TestUsageAndInternalErrors:
 _DROP = object()
 
 
+# A 400-digit integer, beyond a double, and the usage error it makes in a matrix.
+_HUGE, _HUGE_ENTRY = 10**400, "matrix entries must be numbers a double can hold"
+
+
+def _huge_matrix() -> list:
+    return [[[_HUGE, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
 def _z_effects(one) -> list:
     """The projective Z effects as JSON, with ``one`` as the top-left entry."""
     return [[[[one, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
@@ -596,6 +604,8 @@ class TestMalformedFiles:
             ("povm", None, "POVM JSON must be an object, got list"),
             ("povm", {"effects": 5}, "effects must be a JSON list, got int"),
             ("povm", {"values": [None, -1.0]}, "values must be numbers"),
+            ("povm", {"values": [_HUGE, -1.0]}, "outcome values must be finite"),
+            ("model", {"meter": _huge_matrix()}, _HUGE_ENTRY),
             ("state", {"re": 1.0}, "matrix JSON must be nested arrays of [re, im] pairs"),
             ("povm", {"effects": _z_effects("1")}, "matrix entries must be numbers"),
             ("povm", {"effects": _z_effects("1e0")}, "matrix entries must be numbers"),
@@ -610,7 +620,8 @@ class TestMalformedFiles:
         ],
         ids=[
             "system_dim-list", "system_dim-float", "model-list",
-            "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "state-object",
+            "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "values-huge", "meter-huge",
+            "state-object",
             "entry-str", "entry-str-exp", "entry-bool",
             "no-values", "no-labels", "no-effects",
             "no-system_dim", "no-ancilla_state", "no-interaction", "no-meter",
@@ -630,6 +641,17 @@ class TestMalformedFiles:
         path.write_text(json.dumps([data] if edit is None else edited))
         assert main(argv) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("flag", ["--state", "--obs-a"])
+    def test_matrix_entry_beyond_a_double_is_usage_error(self, flag, tmp_path, capsys):
+        """A matrix file holding an integer too large for a double is bad
+        input, exit 2, not an ``OverflowError`` (an internal error, exit 3)."""
+        path, povm = tmp_path / "matrix.json", tmp_path / "povm.json"
+        path.write_text(json.dumps(_huge_matrix()))
+        povm.write_text(json.dumps(unsharp_file()))
+        out = str(tmp_path / "o.csv")
+        assert main(["scan", "--family", "custom", "--povm", str(povm), flag, str(path), "--out", out]) == 2
+        assert capsys.readouterr().err.strip() == f"error: {_HUGE_ENTRY}"
 
 
 class TestParserReuse:

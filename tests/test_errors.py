@@ -14,10 +14,13 @@ from measerr import (
     local_context,
     noisy_projective,
     projective_from,
+    suites,
     trivial_measurement,
     unsharp_qubit,
 )
+from measerr.generate import complex_stack, ginibre_states, observable_matrices
 from measerr.states import check_effects, check_observables
+from measerr.tolerances import DEFAULT_TOL
 
 MIXED = mixed(2)
 
@@ -129,14 +132,25 @@ class TestMinimality:
         assert excess == pytest.approx(0.01, abs=1e-12)
 
 
+def bound_holds(e) -> bool:
+    """The exact bound r^2 <= eps^2 <= r (2m + r) of ``e`` holds up to the errorless suite's roundoff."""
+    return bool(np.all(e.violation <= suites._BOUND_ROUNDOFF * e.scale**2))
+
+
 class TestErrorless:
+    """Condition (a) decides whether a measurement is errorless, and the
+    exact bound r^2 <= eps^2 <= r (2m + r) ties it to the round trip (b) and
+    the norm chain (c) on every instance, errorless or not."""
+
     def test_own_basis_all_true(self):
-        conds = conditions(local_context(projective_from(Z)[1], MIXED), Z)
-        assert conds.cond_a and conds.cond_b and conds.cond_c
+        e = conditions(local_context(projective_from(Z)[1], MIXED), Z)
+        assert e.errorless and bound_holds(e)
+        assert e.roundtrip_residual <= 1e-12
 
     def test_transverse_all_false(self):
-        conds = conditions(local_context(projective_from(Z)[1], MIXED), X)
-        assert not (conds.cond_a or conds.cond_b or conds.cond_c)
+        e = conditions(local_context(projective_from(Z)[1], MIXED), X)
+        assert not e.errorless and bound_holds(e)
+        assert e.roundtrip_residual == pytest.approx(1.0, abs=1e-12)
 
     def test_state_local_equivalence(self):
         # measuring Z on an X eigenstate still reconstructs X over that
@@ -146,20 +160,36 @@ class TestErrorless:
         ctx = local_context(projective_from(Z)[1], plus)
         f = pushforward(ctx, X)
         assert np.allclose(f, 1.0, atol=1e-10)
-        conds = conditions(ctx, X)
-        assert conds.cond_a and conds.cond_b and conds.cond_c
+        e = conditions(ctx, X)
+        assert e.errorless and bound_holds(e)
+        assert e.roundtrip_residual <= 1e-10
 
     def test_agreement_on_random_sweep(self):
+        """The bound holds on random POVMs, which are not errorless, and on
+        the noisy projective measurement E = (1 - lam) P + lam I/n of a d = 3
+        observable for lam = 0 and log-spaced lam in [1e-12, 1]: among them
+        lam near 4e-8, where (a) holds while r exceeds tau ||A||_rho, so
+        that no threshold on r agrees with (a) there."""
         for seed in range(30):
             ctx, a, _ = random_ctx(2 + seed % 3, 400 + seed)
-            conds = conditions(ctx, a)
-            assert conds.cond_a == conds.cond_b == conds.cond_c
+            e = conditions(ctx, a)
+            assert not e.errorless and bound_holds(e)
+        rng = np.random.default_rng(11)
+        z = complex_stack(rng.standard_normal((2, 2, 3, 3)))
+        rho, a = ginibre_states(z[0]), observable_matrices(z[1])
+        lam = np.concatenate([[0.0], np.logspace(-12, 0, 2001)])[:, None, None, None]
+        projectors = projective_from(a)[1]
+        effects = (1.0 - lam) * projectors + lam * np.eye(3) / len(projectors)
+        e = conditions(local_context(effects, np.broadcast_to(rho, (len(lam), 3, 3))), a)
+        assert bound_holds(e)
+        window = e.errorless & (e.roundtrip_residual > DEFAULT_TOL.errorless * e.scale)
+        assert window.any() and (lam[window] >= 1e-8).all() and (lam[window] <= 1e-7).all()
 
     @pytest.mark.parametrize("dim", [2, 5, 8])
     def test_conditions_share_one_order_of_smallness(self, dim):
         # E_1 = P_1 + mu P_2, E_2 = (1 - mu) P_2 sits at distance mu from the
-        # projective measurement of A = P_1 - 2 P_2: eps is O(sqrt(mu)), the
-        # residual of (b) and the drops of (c) are O(mu)
+        # projective measurement of A = P_1 - 2 P_2: eps is O(sqrt(mu)), so
+        # (a) compares eps^2, and the bound holds at every mu
         rng = np.random.default_rng(dim)
         u = instances.haar_unitary(rng, dim)
         cols = u[:, : dim // 2]
@@ -171,8 +201,8 @@ class TestErrorless:
         for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
                               (1e-5, False), (1e-4, False), (1e-2, False)]:
             effects = check_effects(np.array([p1 + mu * p2, (1.0 - mu) * p2]))
-            conds = conditions(local_context(effects, rho), a)
-            assert (conds.cond_a, conds.cond_b, conds.cond_c) == (errorless,) * 3, (mu, conds)
+            e = conditions(local_context(effects, rho), a)
+            assert e.errorless == errorless and bound_holds(e), (mu, e)
 
 
 @settings(max_examples=30, deadline=None)
@@ -200,15 +230,20 @@ def test_subadditivity(seed):
 @given(dim=st.integers(2, 8), outcomes=st.integers(2, 6), pure=st.booleans(), lam=st.floats(0.0, 1.0),
        seed=st.integers(0, 10**6))
 def test_roundtrip_residual_is_at_most_the_error(dim, outcomes, pure, lam, seed):
-    """r^2 = eps^2 - (||f_A||_p^2 - ||roundtrip(A)||_rho^2) <= eps^2 for the
-    residual r of errorless condition (b), up to roundoff of scale^2, on a
-    random POVM and on the noisy projective measurement of A.  r is not
-    O(mu) in general: it ranges from about eps^2 / scale to about eps."""
+    """r^2 <= eps^2 <= r (2m + r) for the residual r of errorless condition
+    (b) and m = ||roundtrip(A)||_rho, up to roundoff of scale^2, on a random
+    POVM and on the noisy projective measurement of A.  The lower side is
+    r^2 = eps^2 - (||f_A||_p^2 - m^2) with contractivity, the upper side
+    scale <= m + r.  r is not O(mu) in general: it ranges from about
+    eps^2 / scale to about eps."""
     rng = np.random.default_rng(seed)
     rho, a = instances.state(rng, dim, pure=pure), instances.observable(rng, dim)
     for effects in (instances.povm(rng, dim, outcomes), noisy_projective(a, lam)):
-        e = conditions(local_context(effects, rho), a)
-        assert e.roundtrip_residual**2 <= e.error**2 + 1e-13 * e.scale**2
+        ctx = local_context(effects, rho)
+        e = conditions(ctx, a)
+        r, m = e.roundtrip_residual, kernels.norm(kernels.transport(ctx, a).roundtrip, rho)
+        assert r**2 <= e.error**2 + 1e-13 * e.scale**2
+        assert e.error**2 <= r * (2.0 * m + r) + 1e-13 * e.scale**2
 
 
 def test_trivial_measurement_reduces_to_standard_deviation():

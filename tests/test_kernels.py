@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from measerr import kernels
+from measerr import kernels, suites
 from measerr.generate import ginibre_states, haar_unitaries, observable_matrices
 from measerr.states import check_effects, check_states, check_weights, pure_states
 from measerr.transport import local_context
@@ -191,7 +191,8 @@ def test_projective_measurements_of_large_observables(size):
         ctx = local_context(projectors, rho)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, values + size)
-        assert (t.error**2 <= DEFAULT_TOL.errorless * t.norm**2).all()
+        e = kernels.errorless(ctx, a)
+        assert e.errorless.all() and (e.violation <= suites._BOUND_ROUNDOFF * e.scale**2).all()
         assert np.allclose(split.f_error, size, rtol=1e-12, atol=0.0)
 
 
@@ -207,12 +208,13 @@ def test_errorless_conditions(dim, seed):
             rt = oracles.adjoint_brute(effects, fwd)
             norm_a = brute_norm(a_i, rho)
             eps = oracles.quantum_error_brute(effects, rho, a_i)
-            residual = brute_norm(a_i - rt, rho)
+            residual, back = brute_norm(a_i - rt, rho), brute_norm(rt, rho)
+            violation = max(residual**2 - eps**2, eps**2 - residual * (2.0 * back + residual))
             assert abs(e.scale[i] - norm_a) <= TOL * scale(a_i)
             assert abs(e.roundtrip_residual[i] - residual) <= TOL * scale(a_i)
-            assert e.cond_b[i] == (residual <= DEFAULT_TOL.errorless * norm_a) == is_exact
-            assert e.cond_a[i] == is_exact and e.cond_c[i] == is_exact
-            assert (e.error[i] ** 2 <= DEFAULT_TOL.errorless * norm_a**2) == is_exact
+            assert abs(e.violation[i] - violation) <= TOL * scale(a_i) ** 2
+            assert e.violation[i] <= suites._BOUND_ROUNDOFF * norm_a**2
+            assert e.errorless[i] == (eps**2 <= DEFAULT_TOL.errorless * norm_a**2) == is_exact
             if not is_exact:
                 assert abs(e.error[i] - eps) <= TOL * scale(a_i)
 
@@ -387,4 +389,5 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
         assert np.max(np.abs(projectors[k, :m] - np.array(exact[k]))) <= TOL * dim
         assert np.all(projectors[k, m:] == 0.0)
         check_relation(exact[k], rho[k], a[k], b[k], rel_projective, k)
-        assert errorless.cond_a[k] and errorless.cond_b[k] and errorless.cond_c[k]
+        assert errorless.errorless[k]
+        assert errorless.violation[k] <= suites._BOUND_ROUNDOFF * errorless.scale[k] ** 2

@@ -35,7 +35,7 @@ commutator = kernels.comm
 
 
 def errorless_a(ctx, a):
-    return kernels.errorless(ctx, a).cond_a
+    return kernels.errorless(ctx, a).errorless
 
 
 def random_setup(dim, seed, mixedness="ginibre"):

@@ -519,18 +519,31 @@ def test_chain_failure_names_the_model():
 
 def test_errorless_failure_lists_the_conditions(monkeypatch):
     """An errorless-equivalence failure reads "<what> at dim=<d> i=<i>: "
-    followed by the six fields of the instance's conditions as Python
-    scalars."""
+    followed by the five fields of the instance's ``kernels.Errorless`` as
+    Python scalars."""
     monkeypatch.setattr(kernels, "DEFAULT_TOL", replace(kernels.DEFAULT_TOL, errorless=0.0))
     [out] = run("errorless-equivalence", (2, 3), 4, seed=6)
     assert out.failures > 0 and out.messages
-    flag, number = r"(True|False)", r"(-?[0-9][0-9.e+-]*|nan|inf)"
-    fields = ", ".join(
-        [f"cond_{c}={flag}" for c in "abc"] + [f"{name}={number}" for name in ("error", "roundtrip_residual", "scale")]
-    )
+    number = r"(-?[0-9][0-9.e+-]*|nan|inf)"
+    numbers = [f"{name}={number}" for name in ("violation", "error", "roundtrip_residual", "scale")]
+    fields = ", ".join(["errorless=(True|False)", *numbers])
     for message in out.messages:
         assert re.fullmatch(rf"[a-z ]+ at dim=[23] i=[0-3]: .*?{fields}\)?", message), message
         assert "np." not in message
+
+
+def test_errorless_bound_holds_between_the_thresholds():
+    """Instance 31 at dim 2 of seed 2608764119 is errorless by (a), eps^2 <=
+    tau ||A||_rho^2, while its round-trip residual r exceeds tau ||A||_rho,
+    so no threshold on r agrees with (a) there; the exact bound r^2 <= eps^2
+    <= r (2m + r) holds on it, and the suite passes."""
+    [out] = run("errorless-equivalence", (2,), 32, seed=2608764119)
+    assert (out.checks, out.failures) == (6 * 32, 0)
+    cols = draw_block(2608764119, "errorless-equivalence", 2, range(31, 32))
+    ctx, a, _ = suites._instances(cols)
+    e = kernels.errorless(ctx, a)
+    assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
+    assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2
 
 
 def summaries(results) -> list:
