@@ -22,6 +22,8 @@ from .tolerances import DEFAULT_TOL
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+# The kernels' products are of degree two or less in an observable's entries, so they stay below 1e154.
+MAX_OBSERVABLE_ENTRY = np.finfo(float).max ** 0.25
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
@@ -37,8 +39,10 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
 
 
 def check_observables(stack: np.ndarray) -> np.ndarray:
-    """Validate observables, one ``(d, d)`` matrix or a stack: finite and Hermitian.  Returns them."""
+    """Validate observables, one ``(d, d)`` matrix or a stack: finite, at most ``MAX_OBSERVABLE_ENTRY``, Hermitian."""
     _check_finite(stack, "matrix")
+    if np.abs(stack).max(initial=0.0) > MAX_OBSERVABLE_ENTRY:
+        raise ValueError(f"observable entries must be at most {MAX_OBSERVABLE_ENTRY:.3e} in magnitude")
     _check_hermitian(stack, "observable")
     return stack
 

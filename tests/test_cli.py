@@ -1,9 +1,11 @@
 """Command-line contract: exit codes, CSV scans, demos, JSON manifests."""
 
 import argparse
+import ctypes
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,11 +16,13 @@ import pytest
 
 import instances
 import measerr
-from measerr import kernels
+from measerr import cli, kernels
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
 from measerr.serialize import format_float, json_text, load_model, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import chain_check, cnot_model
 from measerr.measurement import unsharp_qubit
+from measerr.states import MAX_OBSERVABLE_ENTRY
+from measerr.suites import run_verify
 
 
 def unsharp_file() -> dict:
@@ -188,15 +192,15 @@ class TestScan:
         assert main([*argv, "--json", str(report)]) == 0
         assert json.loads(report.read_text())["manifest"]["instances"] == 1
 
-    def test_non_finite_relation_fails(self, tmp_path):
+    def test_non_finite_relation_fails(self, monkeypatch, tmp_path):
         """Finite entries whose products overflow give a NaN relation row,
-        and the row fails as a NaN residual fails a suite check."""
-        big = tmp_path / "big.json"
-        big.write_text(json_text(matrix_to_json(np.diag([1e200, -1e200]))))
+        and the row fails as a NaN residual fails a suite check.  The loader
+        rejects such entries, so the matrix is handed in past it."""
+        monkeypatch.setattr("measerr.cli.load_observable", lambda path: np.diag([1e200, -1e200]).astype(complex))
         povm = tmp_path / "povm.json"
         povm.write_text(json_text(unsharp_file()))
         out, report = tmp_path / "c.csv", tmp_path / "scan.json"
-        argv = ["scan", "--family", "custom", "--povm", str(povm), "--obs-a", str(big), "--obs-b", str(big)]
+        argv = ["scan", "--family", "custom", "--povm", str(povm), "--obs-a", "A", "--obs-b", "B"]
         with np.errstate(all="ignore"):
             assert main([*argv, "--out", str(out), "--json", str(report)]) == 1
         assert out.read_text().splitlines()[1].split(",")[8] == "nan"
@@ -652,6 +656,85 @@ class TestMalformedFiles:
         out = str(tmp_path / "o.csv")
         assert main(["scan", "--family", "custom", "--povm", str(povm), flag, str(path), "--out", out]) == 2
         assert capsys.readouterr().err.strip() == f"error: {_HUGE_ENTRY}"
+
+    @pytest.mark.parametrize("flag", ["--obs-a", "--obs-b", "--model"])
+    def test_entry_whose_square_overflows_is_usage_error(self, flag, tmp_path, capsys):
+        """An observable or meter entry of 1e200 is finite, but its square is
+        not: exit 2 at the loader, not a nan scan row (exit 1) or an infinite
+        chain that holds (exit 0)."""
+        path, povm, out = tmp_path / "input.json", tmp_path / "povm.json", str(tmp_path / "o.csv")
+        if flag == "--model":
+            xi, u, _ = cnot_model()
+            path.write_text(json_text(model_to_json(xi, u, np.diag([1e200, -1.0]))))
+            argv = ["chain", "--model", str(path)]
+        else:
+            path.write_text(json_text(matrix_to_json(np.diag([1e200, 1.0]))))
+            povm.write_text(json_text(unsharp_file()))
+            argv = ["scan", "--family", "custom", "--povm", str(povm), flag, str(path), "--out", out]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: observable entries must be at most {MAX_OBSERVABLE_ENTRY:.3e} in magnitude\n"
+
+    def test_largest_admitted_entry_runs(self, tmp_path, capsys):
+        """Observables and a meter whose largest entry is ``MAX_OBSERVABLE_ENTRY``
+        run with every value finite, warnings being errors."""
+        rng = np.random.default_rng(5)
+        argv = ["scan", "--family", "custom", "--povm", str(tmp_path / "povm.json")]
+        (tmp_path / "povm.json").write_text(json_text(unsharp_file()))
+        for flag in ("obs-a", "obs-b"):
+            x = instances.observable(rng, 2)
+            (tmp_path / f"{flag}.json").write_text(json_text(matrix_to_json(x * (MAX_OBSERVABLE_ENTRY / np.abs(x).max()))))
+            argv += [f"--{flag}", str(tmp_path / f"{flag}.json")]
+        assert main([*argv, "--out", str(tmp_path / "c.csv")]) == 0, capsys.readouterr().err
+        assert len(_finite_rows(tmp_path / "c.csv")) == 1
+        xi, u, meter = cnot_model()
+        (tmp_path / "model.json").write_text(json_text(model_to_json(xi, u, meter * MAX_OBSERVABLE_ENTRY)))
+        assert main(["chain", "--model", str(tmp_path / "model.json")]) == 0, capsys.readouterr().err
+        assert "chain holds: True" in capsys.readouterr().out
+
+
+def _without_wall_time(text: str) -> str:
+    """Stdout of a command with the manifest's ``wall_time_s`` value dropped."""
+    return re.sub(r'"wall_time_s": \S+', '"wall_time_s"', text)
+
+
+class TestAllocatorSetting:
+    """``main`` has glibc keep freed heap for reuse, once per process, and
+    does nothing where ``mallopt`` cannot be reached; library calls leave
+    the allocator alone."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self):
+        """Each test starts, and leaves, as a process whose ``main`` has not run."""
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    def test_mallopt_is_called_once_by_main_alone(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=lambda *args: calls.append((name, *args))))
+        run_verify((2,), 1, 0, 1e-9)
+        assert calls == []
+        assert main(["demo", "naive-violation"]) == 0 and main(["demo", "naive-violation"]) == 0
+        assert calls == [(None, -2, cli._KEPT_HEAP_BYTES)]  # -2 is glibc's M_TOP_PAD
+
+    @pytest.mark.parametrize("library", [OSError, TypeError, object], ids=["oserror", "typeerror", "no-mallopt"])
+    def test_without_mallopt_main_runs_as_before(self, library, monkeypatch, capsys):
+        """``ctypes.CDLL(None)`` raises ``OSError`` or ``TypeError`` (Windows),
+        or holds no ``mallopt`` (macOS)."""
+        assert main(["demo", "naive-violation"]) == 0
+        expected = _without_wall_time(capsys.readouterr().out)
+
+        def library_of(name):
+            if library is object:
+                return object()
+            raise library("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", library_of)
+        cli._keep_freed_heap.cache_clear()
+        assert main(["demo", "naive-violation"]) == 0
+        assert _without_wall_time(capsys.readouterr().out) == expected
 
 
 class TestParserReuse:
