@@ -22,9 +22,9 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .generate import RNG_ALGORITHM, complex_stack, ginibre_states, observable_matrices
+from .generate import RNG_ALGORITHM, complex_stack, ginibre_states
 from .indirect import chain_check, cnot_model
-from .kernels import relation_allowance
+from .kernels import hermitian_part, relation_allowance
 from .measurement import noisy_projective, projective_from, unsharp_qubit
 from .relations import evaluate_relation, schroedinger_reduction
 from .serialize import (
@@ -317,7 +317,7 @@ def cmd_chain(args) -> int:
         dims, instances = (dim,), 1
         # a Ginibre state, then A, then B: each its real block, then its imaginary block
         draws = complex_stack(np.random.default_rng(args.seed).standard_normal((3, 2, dim, dim)))
-        a, b = observable_matrices(draws[1:])
+        a, b = hermitian_part(draws[1:])
         _, report = chain_check(xi, u, meter, ginibre_states(draws[0]), a, b, args.tolerance)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")
         holds = report.holds.all()

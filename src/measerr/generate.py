@@ -1,24 +1,19 @@
 """Stacked generators for random states, observables, POVMs and models.
 
 All randomness flows through an explicit numpy Generator (PCG64 under
-``default_rng``); nothing touches global state.  The sweeps hash stream keys
-in batches to the seed states ``default_rng`` derives
-(``suites._seed_states``), and each instance draws its complex Gaussian
-arrays from its own stream, in draw order, each array (each POVM factor) as
-its real block, then its imaginary block.  The functions here turn a stack
-of such draws into matrices at once: ``complex_stack`` pairs the blocks,
-and ``povm_effects``, ``ginibre_states``, ``observable_matrices`` and
-``haar_unitaries`` build from the result matrices that are Hermitian,
-positive or unitary by construction, which the callers pass on unvalidated
-(``test_generated_arrays_are_valid_by_construction`` pins that).  A verify
-block draws into the rows of one buffer and cuts its arrays out by one
-gather, a pure row's window shifted so that every array after the state
-lies at one offset (``suites._draw_block``); a chain block draws into one
-it reads as fixed-offset views (``suites._chain_models``), and
-``chain --model`` draws its state and two observables by one call.  Every
-instance is drawn in one pass: effects whitened from ill-conditioned
-factors, the one output a correct generator can spoil, are rejected by
-``povm_effects``' own guard, not drawn again.
+``default_rng``); nothing touches global state.  A sweep block draws each
+of its complex Gaussian arrays for all its instances by one ``standard_normal`` call on a
+stream of its own (``suites._sweep``), each instance's row its real block,
+then its imaginary block.  The functions here turn a stack of such draws
+into matrices at once: ``complex_stack`` pairs the blocks, and
+``povm_effects``, ``ginibre_states`` and ``haar_unitaries`` (with
+``kernels.hermitian_part`` for observables) build from the result matrices
+that are Hermitian, positive or unitary by construction, which the callers
+pass on unvalidated (``test_generated_arrays_are_valid_by_construction``
+pins that).  ``chain --model`` draws its state and two observables by one
+call.  Every instance is drawn in one pass: effects whitened from
+ill-conditioned factors, the one output a correct generator can spoil, are
+rejected by ``povm_effects``' own guard, not drawn again.
 """
 
 from __future__ import annotations
@@ -66,18 +61,13 @@ def povm_effects(factors: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         inv_sqrt = (v / np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     y = (f @ inv_sqrt).reshape(factors.shape)
-    return check_completeness(observable_matrices(y.conj().swapaxes(-1, -2) @ y))
+    return check_completeness(kernels.hermitian_part(y.conj().swapaxes(-1, -2) @ y))
 
 
 def ginibre_states(g: np.ndarray) -> np.ndarray:
     """G G^dag / Tr[G G^dag], symmetrized, for one Ginibre draw ``(d, d)`` or a stack."""
-    mat = observable_matrices(g @ g.conj().swapaxes(-1, -2))
+    mat = kernels.hermitian_part(g @ g.conj().swapaxes(-1, -2))
     return mat / np.trace(mat, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def observable_matrices(draws: np.ndarray) -> np.ndarray:
-    """Hermitian parts (G + G^dag)/2 of one matrix or a stack (of Gaussian draws: observables)."""
-    return kernels.hermitian_part(draws)
 
 
 def diagonal_meter(ancilla_dim: int) -> np.ndarray:

@@ -1,22 +1,25 @@
 """Randomized property suites behind the ``verify`` command.
 
 Each suite sweeps seeded random instances and records how many checks ran,
-how many failed, and the worst residual seen.  Instance randomness is
-derived per (suite, dim, index), so results are independent of execution
-order and stable across runs with the same seed.
+how many failed, and the worst residual seen.
 
 The suites work on stacks: the instances of one dimension (of one
 (dimension, ancilla) pair for ``ozawa-chain``) are taken in blocks of at
-most ``_BLOCK``; each instance is drawn from its own stream, in index order,
-then the whole block is built and checked with the stacked formulas of
-``kernels``.  The drawn states, observables, unitaries and POVMs, the
-measurements built from them and their Born weights (``kernels.born`` clips
-them) are valid by construction and are not validated again
-(``povm_effects`` guards its own whitening).  The verify suites are the
-rows of one table, ``_SUITES``: each row's draws as data (a layout, an
-outcome range, a pure-state coin and uniform fields), which ``_draw_block``
-draws in one loop and cuts apart in one gather, and a checks function.
-One driver, ``_run``, sweeps the table; ``suite_ozawa_chain``, keyed by
+most ``_BLOCK``, and the whole block is drawn, built and checked with the
+stacked formulas of ``kernels``.  A block draws each of its arrays for all
+its instances by one numpy call on a stream of its own,
+``default_rng([seed % 2**63, stream, *key, block, j])``, j the array's
+place in the suite's draw order (``_sweep``).  numpy fills an array row by
+row, so instance i is row i % ``_BLOCK`` of its block's streams whatever
+``--n`` is: results are independent of ``--n`` and of execution order,
+and an instance can be drawn again from (suite, key, index, seed) alone.
+The drawn states, observables, unitaries and POVMs, the measurements built
+from them and their Born weights (``kernels.born`` clips them) are valid
+by construction and are not validated again (``povm_effects`` guards its
+own whitening).  The verify suites are the rows of one table, ``_SUITES``:
+each row's draws as data (a layout, an outcome range, a pure-state coin and
+uniform fields), which ``_draw_block`` draws, and a checks function.  One
+driver, ``_run``, sweeps the table; ``suite_ozawa_chain``, keyed by
 (dimension, ancilla) pairs, sweeps its own models.
 """
 
@@ -25,20 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate, islice
+from itertools import count
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 from . import kernels
-from .generate import (
-    complex_stack,
-    diagonal_meter,
-    ginibre_states,
-    haar_unitaries,
-    observable_matrices,
-    povm_effects,
-)
+from .generate import complex_stack, diagonal_meter, ginibre_states, haar_unitaries, povm_effects
 from .indirect import chain_check
 from .measurement import projective_from
 from .relations import schroedinger_reduction
@@ -110,204 +105,93 @@ class SuiteResult:
         }
 
 
-# Largest number of instances checked as one stack, and of blocks whose
-# streams are seeded by one hash pass.
-_BLOCK, _BATCH = 128, 8
+# Largest number of instances checked as one stack, and drawn from one stream per array.
+_BLOCK = 128
 
 
-def _seed_words(seed: int) -> tuple[int, ...]:
-    """The little-endian 32-bit words of ``seed % 2**63``: two from 2**32 on."""
-    low, high = seed % 2**32, seed % 2**63 >> 32
-    return (low, high) if high else (low,)
-
-
-# numpy's SeedSequence constants (pool of 4 words); a hash constant steps by one product per use.
-_POOL_HASH, _OUT_HASH = (np.array([c * pow(m, j, 2**32) % 2**32 for j in range(k)], dtype=np.uint32)[:, None]
-                         for c, m, k in ((0x43B0D7E5, 0x931E8875, 33), (0x8B51F9DD, 0x58F38DED, 9)))
-_MIX_L, _MIX_R, _SHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
-
-
-def _hash(value: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Hash ``value`` with each consecutive pair of ``table``: one row per pair."""
-    value = (value ^ table[:-1]) * table[1:]
-    return value ^ value >> _SHIFT
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = _MIX_L * x - _MIX_R * y
-    return out ^ out >> _SHIFT
-
-
-def _seed_states(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence(key).generate_state(4, np.uint64)`` for each key of 4 to
-    8 uint32 words, the keys as the columns of ``words`` (one row per word):
-    each hash step acts on a pool row of all the keys at once.  Operands
-    stay arrays, where uint32 wrap-around is silent."""
-    pool = _hash(words[:4], _POOL_HASH[:5])
-    for src, others in enumerate(([1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2])):
-        pool[others] = _mix(pool[others], _hash(pool[src], _POOL_HASH[4 + 3 * src : 8 + 3 * src]))
-    for k, word in enumerate(words[4:]):
-        pool = _mix(pool, _hash(word, _POOL_HASH[16 + 4 * k : 21 + 4 * k]))
-    out = _hash(np.tile(pool, (2, 1)), _OUT_HASH)
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """A row of ``_seed_states``: all ``PCG64`` asks of its seed sequence."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
-        return self.state
-
-
-def _generator(state: np.ndarray) -> np.random.Generator:
-    """The generator ``default_rng`` makes of the key of a seed state row."""
-    return np.random.Generator(np.random.PCG64(_SeedState(state)))
-
-
-def _stream_states(seed: int, suite: str, parts) -> np.ndarray:
-    """The seed states of the streams keyed by the rows of ``parts`` (each
-    entry below 2**32), those numpy derives from ``[seed % 2**63, stream, *row]``."""
-    parts = np.asarray(parts, dtype=np.uint32).T
-    head = np.array((*_seed_words(seed), _SUITE_STREAM[suite]), dtype=np.uint32)[:, None]
-    return _seed_states(np.vstack([np.repeat(head, parts.shape[1], axis=1), parts]))
-
-
-def _rng(seed: int, suite: str, *parts: int) -> np.random.Generator:
-    """The stream of one instance: ``default_rng([seed % 2**63, stream, *parts])``."""
-    return _generator(_stream_states(seed, suite, [parts])[0])
+def _streams(*key: int):
+    """The generators ``default_rng([*key, j])`` for j = 0, 1, ...: one per
+    array of a block, in draw order."""
+    return (np.random.default_rng([*key, j]) for j in count())
 
 
 def _sweep(seed: int, suite: str, keys, n: int):
-    """(key, block, states) for every key (a dim, or a (dim, ancilla) pair),
+    """(key, block, streams) for every key (a dim, or a (dim, ancilla) pair),
     with its n instance indices in consecutive blocks of at most ``_BLOCK``,
-    so the stacked arrays of a suite stay small whatever n is, and the seed
-    states of the blocks' streams, keyed (*key, index).  The states are
-    hashed in one pass per ``_BATCH`` consecutive blocks, as the blocks are
-    reached, so a suite's memory stays bounded too."""
-    blocks = ((key, range(lo, min(lo + _BLOCK, n))) for key in keys for lo in range(0, n, _BLOCK))
-    while batch := list(islice(blocks, _BATCH)):
-        sizes = [len(block) for _, block in batch]
-        index = np.concatenate([np.arange(block.start, block.stop) for _, block in batch])
-        states = _stream_states(seed, suite, np.column_stack([np.repeat([key for key, _ in batch], sizes, axis=0), index]))
-        for (key, block), end in zip(batch, accumulate(sizes)):
-            yield key, block, states[end - len(block) : end]
+    so the stacked arrays of a suite stay small whatever n is.  Block
+    lo // ``_BLOCK`` of a key draws its j-th array from
+    ``default_rng([seed % 2**63, stream, *key, lo // _BLOCK, j])``."""
+    for key in keys:
+        for lo in range(0, n, _BLOCK):
+            streams = _streams(seed % 2**63, _SUITE_STREAM[suite], *np.ravel(key).tolist(), lo // _BLOCK)
+            yield key, range(lo, min(lo + _BLOCK, n)), streams
 
 
-# Most outcomes, and most complex Gaussian (d, d) arrays, of one verify instance.
-_OUTCOMES, _MATRICES = 6, 10
+def _gaussians(rng: np.random.Generator, m: int, *shape: int) -> np.ndarray:
+    """m complex Gaussian arrays of ``shape`` by one call: each row's real
+    block, then its imaginary block."""
+    return complex_stack(rng.standard_normal((m, 2, *shape)), axis=-1 - len(shape))
 
-# The fixed layouts of verify instances: after the POVM factors, each complex
+
+# Most outcomes of a verify POVM, and of the trivial measurement.
+_OUTCOMES, _WEIGHTS = 6, 4
+
+# The fixed layouts of verify instances: after the POVM, each complex
 # Gaussian array in draw order as (name, rank), rank 2 a (d, d) matrix and
-# rank 1 a (d,) ket; "rho" names are states.  The pure-state coin, where a
-# suite tosses it, makes the first array a ket.
+# rank 1 a (d,) ket; "rho" names are states, the others observables.  The
+# pure-state coin, where a suite tosses it, makes the first array a ket.
 _INSTANCE = (("rho", 2), ("a", 2), ("b", 2))
 _AFFINE = (("rho1", 2), ("rho2", 1))
 _ERRORLESS = _INSTANCE + (("rho2", 2),)
 
-# The range of the trivial measurement's outcome count, drawn after its Gaussians.
-_WEIGHTS = (1, 5)
 
-
-def _integer(raw, low: int, high: int) -> int:
-    """numpy's ``integers(low, high)`` (1 < high - low < 2**32) as a
-    generator's first 32-bit draw, read from its raw outputs ``raw()``:
-    Lemire's multiply-shift on each 32-bit half of an output, low half
-    first, taking the next half while the product's low word is below
-    2**32 mod (high - low).  An unused high half, which numpy keeps for the
-    generator's next 32-bit draw, is dropped: no later draw takes one."""
-    span = high - low
-    while True:
-        x = raw()
-        for half in (x & 0xFFFFFFFF, x >> 32):
-            m = half * span
-            if m & 0xFFFFFFFF >= 2**32 % span:
-                return low + (m >> 32)
-
-
-def _states(z: np.ndarray, dim: int, rank: int) -> np.ndarray:
-    """The states of raw draws ``z`` (one row each): kets as their
-    projectors, (d, d) draws as normalized Ginibre matrices."""
-    z = complex_stack(z.reshape(len(z), 2, *(dim,) * rank), axis=-1 - rank)
-    return pure_states(z) if rank == 1 else ginibre_states(z)
-
-
-def _draw_block(states: np.ndarray, dim: int, layout, outcomes, coin: bool, fields) -> dict:
-    """The columns of a block of verify instances, each drawn once from the
-    stream of its seed state in ``states``: with a POVM of ``integers(*outcomes)``
-    outcomes (none when ``outcomes`` is None), a pure (30%) or Ginibre state
-    when ``coin``, the arrays of ``layout``, then the uniforms of ``fields``,
-    each (name, (lo, hi), per_outcome): one number, or one per outcome.
-    Without a POVM the trivial measurement's weights come last (``_WEIGHTS``).
-
-    The outcome count is read from raw outputs (``_integer``) and the coin is
-    numpy's ``random() < 0.3``, (x >> 11) 2**-53 of the next raw output x,
-    so every draw is the plain call's (``oracles.verify_draws``).  Row k of
-    ``buffer`` takes instance k's complex Gaussians by one call, each array
-    its real block, then its imaginary block; row k of ``uniform`` its
-    uniform doubles by one call, field after field, or its weights as
-    standard exponentials.  The columns read the uniforms as lo + (hi - lo) u,
-    numpy's ``uniform(lo, hi)``, the weights times the reciprocal of their
-    sum, numpy's ``dirichlet`` of ones, and rows over outcomes zero-padded to
-    the widest drawn, the POVM factors whitened among them (a block whose
-    factors do not whiten raises, ``povm_effects``).  One gather cuts the
-    layout's arrays out of ``buffer``: a pure row's window starts 2 d^2 - 2 d
-    doubles early, so its ket fills the end of the state's (d, d) slot and
-    every later array lies at one offset in all rows."""
-    n, size, shift = len(states), 2 * dim * dim, 2 * dim * dim - 2 * dim
-    buffer, width = np.empty((n, _MATRICES * size)), sum(2 * dim**rank for _, rank in layout)
-    per_outcome = sum(per for *_, per in fields)
-    # a field takes at most _OUTCOMES doubles, as do the weights
-    uniform = np.zeros((n, _OUTCOMES * max(len(fields), 1)))
-    counts, pures, weights = [0] * n, [False] * n, []
-    for k, state in enumerate(states):
-        rng = _generator(state)
-        raw = rng.bit_generator.random_raw
-        counts[k] = count = _integer(raw, *outcomes) if outcomes else 0
-        pures[k] = pure = coin and (raw() >> 11) * 2**-53 < 0.3
-        rng.standard_normal(out=buffer[k, : size * count + width - shift * pure])
-        if fields:
-            rng.random(out=uniform[k, : len(fields) + per_outcome * (count - 1)])
-        elif not outcomes:
-            weights.append(_integer(raw, *_WEIGHTS))
-            rng.standard_exponential(out=uniform[k, : weights[-1]])
-
-    count, pure, cols = np.array(counts), np.array(pures), {}
-    index, top = np.arange(n), count.max()
-    padding, start = np.arange(top) >= count[:, None], np.zeros(n, dtype=int)
-    for name, (lo, hi), per in fields:
-        if per:
-            cols[name] = lo + (hi - lo) * uniform[index[:, None], start[:, None] + np.arange(top)]
-            cols[name][padding] = 0.0
-        else:
-            cols[name] = lo + (hi - lo) * uniform[index, start]
-        start = start + (count if per else 1)
-    if weights:
-        col = uniform[:, : max(weights)]
-        cols["p0"] = col * (1.0 / col.sum(axis=1))[:, None]
-    if top:
-        povm = complex_stack(buffer[:, : top * size].reshape(n, top, 2, dim, dim))
-        povm[padding] = 0.0
-        cols["povm"] = povm_effects(povm)
-    window, at = buffer[index[:, None], (size * count - shift * pure)[:, None] + np.arange(width)], 0
+def _draw_block(streams, m: int, dim: int, layout, outcomes, coin: bool, fields) -> dict:
+    """The columns of a block of m verify instances.  Each array is drawn
+    for all of them by one call on the next of ``streams``, in this order:
+    the POVM's outcome counts ``integers(*outcomes)`` and its ``_OUTCOMES``
+    factors (none when ``outcomes`` is None), the pure-state coins
+    ``random() < 0.3`` when ``coin``, the Gaussians of the arrays of
+    ``layout``, then the uniforms of ``fields``, each (name, (lo, hi),
+    per_outcome): one number, or ``_OUTCOMES``.  Without a POVM the trivial
+    measurement's weights come last: counts ``integers(1, _WEIGHTS + 1)``,
+    then ``_WEIGHTS`` standard exponentials, each row times the reciprocal
+    of its sum.  Factors, uniforms and weights past an instance's count are
+    zero.  A state is a normalized Ginibre matrix or, on a pure row, the
+    projector of its draw's first row; every other array is the Hermitian
+    part of its draw.  The factors are whitened (a block whose factors do
+    not whiten raises, ``povm_effects``)."""
+    cols = {}
+    if outcomes:
+        padding = np.arange(_OUTCOMES) >= next(streams).integers(*outcomes, m)[:, None]
+        factors = _gaussians(next(streams), m, _OUTCOMES, dim, dim)
+        factors[padding] = 0.0
+        cols["povm"] = povm_effects(factors)
+    pure = next(streams).random(m) < 0.3 if coin else None
     for j, (name, rank) in enumerate(layout):
-        z, at = window[:, at : at + 2 * dim**rank], at + 2 * dim**rank
-        if coin and j == 0:
-            cols[name] = np.empty((n, dim, dim), complex)
-            cols[name][pure] = _states(z[pure, shift:], dim, 1)
-            cols[name][~pure] = _states(z[~pure], dim, 2)
-        elif name.startswith("rho"):
-            cols[name] = _states(z, dim, rank)
+        z = _gaussians(next(streams), m, *(dim,) * rank)
+        if not name.startswith("rho"):
+            cols[name] = kernels.hermitian_part(z)
+        elif rank == 1:
+            cols[name] = pure_states(z)
         else:
-            cols[name] = complex_stack(z.reshape(n, 2, dim, dim))
+            cols[name] = ginibre_states(z)
+            if coin and j == 0:
+                cols[name][pure] = pure_states(z[pure, 0])
+    for name, (lo, hi), per in fields:
+        cols[name] = next(streams).uniform(lo, hi, (m, _OUTCOMES) if per else m)
+        if per:
+            cols[name][padding] = 0.0
+    if not outcomes:
+        padding = np.arange(_WEIGHTS) >= next(streams).integers(1, _WEIGHTS + 1, m)[:, None]
+        weights = next(streams).standard_exponential((m, _WEIGHTS))
+        weights[padding] = 0.0
+        cols["p0"] = weights * (1.0 / weights.sum(axis=1))[:, None]
     return cols
 
 
 def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
     """The context and the two observables of a block's columns."""
-    return local_context(cols["povm"], cols["rho"]), observable_matrices(cols["a"]), observable_matrices(cols["b"])
+    return local_context(cols["povm"], cols["rho"]), cols["a"], cols["b"]
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
@@ -470,8 +354,7 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it."""
-    a, b = observable_matrices(cols["a"]), observable_matrices(cols["b"])
-    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], a, b)
+    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], cols["a"], cols["b"])
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
     return {"trivial-reduction": [
@@ -487,8 +370,8 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
 # An outcome function uniform in [-2, 2), as a uniform field of ``_draw_block``.
 _F = ("f", (-2.0, 2.0), True)
 
-# The POVM's outcome count, 2..6, drawn first.
-_POVM = (2, 7)
+# The POVM's outcome count, 2.._OUTCOMES, drawn first.
+_POVM = (2, _OUTCOMES + 1)
 
 # The verify suites in report order, keyed by stream name: (draws, checks).
 # ``draws`` are the arguments (layout, outcomes, coin, fields) of
@@ -518,26 +401,20 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
     each block of each entry is swept, drawn and checked once."""
     results = {}
     for stream, (draws, checks) in entries.items():
-        for dim, block, states in _sweep(seed, stream, dims, n):
-            for name, rows in checks(_draw_block(states, dim, *draws), slack, sign_flip).items():
+        for dim, block, streams in _sweep(seed, stream, dims, n):
+            for name, rows in checks(_draw_block(streams, len(block), dim, *draws), slack, sign_flip).items():
                 results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
     return list(results.values())
 
 
-def _chain_models(states: np.ndarray, dim: int, ancilla: int) -> tuple:
+def _chain_models(streams, m: int, dim: int, ancilla: int) -> tuple:
     """The ancilla states, interactions, Ginibre states and observables A and
-    B of the models with seed ``states``, as the generators build them, in
-    ``oracles.chain_draws`` order (the ancilla ket, the interaction's
-    factor, the state, A, then B): one call fills a model's buffer row, and
-    each array is a view of the buffer at a fixed offset."""
-    n, shapes = len(states), [(2, ancilla), (2, dim * ancilla, dim * ancilla)] + [(2, dim, dim)] * 3
-    ends = np.cumsum([math.prod(s) for s in shapes])
-    buffer = np.empty((n, ends[-1]))
-    for row, state in zip(buffer, states):
-        _generator(state).standard_normal(out=row)
-    ket, u, rho, a, b = (complex_stack(part.reshape(n, *s), axis=-len(s))
-                         for part, s in zip(np.split(buffer, ends[:-1], axis=1), shapes))
-    return pure_states(ket), haar_unitaries(u), ginibre_states(rho), observable_matrices(a), observable_matrices(b)
+    B of m models, each array drawn for all of them by one call on the next
+    of ``streams``: the ancilla ket, the interaction's factor, the state, A,
+    then B."""
+    ket, u, rho, a, b = (_gaussians(next(streams), m, *shape)
+                         for shape in ((ancilla,), (dim * ancilla,) * 2, (dim, dim), (dim, dim), (dim, dim)))
+    return pure_states(ket), haar_unitaries(u), ginibre_states(rho), kernels.hermitian_part(a), kernels.hermitian_part(b)
 
 
 def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> SuiteResult:
@@ -545,9 +422,9 @@ def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> Su
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
     out = SuiteResult("ozawa-chain")
-    for (dim, ancilla), block, states in _sweep(seed, out.name, pairs, n):
+    for (dim, ancilla), block, streams in _sweep(seed, out.name, pairs, n):
         meter = diagonal_meter(ancilla)
-        xi, u, rho, a, b = _chain_models(states, dim, ancilla)
+        xi, u, rho, a, b = _chain_models(streams, len(block), dim, ancilla)
         ctx, c = chain_check(xi, u, meter, rho, a, b, slack)
 
         # the induced distribution, read off the evolved joint state

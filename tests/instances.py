@@ -1,13 +1,13 @@
 """Random single instances for tests: Gaussian arrays drawn call by call with
-``oracles.complex_gaussian`` (real part, then imaginary part), in the order
-the package's sweeps draw them, and built by the stacked generators of
-``measerr.generate`` into validated arrays.  The same generator state gives
-the same instance."""
+``oracles.complex_gaussian`` (real part, then imaginary part) and built by
+the stacked generators of ``measerr.generate`` into validated arrays.  The
+same generator state gives the same instance."""
 
 import numpy as np
 import oracles
 
-from measerr.generate import diagonal_meter, ginibre_states, haar_unitaries, observable_matrices, povm_effects
+from measerr.generate import diagonal_meter, ginibre_states, haar_unitaries, povm_effects
+from measerr.kernels import hermitian_part
 from measerr.states import check_effects, check_observables, check_states, check_unitaries, pure_states
 
 # Outcome weights on the support (above the 1e-12 cutoff) and at or below
@@ -24,7 +24,7 @@ def state(rng, dim: int, pure: bool = False) -> np.ndarray:
 
 def observable(rng, dim: int) -> np.ndarray:
     """A Gaussian Hermitian matrix (G + G^dag)/2."""
-    return check_observables(observable_matrices(oracles.complex_gaussian(rng, (dim, dim))))
+    return check_observables(hermitian_part(oracles.complex_gaussian(rng, (dim, dim))))
 
 
 def povm(rng, dim: int, outcomes: int = 2) -> np.ndarray:

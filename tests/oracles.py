@@ -8,6 +8,8 @@ joint-system evaluation).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 ID2 = np.eye(2, dtype=complex)
@@ -204,40 +206,75 @@ def whitened_effects(factors):
     return np.array([inv_sqrt @ block @ inv_sqrt for block in blocks])
 
 
-def verify_draws(rng, suite, dim):
-    """One instance of a ``verify`` suite drawn call by call in the
-    documented order: the outcome count (and the pure-state coin), the POVM
-    factors, the states and observables (kets ``(dim,)``, matrices
-    ``(dim, dim)``), then the suite's uniform or Dirichlet draws."""
+# Instances per block of a sweep: instance i is row i % BLOCK of block i // BLOCK.
+BLOCK = 128
+
+
+def instance_streams(key, i):
+    """The generators of instance ``i``'s arrays of a sweep keyed ``key``
+    (``[seed % 2**63, stream, *dims]``), in draw order: array j is drawn
+    from ``default_rng([*key, i // BLOCK, j])``."""
+    return (np.random.default_rng([*key, i // BLOCK, j]) for j in itertools.count())
+
+
+def instance_rows(streams, rows):
+    """A function ``draw(call, *args, shape=())`` that draws the next array
+    of ``streams`` plainly, ``rows`` rows of ``shape`` by the numpy call
+    ``call(*args, size=(rows, *shape))``, and returns the last row: a
+    block's instance ``rows - 1``."""
+    return lambda call, *args, shape=(): getattr(next(streams), call)(*args, size=(rows, *shape))[-1]
+
+
+def gaussian(draw, *shape):
+    """One complex Gaussian array, drawn as ``(2, *shape)`` standard normals:
+    the real block, then the imaginary block."""
+    re, im = draw("standard_normal", shape=(2, *shape))
+    return re + 1j * im
+
+
+def verify_draws(streams, rows, suite, dim):
+    """One instance of a ``verify`` suite, row ``rows - 1`` of each array
+    drawn plainly from the next of ``streams``, in the documented order: the
+    outcome count, the POVM's 6 factors, the pure-state coin, the states and
+    observables (kets ``(dim,)``, matrices ``(dim, dim)``), then the suite's
+    uniforms over 6 outcomes or single; trivial-reduction draws its state
+    and observables, then its weights' count and 4 standard exponentials.
+    The POVM factors, uniforms and weights are cut to the outcome count, the
+    weights normalized; a pure instance's ket is its draw's first row."""
+    draw = instance_rows(streams, rows)
     if suite == "trivial-reduction":
-        out = {key: complex_gaussian(rng, (dim, dim)) for key in ("rho", "a", "b")}
-        out["p0"] = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+        out = {key: gaussian(draw, dim, dim) for key in ("rho", "a", "b")}
+        count = draw("integers", 1, 5)
+        weights = draw("standard_exponential", shape=(4,))[:count]
+        out["p0"] = weights * (1.0 / weights.sum())
         return out
-    outcomes = int(rng.integers(2, 7))
+    outcomes = draw("integers", 2, 7)
+    out = {"povm": gaussian(draw, 6, dim, dim)[:outcomes]}
     if suite == "affineness":
-        povm = povm_factors(rng, outcomes, dim)
-        rho1, rho2 = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim,))
-        return {"povm": povm, "rho1": rho1, "rho2": rho2, "lam": rng.uniform()}
-    pure = bool(rng.random() < 0.3)
-    out = {"povm": povm_factors(rng, outcomes, dim), "pure": pure}
-    out["rho"] = complex_gaussian(rng, (dim,) if pure else (dim, dim))
-    out["a"], out["b"] = complex_gaussian(rng, (dim, dim)), complex_gaussian(rng, (dim, dim))
+        out["rho1"], out["rho2"] = gaussian(draw, dim, dim), gaussian(draw, dim)
+        out["lam"] = draw("uniform", 0.0, 1.0)
+        return out
+    out["pure"] = bool(draw("random") < 0.3)
+    rho = gaussian(draw, dim, dim)
+    out["rho"] = rho[0] if out["pure"] else rho
+    out["a"], out["b"] = gaussian(draw, dim, dim), gaussian(draw, dim, dim)
     if suite == "errorless-equivalence":
-        out["rho2"] = complex_gaussian(rng, (dim, dim))
-        out["scale"], out["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+        out["rho2"] = gaussian(draw, dim, dim)
+        out["scale"], out["shift"] = draw("uniform", 0.5, 2.0), draw("uniform", -1.0, 1.0)
     elif suite != "main-relation":
-        out["f"] = rng.uniform(-2.0, 2.0, outcomes)
+        out["f"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes]
     if suite == "transport-adjointness":
-        out["alpha"], out["beta"] = rng.uniform(-2.0, 2.0, 2)
+        out["alpha"], out["beta"] = draw("uniform", -2.0, 2.0), draw("uniform", -2.0, 2.0)
     elif suite == "error-decomposition":
-        out["delta"], out["step"] = rng.uniform(-2.0, 2.0, outcomes), rng.uniform(-1.0, 1.0)
+        out["delta"], out["step"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes], draw("uniform", -1.0, 1.0)
     return out
 
 
-def chain_draws(rng, dim, ancilla):
-    """The Gaussian draws of one random ``chain`` model, in order: the
-    ancilla ket, the interaction's factor, a Ginibre state and two
-    observables."""
+def chain_draws(streams, rows, dim, ancilla):
+    """The Gaussian draws of one random ``chain`` model, row ``rows - 1`` of
+    each drawn plainly from the next of ``streams``, in order: the ancilla
+    ket, the interaction's factor, a Ginibre state and two observables."""
+    draw = instance_rows(streams, rows)
     joint = dim * ancilla
     shapes = [(ancilla,), (joint, joint), (dim, dim), (dim, dim), (dim, dim)]
-    return [complex_gaussian(rng, shape) for shape in shapes]
+    return [gaussian(draw, *shape) for shape in shapes]

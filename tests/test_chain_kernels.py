@@ -8,7 +8,6 @@ and ``schroedinger``) are compared bit for bit with the same formulas
 composed of one call per value, and ``errorless``'s scale with a ``norm``
 call."""
 
-import instances
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from measerr import local_context
 from measerr import kernels, suites
-from measerr.generate import diagonal_meter
+from measerr.generate import diagonal_meter, ginibre_states
 from measerr.states import check_states, pure_states
 from test_kernels import rank_state
 
@@ -24,39 +23,31 @@ TOL = 1e-12
 CASES = [(dim, ancilla) for dim in (2, 3, 5, 8) for ancilla in (1, 2, 3)]
 
 
-def per_model_draws(rng, dim, ancilla):
-    """The ancilla state and interaction of one random model as the
-    per-model generator makes them: a complex Gaussian ket, then one complex
-    Gaussian matrix factored by a single QR with the R diagonal phase-fixed."""
-
-    def normal(shape):
-        x = rng.standard_normal((1, 2) + shape)
-        return x[0, 0] + 1j * x[0, 1]
-
-    ket = normal((ancilla,))
-    q, r = np.linalg.qr(normal((dim * ancilla,) * 2))
-    d = np.diagonal(r)
-    return pure_states(ket), q * (d / np.abs(d))
-
-
 def chain_models(seed, dim, ancilla, block):
-    """``suites._chain_models`` of the models ``block`` of one (dim, ancilla) sweep."""
-    states = suites._stream_states(seed, "ozawa-chain", [(dim, ancilla, i) for i in block])
-    return suites._chain_models(states, dim, ancilla)
+    """``suites._chain_models`` of the models ``block`` of the first block of
+    a (dim, ancilla) sweep, which draws its rows 0 to ``block.stop - 1``."""
+    _, _, streams = next(suites._sweep(seed, "ozawa-chain", ((dim, ancilla),), block.stop))
+    return [x[block.start :] for x in suites._chain_models(streams, block.stop, dim, ancilla)]
 
 
 @pytest.mark.parametrize("dim,ancilla", CASES)
 def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
+    """Each model equals the one built from its plain draws
+    (``oracles.chain_draws``) by the one-model generators: a complex Gaussian
+    ket, a Haar unitary by a single QR with the R diagonal phase-fixed, a
+    Ginibre state and two Hermitian parts."""
     block = range(5, 8)
     xi, u, rho, a, b = chain_models(17, dim, ancilla, block)
     for k, i in enumerate(block):
-        rng = suites._rng(17, "ozawa-chain", dim, ancilla, i)
-        xi_i, u_i = per_model_draws(rng, dim, ancilla)
-        assert np.array_equal(xi[k], xi_i)
-        assert np.array_equal(u[k], u_i)
-        assert np.array_equal(rho[k], instances.state(rng, dim))
-        assert np.array_equal(a[k], instances.observable(rng, dim))
-        assert np.array_equal(b[k], instances.observable(rng, dim))
+        streams = oracles.instance_streams([17, suites._SUITE_STREAM["ozawa-chain"], dim, ancilla], i)
+        ket, factor, g, a_i, b_i = oracles.chain_draws(streams, i + 1, dim, ancilla)
+        q, r = np.linalg.qr(factor)
+        d = np.diagonal(r)
+        assert np.array_equal(xi[k], pure_states(ket))
+        assert np.array_equal(u[k], q * (d / np.abs(d)))
+        assert np.array_equal(rho[k], ginibre_states(g))
+        assert np.array_equal(a[k], kernels.hermitian_part(a_i))
+        assert np.array_equal(b[k], kernels.hermitian_part(b_i))
 
 
 def chain_arguments(seed, dim, ancilla, block):

@@ -70,7 +70,7 @@ class TestVerify:
             ("contractivity", (20, 0)),
             ("transport-adjointness", (40, 0)),
             ("error-decomposition", (30, 0)),
-            ("main-relation", (20, 4)),
+            ("main-relation", (20, 2)),
             ("proof-tie-identity", (20, 10)),
             ("errorless-equivalence", (60, 0)),
             ("trivial-reduction", (40, 0)),

@@ -18,7 +18,7 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import complex_stack, ginibre_states, observable_matrices
+from measerr.generate import complex_stack, ginibre_states
 from measerr.states import check_effects, check_observables
 from measerr.tolerances import DEFAULT_TOL
 
@@ -176,7 +176,7 @@ class TestErrorless:
             assert not e.errorless and bound_holds(e)
         rng = np.random.default_rng(11)
         z = complex_stack(rng.standard_normal((2, 2, 3, 3)))
-        rho, a = ginibre_states(z[0]), observable_matrices(z[1])
+        rho, a = ginibre_states(z[0]), kernels.hermitian_part(z[1])
         lam = np.concatenate([[0.0], np.logspace(-12, 0, 2001)])[:, None, None, None]
         projectors = projective_from(a)[1]
         effects = (1.0 - lam) * projectors + lam * np.eye(3) / len(projectors)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from measerr import (
     cnot_model,
     generate,
+    kernels,
     induced_povm,
     local_context,
     noisy_projective,
@@ -170,7 +171,7 @@ def test_generated_arrays_are_valid_by_construction(dim, n, outcomes, seed):
     pure = pure_states(oracles.complex_gaussian(rng, (n, dim)))
     check_states(pure.copy())
     assert np.linalg.eigvalsh(pure)[:, 0].min() >= -1e-14
-    observables = check_observables(generate.observable_matrices(oracles.complex_gaussian(rng, (n, dim, dim))))
+    observables = check_observables(kernels.hermitian_part(oracles.complex_gaussian(rng, (n, dim, dim))))
     check_unitaries(generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim))))
     factors = np.stack([oracles.povm_factors(rng, outcomes, dim) for _ in range(n)])
     effects = check_effects(generate.povm_effects(factors))
@@ -193,7 +194,7 @@ def test_built_arrays_are_valid_by_construction(dim):
     eigs = rng.integers(1, 4, (n, dim)).astype(float)
     eigs[0] = 2.0
     v = generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim)))
-    observables = check_observables(generate.observable_matrices((v * eigs[:, None, :]) @ v.conj().swapaxes(-1, -2)))
+    observables = check_observables(kernels.hermitian_part((v * eigs[:, None, :]) @ v.conj().swapaxes(-1, -2)))
     _, projectors = projective_from(observables)
     check_effects(projectors)
     groups = (np.abs(projectors).max(axis=(-2, -1)) > 0.0).sum(axis=-1)

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from measerr import kernels, suites
-from measerr.generate import ginibre_states, haar_unitaries, observable_matrices
+from measerr.generate import ginibre_states, haar_unitaries
 from measerr.states import check_effects, check_states, check_weights, pure_states
 from measerr.transport import local_context
 from measerr.tolerances import DEFAULT_TOL
@@ -185,7 +185,7 @@ def test_projective_measurements_of_large_observables(size):
     for dim in (2, 3, 4, 5):
         rho = np.concatenate([ginibre_states(oracles.complex_gaussian(rng, (40, dim, dim))),
                               pure_states(oracles.complex_gaussian(rng, (40, dim)))])
-        a = observable_matrices(oracles.complex_gaussian(rng, (80, dim, dim)))
+        a = kernels.hermitian_part(oracles.complex_gaussian(rng, (80, dim, dim)))
         a *= size / np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None]
         values, projectors = kernels.spectral(a)
         ctx = local_context(projectors, rho)
@@ -366,8 +366,8 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     check_effects(effects)
     g = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     q = haar_unitaries(g)
-    a = observable_matrices(q @ (np.array(eigs, dtype=float)[:, None] * q.conj().swapaxes(-1, -2)))
-    b = observable_matrices(g)
+    a = kernels.hermitian_part(q @ (np.array(eigs, dtype=float)[:, None] * q.conj().swapaxes(-1, -2)))
+    b = kernels.hermitian_part(g)
     distinct = np.unique(eigs)
     exact = [[q[k] @ np.diag((np.array(eigs) == v).astype(complex)) @ q[k].conj().T for v in distinct] for k in range(n)]
     for k in range(n):

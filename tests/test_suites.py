@@ -8,6 +8,7 @@ import math
 import re
 import sys
 from dataclasses import replace
+from functools import partial
 
 import instances
 import numpy as np
@@ -242,24 +243,29 @@ class TestRecordBlock:
         assert (out.checks, out.failures, out.worst) == (2, 0, 0.0)
 
 
-def draw_block(seed, suite, dim, block):
-    """``suites._draw_block`` of the instances ``block`` of one (suite, dim)
-    sweep, with the suite's draws."""
+def draw_block(seed, suite, dim, n, b=0):
+    """Block ``b`` of a (suite, dim) sweep of n instances, and its
+    ``suites._draw_block`` columns with the suite's draws."""
     draws, _ = suites._SUITES[suite]
-    states = suites._stream_states(seed, suite, [(dim, i) for i in block])
-    return suites._draw_block(states, dim, *draws)
+    _, block, streams = list(suites._sweep(seed, suite, (dim,), n))[b]
+    return block, suites._draw_block(streams, len(block), dim, *draws)
 
 
-def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites._rng):
+def plain_draws(seed, suite, dim, i):
+    """``oracles.verify_draws`` of instance ``i`` of a (suite, dim) sweep."""
+    streams = oracles.instance_streams([seed % 2**63, suites._SUITE_STREAM[suite], dim], i)
+    return oracles.verify_draws(streams, i % oracles.BLOCK + 1, suite, dim)
+
+
+def assert_block_is_the_plain_draws(cols, block, draws):
     """Every column of a ``_draw_block`` result equals, instance by instance,
-    ``oracles.verify_draws`` on the instance's stream (``stream(seed, suite,
-    dim, i)``): the POVM as the effects of the plain factors, a state as the
-    projector of its ket or normalized Ginibre matrix, as the generators
-    build them (so the pure-state coin decides which),
-    the other complex arrays and every other draw exactly, with rows over
-    outcomes zero-padded."""
+    ``draws(i)`` (``oracles.verify_draws`` of instance i): the POVM as the
+    effects of the plain factors, a state as the projector of its ket or
+    normalized Ginibre matrix and an observable as the Hermitian part of its
+    draw, as the generators build them (so the pure-state coin decides which
+    state), and every other draw exactly, with rows over outcomes zero-padded."""
     for k, i in enumerate(block):
-        plain = oracles.verify_draws(stream(seed, suite, dim, i), suite, dim)
+        plain = draws(i)
         plain.pop("pure", None)
         assert cols.keys() == plain.keys()
         for key, want in plain.items():
@@ -268,6 +274,8 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites
                 want = generate.povm_effects(want)
             elif key.startswith("rho"):
                 want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
+            elif key in ("a", "b"):
+                want = kernels.hermitian_part(want)
             if np.ndim(want) and len(want) < len(got):
                 assert np.all(got[len(want) :] == 0.0), key
                 got = got[: len(want)]
@@ -277,22 +285,23 @@ def assert_block_is_the_plain_draws(cols, seed, suite, dim, block, stream=suites
 @pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
-    block = range(3, 15)
-    cols = draw_block(19, suite, dim, block)
-    assert_block_is_the_plain_draws(cols, 19, suite, dim, block)
+    """A block of 15, and the 12 instances of a sweep's second block, equal
+    their plain draws."""
+    for n, b in ((15, 0), (140, 1)):
+        block, cols = draw_block(19, suite, dim, n, b)
+        assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 19, suite, dim))
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_full_block_unpacks_every_group(suite, dim):
-    """A full block of ``_BLOCK`` instances holds every row layout its
-    draws make, (outcome count, pure) pairs (the trivial measurement's
-    outcome count alone), and each instance equals its plain draws; at
-    d = 8 the buffer is widest and a pure row's window shifts most."""
-    block = range(suites._BLOCK)
-    cols = draw_block(29, suite, dim, block)
-    assert_block_is_the_plain_draws(cols, 29, suite, dim, block)
-    draws = [oracles.verify_draws(suites._rng(29, suite, dim, i), suite, dim) for i in block]
+    """A full block of ``_BLOCK`` instances holds every (outcome count, pure)
+    pair its draws make (the trivial measurement's outcome count alone), and
+    each instance equals its plain draws."""
+    block, cols = draw_block(29, suite, dim, suites._BLOCK)
+    assert block == range(suites._BLOCK)
+    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 29, suite, dim))
+    draws = [plain_draws(29, suite, dim, i) for i in block]
     groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
     pure = (False, True) if "pure" in draws[0] else (None,)
     assert groups == ({1, 2, 3, 4} if suite == "trivial-reduction" else {(n, p) for n in range(2, 7) for p in pure})
@@ -304,78 +313,63 @@ def test_full_block_unpacks_every_group(suite, dim):
 def test_one_instance_blocks_of_one_kind_of_state(suite, dim, pure):
     """A one-instance block whose state is only a ket, or only a Ginibre
     draw, leaves the other kind's rows empty, and equals its plain draws."""
-    i = next(i for i in itertools.count() if oracles.verify_draws(suites._rng(31, suite, dim, i), suite, dim)["pure"] == pure)
-    cols = draw_block(31, suite, dim, range(i, i + 1))
-    assert_block_is_the_plain_draws(cols, 31, suite, dim, range(i, i + 1))
+    seed = next(seed for seed in itertools.count() if plain_draws(seed, suite, dim, 0)["pure"] == pure)
+    block, cols = draw_block(seed, suite, dim, 1)
+    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, seed, suite, dim))
+
+
+def chain_plain_draws(seed, dim, ancilla, i):
+    """``oracles.chain_draws`` of model ``i`` of a (dim, ancilla) chain sweep."""
+    streams = oracles.instance_streams([seed % 2**63, suites._SUITE_STREAM["ozawa-chain"], dim, ancilla], i)
+    return oracles.chain_draws(streams, i % oracles.BLOCK + 1, dim, ancilla)
 
 
 @pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
 def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
-    block = range(4, 10)
-    states = suites._stream_states(23, "ozawa-chain", [(dim, ancilla, i) for i in block])
-    xi, u, rho, a, b = suites._chain_models(states, dim, ancilla)
-    for k, i in enumerate(block):
-        ket, factor, g, a_i, b_i = oracles.chain_draws(suites._rng(23, "ozawa-chain", dim, ancilla, i), dim, ancilla)
-        assert np.array_equal(xi[k], pure_states(ket))
-        assert np.array_equal(u[k], generate.haar_unitaries(factor))
-        assert np.array_equal(rho[k], generate.ginibre_states(g))
-        assert np.array_equal(a[k], generate.observable_matrices(a_i))
-        assert np.array_equal(b[k], generate.observable_matrices(b_i))
+    for n, b in ((10, 0), (134, 1)):
+        _, block, streams = list(suites._sweep(23, "ozawa-chain", ((dim, ancilla),), n))[b]
+        xi, u, rho, a, b = suites._chain_models(streams, len(block), dim, ancilla)
+        for k, i in enumerate(block):
+            ket, factor, g, a_i, b_i = chain_plain_draws(23, dim, ancilla, i)
+            assert np.array_equal(xi[k], pure_states(ket))
+            assert np.array_equal(u[k], generate.haar_unitaries(factor))
+            assert np.array_equal(rho[k], generate.ginibre_states(g))
+            assert np.array_equal(a[k], kernels.hermitian_part(a_i))
+            assert np.array_equal(b[k], kernels.hermitian_part(b_i))
 
 
 @pytest.mark.parametrize("seed", [0, 1, -1, 812, 20240811, 2**32 - 1, 2**32, 2**63 - 1])
 @pytest.mark.parametrize("suite,parts", [("main-relation", (2, 0)), ("ozawa-chain", (3, 0, 7)), ("affineness", (0, 0))])
 def test_stream_key_is_the_key_numpy_derives_from_the_list(seed, suite, parts):
-    """``_rng`` keys each stream by the seed's 32-bit words (two from 2**32
-    on), the suite's stream id and the parts: the same stream as numpy's
-    ``default_rng`` of the list.  The block seeding hashes batches of such
-    keys (keys of 4 to 6 words, zero parts among them) in one pass to the
-    seed states numpy derives, and so to the same streams."""
-    ours = suites._rng(seed, suite, *parts)
-    plain = np.random.default_rng([seed % 2**63, suites._SUITE_STREAM[suite], *parts])
-    assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
-    assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
-    assert len(suites._seed_words(seed)) == (2 if seed % 2**63 >= 2**32 else 1)
-    for batch in (1, 3, 128, 129, 400):
-        rows = [(*parts[:-1], parts[-1] + i) for i in range(batch)]
-        states = suites._stream_states(seed, suite, rows)
-        assert states.shape == (batch, 4)
-        keys = [[seed % 2**63, suites._SUITE_STREAM[suite], *row] for row in rows]
-        for key, state in zip(keys, states):
-            assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
-        for k in {0, batch // 2, batch - 1}:
-            ours, plain = suites._generator(states[k]), np.random.default_rng(keys[k])
-            assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
-            assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
-
-
-@pytest.mark.parametrize("words", [4, 5, 6, 7, 8])
-def test_seed_states_are_numpys_seed_sequence(words):
-    """``_seed_states`` hashes any keys of 4 to 8 uint32 words, all-zero and
-    all-ones keys among them, as ``SeedSequence(key).generate_state(4, np.uint64)``."""
-    keys = np.random.default_rng(words).integers(0, 2**32, (200, words), dtype=np.uint64).astype(np.uint32)
-    keys[0], keys[1], keys[2, 1:] = 0, 2**32 - 1, 0
-    states = suites._seed_states(keys.T)
-    for key, state in zip(keys, states):
-        assert np.array_equal(state, np.random.SeedSequence(key).generate_state(4, np.uint64))
+    """``_sweep`` keys the j-th array of block b of a key (``parts`` is the
+    key, then b) by ``default_rng([seed % 2**63, stream, *key, b, j])``,
+    the seed taken modulo 2**63 (one 32-bit word, or two from 2**32 on)."""
+    *key, b = parts
+    key = key[0] if len(key) == 1 else tuple(key)
+    sweeps = list(suites._sweep(seed, suite, [key], b * suites._BLOCK + 1))
+    assert [(k, block) for k, block, _ in sweeps[b:]] == [(key, range(b * suites._BLOCK, b * suites._BLOCK + 1))]
+    streams = sweeps[b][2]
+    for j in range(3):
+        plain = np.random.default_rng([seed % 2**63, suites._SUITE_STREAM[suite], *parts, j])
+        ours = next(streams)
+        assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
+        assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
 
 
 def test_block_instances_are_the_generators_on_their_own_streams():
-    """Each instance's POVM, state and first observable are those drawn on
-    its stream one instance at a time (``instances``, the state as the
-    generators build it); also in the suites that draw more after the POVM."""
+    """The instances of a sweep's first block do not depend on how many the
+    block holds, and those of its second block are drawn from their own
+    streams (block index 1): each equals its plain draws, in the suites that
+    draw more after the POVM too."""
     for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
-        cols = draw_block(11, suite, 4, range(12))
-        for i in range(12):
-            rng = suites._rng(11, suite, 4, i)
-            outcomes = int(rng.integers(2, 7))
-            pure = rng.random() < 0.3
-            assert np.array_equal(cols["povm"][i, :outcomes], instances.povm(rng, 4, outcomes))
-            assert np.all(cols["povm"][i, outcomes:] == 0.0)
-            g = oracles.complex_gaussian(rng, (4,) if pure else (4, 4))
-            assert np.array_equal(cols["rho"][i], pure_states(g) if pure else generate.ginibre_states(g))
-            assert np.array_equal(generate.observable_matrices(cols["a"][i]), instances.observable(rng, 4))
-        assert_block_is_the_plain_draws(cols, 11, suite, 4, range(12))
+        _, short = draw_block(11, suite, 4, 12)
+        _, full = draw_block(11, suite, 4, 140)
+        assert all(np.array_equal(short[key], full[key][:12]) for key in full)
+        assert_block_is_the_plain_draws(short, range(12), partial(plain_draws, 11, suite, 4))
+        block, cols = draw_block(11, suite, 4, 140, 1)
+        assert block == range(128, 140)
+        assert not np.array_equal(cols["a"], full["a"][:12])
+        assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 11, suite, 4))
 
 
 # numpy's PCG64 multiplier.  A step maps the 128-bit state S to S mult + inc
@@ -403,28 +397,23 @@ _RAW = [0xDEADBEEF00000000, 0, 0x0123456789ABCDEF, 0xFEDCBA9876543210]
 
 
 @pytest.mark.parametrize("x", _RAW)
-@pytest.mark.parametrize("low,high", [(2, 7), (1, 5)])
-def test_raw_reads_are_numpys_bounded_draws(x, low, high):
-    """``_integer`` reads ``integers(low, high)`` from raw outputs as numpy's
-    Lemire draw does, in the rejection branches too, which no seed reaches
-    (probability 2**-32 an instance), and leaves the stream where numpy
-    does: the next ``random`` and ``standard_normal`` draws are numpy's."""
-    assert generator_next_raw(x).bit_generator.random_raw() == x
-    for draw in ("random", "standard_normal"):
-        plain, ours = generator_next_raw(x), generator_next_raw(x)
-        assert suites._integer(ours.bit_generator.random_raw, low, high) == plain.integers(low, high)
-        assert np.float64(getattr(ours, draw)()).tobytes() == np.float64(getattr(plain, draw)()).tobytes()
-
-
-@pytest.mark.parametrize("x", _RAW)
 @pytest.mark.parametrize("suite", suites._SUITES)
-def test_drawers_are_the_plain_draws_on_any_raw_output(x, suite, monkeypatch):
-    """Each suite's draws, on a stream whose first raw output is ``x``, are the
-    plain calls' instance, whichever branch its outcome count takes."""
-    monkeypatch.setattr(suites, "_generator", lambda state: generator_next_raw(x))
+def test_drawers_are_the_plain_draws_on_any_raw_output(x, suite):
+    """Each suite's draws, with an outcome count drawn from a stream whose
+    first raw output is ``x``, are the plain calls' instance, whichever
+    branch numpy's bounded draw of the count takes (its rejection branches,
+    which no seed reaches in practice, among them)."""
+    assert generator_next_raw(x).bit_generator.random_raw() == x
+    counted = 3 if suite == "trivial-reduction" else 0
+
+    def streams():
+        for j in itertools.count():
+            yield generator_next_raw(x) if j == counted else np.random.default_rng(j)
+
     draws, _ = suites._SUITES[suite]
-    cols = suites._draw_block(np.zeros((1, 4), dtype=np.uint64), 3, *draws)
-    assert_block_is_the_plain_draws(cols, 0, suite, 3, range(1), stream=lambda *_: generator_next_raw(x))
+    cols = suites._draw_block(streams(), 1, 3, *draws)
+    plain = oracles.verify_draws(streams(), 1, suite, 3)
+    assert_block_is_the_plain_draws(cols, range(1), lambda i: dict(plain))
 
 
 class CountingGenerator:
@@ -446,17 +435,22 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
-def test_draws_make_no_integers_call_and_one_uniform_read(suite, monkeypatch):
-    """An instance's outcome count and coin are read from raw outputs and its
-    uniforms by one call: ``_draw_block`` calls no ``integers`` and reads
-    uniform doubles at most once per instance."""
-    calls = collections.Counter()
-    generator = suites._generator
-    monkeypatch.setattr(suites, "_generator", lambda state: CountingGenerator(generator(state), calls))
-    draw_block(3, suite, 3, range(40))
-    assert calls["integers"] == 0
-    assert calls["random"] + calls["uniform"] <= 40
-    assert calls["standard_normal"] == 40
+def test_each_array_is_one_call(suite):
+    """``_draw_block`` draws each array of a block, for all its instances,
+    by one call on a stream of its own, as many streams as the plain draws
+    of an instance take."""
+    calls = []
+
+    def streams():
+        for rng in next(suites._sweep(3, suite, (3,), 40))[2]:
+            calls.append(collections.Counter())
+            yield CountingGenerator(rng, calls[-1])
+
+    draws, _ = suites._SUITES[suite]
+    suites._draw_block(streams(), 40, 3, *draws)
+    plain = []
+    oracles.verify_draws((plain.append(rng) or rng for rng in oracles.instance_streams([3, 0, 3], 0)), 1, suite, 3)
+    assert [sum(c.values()) for c in calls] == [1] * len(plain)
 
 
 def spoil_factors(monkeypatch, spoil):
@@ -480,7 +474,7 @@ def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
     non-finite branch of ``povm_effects``' guard."""
     spoil_factors(monkeypatch, np.zeros_like)
     with pytest.raises(ValueError):
-        draw_block(5, "main-relation", 3, range(4))
+        draw_block(5, "main-relation", 3, 4)
     code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: effect entries must be finite\n")
@@ -493,7 +487,7 @@ def test_ill_conditioned_factors_fail_closed(monkeypatch, capsys):
     rng = np.random.default_rng(1)
     spoil_factors(monkeypatch, lambda factors: ill_conditioned_factors(factors, rng))
     with pytest.raises(ValueError, match="^effects sum to identity only within "):
-        draw_block(5, "main-relation", 3, range(4))
+        draw_block(5, "main-relation", 3, 4)
     code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -509,10 +503,10 @@ def test_chain_failure_names_the_model():
     assert out.messages[1] == "rms error below intrinsic error at dim=3x2 i=0"
     head, values = out.messages[2].split(": ", 1)
     assert head == "chain broke at dim=3x2 i=0"
-    rng = suites._rng(4, "ozawa-chain", 3, 2, 0)
-    model = instances.indirect_model(rng, 3)
-    rho = instances.state(rng, 3)
-    _, report = chain_check(*model, rho, instances.observable(rng, 3), instances.observable(rng, 3), slack=-1.0)
+    ket, factor, g, a, b = chain_plain_draws(4, 3, 2, 0)
+    model = pure_states(ket), generate.haar_unitaries(factor), generate.diagonal_meter(2)
+    rho, a, b = generate.ginibre_states(g), kernels.hermitian_part(a), kernels.hermitian_part(b)
+    _, report = chain_check(*model, rho, a, b, slack=-1.0)
     assert np.allclose(ast.literal_eval(values), report.values, rtol=0.0, atol=1e-12)
     assert out.messages[3].startswith("bridge identity broke at dim=3x2 i=1: ")
 
@@ -533,60 +527,70 @@ def test_errorless_failure_lists_the_conditions(monkeypatch):
 
 
 def test_errorless_bound_holds_between_the_thresholds():
-    """Instance 31 at dim 2 of seed 2608764119 is errorless by (a), eps^2 <=
-    tau ||A||_rho^2, while its round-trip residual r exceeds tau ||A||_rho,
-    so no threshold on r agrees with (a) there; the exact bound r^2 <= eps^2
-    <= r (2m + r) holds on it, and the suite passes."""
-    [out] = run("errorless-equivalence", (2,), 32, seed=2608764119)
-    assert (out.checks, out.failures) == (6 * 32, 0)
-    cols = draw_block(2608764119, "errorless-equivalence", 2, range(31, 32))
+    """Instance 31 at dim 2 of seed 2608764119, as it was drawn when each
+    instance had a stream of its own (every draw from
+    ``default_rng([2608764119, 7, 2, 31])``, call by call), is errorless by
+    (a), eps^2 <= tau ||A||_rho^2, while its round-trip residual r exceeds
+    tau ||A||_rho, so no threshold on r agrees with (a) there; the exact
+    bound r^2 <= eps^2 <= r (2m + r) holds on it, and the suite's checks
+    pass on it."""
+    rng = np.random.default_rng([2608764119, suites._SUITE_STREAM["errorless-equivalence"], 2, 31])
+    outcomes = int(rng.integers(2, 7))
+    pure = rng.random() < 0.3
+    cols = {"povm": generate.povm_effects(oracles.povm_factors(rng, outcomes, 2))}
+    rho = oracles.complex_gaussian(rng, (2,) if pure else (2, 2))
+    cols["rho"] = pure_states(rho) if pure else generate.ginibre_states(rho)
+    cols["a"], cols["b"] = (kernels.hermitian_part(oracles.complex_gaussian(rng, (2, 2))) for _ in range(2))
+    cols["rho2"] = generate.ginibre_states(oracles.complex_gaussian(rng, (2, 2)))
+    cols["scale"], cols["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
+    cols = {key: np.asarray(value)[None] for key, value in cols.items()}
     ctx, a, _ = suites._instances(cols)
     e = kernels.errorless(ctx, a)
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
     assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2
+    out = SuiteResult("errorless-equivalence")
+    [checks] = suites._errorless_equivalence(cols, DEFAULT_TOL.identity, False).values()
+    out.record_block(2, range(31, 32), checks)
+    assert (out.checks, out.failures) == (6, 0)
 
 
 def summaries(results) -> list:
     return [(r.name, r.checks, r.failures, repr(r.worst), r.messages) for r in results]
 
 
-def sweep_summaries(failing: bool = False) -> list:
-    """Every verify suite and the chain suite at dims 2 and 3, n 7, seed 9;
-    ``failing``, with the sign flip and a roundoff-level slack."""
+def sweep_summaries(failing: bool = False, n: int = 7) -> list:
+    """Every verify suite and the chain suite at dims 2 and 3, n instances,
+    seed 9; ``failing``, with the sign flip and a roundoff-level slack."""
     slack = 1e-16 if failing else DEFAULT_TOL.identity
-    results = suites.run_verify((2, 3), 7, seed=9, slack=slack, sign_flip=failing)
-    return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), 7, seed=9, slack=slack)])
+    results = suites.run_verify((2, 3), n, seed=9, slack=slack, sign_flip=failing)
+    return summaries([*results, suites.suite_ozawa_chain(((2, 2), (3, 2)), n, seed=9, slack=slack)])
 
 
 @pytest.mark.parametrize("failing", [False, True])
 def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
-    """Blocks of 3 (two full blocks and a ragged last one) give every suite
-    the checks, failures, worst residual and messages of one block; also on
-    failing runs, with the sign flip and roundoff-level slacks: the slack,
-    and the suites' fixed validation and expectation slacks."""
+    """Every check of instances 0..31 of every suite has the same residual
+    and slack, bit for bit, whether their block holds 32 instances (``--n
+    32``) or 128 (``--n 300``: two full blocks and a ragged last one); also
+    on failing runs, with the sign flip and roundoff-level slacks: the
+    slack, and the suites' fixed validation and expectation slacks."""
     if failing:
         monkeypatch.setattr(suites, "DEFAULT_TOL", replace(DEFAULT_TOL, validation=1e-16, expectation=1e-16))
-    default = sweep_summaries(failing)
-    assert sum(failures > 0 for _, _, failures, _, _ in default) == (8 if failing else 0)
-    monkeypatch.setattr(suites, "_BLOCK", 3)
-    assert sweep_summaries(failing) == default
+    seen, record = [], SuiteResult.record_block
 
+    def recording(self, dim, block, checks):
+        for what, residual, slack, *_ in checks:
+            for name, value in (("residual", residual), ("slack", slack)):
+                for i, x in zip(block, np.broadcast_to(value, len(block))):
+                    seen[-1][self.name, dim, what, name, i] = x.tobytes()
+        record(self, dim, block, checks)
 
-@pytest.mark.parametrize("batch,passes", [(1, [3, 3, 1, 3, 3, 1]), (2, [6, 4, 4])])
-def test_results_do_not_depend_on_the_hash_batch(monkeypatch, batch, passes):
-    """In blocks of 3, the seed states hashed one block per pass, or two
-    blocks per pass (which splits a dimension's three blocks over two
-    passes), give every suite the results of one pass over all six blocks."""
-    monkeypatch.setattr(suites, "_BLOCK", 3)
-    default = sweep_summaries()
-    monkeypatch.setattr(suites, "_BATCH", batch)
-    hashed, stream_states = [], suites._stream_states
-    monkeypatch.setattr(suites, "_stream_states", lambda seed, suite, parts: hashed.append(len(parts)) or
-                        stream_states(seed, suite, parts))
-    sweeps = list(suites._sweep(9, "main-relation", (2, 3), 7))
-    assert [block for _, block, _ in sweeps] == [range(0, 3), range(3, 6), range(6, 7)] * 2
-    assert hashed == passes
-    assert sweep_summaries() == default
+    monkeypatch.setattr(SuiteResult, "record_block", recording)
+    for n in (32, 300):
+        seen.append({})
+        failed = sum(failures > 0 for _, _, failures, _, _ in sweep_summaries(failing, n))
+        assert failed == (8 if failing else 0)
+    short, long = seen
+    assert short == {key: value for key, value in long.items() if key[-1] < 32}
 
 
 def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
