@@ -18,8 +18,8 @@ from them and their Born weights (``kernels.born`` clips them) are valid
 by construction and are not validated again (``povm_effects`` guards its
 own whitening).  The verify suites are the rows of one table, ``_SUITES``:
 each row's draws as data (a layout, an outcome range, a pure-state coin and
-uniform fields), which ``_draw_block`` draws, and a checks function.  One
-driver, ``_run``, sweeps the table; ``suite_ozawa_chain``, keyed by
+uniform fields), which ``_draw_block`` draws, and a checks function.
+``_run`` sweeps the table; ``suite_ozawa_chain``, keyed by
 (dimension, ancilla) pairs, sweeps its own models.
 """
 
