@@ -1,15 +1,17 @@
 """JSON and CSV interchange.
 
-Complex matrices serialize as nested arrays of [re, im] pairs.  JSON floats
+Complex matrices serialize as nested arrays of [re, im] pairs, read and
+written as a view of those floats, so signed zeros are kept.  JSON floats
 are emitted at 17 significant digits (round-trip exact), CSV at 12
-(plot-ready).  All formatting is locale-independent.  The loaders are the
-boundary where files enter: each array they return passes its ``states``
-validator, as do a model's induced effects (``check_effects``), and a
-malformed file raises ``ValueError``.
+(plot-ready), all locale-independent.  The loaders are the boundary where
+files enter: each file is read as strict UTF-8 and converted once, each
+array they return passes its ``states`` validator, as do a model's induced
+effects (``check_effects``), and a malformed file raises ``ValueError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -21,20 +23,16 @@ from .states import check_effects, check_observables, check_states, check_unitar
 CSV_HEADER = "dim,kind,param,epsA,epsB,R,I,bound,slack,naiveBound,naiveViolated"
 # The kinds a POVM file may declare.
 KINDS = ("projective", "trivial", "unsharp", "noisy-projective", "induced-from-indirect", "custom")
+_NUMBER_TYPES = {int, float}  # the types json reads a JSON number as: a bool is neither
 
 
 def matrix_to_json(matrix) -> list:
-    arr = np.asarray(matrix, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in arr]
+    """One matrix, or a stack of them, as nested arrays of [re, im] pairs."""
+    return np.ascontiguousarray(matrix, dtype=complex)[..., None].view(float).tolist()
 
 
-def _numbers(items) -> bool:
-    """Whether every item is a JSON number, which ``json`` reads as exactly an
-    int or a float: a bool is neither."""
-    return {type(x) for x in items} <= {int, float}
-
-
-def matrix_from_json(data) -> np.ndarray:
+def matrix_from_json(data, ndim: int | None = None) -> np.ndarray:
+    """One matrix or a stack (``ndim`` axes where given), a complex view of one float conversion."""
     message = "matrix JSON must be nested arrays of [re, im] pairs"
     try:
         arr = np.asarray(data, dtype=float)
@@ -42,15 +40,17 @@ def matrix_from_json(data) -> np.ndarray:
         raise ValueError("matrix entries must be numbers a double can hold") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(message) from exc
-    if arr.ndim != 3 or arr.shape[2] != 2:
+    if arr.ndim < 3 or arr.shape[-1] != 2 or ndim not in (None, arr.ndim - 1):
         raise ValueError(message)
-    if not _numbers(x for row in data for entry in row for x in entry):
+    for _ in range(arr.ndim - 1):
+        data = itertools.chain.from_iterable(data)
+    if not set(map(type, data)) <= _NUMBER_TYPES:
         raise ValueError("matrix entries must be numbers")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]
 
 
 def _square_from_json(data) -> np.ndarray:
-    matrix = matrix_from_json(data)
+    matrix = matrix_from_json(data, 2)
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
     return matrix
@@ -64,7 +64,7 @@ def povm_to_json(kind: str, values, effects: np.ndarray) -> dict:
         "labels": [f"m{i}" for i in range(len(effects))],
         "values": [float(v) for v in values],
         "dim": effects.shape[-1],
-        "effects": [matrix_to_json(e) for e in effects],
+        "effects": matrix_to_json(effects),
     }
 
 
@@ -102,7 +102,7 @@ def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
     labels must be distinct and whose n values finite numbers."""
     data = _json_object(data, "POVM")
     values = _json_list(data, "values")
-    if not _numbers(values):
+    if not set(map(type, values)) <= _NUMBER_TYPES:
         raise ValueError("values must be numbers")
     try:
         values = [float(v) for v in values]
@@ -117,11 +117,11 @@ def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
         raise ValueError("need exactly one value per label")
     if not all(np.isfinite(values)):
         raise ValueError("outcome values must be finite")
-    effects = np.array([matrix_from_json(e) for e in _json_list(data, "effects")], dtype=complex)
+    effects = matrix_from_json(_json_list(data, "effects"), 3)
     kind = data.get("kind", "custom")
     if kind not in KINDS:
         raise ValueError(f"unknown POVM kind {kind!r}; choose from {KINDS}")
-    if effects.ndim != 3 or effects.shape != (len(labels), effects.shape[2], effects.shape[2]):
+    if effects.shape != (len(labels), effects.shape[2], effects.shape[2]):
         raise ValueError(f"need {len(labels)} square effects of one dimension, got shape {effects.shape}")
     check_effects(effects)
     _check_declared(data, "dim", effects.shape[-1])
@@ -147,7 +147,7 @@ def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not isinstance(system_dim, int) or isinstance(system_dim, bool):
         raise ValueError(f"system_dim must be an integer, got {system_dim!r}")
     xi = check_states(_square_from_json(_field(data, "ancilla_state", "model")))
-    u = matrix_from_json(_field(data, "interaction", "model"))
+    u = matrix_from_json(_field(data, "interaction", "model"), 2)
     meter = check_observables(_square_from_json(_field(data, "meter", "model")))
     if system_dim < 2:
         raise ValueError("system dimension must be at least 2")
@@ -163,8 +163,8 @@ def model_from_json(data: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _load(path, parse):
-    with open(path, encoding="utf-8") as fh:
-        return parse(json.load(fh))
+    with open(path, "rb") as fh:
+        return parse(json.loads(fh.read().decode("utf-8")))
 
 
 def load_state(path) -> np.ndarray:

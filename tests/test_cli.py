@@ -587,9 +587,17 @@ def _huge_matrix() -> list:
     return [[[_HUGE, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
-def _z_effects(one) -> list:
-    """The projective Z effects as JSON, with ``one`` as the top-left entry."""
-    return [[[[one, 0], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+def _z_effects(one, im=0) -> list:
+    """The projective Z effects as JSON, with ``[one, im]`` as the top-left entry."""
+    return [[[[one, im], [0, 0]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]]
+
+
+def _z_matrix(im=0) -> list:
+    """The Pauli Z matrix as JSON, with ``[-1, im]`` as the bottom-right entry."""
+    return [[[1, 0], [0, 0]], [[0, 0], [-1, im]]]
+
+
+_PAIRS = "matrix JSON must be nested arrays of [re, im] pairs"
 
 
 class TestMalformedFiles:
@@ -614,6 +622,17 @@ class TestMalformedFiles:
             ("povm", {"effects": _z_effects("1")}, "matrix entries must be numbers"),
             ("povm", {"effects": _z_effects("1e0")}, "matrix entries must be numbers"),
             ("povm", {"effects": _z_effects(True)}, "matrix entries must be numbers"),
+            ("povm", {"effects": _z_effects(1, math.inf)}, "effect entries must be finite"),
+            ("model", {"meter": _z_matrix(math.inf)}, "matrix entries must be finite"),
+            ("state", [[[0.5, 0], [0, 0]], [[0, 0], [0.5, math.inf]]], "matrix entries must be finite"),
+            ("obs-a", _z_matrix(math.inf), "matrix entries must be finite"),
+            ("povm", {"effects": [_z_effects(1)[0], matrix_to_json(np.eye(3) / 3)]}, _PAIRS),
+            ("povm", {"effects": []}, _PAIRS),
+            ("povm", {"effects": [_z_effects(1)] * 2}, _PAIRS),
+            ("povm", {"effects": _z_matrix()}, _PAIRS),
+            ("obs-a", [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [-1, 0, 0]]], _PAIRS),
+            ("obs-a", [[1, 0], [0, 0], [0, 0], [-1, 0]], _PAIRS),
+            ("state", [_z_matrix()], _PAIRS),
             ("povm", {"values": _DROP}, "POVM JSON has no 'values'"),
             ("povm", {"labels": _DROP}, "POVM JSON has no 'labels'"),
             ("povm", {"effects": _DROP}, "POVM JSON has no 'effects'"),
@@ -627,12 +646,19 @@ class TestMalformedFiles:
             "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "values-huge", "meter-huge",
             "state-object",
             "entry-str", "entry-str-exp", "entry-bool",
+            "effect-inf-imag", "meter-inf-imag", "state-inf-imag", "obs-a-inf-imag",
+            "effects-of-two-dims", "effects-empty", "effects-stack-of-stacks", "effects-one-matrix",
+            "entry-triple", "flat-pairs", "state-stack",
             "no-values", "no-labels", "no-effects",
             "no-system_dim", "no-ancilla_state", "no-interaction", "no-meter",
         ],
     )
     def test_malformed_file_is_usage_error(self, kind, edit, message, tmp_path, capsys):
-        path, out = tmp_path / "input.json", str(tmp_path / "o.csv")
+        """``edit`` is merged into a valid POVM or model file (a key set to
+        ``_DROP`` removed), replaces a state or observable file whole, or, if
+        None, wraps the valid file in a list."""
+        path, povm, out = tmp_path / "input.json", tmp_path / "povm.json", str(tmp_path / "o.csv")
+        povm.write_text(json.dumps(unsharp_file()))
         data, argv = {
             "model": (model_to_json(*cnot_model()), ["chain", "--model", str(path)]),
             "povm": (
@@ -640,10 +666,32 @@ class TestMalformedFiles:
                 ["scan", "--family", "custom", "--povm", str(path), "--out", out],
             ),
             "state": ({}, ["scan", "--family", "unsharp", "--grid", "0.5", "--state", str(path), "--out", out]),
+            "obs-a": ({}, ["scan", "--family", "custom", "--povm", str(povm), "--obs-a", str(path), "--out", out]),
         }[kind]
-        edited = None if edit is None else {k: v for k, v in {**data, **edit}.items() if v is not _DROP}
-        path.write_text(json.dumps([data] if edit is None else edited))
+        if edit is None:
+            content = [data]
+        elif isinstance(edit, dict):
+            content = {k: v for k, v in {**data, **edit}.items() if v is not _DROP}
+        else:
+            content = edit
+        path.write_text(json.dumps(content))
         assert main(argv) == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "prefix,message",
+        [
+            (b"\xef\xbb\xbf", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+            (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["bom", "invalid-utf8"],
+    )
+    def test_file_that_is_not_strict_utf8_is_usage_error(self, prefix, message, tmp_path, capsys):
+        """A file is read as strict UTF-8: a byte order mark or a byte that
+        UTF-8 does not allow is an error, not skipped."""
+        path = tmp_path / "povm.json"
+        path.write_bytes(prefix + json.dumps(unsharp_file()).encode())
+        assert main(["scan", "--family", "custom", "--povm", str(path), "--out", str(tmp_path / "o.csv")]) == 2
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
     @pytest.mark.parametrize("flag", ["--state", "--obs-a"])

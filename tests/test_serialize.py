@@ -6,6 +6,8 @@ import re
 import instances
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from measerr import cnot_model, evaluate_relation, unsharp_qubit
 from measerr.serialize import (
@@ -35,6 +37,54 @@ class TestMatrixFormat:
     def test_bad_payload_rejected(self):
         with pytest.raises(ValueError):
             matrix_from_json([[1.0, 2.0]])
+
+    def test_stack_is_one_array_of_matrices(self):
+        effects = unsharp_qubit((0, 0, 1), 0.3)
+        data = matrix_to_json(effects)
+        assert data == [matrix_to_json(e) for e in effects]
+        assert np.array_equal(matrix_from_json(data), effects)
+        assert np.array_equal(matrix_from_json(data, 3), effects)
+        with pytest.raises(ValueError, match=re.escape("matrix JSON must be nested arrays of [re, im] pairs")):
+            matrix_from_json(data, 2)
+
+    def test_signed_zeros_are_kept(self):
+        """The loader views the [re, im] floats as complex numbers, so a -0.0
+        survives, where ``re + 1j * im`` turns it into +0.0."""
+        data = [[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1.0, -0.0]]]
+        matrix = matrix_from_json(data)
+        assert np.signbit(np.stack([matrix.real, matrix.imag], axis=-1)).tolist() == np.signbit(data).tolist()
+
+
+# Finite doubles with the edge cases of a text round trip: both zeros,
+# subnormals and magnitudes near the top of the range.
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e300, 1e300, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SHAPES = st.one_of(
+    st.integers(1, 4).map(lambda d: (d, d)),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(lambda nd: (nd[0], nd[1], nd[1])),
+)
+
+
+@given(pairs=_SHAPES.flatmap(lambda shape: hnp.arrays(float, (*shape, 2), elements=_EDGE_FLOATS)))
+def test_round_trip_is_bit_exact(pairs):
+    """``matrix_to_json`` and ``matrix_from_json`` round-trip one matrix or
+    a stack through JSON text bit for bit, the sign of every zero included."""
+    x = pairs.view(complex)[..., 0]
+    clone = matrix_from_json(json.loads(json.dumps(matrix_to_json(x))))
+    assert clone.shape == x.shape
+    assert np.array_equal(clone.view(float), x.view(float))
+    assert np.array_equal(np.signbit(clone.view(float)), np.signbit(x.view(float)))
+
+
+# -0.0 + 0.0 is +0.0, and every other float is left as it is.
+@given(pairs=_SHAPES.flatmap(lambda shape: hnp.arrays(float, (*shape, 2), elements=_EDGE_FLOATS.map(lambda v: v + 0.0))))
+def test_load_equals_the_re_plus_i_im_formula_without_negative_zeros(pairs):
+    """On finite entries with no -0.0, the loaded array is, bit for bit, the
+    one ``re + 1j * im`` builds from the same floats."""
+    formula = pairs[..., 0] + 1j * pairs[..., 1]
+    assert np.array_equal(matrix_from_json(pairs.tolist()).view(np.uint64), formula.view(np.uint64))
 
 
 class TestPovmFormat:
