@@ -21,7 +21,7 @@ from .relations import evaluate_relation, schroedinger_reduction
 from .indirect import chain_check, cnot_model, induced_povm
 from .generate import RNG_ALGORITHM
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "DEFAULT_TOL",

@@ -2,9 +2,11 @@
 
 All randomness flows through an explicit numpy Generator (PCG64 under
 ``default_rng``); nothing touches global state.  A sweep block draws each
-of its complex Gaussian arrays for all its instances by one ``standard_normal`` call on a
-stream of its own (``suites._sweep``), each instance's row its real block,
-then its imaginary block.  The functions here turn a stack of such draws
+of its complex Gaussian arrays for all its instances by one
+``standard_normal`` call on a stream of its own (``suites._sweep``), each
+instance's row its real block, then its imaginary block; a verify block is
+drawn once, as one layout that every verify suite reads
+(``suites._draw_block``).  The functions here turn a stack of such draws
 into matrices at once: ``complex_stack`` pairs the blocks, and
 ``povm_effects``, ``ginibre_states`` and ``haar_unitaries`` (with
 ``kernels.hermitian_part`` for observables) build from the result matrices

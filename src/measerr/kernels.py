@@ -265,11 +265,14 @@ def split_residual(quantum: np.ndarray, estimation: np.ndarray, f_err: np.ndarra
     return np.abs(f_err**2 - quantum**2 - estimation**2)
 
 
-def check_split(quantum, estimation, f_err) -> None:
+def check_split(quantum, estimation, f_err, size) -> None:
     """Raise AssertionError unless the f-error splits into the error and the
-    estimation error within DEFAULT_TOL.identity * (1 + f_error^2)."""
+    estimation error within DEFAULT_TOL.identity * ``size``: 1 + ||A||_rho^2
+    + ||f||_p^2, the size of the squares whose differences the three squared
+    terms are, so a small f-error of a large A is judged at the roundoff of
+    ||A||_rho^2, not of 1."""
     residual = split_residual(quantum, estimation, f_err)
-    bad = residual > DEFAULT_TOL.identity * (1.0 + np.asarray(f_err) ** 2)
+    bad = residual > DEFAULT_TOL.identity * size
     if bad.any():
         raise AssertionError(f"error decomposition violated by {first_flagged(residual, bad):.3e}")
 
@@ -290,14 +293,13 @@ def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) ->
 def _f_errors(ctx: Context, f: np.ndarray, *observables) -> list[FError]:
     """``f_error_split`` of f for each (A, t) of ``observables``, from one pullback of f and its
     cost ||f||_p^2 - ||M'f||_rho^2, guarded as ``transport``'s radicand is, with f for A."""
-    rep = pullback(ctx, f)
-    cost = class_norm(f, ctx.weights) ** 2 - norm(rep, ctx.rho) ** 2
-    _guard(cost, lambda: ctx.rho.shape[-1] * class_norm(f, ctx.weights) ** 2,
-           RuntimeError, "contractivity violated: reconstruction cost")
+    rep, f_square = pullback(ctx, f), class_norm(f, ctx.weights) ** 2
+    cost = f_square - norm(rep, ctx.rho) ** 2
+    _guard(cost, lambda: ctx.rho.shape[-1] * f_square, RuntimeError, "contractivity violated: reconstruction cost")
     out = [FError(t.error, class_norm(t.pushforward - f, ctx.weights),
                   np.sqrt(np.maximum(norm(a - rep, ctx.rho) ** 2 + cost, 0.0))) for a, t in observables]
-    for split in out:
-        check_split(*split)
+    for split, (_, t) in zip(out, observables):
+        check_split(*split, 1.0 + t.norm**2 + f_square)
     return out
 
 

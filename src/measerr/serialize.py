@@ -98,14 +98,15 @@ def _check_declared(data: dict, key: str, actual: int) -> None:
 
 
 def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
-    """The kind and validated ``(n, d, d)`` effects of a POVM file, whose n
-    labels must be distinct and whose n values finite numbers."""
+    """The kind and validated ``(n, d, d)`` effects of a POVM file.  Its n
+    labels must be distinct and its n values finite numbers; both are
+    validated and not returned."""
     data = _json_object(data, "POVM")
     values = _json_list(data, "values")
     if not set(map(type, values)) <= _NUMBER_TYPES:
         raise ValueError("values must be numbers")
     try:
-        values = [float(v) for v in values]
+        values = np.asarray(values, float)
     except OverflowError as exc:
         raise ValueError("outcome values must be finite") from exc
     labels = [str(x) for x in _json_list(data, "labels")]
@@ -115,7 +116,7 @@ def povm_from_json(data: dict) -> tuple[str, np.ndarray]:
         raise ValueError("outcome labels must be distinct")
     if len(values) != len(labels):
         raise ValueError("need exactly one value per label")
-    if not all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("outcome values must be finite")
     effects = matrix_from_json(_json_list(data, "effects"), 3)
     kind = data.get("kind", "custom")

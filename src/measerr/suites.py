@@ -9,18 +9,19 @@ most ``_BLOCK``, and the whole block is drawn, built and checked with the
 stacked formulas of ``kernels``.  A block draws each of its arrays for all
 its instances by one numpy call on a stream of its own,
 ``default_rng([seed % 2**63, stream, *key, block, j])``, j the array's
-place in the suite's draw order (``_sweep``).  numpy fills an array row by
-row, so instance i is row i % ``_BLOCK`` of its block's streams whatever
-``--n`` is: results are independent of ``--n`` and of execution order,
-and an instance can be drawn again from (suite, key, index, seed) alone.
-The drawn states, observables, unitaries and POVMs, the measurements built
-from them and their Born weights (``kernels.born`` clips them) are valid
-by construction and are not validated again (``povm_effects`` guards its
-own whitening).  The verify suites are the rows of one table, ``_SUITES``:
-each row's draws as data (a layout, an outcome range, a pure-state coin and
-uniform fields), which ``_draw_block`` draws, and a checks function.
-``_run`` sweeps the table; ``suite_ozawa_chain``, keyed by
-(dimension, ancilla) pairs, sweeps its own models.
+place in the draw order (``_sweep``).  numpy fills an array row by row, so
+instance i is row i % ``_BLOCK`` of its block's streams whatever ``--n``
+is: results are independent of ``--n`` and of execution order, and an
+instance can be drawn again from (key, index, seed) alone.  The drawn
+states, observables, unitaries and POVMs, the measurements built from them
+and their Born weights (``kernels.born`` clips them) are valid by
+construction and are not validated again (``povm_effects`` guards its own
+whitening).  The verify suites share one stream id, ``_VERIFY_STREAM``,
+and one instance layout: ``_draw_block`` draws each (dimension, block)
+once, ``_run`` pins its POVM to its state once, and every checks function
+of ``_SUITES`` reads the columns it needs from that one block.
+``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
+models on ``_CHAIN_STREAM``.
 """
 
 from __future__ import annotations
@@ -41,17 +42,8 @@ from .states import pure_states
 from .tolerances import DEFAULT_TOL
 from .transport import local_context
 
-_SUITE_STREAM = {
-    "affineness": 1,
-    "adjoint-characterization": 2,
-    "contractivity": 3,
-    "transport-adjointness": 4,
-    "error-decomposition": 5,
-    "main-relation": 6,
-    "errorless-equivalence": 7,
-    "trivial-reduction": 8,
-    "ozawa-chain": 9,
-}
+# The stream ids of the verify layout and of the chain models, the second word of every stream key.
+_VERIFY_STREAM, _CHAIN_STREAM = 0, 9
 
 
 @dataclass
@@ -115,15 +107,15 @@ def _streams(*key: int):
     return (np.random.default_rng([*key, j]) for j in count())
 
 
-def _sweep(seed: int, suite: str, keys, n: int):
+def _sweep(seed: int, stream: int, keys, n: int):
     """(key, block, streams) for every key (a dim, or a (dim, ancilla) pair),
     with its n instance indices in consecutive blocks of at most ``_BLOCK``,
-    so the stacked arrays of a suite stay small whatever n is.  Block
+    so the stacked arrays of a sweep stay small whatever n is.  Block
     lo // ``_BLOCK`` of a key draws its j-th array from
     ``default_rng([seed % 2**63, stream, *key, lo // _BLOCK, j])``."""
     for key in keys:
         for lo in range(0, n, _BLOCK):
-            streams = _streams(seed % 2**63, _SUITE_STREAM[suite], *np.ravel(key).tolist(), lo // _BLOCK)
+            streams = _streams(seed % 2**63, stream, *np.ravel(key).tolist(), lo // _BLOCK)
             yield key, range(lo, min(lo + _BLOCK, n)), streams
 
 
@@ -136,82 +128,68 @@ def _gaussians(rng: np.random.Generator, m: int, *shape: int) -> np.ndarray:
 # Most outcomes of a verify POVM, and of the trivial measurement.
 _OUTCOMES, _WEIGHTS = 6, 4
 
-# The fixed layouts of verify instances: after the POVM, each complex
-# Gaussian array in draw order as (name, rank), rank 2 a (d, d) matrix and
-# rank 1 a (d,) ket; "rho" names are states, the others observables.  The
-# pure-state coin, where a suite tosses it, makes the first array a ket.
-_INSTANCE = (("rho", 2), ("a", 2), ("b", 2))
-_AFFINE = (("rho1", 2), ("rho2", 1))
-_ERRORLESS = _INSTANCE + (("rho2", 2),)
+# The uniforms of a verify block in draw order, each (name, (lo, hi),
+# per_outcome): one number per instance, or ``_OUTCOMES``.
+_UNIFORMS = (("f", (-2.0, 2.0), True), ("alpha", (-2.0, 2.0), False), ("beta", (-2.0, 2.0), False),
+             ("delta", (-2.0, 2.0), True), ("step", (-1.0, 1.0), False), ("lam", (0.0, 1.0), False),
+             ("scale", (0.5, 2.0), False), ("shift", (-1.0, 1.0), False))
 
 
-def _draw_block(streams, m: int, dim: int, layout, outcomes, coin: bool, fields) -> dict:
-    """The columns of a block of m verify instances.  Each array is drawn
-    for all of them by one call on the next of ``streams``, in this order:
-    the POVM's outcome counts ``integers(*outcomes)`` and its ``_OUTCOMES``
-    factors (none when ``outcomes`` is None), the pure-state coins
-    ``random() < 0.3`` when ``coin``, the Gaussians of the arrays of
-    ``layout``, then the uniforms of ``fields``, each (name, (lo, hi),
-    per_outcome): one number, or ``_OUTCOMES``.  Without a POVM the trivial
-    measurement's weights come last: counts ``integers(1, _WEIGHTS + 1)``,
-    then ``_WEIGHTS`` standard exponentials, each row times the reciprocal
-    of its sum.  Factors, uniforms and weights past an instance's count are
-    zero.  A state is a normalized Ginibre matrix or, on a pure row, the
-    projector of its draw's first row; every other array is the Hermitian
-    part of its draw.  The factors are whitened (a block whose factors do
-    not whiten raises, ``povm_effects``)."""
-    cols = {}
-    if outcomes:
-        padding = np.arange(_OUTCOMES) >= next(streams).integers(*outcomes, m)[:, None]
-        factors = _gaussians(next(streams), m, _OUTCOMES, dim, dim)
-        factors[padding] = 0.0
-        cols["povm"] = povm_effects(factors)
-    pure = next(streams).random(m) < 0.3 if coin else None
-    for j, (name, rank) in enumerate(layout):
-        z = _gaussians(next(streams), m, *(dim,) * rank)
-        if not name.startswith("rho"):
-            cols[name] = kernels.hermitian_part(z)
-        elif rank == 1:
-            cols[name] = pure_states(z)
-        else:
-            cols[name] = ginibre_states(z)
-            if coin and j == 0:
-                cols[name][pure] = pure_states(z[pure, 0])
-    for name, (lo, hi), per in fields:
+def _draw_block(streams, m: int, dim: int) -> dict:
+    """The columns of a block of m verify instances, which every verify
+    suite reads.  Each array is drawn for all of them by one call on the
+    next of ``streams``, in this order: the POVM's outcome counts
+    ``integers(2, _OUTCOMES + 1)`` and its ``_OUTCOMES`` factors, the
+    pure-state coins ``random() < 0.3``, the Gaussians of "rho", "a", "b",
+    "rho2" and "ket", the uniforms of ``_UNIFORMS``, then the trivial
+    measurement's weights "p0": counts ``integers(1, _WEIGHTS + 1)`` and
+    ``_WEIGHTS`` standard exponentials, each row times the reciprocal of its
+    sum.  Factors, uniforms and weights past an instance's count are zero.
+    "rho" is a normalized Ginibre matrix or, on a pure row, the projector of
+    its draw's first row, "rho2" always a Ginibre state, "ket" a pure one,
+    and "a" and "b" the Hermitian parts of their draws.  The factors are
+    whitened (a block whose factors do not whiten raises, ``povm_effects``)."""
+    padding = np.arange(_OUTCOMES) >= next(streams).integers(2, _OUTCOMES + 1, m)[:, None]
+    factors = _gaussians(next(streams), m, _OUTCOMES, dim, dim)
+    factors[padding] = 0.0
+    cols = {"povm": povm_effects(factors)}
+    pure = next(streams).random(m) < 0.3
+    z = _gaussians(next(streams), m, dim, dim)
+    cols["rho"] = ginibre_states(z)
+    cols["rho"][pure] = pure_states(z[pure, 0])
+    for name in ("a", "b"):
+        cols[name] = kernels.hermitian_part(_gaussians(next(streams), m, dim, dim))
+    cols["rho2"] = ginibre_states(_gaussians(next(streams), m, dim, dim))
+    cols["ket"] = pure_states(_gaussians(next(streams), m, dim))
+    for name, (lo, hi), per in _UNIFORMS:
         cols[name] = next(streams).uniform(lo, hi, (m, _OUTCOMES) if per else m)
         if per:
             cols[name][padding] = 0.0
-    if not outcomes:
-        padding = np.arange(_WEIGHTS) >= next(streams).integers(1, _WEIGHTS + 1, m)[:, None]
-        weights = next(streams).standard_exponential((m, _WEIGHTS))
-        weights[padding] = 0.0
-        cols["p0"] = weights * (1.0 / weights.sum(axis=1))[:, None]
+    padding = np.arange(_WEIGHTS) >= next(streams).integers(1, _WEIGHTS + 1, m)[:, None]
+    weights = next(streams).standard_exponential((m, _WEIGHTS))
+    weights[padding] = 0.0
+    cols["p0"] = weights * (1.0 / weights.sum(axis=1))[:, None]
     return cols
-
-
-def _instances(cols: dict) -> tuple[kernels.Context, np.ndarray, np.ndarray]:
-    """The context and the two observables of a block's columns."""
-    return local_context(cols["povm"], cols["rho"]), cols["a"], cols["b"]
 
 
 def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _affineness(cols, slack, sign_flip) -> dict:
-    """Measurements respect probabilistic mixtures of states exactly."""
-    effects, rho1, rho2, lam = cols["povm"], cols["rho1"], cols["rho2"], cols["lam"]
-    mixed = lam[:, None, None] * rho1 + (1.0 - lam[:, None, None]) * rho2
-    direct, p1, p2 = kernels.born(effects, mixed), kernels.born(effects, rho1), kernels.born(effects, rho2)
+def _affineness(cols, ctx, slack, sign_flip) -> dict:
+    """Measurements respect probabilistic mixtures of states exactly: of a
+    Ginibre state and a pure one."""
+    effects, rho, ket, lam = cols["povm"], cols["rho2"], cols["ket"], cols["lam"]
+    mixed = lam[:, None, None] * rho + (1.0 - lam[:, None, None]) * ket
+    direct, p1, p2 = kernels.born(effects, mixed), kernels.born(effects, rho), kernels.born(effects, ket)
     residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
     return {"affineness": [("affineness broke", residual, DEFAULT_TOL.validation)]}
 
 
-def _adjoint_characterization(cols, slack, sign_flip) -> dict:
+def _adjoint_characterization(cols, ctx, slack, sign_flip) -> dict:
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
-    ctx, a, _ = _instances(cols)
-    f = cols["f"]
+    a, f = cols["a"], cols["f"]
     rhs = kernels.dot(f, ctx.weights)
     identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
     values, projectors = projective_from(a)
@@ -222,10 +200,9 @@ def _adjoint_characterization(cols, slack, sign_flip) -> dict:
     ]}
 
 
-def _contractivity(cols, slack, sign_flip) -> dict:
+def _contractivity(cols, ctx, slack, sign_flip) -> dict:
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
-    ctx, _, _ = _instances(cols)
     classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
     gap = adjoint_norm - classical
     return {"contractivity": [
@@ -234,11 +211,10 @@ def _contractivity(cols, slack, sign_flip) -> dict:
     ]}
 
 
-def _transport_adjointness(cols, slack, sign_flip) -> dict:
+def _transport_adjointness(cols, ctx, slack, sign_flip) -> dict:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
-    ctx, a, b = _instances(cols)
-    f = cols["f"]
+    a, b, f = cols["a"], cols["b"], cols["f"]
     t = kernels.transport(ctx, a)
     adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
 
@@ -261,10 +237,10 @@ def _transport_adjointness(cols, slack, sign_flip) -> dict:
     ]}
 
 
-def _error_decomposition(cols, slack, sign_flip) -> dict:
+def _error_decomposition(cols, ctx, slack, sign_flip) -> dict:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
-    ctx, a, _ = _instances(cols)
+    a = cols["a"]
     t = kernels.transport(ctx, a)
     split = kernels.f_error_split(ctx, a, t, cols["f"])
 
@@ -279,13 +255,13 @@ def _error_decomposition(cols, slack, sign_flip) -> dict:
     ]}
 
 
-def _relation_and_proof_tie(cols, slack, sign_flip) -> dict:
+def _relation_and_proof_tie(cols, ctx, slack, sign_flip) -> dict:
     """Main relation plus the proof-tie identities, on the same instances:
     slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, the
     composite-seminorm-equals-error identity, and R+iI against the composite
     cross product.  ``sign_flip`` corrupts I on purpose (see
     ``kernels.relation``)."""
-    ctx, a, b = _instances(cols)
+    a, b = cols["a"], cols["b"]
     rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
     device = kernels.proof_device(ctx, a, b, rel)
     return {
@@ -321,11 +297,11 @@ def _errorless(e: kernels.Errorless) -> tuple:
     return "constructed errorless case failed", e.error, e.errorless & (violation <= roundoff), detail
 
 
-def _errorless_equivalence(cols, slack, sign_flip) -> dict:
+def _errorless_equivalence(cols, ctx, slack, sign_flip) -> dict:
     """The exact errorless bound holds on random and constructed-errorless
     instances, and no measurement is errorless for both members of a
     noncommuting pair."""
-    ctx, a, b = _instances(cols)
+    a, b = cols["a"], cols["b"]
     conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
     comm = np.abs(kernels.comm(a, b, ctx.rho))
     both = conds_a.errorless & conds_b.errorless
@@ -350,11 +326,11 @@ def _errorless_equivalence(cols, slack, sign_flip) -> dict:
     ]}
 
 
-def _trivial_reduction(cols, slack, sign_flip) -> dict:
+def _trivial_reduction(cols, ctx, slack, sign_flip) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
-    commutator bound below it."""
-    rel, red = schroedinger_reduction(cols["p0"], cols["rho"], cols["a"], cols["b"])
+    commutator bound below it, at Ginibre states."""
+    rel, red = schroedinger_reduction(cols["p0"], cols["rho2"], cols["a"], cols["b"])
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
     return {"trivial-reduction": [
@@ -367,42 +343,32 @@ def _trivial_reduction(cols, slack, sign_flip) -> dict:
     ]}
 
 
-# An outcome function uniform in [-2, 2), as a uniform field of ``_draw_block``.
-_F = ("f", (-2.0, 2.0), True)
-
-# The POVM's outcome count, 2.._OUTCOMES, drawn first.
-_POVM = (2, _OUTCOMES + 1)
-
-# The verify suites in report order, keyed by stream name: (draws, checks).
-# ``draws`` are the arguments (layout, outcomes, coin, fields) of
-# ``_draw_block``; ``checks(cols, slack, sign_flip)`` maps each result name
-# to the checks of a block's columns.
+# The verify suites in report order, keyed by name: ``checks(cols, ctx,
+# slack, sign_flip)`` maps each result name to the checks of a block's
+# columns ``cols`` (``_draw_block``), ``ctx`` its POVM pinned to its "rho".
 _SUITES = {
-    "affineness": ((_AFFINE, _POVM, False, (("lam", (0.0, 1.0), False),)), _affineness),
-    "adjoint-characterization": ((_INSTANCE, _POVM, True, (_F,)), _adjoint_characterization),
-    "contractivity": ((_INSTANCE, _POVM, True, (_F,)), _contractivity),
-    "transport-adjointness": (
-        (_INSTANCE, _POVM, True, (_F, ("alpha", (-2.0, 2.0), False), ("beta", (-2.0, 2.0), False))),
-        _transport_adjointness),
-    "error-decomposition": (
-        (_INSTANCE, _POVM, True, (_F, ("delta", (-2.0, 2.0), True), ("step", (-1.0, 1.0), False))),
-        _error_decomposition),
-    "main-relation": ((_INSTANCE, _POVM, True, ()), _relation_and_proof_tie),
-    "errorless-equivalence": (
-        (_ERRORLESS, _POVM, True, (("scale", (0.5, 2.0), False), ("shift", (-1.0, 1.0), False))),
-        _errorless_equivalence),
-    "trivial-reduction": ((_INSTANCE, None, False, ()), _trivial_reduction),
+    "affineness": _affineness,
+    "adjoint-characterization": _adjoint_characterization,
+    "contractivity": _contractivity,
+    "transport-adjointness": _transport_adjointness,
+    "error-decomposition": _error_decomposition,
+    "main-relation": _relation_and_proof_tie,
+    "errorless-equivalence": _errorless_equivalence,
+    "trivial-reduction": _trivial_reduction,
 }
 
 
 def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) -> list[SuiteResult]:
     """The results of the suites ``entries`` (entries of ``_SUITES``), in
     entry order and, within an entry, in the order its checks name them:
-    each block of each entry is swept, drawn and checked once."""
+    each block is swept, drawn and pinned to its context once, and checked
+    by every entry."""
     results = {}
-    for stream, (draws, checks) in entries.items():
-        for dim, block, streams in _sweep(seed, stream, dims, n):
-            for name, rows in checks(_draw_block(streams, len(block), dim, *draws), slack, sign_flip).items():
+    for dim, block, streams in _sweep(seed, _VERIFY_STREAM, dims, n):
+        cols = _draw_block(streams, len(block), dim)
+        ctx = local_context(cols["povm"], cols["rho"])
+        for checks in entries.values():
+            for name, rows in checks(cols, ctx, slack, sign_flip).items():
                 results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
     return list(results.values())
 
@@ -422,7 +388,7 @@ def suite_ozawa_chain(pairs, n, seed, slack: float = DEFAULT_TOL.identity) -> Su
     statistics, the rms-error bridge identity, per-observable dominance, and
     the full five-term comparison chain."""
     out = SuiteResult("ozawa-chain")
-    for (dim, ancilla), block, streams in _sweep(seed, out.name, pairs, n):
+    for (dim, ancilla), block, streams in _sweep(seed, _CHAIN_STREAM, pairs, n):
         meter = diagonal_meter(ancilla)
         xi, u, rho, a, b = _chain_models(streams, len(block), dim, ancilla)
         ctx, c = chain_check(xi, u, meter, rho, a, b, slack)

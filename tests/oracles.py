@@ -232,41 +232,36 @@ def gaussian(draw, *shape):
     return re + 1j * im
 
 
-def verify_draws(streams, rows, suite, dim):
-    """One instance of a ``verify`` suite, row ``rows - 1`` of each array
-    drawn plainly from the next of ``streams``, in the documented order: the
-    outcome count, the POVM's 6 factors, the pure-state coin, the states and
-    observables (kets ``(dim,)``, matrices ``(dim, dim)``), then the suite's
-    uniforms over 6 outcomes or single; trivial-reduction draws its state
-    and observables, then its weights' count and 4 standard exponentials.
-    The POVM factors, uniforms and weights are cut to the outcome count, the
-    weights normalized; a pure instance's ket is its draw's first row."""
+def verify_draws(streams, rows, dim):
+    """One ``verify`` instance, row ``rows - 1`` of each array drawn plainly
+    from the next of ``streams``, in the documented order: the outcome
+    count, the POVM's 6 factors, the pure-state coin, the matrices rho, a, b
+    and rho2 and the ket, the uniforms f, alpha, beta, delta, step, lam,
+    scale and shift (f and delta over 6 outcomes), then the weights' count
+    and 4 standard exponentials.  The POVM factors, f, delta and the weights
+    are cut to their counts, the weights normalized; a pure instance's rho is
+    its draw's first row."""
     draw = instance_rows(streams, rows)
-    if suite == "trivial-reduction":
-        out = {key: gaussian(draw, dim, dim) for key in ("rho", "a", "b")}
-        count = draw("integers", 1, 5)
-        weights = draw("standard_exponential", shape=(4,))[:count]
-        out["p0"] = weights * (1.0 / weights.sum())
-        return out
     outcomes = draw("integers", 2, 7)
     out = {"povm": gaussian(draw, 6, dim, dim)[:outcomes]}
-    if suite == "affineness":
-        out["rho1"], out["rho2"] = gaussian(draw, dim, dim), gaussian(draw, dim)
-        out["lam"] = draw("uniform", 0.0, 1.0)
-        return out
     out["pure"] = bool(draw("random") < 0.3)
     rho = gaussian(draw, dim, dim)
     out["rho"] = rho[0] if out["pure"] else rho
-    out["a"], out["b"] = gaussian(draw, dim, dim), gaussian(draw, dim, dim)
-    if suite == "errorless-equivalence":
-        out["rho2"] = gaussian(draw, dim, dim)
-        out["scale"], out["shift"] = draw("uniform", 0.5, 2.0), draw("uniform", -1.0, 1.0)
-    elif suite != "main-relation":
-        out["f"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes]
-    if suite == "transport-adjointness":
-        out["alpha"], out["beta"] = draw("uniform", -2.0, 2.0), draw("uniform", -2.0, 2.0)
-    elif suite == "error-decomposition":
-        out["delta"], out["step"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes], draw("uniform", -1.0, 1.0)
+    out["a"] = gaussian(draw, dim, dim)
+    out["b"] = gaussian(draw, dim, dim)
+    out["rho2"] = gaussian(draw, dim, dim)
+    out["ket"] = gaussian(draw, dim)
+    out["f"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes]
+    out["alpha"] = draw("uniform", -2.0, 2.0)
+    out["beta"] = draw("uniform", -2.0, 2.0)
+    out["delta"] = draw("uniform", -2.0, 2.0, shape=(6,))[:outcomes]
+    out["step"] = draw("uniform", -1.0, 1.0)
+    out["lam"] = draw("uniform", 0.0, 1.0)
+    out["scale"] = draw("uniform", 0.5, 2.0)
+    out["shift"] = draw("uniform", -1.0, 1.0)
+    count = draw("integers", 1, 5)
+    weights = draw("standard_exponential", shape=(4,))[:count]
+    out["p0"] = weights * (1.0 / weights.sum())
     return out
 
 

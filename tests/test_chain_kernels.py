@@ -26,7 +26,7 @@ CASES = [(dim, ancilla) for dim in (2, 3, 5, 8) for ancilla in (1, 2, 3)]
 def chain_models(seed, dim, ancilla, block):
     """``suites._chain_models`` of the models ``block`` of the first block of
     a (dim, ancilla) sweep, which draws its rows 0 to ``block.stop - 1``."""
-    _, _, streams = next(suites._sweep(seed, "ozawa-chain", ((dim, ancilla),), block.stop))
+    _, _, streams = next(suites._sweep(seed, suites._CHAIN_STREAM, ((dim, ancilla),), block.stop))
     return [x[block.start :] for x in suites._chain_models(streams, block.stop, dim, ancilla)]
 
 
@@ -39,7 +39,7 @@ def test_stacked_draws_are_the_per_model_draws(dim, ancilla):
     block = range(5, 8)
     xi, u, rho, a, b = chain_models(17, dim, ancilla, block)
     for k, i in enumerate(block):
-        streams = oracles.instance_streams([17, suites._SUITE_STREAM["ozawa-chain"], dim, ancilla], i)
+        streams = oracles.instance_streams([17, suites._CHAIN_STREAM, dim, ancilla], i)
         ket, factor, g, a_i, b_i = oracles.chain_draws(streams, i + 1, dim, ancilla)
         q, r = np.linalg.qr(factor)
         d = np.diagonal(r)

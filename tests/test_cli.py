@@ -617,6 +617,7 @@ class TestMalformedFiles:
             ("povm", {"effects": 5}, "effects must be a JSON list, got int"),
             ("povm", {"values": [None, -1.0]}, "values must be numbers"),
             ("povm", {"values": [_HUGE, -1.0]}, "outcome values must be finite"),
+            ("povm", {"values": [math.inf, -1.0]}, "outcome values must be finite"),
             ("model", {"meter": _huge_matrix()}, _HUGE_ENTRY),
             ("state", {"re": 1.0}, "matrix JSON must be nested arrays of [re, im] pairs"),
             ("povm", {"effects": _z_effects("1")}, "matrix entries must be numbers"),
@@ -643,7 +644,8 @@ class TestMalformedFiles:
         ],
         ids=[
             "system_dim-list", "system_dim-float", "model-list",
-            "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "values-huge", "meter-huge",
+            "labels-int", "labels-str", "povm-list", "effects-int", "values-null", "values-huge", "values-inf",
+            "meter-huge",
             "state-object",
             "entry-str", "entry-str-exp", "entry-bool",
             "effect-inf-imag", "meter-inf-imag", "state-inf-imag", "obs-a-inf-imag",

@@ -171,16 +171,31 @@ def test_f_error_split_and_contractivity(dim, seed):
 
 def test_broken_split_raises():
     with pytest.raises(AssertionError):
-        kernels.check_split(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([np.sqrt(2.0), 1.0]))
+        kernels.check_split(np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.array([np.sqrt(2.0), 1.0]), 3.0)
+
+
+def test_planted_estimation_error_raises(monkeypatch):
+    """An estimation error 1e-6 too large on unit-scale instances breaks the
+    split by ~1e-6, which ``f_error_split`` rejects: the scale it judges the
+    split at, 1 + ||A||_rho^2 + ||f||_p^2, lets no such error through."""
+    _, ctx, a, _, f = stack(3, 0)
+    t = kernels.transport(ctx, a)
+    split = kernels.f_error_split(ctx, a, t, f)
+    assert (split.estimation_error > 0.1).all()
+    planted = kernels.FError
+    monkeypatch.setattr(kernels, "FError", lambda q, e, f_err: planted(q, e * (1.0 + 1e-6), f_err))
+    with pytest.raises(AssertionError, match="^error decomposition violated by "):
+        kernels.f_error_split(ctx, a, t, f)
 
 
 @pytest.mark.parametrize("size", [1e3, 1e6])
 def test_projective_measurements_of_large_observables(size):
     """Measured projectively, an observable of norm 1e3 or 1e6 has error 0
     up to roundoff, and nothing raises: the guards judge the transport
-    radicand, the squared norms and the reconstruction cost of an estimator
-    (the eigenvalues shifted by ``size``, whose f-error is ``size``) against
-    the squares they come from, ~size^2, not against -psd."""
+    radicand, the squared norms, and the reconstruction cost and the f-error
+    split of an estimator (the eigenvalues, whose f-error is 0, and the
+    eigenvalues shifted by ``size``, whose f-error is ``size``) against the
+    squares they come from, ~size^2, not against -psd or 1."""
     rng = np.random.default_rng(int(size))
     for dim in (2, 3, 4, 5):
         rho = np.concatenate([ginibre_states(oracles.complex_gaussian(rng, (40, dim, dim))),
@@ -191,9 +206,11 @@ def test_projective_measurements_of_large_observables(size):
         ctx = local_context(projectors, rho)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, values + size)
+        exact = kernels.f_error_split(ctx, a, t, values)
         e = kernels.errorless(ctx, a)
         assert e.errorless.all() and (e.violation <= suites._BOUND_ROUNDOFF * e.scale**2).all()
         assert np.allclose(split.f_error, size, rtol=1e-12, atol=0.0)
+        assert (exact.f_error <= 1e-6 * size).all()
 
 
 @pytest.mark.parametrize("dim,seed", CASES)

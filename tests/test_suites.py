@@ -16,7 +16,7 @@ import oracles
 import pytest
 
 import measerr
-from measerr import chain_check, evaluate_relation
+from measerr import chain_check, evaluate_relation, local_context
 from measerr import generate, kernels, states, suites
 from measerr.cli import main
 from measerr.serialize import model_from_json, model_to_json
@@ -243,36 +243,85 @@ class TestRecordBlock:
         assert (out.checks, out.failures, out.worst) == (2, 0, 0.0)
 
 
-def draw_block(seed, suite, dim, n, b=0):
-    """Block ``b`` of a (suite, dim) sweep of n instances, and its
-    ``suites._draw_block`` columns with the suite's draws."""
-    draws, _ = suites._SUITES[suite]
-    _, block, streams = list(suites._sweep(seed, suite, (dim,), n))[b]
-    return block, suites._draw_block(streams, len(block), dim, *draws)
+def draw_block(seed, dim, n, b=0):
+    """Block ``b`` of a verify sweep of n instances at ``dim``, and its
+    ``suites._draw_block`` columns."""
+    _, block, streams = list(suites._sweep(seed, suites._VERIFY_STREAM, (dim,), n))[b]
+    return block, suites._draw_block(streams, len(block), dim)
 
 
-def plain_draws(seed, suite, dim, i):
-    """``oracles.verify_draws`` of instance ``i`` of a (suite, dim) sweep."""
-    streams = oracles.instance_streams([seed % 2**63, suites._SUITE_STREAM[suite], dim], i)
-    return oracles.verify_draws(streams, i % oracles.BLOCK + 1, suite, dim)
+def plain_draws(seed, dim, i):
+    """``oracles.verify_draws`` of instance ``i`` of a verify sweep at ``dim``."""
+    streams = oracles.instance_streams([seed % 2**63, suites._VERIFY_STREAM, dim], i)
+    return oracles.verify_draws(streams, i % oracles.BLOCK + 1, dim)
 
 
-def assert_block_is_the_plain_draws(cols, block, draws):
-    """Every column of a ``_draw_block`` result equals, instance by instance,
-    ``draws(i)`` (``oracles.verify_draws`` of instance i): the POVM as the
-    effects of the plain factors, a state as the projector of its ket or
-    normalized Ginibre matrix and an observable as the Hermitian part of its
-    draw, as the generators build them (so the pure-state coin decides which
-    state), and every other draw exactly, with rows over outcomes zero-padded."""
+# The columns of a verify block that each suite reads, the "povm" and "rho"
+# of the block's context among them: the instances, with the same kinds of
+# state, that each suite drew when it drew a layout of its own.
+READS = {
+    "affineness": {"povm", "rho2", "ket", "lam"},
+    "adjoint-characterization": {"povm", "rho", "a", "f"},
+    "contractivity": {"povm", "rho", "f"},
+    "transport-adjointness": {"povm", "rho", "a", "b", "f", "alpha", "beta"},
+    "error-decomposition": {"povm", "rho", "a", "f", "delta", "step"},
+    "main-relation": {"povm", "rho", "a", "b"},
+    "errorless-equivalence": {"povm", "rho", "a", "b", "rho2", "scale", "shift"},
+    "trivial-reduction": {"rho2", "a", "b", "p0"},
+}
+
+
+class Reading(dict):
+    """A block's columns that add each key read to ``read``."""
+
+    def __init__(self, cols, read):
+        super().__init__(cols)
+        self.read = read
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+class ReadingContext:
+    """A context that adds "povm" and "rho", what it is built from, to ``read`` when read."""
+
+    def __init__(self, ctx, read):
+        self.ctx, self.read = ctx, read
+
+    def __getattr__(self, name):
+        self.read.update(("povm", "rho"))
+        return getattr(self.ctx, name)
+
+
+@pytest.mark.parametrize("suite", suites._SUITES)
+def test_each_suite_reads_its_columns(suite):
+    """A suite reads the columns ``READS`` names of the shared block: the
+    Ginibre "rho2" and the pure "ket" for affineness, the Ginibre "rho2" for
+    trivial-reduction, the coin-tossed "rho" for the others."""
+    _, cols = draw_block(3, 3, 20)
+    read = set()
+    ctx = ReadingContext(local_context(cols["povm"], cols["rho"]), read)
+    suites._SUITES[suite](Reading(cols, read), ctx, DEFAULT_TOL.identity, False)
+    assert read == READS[suite]
+
+
+def assert_block_is_the_plain_draws(cols, block, draws, keys):
+    """The columns ``keys`` of a ``_draw_block`` result equal, instance by
+    instance, ``draws(i)`` (``oracles.verify_draws`` of instance i): the
+    POVM as the effects of the plain factors, a state as the projector of
+    its ket or normalized Ginibre matrix and an observable as the Hermitian
+    part of its draw, as the generators build them (so the pure-state coin
+    decides which state), and every other draw exactly, with rows over
+    outcomes zero-padded.  The block holds the plain draws' columns."""
     for k, i in enumerate(block):
         plain = draws(i)
-        plain.pop("pure", None)
-        assert cols.keys() == plain.keys()
-        for key, want in plain.items():
-            got = cols[key][k]
+        assert cols.keys() == plain.keys() - {"pure"}
+        for key in keys:
+            want, got = plain[key], cols[key][k]
             if key == "povm":
                 want = generate.povm_effects(want)
-            elif key.startswith("rho"):
+            elif key.startswith("rho") or key == "ket":
                 want = pure_states(want) if want.ndim == 1 else generate.ginibre_states(want)
             elif key in ("a", "b"):
                 want = kernels.hermitian_part(want)
@@ -285,49 +334,59 @@ def assert_block_is_the_plain_draws(cols, block, draws):
 @pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_block_columns_are_the_plain_sequential_draws(suite, dim):
-    """A block of 15, and the 12 instances of a sweep's second block, equal
-    their plain draws."""
+    """The columns a suite reads, of a block of 15 and of the 12 instances
+    of a sweep's second block, equal their plain draws."""
     for n, b in ((15, 0), (140, 1)):
-        block, cols = draw_block(19, suite, dim, n, b)
-        assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 19, suite, dim))
+        block, cols = draw_block(19, dim, n, b)
+        assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 19, dim), READS[suite])
+
+
+# The columns that split a block into groups: how each plain draw falls
+# into one, and the groups there are.
+GROUPS = {
+    "povm": (lambda d: len(d["povm"]), range(2, 7)),
+    "rho": (lambda d: d["pure"], (False, True)),
+    "p0": (lambda d: len(d["p0"]), range(1, 5)),
+}
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_full_block_unpacks_every_group(suite, dim):
-    """A full block of ``_BLOCK`` instances holds every (outcome count, pure)
-    pair its draws make (the trivial measurement's outcome count alone), and
-    each instance equals its plain draws."""
-    block, cols = draw_block(29, suite, dim, suites._BLOCK)
+    """A full block of ``_BLOCK`` instances holds every group of the columns
+    a suite reads (outcome count, pure-state coin, or the trivial
+    measurement's outcome count), and each instance equals its plain draws."""
+    block, cols = draw_block(29, dim, suites._BLOCK)
     assert block == range(suites._BLOCK)
-    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, 29, suite, dim))
-    draws = [plain_draws(29, suite, dim, i) for i in block]
-    groups = {(len(d["povm"]), d.get("pure")) if "povm" in d else len(d["p0"]) for d in draws}
-    pure = (False, True) if "pure" in draws[0] else (None,)
-    assert groups == ({1, 2, 3, 4} if suite == "trivial-reduction" else {(n, p) for n in range(2, 7) for p in pure})
+    draws = [plain_draws(29, dim, i) for i in block]
+    assert_block_is_the_plain_draws(cols, block, lambda i: draws[i], READS[suite])
+    kinds = [group for key, group in GROUPS.items() if key in READS[suite]]
+    groups = {tuple(of(d) for of, _ in kinds) for d in draws}
+    assert groups == set(itertools.product(*(values for _, values in kinds)))
 
 
-@pytest.mark.parametrize("suite", [suite for suite, ((_, _, coin, _), _) in suites._SUITES.items() if coin])
+@pytest.mark.parametrize("suite", [suite for suite in suites._SUITES if "rho" in READS[suite]])
 @pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("pure", [False, True])
 def test_one_instance_blocks_of_one_kind_of_state(suite, dim, pure):
-    """A one-instance block whose state is only a ket, or only a Ginibre
-    draw, leaves the other kind's rows empty, and equals its plain draws."""
-    seed = next(seed for seed in itertools.count() if plain_draws(seed, suite, dim, 0)["pure"] == pure)
-    block, cols = draw_block(seed, suite, dim, 1)
-    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, seed, suite, dim))
+    """A one-instance block whose coin-tossed state is only a ket, or only a
+    Ginibre draw, leaves the other kind's rows empty, and the columns a
+    suite reads equal their plain draws."""
+    seed = next(seed for seed in itertools.count() if plain_draws(seed, dim, 0)["pure"] == pure)
+    block, cols = draw_block(seed, dim, 1)
+    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, seed, dim), READS[suite])
 
 
 def chain_plain_draws(seed, dim, ancilla, i):
     """``oracles.chain_draws`` of model ``i`` of a (dim, ancilla) chain sweep."""
-    streams = oracles.instance_streams([seed % 2**63, suites._SUITE_STREAM["ozawa-chain"], dim, ancilla], i)
+    streams = oracles.instance_streams([seed % 2**63, suites._CHAIN_STREAM, dim, ancilla], i)
     return oracles.chain_draws(streams, i % oracles.BLOCK + 1, dim, ancilla)
 
 
 @pytest.mark.parametrize("dim,ancilla", [(2, 1), (3, 2), (5, 3)])
 def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
     for n, b in ((10, 0), (134, 1)):
-        _, block, streams = list(suites._sweep(23, "ozawa-chain", ((dim, ancilla),), n))[b]
+        _, block, streams = list(suites._sweep(23, suites._CHAIN_STREAM, ((dim, ancilla),), n))[b]
         xi, u, rho, a, b = suites._chain_models(streams, len(block), dim, ancilla)
         for k, i in enumerate(block):
             ket, factor, g, a_i, b_i = chain_plain_draws(23, dim, ancilla, i)
@@ -343,14 +402,17 @@ def test_chain_models_are_the_plain_sequential_draws(dim, ancilla):
 def test_stream_key_is_the_key_numpy_derives_from_the_list(seed, suite, parts):
     """``_sweep`` keys the j-th array of block b of a key (``parts`` is the
     key, then b) by ``default_rng([seed % 2**63, stream, *key, b, j])``,
-    the seed taken modulo 2**63 (one 32-bit word, or two from 2**32 on)."""
+    the seed taken modulo 2**63 (one 32-bit word, or two from 2**32 on),
+    and stream ``_CHAIN_STREAM`` for the chain suite, ``_VERIFY_STREAM``
+    for every verify suite."""
     *key, b = parts
     key = key[0] if len(key) == 1 else tuple(key)
-    sweeps = list(suites._sweep(seed, suite, [key], b * suites._BLOCK + 1))
+    stream = suites._CHAIN_STREAM if suite == "ozawa-chain" else suites._VERIFY_STREAM
+    sweeps = list(suites._sweep(seed, stream, [key], b * suites._BLOCK + 1))
     assert [(k, block) for k, block, _ in sweeps[b:]] == [(key, range(b * suites._BLOCK, b * suites._BLOCK + 1))]
     streams = sweeps[b][2]
     for j in range(3):
-        plain = np.random.default_rng([seed % 2**63, suites._SUITE_STREAM[suite], *parts, j])
+        plain = np.random.default_rng([seed % 2**63, stream, *parts, j])
         ours = next(streams)
         assert np.array_equal(ours.standard_normal(64), plain.standard_normal(64))
         assert np.array_equal(ours.integers(0, 2**62, 64), plain.integers(0, 2**62, 64))
@@ -358,13 +420,11 @@ def test_stream_key_is_the_key_numpy_derives_from_the_list(seed, suite, parts):
 
 def test_block_instances_are_the_generators_on_their_own_streams():
     """The columns of a sweep's first 12 instances are the same, bit for bit,
-    whether their block holds 12 instances or 128, in the suites that draw
-    more after the POVM too."""
-    for suite in ("main-relation", "error-decomposition", "errorless-equivalence"):
-        _, short = draw_block(11, suite, 4, 12)
-        _, full = draw_block(11, suite, 4, 140)
-        assert short.keys() == full.keys()
-        assert all(np.array_equal(short[key], full[key][:12]) for key in full)
+    whether their block holds 12 instances or 128."""
+    _, short = draw_block(11, 4, 12)
+    _, full = draw_block(11, 4, 140)
+    assert short.keys() == full.keys()
+    assert all(np.array_equal(short[key], full[key][:12]) for key in full)
 
 
 # numpy's PCG64 multiplier.  A step maps the 128-bit state S to S mult + inc
@@ -391,24 +451,26 @@ def generator_next_raw(x, hi=0x9E3779B97F4A7C15, inc=0xDA3E39CB94B95BDB):
 _RAW = [0xDEADBEEF00000000, 0, 0x0123456789ABCDEF, 0xFEDCBA9876543210]
 
 
+# The places in the draw order of the two bounded counts: the POVM's outcome count and the weights' count.
+_COUNTS = (0, 16)
+
+
 @pytest.mark.parametrize("x", _RAW)
 @pytest.mark.parametrize("suite", suites._SUITES)
 def test_drawers_are_the_plain_draws_on_any_raw_output(x, suite):
-    """Each suite's draws, with an outcome count drawn from a stream whose
+    """The columns a suite reads, with both counts drawn from streams whose
     first raw output is ``x``, are the plain calls' instance, whichever
-    branch numpy's bounded draw of the count takes (its rejection branches,
+    branch numpy's bounded draw of a count takes (its rejection branches,
     which no seed reaches in practice, among them)."""
     assert generator_next_raw(x).bit_generator.random_raw() == x
-    counted = 3 if suite == "trivial-reduction" else 0
 
     def streams():
         for j in itertools.count():
-            yield generator_next_raw(x) if j == counted else np.random.default_rng(j)
+            yield generator_next_raw(x) if j in _COUNTS else np.random.default_rng(j)
 
-    draws, _ = suites._SUITES[suite]
-    cols = suites._draw_block(streams(), 1, 3, *draws)
-    plain = oracles.verify_draws(streams(), 1, suite, 3)
-    assert_block_is_the_plain_draws(cols, range(1), lambda i: dict(plain))
+    cols = suites._draw_block(streams(), 1, 3)
+    plain = oracles.verify_draws(streams(), 1, 3)
+    assert_block_is_the_plain_draws(cols, range(1), lambda i: plain, READS[suite])
 
 
 class CountingGenerator:
@@ -430,22 +492,23 @@ class CountingGenerator:
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
-def test_each_array_is_one_call(suite):
-    """``_draw_block`` draws each array of a block, for all its instances,
-    by one call on a stream of its own, as many streams as the plain draws
-    of an instance take."""
-    calls = []
+def test_each_array_is_one_call(suite, monkeypatch):
+    """A suite run alone draws its block's whole layout, each array for all
+    the block's instances by one call on a stream of its own, as many
+    streams as the plain draws of an instance take."""
+    calls, streams = [], suites._streams
 
-    def streams():
-        for rng in next(suites._sweep(3, suite, (3,), 40))[2]:
+    def counted(*key):
+        for rng in streams(*key):
             calls.append(collections.Counter())
             yield CountingGenerator(rng, calls[-1])
 
-    draws, _ = suites._SUITES[suite]
-    suites._draw_block(streams(), 40, 3, *draws)
+    monkeypatch.setattr(suites, "_streams", counted)
+    run(suite, (3,), 40, 3)
     plain = []
-    oracles.verify_draws((plain.append(rng) or rng for rng in oracles.instance_streams([3, 0, 3], 0)), 1, suite, 3)
+    oracles.verify_draws((plain.append(rng) or rng for rng in oracles.instance_streams([3, 0, 3], 0)), 1, 3)
     assert [sum(c.values()) for c in calls] == [1] * len(plain)
+    assert [j for j, c in enumerate(calls) if "integers" in c] == list(_COUNTS)
 
 
 def spoil_factors(monkeypatch, spoil):
@@ -469,7 +532,7 @@ def test_unwhitenable_factors_fail_closed(monkeypatch, capsys):
     non-finite branch of ``povm_effects``' guard."""
     spoil_factors(monkeypatch, np.zeros_like)
     with pytest.raises(ValueError):
-        draw_block(5, "main-relation", 3, 4)
+        draw_block(5, 3, 4)
     code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out, err) == (2, "", "error: effect entries must be finite\n")
@@ -482,7 +545,7 @@ def test_ill_conditioned_factors_fail_closed(monkeypatch, capsys):
     rng = np.random.default_rng(1)
     spoil_factors(monkeypatch, lambda factors: ill_conditioned_factors(factors, rng))
     with pytest.raises(ValueError, match="^effects sum to identity only within "):
-        draw_block(5, "main-relation", 3, 4)
+        draw_block(5, 3, 4)
     code = main(["verify", "--dims", "2,3", "--n", "4", "--seed", "5"])
     out, err = capsys.readouterr()
     assert (code, out) == (2, "")
@@ -523,13 +586,13 @@ def test_errorless_failure_lists_the_conditions(monkeypatch):
 
 def test_errorless_bound_holds_between_the_thresholds():
     """Instance 31 at dim 2 of seed 2608764119, as it was drawn when each
-    instance had a stream of its own (every draw from
-    ``default_rng([2608764119, 7, 2, 31])``, call by call), is errorless by
-    (a), eps^2 <= tau ||A||_rho^2, while its round-trip residual r exceeds
-    tau ||A||_rho, so no threshold on r agrees with (a) there; the exact
-    bound r^2 <= eps^2 <= r (2m + r) holds on it, and the suite's checks
-    pass on it."""
-    rng = np.random.default_rng([2608764119, suites._SUITE_STREAM["errorless-equivalence"], 2, 31])
+    instance had a stream of its own and errorless-equivalence the stream id
+    7 (every draw from ``default_rng([2608764119, 7, 2, 31])``, call by
+    call), is errorless by (a), eps^2 <= tau ||A||_rho^2, while its
+    round-trip residual r exceeds tau ||A||_rho, so no threshold on r agrees
+    with (a) there; the exact bound r^2 <= eps^2 <= r (2m + r) holds on it,
+    and the suite's checks pass on it."""
+    rng = np.random.default_rng([2608764119, 7, 2, 31])
     outcomes = int(rng.integers(2, 7))
     pure = rng.random() < 0.3
     cols = {"povm": generate.povm_effects(oracles.povm_factors(rng, outcomes, 2))}
@@ -539,12 +602,12 @@ def test_errorless_bound_holds_between_the_thresholds():
     cols["rho2"] = generate.ginibre_states(oracles.complex_gaussian(rng, (2, 2)))
     cols["scale"], cols["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     cols = {key: np.asarray(value)[None] for key, value in cols.items()}
-    ctx, a, _ = suites._instances(cols)
-    e = kernels.errorless(ctx, a)
+    ctx = local_context(cols["povm"], cols["rho"])
+    e = kernels.errorless(ctx, cols["a"])
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
     assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2
     out = SuiteResult("errorless-equivalence")
-    [checks] = suites._errorless_equivalence(cols, DEFAULT_TOL.identity, False).values()
+    [checks] = suites._errorless_equivalence(cols, ctx, DEFAULT_TOL.identity, False).values()
     out.record_block(2, range(31, 32), checks)
     assert (out.checks, out.failures) == (6, 0)
 
@@ -586,6 +649,36 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
         assert failed == (8 if failing else 0)
     short, long = seen
     assert short == {key: value for key, value in long.items() if key[-1] < 32}
+
+
+def test_run_verify_draws_each_block_once(monkeypatch):
+    """One sweep block per dimension at n = 100, drawn once for all eight
+    verify suites."""
+    calls, draw = [], suites._draw_block
+
+    def counted(streams, m, dim):
+        calls.append((m, dim))
+        return draw(streams, m, dim)
+
+    monkeypatch.setattr(suites, "_draw_block", counted)
+    suites.run_verify((2, 3, 4, 5), 100, 8)
+    assert calls == [(100, 2), (100, 3), (100, 4), (100, 5)]
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_each_suite_alone_is_as_in_the_full_run(monkeypatch, failing):
+    """Each verify suite run alone by ``_run`` counts the same checks and
+    failures, the same worst residual and the same messages as in the full
+    run, where the suites before it have read the same columns: no checks
+    function writes into the block they share.  Also on failing runs, with
+    the sign flip and roundoff-level slacks."""
+    if failing:
+        monkeypatch.setattr(suites, "DEFAULT_TOL", replace(DEFAULT_TOL, validation=1e-16, expectation=1e-16))
+    slack = 1e-16 if failing else DEFAULT_TOL.identity
+    full = summaries(suites.run_verify((2, 3), 150, 9, slack, failing))
+    alone = [row for suite in suites._SUITES for row in summaries(run(suite, (2, 3), 150, 9, slack, failing))]
+    assert alone == full
+    assert sum(failures > 0 for _, _, failures, _, _ in full) == (7 if failing else 0)
 
 
 def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
