@@ -5,7 +5,7 @@ and the suites share (``projective_from``, ``trivial_measurement``,
 ``evaluate_relation``, ``schroedinger_reduction``, ``induced_povm``,
 ``chain_check``) call it on validated arrays and return its records as they
 are: the CLI on single instances, with numpy scalars in the scalar fields,
-the suites on whole (suite, dimension) blocks.  The tests call it directly.
+the suites on whole blocks of one dimension.  The tests call it directly.
 All pin measurements to states through ``transport.local_context``, which
 returns this module's ``Context``.
 
@@ -405,12 +405,11 @@ class Errorless(_Record):
     __slots__ = ("errorless", "violation", "error", "roundtrip_residual", "scale")
 
 
-def errorless(ctx: Context, a: np.ndarray) -> Errorless:
-    """(a) eps^2 <= tau scale^2, tau = DEFAULT_TOL.errorless and scale =
-    ||A||_rho, and the violation max(r^2 - eps^2, eps^2 - r (2m + r)) of the
-    exact bound r^2 <= eps^2 <= r (2m + r), r = ||A - roundtrip||_rho and m
-    = ||roundtrip||_rho (``errors``): roundoff of scale^2 on every instance."""
-    t = transport(ctx, a)
+def errorless(ctx: Context, a: np.ndarray, t: Transported) -> Errorless:
+    """(a) eps^2 <= tau scale^2 of A (transported as ``t``), tau = DEFAULT_TOL.errorless and
+    scale = ||A||_rho, and the violation max(r^2 - eps^2, eps^2 - r (2m + r)) of the exact
+    bound r^2 <= eps^2 <= r (2m + r), r = ||A - roundtrip||_rho and m = ||roundtrip||_rho
+    (``errors``): roundoff of scale^2 on every instance."""
     residual, back = norm(a - t.roundtrip, ctx.rho), norm(t.roundtrip, ctx.rho)
     square = t.error**2
     violation = np.maximum(residual**2 - square, square - residual * (2.0 * back + residual))

@@ -18,8 +18,8 @@ and their Born weights (``kernels.born`` clips them) are valid by
 construction and are not validated again (``povm_effects`` guards its own
 whitening).  The verify suites share one stream id, ``_VERIFY_STREAM``,
 and one instance layout: ``_draw_block`` draws each (dimension, block)
-once, ``_run`` pins its POVM to its state once, and every checks function
-of ``_SUITES`` reads the columns it needs from that one block.
+once, ``_run`` derives its context, relation and spectral decomposition
+once, and every checks function of ``_SUITES`` reads them from that block.
 ``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
 models on ``_CHAIN_STREAM``.
 """
@@ -176,7 +176,7 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _affineness(cols, ctx, slack, sign_flip) -> dict:
+def _affineness(cols, slack) -> dict:
     """Measurements respect probabilistic mixtures of states exactly: of a
     Ginibre state and a pure one."""
     effects, rho, ket, lam = cols["povm"], cols["rho2"], cols["ket"], cols["lam"]
@@ -186,13 +186,13 @@ def _affineness(cols, ctx, slack, sign_flip) -> dict:
     return {"affineness": [("affineness broke", residual, DEFAULT_TOL.validation)]}
 
 
-def _adjoint_characterization(cols, ctx, slack, sign_flip) -> dict:
+def _adjoint_characterization(cols, slack) -> dict:
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
-    a, f = cols["a"], cols["f"]
+    a, f, ctx = cols["a"], cols["f"], cols["ctx"]
     rhs = kernels.dot(f, ctx.weights)
     identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
-    values, projectors = projective_from(a)
+    values, projectors = cols["spectral"]
     rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
     return {"adjoint-characterization": [
         ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
@@ -200,10 +200,10 @@ def _adjoint_characterization(cols, ctx, slack, sign_flip) -> dict:
     ]}
 
 
-def _contractivity(cols, ctx, slack, sign_flip) -> dict:
+def _contractivity(cols, slack) -> dict:
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
-    classical, adjoint_norm, gap_min = kernels.contractivity(ctx, cols["f"])
+    classical, adjoint_norm, gap_min = kernels.contractivity(cols["ctx"], cols["f"])
     gap = adjoint_norm - classical
     return {"contractivity": [
         ("norm contraction broke", gap, slack * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
@@ -211,11 +211,11 @@ def _contractivity(cols, ctx, slack, sign_flip) -> dict:
     ]}
 
 
-def _transport_adjointness(cols, ctx, slack, sign_flip) -> dict:
+def _transport_adjointness(cols, slack) -> dict:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
-    a, b, f = cols["a"], cols["b"], cols["f"]
-    t = kernels.transport(ctx, a)
+    a, b, f, ctx = cols["a"], cols["b"], cols["f"], cols["ctx"]
+    t, t_b = cols["rel"].transport_a, cols["rel"].transport_b
     adjointness = kernels.adjointness(ctx, a, t.pushforward, f)
 
     mean_a = kernels.expect(a, ctx.rho)
@@ -227,7 +227,7 @@ def _transport_adjointness(cols, ctx, slack, sign_flip) -> dict:
 
     alpha, beta = cols["alpha"], cols["beta"]
     lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
-    combo = alpha[:, None] * t.pushforward + beta[:, None] * kernels.pushforward(ctx, b)
+    combo = alpha[:, None] * t.pushforward + beta[:, None] * t_b.pushforward
     linearity = _max_abs(lin - combo)
     return {"transport-adjointness": [
         ("adjointness broke", adjointness, slack * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
@@ -237,11 +237,10 @@ def _transport_adjointness(cols, ctx, slack, sign_flip) -> dict:
     ]}
 
 
-def _error_decomposition(cols, ctx, slack, sign_flip) -> dict:
+def _error_decomposition(cols, slack) -> dict:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
-    a = cols["a"]
-    t = kernels.transport(ctx, a)
+    a, ctx, t = cols["a"], cols["ctx"], cols["rel"].transport_a
     split = kernels.f_error_split(ctx, a, t, cols["f"])
 
     delta, step = cols["delta"], cols["step"]
@@ -255,15 +254,13 @@ def _error_decomposition(cols, ctx, slack, sign_flip) -> dict:
     ]}
 
 
-def _relation_and_proof_tie(cols, ctx, slack, sign_flip) -> dict:
+def _relation_and_proof_tie(cols, slack) -> dict:
     """Main relation plus the proof-tie identities, on the same instances:
     slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, the
     composite-seminorm-equals-error identity, and R+iI against the composite
-    cross product.  ``sign_flip`` corrupts I on purpose (see
-    ``kernels.relation``)."""
-    a, b = cols["a"], cols["b"]
-    rel = kernels.relation(ctx, a, b, sign_flip=sign_flip)
-    device = kernels.proof_device(ctx, a, b, rel)
+    cross product."""
+    rel = cols["rel"]
+    device = kernels.proof_device(cols["ctx"], cols["a"], cols["b"], rel)
     return {
         "main-relation": [
             ("relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
@@ -297,21 +294,20 @@ def _errorless(e: kernels.Errorless) -> tuple:
     return "constructed errorless case failed", e.error, e.errorless & (violation <= roundoff), detail
 
 
-def _errorless_equivalence(cols, ctx, slack, sign_flip) -> dict:
+def _errorless_equivalence(cols, slack) -> dict:
     """The exact errorless bound holds on random and constructed-errorless
-    instances, and no measurement is errorless for both members of a
-    noncommuting pair."""
-    a, b = cols["a"], cols["b"]
-    conds_a, conds_b = kernels.errorless(ctx, a), kernels.errorless(ctx, b)
-    comm = np.abs(kernels.comm(a, b, ctx.rho))
+    instances, and no measurement is errorless for both members of a pair
+    whose |<[A,B]/2i>_rho| (the relation's ``naive_bound``) exceeds 1e-6."""
+    a, ctx, rel = cols["a"], cols["ctx"], cols["rel"]
+    conds_a, conds_b = kernels.errorless(ctx, a, rel.transport_a), kernels.errorless(ctx, cols["b"], rel.transport_b)
     both = conds_a.errorless & conds_b.errorless
 
     # constructed errorless case: projectively measure a itself
     rho = cols["rho2"]
-    exact = local_context(projective_from(a)[1], rho)
+    exact = local_context(cols["spectral"][1], rho)
     scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
     shifted = scale * a + shift * np.eye(a.shape[-1], dtype=complex)
-    exact_a, exact_shifted = kernels.errorless(exact, a), kernels.errorless(exact, shifted)
+    exact_a, exact_shifted = (kernels.errorless(exact, x, kernels.transport(exact, x)) for x in (a, shifted))
     # a and its affine shift commute, so a simultaneous errorless
     # pair here is consistent with the noncommutativity statement
     shifted_comm = np.abs(kernels.comm(a, shifted, rho))
@@ -319,14 +315,14 @@ def _errorless_equivalence(cols, ctx, slack, sign_flip) -> dict:
     return {"errorless-equivalence": [
         _bound(conds_a),
         _bound(conds_b),
-        ("simultaneous errorless noncommuting pair", np.where(both, comm, 0.0), 1e-6, None),
+        ("simultaneous errorless noncommuting pair", np.where(both, rel.naive_bound, 0.0), 1e-6, None),
         _errorless(exact_a),
         _errorless(exact_shifted),
         ("constructed commuting pair has nonzero commutator", shifted_comm, 1e-6, None),
     ]}
 
 
-def _trivial_reduction(cols, ctx, slack, sign_flip) -> dict:
+def _trivial_reduction(cols, slack) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it, at Ginibre states."""
@@ -343,9 +339,9 @@ def _trivial_reduction(cols, ctx, slack, sign_flip) -> dict:
     ]}
 
 
-# The verify suites in report order, keyed by name: ``checks(cols, ctx,
-# slack, sign_flip)`` maps each result name to the checks of a block's
-# columns ``cols`` (``_draw_block``), ``ctx`` its POVM pinned to its "rho".
+# The verify suites in report order, keyed by name: ``checks(cols, slack)``
+# maps each result name to the checks of a block's columns ``cols``
+# (``_draw_block``) and the values ``_run`` derives from them.
 _SUITES = {
     "affineness": _affineness,
     "adjoint-characterization": _adjoint_characterization,
@@ -361,14 +357,18 @@ _SUITES = {
 def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) -> list[SuiteResult]:
     """The results of the suites ``entries`` (entries of ``_SUITES``), in
     entry order and, within an entry, in the order its checks name them:
-    each block is swept, drawn and pinned to its context once, and checked
-    by every entry."""
+    each block is swept and drawn once, its POVM pinned to its "rho" as
+    "ctx", the relation of "a" and "b" on it as "rel" and ``projective_from``
+    of "a" as "spectral", and checked by every entry.  ``sign_flip`` corrupts
+    I of "rel" on purpose (``kernels.relation``), not the shared transports."""
     results = {}
     for dim, block, streams in _sweep(seed, _VERIFY_STREAM, dims, n):
         cols = _draw_block(streams, len(block), dim)
-        ctx = local_context(cols["povm"], cols["rho"])
+        ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
+        cols["rel"] = kernels.relation(ctx, cols["a"], cols["b"], sign_flip=sign_flip)
+        cols["spectral"] = projective_from(cols["a"])
         for checks in entries.values():
-            for name, rows in checks(cols, ctx, slack, sign_flip).items():
+            for name, rows in checks(cols, slack).items():
                 results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
     return list(results.values())
 

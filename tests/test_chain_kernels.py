@@ -139,7 +139,7 @@ def test_shared_values_are_the_per_call_values(dim, ancilla):
             rel = kernels.relation(c, x, y)
             assert_same_bits(kernels.schroedinger(c, x, y, rel), per_call_schroedinger(c, x, y, rel))
             for z in (x, y):
-                assert np.array_equal(kernels.errorless(c, z).scale, kernels.norm(z, c.rho))
+                assert np.array_equal(kernels.errorless(c, z, kernels.transport(c, z)).scale, kernels.norm(z, c.rho))
 
 
 def scale(x):

@@ -38,7 +38,7 @@ def pushforward(ctx, a):
 
 
 def conditions(ctx, a):
-    return kernels.errorless(ctx, a)
+    return kernels.errorless(ctx, a, kernels.transport(ctx, a))
 
 
 def random_ctx(dim, seed, mixedness="ginibre"):

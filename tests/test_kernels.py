@@ -207,7 +207,7 @@ def test_projective_measurements_of_large_observables(size):
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, values + size)
         exact = kernels.f_error_split(ctx, a, t, values)
-        e = kernels.errorless(ctx, a)
+        e = kernels.errorless(ctx, a, t)
         assert e.errorless.all() and (e.violation <= suites._BOUND_ROUNDOFF * e.scale**2).all()
         assert np.allclose(split.f_error, size, rtol=1e-12, atol=0.0)
         assert (exact.f_error <= 1e-6 * size).all()
@@ -218,7 +218,8 @@ def test_errorless_conditions(dim, seed):
     rows, ctx, a, _, _ = stack(dim, seed)
     values, projectors = kernels.spectral(a)
     exact = kernels.context(projectors, ctx.rho, kernels.born(projectors, ctx.rho))
-    for e, (c, is_exact) in [(kernels.errorless(ctx, a), (ctx, False)), (kernels.errorless(exact, a), (exact, True))]:
+    for c, is_exact in ((ctx, False), (exact, True)):
+        e = kernels.errorless(c, a, kernels.transport(c, a))
         for i, (_, rho, a_i, _, _) in enumerate(rows):
             effects = c.effects[i][: int(np.count_nonzero(np.abs(c.effects[i]).max(axis=(-2, -1))))]
             fwd = oracles.pushforward_brute(effects, rho, a_i)
@@ -396,7 +397,7 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     check_effects(projectors)
     projective = kernels.context(projectors, rho, check_weights(kernels.born(projectors, rho)))
     rel_projective = kernels.relation(projective, a, b)
-    errorless = kernels.errorless(projective, a)
+    errorless = kernels.errorless(projective, a, kernels.transport(projective, a))
     m = len(distinct)
     for k in range(n):
         assert ctx.mask[k, 1] and ctx.weights[k, 1] <= instances.TINY_SUPPORT

@@ -35,7 +35,7 @@ commutator = kernels.comm
 
 
 def errorless_a(ctx, a):
-    return kernels.errorless(ctx, a).errorless
+    return kernels.errorless(ctx, a, kernels.transport(ctx, a)).errorless
 
 
 def random_setup(dim, seed, mixedness="ginibre"):

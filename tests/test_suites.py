@@ -16,7 +16,7 @@ import oracles
 import pytest
 
 import measerr
-from measerr import chain_check, evaluate_relation, local_context
+from measerr import chain_check, evaluate_relation, local_context, projective_from
 from measerr import generate, kernels, states, suites
 from measerr.cli import main
 from measerr.serialize import model_from_json, model_to_json
@@ -59,7 +59,7 @@ def transport_calls(monkeypatch):
     """Count the calls of the transport kernel ``kernels._pushforward`` (the
     pushforward of A from A rho), which ``kernels.transport`` and
     ``kernels.pushforward`` call once: one call transports one observable,
-    for one instance or for a whole (suite, dim) block."""
+    for one instance or for a whole verify block."""
     calls = []
     original = kernels._pushforward
 
@@ -88,14 +88,16 @@ def kernel_calls(monkeypatch):
 
 class TestTransportOnce:
     """Each (context, observable) is transported once: by one kernel call per
-    observable per (suite, dim) block.  A kernel reads the norms ||A||_rho,
-    the estimator's pullback and its reconstruction cost that the block has
-    already computed instead of computing them again."""
+    observable per verify block, which every verify suite shares.  A kernel
+    reads the transports, norms ||A||_rho, the estimator's pullback and its
+    reconstruction cost that the block has already computed instead of
+    computing them again."""
 
-    @pytest.mark.parametrize("kernel,norms,pullbacks", [("chain", 7, 3), ("errorless", 3, 1), ("relation", 2, 2)])
+    @pytest.mark.parametrize("kernel,norms,pullbacks", [("chain", 7, 3), ("errorless", 2, 0), ("relation", 2, 2)])
     def test_norm_and_pullback_calls(self, kernel_calls, kernel, norms, pullbacks):
         ctx, a, b, meter_h, joint, values = chain_arguments(5, 3, 2, range(4))
-        args = {"chain": (ctx, a, b, meter_h, joint, values, 1e-9), "errorless": (ctx, a), "relation": (ctx, a, b)}
+        args = {"chain": (ctx, a, b, meter_h, joint, values, 1e-9), "errorless": (ctx, a, kernels.transport(ctx, a)),
+                "relation": (ctx, a, b)}
         kernel_calls.clear()
         getattr(kernels, kernel)(*args[kernel])
         assert (kernel_calls.count("norm"), kernel_calls.count("pullback")) == (norms, pullbacks)
@@ -115,13 +117,14 @@ class TestTransportOnce:
         assert len(transport_calls) == 2 * 3
 
     def test_error_decomposition(self, transport_calls):
+        # a and b per block, for the block's shared relation
         run("error-decomposition", (2, 4), 3, seed=5)
-        assert transport_calls == [(3, 2, 2), (3, 4, 4)]
+        assert transport_calls == [(3, 2, 2)] * 2 + [(3, 4, 4)] * 2
 
     def test_blocks_bound_the_stack(self, transport_calls):
         n = 2 * suites._BLOCK + 1
         run("error-decomposition", (3,), n, seed=5)
-        assert transport_calls == [(suites._BLOCK, 3, 3)] * 2 + [(1, 3, 3)]
+        assert transport_calls == [(suites._BLOCK, 3, 3)] * 4 + [(1, 3, 3)] * 2
 
     def test_ozawa_chain(self, transport_calls):
         # a and b per block, with a partial last block
@@ -133,6 +136,23 @@ class TestTransportOnce:
         # a, b and the linear combination alpha a + beta b, per block
         run("transport-adjointness", (2, 4), 3, seed=5)
         assert transport_calls == [(3, 2, 2)] * 3 + [(3, 4, 4)] * 3
+
+    def test_run_verify(self, transport_calls, monkeypatch):
+        """A full verify block transports a and b once for all eight suites,
+        pushes alpha a + beta b forward once (transport-adjointness), and
+        transports a and its affine shift on the constructed errorless
+        context and a and b on the trivial one: seven pushforwards.  It
+        diagonalizes twice: to whiten its POVM factors and to decompose a."""
+        eighs, eigh = [], np.linalg.eigh
+
+        def counted(x):
+            eighs.append(x.shape)
+            return eigh(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        suites.run_verify((2, 3, 4, 5), 100, 8)
+        assert transport_calls == [(100, d, d) for d in (2, 3, 4, 5) for _ in range(7)]
+        assert eighs == [(100, d, d) for d in (2, 3, 4, 5) for _ in range(2)]
 
 
 @pytest.fixture
@@ -256,15 +276,16 @@ def plain_draws(seed, dim, i):
     return oracles.verify_draws(streams, i % oracles.BLOCK + 1, dim)
 
 
-# The columns of a verify block that each suite reads, the "povm" and "rho"
-# of the block's context among them: the instances, with the same kinds of
-# state, that each suite drew when it drew a layout of its own.
+# The columns of a verify block that each suite reads, directly or through
+# the values ``_run`` derives from them (``DERIVED``): the instances, with
+# the same kinds of state, that each suite drew when it drew a layout of its
+# own, and "b" for error-decomposition, through the shared relation.
 READS = {
     "affineness": {"povm", "rho2", "ket", "lam"},
     "adjoint-characterization": {"povm", "rho", "a", "f"},
     "contractivity": {"povm", "rho", "f"},
     "transport-adjointness": {"povm", "rho", "a", "b", "f", "alpha", "beta"},
-    "error-decomposition": {"povm", "rho", "a", "f", "delta", "step"},
+    "error-decomposition": {"povm", "rho", "a", "b", "f", "delta", "step"},
     "main-relation": {"povm", "rho", "a", "b"},
     "errorless-equivalence": {"povm", "rho", "a", "b", "rho2", "scale", "shift"},
     "trivial-reduction": {"rho2", "a", "b", "p0"},
@@ -283,15 +304,16 @@ class Reading(dict):
         return super().__getitem__(key)
 
 
-class ReadingContext:
-    """A context that adds "povm" and "rho", what it is built from, to ``read`` when read."""
+# The values ``_run`` derives from a block's columns, and the columns each is built from.
+DERIVED = {"ctx": {"povm", "rho"}, "rel": {"povm", "rho", "a", "b"}, "spectral": {"a"}}
 
-    def __init__(self, ctx, read):
-        self.ctx, self.read = ctx, read
 
-    def __getattr__(self, name):
-        self.read.update(("povm", "rho"))
-        return getattr(self.ctx, name)
+def run_cols(dims, n, seed) -> list:
+    """The columns, the derived values among them, that ``_run`` hands its
+    entries, one dict per block."""
+    seen = []
+    suites._run({"spy": lambda cols, slack: seen.append(cols) or {}}, dims, n, seed, DEFAULT_TOL.identity, False)
+    return seen
 
 
 @pytest.mark.parametrize("suite", suites._SUITES)
@@ -299,11 +321,11 @@ def test_each_suite_reads_its_columns(suite):
     """A suite reads the columns ``READS`` names of the shared block: the
     Ginibre "rho2" and the pure "ket" for affineness, the Ginibre "rho2" for
     trivial-reduction, the coin-tossed "rho" for the others."""
-    _, cols = draw_block(3, 3, 20)
+    [cols] = run_cols((3,), 20, 3)
+    assert cols.keys() == draw_block(3, 3, 20)[1].keys() | DERIVED.keys()
     read = set()
-    ctx = ReadingContext(local_context(cols["povm"], cols["rho"]), read)
-    suites._SUITES[suite](Reading(cols, read), ctx, DEFAULT_TOL.identity, False)
-    assert read == READS[suite]
+    suites._SUITES[suite](Reading(cols, read), DEFAULT_TOL.identity)
+    assert set().union(*(DERIVED.get(key, {key}) for key in read)) == READS[suite]
 
 
 def assert_block_is_the_plain_draws(cols, block, draws, keys):
@@ -602,12 +624,13 @@ def test_errorless_bound_holds_between_the_thresholds():
     cols["rho2"] = generate.ginibre_states(oracles.complex_gaussian(rng, (2, 2)))
     cols["scale"], cols["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     cols = {key: np.asarray(value)[None] for key, value in cols.items()}
-    ctx = local_context(cols["povm"], cols["rho"])
-    e = kernels.errorless(ctx, cols["a"])
+    ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
+    cols["rel"], cols["spectral"] = kernels.relation(ctx, cols["a"], cols["b"]), projective_from(cols["a"])
+    e = kernels.errorless(ctx, cols["a"], cols["rel"].transport_a)
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
     assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2
     out = SuiteResult("errorless-equivalence")
-    [checks] = suites._errorless_equivalence(cols, ctx, DEFAULT_TOL.identity, False).values()
+    [checks] = suites._errorless_equivalence(cols, DEFAULT_TOL.identity).values()
     out.record_block(2, range(31, 32), checks)
     assert (out.checks, out.failures) == (6, 0)
 
