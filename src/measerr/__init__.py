@@ -15,7 +15,7 @@ and ``local_context``, which pins effects to a state as the
 
 from .tolerances import DEFAULT_TOL
 from .states import PAULI_X, PAULI_Y, PAULI_Z, qubit_state
-from .measurement import noisy_projective, projective_from, trivial_measurement, unsharp_qubit
+from .measurement import noisy_projective, trivial_measurement, unsharp_qubit
 from .transport import local_context
 from .relations import evaluate_relation, schroedinger_reduction
 from .indirect import chain_check, cnot_model, induced_povm
@@ -30,7 +30,6 @@ __all__ = [
     "PAULI_Z",
     "qubit_state",
     "noisy_projective",
-    "projective_from",
     "trivial_measurement",
     "unsharp_qubit",
     "local_context",

@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .generate import RNG_ALGORITHM, complex_stack, ginibre_states
 from .indirect import chain_check, cnot_model
-from .kernels import hermitian_part, relation_allowance
-from .measurement import noisy_projective, projective_from, unsharp_qubit
+from .kernels import hermitian_part, relation_allowance, spectral
+from .measurement import noisy_projective, unsharp_qubit
 from .relations import evaluate_relation, schroedinger_reduction
 from .serialize import (
     CSV_HEADER,
@@ -227,7 +227,7 @@ def cmd_scan(args) -> int:
 
 
 def _demo_naive_violation(slack: float) -> tuple[list[str], int]:
-    report = evaluate_relation(projective_from(PAULI_Z)[1], qubit_state(y=0.8), PAULI_X, PAULI_Z)
+    report = evaluate_relation(spectral(PAULI_Z)[1], qubit_state(y=0.8), PAULI_X, PAULI_Z)
     holds = _relation_holds(report, slack)
     lines = [
         "scenario: sharp Z readout on the qubit state (I + 0.8 Y)/2, observables X and Z",

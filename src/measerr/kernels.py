@@ -1,11 +1,11 @@
 """The numerical core: pure functions on stacked arrays.
 
 Each formula of the package lives here once.  The builders that the CLI
-and the suites share (``projective_from``, ``trivial_measurement``,
-``evaluate_relation``, ``schroedinger_reduction``, ``induced_povm``,
-``chain_check``) call it on validated arrays and return its records as they
-are: the CLI on single instances, with numpy scalars in the scalar fields,
-the suites on whole blocks of one dimension.  The tests call it directly.
+and the suites share (``trivial_measurement``, ``evaluate_relation``,
+``schroedinger_reduction``, ``induced_povm``, ``chain_check``) call it on
+validated arrays and return its records as they are: the CLI on single
+instances, with numpy scalars in the scalar fields, the suites on whole
+blocks of one dimension.  The tests call it directly.
 All pin measurements to states through ``transport.local_context``, which
 returns this module's ``Context``.
 
@@ -138,11 +138,6 @@ def _spread(norm_x: np.ndarray, mean_x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(norm_x**2 - mean_x**2, 0.0))
 
 
-def std_dev(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Quantum standard deviation sqrt(<X^2> - <X>^2) (``spread``)."""
-    return _spread(norm(x, rho), expect(x, rho))
-
-
 def class_inner(f: np.ndarray, g: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """<fg>_p."""
     return dot(f * g, weights)
@@ -182,7 +177,7 @@ def spectral(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         group[..., 1:] = np.cumsum(starts, axis=-1)
         member = (group[..., None, :] == np.arange(group.max() + 1)[:, None]).astype(float)
         count = member.sum(axis=-1)
-        values = np.divide((member @ w[..., None])[..., 0], count, out=np.zeros(count.shape), where=count > 0)
+        values = np.divide((member * w[..., None, :]).sum(axis=-1), count, out=np.zeros(count.shape), where=count > 0)
         proj = np.einsum("...gk,...kij->...gij", member, proj)
     return values, hermitian_part(proj)
 
@@ -361,41 +356,22 @@ def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> S
                         covariance, commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
 
 
-def semi_inner(ctx: Context, u: tuple, v: tuple) -> np.ndarray:
-    """Composite semi-inner product <(X,f),(Y,g)> = <XY>_rho + <fg>_p -
-    <(M'f)(M'g)>_rho on operator-function pairs, each given as (X, f, M'f)."""
-    (x, f, adj_f), (y, g, adj_g) = u, v
-    first = trace_product(x @ y, ctx.rho)
-    third = trace_product(adj_f @ adj_g, ctx.rho)
-    return first + class_inner(f, g, ctx.weights) - third
-
-
-class ProofDevice(_Record):
-    """The composite seminorms of A and B and their residuals against the
-    errors, and the composite cross product and its residual against R + iI."""
-
-    __slots__ = ("seminorm_a", "seminorm_b", "residual_a", "residual_b", "cross_value", "cross_residual")
-
-
-def proof_device(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> ProofDevice:
-    """The Cauchy-Schwarz derivation behind the relation ``rel`` of A and B,
-    evaluated on its transports: the composite seminorm of (A -
-    roundtrip(A), pushforward(A)) against the error, and the composite
-    cross product against R + iI."""
-    t_a, t_b = rel.transport_a, rel.transport_b
-    u = (a - t_a.roundtrip, t_a.pushforward, t_a.roundtrip)
-    v = (b - t_b.roundtrip, t_b.pushforward, t_b.roundtrip)
-    seminorm_a = np.sqrt(np.maximum(semi_inner(ctx, u, u).real, 0.0))
-    seminorm_b = np.sqrt(np.maximum(semi_inner(ctx, v, v).real, 0.0))
-    cross = semi_inner(ctx, u, v)
-    return ProofDevice(
-        seminorm_a,
-        seminorm_b,
-        np.abs(seminorm_a - t_a.error),
-        np.abs(seminorm_b - t_b.error),
-        cross,
-        np.abs(cross - (rel.real_term + 1j * rel.imag_term)),
-    )
+def gram(ctx: Context, *pairs) -> np.ndarray:
+    """The Hermitian Gram matrix ``(..., k, k)`` of the (X, t) ``pairs``, t
+    X's transport: G_ij = <u_i, u_j> for u = (X - roundtrip, pushforward,
+    roundtrip) in the composite semi-inner product <(X,f,M'f),(Y,g,M'g)> =
+    <XY>_rho + <fg>_p - <(M'f)(M'g)>_rho.  Each entry above the diagonal is
+    formed once and mirrored as its conjugate; the diagonal keeps its real
+    part.  For A and B, G = [[eps_A^2, R + iI], [R - iI, eps_B^2]], so
+    det G >= 0 is the relation (Cauchy-Schwarz)."""
+    u = [(x - t.roundtrip, t.pushforward, t.roundtrip) for x, t in pairs]
+    upper = {(i, j): trace_product(x @ y, ctx.rho) + class_inner(f, g, ctx.weights) - trace_product(m @ n, ctx.rho)
+             for i, (x, f, m) in enumerate(u) for j, (y, g, n) in enumerate(u[i:], i)}
+    out = np.empty(upper[0, 0].shape + (len(u),) * 2, dtype=complex)
+    for (i, j), val in upper.items():
+        out[..., i, j] = val if i < j else val.real
+        out[..., j, i] = np.conj(out[..., i, j])
+    return out
 
 
 class Errorless(_Record):

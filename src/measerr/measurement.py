@@ -6,9 +6,10 @@ positive effect per outcome summing to I, is the one carrier of every
 measurement in the package.  The builders here take one instance or a
 stack, check their parameters (the axis, ``eta``, ``lam``, the weights) and
 return effects valid by construction, with the outcome values where the
-measurement defines them.  The outcome distribution at a state is the
-weights of ``transport.local_context(effects, rho)``; the adjoint, which
-sends outcome functions back to operators, is ``kernels.adjoint``.
+measurement defines them; the projective measurement of an observable is
+``kernels.spectral``.  The outcome distribution at a state is the weights
+of ``transport.local_context(effects, rho)``; the adjoint, which sends
+outcome functions back to operators, is ``kernels.adjoint``.
 """
 
 from __future__ import annotations
@@ -17,14 +18,6 @@ import numpy as np
 
 from . import kernels
 from .states import PAULI_X, PAULI_Y, PAULI_Z, check_weights
-
-
-def projective_from(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projection measurements of observables, one ``(d, d)`` or a stack:
-    outcome values (their merged eigenvalues, ``kernels.spectral``) and
-    effects (the spectral projectors), rows with fewer distinct
-    eigenvalues zero-padded."""
-    return kernels.spectral(a)
 
 
 def trivial_measurement(weights, dim: int) -> np.ndarray:
@@ -59,7 +52,7 @@ def noisy_projective(a: np.ndarray, lam: float) -> np.ndarray:
     trivial uniform (lam=0).  A stack's zero-padded outcomes stay zero."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {lam}")
-    _, base = projective_from(a)
+    _, base = kernels.spectral(a)
     outcomes = (base != 0.0).any(axis=(-2, -1))
     noise = (1.0 - lam) * np.eye(a.shape[-1], dtype=complex) / outcomes.sum(axis=-1, keepdims=True)[..., None, None]
     return lam * base + np.where(outcomes[..., None, None], noise, 0.0)

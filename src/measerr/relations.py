@@ -4,8 +4,9 @@ For any measurement and pair of observables, the product of the two errors
 is bounded below by sqrt(R^2 + I^2): R is the covariance lost under the
 pushforward, I a three-commutator term that survives only for genuinely
 quantum measurements.  The bound follows from Cauchy-Schwarz applied to a
-composite semi-inner product, which the suites also evaluate
-(``kernels.proof_device``) so the implementation stays tied to that
+composite semi-inner product, whose Gram matrix of A and B
+(``kernels.gram``: eps_a^2 and eps_b^2 on the diagonal, R + iI off it) the
+suites compare with the relation, so the implementation stays tied to that
 derivation (it catches sign mistakes in the commutator terms).  A trivial
 measurement turns the relation into the Schroedinger inequality, hence also
 the textbook commutator bound.
@@ -25,7 +26,7 @@ def evaluate_relation(effects: np.ndarray, rho: np.ndarray, a: np.ndarray, b: np
     states ``rho``, one instance or a stack, from one transport per
     observable (``kernels.relation``, which holds the formulas).  The record
     keeps the transports of A and B, which ``kernels.schroedinger`` and
-    ``kernels.proof_device`` read."""
+    ``kernels.gram`` read."""
     return kernels.relation(local_context(effects, rho, a, b), a, b)
 
 

@@ -4,12 +4,12 @@ A density operator rho equips observables with the symmetrized inner product
 <A,B>_rho = <{A,B}/2>_rho; a probability distribution p equips outcome
 functions with <f,g>_p = <fg>_p.  Both induce seminorms and standard
 deviations, which is all the downstream geometry needs.  The formulas are
-in ``kernels`` (``anti``, ``norm``, ``std_dev``, ``class_inner``,
-``class_norm``).  This module holds every validator (``check_states``,
-``check_observables``, ``check_weights``, ``check_effects``,
-``check_unitaries``), each taking one instance or a stack and returning it;
-they run only where data enters, as builders, generators and Born weights
-(``kernels.born`` clips them) are valid by construction.
+in ``kernels`` (``anti``, ``norm``, ``class_inner``, ``class_norm``).  This
+module holds every validator (``check_states``, ``check_observables``,
+``check_weights``, ``check_effects``, ``check_unitaries``), each taking one
+instance or a stack and returning it; they run only where data enters, as
+builders, generators and Born weights (``kernels.born`` clips them) are
+valid by construction.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ import numpy as np
 from . import kernels
 from .generate import complex_stack, diagonal_meter, ginibre_states, haar_unitaries, povm_effects
 from .indirect import chain_check
-from .measurement import projective_from
 from .relations import schroedinger_reduction
 from .states import pure_states
 from .tolerances import DEFAULT_TOL
@@ -256,11 +255,14 @@ def _error_decomposition(cols, slack) -> dict:
 
 def _relation_and_proof_tie(cols, slack) -> dict:
     """Main relation plus the proof-tie identities, on the same instances:
-    slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, the
-    composite-seminorm-equals-error identity, and R+iI against the composite
-    cross product."""
+    slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, and the
+    Gram matrix G of the composite vectors of A and B (``kernels.gram``)
+    against the transport values: sqrt(G_AA) and sqrt(G_BB) against the
+    errors, G_AB against R + iI."""
     rel = cols["rel"]
-    device = kernels.proof_device(cols["ctx"], cols["a"], cols["b"], rel)
+    g = kernels.gram(cols["ctx"], (cols["a"], rel.transport_a), (cols["b"], rel.transport_b))
+    seminorm_a, seminorm_b = (np.sqrt(np.maximum(g[:, i, i].real, 0.0)) for i in (0, 1))
+    seminorm_residual = np.maximum(np.abs(seminorm_a - rel.eps_a), np.abs(seminorm_b - rel.eps_b))
     return {
         "main-relation": [
             ("relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
@@ -268,8 +270,8 @@ def _relation_and_proof_tie(cols, slack) -> dict:
             ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
         ],
         "proof-tie-identity": [
-            ("seminorm-error identity broke", np.maximum(device.residual_a, device.residual_b), slack),
-            ("cross-product identity broke", device.cross_residual, slack),
+            ("seminorm-error identity broke", seminorm_residual, slack),
+            ("cross-product identity broke", np.abs(g[:, 0, 1] - (rel.real_term + 1j * rel.imag_term)), slack),
         ],
     }
 
@@ -358,7 +360,7 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
     """The results of the suites ``entries`` (entries of ``_SUITES``), in
     entry order and, within an entry, in the order its checks name them:
     each block is swept and drawn once, its POVM pinned to its "rho" as
-    "ctx", the relation of "a" and "b" on it as "rel" and ``projective_from``
+    "ctx", the relation of "a" and "b" on it as "rel" and ``kernels.spectral``
     of "a" as "spectral", and checked by every entry.  ``sign_flip`` corrupts
     I of "rel" on purpose (``kernels.relation``), not the shared transports."""
     results = {}
@@ -366,7 +368,7 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
         cols = _draw_block(streams, len(block), dim)
         ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
         cols["rel"] = kernels.relation(ctx, cols["a"], cols["b"], sign_flip=sign_flip)
-        cols["spectral"] = projective_from(cols["a"])
+        cols["spectral"] = kernels.spectral(cols["a"])
         for checks in entries.values():
             for name, rows in checks(cols, slack).items():
                 results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)

@@ -19,7 +19,6 @@ from measerr import (
     evaluate_relation,
     kernels,
     local_context,
-    projective_from,
     qubit_state,
     schroedinger_reduction,
     unsharp_qubit,
@@ -122,7 +121,7 @@ def test_criterion_6_closed_form_family():
 
 
 def test_criterion_7_commutator_bound_undercut():
-    rel = evaluate_relation(projective_from(Z)[1], qubit_state(y=0.8), X, Z)
+    rel = evaluate_relation(kernels.spectral(Z)[1], qubit_state(y=0.8), X, Z)
     ok = (
         abs(rel.eps_a * rel.eps_b) <= 1e-10
         and abs(rel.bound) <= 1e-10

@@ -78,9 +78,14 @@ def per_call_f_error(ctx, a, t, f):
     return [t.error, kernels.class_norm(t.pushforward - f, ctx.weights), np.sqrt(np.maximum(algebraic + cost, 0.0))]
 
 
+def per_call_sigma(x, rho):
+    """The standard deviation of X from one ``norm`` and one ``expect`` call."""
+    return kernels._spread(kernels.norm(x, rho), kernels.expect(x, rho))
+
+
 def per_call_schroedinger(ctx, a, b, rel):
-    """``kernels.schroedinger`` from ``std_dev``, ``anti`` and ``comm``."""
-    sigma_a, sigma_b = kernels.std_dev(a, ctx.rho), kernels.std_dev(b, ctx.rho)
+    """``kernels.schroedinger`` from ``per_call_sigma``, ``anti`` and ``comm``."""
+    sigma_a, sigma_b = per_call_sigma(a, ctx.rho), per_call_sigma(b, ctx.rho)
     covariance = kernels.anti(a, b, ctx.rho) - kernels.expect(a, ctx.rho) * kernels.expect(b, ctx.rho)
     commutator = kernels.comm(a, b, ctx.rho)
     return [sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator), covariance,
@@ -88,10 +93,10 @@ def per_call_schroedinger(ctx, a, b, rel):
 
 
 def per_call_chain(ctx, a, b, meter_h, joint, estimator, slack):
-    """``kernels.chain`` from ``std_dev`` and two ``f_error_split`` calls."""
+    """``kernels.chain`` from ``per_call_sigma`` and two ``f_error_split`` calls."""
     rel = per_call_relation(ctx, a, b)
     rms_a, rms_b = kernels.rms_error(meter_h, joint, a), kernels.rms_error(meter_h, joint, b)
-    sigma_a, sigma_b = kernels.std_dev(a, ctx.rho), kernels.std_dev(b, ctx.rho)
+    sigma_a, sigma_b = per_call_sigma(a, ctx.rho), per_call_sigma(b, ctx.rho)
     values = np.stack([rms_a * rms_b, rel.eps_a * rel.eps_b, rel.bound, np.abs(rel.imag_term),
                        rel.naive_bound - rms_a * sigma_b - sigma_a * rms_b], axis=-1)
     holds = values[..., :-1] >= values[..., 1:] - slack * (1.0 + np.abs(values[..., :-1]))

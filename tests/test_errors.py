@@ -13,7 +13,6 @@ from measerr import (
     kernels,
     local_context,
     noisy_projective,
-    projective_from,
     suites,
     trivial_measurement,
     unsharp_qubit,
@@ -50,11 +49,11 @@ def random_ctx(dim, seed, mixedness="ginibre"):
 
 class TestQuantumError:
     def test_projective_own_basis_is_errorless(self):
-        ctx = local_context(projective_from(Z)[1], MIXED)
+        ctx = local_context(kernels.spectral(Z)[1], MIXED)
         assert eps(ctx, Z) <= 1e-12
 
     def test_projective_transverse_is_maximal(self):
-        ctx = local_context(projective_from(Z)[1], MIXED)
+        ctx = local_context(kernels.spectral(Z)[1], MIXED)
         assert eps(ctx, X) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsharp_closed_form(self):
@@ -87,12 +86,12 @@ class TestFError:
             assert breakdown.estimation_error <= 1e-12
 
     def test_exact_reconstruction(self):
-        f, effects = projective_from(Z)
+        f, effects = kernels.spectral(Z)
         ctx = local_context(effects, MIXED)
         assert f_error_split(ctx, Z, f).f_error <= 1e-12
 
     def test_scaled_estimator_pays_one(self):
-        values, effects = projective_from(Z)
+        values, effects = kernels.spectral(Z)
         ctx = local_context(effects, MIXED)
         f = 2.0 * values
         breakdown = f_error_split(ctx, Z, f)
@@ -143,12 +142,12 @@ class TestErrorless:
     the norm chain (c) on every instance, errorless or not."""
 
     def test_own_basis_all_true(self):
-        e = conditions(local_context(projective_from(Z)[1], MIXED), Z)
+        e = conditions(local_context(kernels.spectral(Z)[1], MIXED), Z)
         assert e.errorless and bound_holds(e)
         assert e.roundtrip_residual <= 1e-12
 
     def test_transverse_all_false(self):
-        e = conditions(local_context(projective_from(Z)[1], MIXED), X)
+        e = conditions(local_context(kernels.spectral(Z)[1], MIXED), X)
         assert not e.errorless and bound_holds(e)
         assert e.roundtrip_residual == pytest.approx(1.0, abs=1e-12)
 
@@ -157,7 +156,7 @@ class TestErrorless:
         # state: the pushforward is the constant 1 and its pullback is the
         # identity, which agrees with X on the state
         plus = pure([1, 1])
-        ctx = local_context(projective_from(Z)[1], plus)
+        ctx = local_context(kernels.spectral(Z)[1], plus)
         f = pushforward(ctx, X)
         assert np.allclose(f, 1.0, atol=1e-10)
         e = conditions(ctx, X)
@@ -178,7 +177,7 @@ class TestErrorless:
         z = complex_stack(rng.standard_normal((2, 2, 3, 3)))
         rho, a = ginibre_states(z[0]), kernels.hermitian_part(z[1])
         lam = np.concatenate([[0.0], np.logspace(-12, 0, 2001)])[:, None, None, None]
-        projectors = projective_from(a)[1]
+        projectors = kernels.spectral(a)[1]
         effects = (1.0 - lam) * projectors + lam * np.eye(3) / len(projectors)
         e = conditions(local_context(effects, np.broadcast_to(rho, (len(lam), 3, 3))), a)
         assert bound_holds(e)
@@ -252,4 +251,4 @@ def test_trivial_measurement_reduces_to_standard_deviation():
         rho = instances.state(rng, 3)
         a = instances.observable(rng, 3)
         ctx = local_context(trivial_measurement([0.25, 0.75], 3), rho)
-        assert eps(ctx, a) == pytest.approx(kernels.std_dev(a, rho), abs=1e-10)
+        assert eps(ctx, a) == pytest.approx(oracles.std_dev_brute(a, rho), abs=1e-10)

@@ -13,7 +13,6 @@ from measerr import (
     induced_povm,
     local_context,
     noisy_projective,
-    projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
@@ -195,7 +194,7 @@ def test_built_arrays_are_valid_by_construction(dim):
     eigs[0] = 2.0
     v = generate.haar_unitaries(oracles.complex_gaussian(rng, (n, dim, dim)))
     observables = check_observables(kernels.hermitian_part((v * eigs[:, None, :]) @ v.conj().swapaxes(-1, -2)))
-    _, projectors = projective_from(observables)
+    _, projectors = kernels.spectral(observables)
     check_effects(projectors)
     groups = (np.abs(projectors).max(axis=(-2, -1)) > 0.0).sum(axis=-1)
     assert groups.tolist() == [len(set(row)) for row in eigs.tolist()]

@@ -115,7 +115,7 @@ def test_relation_and_proof_device(dim, seed):
     rows, ctx, a, b, _ = stack(dim, seed)
     rel = kernels.relation(ctx, a, b)
     flipped = kernels.relation(ctx, a, b, sign_flip=True)
-    device = kernels.proof_device(ctx, a, b, rel)
+    g = kernels.gram(ctx, (a, rel.transport_a), (b, rel.transport_b))
     for i, (effects, rho, a_i, b_i, _) in enumerate(rows):
         s = scale(a_i) * scale(b_i)
         p = oracles.probabilities(effects, rho)
@@ -140,10 +140,10 @@ def test_relation_and_proof_device(dim, seed):
             + brute_class(u[1], v[1], p)
             - oracles.trace_expectation(u[2] @ v[2], rho)
         )
-        assert abs(device.cross_value[i] - cross) <= TOL * s
-        assert abs(device.cross_value[i] - complex(real, imag)) <= TOL * s
-        assert device.residual_a[i] <= 1e-7 * scale(a_i)
-        assert abs(device.seminorm_b[i] - eps_b) <= 1e-7 * scale(b_i)
+        assert abs(g[i, 0, 1] - cross) <= TOL * s
+        assert abs(g[i, 0, 1] - complex(real, imag)) <= TOL * s
+        assert abs(np.sqrt(max(g[i, 0, 0].real, 0.0)) - rel.eps_a[i]) <= 1e-7 * scale(a_i)
+        assert abs(np.sqrt(max(g[i, 1, 1].real, 0.0)) - eps_b) <= 1e-7 * scale(b_i)
 
 
 @pytest.mark.parametrize("dim,seed", CASES)

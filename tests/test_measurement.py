@@ -14,7 +14,6 @@ from measerr import (
     kernels,
     local_context,
     noisy_projective,
-    projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
@@ -31,11 +30,11 @@ def povm_file(effects, values=(1.0, -1.0)) -> dict:
 
 class TestApply:
     def test_projective_on_mixed(self):
-        p = local_context(projective_from(Z)[1], mixed(2))
+        p = local_context(kernels.spectral(Z)[1], mixed(2))
         assert np.allclose(p.weights, [0.5, 0.5], atol=1e-12)
 
     def test_projective_on_eigenstate(self):
-        values, effects = projective_from(Z)
+        values, effects = kernels.spectral(Z)
         p = local_context(effects, pure([1, 0]))
         # ascending eigenvalue order: outcome values (-1, +1)
         assert values.tolist() == [-1.0, 1.0]
@@ -50,12 +49,12 @@ class TestApply:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            local_context(projective_from(Z)[1], mixed(3))
+            local_context(kernels.spectral(Z)[1], mixed(3))
 
 
 class TestAdjoint:
     def test_projective_identity_estimator(self):
-        values, effects = projective_from(Z)
+        values, effects = kernels.spectral(Z)
         rebuilt = kernels.adjoint(effects, values)
         assert np.allclose(rebuilt, Z, atol=1e-12)
 
@@ -84,17 +83,17 @@ class TestAdjoint:
 
 class TestProjectiveFrom:
     def test_pauli_z(self):
-        values, effects = projective_from(Z)
+        values, effects = kernels.spectral(Z)
         assert values.tolist() == [-1.0, 1.0]
         assert np.allclose(effects[1], np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_degenerate_identity_is_trivial_shape(self):
-        values, effects = projective_from(np.eye(2, dtype=complex))
+        values, effects = kernels.spectral(np.eye(2, dtype=complex))
         assert len(values) == len(effects) == 1
         assert np.allclose(effects[0], np.eye(2), atol=1e-12)
 
     def test_pauli_x_hand_projectors(self):
-        _, effects = projective_from(X)
+        _, effects = kernels.spectral(X)
         assert np.allclose(effects[1], oracles.FLIP_PROJ_PLUS, atol=1e-9)
         assert np.allclose(effects[0], oracles.FLIP_PROJ_MINUS, atol=1e-9)
 
@@ -120,7 +119,7 @@ class TestTrivial:
 class TestUnsharpFamily:
     def test_sharp_limit_is_projective(self):
         sharp = unsharp_qubit((0, 0, 1), 1.0)
-        _, proj = projective_from(Z)
+        _, proj = kernels.spectral(Z)
         assert np.allclose(sharp[0], proj[1], atol=1e-12)
         assert np.allclose(sharp[1], proj[0], atol=1e-12)
 
@@ -163,7 +162,7 @@ def contractivity(effects, f, rho):
 
 class TestContractivity:
     def test_projective_saturates(self):
-        report = contractivity(projective_from(Z)[1], [-1.0, 1.0], mixed(2))
+        report = contractivity(kernels.spectral(Z)[1], [-1.0, 1.0], mixed(2))
         assert report.classical_norm == pytest.approx(report.adjoint_norm, abs=1e-12)
         assert abs(report.gap_min_eigenvalue) <= 1e-12
 

@@ -1,4 +1,4 @@
-"""Uncertainty relation: R/I terms, the bound, the proof device, reductions."""
+"""Uncertainty relation: R/I terms, the bound, the proof device (``kernels.gram``), reductions."""
 
 import instances
 import numpy as np
@@ -12,7 +12,6 @@ from measerr import (
     evaluate_relation,
     kernels,
     local_context,
-    projective_from,
     qubit_state,
     schroedinger_reduction,
     trivial_measurement,
@@ -63,7 +62,7 @@ class TestRealPart:
             assert relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
-        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         assert relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_case_is_squared_error(self):
@@ -85,7 +84,7 @@ class TestImagPart:
             assert relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
-        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         assert relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry_on_diagonal(self):
@@ -95,7 +94,7 @@ class TestImagPart:
 
 class TestEvaluateRelation:
     def test_commutator_bound_undercut_scenario(self):
-        ctx = local_context(projective_from(Z)[1], qubit_state(y=0.8))
+        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         report = relation(ctx, X, Z)
         assert report.eps_a * report.eps_b == pytest.approx(0.0, abs=1e-10)
         assert report.bound == pytest.approx(0.0, abs=1e-10)
@@ -126,16 +125,27 @@ class TestEvaluateRelation:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            evaluate_relation(projective_from(Z)[1], qubit_state(y=0.8), X, np.eye(3, dtype=complex))
+            evaluate_relation(kernels.spectral(Z)[1], qubit_state(y=0.8), X, np.eye(3, dtype=complex))
+
+
+def seminorm(g, i):
+    """sqrt(max(Re G_ii, 0)): the composite seminorm of the i-th vector of ``g``."""
+    return np.sqrt(max(g[i, i].real, 0.0))
 
 
 class TestProofDevice:
+    """``kernels.gram`` of A and B: the Cauchy-Schwarz derivation behind the relation."""
+
+    def gram(self, ctx, a, b):
+        rel = relation(ctx, a, b)
+        return kernels.gram(ctx, (a, rel.transport_a), (b, rel.transport_b)), rel
+
     def test_diagonal_recovers_error(self):
         ctx, a, _, _ = random_setup(3, 8)
-        report = kernels.proof_device(ctx, a, a, relation(ctx, a, a))
-        assert report.residual_a <= 1e-9
-        assert report.cross_value.real == pytest.approx(kernels.transport(ctx, a).error ** 2, abs=1e-9)
-        assert abs(report.cross_value.imag) <= 1e-10
+        g, rel = self.gram(ctx, a, a)
+        assert abs(seminorm(g, 0) - rel.eps_a) <= 1e-9
+        assert g[0, 1].real == pytest.approx(kernels.transport(ctx, a).error ** 2, abs=1e-9)
+        assert abs(g[0, 1].imag) <= 1e-10
 
     def test_trivial_reduces_to_covariance_form(self):
         rng = np.random.default_rng(3)
@@ -143,19 +153,40 @@ class TestProofDevice:
         a = instances.observable(rng, 3)
         b = instances.observable(rng, 3)
         ctx = trivial_ctx(rho, 3)
-        report = kernels.proof_device(ctx, a, b, relation(ctx, a, b))
+        g, _ = self.gram(ctx, a, b)
         cov = covariance(a, b, rho)
         comm = commutator(a, b, rho)
-        assert report.cross_value == pytest.approx(complex(cov, comm), abs=1e-9)
+        assert g[0, 1] == pytest.approx(complex(cov, comm), abs=1e-9)
 
     def test_residuals_on_sweep(self):
         for dim in (2, 3, 4, 5):
             for seed in range(10):
                 ctx, a, b, _ = random_setup(dim, 5000 + 100 * dim + seed)
-                report = kernels.proof_device(ctx, a, b, relation(ctx, a, b))
-                assert report.residual_a <= 1e-9
-                assert report.residual_b <= 1e-9
-                assert report.cross_residual <= 1e-9
+                g, rel = self.gram(ctx, a, b)
+                assert abs(seminorm(g, 0) - rel.eps_a) <= 1e-9
+                assert abs(seminorm(g, 1) - rel.eps_b) <= 1e-9
+                assert abs(g[0, 1] - (rel.real_term + 1j * rel.imag_term)) <= 1e-9
+
+    @pytest.mark.parametrize("dim", range(2, 9))
+    @pytest.mark.parametrize("mixedness", ["pure", "ginibre"])
+    def test_hermitian_and_psd(self, dim, mixedness):
+        """G is Hermitian bit for bit and PSD to roundoff (Cauchy-Schwarz):
+        for A and B, its smallest eigenvalue is at least -1e-12 (1 + ||A||_rho
+        ||B||_rho); with a third observable C, the 3x3 G holds A's and B's
+        entries unchanged and its smallest eigenvalue is at least -1e-12
+        (1 + the largest ||X||_rho^2)."""
+        for seed in range(5):
+            ctx, a, b, rng = random_setup(dim, 7000 + 10 * dim + seed, mixedness)
+            c = instances.observable(rng, dim)
+            g, rel = self.gram(ctx, a, b)
+            t_c = kernels.transport(ctx, c)
+            g3 = kernels.gram(ctx, (a, rel.transport_a), (b, rel.transport_b), (c, t_c))
+            for m in (g, g3):
+                assert np.array_equal(m, m.conj().T)
+            assert np.array_equal(g3[:2, :2], g)
+            norms = rel.transport_a.norm, rel.transport_b.norm, t_c.norm
+            assert np.linalg.eigvalsh(g)[0] >= -1e-12 * (1.0 + norms[0] * norms[1])
+            assert np.linalg.eigvalsh(g3)[0] >= -1e-12 * (1.0 + max(norms) ** 2)
 
 
 class TestSchroedingerReduction:
@@ -197,7 +228,7 @@ class TestNoSimultaneousErrorless:
         # a noncommuting pair over a commutator-witnessing state never has
         # both errors vanish
         rho = qubit_state(y=0.8)
-        ctx = local_context(projective_from(Z)[1], rho)
+        ctx = local_context(kernels.spectral(Z)[1], rho)
         comm = abs(commutator(X, Z, rho))
         assert comm > 1e-6
         assert not (errorless_a(ctx, X) and errorless_a(ctx, Z))

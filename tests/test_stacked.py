@@ -5,6 +5,8 @@ instances that hold an off-support zero effect and an outcome inside
 ``tiny_support``; and the shared builders, whose rows on a stack are their
 one-instance calls bit for bit."""
 
+from functools import partial
+
 import instances
 import numpy as np
 import pytest
@@ -17,10 +19,10 @@ from measerr import (
     kernels,
     local_context,
     noisy_projective,
-    projective_from,
     schroedinger_reduction,
     trivial_measurement,
 )
+from measerr.generate import complex_stack, haar_unitaries
 from measerr.states import check_effects
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -77,14 +79,26 @@ def same_row(stacked, one, k) -> bool:
     return np.array_equal(np.asarray(stacked)[k], one)
 
 
+def same_padded_row(stacked, one, k) -> bool:
+    """Whether row ``k`` of ``stacked`` (an array or a tuple of them) begins
+    with ``one`` bit for bit and is exactly zero past it, on its padded
+    outcomes."""
+    if isinstance(one, tuple):
+        return all(same_padded_row(x, y, k) for x, y in zip(stacked, one))
+    return np.array_equal(stacked[k, : len(one)], one) and np.all(stacked[k, len(one) :] == 0.0)
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5, 8])
 def test_builders_are_stack_invariant(dim):
     """Row k of each builder the CLI and the suites share, called on stacks,
     equals its call on instance k alone, bit for bit on every field.  Where
-    the rows have different outcome counts (``noisy_projective`` of
-    observables with different numbers of distinct eigenvalues), row k
-    equals the call alone on its outcomes and its padded outcomes are
-    exactly zero."""
+    the rows have different outcome counts (``kernels.spectral`` and
+    ``noisy_projective`` of observables with different numbers of distinct
+    eigenvalues), row k equals the call alone on its outcomes and its padded
+    outcomes are exactly zero: on a diagonal observable with one repeated
+    eigenvalue, and on U U^dag of Haar unitaries U, whose eigenvalues lie
+    within roundoff of 1 and merge into one outcome at their mean, stacked
+    with d distinct ones."""
     rng = np.random.default_rng([dim, 24])
     n, ancilla = 4, 2
     rho = np.stack([instances.state(rng, dim, pure=k % 2 == 0) for k in range(n)])
@@ -95,7 +109,7 @@ def test_builders_are_stack_invariant(dim):
     xi, u = (np.stack([m[i] for m in models]) for i in (0, 1))
     meter = np.stack([instances.observable(rng, ancilla) for _ in range(n)])
     calls = [
-        (projective_from, (a,)),
+        (kernels.spectral, (a,)),
         (lambda x: noisy_projective(x, 0.5), (a,)),
         (lambda w: trivial_measurement(w, dim), (weights,)),
         (induced_povm, (xi, u, meter)),
@@ -107,10 +121,14 @@ def test_builders_are_stack_invariant(dim):
         stacked = builder(*args)
         for k in range(n):
             assert same_row(stacked, builder(*(x[k] for x in args)), k), (builder, k)
-    ragged = np.stack([np.diag(np.arange(1.0, dim + 1)), np.diag([1.0, 1.0, *range(3, dim + 1)])]).astype(complex)
-    for lam in (0.0, 0.5, 1.0):
-        stacked = noisy_projective(ragged, lam)
-        for k, observable in enumerate(ragged):
-            alone = noisy_projective(observable, lam)
-            assert np.array_equal(stacked[k, : len(alone)], alone), (lam, k)
-            assert np.all(stacked[k, len(alone) :] == 0.0), (lam, k)
+    distinct = np.diag(np.arange(1.0, dim + 1)).astype(complex)
+    ragged = [np.stack([distinct, np.diag([1.0, 1.0, *range(3, dim + 1)]).astype(complex)])]
+    for seed in range(25):
+        unitary = haar_unitaries(complex_stack(np.random.default_rng(seed).standard_normal((2, dim, dim))))
+        ragged.append(np.stack([kernels.hermitian_part(unitary @ unitary.conj().T), distinct]))
+    padded = [kernels.spectral, *(partial(noisy_projective, lam=lam) for lam in (0.0, 0.5, 1.0))]
+    for seed, observables in enumerate(ragged):
+        for builder in padded:
+            stacked = builder(observables)
+            for k, observable in enumerate(observables):
+                assert same_padded_row(stacked, builder(observable), k), (seed, builder, k)

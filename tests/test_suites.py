@@ -16,7 +16,7 @@ import oracles
 import pytest
 
 import measerr
-from measerr import chain_check, evaluate_relation, local_context, projective_from
+from measerr import chain_check, evaluate_relation, local_context
 from measerr import generate, kernels, states, suites
 from measerr.cli import main
 from measerr.serialize import model_from_json, model_to_json
@@ -625,7 +625,7 @@ def test_errorless_bound_holds_between_the_thresholds():
     cols["scale"], cols["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     cols = {key: np.asarray(value)[None] for key, value in cols.items()}
     ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
-    cols["rel"], cols["spectral"] = kernels.relation(ctx, cols["a"], cols["b"]), projective_from(cols["a"])
+    cols["rel"], cols["spectral"] = kernels.relation(ctx, cols["a"], cols["b"]), kernels.spectral(cols["a"])
     e = kernels.errorless(ctx, cols["a"], cols["rel"].transport_a)
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
     assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2

@@ -11,7 +11,6 @@ from measerr import (
     PAULI_Z as Z,
     kernels,
     local_context,
-    projective_from,
     trivial_measurement,
     unsharp_qubit,
 )
@@ -37,12 +36,12 @@ def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
 
 class TestPushforward:
     def test_projective_z_reads_off_eigenvalues(self):
-        ctx = make_ctx(projective_from(Z)[1], mixed(2))
+        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
         f = pushforward(ctx, Z)
         assert np.allclose(f, [-1.0, 1.0], atol=1e-12)
 
     def test_projective_z_kills_transverse(self):
-        ctx = make_ctx(projective_from(Z)[1], mixed(2))
+        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
         f = pushforward(ctx, X)
         assert np.allclose(f, 0.0, atol=1e-12)
 
@@ -83,14 +82,14 @@ class TestPushforward:
 
 class TestPullback:
     def test_projective_full_support(self):
-        values, effects = projective_from(Z)
+        values, effects = kernels.spectral(Z)
         ctx = make_ctx(effects, mixed(2))
         rep = pullback(ctx, values)
         assert np.allclose(rep, Z, atol=1e-12)
 
     def test_equivalent_functions_share_one_representative(self):
         # values (-1, +1); the -1 outcome has zero weight
-        ctx = make_ctx(projective_from(Z)[1], pure([1, 0]))
+        ctx = make_ctx(kernels.spectral(Z)[1], pure([1, 0]))
         rep_f = pullback(ctx, [7.0, 1.0])
         rep_g = pullback(ctx, [0.0, 1.0])
         assert np.array_equal(rep_f, rep_g)
@@ -108,7 +107,7 @@ class TestAdjointness:
         assert adjointness(ctx, a, np.full(len(ctx.weights), 1.0)) <= 1e-10
 
     def test_transverse_case_vanishes(self):
-        ctx = make_ctx(projective_from(Z)[1], mixed(2))
+        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
         f = np.array([1.0, -1.0])
         assert adjointness(ctx, X, f) <= 1e-12
 
@@ -133,11 +132,11 @@ def norm_chain(ctx, a):
 
 class TestContractionReport:
     def test_errorless_chain_is_flat(self):
-        ctx = make_ctx(projective_from(Z)[1], mixed(2))
+        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
         assert norm_chain(ctx, Z) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_transverse_collapses(self):
-        ctx = make_ctx(projective_from(Z)[1], mixed(2))
+        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
         assert norm_chain(ctx, X) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_unsharp_triple_from_direct_evaluation(self):
@@ -184,4 +183,4 @@ class TestSupportHandling:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            make_ctx(projective_from(Z)[1], mixed(3))
+            make_ctx(kernels.spectral(Z)[1], mixed(3))
