@@ -8,16 +8,14 @@ commutator reductions, and indirect-model comparisons.  Every formula is in
 effects and models are arrays, validated once where they enter by the
 ``states`` validators, or valid by construction (the builders on checked
 parameters, and ``generate``); the names exported here are the builders and
-checks the CLI and the suites share, each taking one instance or a stack,
-and ``local_context``, which pins effects to a state as the
-``kernels.Context`` those kernels take.
+checks the CLI and the suites share, each taking one instance or a stack.
+``kernels.context`` pins effects to states as the ``kernels.Context`` the
+kernels take.
 """
 
 from .tolerances import DEFAULT_TOL
 from .states import PAULI_X, PAULI_Y, PAULI_Z, qubit_state
 from .measurement import noisy_projective, trivial_measurement, unsharp_qubit
-from .transport import local_context
-from .relations import evaluate_relation, schroedinger_reduction
 from .indirect import chain_check, cnot_model, induced_povm
 from .generate import RNG_ALGORITHM
 
@@ -32,9 +30,6 @@ __all__ = [
     "noisy_projective",
     "trivial_measurement",
     "unsharp_qubit",
-    "local_context",
-    "evaluate_relation",
-    "schroedinger_reduction",
     "chain_check",
     "cnot_model",
     "induced_povm",

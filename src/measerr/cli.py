@@ -24,9 +24,8 @@ import numpy as np
 from . import __version__
 from .generate import RNG_ALGORITHM, complex_stack, ginibre_states
 from .indirect import chain_check, cnot_model
-from .kernels import hermitian_part, relation_allowance, spectral
-from .measurement import noisy_projective, unsharp_qubit
-from .relations import evaluate_relation, schroedinger_reduction
+from .kernels import context, hermitian_part, relation, relation_allowance, schroedinger, spectral
+from .measurement import noisy_projective, trivial_measurement, unsharp_qubit
 from .serialize import (
     CSV_HEADER,
     format_float,
@@ -55,13 +54,13 @@ _MAX_ANCILLA = 8
 _KEPT_HEAP_BYTES = 64 << 20
 
 
-def _parse_dims(text: str, low: int = 2, high: int = 8) -> tuple[int, ...]:
+def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
-    if not dims or any(d < low or d > high for d in dims):
-        raise argparse.ArgumentTypeError(f"dimensions must lie in {low}..{high}")
+    if not dims or any(not 2 <= d <= 8 for d in dims):
+        raise argparse.ArgumentTypeError("dimensions must lie in 2..8")
     if len(set(dims)) < len(dims):
         raise argparse.ArgumentTypeError(f"repeated dimension in {text!r}")
     return dims
@@ -139,7 +138,7 @@ def _manifest(args, subcommand: str, passed: int, failed: int, started: float, d
 
 
 def _emit_json(args, payload: dict) -> None:
-    text = json_text(payload, sig=17)
+    text = json_text(payload)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -195,21 +194,18 @@ def cmd_scan(args) -> int:
     obs_a = load_observable(args.obs_a) if args.obs_a else PAULI_Z
     obs_b = load_observable(args.obs_b) if args.obs_b else PAULI_X
 
-    rows = []
     if custom:
         kind, effects = load_povm(args.povm)
-        rows.append((None, kind, evaluate_relation(effects, rho, obs_a, obs_b)))
+        grid, build = (None,), lambda _: effects
     else:
+        kind = args.family
         grid = args.grid if args.grid is not None else tuple(k / 10.0 for k in range(11))
-        for param in grid:
-            if args.family == "unsharp":
-                effects = unsharp_qubit((0.0, 0.0, 1.0), param)
-            else:
-                effects = noisy_projective(obs_a, param)
-            rows.append((param, args.family, evaluate_relation(effects, rho, obs_a, obs_b)))
+        build = (functools.partial(unsharp_qubit, (0.0, 0.0, 1.0)) if kind == "unsharp"
+                 else functools.partial(noisy_projective, obs_a))
+    rows = [(param, relation(context(build(param), rho, obs_a, obs_b), obs_a, obs_b)) for param in grid]
 
     dim = rho.shape[-1]
-    lines = [CSV_HEADER] + [relation_csv_row(dim, kind, rep, param) for param, kind, rep in rows]
+    lines = [CSV_HEADER] + [relation_csv_row(dim, kind, rep, param) for param, rep in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -217,7 +213,7 @@ def cmd_scan(args) -> int:
     else:
         print(text, end="")
 
-    failed = sum(not _relation_holds(rep, args.tolerance) for _, _, rep in rows)
+    failed = sum(not _relation_holds(rep, args.tolerance) for _, rep in rows)
     if args.json:
         manifest = _manifest(
             args, "scan", len(rows) - failed, failed, started, dims=(dim,), instances=len(rows)
@@ -227,7 +223,7 @@ def cmd_scan(args) -> int:
 
 
 def _demo_naive_violation(slack: float) -> tuple[list[str], int]:
-    report = evaluate_relation(spectral(PAULI_Z)[1], qubit_state(y=0.8), PAULI_X, PAULI_Z)
+    report = relation(context(spectral(PAULI_Z)[1], qubit_state(y=0.8)), PAULI_X, PAULI_Z)
     holds = _relation_holds(report, slack)
     lines = [
         "scenario: sharp Z readout on the qubit state (I + 0.8 Y)/2, observables X and Z",
@@ -243,7 +239,7 @@ def _demo_kr_reduction(slack: float) -> tuple[list[str], int]:
     """Its three checks keep fixed slacks, so it takes only the default ``slack``."""
     if slack != DEFAULT_TOL.identity:
         raise ValueError("demo kr-reduction takes no --tolerance: its checks keep fixed slacks")
-    _, report = schroedinger_reduction([0.5, 0.5], qubit_state(z=1.0), PAULI_X, PAULI_Y)
+    _, report = schroedinger(context(trivial_measurement([0.5, 0.5], 2), qubit_state(z=1.0)), PAULI_X, PAULI_Y)
     ok = (
         abs(report.product - report.bound) <= DEFAULT_TOL.expectation
         and report.kr_bound <= report.bound + 1e-12
@@ -292,7 +288,7 @@ def cmd_demo(args) -> int:
     for line in lines:
         print(line)
     manifest = _manifest(args, f"demo:{args.name}", int(code == 0), int(code != 0), started)
-    print("manifest: " + json_text(manifest, sig=17).replace("\n", " "))
+    print("manifest: " + json_text(manifest).replace("\n", " "))
     if args.json:
         _emit_json(args, {"manifest": manifest, "lines": lines})
     return code

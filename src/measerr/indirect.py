@@ -20,7 +20,6 @@ import numpy as np
 
 from . import kernels
 from .states import PAULI_Z, qubit_state
-from .transport import local_context
 from .tolerances import DEFAULT_TOL
 
 
@@ -60,5 +59,5 @@ def chain_check(
     to the identity-estimator f-error of the induced measurement, which is
     the decisive correctness check of the induced POVM."""
     values, effects = induced_povm(xi, u, meter)
-    ctx = local_context(effects, rho, a, b)
+    ctx = kernels.context(effects, rho, a, b)
     return ctx, kernels.chain(ctx, a, b, kernels.heisenberg(u, meter), kernels.kron(rho, xi), values, slack)

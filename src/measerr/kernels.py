@@ -1,20 +1,18 @@
 """The numerical core: pure functions on stacked arrays.
 
-Each formula of the package lives here once.  The builders that the CLI
-and the suites share (``trivial_measurement``, ``evaluate_relation``,
-``schroedinger_reduction``, ``induced_povm``, ``chain_check``) call it on
-validated arrays and return its records as they are: the CLI on single
-instances, with numpy scalars in the scalar fields, the suites on whole
-blocks of one dimension.  The tests call it directly.
-All pin measurements to states through ``transport.local_context``, which
-returns this module's ``Context``.
+Each formula of the package lives here once.  The CLI and the suites call
+it on validated arrays and read its records (named tuples) as they are: the
+CLI on single instances, with numpy scalars in the scalar fields, the suites
+on whole blocks of one dimension; so do the builders they share
+(``trivial_measurement``, ``induced_povm``, ``chain_check``).  All pin
+measurements to states by ``context``.
 
 Shapes.  States and observables are ``(..., d, d)``, effects
 ``(..., n, d, d)``, outcome functions and Born weights ``(..., n)``; any
 leading shape works, from none (one instance) to ``(N,)`` (a stack).
 Ragged outcome counts are padded with zero effects: a zero effect has zero
 weight, falls outside the support and contributes exactly 0.0 to every sum,
-which is the canonical-class convention of ``transport``.
+which is the canonical-class convention of ``restrict``.
 
 Traces.  Tr[X Y] is one elementwise contraction, O(d^2) where forming X Y is
 O(d^3) (``trace_product``).  For Hermitian X, Y, rho, ``anti`` and ``comm``
@@ -31,36 +29,21 @@ validators ``check_states``, ``check_observables``, ``check_effects`` and
 ``check_unitaries``), or are valid by construction (the builders' output on
 checked parameters, and the generators' draws; ``povm_effects`` guards its
 own whitening); ``born`` clips the derived Born weights and judges none.
-The checks left here are the invariants whose failure means a bug: a
-non-real ``expect``, ``born`` or ``norm`` (``ArithmeticError``), a broken
-f-error split (``AssertionError``) and a square negative beyond what valid
-input gives (``_guard``).  Each raises for the whole stack.
+``context`` checks only that effects and observables act on the states'
+space (``ValueError``).  The other checks left here are the invariants whose
+failure means a bug: a non-real ``expect``, ``born`` or ``norm``
+(``ArithmeticError``), a broken f-error split (``AssertionError``) and a
+square negative beyond what valid input gives (``_guard``).  Each raises
+for the whole stack.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from .tolerances import DEFAULT_TOL
-
-
-class _Record:
-    """Named fields, listed in ``__slots__``, set in that order (positionally
-    or by keyword) and iterated in that order."""
-
-    __slots__ = ()
-
-    def __init__(self, *args, **kwargs):
-        for name, value in zip(self.__slots__, args):
-            setattr(self, name, value)
-        for name, value in kwargs.items():
-            setattr(self, name, value)
-
-    def __iter__(self):
-        return (getattr(self, name) for name in self.__slots__)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(self.__slots__, self))})"
 
 
 def first_flagged(values, bad):
@@ -182,15 +165,26 @@ def spectral(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, hermitian_part(proj)
 
 
-class Context(_Record):
+class Context(namedtuple("Context", "effects rho weights mask")):
     """Measurements pinned to states: effects ``(..., n, d, d)``, states
     ``(..., d, d)``, their Born weights ``(..., n)`` and the support mask
-    (weights above ``DEFAULT_TOL.support_cutoff``)."""
+    (weights above ``DEFAULT_TOL.support_cutoff``).  The pair attaches a
+    classical geometry at p = M(rho) and a quantum one at rho: the pullback
+    carries outcome functions to operators (the adjoint, descended to
+    equivalence classes), the pushforward carries observables to outcome
+    functions and is its adjoint for the two inner products, and both
+    contract the respective seminorms."""
 
-    __slots__ = ("effects", "rho", "weights", "mask")
 
-
-def context(effects: np.ndarray, rho: np.ndarray, weights: np.ndarray) -> Context:
+def context(effects: np.ndarray, rho: np.ndarray, *observables: np.ndarray) -> Context:
+    """Effects ``(..., n, d, d)`` pinned to states ``(..., d, d)``: their
+    Born weights (``born``, which clips, not validates, them) and the
+    support mask.  The effects, then each of ``observables``, must act on
+    the states' space."""
+    for x in (effects, *observables):
+        if x.shape[-1] != rho.shape[-1]:
+            raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {rho.shape[-1]}")
+    weights = born(effects, rho)
     return Context(effects, rho, weights, weights > DEFAULT_TOL.support_cutoff)
 
 
@@ -207,7 +201,8 @@ def _pushforward(ctx: Context, a_rho: np.ndarray) -> np.ndarray:
 
 
 def restrict(ctx: Context, f: np.ndarray) -> np.ndarray:
-    """Canonical representative of f's equivalence class: zero off the support."""
+    """Canonical representative of f's equivalence class: zero on every
+    outcome whose weight is at or below the support cutoff."""
     return np.where(ctx.mask, f, 0.0)
 
 
@@ -217,10 +212,8 @@ def pullback(ctx: Context, f: np.ndarray) -> np.ndarray:
     return adjoint(ctx.effects, restrict(ctx, f))
 
 
-class Transported(_Record):
+class Transported(namedtuple("Transported", "pushforward roundtrip error norm product")):
     """An observable A carried through a context: pushforward, round trip, error, ||A||_rho (``norm``) and A rho."""
-
-    __slots__ = ("pushforward", "roundtrip", "error", "norm", "product")
 
 
 def transport(ctx: Context, a: np.ndarray) -> Transported:
@@ -241,12 +234,10 @@ def adjointness(ctx: Context, a: np.ndarray, fwd: np.ndarray, f: np.ndarray) -> 
     return np.abs(anti(a, pullback(ctx, f), ctx.rho) - class_inner(fwd, f, ctx.weights))
 
 
-class Contractivity(_Record):
+class Contractivity(namedtuple("Contractivity", "classical_norm adjoint_norm gap_min_eigenvalue")):
     """Both sides of the classical-vs-quantum norm inequality ||f||_p >=
     ||M'f||_rho and the smallest eigenvalue of the operator gap M'(f^2) -
     (M'f)^2."""
-
-    __slots__ = ("classical_norm", "adjoint_norm", "gap_min_eigenvalue")
 
 
 def contractivity(ctx: Context, f: np.ndarray) -> Contractivity:
@@ -272,11 +263,11 @@ def check_split(quantum, estimation, f_err, size) -> None:
         raise AssertionError(f"error decomposition violated by {first_flagged(residual, bad):.3e}")
 
 
-class FError(_Record):
+class FError(namedtuple("FError", "quantum_error estimation_error f_error")):
     """An f-error and its split into the intrinsic and the estimator-dependent
-    parts: f_error^2 = quantum_error^2 + estimation_error^2."""
-
-    __slots__ = ("quantum_error", "estimation_error", "f_error")
+    parts: f_error^2 = quantum_error^2 + estimation_error^2, the last the
+    squared classical distance of f from the pushforward.  The pushforward
+    is therefore the optimal estimator, and the error the least f-error."""
 
 
 def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) -> FError:
@@ -298,27 +289,26 @@ def _f_errors(ctx: Context, f: np.ndarray, *observables) -> list[FError]:
     return out
 
 
-class Relation(_Record):
+class Relation(namedtuple("Relation", "eps_a eps_b real_term imag_term bound slack naive_bound naive_violated "
+                                      "transport_a transport_b")):
     """The errors, R, I, the bound sqrt(R^2 + I^2), the slack eps_a*eps_b -
     bound (nonnegative up to roundoff), the bare commutator bound and whether
     the error product (legitimately) undercuts it, and the transports of A
     and B the terms were derived from."""
 
-    __slots__ = (
-        "eps_a", "eps_b", "real_term", "imag_term", "bound", "slack", "naive_bound", "naive_violated",
-        "transport_a", "transport_b",
-    )
-
 
 def relation(ctx: Context, a: np.ndarray, b: np.ndarray, *, sign_flip: bool = False) -> Relation:
     """eps_a, eps_b, R, I and the bound sqrt(R^2 + I^2), from one transport
     per observable, whose B rho gives Tr[A B rho] and Tr[roundtrip(A) B rho].
+    For every measurement and pair, eps_a eps_b >= sqrt(R^2 + I^2): the
+    Cauchy-Schwarz inequality of ``gram``.
 
     R = <{A,B}/2>_rho - <f_A, f_B>_p equals Cov_rho(A,B) - Cov_p(f_A,f_B)
     because pushforwards preserve expectation values.  I is <[A,B]/2i>
-    minus the two cross commutators with the round-tripped observables.
-    ``sign_flip`` enters the first cross commutator with the wrong sign; it
-    exists only to prove that the verify harness can fail.
+    minus the two cross commutators with the round-tripped observables; it
+    survives only for genuinely quantum measurements.  ``sign_flip`` enters
+    the first cross commutator with the wrong sign; it exists only to prove
+    that the verify harness can fail.
     """
     t_a, t_b = transport(ctx, a), transport(ctx, b)
     abr = trace_product(a, t_b.product)
@@ -337,23 +327,26 @@ def relation_allowance(rel: Relation, slack: float) -> np.ndarray:
     return slack * (1.0 + rel.eps_a * rel.eps_b)
 
 
-class Schroedinger(_Record):
+class Schroedinger(namedtuple("Schroedinger", "sigma_a sigma_b product bound kr_bound covariance commutator "
+                                              "eps_sigma_residual_a eps_sigma_residual_b")):
     """The standard deviations, their product, the Schroedinger bound sqrt(Cov^2 + C^2) with C =
     <[A,B]/2i>_rho, the commutator bound |C|, Cov and C, and the errors' residuals against them."""
 
-    __slots__ = ("sigma_a", "sigma_b", "product", "bound", "kr_bound", "covariance", "commutator",
-                 "eps_sigma_residual_a", "eps_sigma_residual_b")
 
-
-def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray, rel: Relation) -> Schroedinger:
-    """The relation ``rel`` of A and B on a trivial measurement ``ctx``, in its standard-deviation form."""
+def schroedinger(ctx: Context, a: np.ndarray, b: np.ndarray) -> tuple[Relation, Schroedinger]:
+    """The relation of A and B on a trivial measurement ``ctx`` and its
+    standard-deviation form: there each error is the standard deviation and
+    the relation the Schroedinger inequality, hence also the textbook
+    commutator bound."""
+    rel = relation(ctx, a, b)
     mean_a, mean_b = expect(a, ctx.rho), expect(b, ctx.rho)
     sigma_a, sigma_b = _spread(rel.transport_a.norm, mean_a), _spread(rel.transport_b.norm, mean_b)
     abr = trace_product(a, rel.transport_b.product)
     symmetric, commutator = abr.real, abr.imag
     covariance = symmetric - mean_a * mean_b
-    return Schroedinger(sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator), np.abs(commutator),
-                        covariance, commutator, np.abs(rel.eps_a - sigma_a), np.abs(rel.eps_b - sigma_b))
+    return rel, Schroedinger(sigma_a, sigma_b, sigma_a * sigma_b, np.hypot(covariance, commutator),
+                             np.abs(commutator), covariance, commutator, np.abs(rel.eps_a - sigma_a),
+                             np.abs(rel.eps_b - sigma_b))
 
 
 def gram(ctx: Context, *pairs) -> np.ndarray:
@@ -363,7 +356,9 @@ def gram(ctx: Context, *pairs) -> np.ndarray:
     <XY>_rho + <fg>_p - <(M'f)(M'g)>_rho.  Each entry above the diagonal is
     formed once and mirrored as its conjugate; the diagonal keeps its real
     part.  For A and B, G = [[eps_A^2, R + iI], [R - iI, eps_B^2]], so
-    det G >= 0 is the relation (Cauchy-Schwarz)."""
+    det G >= 0 is the relation (Cauchy-Schwarz); the suites check G against
+    the relation's values, which catches sign mistakes in its commutator
+    terms."""
     u = [(x - t.roundtrip, t.pushforward, t.roundtrip) for x, t in pairs]
     upper = {(i, j): trace_product(x @ y, ctx.rho) + class_inner(f, g, ctx.weights) - trace_product(m @ n, ctx.rho)
              for i, (x, f, m) in enumerate(u) for j, (y, g, n) in enumerate(u[i:], i)}
@@ -374,18 +369,26 @@ def gram(ctx: Context, *pairs) -> np.ndarray:
     return out
 
 
-class Errorless(_Record):
+class Errorless(namedtuple("Errorless", "errorless violation error roundtrip_residual scale")):
     """Condition (a) of an errorless measurement, the violation of the bound
-    tying it to (b) and (c), and the error, round-trip residual and scale."""
+    tying it to (b) and (c), and the error, round-trip residual and scale.
 
-    __slots__ = ("errorless", "violation", "error", "roundtrip_residual", "scale")
+    The paper's three equivalent conditions are (a) eps(A) = 0, (b) the
+    round trip reproduces A and (c) the transport norm chain ||A||_rho >=
+    ||f_A||_p >= m = ||roundtrip||_rho is flat.  With s = ||A||_rho and r =
+    ||A - roundtrip||_rho, r^2 = eps^2 - (||f_A||_p^2 - m^2) and s <= m + r
+    give r^2 <= eps^2 <= r (2m + r), and eps^2 and r^2 fix both drops of
+    (c): each side is zero exactly when the others are, with no threshold.
+    Only (a) decides "errorless", as eps^2 <= tau s^2 (tau =
+    DEFAULT_TOL.errorless): eps is O(sqrt(mu)) at distance mu from the
+    projective measurement of A, whose rounded projectors give eps near
+    1e-8 s."""
 
 
 def errorless(ctx: Context, a: np.ndarray, t: Transported) -> Errorless:
-    """(a) eps^2 <= tau scale^2 of A (transported as ``t``), tau = DEFAULT_TOL.errorless and
-    scale = ||A||_rho, and the violation max(r^2 - eps^2, eps^2 - r (2m + r)) of the exact
-    bound r^2 <= eps^2 <= r (2m + r), r = ||A - roundtrip||_rho and m = ||roundtrip||_rho
-    (``errors``): roundoff of scale^2 on every instance."""
+    """(a) of A (transported as ``t``) and the violation max(r^2 - eps^2,
+    eps^2 - r (2m + r)) of the exact bound (``Errorless``): roundoff of
+    scale^2 on every instance."""
     residual, back = norm(a - t.roundtrip, ctx.rho), norm(t.roundtrip, ctx.rho)
     square = t.error**2
     violation = np.maximum(residual**2 - square, square - residual * (2.0 * back + residual))
@@ -422,15 +425,11 @@ def rms_error(meter_h: np.ndarray, joint: np.ndarray, a: np.ndarray) -> np.ndarr
     return norm(meter_h - kron(a, np.eye(meter_h.shape[-1] // a.shape[-1])), joint)
 
 
-class Chain(_Record):
+class Chain(namedtuple("Chain", "values holds rms_a rms_b eps_a eps_b sigma_a sigma_b bridge_residual_a bridge_residual_b "
+                                "dominance_a dominance_b")):
     """The five chain terms ``(..., 5)``, whether each is at least the next
     ``(..., 4)``, and the rms errors, errors, standard deviations, bridge
     residuals and dominance flags of A and B."""
-
-    __slots__ = (
-        "values", "holds", "rms_a", "rms_b", "eps_a", "eps_b", "sigma_a", "sigma_b",
-        "bridge_residual_a", "bridge_residual_b", "dominance_a", "dominance_b",
-    )
 
 
 def chain(

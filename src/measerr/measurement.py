@@ -8,8 +8,8 @@ stack, check their parameters (the axis, ``eta``, ``lam``, the weights) and
 return effects valid by construction, with the outcome values where the
 measurement defines them; the projective measurement of an observable is
 ``kernels.spectral``.  The outcome distribution at a state is the weights
-of ``transport.local_context(effects, rho)``; the adjoint, which sends
-outcome functions back to operators, is ``kernels.adjoint``.
+of ``kernels.context(effects, rho)``; the adjoint, which sends outcome
+functions back to operators, is ``kernels.adjoint``.
 """
 
 from __future__ import annotations

@@ -188,17 +188,17 @@ def format_float(x: float, sig: int) -> str:
     return format(float(x), f".{sig}g")
 
 
-def json_text(obj, sig: int = 17, indent: int = 0) -> str:
-    """Serialize to JSON with floats at a fixed number of significant digits."""
+def json_text(obj, indent: int = 0) -> str:
+    """Serialize to JSON with floats at 17 significant digits."""
     pad = " " * indent
     if isinstance(obj, dict):
         items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {json_text(v, sig, indent + 2).lstrip()}'
+            f'{pad}  {json.dumps(str(k))}: {json_text(v, indent + 2).lstrip()}'
             for k, v in obj.items()
         )
         return f"{pad}{{\n{items}\n{pad}}}" if obj else f"{pad}{{}}"
     if isinstance(obj, (list, tuple)):
-        inner = ", ".join(json_text(v, sig).strip() for v in obj)
+        inner = ", ".join(json_text(v).strip() for v in obj)
         return f"{pad}[{inner}]"
     if obj is None or isinstance(obj, (bool, np.bool_)):
         return pad + json.dumps(None if obj is None else bool(obj))
@@ -207,13 +207,13 @@ def json_text(obj, sig: int = 17, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         if not math.isfinite(obj):
             # strict JSON has no NaN or infinity: write them as strings
-            return pad + json.dumps(format_float(obj, sig))
-        return pad + format_float(float(obj), sig)
+            return pad + json.dumps(format_float(obj, 17))
+        return pad + format_float(float(obj), 17)
     return pad + json.dumps(str(obj))
 
 
 def relation_csv_row(dim: int, kind: str, report, param: float | None) -> str:
-    """One CSV line of the relation ``report`` (from ``evaluate_relation``)
+    """One CSV line of the relation ``report`` (``kernels.relation``)
     of a ``dim``-dimensional measurement of ``kind``, in the fixed column
     order; the param cell is empty when the row does not belong to a
     parameter scan."""

@@ -142,7 +142,7 @@ def check_weights(weights) -> np.ndarray:
 
 
 def qubit_state(x: float = 0.0, y: float = 0.0, z: float = 0.0) -> np.ndarray:
-    """Qubit state (I + x X + y Y + z Z)/2, valid by construction for a Bloch vector of length <= 1."""
-    if x * x + y * y + z * z > 1.0 + 1e-12:
+    """Qubit state (I + x X + y Y + z Z)/2, valid by construction for a Bloch vector of length <= 1 (not NaN)."""
+    if not x * x + y * y + z * z <= 1.0 + 1e-12:
         raise ValueError("Bloch vector must have length at most 1")
     return (np.eye(2) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z) / 2.0

@@ -36,10 +36,9 @@ import numpy as np
 from . import kernels
 from .generate import complex_stack, diagonal_meter, ginibre_states, haar_unitaries, povm_effects
 from .indirect import chain_check
-from .relations import schroedinger_reduction
+from .measurement import trivial_measurement
 from .states import pure_states
 from .tolerances import DEFAULT_TOL
-from .transport import local_context
 
 # The stream ids of the verify layout and of the chain models, the second word of every stream key.
 _VERIFY_STREAM, _CHAIN_STREAM = 0, 9
@@ -278,7 +277,7 @@ def _relation_and_proof_tie(cols, slack) -> dict:
 
 def _row(record, i) -> str:
     """Instance ``i`` of a stacked record: its fields as Python scalars."""
-    return ", ".join(f"{name}={np.asarray(value)[i].item()!r}" for name, value in zip(record.__slots__, record))
+    return ", ".join(f"{name}={np.asarray(value)[i].item()!r}" for name, value in zip(record._fields, record))
 
 
 # Roundoff allowed to the exact errorless bound's violation, relative to ||A||_rho^2.
@@ -306,7 +305,7 @@ def _errorless_equivalence(cols, slack) -> dict:
 
     # constructed errorless case: projectively measure a itself
     rho = cols["rho2"]
-    exact = local_context(cols["spectral"][1], rho)
+    exact = kernels.context(cols["spectral"][1], rho)
     scale, shift = (cols[key][:, None, None] for key in ("scale", "shift"))
     shifted = scale * a + shift * np.eye(a.shape[-1], dtype=complex)
     exact_a, exact_shifted = (kernels.errorless(exact, x, kernels.transport(exact, x)) for x in (a, shifted))
@@ -328,7 +327,9 @@ def _trivial_reduction(cols, slack) -> dict:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it, at Ginibre states."""
-    rel, red = schroedinger_reduction(cols["p0"], cols["rho2"], cols["a"], cols["b"])
+    rho = cols["rho2"]
+    ctx = kernels.context(trivial_measurement(cols["p0"], rho.shape[-1]), rho)
+    rel, red = kernels.schroedinger(ctx, cols["a"], cols["b"])
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
     return {"trivial-reduction": [
@@ -366,7 +367,7 @@ def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) 
     results = {}
     for dim, block, streams in _sweep(seed, _VERIFY_STREAM, dims, n):
         cols = _draw_block(streams, len(block), dim)
-        ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
+        ctx = cols["ctx"] = kernels.context(cols["povm"], cols["rho"])
         cols["rel"] = kernels.relation(ctx, cols["a"], cols["b"], sign_flip=sign_flip)
         cols["spectral"] = kernels.spectral(cols["a"])
         for checks in entries.values():

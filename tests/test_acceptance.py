@@ -16,11 +16,9 @@ from measerr import (
     PAULI_Z as Z,
     chain_check,
     cnot_model,
-    evaluate_relation,
     kernels,
-    local_context,
     qubit_state,
-    schroedinger_reduction,
+    trivial_measurement,
     unsharp_qubit,
 )
 from measerr.cli import main as cli_main
@@ -93,7 +91,7 @@ def test_criterion_4_contractivity():
 
 def test_criterion_5_trivial_reduction():
     [result] = run_suite("trivial-reduction", (2, 3, 4, 5), 50)
-    saturation = schroedinger_reduction([0.5, 0.5], pure([1, 0]), X, Y)[1]
+    saturation = kernels.schroedinger(kernels.context(trivial_measurement([0.5, 0.5], 2), pure([1, 0])), X, Y)[1]
     saturated = (
         abs(saturation.product - 1.0) <= 1e-10
         and abs(saturation.bound - 1.0) <= 1e-10
@@ -111,7 +109,7 @@ def test_criterion_5_trivial_reduction():
 def test_criterion_6_closed_form_family():
     worst = 0.0
     for eta in [k / 10.0 for k in range(11)]:
-        ctx = local_context(unsharp_qubit((0, 0, 1), eta), mixed(2))
+        ctx = kernels.context(unsharp_qubit((0, 0, 1), eta), mixed(2))
         measured = kernels.transport(ctx, Z).error
         brute = oracles.unsharp_eps_z(eta)
         closed = float(np.sqrt(1.0 - eta * eta))
@@ -121,7 +119,7 @@ def test_criterion_6_closed_form_family():
 
 
 def test_criterion_7_commutator_bound_undercut():
-    rel = evaluate_relation(kernels.spectral(Z)[1], qubit_state(y=0.8), X, Z)
+    rel = kernels.relation(kernels.context(kernels.spectral(Z)[1], qubit_state(y=0.8)), X, Z)
     ok = (
         abs(rel.eps_a * rel.eps_b) <= 1e-10
         and abs(rel.bound) <= 1e-10

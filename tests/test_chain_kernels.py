@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from measerr import local_context
 from measerr import kernels, suites
 from measerr.generate import diagonal_meter, ginibre_states
 from measerr.states import check_states, pure_states
@@ -55,7 +54,7 @@ def chain_arguments(seed, dim, ancilla, block):
     xi, u, rho, a, b = chain_models(seed, dim, ancilla, block)
     meter = diagonal_meter(ancilla)
     values, projectors = kernels.spectral(meter)
-    ctx = local_context(kernels.induced_effects(u, xi, projectors), rho)
+    ctx = kernels.context(kernels.induced_effects(u, xi, projectors), rho)
     return ctx, a, b, kernels.heisenberg(u, meter), kernels.kron(rho, xi), values
 
 
@@ -128,21 +127,21 @@ def test_shared_values_are_the_per_call_values(dim, ancilla):
     on a trivial one."""
     ctx, a, b, meter_h, joint, values = chain_arguments(7, dim, ancilla, range(4))
     p0 = np.random.default_rng(dim * ancilla).dirichlet(np.ones(3), 4)
-    trivial = local_context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
+    trivial = kernels.context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
     f = np.random.default_rng(dim).uniform(-2.0, 2.0, ancilla)
     for k in (slice(None), 0, 1, 2, 3):
-        args = [ctx.effects[k], ctx.rho[k], ctx.weights[k]]
-        one, x, y = kernels.context(*args), a[k], b[k]
+        one, x, y = kernels.context(ctx.effects[k], ctx.rho[k]), a[k], b[k]
         assert_same_bits(kernels.chain(one, x, y, meter_h[k], joint[k], values, 1e-9),
                          per_call_chain(one, x, y, meter_h[k], joint[k], values, 1e-9))
         t = kernels.transport(one, x)
         assert np.array_equal(t.norm, kernels.norm(x, one.rho))
         assert_same_bits(kernels.f_error_split(one, x, t, f), per_call_f_error(one, x, t, f))
-        for c in (one, kernels.context(trivial.effects[k], trivial.rho[k], trivial.weights[k])):
+        for c in (one, kernels.context(trivial.effects[k], trivial.rho[k])):
             for flip in (False, True):
                 assert_same_bits(kernels.relation(c, x, y, sign_flip=flip), per_call_relation(c, x, y, flip))
-            rel = kernels.relation(c, x, y)
-            assert_same_bits(kernels.schroedinger(c, x, y, rel), per_call_schroedinger(c, x, y, rel))
+            rel, red = kernels.schroedinger(c, x, y)
+            assert_same_bits(rel, per_call_relation(c, x, y))
+            assert_same_bits(red, per_call_schroedinger(c, x, y, rel))
             for z in (x, y):
                 assert np.array_equal(kernels.errorless(c, z, kernels.transport(c, z)).scale, kernels.norm(z, c.rho))
 
@@ -170,8 +169,7 @@ def brute_chain(effects, rho, xi, u, meter, a, b):
 def stacked_chain(meter, xi, u, rho, a, b):
     values, projectors = kernels.spectral(meter)
     effects = kernels.induced_effects(u, xi, projectors)
-    weights = kernels.born(effects, rho)
-    ctx = kernels.context(effects, rho, np.where(weights < 0.0, 0.0, weights))
+    ctx = kernels.context(effects, rho)
     meter_h = kernels.heisenberg(u, meter)
     joint = kernels.kron(rho, xi)
     return ctx, meter_h, joint, kernels.chain(ctx, a, b, meter_h, joint, values, 1e-9)
@@ -195,9 +193,9 @@ def check_against_oracles(meter, projectors, xi, u, rho, a, b):
         assert max(c.bridge_residual_a[k], c.bridge_residual_b[k]) <= 1e-9 * s
         assert c.holds[k].all() and c.dominance_a[k] and c.dominance_b[k]
 
-        one = kernels.context(ctx.effects[k], rho[k], ctx.weights[k])
+        one = kernels.context(ctx.effects[k], rho[k])
         alone = kernels.chain(one, a[k], b[k], kernels.heisenberg(u[k], meter), kernels.kron(rho[k], xi[k]), values, 1e-9)
-        for name, got in zip(kernels.Chain.__slots__, alone):
+        for name, got in zip(kernels.Chain._fields, alone):
             assert np.max(np.abs(np.asarray(got, dtype=float) - np.asarray(getattr(c, name)[k], dtype=float))) <= TOL * s, name
         assert np.max(np.abs(kernels.induced_effects(u[k], xi[k], kernels.spectral(meter)[1]) - ctx.effects[k])) <= TOL
 

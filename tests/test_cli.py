@@ -340,7 +340,7 @@ class TestDemo:
     def test_naive_violation_judges_the_relation_as_scan_does(self, slack, product, holds, monkeypatch, capsys):
         """main-relation's rule: -slack finite and at most 1e-9 (1 + |epsA epsB|)."""
         report = SimpleNamespace(eps_a=product, eps_b=1.0, bound=0.0, naive_bound=0.8, naive_violated=True, slack=slack)
-        monkeypatch.setattr("measerr.cli.evaluate_relation", lambda *args: report)
+        monkeypatch.setattr("measerr.cli.relation", lambda *args: report)
         assert main(["demo", "naive-violation"]) == (0 if holds else 1)
         assert f"(relation itself holds: {holds})" in capsys.readouterr().out
 

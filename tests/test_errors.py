@@ -11,7 +11,6 @@ from measerr import (
     PAULI_X as X,
     PAULI_Z as Z,
     kernels,
-    local_context,
     noisy_projective,
     suites,
     trivial_measurement,
@@ -43,21 +42,21 @@ def conditions(ctx, a):
 def random_ctx(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = int(rng.integers(2, 6))
-    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
+    ctx = kernels.context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
     return ctx, instances.observable(rng, dim), rng
 
 
 class TestQuantumError:
     def test_projective_own_basis_is_errorless(self):
-        ctx = local_context(kernels.spectral(Z)[1], MIXED)
+        ctx = kernels.context(kernels.spectral(Z)[1], MIXED)
         assert eps(ctx, Z) <= 1e-12
 
     def test_projective_transverse_is_maximal(self):
-        ctx = local_context(kernels.spectral(Z)[1], MIXED)
+        ctx = kernels.context(kernels.spectral(Z)[1], MIXED)
         assert eps(ctx, X) == pytest.approx(1.0, abs=1e-12)
 
     def test_unsharp_closed_form(self):
-        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
+        ctx = kernels.context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
         assert oracles.unsharp_eps_z(0.6) == pytest.approx(0.8, abs=1e-12)
         assert eps(ctx, Z) == pytest.approx(0.8, abs=1e-10)
 
@@ -69,7 +68,7 @@ class TestQuantumError:
 
     def test_unsharp_eta_grid(self):
         for eta in np.arange(0.0, 1.01, 0.1):
-            ctx = local_context(unsharp_qubit((0, 0, 1), float(eta)), MIXED)
+            ctx = kernels.context(unsharp_qubit((0, 0, 1), float(eta)), MIXED)
             closed = np.sqrt(1 - eta * eta)
             assert eps(ctx, Z) == pytest.approx(closed, abs=1e-10)
             assert eps(ctx, Z) == pytest.approx(
@@ -87,12 +86,12 @@ class TestFError:
 
     def test_exact_reconstruction(self):
         f, effects = kernels.spectral(Z)
-        ctx = local_context(effects, MIXED)
+        ctx = kernels.context(effects, MIXED)
         assert f_error_split(ctx, Z, f).f_error <= 1e-12
 
     def test_scaled_estimator_pays_one(self):
         values, effects = kernels.spectral(Z)
-        ctx = local_context(effects, MIXED)
+        ctx = kernels.context(effects, MIXED)
         f = 2.0 * values
         breakdown = f_error_split(ctx, Z, f)
         assert breakdown.estimation_error == pytest.approx(1.0, abs=1e-12)
@@ -122,7 +121,7 @@ class TestMinimality:
     def test_frozen_quadratic_excess(self):
         # sharpness 0.6, delta = (1,-1), t = 0.1: excess must be exactly
         # t^2 ||delta||_p^2 = 0.01 with the uniform outcome distribution
-        ctx = local_context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
+        ctx = kernels.context(unsharp_qubit((0, 0, 1), 0.6), MIXED)
         opt = pushforward(ctx, Z)
         delta = np.array([1.0, -1.0])
         perturbed = f_error_split(ctx, Z, opt + 0.1 * delta)
@@ -142,12 +141,12 @@ class TestErrorless:
     the norm chain (c) on every instance, errorless or not."""
 
     def test_own_basis_all_true(self):
-        e = conditions(local_context(kernels.spectral(Z)[1], MIXED), Z)
+        e = conditions(kernels.context(kernels.spectral(Z)[1], MIXED), Z)
         assert e.errorless and bound_holds(e)
         assert e.roundtrip_residual <= 1e-12
 
     def test_transverse_all_false(self):
-        e = conditions(local_context(kernels.spectral(Z)[1], MIXED), X)
+        e = conditions(kernels.context(kernels.spectral(Z)[1], MIXED), X)
         assert not e.errorless and bound_holds(e)
         assert e.roundtrip_residual == pytest.approx(1.0, abs=1e-12)
 
@@ -156,7 +155,7 @@ class TestErrorless:
         # state: the pushforward is the constant 1 and its pullback is the
         # identity, which agrees with X on the state
         plus = pure([1, 1])
-        ctx = local_context(kernels.spectral(Z)[1], plus)
+        ctx = kernels.context(kernels.spectral(Z)[1], plus)
         f = pushforward(ctx, X)
         assert np.allclose(f, 1.0, atol=1e-10)
         e = conditions(ctx, X)
@@ -179,7 +178,7 @@ class TestErrorless:
         lam = np.concatenate([[0.0], np.logspace(-12, 0, 2001)])[:, None, None, None]
         projectors = kernels.spectral(a)[1]
         effects = (1.0 - lam) * projectors + lam * np.eye(3) / len(projectors)
-        e = conditions(local_context(effects, np.broadcast_to(rho, (len(lam), 3, 3))), a)
+        e = conditions(kernels.context(effects, np.broadcast_to(rho, (len(lam), 3, 3))), a)
         assert bound_holds(e)
         window = e.errorless & (e.roundtrip_residual > DEFAULT_TOL.errorless * e.scale)
         assert window.any() and (lam[window] >= 1e-8).all() and (lam[window] <= 1e-7).all()
@@ -200,7 +199,7 @@ class TestErrorless:
         for mu, errorless in [(0.0, True), (1e-14, True), (1e-12, True), (1e-10, True),
                               (1e-5, False), (1e-4, False), (1e-2, False)]:
             effects = check_effects(np.array([p1 + mu * p2, (1.0 - mu) * p2]))
-            e = conditions(local_context(effects, rho), a)
+            e = conditions(kernels.context(effects, rho), a)
             assert e.errorless == errorless and bound_holds(e), (mu, e)
 
 
@@ -219,7 +218,7 @@ def test_subadditivity(seed):
     rng = np.random.default_rng(seed)
     dim = int(rng.integers(2, 5))
     outcomes = int(rng.integers(2, 6))
-    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim))
+    ctx = kernels.context(instances.povm(rng, dim, outcomes), instances.state(rng, dim))
     a = instances.observable(rng, dim)
     b = instances.observable(rng, dim)
     assert eps(ctx, a) + eps(ctx, b) >= eps(ctx, check_observables(a + b)) - 1e-9
@@ -238,7 +237,7 @@ def test_roundtrip_residual_is_at_most_the_error(dim, outcomes, pure, lam, seed)
     rng = np.random.default_rng(seed)
     rho, a = instances.state(rng, dim, pure=pure), instances.observable(rng, dim)
     for effects in (instances.povm(rng, dim, outcomes), noisy_projective(a, lam)):
-        ctx = local_context(effects, rho)
+        ctx = kernels.context(effects, rho)
         e = conditions(ctx, a)
         r, m = e.roundtrip_residual, kernels.norm(kernels.transport(ctx, a).roundtrip, rho)
         assert r**2 <= e.error**2 + 1e-13 * e.scale**2
@@ -250,5 +249,5 @@ def test_trivial_measurement_reduces_to_standard_deviation():
         rng = np.random.default_rng(seed)
         rho = instances.state(rng, 3)
         a = instances.observable(rng, 3)
-        ctx = local_context(trivial_measurement([0.25, 0.75], 3), rho)
+        ctx = kernels.context(trivial_measurement([0.25, 0.75], 3), rho)
         assert eps(ctx, a) == pytest.approx(oracles.std_dev_brute(a, rho), abs=1e-10)

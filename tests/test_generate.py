@@ -11,7 +11,6 @@ from measerr import (
     generate,
     kernels,
     induced_povm,
-    local_context,
     noisy_projective,
     trivial_measurement,
     unsharp_qubit,
@@ -90,7 +89,7 @@ class TestPovms:
         for seed in range(20):
             effects = instances.povm(np.random.default_rng(seed), 3, 4)
             rho = instances.state(np.random.default_rng(seed), 3)
-            assert float(np.min(local_context(effects, rho).weights)) > 0.0
+            assert float(np.min(kernels.context(effects, rho).weights)) > 0.0
 
 
 @pytest.mark.parametrize("axis,shape", [(-3, (6, 2, 5, 5)), (-2, (6, 2, 5))])

@@ -13,7 +13,6 @@ from measerr import (
     cnot_model,
     induced_povm,
     kernels,
-    local_context,
     qubit_state,
 )
 from measerr.serialize import model_from_json, model_to_json
@@ -52,8 +51,8 @@ class TestInducedPovm:
         # distribution in the ancilla state (1/2 each for |+> and Z)
         for eff in effects:
             assert np.allclose(eff, 0.5 * np.eye(2), atol=1e-12)
-        p1 = local_context(effects, MIXED).weights
-        p2 = local_context(effects, pure([1, 0])).weights
+        p1 = kernels.context(effects, MIXED).weights
+        p2 = kernels.context(effects, pure([1, 0])).weights
         assert np.allclose(p1, p2, atol=1e-15)
 
     @pytest.mark.parametrize("dim,ancilla", [(2, 2), (2, 3), (3, 2)])
@@ -67,7 +66,7 @@ class TestInducedPovm:
             assert np.max(np.abs(total - np.eye(dim))) <= 1e-9
             _, projs = kernels.spectral(meter)
             direct = oracles.joint_meter_distribution(rho, xi, u, projs)
-            assert np.allclose(local_context(effects, rho).weights, direct, atol=1e-10)
+            assert np.allclose(kernels.context(effects, rho).weights, direct, atol=1e-10)
 
     def test_invalid_unitary_rejected(self):
         with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ class TestBridgeIdentity:
         for seed in range(10):
             model, rho, a, _ = random_model(dim, ancilla, 100 + seed)
             est, effects = induced_povm(*model)
-            ctx = local_context(effects, rho)
+            ctx = kernels.context(effects, rho)
             t = kernels.transport(ctx, a)
             assert ozawa_error(model, rho, a) == pytest.approx(
                 kernels.f_error_split(ctx, a, t, est).f_error, abs=1e-9
@@ -132,7 +131,7 @@ class TestBridgeIdentity:
     def test_rms_error_dominates_intrinsic_error(self):
         for seed in range(15):
             model, rho, a, _ = random_model(2, 2, 300 + seed)
-            ctx = local_context(induced_povm(*model)[1], rho)
+            ctx = kernels.context(induced_povm(*model)[1], rho)
             assert ozawa_error(model, rho, a) >= kernels.transport(ctx, a).error - 1e-9
 
 

@@ -17,7 +17,6 @@ import oracles
 from measerr import kernels, suites
 from measerr.generate import ginibre_states, haar_unitaries
 from measerr.states import check_effects, check_states, check_weights, pure_states
-from measerr.transport import local_context
 from measerr.tolerances import DEFAULT_TOL
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -46,7 +45,7 @@ def stack(dim, seed):
         effects[i, : len(row[0])] = row[0]
         f[i, : len(row[4])] = row[4]
     rho, a, b = (np.stack([row[k] for row in rows]) for k in (1, 2, 3))
-    return rows, kernels.context(effects, rho, kernels.born(effects, rho)), a, b, f
+    return rows, kernels.context(effects, rho), a, b, f
 
 
 def scale(a):
@@ -203,7 +202,7 @@ def test_projective_measurements_of_large_observables(size):
         a = kernels.hermitian_part(oracles.complex_gaussian(rng, (80, dim, dim)))
         a *= size / np.linalg.norm(a, 2, axis=(-2, -1))[:, None, None]
         values, projectors = kernels.spectral(a)
-        ctx = local_context(projectors, rho)
+        ctx = kernels.context(projectors, rho)
         t = kernels.transport(ctx, a)
         split = kernels.f_error_split(ctx, a, t, values + size)
         exact = kernels.f_error_split(ctx, a, t, values)
@@ -217,7 +216,7 @@ def test_projective_measurements_of_large_observables(size):
 def test_errorless_conditions(dim, seed):
     rows, ctx, a, _, _ = stack(dim, seed)
     values, projectors = kernels.spectral(a)
-    exact = kernels.context(projectors, ctx.rho, kernels.born(projectors, ctx.rho))
+    exact = kernels.context(projectors, ctx.rho)
     for c, is_exact in ((ctx, False), (exact, True)):
         e = kernels.errorless(c, a, kernels.transport(c, a))
         for i, (_, rho, a_i, _, _) in enumerate(rows):
@@ -256,7 +255,7 @@ def test_spectral_merges_degenerate_eigenvalues(dim):
 
 def test_single_instances_need_no_leading_axis():
     rows, ctx, a, b, f = stack(3, 0)
-    one = kernels.context(ctx.effects[1], ctx.rho[1], ctx.weights[1])
+    one = kernels.context(ctx.effects[1], ctx.rho[1])
     rel, rel_one = kernels.relation(ctx, a, b), kernels.relation(one, a[1], b[1])
     assert np.ndim(rel_one.bound) == 0
     for field in ("eps_a", "eps_b", "real_term", "imag_term", "bound"):
@@ -283,14 +282,14 @@ def test_traces_are_stack_invariant(dim, outcomes):
     rho, a, b = (np.stack(col) for col in list(zip(*rows))[1:])
     expect = kernels.expect(effects, rho[:, None])
     weights = kernels.born(effects, rho)
-    fwd = kernels.pushforward(kernels.context(effects, rho, weights), a)
+    fwd = kernels.pushforward(kernels.context(effects, rho), a)
     symmetric, commutator = kernels._anti_comm(a, b, rho)
     norms, effect_norms = kernels.norm(a, rho), kernels.norm(effects, rho[:, None])
     for i, (unpadded, *_) in enumerate(rows):
         assert np.array_equal(kernels.expect(effects[i], rho[i]), expect[i])
         assert np.array_equal(kernels.born(effects[i], rho[i]), weights[i])
-        assert np.array_equal(kernels.pushforward(kernels.context(effects[i], rho[i], weights[i]), a[i]), fwd[i])
-        one = kernels.context(unpadded, rho[i], kernels.born(unpadded, rho[i]))
+        assert np.array_equal(kernels.pushforward(kernels.context(effects[i], rho[i]), a[i]), fwd[i])
+        one = kernels.context(unpadded, rho[i])
         assert np.array_equal(one.weights, weights[i, :outcomes]) and np.all(weights[i, outcomes:] == 0.0)
         assert np.array_equal(kernels.pushforward(one, a[i]), fwd[i, :outcomes]) and np.all(fwd[i, outcomes:] == 0.0)
         assert kernels._anti_comm(a[i], b[i], rho[i]) == (symmetric[i], commutator[i])
@@ -391,11 +390,13 @@ def test_edge_instances_at_d8(ranks, eigs, split, seed):
     for k in range(n):
         assume(oracles.probabilities(rows[k], rho[k])[1] > 10 * DEFAULT_TOL.support_cutoff)
 
-    ctx = kernels.context(effects, rho, check_weights(kernels.born(effects, rho)))
+    ctx = kernels.context(effects, rho)
+    check_weights(ctx.weights)
     rel = kernels.relation(ctx, a, b)
     values, projectors = kernels.spectral(a)
     check_effects(projectors)
-    projective = kernels.context(projectors, rho, check_weights(kernels.born(projectors, rho)))
+    projective = kernels.context(projectors, rho)
+    check_weights(projective.weights)
     rel_projective = kernels.relation(projective, a, b)
     errorless = kernels.errorless(projective, a, kernels.transport(projective, a))
     m = len(distinct)

@@ -12,8 +12,8 @@ from measerr import (
     PAULI_X as X,
     PAULI_Z as Z,
     kernels,
-    local_context,
     noisy_projective,
+    qubit_state,
     trivial_measurement,
     unsharp_qubit,
 )
@@ -30,12 +30,12 @@ def povm_file(effects, values=(1.0, -1.0)) -> dict:
 
 class TestApply:
     def test_projective_on_mixed(self):
-        p = local_context(kernels.spectral(Z)[1], mixed(2))
+        p = kernels.context(kernels.spectral(Z)[1], mixed(2))
         assert np.allclose(p.weights, [0.5, 0.5], atol=1e-12)
 
     def test_projective_on_eigenstate(self):
         values, effects = kernels.spectral(Z)
-        p = local_context(effects, pure([1, 0]))
+        p = kernels.context(effects, pure([1, 0]))
         # ascending eigenvalue order: outcome values (-1, +1)
         assert values.tolist() == [-1.0, 1.0]
         assert np.allclose(p.weights, [0.0, 1.0], atol=1e-12)
@@ -45,11 +45,11 @@ class TestApply:
         rho = pure([1, 0])
         expected = oracles.probabilities(effects, rho)
         assert expected == pytest.approx([0.8, 0.2], abs=1e-12)
-        assert np.allclose(local_context(effects, rho).weights, [0.8, 0.2], atol=1e-10)
+        assert np.allclose(kernels.context(effects, rho).weights, [0.8, 0.2], atol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            local_context(kernels.spectral(Z)[1], mixed(3))
+            kernels.context(kernels.spectral(Z)[1], mixed(3))
 
 
 class TestAdjoint:
@@ -77,7 +77,7 @@ class TestAdjoint:
                 rho = instances.state(rng, dim)
                 f = rng.uniform(-2, 2, len(effects))
                 lhs = kernels.expect(kernels.adjoint(effects, f), rho)
-                rhs = kernels.dot(f, local_context(effects, rho).weights)
+                rhs = kernels.dot(f, kernels.context(effects, rho).weights)
                 assert abs(lhs - rhs) <= 1e-10 * (1 + abs(rhs))
 
 
@@ -112,7 +112,7 @@ class TestTrivial:
     def test_state_independent(self):
         effects = trivial_measurement([0.3, 0.7], 3)
         assert np.allclose(effects[0], 0.3 * np.eye(3), atol=1e-15)
-        p1, p2 = (local_context(effects, rho).weights for rho in (mixed(3), pure([1, 0, 0])))
+        p1, p2 = (kernels.context(effects, rho).weights for rho in (mixed(3), pure([1, 0, 0])))
         assert np.array_equal(p1, p2)
 
 
@@ -145,6 +145,9 @@ class TestUnsharpFamily:
             noisy_projective(Z, np.nan)
         with pytest.raises(ValueError, match="weights must be finite"):
             trivial_measurement([np.nan, 1.0], 2)
+        for bloch in ({"x": np.nan}, {"z": np.nan}):
+            with pytest.raises(ValueError, match="Bloch vector"):
+                qubit_state(**bloch)
 
     def test_noisy_projective_path(self):
         assert np.allclose(noisy_projective(Z, 1.0)[1], np.diag([1.0, 0.0]), atol=1e-12)
@@ -157,7 +160,7 @@ class TestUnsharpFamily:
 
 
 def contractivity(effects, f, rho):
-    return kernels.contractivity(local_context(effects, rho), np.asarray(f, dtype=float))
+    return kernels.contractivity(kernels.context(effects, rho), np.asarray(f, dtype=float))
 
 
 class TestContractivity:
@@ -186,7 +189,7 @@ def test_affineness(seed, lam):
     rho1 = instances.state(rng, dim)
     rho2 = instances.state(rng, dim, pure=True)
     mix = check_states(lam * rho1 + (1 - lam) * rho2)
-    lhs, p1, p2 = (local_context(effects, rho).weights for rho in (mix, rho1, rho2))
+    lhs, p1, p2 = (kernels.context(effects, rho).weights for rho in (mix, rho1, rho2))
     rhs = lam * p1 + (1 - lam) * p2
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 

@@ -9,19 +9,17 @@ from measerr import (
     PAULI_X as X,
     PAULI_Y as Y,
     PAULI_Z as Z,
-    evaluate_relation,
     kernels,
-    local_context,
     qubit_state,
-    schroedinger_reduction,
     trivial_measurement,
 )
 
+relation = kernels.relation
 
 
-def relation(ctx, a, b):
-    """``evaluate_relation`` on the measurement and state of ``ctx``."""
-    return evaluate_relation(ctx.effects, ctx.rho, a, b)
+def reduction(weights, rho, a, b):
+    """The standard-deviation form of the relation of A and B under the trivial measurement of ``weights``."""
+    return kernels.schroedinger(kernels.context(trivial_measurement(weights, rho.shape[-1]), rho, a, b), a, b)[1]
 
 
 def covariance(a, b, rho):
@@ -40,14 +38,14 @@ def errorless_a(ctx, a):
 def random_setup(dim, seed, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = int(rng.integers(2, 7))
-    ctx = local_context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
+    ctx = kernels.context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
     return ctx, instances.observable(rng, dim), instances.observable(rng, dim), rng
 
 
 def trivial_ctx(rho, seed=0):
     rng = np.random.default_rng(seed)
     k = int(rng.integers(1, 5))
-    return local_context(trivial_measurement(rng.dirichlet(np.ones(k)), rho.shape[-1]), rho)
+    return kernels.context(trivial_measurement(rng.dirichlet(np.ones(k)), rho.shape[-1]), rho)
 
 
 class TestRealPart:
@@ -62,7 +60,7 @@ class TestRealPart:
             assert relation(ctx, a, b).real_term == pytest.approx(closed, abs=1e-10 * (1 + abs(closed)))
 
     def test_transverse_case_vanishes(self):
-        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
+        ctx = kernels.context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         assert relation(ctx, X, Z).real_term == pytest.approx(0.0, abs=1e-12)
 
     def test_diagonal_case_is_squared_error(self):
@@ -84,7 +82,7 @@ class TestImagPart:
             assert relation(ctx, a, b).imag_term == pytest.approx(bare, abs=1e-10 * (1 + abs(bare)))
 
     def test_transverse_case_cancels(self):
-        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
+        ctx = kernels.context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         assert relation(ctx, X, Z).imag_term == pytest.approx(0.0, abs=1e-12)
 
     def test_antisymmetry_on_diagonal(self):
@@ -94,7 +92,7 @@ class TestImagPart:
 
 class TestEvaluateRelation:
     def test_commutator_bound_undercut_scenario(self):
-        ctx = local_context(kernels.spectral(Z)[1], qubit_state(y=0.8))
+        ctx = kernels.context(kernels.spectral(Z)[1], qubit_state(y=0.8))
         report = relation(ctx, X, Z)
         assert report.eps_a * report.eps_b == pytest.approx(0.0, abs=1e-10)
         assert report.bound == pytest.approx(0.0, abs=1e-10)
@@ -125,7 +123,7 @@ class TestEvaluateRelation:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
-            evaluate_relation(kernels.spectral(Z)[1], qubit_state(y=0.8), X, np.eye(3, dtype=complex))
+            kernels.context(kernels.spectral(Z)[1], qubit_state(y=0.8), X, np.eye(3, dtype=complex))
 
 
 def seminorm(g, i):
@@ -191,7 +189,7 @@ class TestProofDevice:
 
 class TestSchroedingerReduction:
     def test_saturation_case(self):
-        report = schroedinger_reduction([0.5, 0.5], pure([1, 0]), X, Y)[1]
+        report = reduction([0.5, 0.5], pure([1, 0]), X, Y)
         assert report.product == pytest.approx(1.0, abs=1e-10)
         assert report.bound == pytest.approx(1.0, abs=1e-10)
         assert report.kr_bound == pytest.approx(1.0, abs=1e-10)
@@ -199,7 +197,7 @@ class TestSchroedingerReduction:
         assert report.eps_sigma_residual_b <= 1e-10
 
     def test_uncorrelated_case(self):
-        report = schroedinger_reduction([0.5, 0.5], mixed(2), X, Z)[1]
+        report = reduction([0.5, 0.5], mixed(2), X, Z)
         assert report.product == pytest.approx(1.0, abs=1e-12)
         assert report.bound == pytest.approx(0.0, abs=1e-12)
 
@@ -210,7 +208,7 @@ class TestSchroedingerReduction:
             rho = instances.state(rng, dim)
             a = instances.observable(rng, dim)
             b = instances.observable(rng, dim)
-            report = schroedinger_reduction([0.5, 0.5], rho, a, b)[1]
+            report = reduction([0.5, 0.5], rho, a, b)
             assert report.product >= report.bound - 1e-9 * (1 + report.product)
             assert report.kr_bound <= report.bound + 1e-12
 
@@ -228,7 +226,7 @@ class TestNoSimultaneousErrorless:
         # a noncommuting pair over a commutator-witnessing state never has
         # both errors vanish
         rho = qubit_state(y=0.8)
-        ctx = local_context(kernels.spectral(Z)[1], rho)
+        ctx = kernels.context(kernels.spectral(Z)[1], rho)
         comm = abs(commutator(X, Z, rho))
         assert comm > 1e-6
         assert not (errorless_a(ctx, X) and errorless_a(ctx, Z))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from measerr import cnot_model, evaluate_relation, unsharp_qubit
+from measerr import cnot_model, kernels, unsharp_qubit
 from measerr.serialize import (
     CSV_HEADER,
     format_float,
@@ -192,7 +192,8 @@ class TestCsvRow:
         effects = instances.povm(np.random.default_rng(2), 2, 3)
         rho = instances.state(np.random.default_rng(2), 2)
         rng = np.random.default_rng(5)
-        return 2, "custom", evaluate_relation(effects, rho, instances.observable(rng, 2), instances.observable(rng, 2))
+        a, b = instances.observable(rng, 2), instances.observable(rng, 2)
+        return 2, "custom", kernels.relation(kernels.context(effects, rho, a, b), a, b)
 
     def test_header_and_width(self):
         assert CSV_HEADER.split(",") == [

@@ -16,7 +16,7 @@ import oracles
 import pytest
 
 import measerr
-from measerr import chain_check, evaluate_relation, local_context
+from measerr import chain_check, trivial_measurement
 from measerr import generate, kernels, states, suites
 from measerr.cli import main
 from measerr.serialize import model_from_json, model_to_json
@@ -103,10 +103,15 @@ class TestTransportOnce:
         assert (kernel_calls.count("norm"), kernel_calls.count("pullback")) == (norms, pullbacks)
 
     def test_evaluate_relation(self, transport_calls):
+        """The relation, and the relation with its standard-deviation form on
+        a trivial measurement, as the CLI evaluates them: each transports A
+        and B once."""
         rng = np.random.default_rng(1)
         effects, rho = instances.povm(rng, 3, 4), instances.state(rng, 3)
-        evaluate_relation(effects, rho, instances.observable(rng, 3), instances.observable(rng, 3))
-        assert transport_calls == [(3, 3)] * 2
+        a, b = instances.observable(rng, 3), instances.observable(rng, 3)
+        kernels.relation(kernels.context(effects, rho, a, b), a, b)
+        kernels.schroedinger(kernels.context(trivial_measurement([0.5, 0.5], 3), rho, a, b), a, b)
+        assert transport_calls == [(3, 3)] * 4
 
     def test_chain_check(self, transport_calls):
         rng = np.random.default_rng(2)
@@ -624,7 +629,7 @@ def test_errorless_bound_holds_between_the_thresholds():
     cols["rho2"] = generate.ginibre_states(oracles.complex_gaussian(rng, (2, 2)))
     cols["scale"], cols["shift"] = rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0)
     cols = {key: np.asarray(value)[None] for key, value in cols.items()}
-    ctx = cols["ctx"] = local_context(cols["povm"], cols["rho"])
+    ctx = cols["ctx"] = kernels.context(cols["povm"], cols["rho"])
     cols["rel"], cols["spectral"] = kernels.relation(ctx, cols["a"], cols["b"]), kernels.spectral(cols["a"])
     e = kernels.errorless(ctx, cols["a"], cols["rel"].transport_a)
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
@@ -712,9 +717,8 @@ def test_dropped_real_term_fails_trivial_reduction(monkeypatch):
 
     def dropped_r(*args, **kwargs):
         rel = relation(*args, **kwargs)
-        rel.bound = np.abs(rel.imag_term)
-        rel.slack = rel.eps_a * rel.eps_b - rel.bound
-        return rel
+        bound = np.abs(rel.imag_term)
+        return rel._replace(bound=bound, slack=rel.eps_a * rel.eps_b - bound)
 
     assert run("trivial-reduction", (2, 3), 20, seed=3)[0].passed
     monkeypatch.setattr(kernels, "relation", dropped_r)

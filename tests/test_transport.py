@@ -10,13 +10,12 @@ from measerr import (
     PAULI_X as X,
     PAULI_Z as Z,
     kernels,
-    local_context,
     trivial_measurement,
     unsharp_qubit,
 )
 from measerr.states import check_effects, check_observables, check_states
 
-make_ctx, pushforward = local_context, kernels.pushforward
+pushforward = kernels.pushforward
 
 
 def pullback(ctx, f):
@@ -30,18 +29,18 @@ def adjointness(ctx, a, f):
 def random_ctx(dim, seed, outcomes=None, mixedness="ginibre"):
     rng = np.random.default_rng(seed)
     outcomes = outcomes or int(rng.integers(2, 6))
-    ctx = make_ctx(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
+    ctx = kernels.context(instances.povm(rng, dim, outcomes), instances.state(rng, dim, pure=mixedness == "pure"))
     return ctx, instances.observable(rng, dim), rng
 
 
 class TestPushforward:
     def test_projective_z_reads_off_eigenvalues(self):
-        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
+        ctx = kernels.context(kernels.spectral(Z)[1], mixed(2))
         f = pushforward(ctx, Z)
         assert np.allclose(f, [-1.0, 1.0], atol=1e-12)
 
     def test_projective_z_kills_transverse(self):
-        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
+        ctx = kernels.context(kernels.spectral(Z)[1], mixed(2))
         f = pushforward(ctx, X)
         assert np.allclose(f, 0.0, atol=1e-12)
 
@@ -49,7 +48,7 @@ class TestPushforward:
         rng = np.random.default_rng(4)
         rho = instances.state(rng, 3)
         a = instances.observable(rng, 3)
-        ctx = make_ctx(trivial_measurement([0.2, 0.3, 0.5], 3), rho)
+        ctx = kernels.context(trivial_measurement([0.2, 0.3, 0.5], 3), rho)
         f = pushforward(ctx, a)
         assert np.allclose(f, kernels.expect(a, rho), atol=1e-10)
 
@@ -83,20 +82,20 @@ class TestPushforward:
 class TestPullback:
     def test_projective_full_support(self):
         values, effects = kernels.spectral(Z)
-        ctx = make_ctx(effects, mixed(2))
+        ctx = kernels.context(effects, mixed(2))
         rep = pullback(ctx, values)
         assert np.allclose(rep, Z, atol=1e-12)
 
     def test_equivalent_functions_share_one_representative(self):
         # values (-1, +1); the -1 outcome has zero weight
-        ctx = make_ctx(kernels.spectral(Z)[1], pure([1, 0]))
+        ctx = kernels.context(kernels.spectral(Z)[1], pure([1, 0]))
         rep_f = pullback(ctx, [7.0, 1.0])
         rep_g = pullback(ctx, [0.0, 1.0])
         assert np.array_equal(rep_f, rep_g)
         assert np.allclose(rep_f, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_unsharp_shrinks(self):
-        ctx = make_ctx(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
+        ctx = kernels.context(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
         rep = pullback(ctx, [1.0, -1.0])
         assert np.allclose(rep, 0.6 * Z, atol=1e-12)
 
@@ -107,7 +106,7 @@ class TestAdjointness:
         assert adjointness(ctx, a, np.full(len(ctx.weights), 1.0)) <= 1e-10
 
     def test_transverse_case_vanishes(self):
-        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
+        ctx = kernels.context(kernels.spectral(Z)[1], mixed(2))
         f = np.array([1.0, -1.0])
         assert adjointness(ctx, X, f) <= 1e-12
 
@@ -132,17 +131,17 @@ def norm_chain(ctx, a):
 
 class TestContractionReport:
     def test_errorless_chain_is_flat(self):
-        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
+        ctx = kernels.context(kernels.spectral(Z)[1], mixed(2))
         assert norm_chain(ctx, Z) == pytest.approx((1.0, 1.0, 1.0), abs=1e-12)
 
     def test_transverse_collapses(self):
-        ctx = make_ctx(kernels.spectral(Z)[1], mixed(2))
+        ctx = kernels.context(kernels.spectral(Z)[1], mixed(2))
         assert norm_chain(ctx, X) == pytest.approx((1.0, 0.0, 0.0), abs=1e-12)
 
     def test_unsharp_triple_from_direct_evaluation(self):
         # direct formula evaluation: pushforward values are +-eta, so the
         # round trip is eta^2 Z with state norm eta^2
-        ctx = make_ctx(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
+        ctx = kernels.context(unsharp_qubit((0, 0, 1), 0.6), mixed(2))
         assert norm_chain(ctx, Z) == pytest.approx((1.0, 0.6, 0.36), abs=1e-12)
 
     def test_chain_monotone_on_sweep(self):
@@ -166,21 +165,21 @@ class TestSupportHandling:
         for seed in range(5):
             g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
             a = check_observables((g + g.conj().T) / 2)
-            f1 = pushforward(make_ctx(self._split_minus_povm(0.3), rho), a)
-            f2 = pushforward(make_ctx(self._split_minus_povm(0.4), rho), a)
+            f1 = pushforward(kernels.context(self._split_minus_povm(0.3), rho), a)
+            f2 = pushforward(kernels.context(self._split_minus_povm(0.4), rho), a)
             assert abs(f1[0] - f2[0]) <= 1e-10
             assert f1[1] == f2[1] == 0.0
 
     def test_context_support_bookkeeping(self):
         # outcomes ("+", "-a", "-b")
-        ctx = make_ctx(self._split_minus_povm(0.3), pure([1, 0]))
+        ctx = kernels.context(self._split_minus_povm(0.3), pure([1, 0]))
         assert ctx.mask.tolist() == [True, False, False]
         assert not (ctx.mask & (ctx.weights <= instances.TINY_SUPPORT)).any()
         near = check_states(np.diag([1 - 1e-10, 1e-10]).astype(complex))
-        ctx2 = make_ctx(self._split_minus_povm(0.5), near)
+        ctx2 = kernels.context(self._split_minus_povm(0.5), near)
         assert ctx2.mask[0]
         assert (ctx2.mask & (ctx2.weights <= instances.TINY_SUPPORT)).tolist() == [False, True, True]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: 2 vs 3"):
-            make_ctx(kernels.spectral(Z)[1], mixed(3))
+            kernels.context(kernels.spectral(Z)[1], mixed(3))
