@@ -75,7 +75,8 @@ def _int_range(low: int, high: float = math.inf):
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad integer {text!r}") from exc
         if not low <= n <= high:
-            raise argparse.ArgumentTypeError(f"must lie in {low}..{high}, got {n}")
+            bound = f"lie in {low}..{high}" if high < math.inf else f"be at least {low}"
+            raise argparse.ArgumentTypeError(f"must {bound}, got {n}")
         return n
 
     return parse
@@ -340,10 +341,15 @@ def cmd_chain(args) -> int:
     return EXIT_VIOLATION if checks_failed else EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: argparse keeps no state between
-    ``parse_args`` calls, and ``main`` looks up the command functions itself."""
+    """The parser of every argv, built once per process (``_parsers``)."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's, built once per process: argparse keeps no
+    state between ``parse_args`` calls, and ``main`` looks up the command functions itself."""
     parser = argparse.ArgumentParser(
         prog="measerr",
         description="Numerical laboratory for measurement-error geometry and its uncertainty bound.",
@@ -384,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_chain.add_argument("--n", type=_int_range(1), default=None, help="random models per dimension (default 50)")
     p_chain.add_argument("--model", type=str, default=None, help="JSON indirect model to check instead")
 
-    return parser
+    return parser, {"verify": p_verify, "scan": p_scan, "demo": p_demo, "chain": p_chain}
 
 
 @functools.cache
@@ -393,9 +399,22 @@ def _keep_freed_heap() -> None:
         ctypes.CDLL(None).mallopt(-2, _KEPT_HEAP_BYTES)
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` in one pass where argv starts with a subcommand: its
+    parser alone reads the rest, and leftovers get the top-level parser's error, as they would."""
+    parser, subparsers = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in subparsers:
+        return parser.parse_args(argv)
+    args, extras = subparsers[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     command = {"verify": cmd_verify, "scan": cmd_scan, "demo": cmd_demo, "chain": cmd_chain}[args.command]
     try:
         return command(args)

@@ -27,8 +27,12 @@ MAX_OBSERVABLE_ENTRY = np.finfo(float).max ** 0.25
 
 
 def _check_hermitian(arr: np.ndarray, what: str) -> None:
-    """Each matrix of ``arr`` (one matrix or a stack) must be Hermitian relative to its own scale."""
-    residual = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
+    """Each matrix of ``arr`` (one matrix or a stack) must be Hermitian relative to its own scale;
+    a stack equal to its conjugate transpose (residual 0, or NaN from inf - inf) passes at once."""
+    adjoint = np.swapaxes(arr, -1, -2).conj()
+    if (arr == adjoint).all():
+        return
+    residual = np.abs(arr - adjoint).max(axis=(-2, -1))
     if (residual > DEFAULT_TOL.validation * np.abs(arr).max(axis=(-2, -1))).any():
         raise ValueError(f"{what} is not Hermitian (residual {float(np.max(residual)):.3e})")
 

@@ -179,6 +179,34 @@ def states_psd(stack, psd):
     return out
 
 
+def real_message(val, tol):
+    """The realness rule of expectations, element by element: None when no
+    value has |Im| above tol max(1, |val|), else the message naming the
+    first that has."""
+    val = np.asarray(val)
+    bad = np.abs(val.imag) > tol * np.maximum(1.0, np.abs(val))
+    return f"expected a real expectation, got {val[bad].flat[0]}" if bad.any() else None
+
+
+def hermitian_message(arr, tol, what):
+    """The Hermitian rule, matrix by matrix, on the residual max |X - X^dag|
+    of every matrix: None when none exceeds tol max |X|, else the message
+    naming the largest residual of the stack."""
+    residual = np.abs(arr - np.swapaxes(arr, -1, -2).conj()).max(axis=(-2, -1))
+    if (residual > tol * np.abs(arr).max(axis=(-2, -1))).any():
+        return f"{what} is not Hermitian (residual {float(np.max(residual)):.3e})"
+    return None
+
+
+def guard_message(val, size, psd, identity, what):
+    """The guard of squares that valid input keeps non-negative: None when
+    no value lies below both -psd and -identity ``size``, else the message
+    naming the first that does."""
+    val = np.asarray(val)
+    bad = (val < -psd) & (val < -identity * size)
+    return f"{what} {val[bad].flat[0]:.3e}" if bad.any() else None
+
+
 def std_dev_brute(a, rho):
     """sqrt(<a^2> - <a>^2) over rho, clipped at zero."""
     mean = trace_expectation(a, rho).real

@@ -562,6 +562,21 @@ class TestUsageAndInternalErrors:
             main(["chain", "--dims", "2", "--n", "1", "--ancilla", value])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--dims", "2", "--n", "0"], "measerr verify: error: argument --n: must be at least 1, got 0"),
+            (["chain", "--dims", "2", "--n", "0"], "measerr chain: error: argument --n: must be at least 1, got 0"),
+            (["chain", "--dims", "2", "--ancilla", "9"], "measerr chain: error: argument --ancilla: must lie in 1..8, got 9"),
+        ],
+    )
+    def test_range_error_names_its_bounds(self, argv, message, capsys):
+        """A range with no upper bound names its lower bound alone."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
     @pytest.mark.parametrize("error", [RuntimeError, ArithmeticError, AssertionError, KeyError])
     def test_internal_numerical_error_exits_3(self, error, monkeypatch, capsys):
         """A ``KeyError`` raised inside a sweep is a bug, not a usage error."""
@@ -843,3 +858,67 @@ class TestParserReuse:
         assert main(["demo", "naive-violation"]) == 0
         monkeypatch.setattr("measerr.cli.cmd_demo", lambda args: 7)
         assert main(["demo", "naive-violation"]) == 7
+
+
+def _outcome(argv, capsys) -> tuple:
+    """Exit code, stdout less ``wall_time_s``, and stderr of ``main(argv)``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, _without_wall_time(captured.out), captured.err
+
+
+class TestParseOnce:
+    """``main`` parses an argv that starts with a subcommand by that
+    subcommand's parser alone, once, and every argv as
+    ``build_parser().parse_args`` does."""
+
+    VALID = {
+        "verify": ["verify", "--dims", "2", "--n", "3", "--seed", "1"],
+        "scan": ["scan", "--family", "unsharp", "--grid", "0.5"],
+        "demo": ["demo", "naive-violation"],
+        "chain": ["chain", "--dims", "2", "--n", "1"],
+    }
+    RUNS = [*VALID.values(), ["scan", "--fam", "unsharp"]]
+    TABLE = [
+        *RUNS,
+        ["-h"],
+        ["--help"],
+        ["scan", "-h"],
+        [],
+        ["bogus"],
+        ["sc"],
+        ["scan", "--family", "unsharp", "extra"],
+        ["verify", "--dims", "2", "--n", "3", "--seed", "1", "--unknown"],
+        ["verify", "--dims", "2", "--n", "2", "--seed", "3", "--", "extra"],
+    ]
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_one_parse_on_the_subcommand_parser(self, command, monkeypatch, capsys):
+        main(self.VALID[command])  # builds the parsers, if no test has yet
+        parsed = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            parsed.append(self)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        assert main(self.VALID[command]) == 0
+        assert parsed == [cli._parsers()[1][command]]
+        assert parsed[0].prog == f"measerr {command}"
+
+    @pytest.mark.parametrize("argv", TABLE, ids=[" ".join(argv) or "no-arguments" for argv in TABLE])
+    def test_same_outcome_as_the_top_level_parse(self, argv, monkeypatch, capsys):
+        received = []
+        for name in ("verify", "scan", "demo", "chain"):
+            command = getattr(cli, f"cmd_{name}")
+            monkeypatch.setattr(cli, f"cmd_{name}", lambda args, command=command: received.append(args) or command(args))
+        outcome = _outcome(argv, capsys)
+        once = received[:]
+        assert len(once) == int(argv in self.RUNS)
+        monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        assert _outcome(argv, capsys) == outcome
+        assert received[len(once):] == once
