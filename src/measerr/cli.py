@@ -22,7 +22,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .generate import RNG_ALGORITHM, complex_stack, ginibre_states
+from .generate import RNG_ALGORITHM, gaussians, ginibre_states
 from .indirect import chain_check, cnot_model
 from .kernels import context, hermitian_part, relation, relation_allowance, schroedinger, spectral
 from .measurement import noisy_projective, trivial_measurement, unsharp_qubit
@@ -313,7 +313,7 @@ def cmd_chain(args) -> int:
         dim = u.shape[-1] // xi.shape[-1]
         dims, instances = (dim,), 1
         # a Ginibre state, then A, then B: each its real block, then its imaginary block
-        draws = complex_stack(np.random.default_rng(args.seed).standard_normal((3, 2, dim, dim)))
+        draws = gaussians(np.random.default_rng(args.seed), 3, dim, dim)
         a, b = hermitian_part(draws[1:])
         _, report = chain_check(xi, u, meter, ginibre_states(draws[0]), a, b, args.tolerance)
         print(f"custom model chain values: {[format_float(v, 12) for v in report.values]}")

@@ -1,21 +1,20 @@
 """Stacked generators for random states, observables, POVMs and models.
 
 All randomness flows through an explicit numpy Generator (PCG64 under
-``default_rng``); nothing touches global state.  A sweep block draws each
-of its complex Gaussian arrays for all its instances by one
-``standard_normal`` call on a stream of its own (``suites._sweep``), each
-instance's row its real block, then its imaginary block; a verify block is
-drawn once, as one layout that every verify suite reads
-(``suites._draw_block``).  The functions here turn a stack of such draws
-into matrices at once: ``complex_stack`` pairs the blocks, and
-``povm_effects``, ``ginibre_states`` and ``haar_unitaries`` (with
-``kernels.hermitian_part`` for observables) build from the result matrices
-that are Hermitian, positive or unitary by construction, which the callers
-pass on unvalidated (``test_generated_arrays_are_valid_by_construction``
-pins that).  ``chain --model`` draws its state and two observables by one
-call.  Every instance is drawn in one pass: effects whitened from
-ill-conditioned factors, the one output a correct generator can spoil, are
-rejected by ``povm_effects``' own guard, not drawn again.
+``default_rng``); nothing touches global state.  Every complex Gaussian
+array is drawn by ``gaussians``: m of them by one ``standard_normal`` call,
+each row its real block, then its imaginary block.  A sweep block draws
+each such array for all its instances on a stream of its own
+(``suites._sweep``), a verify block once, as one layout that every verify
+suite reads (``suites._draw_block``), and ``chain --model`` its state and
+two observables by one call.  ``povm_effects``, ``ginibre_states`` and
+``haar_unitaries`` (with ``kernels.hermitian_part`` for observables) build
+from a stack of draws at once matrices that are Hermitian, positive or
+unitary by construction, which the callers pass on unvalidated
+(``test_generated_arrays_are_valid_by_construction`` pins that).  Every
+instance is drawn in one pass: effects whitened from ill-conditioned
+factors, the one output a correct generator can spoil, are rejected by
+``povm_effects``' own guard, not drawn again.
 """
 
 from __future__ import annotations
@@ -28,15 +27,14 @@ from .states import check_completeness
 RNG_ALGORITHM = "numpy default_rng (PCG64)"
 
 
-def complex_stack(raws, axis: int = -3) -> np.ndarray:
-    """The complex stack of raw Gaussian arrays (a list of them, or one
-    array stacking them) whose real and imaginary blocks lie along
-    ``axis``: -3 for matrices and POVM factors, -2 for kets.  It holds the
-    bits of ``re + 1j * im``, an input -0.0 keeping its sign, in one array."""
-    raws = np.asarray(raws)
-    pair = (slice(None),) * (raws.ndim + axis)
-    out = np.empty(raws[pair + (0,)].shape, complex)
-    out.real, out.imag = raws[pair + (0,)], raws[pair + (1,)]
+def gaussians(rng: np.random.Generator, m: int, *shape: int) -> np.ndarray:
+    """m complex Gaussian arrays of ``shape`` by one ``standard_normal((m,
+    2, *shape))`` call: each row's real block, then its imaginary block.
+    It holds the bits of ``re + 1j * im``, a drawn -0.0 keeping its sign,
+    in one array."""
+    raws = rng.standard_normal((m, 2, *shape))
+    out = np.empty((m, *shape), complex)
+    out.real, out.imag = raws[:, 0], raws[:, 1]
     return out
 
 

@@ -34,8 +34,8 @@ space (``ValueError``).  The other checks left here are the invariants whose
 failure means a bug: a non-real ``expect``, ``born`` or ``norm``
 (``ArithmeticError``), a broken f-error split (``AssertionError``) and a
 square negative beyond what valid input gives (``_guard``).  Each raises
-for the whole stack; ``_real`` and ``_guard`` cost one comparison and one
-``.any()`` on the clean path, and test further only where that flags.
+for the whole stack, fails closed on a NaN, and costs one comparison and
+one reduction on the clean path, testing further only where that flags.
 """
 
 from __future__ import annotations
@@ -63,11 +63,11 @@ def trace_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _real(val: np.ndarray) -> np.ndarray:
-    """The real part of expectations ``val``, which must be real up to roundoff: |Im| at most
-    DEFAULT_TOL.expectation max(1, |val|), which no |Im| at most DEFAULT_TOL.expectation fails."""
+    """The real part of expectations ``val``, which must be real up to roundoff: a finite |Im| at most
+    DEFAULT_TOL.expectation max(1, |val|), as every |Im| at most DEFAULT_TOL.expectation is."""
     imag = np.abs(val.imag)
-    if (imag > DEFAULT_TOL.expectation).any():
-        bad = imag > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val))
+    if not (imag <= DEFAULT_TOL.expectation).all():
+        bad = ~np.isfinite(imag) | (imag > DEFAULT_TOL.expectation * np.maximum(1.0, np.abs(val)))
         if bad.any():
             raise ArithmeticError(f"expected a real expectation, got {first_flagged(val, bad)}")
     return val.real
@@ -100,11 +100,13 @@ def hermitian_part(x: np.ndarray) -> np.ndarray:
 
 
 def _guard(val: np.ndarray, size, error: type, what: str) -> None:
-    """Raise ``error`` where ``val`` (a square, or a difference of squares) is below -DEFAULT_TOL.psd
-    and below -DEFAULT_TOL.identity times ``size()``, its squared magnitude, formed only if needed."""
-    bad = val < -DEFAULT_TOL.psd
-    if bad.any():
-        bad = bad & (val < -DEFAULT_TOL.identity * size())
+    """Raise ``error`` where ``val`` (a square, or a difference of squares) is NaN, or below -DEFAULT_TOL.psd
+    and below -DEFAULT_TOL.identity times ``size()``, its squared magnitude, formed only if needed; where
+    that overflowed nothing is judged, and what passes on is for the caller's checks to fail."""
+    ok = val >= -DEFAULT_TOL.psd
+    if not ok.all():
+        allowance = DEFAULT_TOL.identity * size()
+        bad = ~ok & ~(val >= -allowance) & np.isfinite(allowance)
         if bad.any():
             raise error(f"{what} {first_flagged(val, bad):.3e}")
 
@@ -261,11 +263,11 @@ def check_split(quantum, estimation, f_err, size) -> None:
     estimation error within DEFAULT_TOL.identity * ``size``: 1 + ||A||_rho^2
     + ||f||_p^2, the size of the squares whose differences the three squared
     terms are, so a small f-error of a large A is judged at the roundoff of
-    ||A||_rho^2, not of 1."""
+    ||A||_rho^2, not of 1.  A NaN residual fails."""
     residual = split_residual(quantum, estimation, f_err)
-    bad = residual > DEFAULT_TOL.identity * size
-    if bad.any():
-        raise AssertionError(f"error decomposition violated by {first_flagged(residual, bad):.3e}")
+    ok = residual <= DEFAULT_TOL.identity * size
+    if not ok.all():
+        raise AssertionError(f"error decomposition violated by {first_flagged(residual, ~ok):.3e}")
 
 
 class FError(namedtuple("FError", "quantum_error estimation_error f_error")):
@@ -275,21 +277,17 @@ class FError(namedtuple("FError", "quantum_error estimation_error f_error")):
     is therefore the optimal estimator, and the error the least f-error."""
 
 
-def f_error_split(ctx: Context, a: np.ndarray, t: Transported, f: np.ndarray) -> FError:
-    """The f-error sqrt(||A - M'f||_rho^2 + (||f||_p^2 - ||M'f||_rho^2)) of the estimator f for A
-    (transported as ``t``), M' the pullback, with its split into t.error and ||pushforward(A) - f||_p."""
-    return _f_errors(ctx, f, (a, t))[0]
-
-
-def _f_errors(ctx: Context, f: np.ndarray, *observables) -> list[FError]:
-    """``f_error_split`` of f for each (A, t) of ``observables``, from one pullback of f and its
-    cost ||f||_p^2 - ||M'f||_rho^2, guarded as ``transport``'s radicand is, with f for A."""
+def f_error_split(ctx: Context, f: np.ndarray, *pairs) -> list[FError]:
+    """The f-error sqrt(||X - M'f||_rho^2 + (||f||_p^2 - ||M'f||_rho^2)) of the estimator f for each
+    (X, t) of ``pairs``, t X's transport and M' the pullback, with its split into t.error and
+    ||pushforward(X) - f||_p: one ``FError`` per pair, from one pullback of f and its cost
+    ||f||_p^2 - ||M'f||_rho^2, guarded as ``transport``'s radicand is, with f for X."""
     rep, f_square = pullback(ctx, f), class_norm(f, ctx.weights) ** 2
     cost = f_square - norm(rep, ctx.rho) ** 2
     _guard(cost, lambda: ctx.rho.shape[-1] * f_square, RuntimeError, "contractivity violated: reconstruction cost")
     out = [FError(t.error, class_norm(t.pushforward - f, ctx.weights),
-                  np.sqrt(np.maximum(norm(a - rep, ctx.rho) ** 2 + cost, 0.0))) for a, t in observables]
-    for split, (_, t) in zip(out, observables):
+                  np.sqrt(np.maximum(norm(x - rep, ctx.rho) ** 2 + cost, 0.0))) for x, t in pairs]
+    for split, (_, t) in zip(out, pairs):
         check_split(*split, 1.0 + t.norm**2 + f_square)
     return out
 
@@ -451,7 +449,7 @@ def chain(
     rel = relation(ctx, a, b)
     rms_a, rms_b = rms_error(meter_h, joint, a), rms_error(meter_h, joint, b)
     sigma_a, sigma_b = _spread(rel.transport_a.norm, expect(a, ctx.rho)), _spread(rel.transport_b.norm, expect(b, ctx.rho))
-    split_a, split_b = _f_errors(ctx, estimator, (a, rel.transport_a), (b, rel.transport_b))
+    split_a, split_b = f_error_split(ctx, estimator, (a, rel.transport_a), (b, rel.transport_b))
     values = np.stack([
         rms_a * rms_b,
         rel.eps_a * rel.eps_b,

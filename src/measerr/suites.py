@@ -19,9 +19,9 @@ construction and are not validated again (``povm_effects`` guards its own
 whitening).  The verify suites share one stream id, ``_VERIFY_STREAM``,
 and one instance layout: ``_draw_block`` draws each (dimension, block)
 once, ``_run`` derives its context, relation and spectral decomposition
-once, and every checks function of ``_SUITES`` reads them from that block.
-``suite_ozawa_chain``, keyed by (dimension, ancilla) pairs, sweeps its own
-models on ``_CHAIN_STREAM``.
+once, and the checks function of each result, its ``_SUITES`` entry,
+reads them from that block.  ``suite_ozawa_chain``, keyed by (dimension,
+ancilla) pairs, sweeps its own models on ``_CHAIN_STREAM``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from itertools import count
 import numpy as np
 
 from . import kernels
-from .generate import complex_stack, diagonal_meter, ginibre_states, haar_unitaries, povm_effects
+from .generate import diagonal_meter, gaussians, ginibre_states, haar_unitaries, povm_effects
 from .indirect import chain_check
 from .measurement import trivial_measurement
 from .states import pure_states
@@ -117,12 +117,6 @@ def _sweep(seed: int, stream: int, keys, n: int):
             yield key, range(lo, min(lo + _BLOCK, n)), streams
 
 
-def _gaussians(rng: np.random.Generator, m: int, *shape: int) -> np.ndarray:
-    """m complex Gaussian arrays of ``shape`` by one call: each row's real
-    block, then its imaginary block."""
-    return complex_stack(rng.standard_normal((m, 2, *shape)), axis=-1 - len(shape))
-
-
 # Most outcomes of a verify POVM, and of the trivial measurement.
 _OUTCOMES, _WEIGHTS = 6, 4
 
@@ -148,17 +142,17 @@ def _draw_block(streams, m: int, dim: int) -> dict:
     and "a" and "b" the Hermitian parts of their draws.  The factors are
     whitened (a block whose factors do not whiten raises, ``povm_effects``)."""
     padding = np.arange(_OUTCOMES) >= next(streams).integers(2, _OUTCOMES + 1, m)[:, None]
-    factors = _gaussians(next(streams), m, _OUTCOMES, dim, dim)
+    factors = gaussians(next(streams), m, _OUTCOMES, dim, dim)
     factors[padding] = 0.0
     cols = {"povm": povm_effects(factors)}
     pure = next(streams).random(m) < 0.3
-    z = _gaussians(next(streams), m, dim, dim)
+    z = gaussians(next(streams), m, dim, dim)
     cols["rho"] = ginibre_states(z)
     cols["rho"][pure] = pure_states(z[pure, 0])
     for name in ("a", "b"):
-        cols[name] = kernels.hermitian_part(_gaussians(next(streams), m, dim, dim))
-    cols["rho2"] = ginibre_states(_gaussians(next(streams), m, dim, dim))
-    cols["ket"] = pure_states(_gaussians(next(streams), m, dim))
+        cols[name] = kernels.hermitian_part(gaussians(next(streams), m, dim, dim))
+    cols["rho2"] = ginibre_states(gaussians(next(streams), m, dim, dim))
+    cols["ket"] = pure_states(gaussians(next(streams), m, dim))
     for name, (lo, hi), per in _UNIFORMS:
         cols[name] = next(streams).uniform(lo, hi, (m, _OUTCOMES) if per else m)
         if per:
@@ -174,17 +168,17 @@ def _max_abs(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=tuple(range(1, x.ndim)))
 
 
-def _affineness(cols, slack) -> dict:
+def _affineness(cols, slack) -> list:
     """Measurements respect probabilistic mixtures of states exactly: of a
     Ginibre state and a pure one."""
     effects, rho, ket, lam = cols["povm"], cols["rho2"], cols["ket"], cols["lam"]
     mixed = lam[:, None, None] * rho + (1.0 - lam[:, None, None]) * ket
     direct, p1, p2 = kernels.born(effects, mixed), kernels.born(effects, rho), kernels.born(effects, ket)
     residual = _max_abs(direct - (lam[:, None] * p1 + (1.0 - lam[:, None]) * p2))
-    return {"affineness": [("affineness broke", residual, DEFAULT_TOL.validation)]}
+    return [("affineness broke", residual, DEFAULT_TOL.validation)]
 
 
-def _adjoint_characterization(cols, slack) -> dict:
+def _adjoint_characterization(cols, slack) -> list:
     """<M'f>_rho = <f>_{M rho}, and the projective measurement of A together
     with the identity estimator reconstructs A."""
     a, f, ctx = cols["a"], cols["f"], cols["ctx"]
@@ -192,24 +186,24 @@ def _adjoint_characterization(cols, slack) -> dict:
     identity = np.abs(kernels.expect(kernels.adjoint(ctx.effects, f), ctx.rho) - rhs)
     values, projectors = cols["spectral"]
     rebuilt = _max_abs(kernels.adjoint(projectors, values) - a)
-    return {"adjoint-characterization": [
+    return [
         ("adjoint identity broke", identity, DEFAULT_TOL.expectation * (1.0 + np.abs(rhs))),
         ("projective reconstruction broke", rebuilt, slack * (1.0 + _max_abs(a))),
-    ]}
+    ]
 
 
-def _contractivity(cols, slack) -> dict:
+def _contractivity(cols, slack) -> list:
     """Classical norm dominates the adjoint's state norm, and the operator
     gap M'(f^2) - (M'f)^2 stays positive semidefinite."""
     classical, adjoint_norm, gap_min = kernels.contractivity(cols["ctx"], cols["f"])
     gap = adjoint_norm - classical
-    return {"contractivity": [
+    return [
         ("norm contraction broke", gap, slack * (1.0 + classical), lambda i: f"gap {gap[i]:.3e}"),
         ("operator gap not PSD", -gap_min, slack, lambda i: f"{gap_min[i]:.3e}"),
-    ]}
+    ]
 
 
-def _transport_adjointness(cols, slack) -> dict:
+def _transport_adjointness(cols, slack) -> list:
     """The pushforward is the adjoint of the pullback, preserves expectation
     values, contracts twice, and is linear."""
     a, b, f, ctx = cols["a"], cols["b"], cols["f"], cols["ctx"]
@@ -227,52 +221,52 @@ def _transport_adjointness(cols, slack) -> dict:
     lin = kernels.pushforward(ctx, alpha[:, None, None] * a + beta[:, None, None] * b)
     combo = alpha[:, None] * t.pushforward + beta[:, None] * t_b.pushforward
     linearity = _max_abs(lin - combo)
-    return {"transport-adjointness": [
+    return [
         ("adjointness broke", adjointness, slack * (1.0 + t.norm * kernels.class_norm(f, ctx.weights))),
         ("expectation not preserved", drift, DEFAULT_TOL.expectation * (1.0 + np.abs(mean_a))),
         ("double contraction broke", chain, slack * (1.0 + t.norm), None),
         ("linearity broke", linearity, DEFAULT_TOL.expectation * (1.0 + _max_abs(combo))),
-    ]}
+    ]
 
 
-def _error_decomposition(cols, slack) -> dict:
+def _error_decomposition(cols, slack) -> list:
     """Exact split of the f-error, optimality of the pushforward, and the
     quadratic excess law for perturbed estimators."""
     a, ctx, t = cols["a"], cols["ctx"], cols["rel"].transport_a
-    split = kernels.f_error_split(ctx, a, t, cols["f"])
+    [split] = kernels.f_error_split(ctx, cols["f"], (a, t))
 
     delta, step = cols["delta"], cols["step"]
-    perturbed = kernels.f_error_split(ctx, a, t, t.pushforward + step[:, None] * delta)
+    [perturbed] = kernels.f_error_split(ctx, t.pushforward + step[:, None] * delta, (a, t))
     expected = step * step * kernels.class_norm(kernels.restrict(ctx, delta), ctx.weights) ** 2
     excess_law = np.abs(perturbed.f_error**2 - split.quantum_error**2 - expected)
-    return {"error-decomposition": [
+    return [
         ("decomposition broke", kernels.split_residual(*split), slack),
         ("estimator beat the optimum", split.quantum_error - split.f_error, slack),
         ("quadratic excess law broke", excess_law, slack),
-    ]}
+    ]
 
 
-def _relation_and_proof_tie(cols, slack) -> dict:
-    """Main relation plus the proof-tie identities, on the same instances:
-    slack of eps_a*eps_b >= sqrt(R^2+I^2), the bound hierarchy, and the
-    Gram matrix G of the composite vectors of A and B (``kernels.gram``)
-    against the transport values: sqrt(G_AA) and sqrt(G_BB) against the
-    errors, G_AB against R + iI."""
+def _main_relation(cols, slack) -> list:
+    """Slack of eps_a*eps_b >= sqrt(R^2+I^2), and the bound hierarchy."""
+    rel = cols["rel"]
+    return [
+        ("relation violated", -rel.slack, kernels.relation_allowance(rel, slack), lambda i: f"slack {rel.slack[i]:.3e}"),
+        ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
+    ]
+
+
+def _proof_tie(cols, slack) -> list:
+    """The Gram matrix G of the composite vectors of A and B
+    (``kernels.gram``) against the relation's values: sqrt(G_AA) and
+    sqrt(G_BB) against the errors, G_AB against R + iI."""
     rel = cols["rel"]
     g = kernels.gram(cols["ctx"], (cols["a"], rel.transport_a), (cols["b"], rel.transport_b))
     seminorm_a, seminorm_b = (np.sqrt(np.maximum(g[:, i, i].real, 0.0)) for i in (0, 1))
     seminorm_residual = np.maximum(np.abs(seminorm_a - rel.eps_a), np.abs(seminorm_b - rel.eps_b))
-    return {
-        "main-relation": [
-            ("relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
-             lambda i: f"slack {rel.slack[i]:.3e}"),
-            ("bound hierarchy broke", np.abs(rel.imag_term) - rel.bound, 1e-12, None),
-        ],
-        "proof-tie-identity": [
-            ("seminorm-error identity broke", seminorm_residual, slack),
-            ("cross-product identity broke", np.abs(g[:, 0, 1] - (rel.real_term + 1j * rel.imag_term)), slack),
-        ],
-    }
+    return [
+        ("seminorm-error identity broke", seminorm_residual, slack),
+        ("cross-product identity broke", np.abs(g[:, 0, 1] - (rel.real_term + 1j * rel.imag_term)), slack),
+    ]
 
 
 def _row(record, i) -> str:
@@ -295,7 +289,7 @@ def _errorless(e: kernels.Errorless) -> tuple:
     return "constructed errorless case failed", e.error, e.errorless & (violation <= roundoff), detail
 
 
-def _errorless_equivalence(cols, slack) -> dict:
+def _errorless_equivalence(cols, slack) -> list:
     """The exact errorless bound holds on random and constructed-errorless
     instances, and no measurement is errorless for both members of a pair
     whose |<[A,B]/2i>_rho| (the relation's ``naive_bound``) exceeds 1e-6."""
@@ -313,17 +307,17 @@ def _errorless_equivalence(cols, slack) -> dict:
     # pair here is consistent with the noncommutativity statement
     shifted_comm = np.abs(kernels.comm(a, shifted, rho))
 
-    return {"errorless-equivalence": [
+    return [
         _bound(conds_a),
         _bound(conds_b),
         ("simultaneous errorless noncommuting pair", np.where(both, rel.naive_bound, 0.0), 1e-6, None),
         _errorless(exact_a),
         _errorless(exact_shifted),
         ("constructed commuting pair has nonzero commutator", shifted_comm, 1e-6, None),
-    ]}
+    ]
 
 
-def _trivial_reduction(cols, slack) -> dict:
+def _trivial_reduction(cols, slack) -> list:
     """Non-informative measurements collapse the error to the standard
     deviation and the relation to its standard-deviation form, with the bare
     commutator bound below it, at Ginibre states."""
@@ -332,18 +326,18 @@ def _trivial_reduction(cols, slack) -> dict:
     rel, red = kernels.schroedinger(ctx, cols["a"], cols["b"])
     terms = np.maximum(np.abs(rel.real_term - red.covariance), np.abs(rel.imag_term - red.commutator))
     terms = np.maximum(terms, np.abs(rel.bound - red.bound))
-    return {"trivial-reduction": [
+    return [
         ("error != standard deviation", np.maximum(red.eps_sigma_residual_a, red.eps_sigma_residual_b),
          DEFAULT_TOL.expectation * (1.0 + red.sigma_a + red.sigma_b)),
         ("reduced terms mismatch", terms, DEFAULT_TOL.expectation * (1.0 + np.abs(red.covariance) + red.kr_bound)),
         ("commutator bound above the reduced bound", red.kr_bound - rel.bound, 1e-12, None),
         ("reduced relation violated", -rel.slack, kernels.relation_allowance(rel, slack),
          lambda i: f"{rel.slack[i]:.3e}"),
-    ]}
+    ]
 
 
-# The verify suites in report order, keyed by name: ``checks(cols, slack)``
-# maps each result name to the checks of a block's columns ``cols``
+# The verify suites in report order, one per result, keyed by its name:
+# ``checks(cols, slack)`` returns the checks of a block's columns ``cols``
 # (``_draw_block``) and the values ``_run`` derives from them.
 _SUITES = {
     "affineness": _affineness,
@@ -351,7 +345,8 @@ _SUITES = {
     "contractivity": _contractivity,
     "transport-adjointness": _transport_adjointness,
     "error-decomposition": _error_decomposition,
-    "main-relation": _relation_and_proof_tie,
+    "main-relation": _main_relation,
+    "proof-tie-identity": _proof_tie,
     "errorless-equivalence": _errorless_equivalence,
     "trivial-reduction": _trivial_reduction,
 }
@@ -359,20 +354,19 @@ _SUITES = {
 
 def _run(entries: dict, dims, n: int, seed: int, slack: float, sign_flip: bool) -> list[SuiteResult]:
     """The results of the suites ``entries`` (entries of ``_SUITES``), in
-    entry order and, within an entry, in the order its checks name them:
-    each block is swept and drawn once, its POVM pinned to its "rho" as
-    "ctx", the relation of "a" and "b" on it as "rel" and ``kernels.spectral``
-    of "a" as "spectral", and checked by every entry.  ``sign_flip`` corrupts
-    I of "rel" on purpose (``kernels.relation``), not the shared transports."""
-    results = {}
+    entry order: each block is swept and drawn once, its POVM pinned to its
+    "rho" as "ctx", the relation of "a" and "b" on it as "rel" and
+    ``kernels.spectral`` of "a" as "spectral", and checked by every entry.
+    ``sign_flip`` corrupts I of "rel" on purpose (``kernels.relation``), not
+    the shared transports."""
+    results = {name: SuiteResult(name) for name in entries}
     for dim, block, streams in _sweep(seed, _VERIFY_STREAM, dims, n):
         cols = _draw_block(streams, len(block), dim)
         ctx = cols["ctx"] = kernels.context(cols["povm"], cols["rho"])
         cols["rel"] = kernels.relation(ctx, cols["a"], cols["b"], sign_flip=sign_flip)
         cols["spectral"] = kernels.spectral(cols["a"])
-        for checks in entries.values():
-            for name, rows in checks(cols, slack).items():
-                results.setdefault(name, SuiteResult(name)).record_block(dim, block, rows)
+        for name, checks in entries.items():
+            results[name].record_block(dim, block, checks(cols, slack))
     return list(results.values())
 
 
@@ -381,7 +375,7 @@ def _chain_models(streams, m: int, dim: int, ancilla: int) -> tuple:
     B of m models, each array drawn for all of them by one call on the next
     of ``streams``: the ancilla ket, the interaction's factor, the state, A,
     then B."""
-    ket, u, rho, a, b = (_gaussians(next(streams), m, *shape)
+    ket, u, rho, a, b = (gaussians(next(streams), m, *shape)
                          for shape in ((ancilla,), (dim * ancilla,) * 2, (dim, dim), (dim, dim), (dim, dim)))
     return pure_states(ket), haar_unitaries(u), ginibre_states(rho), kernels.hermitian_part(a), kernels.hermitian_part(b)
 

@@ -181,10 +181,10 @@ def states_psd(stack, psd):
 
 def real_message(val, tol):
     """The realness rule of expectations, element by element: None when no
-    value has |Im| above tol max(1, |val|), else the message naming the
-    first that has."""
+    value has a NaN or infinite Im, or |Im| above tol max(1, |val|), else
+    the message naming the first that has."""
     val = np.asarray(val)
-    bad = np.abs(val.imag) > tol * np.maximum(1.0, np.abs(val))
+    bad = ~np.isfinite(val.imag) | (np.abs(val.imag) > tol * np.maximum(1.0, np.abs(val)))
     return f"expected a real expectation, got {val[bad].flat[0]}" if bad.any() else None
 
 
@@ -200,10 +200,10 @@ def hermitian_message(arr, tol, what):
 
 def guard_message(val, size, psd, identity, what):
     """The guard of squares that valid input keeps non-negative: None when
-    no value lies below both -psd and -identity ``size``, else the message
-    naming the first that does."""
+    no value is NaN or lies below both -psd and -identity ``size``, a finite
+    size, else the message naming the first that does."""
     val = np.asarray(val)
-    bad = (val < -psd) & (val < -identity * size)
+    bad = (np.isnan(val) | ((val < -psd) & (val < -identity * size))) & np.isfinite(size)
     return f"{what} {val[bad].flat[0]:.3e}" if bad.any() else None
 
 

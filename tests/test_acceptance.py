@@ -28,9 +28,9 @@ from measerr.tolerances import DEFAULT_TOL
 SEED = 20240811
 
 
-def run_suite(suite, dims, n):
-    """The results of one verify suite at ``SEED``, run with its one table entry."""
-    return _run({suite: _SUITES[suite]}, dims, n, SEED, DEFAULT_TOL.identity, False)
+def run_suites(dims, n, *names):
+    """The results of the verify suites ``names`` at ``SEED``, run with their table entries."""
+    return _run({name: _SUITES[name] for name in names}, dims, n, SEED, DEFAULT_TOL.identity, False)
 
 
 def report(num, ok, detail):
@@ -42,7 +42,7 @@ def report(num, ok, detail):
 @pytest.fixture(scope="module")
 def relation_sweep():
     # 1000 instances per dimension in {2,3,4,5}, shared by criteria 1 and 2
-    return run_suite("main-relation", (2, 3, 4, 5), 1000)
+    return run_suites((2, 3, 4, 5), 1000, "main-relation", "proof-tie-identity")
 
 
 def test_criterion_1_main_relation(relation_sweep):
@@ -68,7 +68,7 @@ def test_criterion_2_proof_tie_identities(relation_sweep):
 
 
 def test_criterion_3_decomposition_and_minimality():
-    [result] = run_suite("error-decomposition", (2, 3, 4), 334)
+    [result] = run_suites((2, 3, 4), 334, "error-decomposition")
     ok = result.failures == 0 and result.checks >= 3000
     report(
         3,
@@ -79,7 +79,7 @@ def test_criterion_3_decomposition_and_minimality():
 
 
 def test_criterion_4_contractivity():
-    [result] = run_suite("contractivity", (2, 3, 4, 5), 250)
+    [result] = run_suites((2, 3, 4, 5), 250, "contractivity")
     ok = result.failures == 0
     report(
         4,
@@ -90,7 +90,7 @@ def test_criterion_4_contractivity():
 
 
 def test_criterion_5_trivial_reduction():
-    [result] = run_suite("trivial-reduction", (2, 3, 4, 5), 50)
+    [result] = run_suites((2, 3, 4, 5), 50, "trivial-reduction")
     saturation = kernels.schroedinger(kernels.context(trivial_measurement([0.5, 0.5], 2), pure([1, 0])), X, Y)[1]
     saturated = (
         abs(saturation.product - 1.0) <= 1e-10
@@ -136,7 +136,7 @@ def test_criterion_7_commutator_bound_undercut():
 
 
 def test_criterion_8_errorless_equivalence():
-    [result] = run_suite("errorless-equivalence", (2, 3, 4, 5), 125)
+    [result] = run_suites((2, 3, 4, 5), 125, "errorless-equivalence")
     ok = result.failures == 0
     report(
         8,

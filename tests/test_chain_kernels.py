@@ -102,8 +102,8 @@ def per_call_chain(ctx, a, b, meter_h, joint, estimator, slack):
     rms_slack = slack * (1.0 + rms_a + rms_b)
     return [
         values, holds, rms_a, rms_b, rel.eps_a, rel.eps_b, sigma_a, sigma_b,
-        np.abs(rms_a - kernels.f_error_split(ctx, a, rel.transport_a, estimator).f_error),
-        np.abs(rms_b - kernels.f_error_split(ctx, b, rel.transport_b, estimator).f_error),
+        np.abs(rms_a - kernels.f_error_split(ctx, estimator, (a, rel.transport_a))[0].f_error),
+        np.abs(rms_b - kernels.f_error_split(ctx, estimator, (b, rel.transport_b))[0].f_error),
         rms_a >= rel.eps_a - rms_slack, rms_b >= rel.eps_b - rms_slack,
     ]
 
@@ -121,10 +121,10 @@ def assert_same_bits(got, expected):
 
 @pytest.mark.parametrize("dim,ancilla", CASES)
 def test_shared_values_are_the_per_call_values(dim, ancilla):
-    """chain, relation, schroedinger and f_error_split equal their per-call
-    formulas bit for bit, and errorless's scale a norm call, on a stacked
-    block and on each of its instances alone, on the induced measurement and
-    on a trivial one."""
+    """chain, relation, schroedinger and f_error_split (of one pair, and of
+    each of two pairs) equal their per-call formulas bit for bit, and
+    errorless's scale a norm call, on a stacked block and on each of its
+    instances alone, on the induced measurement and on a trivial one."""
     ctx, a, b, meter_h, joint, values = chain_arguments(7, dim, ancilla, range(4))
     p0 = np.random.default_rng(dim * ancilla).dirichlet(np.ones(3), 4)
     trivial = kernels.context(p0[:, :, None, None] * np.eye(dim), ctx.rho)
@@ -135,7 +135,10 @@ def test_shared_values_are_the_per_call_values(dim, ancilla):
                          per_call_chain(one, x, y, meter_h[k], joint[k], values, 1e-9))
         t = kernels.transport(one, x)
         assert np.array_equal(t.norm, kernels.norm(x, one.rho))
-        assert_same_bits(kernels.f_error_split(one, x, t, f), per_call_f_error(one, x, t, f))
+        assert_same_bits(kernels.f_error_split(one, f, (x, t))[0], per_call_f_error(one, x, t, f))
+        t_y = kernels.transport(one, y)
+        for split, (z, t_z) in zip(kernels.f_error_split(one, f, (x, t), (y, t_y)), ((x, t), (y, t_y))):
+            assert_same_bits(split, per_call_f_error(one, z, t_z, f))
         for c in (one, kernels.context(trivial.effects[k], trivial.rho[k])):
             for flip in (False, True):
                 assert_same_bits(kernels.relation(c, x, y, sign_flip=flip), per_call_relation(c, x, y, flip))

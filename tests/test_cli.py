@@ -16,7 +16,7 @@ import pytest
 
 import instances
 import measerr
-from measerr import cli, kernels
+from measerr import cli, generate, kernels
 from measerr.cli import _MAX_GRID_POINTS, _parse_grid, main
 from measerr.serialize import format_float, json_text, load_model, matrix_to_json, model_to_json, povm_to_json
 from measerr.indirect import chain_check, cnot_model
@@ -378,6 +378,22 @@ class TestChain:
         rho, a, b = instances.state(rng, dim), instances.observable(rng, dim), instances.observable(rng, dim)
         values = [format_float(v, 12) for v in chain_check(*load_model(path), rho, a, b)[1].values]
         assert f"custom model chain values: {values}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_custom_model_draws_by_one_gaussians_call(self, seed, tmp_path, monkeypatch, capsys):
+        """``chain --model`` checks the Ginibre state of row 0 and the
+        Hermitian parts of rows 1 and 2 of ``generate.gaussians(
+        default_rng(seed), 3, d, d)``, bit for bit."""
+        calls = []
+        monkeypatch.setattr(cli, "chain_check", lambda *args: calls.append(args) or chain_check(*args))
+        path = tmp_path / "model.json"
+        path.write_text(json_text(model_to_json(*cnot_model())))
+        assert main(["chain", "--model", str(path), "--seed", str(seed)]) == 0
+        [(_, _, _, rho, a, b, _)] = calls
+        draws = generate.gaussians(np.random.default_rng(seed), 3, 2, 2)
+        assert np.array_equal(rho, generate.ginibre_states(draws[0]))
+        assert np.array_equal(a, kernels.hermitian_part(draws[1]))
+        assert np.array_equal(b, kernels.hermitian_part(draws[2]))
 
     def test_custom_model_manifest_records_the_model_run(self, tmp_path, capsys):
         model = instances.indirect_model(np.random.default_rng(5), 5)

@@ -16,7 +16,7 @@ from measerr import (
     trivial_measurement,
     unsharp_qubit,
 )
-from measerr.generate import complex_stack, ginibre_states
+from measerr.generate import gaussians, ginibre_states
 from measerr.states import check_effects, check_observables
 from measerr.tolerances import DEFAULT_TOL
 
@@ -28,7 +28,8 @@ def eps(ctx, a):
 
 
 def f_error_split(ctx, a, f):
-    return kernels.f_error_split(ctx, a, kernels.transport(ctx, a), f)
+    [split] = kernels.f_error_split(ctx, f, (a, kernels.transport(ctx, a)))
+    return split
 
 
 def pushforward(ctx, a):
@@ -173,7 +174,7 @@ class TestErrorless:
             e = conditions(ctx, a)
             assert not e.errorless and bound_holds(e)
         rng = np.random.default_rng(11)
-        z = complex_stack(rng.standard_normal((2, 2, 3, 3)))
+        z = gaussians(rng, 2, 3, 3)
         rho, a = ginibre_states(z[0]), kernels.hermitian_part(z[1])
         lam = np.concatenate([[0.0], np.logspace(-12, 0, 2001)])[:, None, None, None]
         projectors = kernels.spectral(a)[1]

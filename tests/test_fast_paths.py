@@ -1,12 +1,14 @@
 """The cheap first tests decide as the full rules do.
 
 ``kernels._real`` runs its per-element realness test only where some |Im|
-exceeds DEFAULT_TOL.expectation, ``states._check_hermitian`` its residual
-test only where a stack differs from its conjugate transpose, and
-``kernels._guard`` its size test only where a value lies below
+is not at most DEFAULT_TOL.expectation, ``states._check_hermitian`` its
+residual test only where a stack differs from its conjugate transpose, and
+``kernels._guard`` its size test only where a value is not at least
 -DEFAULT_TOL.psd.  Each must raise exactly where the full rule in
 ``oracles`` flags, with the same message, and ``_real`` must return the
-same bits.
+same bits.  The rules fail closed: a NaN or infinite Im fails ``_real``, a
+NaN ``_guard``, unless the size it is judged against overflowed, and a NaN
+residual ``kernels.check_split``.
 """
 
 import numpy as np
@@ -72,10 +74,11 @@ def one_failing_row():
 NAN, INF = np.nan, np.inf
 REAL_CASES = {
     "nan real part": ([complex(NAN, 0.0)], False),
-    "nan imaginary part": ([complex(0.0, NAN), 0.25], False),
+    "nan imaginary part": ([complex(0.0, NAN), 0.25], True),
     "nan beside a failing value": ([complex(0.0, NAN), 1j], True),
     "inf real part": ([complex(INF, 0.0), complex(-INF, 1.0)], False),
-    "inf imaginary part": ([complex(0.0, INF), complex(0.0, -INF)], False),
+    "inf imaginary part": ([complex(0.0, INF), complex(0.0, -INF)], True),
+    "inf imaginary part of an infinite value": ([complex(INF, INF)], True),
     "negative zeros": ([complex(-0.0, -0.0), complex(-0.0, 0.0)], False),
     "zeros": (np.zeros(3, complex), False),
     "empty": (np.zeros(0, complex), False),
@@ -198,8 +201,8 @@ def test_hermitian_check_decides_as_the_residual_rule_on_drawn_stacks(arr):
 
 def guard_as_oracle(val, size) -> bool:
     """``_guard`` raises exactly where ``oracles.guard_message`` flags, with
-    its message, and forms the size only where a value lies below -psd;
-    returns whether it raised."""
+    its message, and forms the size only where a value is not at least
+    -psd; returns whether it raised."""
     formed = []
 
     def sizes():
@@ -213,7 +216,7 @@ def guard_as_oracle(val, size) -> bool:
         with pytest.raises(ArithmeticError) as excinfo:
             kernels._guard(val, sizes, ArithmeticError, "negative squared norm")
         assert str(excinfo.value) == expected
-    assert len(formed) == int(bool((np.asarray(val) < -PSD).any()))
+    assert len(formed) == int(not (np.asarray(val) >= -PSD).all())
     return expected is not None
 
 
@@ -228,8 +231,12 @@ GUARD_CASES = {
     "below -psd, above -identity size": (-2 * PSD, 1.0, False),
     "zero": (0.0, 1.0, False),
     "negative zero": (-0.0, 1.0, False),
-    "nan": (NAN, 1.0, False),
+    "nan": (NAN, 1.0, True),
+    "nan at size 0": (NAN, 0.0, True),
+    "nan at an overflowed size": (NAN, INF, False),
     "-inf": (-INF, 1.0, True),
+    "-inf at an overflowed size": (-INF, INF, False),
+    "inf": (INF, 1.0, False),
 }
 
 
@@ -250,3 +257,33 @@ def test_guard_decides_as_its_rule(value, size, raises, stacked):
 )
 def test_guard_decides_as_its_rule_on_drawn_values(val, size):
     guard_as_oracle(val, size)
+
+
+def split_of(residual):
+    """(quantum, estimation, f_error) whose split residual |f^2 - q^2 - e^2| is ``residual``."""
+    return 0.0, 0.0, np.sqrt(np.asarray(residual))
+
+
+# (residual, size, raises): at size 1 the allowance is IDENTITY.
+SPLIT_CASES = {
+    "zero": (0.0, 1.0, False),
+    "at the allowance": (IDENTITY, 1.0, False),
+    "above the allowance": (2 * IDENTITY, 1.0, True),
+    "nan": (NAN, 1.0, True),
+    "nan at an infinite size": (NAN, INF, True),
+    "a stack with one nan": ([0.0, NAN, 0.5 * IDENTITY], 1.0, True),
+}
+
+
+@pytest.mark.parametrize("residual,size,raises", SPLIT_CASES.values(), ids=SPLIT_CASES)
+def test_check_split_fails_closed(residual, size, raises):
+    """``kernels.check_split`` raises where the split residual exceeds
+    IDENTITY ``size`` or is NaN, naming the first such residual."""
+    split = split_of(residual)
+    if not raises:
+        kernels.check_split(*split, size)
+        return
+    first = np.asarray(residual, dtype=float).ravel()
+    first = first[~(first <= IDENTITY * size)][0]
+    with pytest.raises(AssertionError, match=f"^error decomposition violated by {first:.3e}$"):
+        kernels.check_split(*split, size)

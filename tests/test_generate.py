@@ -92,17 +92,35 @@ class TestPovms:
             assert float(np.min(kernels.context(effects, rho).weights)) > 0.0
 
 
-@pytest.mark.parametrize("axis,shape", [(-3, (6, 2, 5, 5)), (-2, (6, 2, 5))])
-def test_complex_stack_is_re_plus_i_im(axis, shape):
-    """``complex_stack`` of a stack of raw draws (factors or kets), rows
-    zero-padded as a verify block pads them, is ``re + 1j * im`` bit for bit."""
-    raws = np.random.default_rng(len(shape)).standard_normal((4,) + shape)
-    raws[1, 3:] = 0.0
-    pair = (slice(None),) * (raws.ndim + axis)
-    want = raws[pair + (0,)] + 1j * raws[pair + (1,)]
-    got = generate.complex_stack(raws, axis)
-    assert got.dtype == want.dtype and got.shape == want.shape == (4, 6) + shape[2:]
+class PlantedDraws:
+    """A stand-in generator whose ``standard_normal`` returns ``raws``, after
+    checking that it was asked for their shape."""
+
+    def __init__(self, raws):
+        self.raws = raws
+
+    def standard_normal(self, size):
+        assert tuple(size) == self.raws.shape
+        return self.raws
+
+
+@pytest.mark.parametrize("shape", [(6, 5, 5), (5,)], ids=["factors", "kets"])
+def test_gaussians_are_re_plus_i_im(shape):
+    """``gaussians(rng, 4, *shape)`` (POVM factors or kets), drawn as
+    ``(4, 2, *shape)`` standard normals, rows zero-padded as a verify block
+    pads them, is ``re + 1j * im`` bit for bit, and keeps the sign of a
+    planted -0.0 in either part, as ``complex(re, im)`` does."""
+    raws = np.random.default_rng(len(shape)).standard_normal((4, 2) + shape)
+    raws[1, :, 3:] = 0.0
+    want = raws[:, 0] + 1j * raws[:, 1]
+    got = generate.gaussians(PlantedDraws(raws), 4, *shape)
+    assert got.dtype == want.dtype and got.shape == want.shape == (4,) + shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    raws[2, 0, 1], raws[2, 1, 2], raws[3, :, 0] = -0.0, -0.0, -0.0
+    got = generate.gaussians(PlantedDraws(raws), 4, *shape)
+    want = np.vectorize(complex)(raws[:, 0], raws[:, 1])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got[2, 1].real).all() and np.signbit(got[3, 0].imag).all()
 
 
 @pytest.mark.parametrize("dim,outcomes", [(dim, n) for dim in (2, 3, 5, 8, 16) for n in range(1, 7)])

@@ -125,7 +125,7 @@ class TestBridgeIdentity:
             ctx = kernels.context(effects, rho)
             t = kernels.transport(ctx, a)
             assert ozawa_error(model, rho, a) == pytest.approx(
-                kernels.f_error_split(ctx, a, t, est).f_error, abs=1e-9
+                kernels.f_error_split(ctx, est, (a, t))[0].f_error, abs=1e-9
             )
 
     def test_rms_error_dominates_intrinsic_error(self):

@@ -149,7 +149,7 @@ def test_relation_and_proof_device(dim, seed):
 def test_f_error_split_and_contractivity(dim, seed):
     rows, ctx, a, _, f = stack(dim, seed)
     t = kernels.transport(ctx, a)
-    split = kernels.f_error_split(ctx, a, t, f)
+    [split] = kernels.f_error_split(ctx, f, (a, t))
     classical, adjoint_norm, gap_min = kernels.contractivity(ctx, f)
     for i, (effects, rho, a_i, _, f_i) in enumerate(rows):
         s = scale(a_i) + np.max(np.abs(f_i))
@@ -179,12 +179,12 @@ def test_planted_estimation_error_raises(monkeypatch):
     split at, 1 + ||A||_rho^2 + ||f||_p^2, lets no such error through."""
     _, ctx, a, _, f = stack(3, 0)
     t = kernels.transport(ctx, a)
-    split = kernels.f_error_split(ctx, a, t, f)
+    [split] = kernels.f_error_split(ctx, f, (a, t))
     assert (split.estimation_error > 0.1).all()
     planted = kernels.FError
     monkeypatch.setattr(kernels, "FError", lambda q, e, f_err: planted(q, e * (1.0 + 1e-6), f_err))
     with pytest.raises(AssertionError, match="^error decomposition violated by "):
-        kernels.f_error_split(ctx, a, t, f)
+        kernels.f_error_split(ctx, f, (a, t))
 
 
 @pytest.mark.parametrize("size", [1e3, 1e6])
@@ -204,8 +204,8 @@ def test_projective_measurements_of_large_observables(size):
         values, projectors = kernels.spectral(a)
         ctx = kernels.context(projectors, rho)
         t = kernels.transport(ctx, a)
-        split = kernels.f_error_split(ctx, a, t, values + size)
-        exact = kernels.f_error_split(ctx, a, t, values)
+        [split] = kernels.f_error_split(ctx, values + size, (a, t))
+        [exact] = kernels.f_error_split(ctx, values, (a, t))
         e = kernels.errorless(ctx, a, t)
         assert e.errorless.all() and (e.violation <= suites._BOUND_ROUNDOFF * e.scale**2).all()
         assert np.allclose(split.f_error, size, rtol=1e-12, atol=0.0)

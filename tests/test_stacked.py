@@ -19,7 +19,7 @@ from measerr import (
     noisy_projective,
     trivial_measurement,
 )
-from measerr.generate import complex_stack, haar_unitaries
+from measerr.generate import gaussians, haar_unitaries
 from measerr.states import check_effects
 
 # Weight fraction split off the first effect: its outcome lands inside
@@ -122,7 +122,7 @@ def test_builders_are_stack_invariant(dim):
     distinct = np.diag(np.arange(1.0, dim + 1)).astype(complex)
     ragged = [np.stack([distinct, np.diag([1.0, 1.0, *range(3, dim + 1)]).astype(complex)])]
     for seed in range(25):
-        unitary = haar_unitaries(complex_stack(np.random.default_rng(seed).standard_normal((2, dim, dim))))
+        unitary = haar_unitaries(gaussians(np.random.default_rng(seed), 1, dim, dim)[0])
         ragged.append(np.stack([kernels.hermitian_part(unitary @ unitary.conj().T), distinct]))
     padded = [kernels.spectral, *(partial(noisy_projective, lam=lam) for lam in (0.0, 0.5, 1.0))]
     for seed, observables in enumerate(ragged):

@@ -8,7 +8,7 @@ import math
 import re
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import instances
 import numpy as np
@@ -143,7 +143,7 @@ class TestTransportOnce:
         assert transport_calls == [(3, 2, 2)] * 3 + [(3, 4, 4)] * 3
 
     def test_run_verify(self, transport_calls, monkeypatch):
-        """A full verify block transports a and b once for all eight suites,
+        """A full verify block transports a and b once for all nine suites,
         pushes alpha a + beta b forward once (transport-adjointness), and
         transports a and its affine shift on the constructed errorless
         context and a and b on the trivial one: seven pushforwards.  It
@@ -292,6 +292,7 @@ READS = {
     "transport-adjointness": {"povm", "rho", "a", "b", "f", "alpha", "beta"},
     "error-decomposition": {"povm", "rho", "a", "b", "f", "delta", "step"},
     "main-relation": {"povm", "rho", "a", "b"},
+    "proof-tie-identity": {"povm", "rho", "a", "b"},
     "errorless-equivalence": {"povm", "rho", "a", "b", "rho2", "scale", "shift"},
     "trivial-reduction": {"rho2", "a", "b", "p0"},
 }
@@ -315,9 +316,14 @@ DERIVED = {"ctx": {"povm", "rho"}, "rel": {"povm", "rho", "a", "b"}, "spectral":
 
 def run_cols(dims, n, seed) -> list:
     """The columns, the derived values among them, that ``_run`` hands its
-    entries, one dict per block."""
+    entries, one dict per block (the spy entry returns one passing row)."""
     seen = []
-    suites._run({"spy": lambda cols, slack: seen.append(cols) or {}}, dims, n, seed, DEFAULT_TOL.identity, False)
+
+    def spy(cols, slack):
+        seen.append(cols)
+        return [("spy", 0.0, 0.0)]
+
+    suites._run({"spy": spy}, dims, n, seed, DEFAULT_TOL.identity, False)
     return seen
 
 
@@ -377,19 +383,36 @@ GROUPS = {
 }
 
 
+@cache
+def full_block(seed, dim):
+    """A full first block of a verify sweep at ``dim``, its columns and the
+    plain draws of its instances, drawn once for every suite that reads them."""
+    block, cols = draw_block(seed, dim, suites._BLOCK)
+    return block, cols, [plain_draws(seed, dim, i) for i in block]
+
+
 @pytest.mark.parametrize("suite", suites._SUITES)
 @pytest.mark.parametrize("dim", [2, 5, 8])
 def test_full_block_unpacks_every_group(suite, dim):
     """A full block of ``_BLOCK`` instances holds every group of the columns
     a suite reads (outcome count, pure-state coin, or the trivial
     measurement's outcome count), and each instance equals its plain draws."""
-    block, cols = draw_block(29, dim, suites._BLOCK)
+    block, cols, draws = full_block(29, dim)
     assert block == range(suites._BLOCK)
-    draws = [plain_draws(29, dim, i) for i in block]
     assert_block_is_the_plain_draws(cols, block, lambda i: draws[i], READS[suite])
     kinds = [group for key, group in GROUPS.items() if key in READS[suite]]
     groups = {tuple(of(d) for of, _ in kinds) for d in draws}
     assert groups == set(itertools.product(*(values for _, values in kinds)))
+
+
+@cache
+def one_instance_block(dim, pure):
+    """The one-instance verify block at ``dim`` of the first seed whose
+    coin-tossed state is a ket (``pure``) or a Ginibre draw, its columns and
+    its instance's plain draws, drawn once for every suite that reads them."""
+    seed = next(seed for seed in itertools.count() if plain_draws(seed, dim, 0)["pure"] == pure)
+    block, cols = draw_block(seed, dim, 1)
+    return block, cols, plain_draws(seed, dim, 0)
 
 
 @pytest.mark.parametrize("suite", [suite for suite in suites._SUITES if "rho" in READS[suite]])
@@ -399,9 +422,8 @@ def test_one_instance_blocks_of_one_kind_of_state(suite, dim, pure):
     """A one-instance block whose coin-tossed state is only a ket, or only a
     Ginibre draw, leaves the other kind's rows empty, and the columns a
     suite reads equal their plain draws."""
-    seed = next(seed for seed in itertools.count() if plain_draws(seed, dim, 0)["pure"] == pure)
-    block, cols = draw_block(seed, dim, 1)
-    assert_block_is_the_plain_draws(cols, block, partial(plain_draws, seed, dim), READS[suite])
+    block, cols, plain = one_instance_block(dim, pure)
+    assert_block_is_the_plain_draws(cols, block, lambda i: plain, READS[suite])
 
 
 def chain_plain_draws(seed, dim, ancilla, i):
@@ -635,8 +657,7 @@ def test_errorless_bound_holds_between_the_thresholds():
     assert e.errorless[0] and e.roundtrip_residual[0] > DEFAULT_TOL.errorless * e.scale[0]
     assert e.violation[0] <= suites._BOUND_ROUNDOFF * e.scale[0] ** 2
     out = SuiteResult("errorless-equivalence")
-    [checks] = suites._errorless_equivalence(cols, DEFAULT_TOL.identity).values()
-    out.record_block(2, range(31, 32), checks)
+    out.record_block(2, range(31, 32), suites._errorless_equivalence(cols, DEFAULT_TOL.identity))
     assert (out.checks, out.failures) == (6, 0)
 
 
@@ -680,7 +701,7 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch, failing):
 
 
 def test_run_verify_draws_each_block_once(monkeypatch):
-    """One sweep block per dimension at n = 100, drawn once for all eight
+    """One sweep block per dimension at n = 100, drawn once for all nine
     verify suites."""
     calls, draw = [], suites._draw_block
 
@@ -694,12 +715,22 @@ def test_run_verify_draws_each_block_once(monkeypatch):
 
 
 @pytest.mark.parametrize("failing", [False, True])
+def test_results_are_the_table_rows_in_order(failing):
+    """``run_verify`` reports one result per ``_SUITES`` entry, named by its
+    key, in table order, passing or failing."""
+    results = suites.run_verify((2,), 5, 3, 1e-16 if failing else DEFAULT_TOL.identity, failing)
+    assert [r.name for r in results] == list(suites._SUITES)
+    assert any(not r.passed for r in results) is failing
+
+
+@pytest.mark.parametrize("failing", [False, True])
 def test_each_suite_alone_is_as_in_the_full_run(monkeypatch, failing):
-    """Each verify suite run alone by ``_run`` counts the same checks and
-    failures, the same worst residual and the same messages as in the full
-    run, where the suites before it have read the same columns: no checks
-    function writes into the block they share.  Also on failing runs, with
-    the sign flip and roundoff-level slacks."""
+    """Each verify suite, proof-tie-identity among them, run alone by
+    ``_run`` counts the same checks and failures, the same worst residual
+    and the same messages as in the full run, where the suites before it
+    have read the same columns: no checks function writes into the block
+    they share.  Also on failing runs, with the sign flip and
+    roundoff-level slacks."""
     if failing:
         monkeypatch.setattr(suites, "DEFAULT_TOL", replace(DEFAULT_TOL, validation=1e-16, expectation=1e-16))
     slack = 1e-16 if failing else DEFAULT_TOL.identity
